@@ -21,12 +21,14 @@ from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 # Lower layers never import higher ones (equal layers may import each
 # other; actual cycles are caught separately).  The longest dotted prefix
 # wins, which is how repro.store splits: the storage primitives
-# (base/memory/filestore/cached/stats) sit below the POS-Tree that writes
-# through them, while the tree-walking maintenance passes (gc, scrub) and
-# the package facade sit above.  Deferred (function-scope) imports and
-# ``if TYPE_CHECKING`` imports are exempt — they cannot create import-time
-# cycles and are the sanctioned escape hatch for runtime mutual recursion
-# (scrub ↔ cluster, db ↔ security.verify).
+# (base/memory/cached/stats/durability) sit below the POS-Tree that writes
+# through them, the durable backends (appendlog/filestore/packstore) sit
+# just above the fault seams they embed, and the tree-walking maintenance
+# passes (gc, scrub) and the package facade sit above everything.
+# Deferred (function-scope) imports and ``if TYPE_CHECKING`` imports are
+# exempt — they cannot create import-time cycles and are the sanctioned
+# escape hatch for runtime mutual recursion (scrub ↔ cluster,
+# db ↔ security.verify).
 # ---------------------------------------------------------------------------
 LAYERS: Mapping[str, int] = {
     "repro.errors": 0,
@@ -36,18 +38,20 @@ LAYERS: Mapping[str, int] = {
     "repro.store.durability": 3,
     "repro.store.base": 3,
     "repro.store.memory": 3,
-    "repro.store.filestore": 3,
     "repro.store.cached": 3,
     # The retry helper is pure policy over repro.errors; it sits beside
-    # the storage primitives so FileStore can bound ENOSPC retries.
+    # the storage primitives so the append log can bound ENOSPC retries.
     "repro.faults.retry": 3,
     "repro.faults": 4,
     "repro.faults.network": 4,
     # The byzantine adversary wraps node stores the way FaultyStore does;
     # it knows chunks and stores, never the cluster that hosts it.
     "repro.faults.byzantine": 4,
-    # The pack backend sits above faults (it embeds crash-points the way
-    # the journal does) but below everything that stores chunks.
+    # The durable-append primitive embeds crash-points and the disk-fault
+    # seam, so it sits above faults; the two backends that write through
+    # it sit beside it, below everything that stores chunks.
+    "repro.store.appendlog": 5,
+    "repro.store.filestore": 5,
     "repro.store.packstore": 5,
     "repro.postree": 5,
     "repro.types": 6,
@@ -336,16 +340,12 @@ DEFAULT_ALLOW: Dict[str, Sequence[str]] = {
     # The disk-fault shim *is* the faulty kernel: raising OSError with a
     # real errno is its contract (callers classify via map_os_error).
     "FB-ERRORS": ("src/repro/faults/fs.py::OSError",),
-    # _recover_fsync() *records* each failed rewrite attempt and raises
-    # the accumulated error after its bounded retry loop — the rule
-    # cannot see a deferred raise, so the pattern is sanctioned here
-    # instead of weakening the rule.  (The abandon() entries that used
-    # to sit alongside these were stale — found by ``--stale-allow``.)
-    "FB-OSFAULT": (
-        "src/repro/store/filestore.py::_recover_fsync",
-        "src/repro/store/packstore.py::_recover_fsync",
-        "src/repro/vcs/journal.py::_recover_fsync",
-    ),
+    # AppendLog._recover_fsync() *records* each failed rewrite attempt
+    # and raises the accumulated error after its bounded retry loop —
+    # the rule cannot see a deferred raise, so the pattern is sanctioned
+    # here instead of weakening the rule.  One entry: the journal and
+    # both stores sit on the one primitive.
+    "FB-OSFAULT": ("src/repro/store/appendlog.py::_recover_fsync",),
     # ChunkStore.get/get_maybe fetch then verify behind the verify_reads
     # flag: the skip branch is the *explicit, caller-chosen* opt-out the
     # flag exists for (scrub wants the raw bytes to diagnose them), so
@@ -363,15 +363,12 @@ DEFAULT_ALLOW: Dict[str, Sequence[str]] = {
     # Appends that target a *temporary* file are outside the un-ack
     # discipline: a failure leaves the live artifact untouched and the
     # torn tmp is discarded on the next open (heads snapshot, pack-index
-    # snapshot, journal reset) or rebuilt by magic-scan (journal create).
-    # compact_segments' handler unlinks every half-built segment and
-    # reopens the old writer — new_segments is never empty, which the
-    # CFG cannot prove across the loop's zero-iteration edge.
+    # snapshot, journal reset).  Every append to a *live* file goes
+    # through AppendLog._write, whose handler unwinds — so the journal's
+    # create path and pack compaction need no entry any more.
     "FB-ACKFLOW": (
         "src/repro/db/engine.py::_compact",
         "src/repro/store/packstore.py::_save_index",
-        "src/repro/store/packstore.py::compact_segments",
-        "src/repro/vcs/journal.py::_create",
         "src/repro/vcs/journal.py::reset",
     ),
 }

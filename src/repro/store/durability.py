@@ -86,7 +86,8 @@ def write_bytes(handle: IO[bytes], data: bytes, label: str = "") -> None:
 
     A short-write injection materializes a strict prefix of ``data``
     before raising, exactly the damage a real ENOSPC mid-write leaves —
-    callers own the un-ack discipline (truncate back to the watermark).
+    the un-ack discipline (truncate back to the acked size) is
+    :class:`~repro.store.appendlog.AppendLog`'s, which appends go through.
     """
     try:
         _injector.write(handle, data, label)

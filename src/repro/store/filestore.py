@@ -18,16 +18,10 @@ import struct
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.chunk import Chunk, ChunkType, Uid
-from repro.errors import (
-    DiskFaultError,
-    DiskFullError,
-    StoreClosedError,
-    StoreError,
-    map_os_error,
-)
-from repro.faults.retry import RetryPolicy
+from repro.errors import StoreClosedError, StoreError, map_os_error
+from repro.store.appendlog import AppendLog
 from repro.store.base import ChunkStore
-from repro.store.durability import durable_replace, fsync_file, read_check, write_bytes
+from repro.store.durability import durable_replace, fsync_file, read_check
 
 _RECORD_HEADER = struct.Struct(">BI")  # type tag, payload length
 _INDEX_ENTRY = struct.Struct(">32sII")  # digest, segment number, offset
@@ -37,10 +31,6 @@ _INDEX_MAGIC = b"FBIX0002"  # 0002 added the per-segment watermark table
 
 class FileStore(ChunkStore):
     """Durable chunk store over append-only segment files."""
-
-    #: Unsynced appends kept in memory for fsync-failure recovery; once
-    #: the buffer exceeds this, the store forces a durable point.
-    _TAIL_LIMIT = 4 * 1024 * 1024
 
     def __init__(
         self,
@@ -54,14 +44,6 @@ class FileStore(ChunkStore):
         self._segment_limit = segment_limit
         self._index: Dict[Uid, Tuple[int, int]] = {}
         self._closed = False
-        self._poisoned = False
-        #: Record blobs appended since the last successful fsync: the
-        #: rewrite buffer for fsyncgate recovery (reopen-and-rewrite).
-        self._tail: List[bytes] = []
-        self._tail_bytes = 0
-        #: Bounded backoff for transient ENOSPC on the append path only;
-        #: a failed *fsync* is never retried (see :meth:`_recover_fsync`).
-        self._disk_retry = RetryPolicy(attempts=3, base_delay=0.002, max_delay=0.01)
         os.makedirs(self._seg_dir, exist_ok=True)
         self._segments = sorted(
             int(name[4:-4])
@@ -72,16 +54,17 @@ class FileStore(ChunkStore):
             self._segments = [0]
             open(self._segment_path(0), "ab").close()
         self._active = self._segments[-1]
-        self._writer = open(self._segment_path(self._active), "ab")
-        #: Segment offset at the last successful fsync (durable floor).
-        self._synced = self._writer.tell()
-        if not self._load_index():
-            self._rebuild_index()
+        end = self._load_index()
+        if end is None:
+            end = self._rebuild_index()
+        # Only now, with the active segment's last whole record known,
+        # does the writer open: the log drops any torn tail first.
+        self._log = self._open_log(end)
 
     @property
     def poisoned(self) -> bool:
         """True once an unrecoverable disk fault disabled the writer."""
-        return self._poisoned
+        return self._log.poisoned
 
     def _segment_path(self, number: int) -> str:
         return os.path.join(self._seg_dir, f"seg-{number:06d}.dat")
@@ -91,8 +74,10 @@ class FileStore(ChunkStore):
 
     # -- index persistence --------------------------------------------------
 
-    def _load_index(self) -> bool:
-        """Load the index snapshot; False if absent, corrupt, or stale.
+    def _load_index(self) -> Optional[int]:
+        """Load the index snapshot; None if absent, corrupt, or stale.
+
+        On success returns the active segment's last record boundary.
 
         Staleness check: every indexed segment must still exist on disk,
         no segment may have shrunk below its recorded watermark (that
@@ -104,64 +89,66 @@ class FileStore(ChunkStore):
         """
         path = self._index_path()
         if not os.path.exists(path):
-            return False
+            return None
         watermarks: Dict[int, int] = {}
         try:
             with open(path, "rb") as handle:
                 magic = handle.read(len(_INDEX_MAGIC))
                 if magic != _INDEX_MAGIC:
-                    return False
+                    return None
                 (count,) = struct.unpack(">Q", handle.read(8))
                 (seg_count,) = struct.unpack(">Q", handle.read(8))
                 for _ in range(seg_count):
                     raw = handle.read(_WATERMARK_ENTRY.size)
                     if len(raw) != _WATERMARK_ENTRY.size:
-                        return False
+                        return None
                     segment, length = _WATERMARK_ENTRY.unpack(raw)
                     watermarks[segment] = length
                 for _ in range(count):
                     raw = handle.read(_INDEX_ENTRY.size)
                     if len(raw) != _INDEX_ENTRY.size:
-                        return False
+                        return None
                     digest, segment, offset = _INDEX_ENTRY.unpack(raw)
                     self._index[Uid(digest)] = (segment, offset)
         except (OSError, struct.error):
             self._index.clear()
-            return False
+            return None
         known = set(self._segments)
         for segment, watermark in watermarks.items():
             if segment not in known:
                 self._index.clear()
-                return False  # indexed segment vanished
+                return None  # indexed segment vanished
             if os.path.getsize(self._segment_path(segment)) < watermark:
                 self._index.clear()
-                return False  # segment shrank: offsets can dangle
+                return None  # segment shrank: offsets can dangle
         for segment, offset in self._index.values():
             if segment not in watermarks:
                 self._index.clear()
-                return False  # entry points into an untracked segment
+                return None  # entry points into an untracked segment
             if offset + _RECORD_HEADER.size > watermarks[segment]:
                 self._index.clear()
-                return False  # offset past the indexed region
-        self._scan_unindexed(watermarks)
-        return True
-
-    def _rebuild_index(self) -> None:
-        """Reconstruct the index by scanning every segment file."""
-        self._index.clear()
+                return None  # offset past the indexed region
+        # Records appended after the snapshot (a crash before close): each
+        # watermark is an exact record boundary, so resuming there cannot
+        # split a record.
+        end = 0
         for segment in self._segments:
-            self._scan_segment(segment)
+            end = self._scan_segment(segment, start=watermarks.get(segment, 0))
+        return end
 
-    def _scan_unindexed(self, watermarks: Dict[int, int]) -> None:
-        """Pick up records written after the last index snapshot.
+    def _rebuild_index(self) -> int:
+        """Reconstruct the index by scanning every segment file.
 
-        The watermark is an exact record boundary (the segment length at
-        snapshot time), so resuming there cannot split a record.
+        Returns the active segment's last record boundary.
         """
+        self._index.clear()
+        end = 0
         for segment in self._segments:
-            self._scan_segment(segment, start=watermarks.get(segment, 0))
+            end = self._scan_segment(segment)
+        return end
 
-    def _scan_segment(self, segment: int, start: int = 0) -> None:
+    def _scan_segment(self, segment: int, start: int = 0) -> int:
+        """Index whole records from ``start``; return where they end."""
         path = self._segment_path(segment)
         with open(path, "rb") as handle:
             handle.seek(start)
@@ -180,6 +167,7 @@ class FileStore(ChunkStore):
                     break  # unknown tag: treat as corruption tail
                 self._index[chunk.uid] = (segment, offset)
                 offset += _RECORD_HEADER.size + length
+        return offset
 
     def _save_index(self) -> None:
         path = self._index_path()
@@ -205,140 +193,42 @@ class FileStore(ChunkStore):
 
     # -- primitives ----------------------------------------------------------
 
-    def _check_writer(self) -> None:
-        if self._closed:
-            raise StoreClosedError("store is closed")
-        if self._poisoned:
-            raise DiskFaultError(
-                f"{self._dir}: writer poisoned by an unrecoverable disk fault",
-                syscall="write",
-                path=self._segment_path(self._active),
-            )
+    def _open_log(self, end: int) -> AppendLog:
+        return AppendLog(self._segment_path(self._active), end, on_unack=self._unack)
 
-    def _roll_segment(self) -> None:
-        """Retire the active segment and open the next one.
-
-        The retiring segment gets watermarked at its full size by the
-        next index snapshot; fsync (with fsync-failure recovery) before
-        closing so a power loss cannot shrink it below that watermark.
-        """
-        self._sync_writer(f"roll:{self._active}")
-        self._writer.close()
-        self._active += 1
-        self._segments.append(self._active)
-        self._writer = open(self._segment_path(self._active), "ab")
-        self._synced = 0
-        self._tail = []
-        self._tail_bytes = 0
-
-    def _unwind_append(self, offset: int) -> None:
-        """Un-ack a failed append: truncate the partial record away.
-
-        A short write may have materialized a strict prefix; the index
-        has not been touched yet, so truncating back to ``offset`` keeps
-        the segment ending on a record boundary.  If even the truncate
-        fails the writer is poisoned — no further appends are accepted.
-        """
-        try:
-            self._writer.flush()
-            os.ftruncate(self._writer.fileno(), offset)
-            self._writer.seek(0, os.SEEK_END)
-        except OSError as exc:
-            self._poisoned = True
-            raise map_os_error(exc, "truncate", self._segment_path(self._active)) from exc
-
-    def _sync_writer(self, label: str) -> None:
-        """Fsync the active segment, recovering a failed fsync safely."""
-        try:
-            fsync_file(self._writer, label)
-        except (DiskFullError, DiskFaultError) as exc:
-            self._recover_fsync(exc)
-        self._synced = self._writer.tell()
-        self._tail = []
-        self._tail_bytes = 0
-
-    def _recover_fsync(self, cause: StoreError) -> None:
-        """Reopen-and-rewrite after a failed fsync (fsyncgate discipline).
-
-        The failed descriptor may have dropped the unsynced tail and
-        would falsely report success if fsynced again, so it is never
-        reused: open a fresh descriptor, truncate to the durable floor,
-        rewrite the tail records, and fsync *that*.  Failing twice
-        poisons the writer and un-indexes the records that never made it
-        to the platter (acked ⇒ durable must not be claimed for them).
-        """
-        path = self._segment_path(self._active)
-        self._writer.close()
-        last: StoreError = cause
-        for _ in range(2):
-            try:
-                handle = open(path, "r+b")
-            except OSError as exc:
-                last = map_os_error(exc, "open", path)
-                break
-            try:
-                handle.truncate(self._synced)
-                handle.seek(self._synced)
-                for blob in self._tail:
-                    write_bytes(handle, blob)
-                fsync_file(handle, "fsync-recovery")
-            except (DiskFullError, DiskFaultError) as exc:
-                last = exc
-                handle.close()
-                continue
-            except OSError as exc:
-                last = map_os_error(exc, "write", path)
-                handle.close()
-                continue
-            self._writer = handle
-            return
-        self._poisoned = True
+    def _unack(self, log: AppendLog) -> None:
+        """Un-index what a poisoned log never made durable (acked ⇒ durable)."""
         doomed = [
             uid
             for uid, (segment, offset) in self._index.items()
-            if segment == self._active and offset >= self._synced
+            if segment == self._active and offset >= log.durable_size
         ]
         for uid in doomed:
             del self._index[uid]
-        raise DiskFaultError(
-            f"{path}: writer poisoned after failed fsync recovery "
-            f"({len(doomed)} unsynced records un-acked): {last}",
-            syscall="fsync",
-            path=path,
-        ) from last
+
+    def _check_writer(self) -> None:
+        if self._closed:
+            raise StoreClosedError("store is closed")
+        self._log.check()
 
     def _append(self, chunk: Chunk) -> None:
         """Append one record to the active segment (no flush)."""
-        if self._writer.tell() >= self._segment_limit:
-            self._roll_segment()
+        if self._log.size >= self._segment_limit:
+            # Retire the active segment: it gets watermarked at its full
+            # size by the next index snapshot, so it is fsynced before a
+            # fresh log takes over — a power loss cannot shrink it.
+            self._log.close(f"roll:{self._active}")
+            self._active += 1
+            self._segments.append(self._active)
+            self._log = self._open_log(0)
         record = _RECORD_HEADER.pack(int(chunk.type), len(chunk.data)) + chunk.data
-        offset = self._writer.tell()
-        try:
-            write_bytes(self._writer, record)
-        except (DiskFullError, DiskFaultError):
-            self._unwind_append(offset)
-            raise
-        self._index[chunk.uid] = (self._active, offset)
-        self._tail.append(record)
-        self._tail_bytes += len(record)
+        self._index[chunk.uid] = (self._active, self._log.append(record))
         self.stats.record_io(written=len(record))
-        if self._tail_bytes > self._TAIL_LIMIT:
-            # Bound the rewrite buffer: force a durable point so the
-            # fsync-recovery tail cannot grow without limit.
-            self._sync_writer("tail-limit")
-
-    def _flush_writer(self) -> None:
-        try:
-            self._writer.flush()
-        except OSError as exc:
-            # Buffer state is unknowable after a failed flush: poison.
-            self._poisoned = True
-            raise map_os_error(exc, "write", self._segment_path(self._active)) from exc
 
     def _insert(self, chunk: Chunk) -> None:
         self._check_writer()
-        self._disk_retry.call(lambda: self._append(chunk), retry_on=(DiskFullError,))
-        self._flush_writer()
+        self._append(chunk)
+        self._log.flush()
 
     def _insert_many(self, chunks: List[Chunk]) -> None:
         """Batched append: one fsync and one index snapshot per batch.
@@ -349,8 +239,8 @@ class FileStore(ChunkStore):
         """
         self._check_writer()
         for chunk in chunks:
-            self._disk_retry.call(lambda c=chunk: self._append(c), retry_on=(DiskFullError,))
-        self._sync_writer(f"batch:{len(chunks)}")
+            self._append(chunk)
+        self._log.sync(f"batch:{len(chunks)}")
         self._save_index()
 
     def _fetch(self, uid: Uid) -> Optional[Chunk]:
@@ -398,15 +288,14 @@ class FileStore(ChunkStore):
     def close(self) -> None:
         if self._closed:
             return
-        if self._poisoned:
+        if self._log.poisoned:
             # The writer is disabled and the in-memory index already had
             # its un-durable entries removed; persisting a snapshot would
             # launder the poisoned state into "clean close".  Abandon and
             # let reopen rebuild from the watermark scan.
             self.abandon()
             return
-        self._sync_writer("close")
-        self._writer.close()
+        self._log.close()
         self._save_index()
         self._closed = True
 
@@ -419,8 +308,5 @@ class FileStore(ChunkStore):
         """
         if self._closed:
             return
-        try:
-            self._writer.close()
-        except OSError:
-            pass  # a SIGKILL simulator must not raise on teardown
+        self._log.abandon()
         self._closed = True

@@ -50,16 +50,9 @@ from repro.errors import (
     map_os_error,
 )
 from repro.faults.crash import crashing_write, crashpoint
-from repro.faults.retry import RetryPolicy
+from repro.store.appendlog import AppendLog
 from repro.store.base import ChunkStore
-from repro.store.durability import (
-    durable_replace,
-    fsync_dir,
-    fsync_file,
-    fsync_path,
-    read_check,
-    write_bytes,
-)
+from repro.store.durability import durable_replace, fsync_dir, fsync_file, read_check
 
 try:  # optional accelerator: per-record zstd compression
     import zstandard as _zstd
@@ -134,10 +127,6 @@ class PackStore(ChunkStore):
 
     supports_in_place_sweep = True
 
-    #: Unsynced appends kept in memory for fsync-failure recovery; once
-    #: the buffer exceeds this, the store forces a durable point.
-    _TAIL_LIMIT = 4 * 1024 * 1024
-
     def __init__(
         self,
         directory: str,
@@ -156,14 +145,6 @@ class PackStore(ChunkStore):
         self._index: Dict[Uid, Tuple[int, int, int]] = {}
         self._maps: Dict[int, mmap.mmap] = {}
         self._closed = False
-        self._poisoned = False
-        #: Record blobs appended since the last successful fsync: the
-        #: rewrite buffer for fsyncgate recovery (reopen-and-rewrite).
-        self._tail: List[bytes] = []
-        self._tail_bytes = 0
-        #: Bounded backoff for transient ENOSPC on the append path only;
-        #: a failed *fsync* is never retried (see :meth:`_recover_fsync`).
-        self._disk_retry = RetryPolicy(attempts=3, base_delay=0.002, max_delay=0.01)
         self._dead_records = 0
         self._dead_bytes = 0
         self.bloom_negatives = 0
@@ -176,23 +157,20 @@ class PackStore(ChunkStore):
         if not self._segments:
             self._segments = [0]
             open(self._segment_path(0), "ab").close()
+        end = self._load_index()
+        if end is None:
+            end = self._rebuild_index()
+        # Only now (index loading may have dropped compaction leftovers)
+        # does the writer open: the log truncates any torn tail first, so
+        # appended records are indexed at the offset they land on.
         self._active = self._segments[-1]
-        if not self._load_index():
-            self._rebuild_index()
-        # Recovery may truncate a torn tail off the active segment, and
-        # os.truncate does not move an already-open handle's position.
-        # Open the O_APPEND writer only now, so tell() equals true EOF
-        # and appended records are indexed at the offset they land on.
-        self._active = self._segments[-1]
-        self._writer = open(self._segment_path(self._active), "ab")
-        #: Segment offset at the last successful fsync (durable floor).
-        self._synced = self._writer.tell()
+        self._log = self._open_log(self._active, end)
         self._bloom = self._rebuild_bloom()
 
     @property
     def poisoned(self) -> bool:
         """True once an unrecoverable disk fault disabled the writer."""
-        return self._poisoned
+        return self._log.poisoned
 
     # -- codec negotiation ---------------------------------------------------
 
@@ -311,8 +289,10 @@ class PackStore(ChunkStore):
 
     # -- index persistence ---------------------------------------------------
 
-    def _load_index(self) -> bool:
-        """Load the FBPX snapshot; False if absent, corrupt, or stale.
+    def _load_index(self) -> Optional[int]:
+        """Load the FBPX snapshot; None if absent, corrupt, or stale.
+
+        On success returns the active segment's last record boundary.
 
         Same staleness rules as FileStore's FBIX (every watermarked
         segment must exist, none may have shrunk, every entry must fall
@@ -323,49 +303,49 @@ class PackStore(ChunkStore):
         """
         path = self._index_path()
         if not os.path.exists(path):
-            return False
+            return None
         watermarks: Dict[int, int] = {}
         try:
             with open(path, "rb") as handle:
                 magic = handle.read(len(_INDEX_MAGIC))
                 if magic != _INDEX_MAGIC:
-                    return False
+                    return None
                 (count,) = struct.unpack(">Q", handle.read(8))
                 (seg_count,) = struct.unpack(">Q", handle.read(8))
                 for _ in range(seg_count):
                     raw = handle.read(_WATERMARK_ENTRY.size)
                     if len(raw) != _WATERMARK_ENTRY.size:
-                        return False
+                        return None
                     segment, length = _WATERMARK_ENTRY.unpack(raw)
                     watermarks[segment] = length
                 for _ in range(count):
                     raw = handle.read(_INDEX_ENTRY.size)
                     if len(raw) != _INDEX_ENTRY.size:
-                        return False
+                        return None
                     digest, segment, offset, length = _INDEX_ENTRY.unpack(raw)
                     self._index[Uid(digest)] = (segment, offset, length)
                 self.stats.record_io(read=handle.tell())
         except (OSError, struct.error):
             self._index.clear()
-            return False
+            return None
         if not watermarks:
             self._index.clear()
-            return False
+            return None
         known = set(self._segments)
         for segment, watermark in watermarks.items():
             if segment not in known:
                 self._index.clear()
-                return False  # indexed segment vanished
+                return None  # indexed segment vanished
             if os.path.getsize(self._segment_path(segment)) < watermark:
                 self._index.clear()
-                return False  # segment shrank: offsets can dangle
+                return None  # segment shrank: offsets can dangle
         for segment, offset, length in self._index.values():
             if segment not in watermarks:
                 self._index.clear()
-                return False  # entry points into an untracked segment
+                return None  # entry points into an untracked segment
             if offset + length > watermarks[segment]:
                 self._index.clear()
-                return False  # record past the indexed region
+                return None  # record past the indexed region
         newest = max(watermarks)
         survivors: List[int] = []
         for segment in self._segments:
@@ -377,22 +357,29 @@ class PackStore(ChunkStore):
             else:
                 survivors.append(segment)
         self._segments = survivors
+        end = 0
         for segment in self._segments:
-            self._scan_segment(segment, start=watermarks.get(segment, 0))
-        return True
+            end = self._scan_segment(segment, start=watermarks.get(segment, 0))
+        return end
 
-    def _rebuild_index(self) -> None:
-        """Reconstruct the index by scanning every pack segment."""
+    def _rebuild_index(self) -> int:
+        """Reconstruct the index by scanning every pack segment.
+
+        Returns the active segment's last record boundary.
+        """
         self._index.clear()
+        end = 0
         for segment in self._segments:
-            self._scan_segment(segment)
+            end = self._scan_segment(segment)
+        return end
 
-    def _scan_segment(self, segment: int, start: int = 0) -> None:
-        """Index records from ``start``; truncate tears, raise on rot.
+    def _scan_segment(self, segment: int, start: int = 0) -> int:
+        """Index records from ``start``; stop at a tear, raise on rot.
 
-        A *torn tail* — an incomplete frame or payload at EOF, the
-        signature of a crashed append — is truncated away so the segment
-        ends on a record boundary again.  A *complete* record that fails
+        Returns the offset where whole records end.  A *torn tail* — an
+        incomplete frame or payload at EOF, the signature of a crashed
+        append — stops the scan; the log that opens the active segment
+        truncates it away.  A *complete* record that fails
         its CRC (or carries an unknown tag) is interior rot: appends are
         prefix writes, so damage inside a full frame cannot be a crash
         artifact, and recovery stops loudly rather than silently dropping
@@ -401,23 +388,17 @@ class PackStore(ChunkStore):
         environment without zstandard.
         """
         path = self._segment_path(segment)
-        end = os.path.getsize(path)
         with open(path, "rb") as handle:
             handle.seek(start)
             offset = start
-            torn = False
             while True:
                 frame = handle.read(_FRAME_SIZE)
-                if not frame:
-                    break  # clean EOF
                 if len(frame) < _FRAME_SIZE:
-                    torn = True  # partial frame at EOF
-                    break
+                    break  # clean EOF, or a partial frame at EOF
                 tag, codec, stored_len, raw_len, digest, crc = self._parse_frame(frame)
                 stored = handle.read(stored_len)
                 if len(stored) < stored_len:
-                    torn = True  # partial payload at EOF
-                    break
+                    break  # partial payload at EOF
                 if zlib.crc32(frame[: _FRAME.size] + stored) != crc:
                     raise ChunkCorruptionError(
                         f"pack segment {segment} has a rotten record at "
@@ -434,9 +415,7 @@ class PackStore(ChunkStore):
                 self._index[Uid(digest)] = (segment, offset, length)
                 offset += length
             self.stats.record_io(read=offset - start)
-        if torn and offset < end:
-            os.truncate(path, offset)
-            fsync_path(path)
+        return offset
 
     def _save_index(self) -> None:
         """Write the FBPX snapshot durably (fsync before rename).
@@ -490,11 +469,8 @@ class PackStore(ChunkStore):
                 mapped.close()
                 self._maps.pop(segment, None)
             path = self._segment_path(segment)
-            if segment == self._active and not self._writer.closed:
-                try:
-                    self._writer.flush()
-                except OSError as exc:
-                    raise map_os_error(exc, "write", path) from exc
+            if segment == self._active:
+                self._log.flush()
             try:
                 read_check(path, label=f"pack:{segment}")
                 size = os.path.getsize(path)
@@ -533,154 +509,61 @@ class PackStore(ChunkStore):
 
     # -- primitives ----------------------------------------------------------
 
-    def _check_writer(self) -> None:
-        if self._closed:
-            raise StoreClosedError("store is closed")
-        if self._poisoned:
-            raise DiskFaultError(
-                f"{self._dir}: writer poisoned by an unrecoverable disk fault",
-                syscall="write",
-                path=self._segment_path(self._active),
-            )
+    def _open_log(self, segment: int, end: int) -> AppendLog:
+        # Only the batch and compaction fsyncs are declared crash
+        # boundaries (marked where they happen), so no ``fsync_kind``.
+        return AppendLog(
+            self._segment_path(segment), end, write_kind="pack-write", on_unack=self._unack
+        )
 
-    def _roll_segment(self) -> None:
-        """Retire the active segment and open the next one.
-
-        The retiring segment gets watermarked at its full size by the
-        next index snapshot; fsync (with fsync-failure recovery) before
-        closing so a power loss cannot shrink it below that watermark.
-        """
-        self._sync_writer(f"roll:{self._active}")
-        self._writer.close()
-        self._active += 1
-        self._segments.append(self._active)
-        self._writer = open(self._segment_path(self._active), "ab")
-        self._synced = 0
-        self._tail = []
-        self._tail_bytes = 0
-
-    def _unwind_append(self, offset: int) -> None:
-        """Un-ack a failed append: truncate the partial record away.
-
-        A short write may have materialized a strict prefix; the index
-        and bloom have not been touched yet, so truncating back to
-        ``offset`` keeps the segment ending on a record boundary.  If
-        even the truncate fails the writer is poisoned.
-        """
-        try:
-            self._writer.flush()
-            os.ftruncate(self._writer.fileno(), offset)
-            self._writer.seek(0, os.SEEK_END)
-        except OSError as exc:
-            self._poisoned = True
-            raise map_os_error(exc, "truncate", self._segment_path(self._active)) from exc
-
-    def _sync_writer(self, label: str) -> None:
-        """Fsync the active segment, recovering a failed fsync safely."""
-        try:
-            fsync_file(self._writer, label)
-        except (DiskFullError, DiskFaultError) as exc:
-            self._recover_fsync(exc)
-        self._synced = self._writer.tell()
-        self._tail = []
-        self._tail_bytes = 0
-
-    def _recover_fsync(self, cause: StoreError) -> None:
-        """Reopen-and-rewrite after a failed fsync (fsyncgate discipline).
-
-        The failed descriptor may have dropped the unsynced tail and
-        would falsely report success if fsynced again, so it is never
-        reused: open a fresh descriptor, truncate to the durable floor,
-        rewrite the tail records, and fsync *that*.  Failing twice
-        poisons the writer, un-indexes the records that never made it to
-        the platter, and rebuilds the bloom over the pruned index.
-        """
-        path = self._segment_path(self._active)
-        self._writer.close()
-        last: StoreError = cause
-        for _ in range(2):
-            try:
-                handle = open(path, "r+b")
-            except OSError as exc:
-                last = map_os_error(exc, "open", path)
-                break
-            try:
-                handle.truncate(self._synced)
-                handle.seek(self._synced)
-                for blob in self._tail:
-                    write_bytes(handle, blob)
-                fsync_file(handle, "fsync-recovery")
-            except (DiskFullError, DiskFaultError) as exc:
-                last = exc
-                handle.close()
-                continue
-            except OSError as exc:
-                last = map_os_error(exc, "write", path)
-                handle.close()
-                continue
-            self._writer = handle
-            return
-        self._poisoned = True
+    def _unack(self, log: AppendLog) -> None:
+        """Un-index what a poisoned log never made durable (acked ⇒ durable)."""
+        if log is not self._log:
+            return  # a compaction rewrite: the index still describes the old layout
         doomed = [
             uid
             for uid, (segment, offset, _length) in self._index.items()
-            if segment == self._active and offset >= self._synced
+            if segment == self._active and offset >= log.durable_size
         ]
         for uid in doomed:
             del self._index[uid]
         self._bloom = self._rebuild_bloom()
-        raise DiskFaultError(
-            f"{path}: writer poisoned after failed fsync recovery "
-            f"({len(doomed)} unsynced records un-acked): {last}",
-            syscall="fsync",
-            path=path,
-        ) from last
+
+    def _check_writer(self) -> None:
+        if self._closed:
+            raise StoreClosedError("store is closed")
+        self._log.check()
 
     def _append(self, chunk: Chunk) -> None:
         """Append one framed record (write boundary; no flush)."""
         record = self._encode_record(chunk)
-        if self._writer.tell() >= self._segment_limit:
-            self._roll_segment()
-        offset = self._writer.tell()
-        try:
-            crashing_write(
-                self._writer, record, kind="pack-write", label=chunk.uid.short()
-            )
-        except (DiskFullError, DiskFaultError):
-            self._unwind_append(offset)
-            raise
+        if self._log.size >= self._segment_limit:
+            # Retire the active segment: it gets watermarked at its full
+            # size by the next index snapshot, so it is fsynced before a
+            # fresh log takes over — a power loss cannot shrink it.
+            self._log.close(f"roll:{self._active}")
+            self._active += 1
+            self._segments.append(self._active)
+            self._log = self._open_log(self._active, 0)
+        offset = self._log.append(record, chunk.uid.short())
         self._index[chunk.uid] = (self._active, offset, len(record))
         self._bloom.add(chunk.uid)
         if self._bloom.saturated:
             self._bloom = self._rebuild_bloom()
-        self._tail.append(record)
-        self._tail_bytes += len(record)
         self.stats.record_io(written=len(record))
-        if self._tail_bytes > self._TAIL_LIMIT:
-            # Bound the rewrite buffer: force a durable point so the
-            # fsync-recovery tail cannot grow without limit.
-            self._sync_writer("tail-limit")
-
-    def _flush_writer(self) -> None:
-        try:
-            self._writer.flush()
-        except OSError as exc:
-            # Buffer state is unknowable after a failed flush: poison.
-            self._poisoned = True
-            raise map_os_error(exc, "write", self._segment_path(self._active)) from exc
 
     def _insert(self, chunk: Chunk) -> None:
         self._check_writer()
-        self._disk_retry.call(lambda: self._append(chunk), retry_on=(DiskFullError,))
-        self._flush_writer()
+        self._append(chunk)
+        self._log.flush()
 
     def _insert_many(self, chunks: List[Chunk]) -> None:
         """Batched append: one fsync and one index snapshot per batch."""
         self._check_writer()
         for chunk in chunks:
-            self._disk_retry.call(lambda c=chunk: self._append(c), retry_on=(DiskFullError,))
+            self._append(chunk)
         crashpoint("pack-fsync", f"batch:{len(chunks)}")
-        self._sync_writer(f"batch:{len(chunks)}")
+        self._log.sync(f"batch:{len(chunks)}")
         self._save_index()
 
     def _fetch(self, uid: Uid) -> Optional[Chunk]:
@@ -782,58 +665,42 @@ class PackStore(ChunkStore):
         self._check_writer()
         old_segments = list(self._segments)
         bytes_before = self.disk_size()
-        # Establish a durable floor before retiring the old writer: the
-        # rewrite buffer must be empty when the handle goes away.
-        self._sync_writer("compact-prep")
-        self._writer.close()
+        # Establish a durable floor before retiring the old log.
+        old_end = self._log.size
+        self._log.close("compact-prep")
 
         ordered = sorted(self._index.items(), key=lambda kv: (kv[1][0], kv[1][1]))
         next_segment = self._active + 1
         new_segments: List[int] = [next_segment]
-        writer = open(self._segment_path(next_segment), "ab")
+        log = self._open_log(next_segment, 0)
         new_index: Dict[Uid, Tuple[int, int, int]] = {}
         try:
             for uid, (segment, offset, length) in ordered:
                 record = self._view(segment, offset, length)
-                position = writer.tell()
-                if position >= self._segment_limit:
-                    fsync_file(writer)
-                    writer.close()
+                if log.size >= self._segment_limit:
+                    log.close("")
                     next_segment += 1
                     new_segments.append(next_segment)
-                    writer = open(self._segment_path(next_segment), "ab")
-                    position = 0
-                crashing_write(writer, record, kind="pack-write", label=f"compact:{uid.short()}")
+                    log = self._open_log(next_segment, 0)
+                position = log.append(record, f"compact:{uid.short()}")
                 new_index[uid] = (next_segment, position, length)
                 self.stats.record_io(written=length)
             crashpoint("pack-fsync", "compact")
-            fsync_file(writer)
+            log.sync()
             fsync_dir(self._pack_dir)
-        except (DiskFullError, DiskFaultError, OSError) as exc:
+        except (DiskFullError, DiskFaultError):
             # The old layout is untouched on disk: drop the half-built
-            # segments and resume appending to the old active one.  The
-            # failed descriptor is never fsynced again (fsyncgate).
-            if not writer.closed:
-                writer.close()
+            # segments and resume appending to the old active one.
+            log.abandon()
             for segment in new_segments:
                 self._drop_segment_file(segment)
-            self._writer = open(self._segment_path(self._active), "ab")
-            self._synced = self._writer.tell()
-            self._tail = []
-            self._tail_bytes = 0
-            if isinstance(exc, OSError):
-                raise map_os_error(
-                    exc, "write", self._segment_path(next_segment)
-                ) from exc
+            self._log = self._open_log(self._active, old_end)
             raise
 
         self._index = new_index
         self._segments = new_segments
         self._active = new_segments[-1]
-        self._writer = writer
-        self._synced = writer.tell()
-        self._tail = []
-        self._tail_bytes = 0
+        self._log = log
         self._save_index()
         # The snapshot no longer references the old segments: unlink them.
         for segment in old_segments:
@@ -862,15 +729,14 @@ class PackStore(ChunkStore):
     def close(self) -> None:
         if self._closed:
             return
-        if self._poisoned:
+        if self._log.poisoned:
             # The writer is disabled and the in-memory index already had
             # its un-durable entries removed; persisting a snapshot would
             # launder the poisoned state into "clean close".  Abandon and
             # let reopen rebuild from the watermark scan.
             self.abandon()
             return
-        self._sync_writer("close")
-        self._writer.close()
+        self._log.close()
         self._save_index()
         self._drop_maps()
         self._closed = True
@@ -879,9 +745,6 @@ class PackStore(ChunkStore):
         """Release OS handles without persisting the index (crash sim)."""
         if self._closed:
             return
-        try:
-            self._writer.close()
-        except OSError:
-            pass  # a SIGKILL simulator must not raise on teardown
+        self._log.abandon()
         self._drop_maps()
         self._closed = True

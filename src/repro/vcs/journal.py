@@ -37,7 +37,7 @@ import json
 import os
 import struct
 import zlib
-from typing import IO, Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.chunk import Uid
 from repro.errors import (
@@ -45,13 +45,12 @@ from repro.errors import (
     DiskFullError,
     JournalCorruptError,
     JournalError,
-    StoreError,
     VersionError,
     map_os_error,
 )
 from repro.faults.crash import crashing_write, crashpoint
-from repro.faults.retry import RetryPolicy
-from repro.store.durability import durable_replace, fsync_file, read_check, write_bytes
+from repro.store.appendlog import AppendLog
+from repro.store.durability import durable_replace, fsync_file, read_check
 from repro.vcs.branches import BranchTable
 
 MAGIC = b"FBWJ0001"
@@ -70,61 +69,55 @@ class CommitJournal:
         self.path = path
         self.fsync = fsync
         self.batch_interval = max(1, batch_interval)
-        self._records: List[Record] = []
-        self._size = 0
+        #: (end offset, record) per valid record, in file order.
+        self._records: List[Tuple[int, Record]] = []
         self._pending = 0
         self._closed = False
-        self._poisoned = False
-        #: Record blobs appended since the last successful fsync: the
-        #: rewrite buffer for fsyncgate recovery (reopen-and-rewrite).
-        self._tail: List[bytes] = []
-        #: File offset at the last successful fsync (durable floor).
-        self._durable = 0
-        #: Bounded backoff for transient ENOSPC on the append path only;
-        #: a failed *fsync* is never retried (see :meth:`_recover_fsync`).
-        self._disk_retry = RetryPolicy(attempts=3, base_delay=0.002, max_delay=0.01)
-        self._handle = self._open_and_scan()
+        self._log = self._open_log(self._scan())
+        if self._log.size < len(MAGIC):
+            # Fresh (or torn-at-creation) journal: lay down the magic.
+            self._log.append(MAGIC, "magic")
+            if self.fsync != "never":
+                self._log.sync("magic")
+            else:
+                self._log.flush()
 
     @property
     def poisoned(self) -> bool:
         """True once an unrecoverable disk fault disabled the journal."""
-        return self._poisoned
+        return self._log.poisoned
 
     # -- open / scan ---------------------------------------------------------
 
-    def _create(self) -> IO[bytes]:
-        try:
-            handle = open(self.path, "wb")
-        except OSError as exc:
-            raise map_os_error(exc, "open", self.path) from exc
-        crashing_write(handle, MAGIC, kind="journal-write", label="magic")
-        try:
-            handle.flush()
-        except OSError as exc:
-            raise map_os_error(exc, "write", self.path) from exc
-        if self.fsync != "never":
-            self._fsync(handle, label="magic")
-        self._size = len(MAGIC)
-        self._durable = self._size
-        return handle
+    def _open_log(self, end: int) -> AppendLog:
+        return AppendLog(
+            self.path,
+            end,
+            write_kind="journal-write",
+            fsync_kind="journal-fsync",
+            # Under ``never`` nothing is ever fsynced, so there is no
+            # failed fsync to rewrite a tail after: keep none.
+            rewritable=self.fsync != "never",
+            on_unack=self._unack,
+        )
 
-    def _open_and_scan(self) -> IO[bytes]:
-        """Open the journal, validating records and truncating a torn tail."""
+    def _scan(self) -> int:
+        """Validate every record; return the last valid record boundary.
+
+        Zero means "no usable magic": the file is absent, or the process
+        died writing the magic so no record can possibly follow.
+        """
         if not os.path.exists(self.path):
-            return self._create()
+            return 0
         try:
             read_check(self.path, label=os.path.basename(self.path))
-            handle = open(self.path, "r+b")
-            data = handle.read()  # journals are bounded by compaction
+            with open(self.path, "rb") as handle:
+                data = handle.read()  # journals are bounded by compaction
         except OSError as exc:
             raise map_os_error(exc, "read", self.path) from exc
         if len(data) < len(MAGIC):
-            # Torn creation: the process died writing the magic, so no
-            # record can possibly follow.  Start fresh.
-            handle.close()
-            return self._create()
+            return 0
         if data[: len(MAGIC)] != MAGIC:
-            handle.close()
             raise JournalCorruptError(f"{self.path}: bad journal magic {data[:8]!r}")
         offset = len(MAGIC)
         total = len(data)
@@ -137,30 +130,22 @@ class CommitJournal:
                 break  # torn payload: crash mid-append
             payload = data[start : start + length]
             if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                handle.close()
                 raise JournalCorruptError(
                     f"{self.path}: CRC mismatch in record at offset {offset}"
                 )
             try:
                 record = json.loads(payload.decode("utf-8"))
             except (UnicodeDecodeError, ValueError) as exc:
-                handle.close()
                 raise JournalCorruptError(
                     f"{self.path}: undecodable record at offset {offset}"
                 ) from exc
             if not isinstance(record, dict) or "op" not in record:
-                handle.close()
                 raise JournalCorruptError(
                     f"{self.path}: record at offset {offset} is not an op"
                 )
-            self._records.append(record)
             offset = start + length
-        if offset < total:
-            handle.truncate(offset)  # drop the torn tail for good
-        handle.seek(offset)
-        self._size = offset
-        self._durable = offset
-        return handle
+            self._records.append((offset, record))
+        return offset
 
     # -- appending -----------------------------------------------------------
 
@@ -168,141 +153,42 @@ class CommitJournal:
         """Durably (per policy) append one op record."""
         if self._closed:
             raise JournalError(f"{self.path}: journal is closed")
-        self._check_poisoned()
         payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
         blob = _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
-        label = str(record.get("op", ""))
-        self._disk_retry.call(
-            lambda: self._write_blob(blob, label), retry_on=(DiskFullError,)
-        )
-        self._records.append(dict(record))
-        self._size += len(blob)
-        self._tail.append(blob)
+        self._log.append(blob, str(record.get("op", "")))
+        # Flush unconditionally: an acknowledged commit must survive a
+        # process kill under every policy; fsync is about power loss.
+        self._log.flush()
+        self._records.append((self._log.size, dict(record)))
         self._pending += 1
         if self.fsync == "always" or (
             self.fsync == "batch" and self._pending >= self.batch_interval
         ):
             self.sync()
 
-    def _check_poisoned(self) -> None:
-        if self._poisoned:
-            raise DiskFaultError(
-                f"{self.path}: journal poisoned by an unrecoverable disk fault",
-                syscall="write",
-                path=self.path,
-            )
-
-    def _write_blob(self, blob: bytes, label: str) -> None:
-        """One append attempt: write + flush, un-acked on any failure."""
-        try:
-            crashing_write(self._handle, blob, kind="journal-write", label=label)
-            # Flush unconditionally: an acknowledged commit must survive a
-            # process kill under every policy; fsync is about power loss.
-            self._handle.flush()
-        except (DiskFullError, DiskFaultError):
-            self._unwind_append()
-            raise
-        except OSError as exc:
-            self._unwind_append()
-            raise map_os_error(exc, "write", self.path) from exc
-
-    def _unwind_append(self) -> None:
-        """Truncate a failed append back to the last acked offset.
-
-        A short write may have materialized a strict prefix of the
-        record; ``self._size`` only advances on success, so truncating
-        there restores the record boundary.  If even the truncate fails
-        the journal is poisoned — no further appends are accepted.
-        """
-        try:
-            self._handle.flush()
-            self._handle.truncate(self._size)
-            self._handle.seek(self._size)
-        except OSError as exc:
-            self._poisoned = True
-            raise map_os_error(exc, "truncate", self.path) from exc
-
-    def _fsync(self, handle: IO[bytes], label: str = "") -> None:
-        crashpoint("journal-fsync", label or os.path.basename(self.path))
-        fsync_file(handle, label or os.path.basename(self.path))
-
     def sync(self) -> None:
         """Flush and fsync pending appends regardless of policy."""
         if self._closed:
             return
-        self._check_poisoned()
-        try:
-            self._handle.flush()
-        except OSError as exc:
-            self._poisoned = True
-            raise map_os_error(exc, "write", self.path) from exc
-        try:
-            self._fsync(self._handle)
-        except (DiskFullError, DiskFaultError) as exc:
-            self._recover_fsync(exc)
+        self._log.sync(os.path.basename(self.path))
         self._pending = 0
-        self._durable = self._size
-        self._tail = []
 
-    def _recover_fsync(self, cause: StoreError) -> None:
-        """Reopen-and-rewrite after a failed fsync (fsyncgate discipline).
-
-        The failed descriptor may have dropped the unsynced tail and
-        would falsely report success if fsynced again, so it is never
-        reused: open a fresh descriptor, truncate to the durable floor,
-        rewrite the tail records, and fsync *that*.  Failing twice
-        poisons the journal and un-acks the in-memory records that never
-        reached the platter.
-        """
-        self._handle.close()
-        last: StoreError = cause
-        for _ in range(2):
-            try:
-                handle = open(self.path, "r+b")
-            except OSError as exc:
-                last = map_os_error(exc, "open", self.path)
-                break
-            try:
-                handle.truncate(self._durable)
-                handle.seek(self._durable)
-                for blob in self._tail:
-                    write_bytes(handle, blob)
-                fsync_file(handle, "fsync-recovery")
-            except (DiskFullError, DiskFaultError) as exc:
-                last = exc
-                handle.close()
-                continue
-            except OSError as exc:
-                last = map_os_error(exc, "write", self.path)
-                handle.close()
-                continue
-            self._handle = handle
-            return
-        self._poisoned = True
-        dropped = len(self._tail)
-        if dropped:
-            # The tail blobs and the tail records correspond 1:1; both
-            # must be un-acked together or replay diverges from disk.
-            self._records = self._records[:-dropped]
-        self._size = self._durable
-        self._tail = []
-        raise DiskFaultError(
-            f"{self.path}: journal poisoned after failed fsync recovery "
-            f"({dropped} unsynced records un-acked): {last}",
-            syscall="fsync",
-            path=self.path,
-        ) from last
+    def _unack(self, log: AppendLog) -> None:
+        """Drop the records a poisoned log never made durable: replay
+        must agree with the disk, so they are un-acked in memory too."""
+        while self._records and self._records[-1][0] > log.durable_size:
+            self._records.pop()
 
     # -- queries -------------------------------------------------------------
 
     @property
     def records(self) -> List[Record]:
         """Every valid record currently in the journal (copies)."""
-        return [dict(record) for record in self._records]
+        return [dict(record) for _end, record in self._records]
 
     def size(self) -> int:
         """Journal file size in bytes (valid region)."""
-        return self._size
+        return self._log.size
 
     def __len__(self) -> int:
         return len(self._records)
@@ -323,7 +209,7 @@ class CommitJournal:
         """
         if self._closed:
             raise JournalError(f"{self.path}: journal is closed")
-        self._check_poisoned()
+        self._log.check()
         tmp = self.path + ".tmp"
         try:
             with open(tmp, "wb") as handle:
@@ -331,60 +217,32 @@ class CommitJournal:
                 crashpoint("journal-fsync", "reset-magic")
                 fsync_file(handle)
         except (DiskFullError, DiskFaultError):
-            raise  # the live journal handle is untouched: still usable
+            raise  # the live journal log is untouched: still usable
         except OSError as exc:
             raise map_os_error(exc, "write", tmp) from exc
         crashpoint("journal-replace", os.path.basename(self.path))
-        self._handle.close()
-        try:
-            durable_replace(tmp, self.path)
-            self._handle = open(self.path, "r+b")
-        except (DiskFullError, DiskFaultError):
-            self._poisoned = True  # old handle is gone; state is ambiguous
-            raise
-        except OSError as exc:
-            self._poisoned = True
-            raise map_os_error(exc, "open", self.path) from exc
-        self._handle.seek(len(MAGIC))
+        # If the rename fails half-way the state is ambiguous: the
+        # abandoned (poisoned) log is exactly what should stay in place.
+        self._log.abandon()
+        durable_replace(tmp, self.path)
+        self._log = self._open_log(len(MAGIC))
         self._records = []
-        self._size = len(MAGIC)
         self._pending = 0
-        self._durable = self._size
-        self._tail = []
 
     def close(self) -> None:
         """Flush (and fsync unless policy is ``never``) and close."""
         if self._closed:
             return
-        if self._poisoned:
-            # The handle was already closed by the failed recovery; there
-            # is nothing trustworthy left to flush.
-            self._closed = True
-            return
-        try:
-            self._handle.flush()
-        except OSError as exc:
-            self._poisoned = True
-            raise map_os_error(exc, "write", self.path) from exc
-        if self.fsync != "never" and self._pending:
-            try:
-                self._fsync(self._handle, label="close")
-            except (DiskFullError, DiskFaultError) as exc:
-                self._recover_fsync(exc)
-            self._pending = 0
-            self._durable = self._size
-            self._tail = []
-        self._handle.close()
+        # (A poisoned log has nothing trustworthy left: its close is a no-op.)
+        self._log.close(sync=self.fsync != "never" and self._pending > 0)
+        self._pending = 0
         self._closed = True
 
     def abandon(self) -> None:
         """Release the OS handle without flushing bookkeeping (crash sim)."""
         if self._closed:
             return
-        try:
-            self._handle.close()
-        except OSError:
-            pass  # a SIGKILL simulator must not raise on teardown
+        self._log.abandon()
         self._closed = True
 
 

@@ -136,8 +136,7 @@ class TestFileStore:
         fs2 = FileStore(path)
         second = _chunk(b"second")
         fs2.put(second)
-        fs2._writer.flush()
-        # Simulate crash: skip close() (no index rewrite).
+        fs2.abandon()  # simulate crash: no close(), so no index rewrite
         with FileStore(path) as fs3:
             assert fs3.get(first.uid).data == b"first"
             assert fs3.get(second.uid).data == b"second"
@@ -147,7 +146,6 @@ class TestFileStore:
         chunk = _chunk(b"whole")
         fs = FileStore(path)
         fs.put(chunk)
-        fs._writer.flush()
         seg = fs._segment_path(fs._active)
         fs.close()
         os.remove(os.path.join(path, "index.dat"))
