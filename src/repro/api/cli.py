@@ -162,7 +162,11 @@ def _dispatch(args: argparse.Namespace, engine: ForkBase) -> int:
 
     if command == "put":
         if args.json is not None:
-            value = json.loads(args.json)
+            try:
+                value = json.loads(args.json)
+            except json.JSONDecodeError as error:
+                print(f"error: invalid JSON: {error}", file=sys.stderr)
+                return 1
         elif args.string is not None:
             value = args.string
         else:

@@ -1,26 +1,31 @@
 """Incremental POS-Tree editing.
 
-Applying a batch of upserts/deletes does **not** rebuild the tree.  At the
-leaf level we re-run the content-defined chunker only from the first
-affected leaf, and stop as soon as the emitted boundaries *resynchronize*
-with the old ones — from that point every following page is reused.  The
-replaced page range then propagates to the parent level, where the same
-splice repeats on index entries, up to the root.  Total cost is
-O((D + resync window) · log N) pages, independent of tree size.
+Applying a batch of upserts/deletes does **not** rebuild the tree, and does
+not touch what lies between far-apart edits.  Each level is spliced in one
+left-to-right pass over *regions*: the walker descends to the node the next
+edit lands in, the content-defined chunker is re-seeded from the bytes
+preceding that node and re-run from there, and as soon as the emitted
+boundaries *resynchronize* with the old ones — with no further edit in the
+node the walker stands on — the region closes and every following page is
+reused, up to the node of the next edit.  The walker gets there by a finger
+move up and down its own parent stack (ancestors already decoded are not
+re-read), so a dense batch that touches every node degenerates to a plain
+walk of the level.  The consumed nodes' split keys and the new nodes'
+descriptors then become the edit batch of the parent level, where the same
+splice repeats (regions whose re-chunked span reaches the next edit's node
+simply never close, so the batch shrinks on the way up), until the root.
+Cost is O((D + resync window) · log N) pages *per region*, independent of
+tree size and of the key span between regions.
 
 Structural invariance (SIRI Property 1) makes this safe to verify: the
 property tests assert that ``apply_edits`` yields a byte-identical root to
-bulk-building the edited record set from scratch.
-
-Limitation (documented, deliberate): a batch whose keys span a wide range
-re-chunks everything between the smallest and largest edited key in one
-splice.  Callers with scattered edits can apply them as several batches;
-content addressing guarantees the same final tree either way.
+bulk-building the edited record set from scratch, and that every chunk it
+writes is reachable from that root.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.chunk import Uid
 from repro.postree.builder import build_index_levels, bulk_build
@@ -29,7 +34,6 @@ from repro.postree.node import (
     IndexNode,
     LeafEntry,
     LeafNode,
-    empty_leaf,
     encode_index_entry,
     encode_leaf_entry,
 )
@@ -43,84 +47,112 @@ if TYPE_CHECKING:
 PathFrame = Tuple[IndexNode, int]
 Path = List[PathFrame]
 
+#: A record or a child reference; field 0 is the key either way.
+_Entry = Union[LeafEntry, IndexEntry]
+
+#: One edit of a level's entry stream, keyed like the entries themselves
+#: (record key at the leaves, split key above): the entry now stored
+#: under that key, or None to remove it.  Batches are sorted by key.
+_Op = Tuple[bytes, Optional[_Entry]]
+
 
 class _Walker:
-    """Left-to-right iterator over the nodes of one tree level.
+    """Left-to-right cursor over the nodes of one tree level.
 
-    Tracks the parent path of the current node so the editor knows which
-    index entries a consumed node occupies.
+    Keeps the parent path of the current node, so moving on — to the next
+    node or to the node a key lands in — re-reads no ancestor it still
+    stands under.
     """
 
-    __slots__ = ("_tree", "_stack", "current")
+    __slots__ = ("_tree", "_level", "_stack", "_seen", "current")
 
     def __init__(
-        self, tree: PosTree, stack: Path, current: Union[LeafNode, IndexNode]
+        self,
+        tree: PosTree,
+        level: int,
+        stack: Path,
+        current: Union[LeafNode, IndexNode],
+        seen: Dict[Uid, IndexNode],
     ) -> None:
         self._tree = tree
+        self._level = level
         self._stack = stack
+        self._seen = seen
         self.current = current
 
-    @classmethod
-    def at_key(cls, tree: PosTree, level: int, key: bytes) -> "_Walker":
-        """Descend from the root toward ``key``, stopping at ``level``."""
-        node = tree.root_node()
-        stack: Path = []
-        while isinstance(node, IndexNode) and node.level > level:
-            pos = node.child_for(key)
-            stack.append((node, pos))
-            node = tree.node(node.entries[pos].child)
-        return cls(tree, stack, node)
+    def _node(self, uid: Uid) -> Union[LeafNode, IndexNode]:
+        """Load a node, decoding each index node once per edit.
 
-    @classmethod
-    def from_path(cls, tree: PosTree, path: Path) -> "_Walker":
-        """Position on the node addressed by an explicit parent path."""
-        if not path:
-            return cls(tree, [], tree.root_node())
-        parent, pos = path[-1]
-        node = tree.node(parent.entries[pos].child)
-        return cls(tree, list(path), node)
+        ``seen`` is shared by the walkers of every level: the walk of a
+        level passes through all the ancestors the levels above will ask
+        for again.
+        """
+        node: Union[LeafNode, IndexNode, None] = self._seen.get(uid)
+        if node is None:
+            node = self._tree.node(uid)
+            if isinstance(node, IndexNode):
+                self._seen[uid] = node
+        return node
+
+    def descend(self, parent: IndexNode, pos: int, key: Optional[bytes] = None) -> None:
+        """Step into child ``pos`` of ``parent`` and on down to this level,
+        toward ``key`` (leftmost when None)."""
+        while True:
+            self._stack.append((parent, pos))
+            node = self._node(parent.entries[pos].child)
+            if not isinstance(node, IndexNode) or node.level <= self._level:
+                self.current = node
+                return
+            parent, pos = node, 0 if key is None else node.child_for(key)
 
     def path(self) -> Path:
         """Copy of the current node's parent path."""
         return list(self._stack)
 
-    def position_vector(self) -> Tuple[int, ...]:
-        """Positions along the path (for ordering comparisons)."""
-        return tuple(pos for _, pos in self._stack)
-
     def advance(self) -> bool:
         """Move to the next node at this level; False at the level's end."""
-        level = self.current.level if isinstance(self.current, IndexNode) else 0
         while self._stack:
             parent, pos = self._stack.pop()
-            pos += 1
-            if pos < len(parent.entries):
-                self._stack.append((parent, pos))
-                node = self._tree.node(parent.entries[pos].child)
-                while isinstance(node, IndexNode) and node.level > level:
-                    self._stack.append((node, 0))
-                    node = self._tree.node(node.entries[0].child)
-                self.current = node
+            if pos + 1 < len(parent.entries):
+                self.descend(parent, pos + 1)
                 return True
-        self.current = None
         return False
+
+    def seek(self, key: bytes, window: int) -> Optional[bytes]:
+        """Move forward to the node ``key`` lands in; None if already there.
+
+        ``key`` must not sort before the current node.  Decided from the
+        split keys on the current path alone — the first ancestor that
+        routes ``key`` elsewhere is where the path forks — so nothing the
+        walker still stands under is read again.  Returns the entry-stream
+        bytes preceding the new node, as :meth:`prev_tail` would.
+        """
+        for depth, (parent, pos) in enumerate(self._stack):
+            target = parent.child_for(key)
+            if target != pos:
+                # The node left behind, when it is the new node's left
+                # sibling, supplies those bytes without a read.
+                sibling = depth == len(self._stack) - 1 and target == pos + 1
+                behind = self.current
+                del self._stack[depth:]
+                self.descend(parent, target, key)
+                return behind.tail_bytes(window) if sibling else self.prev_tail(window)
+        return None
 
     def prev_tail(self, window: int) -> bytes:
         """Entry-stream bytes preceding the current node (window seeding)."""
-        level = self.current.level if isinstance(self.current, IndexNode) else 0
-        for depth in range(len(self._stack) - 1, -1, -1):
-            parent, pos = self._stack[depth]
+        for parent, pos in reversed(self._stack):
             if pos > 0:
-                node = self._tree.node(parent.entries[pos - 1].child)
-                while isinstance(node, IndexNode) and node.level > level:
-                    node = self._tree.node(node.entries[-1].child)
+                node = self._node(parent.entries[pos - 1].child)
+                while isinstance(node, IndexNode) and node.level > self._level:
+                    node = self._node(node.entries[-1].child)
                 return node.tail_bytes(window)
         return b""
 
 
 #: One unit of splice work: ``(entry, encoded, edited)`` — or None, an
 #: edit-point marker (a deletion: the stream diverges with nothing emitted).
-_EmitItem = Optional[Tuple[object, bytes, bool]]
+_EmitItem = Optional[Tuple[_Entry, bytes, bool]]
 
 
 class _Emitter:
@@ -142,9 +174,19 @@ class _Emitter:
         self.descriptors: List[IndexEntry] = []
         self.bytes_since_edit: Optional[int] = None  # None: edit not reached
 
+    def begin_region(self, preceding: bytes) -> None:
+        """Restart at an old node boundary whose preceding bytes are given.
+
+        Past the level's first node that is a full window (TreeConfig keeps
+        every closed node at least that long), which is all of the
+        chunker's state at a boundary.
+        """
+        self._chunker.seed(preceding)
+        self.bytes_since_edit = None
+
     def emit_batch(self, items: Sequence[_EmitItem]) -> None:
         """Feed a batch of entries, flushing nodes on chunker boundaries."""
-        run: List[Tuple[object, bytes, bool]] = []
+        run: List[Tuple[_Entry, bytes, bool]] = []
         for item in items:
             if item is None:
                 self._emit_run(run)
@@ -154,7 +196,7 @@ class _Emitter:
                 run.append(item)
         self._emit_run(run)
 
-    def _emit_run(self, run: List[Tuple[object, bytes, bool]]) -> None:
+    def _emit_run(self, run: List[Tuple[_Entry, bytes, bool]]) -> None:
         if not run:
             return
         boundaries = self._chunker.push_many([encoded for _, encoded, _ in run])
@@ -169,14 +211,11 @@ class _Emitter:
                 next_boundary += 1
                 self.flush()
 
-    def mark_edit_point(self) -> None:
-        """Note that the stream diverges here even with nothing emitted."""
-        self.bytes_since_edit = 0
-
     def flush(self) -> None:
         """Materialize the buffered entries as one node."""
         if not self.buffer:
             return
+        node: Union[LeafNode, IndexNode]
         if self._level == 0:
             node = LeafNode(self.buffer)
         else:
@@ -185,147 +224,77 @@ class _Emitter:
         self.descriptors.append(node.descriptor())
         self.buffer = []
 
-    def can_resync(self, window: int) -> bool:
-        """True when emitted boundaries have realigned with old ones."""
-        return (
-            not self.buffer
-            and self.bytes_since_edit is not None
-            and self.bytes_since_edit >= window
+    def in_sync(self, window: int) -> bool:
+        """True at an old node boundary the emitted stream shares: nothing
+        buffered, and no edit inside the rolling window (or none yet)."""
+        return not self.buffer and (
+            self.bytes_since_edit is None or self.bytes_since_edit >= window
         )
 
 
-def _splice_leaves(
-    tree: PosTree,
-    ops: Sequence[Tuple[bytes, Optional[bytes]]],
-) -> Tuple[List[IndexEntry], Path, Path]:
-    """Re-chunk the leaf level across the edited key range.
+def _splice_level(
+    tree: PosTree, level: int, walker: _Walker, ops: Sequence[_Op]
+) -> Tuple[List[IndexEntry], List[bytes], bool]:
+    """Re-chunk one level around each of ``ops``, region by region.
 
-    ``ops`` is sorted by key; value None means delete.  Returns the new
-    leaves' descriptors plus the parent paths of the first and last
-    *consumed* (replaced) old leaves.
+    ``walker`` stands on the node the first op lands in.  Returns the new
+    nodes' descriptors, the split keys of the old nodes they replace (both
+    in key order, all regions together), and whether the splice was one
+    region that ran to the level's end.
     """
-    config = tree.config.leaf
-    walker = _Walker.at_key(tree, 0, ops[0][0])
-    chunker = make_entry_chunker(config)
-    tail = walker.prev_tail(config.window)
-    if tail:
-        chunker.seed(tail)
-    emitter = _Emitter(tree, chunker, level=0)
-
-    start_path = walker.path()
-    last_path = walker.path()
+    config = tree.config.leaf if level == 0 else tree.config.index
+    encode: Callable[[Any], bytes] = encode_leaf_entry if level == 0 else encode_index_entry
+    window = config.window
+    emitter = _Emitter(tree, make_entry_chunker(config), level)
+    emitter.begin_region(walker.prev_tail(window))
+    consumed: List[bytes] = []
+    one_region = True
     op_index = 0
 
-    def op_item(key: bytes, value: Optional[bytes]) -> _EmitItem:
-        if value is None:
-            return None  # deletion: edit-point marker, nothing emitted
-        entry = LeafEntry(key, value)
-        return (entry, encode_leaf_entry(entry), True)
+    def take_op() -> _EmitItem:
+        nonlocal op_index
+        entry = ops[op_index][1]
+        op_index += 1
+        return None if entry is None else (entry, encode(entry), True)
 
     while True:
-        leaf: LeafNode = walker.current
-        if op_index >= len(ops) and emitter.can_resync(config.window):
-            break  # every remaining leaf is reused verbatim
-        last_path = walker.path()
-        # Merge this leaf's entries with the pending ops into one batch
-        # (the chunker hashes it in a single vectorized pass).
+        if emitter.in_sync(window):
+            # Every following node is reused verbatim, up to the next op's.
+            if op_index == len(ops):
+                return emitter.descriptors, consumed, False
+            preceding = walker.seek(ops[op_index][0], window)
+            if preceding is not None:
+                one_region = False
+                emitter.begin_region(preceding)
+        entries = walker.current.entries
+        consumed.append(entries[-1][0])
+        # Merge this node's entries with the ops landing in it into one
+        # batch (the chunker hashes it in a single vectorized pass).
         batch: List[_EmitItem] = []
-        for entry in leaf.entries:
-            while op_index < len(ops) and ops[op_index][0] < entry.key:
-                batch.append(op_item(*ops[op_index]))
-                op_index += 1
-            if op_index < len(ops) and ops[op_index][0] == entry.key:
-                batch.append(op_item(*ops[op_index]))
-                op_index += 1
+        for entry in entries:
+            while op_index < len(ops) and ops[op_index][0] < entry[0]:
+                batch.append(take_op())
+            if op_index < len(ops) and ops[op_index][0] == entry[0]:
+                batch.append(take_op())
             else:
-                batch.append((entry, encode_leaf_entry(entry), False))
+                batch.append((entry, encode(entry), False))
         emitter.emit_batch(batch)
         if not walker.advance():
-            # End of the tree: any remaining ops append past the max key.
-            emitter.emit_batch(
-                [op_item(*ops[index]) for index in range(op_index, len(ops))]
-            )
-            op_index = len(ops)
+            # End of the level: any remaining ops append past the max key.
+            emitter.emit_batch([take_op() for _ in range(op_index, len(ops))])
             emitter.flush()
-            break
-    return emitter.descriptors, start_path, last_path
+            return emitter.descriptors, consumed, one_region
 
 
-def _splice_index_level(
-    tree: PosTree,
-    level: int,
-    start_path: Path,
-    end_path: Path,
-    replacements: List[IndexEntry],
-) -> Tuple[List[IndexEntry], Path, Path]:
-    """Replace an entry range at an index level and re-chunk it.
-
-    The range runs from entry ``start_path[-1].pos`` of the node addressed
-    by ``start_path`` through entry ``end_path[-1].pos`` of the node
-    addressed by ``end_path`` (inclusive); ``replacements`` are the new
-    child descriptors.  Same return convention as :func:`_splice_leaves`.
-    """
-    config = tree.config.index
-    start_parent_path = start_path[:-1]
-    start_pos = start_path[-1][1]
-    end_vector = tuple(pos for _, pos in end_path[:-1])
-    end_pos = end_path[-1][1]
-
-    walker = _Walker.from_path(tree, start_parent_path)
-    chunker = make_entry_chunker(config)
-    tail = walker.prev_tail(config.window)
-    if tail:
-        chunker.seed(tail)
-    emitter = _Emitter(tree, chunker, level=level)
-
-    new_start_path = walker.path()
-    last_path = walker.path()
-
-    # 1. Pre-edit entries of the start node (re-chunked but unchanged).
-    start_node: IndexNode = walker.current
-    emitter.emit_batch(
-        [(entry, encode_index_entry(entry), False)
-         for entry in start_node.entries[:start_pos]]
-    )
-
-    # 2. The replacement range.
-    emitter.mark_edit_point()
-    emitter.emit_batch(
-        [(entry, encode_index_entry(entry), True) for entry in replacements]
-    )
-
-    # 3. Skip wholly-replaced nodes, then the end node's surviving tail.
-    while walker.position_vector() != end_vector:
-        if not walker.advance():
-            raise AssertionError("end node not found while splicing index level")
-        last_path = walker.path()
-    end_node: IndexNode = walker.current
-    emitter.emit_batch(
-        [(entry, encode_index_entry(entry), False)
-         for entry in end_node.entries[end_pos + 1 :]]
-    )
-
-    # 4. Subsequent nodes until boundaries resynchronize.
-    while True:
-        if not walker.advance():
-            emitter.flush()
-            break
-        if emitter.can_resync(config.window):
-            break
-        last_path = walker.path()
-        emitter.emit_batch(
-            [(entry, encode_index_entry(entry), False)
-             for entry in walker.current.entries]
-        )
-
-    return emitter.descriptors, new_start_path, last_path
-
-
-def _covers_whole_level(start_path: Path, end_path: Path) -> bool:
-    """True when the consumed node range spans its entire tree level."""
-    leftmost = all(pos == 0 for _, pos in start_path)
-    rightmost = all(pos == len(node.entries) - 1 for node, pos in end_path)
-    return leftmost and rightmost
+def _merge_entries(entries: Sequence[_Entry], ops: Sequence[_Op]) -> List:
+    """One node's entries with ``ops`` applied, in key order."""
+    merged: Dict[bytes, _Entry] = {entry[0]: entry for entry in entries}
+    for key, entry in ops:
+        if entry is None:
+            merged.pop(key, None)
+        else:
+            merged[key] = entry
+    return [merged[key] for key in sorted(merged)]
 
 
 def apply_edits(
@@ -337,58 +306,47 @@ def apply_edits(
 
     Keys present in both ``puts`` and ``deletes`` are treated as puts.
     """
-    ops: List[Tuple[bytes, Optional[bytes]]] = []
-    for key in deletes:
-        if key not in puts:
-            ops.append((key, None))
+    edits: Dict[bytes, Optional[_Entry]] = {key: None for key in deletes}
     for key, value in puts.items():
         if not isinstance(key, bytes) or not isinstance(value, bytes):
             raise TypeError("POS-Tree keys and values must be bytes")
-        ops.append((key, value))
-    if not ops:
+        edits[key] = LeafEntry(key, value)
+    if not edits:
         return tree.root
-    ops.sort(key=lambda op: op[0])
+    ops: List[_Op] = sorted(edits.items())
 
-    root_node = tree.root_node()
-    if isinstance(root_node, LeafNode):
+    root = tree.root_node()
+    if isinstance(root, LeafNode):
         # Height-0 tree: merge directly and bulk build (already O(node)).
-        merged: Dict[bytes, bytes] = {e.key: e.value for e in root_node.entries}
-        for key, value in ops:
-            if value is None:
-                merged.pop(key, None)
-            else:
-                merged[key] = value
-        entries = [LeafEntry(k, merged[k]) for k in sorted(merged)]
-        return bulk_build(tree.store, entries, tree.config)
+        return bulk_build(tree.store, _merge_entries(root.entries, ops), tree.config)
 
-    replacements, start_path, end_path = _splice_leaves(tree, ops)
-    level_below = 0
-    while len(start_path) > 1:
-        if _covers_whole_level(start_path, end_path):
-            # Every node of the level below was consumed: the tree above
-            # no longer constrains anything — rebuild it from scratch so
-            # the result matches bulk semantics (in particular, a single
-            # surviving node becomes the root instead of being wrapped).
-            if not replacements:
-                node = empty_leaf()
-                tree.store.put(node.to_chunk())
-                return node.uid
+    seen: Dict[Uid, IndexNode] = {}
+    walker = _Walker(tree, 0, [], root, seen)
+    walker.descend(root, root.child_for(ops[0][0]), ops[0][0])
+    for level in range(root.level):
+        start = walker.path()
+        parent, pos = start[-1]
+        descriptors, consumed, to_level_end = _splice_level(tree, level, walker, ops)
+        if to_level_end and all(above == 0 for _, above in start[:-1]):
+            # One region from under the level's leftmost parent to its
+            # end: the tree above no longer constrains anything — rebuild
+            # it from scratch so the result matches bulk semantics (in
+            # particular, a single surviving node becomes the root
+            # instead of being wrapped).
+            descriptors = parent.entries[:pos] + descriptors
+            if not descriptors:
+                return bulk_build(tree.store, [], tree.config)
             return build_index_levels(
-                tree.store, replacements, tree.config, first_level=level_below + 1
+                tree.store, descriptors, tree.config, first_level=level + 1
             )
-        level = start_path[-1][0].level
-        replacements, start_path, end_path = _splice_index_level(
-            tree, level, start_path, end_path, replacements
-        )
-        level_below = level
+        # The parent level's batch: drop what was consumed, add what replaced it.
+        edits = dict.fromkeys(consumed)
+        edits.update((entry.split_key, entry) for entry in descriptors)
+        ops = sorted(edits.items())
+        walker = _Walker(tree, level + 1, start[:-1], parent, seen)
 
-    # The paths now address children of the root: final assembly.
-    root: IndexNode = start_path[0][0]
-    start_pos = start_path[0][1]
-    end_pos = end_path[0][1]
-    entries = root.entries[:start_pos] + replacements + root.entries[end_pos + 1 :]
-    if not entries:
-        node = empty_leaf()
-        tree.store.put(node.to_chunk())
-        return node.uid
-    return build_index_levels(tree.store, entries, tree.config, first_level=root.level)
+    # The ops now address the root's own entries: final assembly.  Some
+    # child survives (else the level below ran to its end, above).
+    return build_index_levels(
+        tree.store, _merge_entries(root.entries, ops), tree.config, first_level=root.level
+    )

@@ -192,6 +192,11 @@ class TestCli:
         code = cli_main(["--data-dir", str(tmp_path / "db"), "get", "ghost"])
         assert code == 1
 
+    def test_malformed_json_is_a_clean_error(self, tmp_path, capsys):
+        code = cli_main(["--data-dir", str(tmp_path / "db"), "put", "k", "--json", "{bad"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
     def test_merge_conflict_exit_code(self, tmp_path, capsys):
         self._run(tmp_path, capsys, "put", "k", "--json", '"base"')
         self._run(tmp_path, capsys, "branch", "k", "dev")

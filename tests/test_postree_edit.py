@@ -4,11 +4,18 @@ The central oracle: the splice editor must produce a root byte-identical
 to bulk-building the edited record set from scratch (SIRI Property 1).
 """
 
+import hashlib
 import random
 
 import pytest
 
-from repro.postree import PosTree
+from repro.postree import PosTree, diff_trees, three_way_merge
+from repro.store import InMemoryStore
+
+#: gets + puts the one-span splice this editor replaced spent on
+#: TestWorkBound's dense batch (measured on that commit; chunking is
+#: deterministic, so the count is exact with and without numpy).
+ONE_SPAN_DENSE_ACCESSES = 7064
 
 
 def _reference(store, mapping):
@@ -158,3 +165,60 @@ class TestEditEfficiency:
         reference = PosTree.from_pairs(store, survivors.items())
         assert tree.root == reference.root
         assert tree.height() == reference.height() == 0
+
+
+def _accesses(store, action):
+    """Store ``gets`` + ``puts`` (new or deduplicated) spent by ``action``."""
+    before = store.stats.snapshot()
+    action()
+    spent = store.stats.delta(before)
+    return spent.gets + spent.puts_new + spent.puts_dup
+
+
+class TestWorkBound:
+    """Counted, not timed: a batch costs what its edit regions cost, not the
+    key span between them.  bench_build_throughput's shape at half size."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        store = InMemoryStore()
+        pairs = [
+            (key, (hashlib.sha256(key).digest() * 4)[:100])
+            for key in (b"key-%012d" % i for i in range(50_000))
+        ]
+        return store, PosTree.from_pairs(store, pairs, presorted=True), [k for k, _ in pairs]
+
+    @pytest.fixture(scope="class")
+    def scattered(self, big):
+        """Five far-apart puts, and what they cost applied one by one."""
+        store, tree, keys = big
+        puts = {keys[len(keys) * tenth // 10]: b"edited" for tenth in (1, 3, 5, 7, 9)}
+        singly = sum(
+            _accesses(store, lambda: tree.put(key, value)) for key, value in puts.items()
+        )
+        return puts, singly
+
+    def test_scattered_batch_costs_its_regions(self, big, scattered):
+        store, tree, _ = big
+        puts, singly = scattered
+        assert _accesses(store, lambda: tree.update(puts=puts)) <= 2 * singly
+
+    def test_merge_of_scattered_side_costs_its_regions(self, big, scattered):
+        store, tree, keys = big
+        puts, singly = scattered
+        ours, theirs = tree.put(keys[5], b"ours"), tree.update(puts=puts)
+        diffs = _accesses(store, lambda: diff_trees(tree, ours)) + _accesses(
+            store, lambda: diff_trees(tree, theirs)
+        )
+        merged = []
+        spent = _accesses(store, lambda: merged.append(three_way_merge(tree, ours, theirs)))
+        assert spent <= 2 * singly + diffs
+        assert merged[0].root == ours.update(puts=puts).root
+
+    def test_dense_batch_costs_no_more_than_one_span(self, big):
+        """Every 10th key touches nearly every leaf: skipping the few
+        untouched ones must not cost more than walking through them did."""
+        store, tree, keys = big
+        puts = {key: b"edited-" + key for key in keys[::10]}
+        # What the one-span splice this editor replaced spent on this batch.
+        assert _accesses(store, lambda: tree.update(puts=puts)) <= ONE_SPAN_DENSE_ACCESSES

@@ -147,3 +147,156 @@ def test_merge_of_agreeing_sides(base, edits_a, edits_b):
     combined.update(edits_b)
     reference = PosTree.from_pairs(store, combined.items(), SMALL_CONFIG)
     assert result.root == reference.root
+
+
+# -- multi-region batches on trees deep enough to have far-apart regions ------
+
+#: Both caps bite: ``max_size`` forces most leaf boundaries and index nodes
+#: hold ``min_entries`` entries or hit ``max_size`` just after.
+CAPPED_CONFIG = TreeConfig(
+    leaf=ChunkerConfig(pattern_bits=7, min_size=16, max_size=96),
+    index=ChunkerConfig(pattern_bits=6, min_size=16, max_size=128, min_entries=3),
+)
+
+
+class RecordingStore(InMemoryStore):
+    """Remembers every uid offered to ``put`` while ``written`` is a set."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.written = None
+
+    def put(self, chunk):
+        if self.written is not None:
+            self.written.add(chunk.uid)
+        return super().put(chunk)
+
+
+def _big_tree(size: int, config: TreeConfig):
+    mapping = {
+        b"k%06d" % (3 * i): (b"%x" % (i * 2654435761 % 2**32)) * (1 + i % 3)
+        for i in range(size)
+    }
+    store = RecordingStore()
+    return store, PosTree.from_pairs(store, mapping.items(), config), mapping
+
+
+def _update_and_check(store, tree, mapping, puts, deletes):
+    """Apply one batch; the result must be the bulk-built tree of the edited
+    record set, and every chunk written must belong to it (none stranded)."""
+    store.written = set()
+    edited = tree.update(puts=puts, deletes=deletes)
+    written, store.written = store.written, None
+    expected = {k: v for k, v in mapping.items() if k not in deletes}
+    expected.update(puts)
+    reference = PosTree.from_pairs(store, expected.items(), tree.config)
+    assert edited.root == reference.root
+    pages = edited.page_uids()
+    assert pages == reference.page_uids()
+    edited.check_structure()
+    assert written <= pages
+    return edited, expected
+
+
+def _keys_under_level1(tree: PosTree, key: bytes) -> List[bytes]:
+    """Every key below the level-1 node on the path to ``key``."""
+    node = tree.root_node()
+    while node.level > 1:
+        node = tree.node(node.entries[node.child_for(key)].child)
+    return [e.key for child in node.entries for e in tree.node(child.child).entries]
+
+
+_EDIT_KINDS = (
+    "update", "insert", "delete", "delete-absent", "delete-leaf",
+    "delete-level1", "delete-rest", "delete-all", "below-min", "past-max",
+)
+
+
+def _batch(tree: PosTree, keys: List[bytes], picks):
+    """Turn (quantile, kind) picks into one ``update`` batch."""
+    puts: Dict[bytes, bytes] = {}
+    deletes = set()
+    for quantile, kind in picks:
+        index = int(quantile * (len(keys) - 1))
+        key = keys[index]
+        if kind == "update":
+            puts[key] = b"updated"
+        elif kind == "insert":
+            puts[key + b"+"] = b"inserted"
+        elif kind == "delete":
+            deletes.add(key)
+        elif kind == "delete-absent":
+            deletes.add(key + b"-")  # an edit point that changes nothing
+        elif kind == "delete-leaf":  # a region with zero replacements
+            deletes.update(e.key for e in next(tree.leaves(key)).entries)
+        elif kind == "delete-level1":
+            deletes.update(_keys_under_level1(tree, key))
+        elif kind == "delete-rest":  # shrinks the tree, often its height
+            deletes.update(keys[index + 1 :])
+        elif kind == "delete-all":
+            deletes.update(keys)
+        elif kind == "below-min":
+            puts[b"a" + key] = b"low"
+        else:
+            puts[b"z" + key] = b"high"
+    return puts, deletes - set(puts)
+
+
+@given(
+    size=st.integers(600, 3000),
+    config=st.sampled_from([SMALL_CONFIG, CAPPED_CONFIG]),
+    picks=st.lists(
+        st.tuples(st.floats(0, 1), st.sampled_from(_EDIT_KINDS)), min_size=2, max_size=16
+    ),
+)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_scattered_batches_match_bulk_and_strand_nothing(size, config, picks):
+    """Edits in far-apart regions — emptied leaves and level-1 nodes, no-op
+    edit points, both ends of the key space, height changes — splice to the
+    bulk-built tree, twice in a row (the second batch edits an edited tree)."""
+    store, tree, mapping = _big_tree(size, config)
+    assert tree.height() >= 3
+    for _ in range(2):
+        puts, deletes = _batch(tree, sorted(mapping), picks)
+        tree, mapping = _update_and_check(store, tree, mapping, puts, deletes)
+        if len(mapping) < 2 or tree.height() < 2:
+            break
+
+
+def test_two_regions_under_one_parent_and_under_one_grandparent():
+    """Regions that stay apart at level 0 share a level-1 node (the second
+    is reached without leaving the parent), or only a level-2 node (apart at
+    levels 0 and 1, coalescing above)."""
+    store, tree, mapping = _big_tree(2000, SMALL_CONFIG)
+    keys = sorted(mapping)
+    firsts = [leaf.entries[0].key for leaf in tree.leaves()]
+    for anchor in (firsts[40], firsts[700], firsts[-9]):
+        under = _keys_under_level1(tree, anchor)
+        same_parent = {under[0]: b"left", under[-1]: b"right"}
+        assert next(tree.leaves(under[0])).uid != next(tree.leaves(under[-1])).uid
+        _update_and_check(store, tree, mapping, same_parent, set())
+        beyond = keys[keys.index(under[-1]) + 1]  # first key of the next level-1 node
+        _update_and_check(store, tree, mapping, {under[0]: b"left", beyond: b"right"}, set())
+
+
+def test_keeping_only_the_first_leaf_yields_a_leaf_root():
+    """All regions end with the level: the one surviving node *is* the root,
+    at whatever level it survives (a single-entry index root is not bulk)."""
+    for config in (SMALL_CONFIG, CAPPED_CONFIG):
+        store, tree, mapping = _big_tree(1500, config)
+        keep = {e.key for e in next(tree.leaves()).entries}
+        edited, _ = _update_and_check(store, tree, mapping, {}, set(mapping) - keep)
+        assert edited.height() == 0
+        # ... and one level up: only the first level-1 node's records survive.
+        keep = set(_keys_under_level1(tree, min(mapping)))
+        edited, _ = _update_and_check(store, tree, mapping, {}, set(mapping) - keep)
+        assert edited.height() == 1
+
+
+def test_delete_everything_and_regrow():
+    store, tree, mapping = _big_tree(800, CAPPED_CONFIG)
+    emptied, remaining = _update_and_check(store, tree, mapping, {}, set(mapping))
+    assert remaining == {} and emptied.root == PosTree.empty(store, CAPPED_CONFIG).root
+    # Replace every record in one batch: deletes everywhere, puts past the end.
+    replacement = {b"z" + k: v for k, v in mapping.items()}
+    _update_and_check(store, tree, mapping, replacement, set(mapping))
