@@ -24,11 +24,10 @@ from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 # (base/memory/cached/stats/durability) sit below the POS-Tree that writes
 # through them, the durable backends (appendlog/filestore/packstore) sit
 # just above the fault seams they embed, and the tree-walking maintenance
-# passes (gc, scrub) and the package facade sit above everything.
+# pass (gc) and the package facade sit above everything.
 # Deferred (function-scope) imports and ``if TYPE_CHECKING`` imports are
 # exempt — they cannot create import-time cycles and are the sanctioned
-# escape hatch for runtime mutual recursion (scrub ↔ cluster,
-# db ↔ security.verify).
+# escape hatch for runtime mutual recursion (db ↔ security.verify).
 # ---------------------------------------------------------------------------
 LAYERS: Mapping[str, int] = {
     "repro.errors": 0,
@@ -42,6 +41,12 @@ LAYERS: Mapping[str, int] = {
     # The retry helper is pure policy over repro.errors; it sits beside
     # the storage primitives so the append log can bound ENOSPC retries.
     "repro.faults.retry": 3,
+    # The scrubber and its copy-verification primitives (``read_copy``,
+    # ``diagnose_copy``) need only errors, chunks, the retry helper and
+    # the store interface; a replicated store is recognised by its public
+    # maintenance surface, never imported — so the cluster's maintenance
+    # plane can import them at module level.
+    "repro.store.scrub": 4,
     "repro.faults": 4,
     "repro.faults.network": 4,
     # The byzantine adversary wraps node stores the way FaultyStore does;
@@ -68,11 +73,10 @@ LAYERS: Mapping[str, int] = {
     # the cluster store and anti-entropy but imports neither.
     "repro.cluster.accountability": 8,
     "repro.store.gc": 9,
-    "repro.store.scrub": 9,
     # The decoded-node cache decodes POS-Tree nodes, so it sits above the
     # tree layer it understands, beside the other tree-aware store code.
     "repro.store.nodecache": 9,
-    "repro.store": 9,  # the facade re-exports gc/scrub/nodecache
+    "repro.store": 9,  # the facade re-exports gc/nodecache (and scrub)
     "repro.security.verify": 10,
     "repro.security.tamper": 10,
     "repro.db": 11,

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set
 from repro.chunk import Chunk, Uid
 from repro.cluster.ring import POSITION_BITS, ring_position
 from repro.errors import StoreError, TransientError
+from repro.store.scrub import diagnose_copy
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports, no runtime cycle
     from repro.cluster.cluster import ClusterStore
@@ -221,8 +222,6 @@ def build_valid_index(
     that are rotten *on disk* are dropped on the spot — they re-enter the
     store via the transfer phase, from a peer whose copy verifies.
     """
-    from repro.store.scrub import diagnose_copy  # deferred: scrub sits a layer above
-
     report = report if report is not None else SyncReport()
     valid: Set[Uid] = set()
     for uid in list(node.store.ids()):
@@ -253,7 +252,10 @@ def build_valid_index(
 
 
 def node_index(
-    cluster: "ClusterStore", node: "StorageNode", report: SyncReport
+    cluster: "ClusterStore",
+    node: "StorageNode",
+    report: SyncReport,
+    quarantine: bool = True,
 ) -> Tuple[Set[Uid], bool]:
     """The uid index one node contributes, plus whether it was self-reported.
 
@@ -269,7 +271,7 @@ def node_index(
     claimed = getattr(node.store, "claimed_ids", None)
     if callable(claimed):
         return set(claimed()), True
-    return build_valid_index(cluster, node, report), False
+    return build_valid_index(cluster, node, report, quarantine), False
 
 
 def _audit_draw(seed: int, node: str, uid: Uid) -> float:
@@ -303,55 +305,29 @@ def _audit_index(
     its scorecard, and the uid is evicted from the index so the ordinary
     diff re-ships a real copy from a trusted peer.
     """
-    from repro.store.scrub import diagnose_copy  # deferred: scrub sits a layer above
-
     rate = cluster.audit_rate
     if rate <= 0.0:
         return
-    board = cluster.accountability
     for uid in sorted(index):
         if _audit_draw(cluster.audit_seed, node.name, uid) >= rate:
             continue
         report.audit_samples += 1
-        verdict: Optional[bool] = None
-        served = None
-        for _ in range(max(board.audit_reads, 1)):
-            status, got, _ = diagnose_copy(node.store, uid, retry=cluster.retry)
-            if status == "ok":
-                board.record_clean_audit(node.name)
-                verdict = True
-                break
-            if status == "unreadable":
-                verdict = None  # transient plane down: no verdict either way
-                break
-            verdict = False
-            served = got
-        if verdict is False:
+        if cluster.audit_copy(node, uid, "anti-entropy", kind="forged-digest") is False:
             report.audit_failures += 1
-            board.record_strike(
-                "anti-entropy",
-                node.name,
-                uid,
-                op="get",
-                kind="forged-digest",
-                served=(
-                    Chunk.compute_uid(served.type, served.data).hex()
-                    if served is not None
-                    else None
-                ),
-            )
             index.discard(uid)
 
 
-def _participants(cluster: "ClusterStore", report: SyncReport) -> List["StorageNode"]:
-    """Live nodes admitted to this pass (QUARANTINED replicas excluded)."""
-    admitted = []
-    for node in cluster.live_nodes():
-        if cluster.accountability.is_quarantined(node.name):
-            report.quarantined_excluded += 1
-        else:
-            admitted.append(node)
-    return admitted
+def _audited_indexes(
+    cluster: "ClusterStore", nodes: List["StorageNode"], report: SyncReport
+) -> Dict[str, Set[Uid]]:
+    """Each node's index: verified by reading, or self-reported and audited."""
+    indexes = {}
+    for node in nodes:
+        index, self_reported = node_index(cluster, node, report)
+        if self_reported:
+            _audit_index(cluster, node, index, report)
+        indexes[node.name] = index
+    return indexes
 
 
 def _owner_map(
@@ -462,12 +438,7 @@ def sync(
     report.quarantined_excluded += 2 - len(pair)
     if len(pair) < 2:
         return report
-    indexes = {}
-    for node in pair:
-        index, self_reported = node_index(cluster, node, report)
-        if self_reported:
-            _audit_index(cluster, node, index, report)
-        indexes[node.name] = index
+    indexes = _audited_indexes(cluster, pair, report)
     # The audit may have quarantined a claimant mid-sync: re-check before
     # any bytes move.
     pair = [
@@ -500,13 +471,9 @@ def anti_entropy_pass(
     rejected_before = cluster.hint_rejections
     report.hints_flushed = cluster.flush_hints()
     report.hints_rejected = cluster.hint_rejections - rejected_before
-    live = _participants(cluster, report)
-    indexes = {}
-    for node in live:
-        index, self_reported = node_index(cluster, node, report)
-        if self_reported:
-            _audit_index(cluster, node, index, report)
-        indexes[node.name] = index
+    live = cluster.trusted_nodes()
+    report.quarantined_excluded = len(cluster.live_nodes()) - len(live)
+    indexes = _audited_indexes(cluster, live, report)
     # The audit may have quarantined a forging claimant mid-pass: nodes
     # struck out here neither give nor receive chunks below.
     live = [
@@ -538,21 +505,11 @@ def digests_agree(cluster: "ClusterStore", depth: int = DEFAULT_DEPTH) -> bool:
     is exactly what a digest comparison against that node would see.
     Read-only — no quarantine, no transfers.
     """
-    live = [
-        node
-        for node in cluster.live_nodes()
-        if not cluster.accountability.is_quarantined(node.name)
-    ]
-    report = SyncReport()
-    indexes = {}
-    for node in live:
-        claimed = getattr(node.store, "claimed_ids", None)
-        if callable(claimed):
-            indexes[node.name] = set(claimed())
-        else:
-            indexes[node.name] = build_valid_index(
-                cluster, node, report, quarantine=False
-            )
+    live = cluster.trusted_nodes()
+    indexes = {
+        node.name: node_index(cluster, node, SyncReport(), quarantine=False)[0]
+        for node in live
+    }
     owners = _owner_map(cluster, indexes)
     for position, node_a in enumerate(live):
         for node_b in live[position + 1 :]:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.chunk import Chunk, Uid
 from repro.cluster.accountability import AccountabilityBoard
-from repro.cluster.antientropy import SyncReport, anti_entropy_pass
+from repro.cluster.antientropy import (
+    SyncReport,
+    anti_entropy_pass,
+    build_valid_index,
+)
 from repro.cluster.breaker import BreakerBoard
 from repro.cluster.latency import Deadline, LatencyStats, LatencyTracker
 from repro.cluster.membership import FailureDetector
@@ -23,6 +28,14 @@ from repro.errors import (
 from repro.faults.network import PartitionedTransport
 from repro.faults.retry import RetryPolicy
 from repro.store.base import ChunkStore
+from repro.store.scrub import ScrubReport, Scrubber, diagnose_copy, read_copy
+
+
+def _digest_of(chunk: Optional[Chunk]) -> Optional[str]:
+    """What a served payload *actually* hashes to (tamper-evidence field)."""
+    if chunk is None:
+        return None
+    return Chunk.compute_uid(chunk.type, chunk.data).hex()
 
 
 class ClusterStore(ChunkStore):
@@ -44,10 +57,10 @@ class ClusterStore(ChunkStore):
     delays and duplicates hit the cluster exactly as the plan dictates.
     A :class:`~repro.cluster.membership.FailureDetector` per client
     origin turns missed heartbeats into SUSPECT verdicts, and the write
-    path routes around suspected nodes: with ``sloppy_quorum`` it
-    extends past the home replicas along the ring so writes stay
-    available during a partition (stand-in copies migrate home via
-    hinted handoff and Merkle anti-entropy);
+    path routes around suspected nodes: when the home replicas cannot
+    meet quorum it extends past them along the ring (sloppy quorum) so
+    writes stay available during a partition (stand-in copies migrate
+    home via hinted handoff and Merkle anti-entropy);
     :class:`~repro.errors.QuorumWriteError` is raised only when no
     quorum of *reachable* nodes exists at all.
 
@@ -60,7 +73,7 @@ class ClusterStore(ChunkStore):
     only engages when a ``transport`` is set): a
     :class:`~repro.cluster.latency.LatencyTracker` remembers per-node
     service times; ``hedge_reads`` arms the first read attempt with that
-    node's tracked p-``hedge_quantile`` as a timeout and fails over to
+    node's tracked p95 as a timeout and fails over to
     the next replica the moment it elapses (the Tail-at-Scale hedge —
     the abandoned response still lands late as a stale delivery);
     ``deadline_budget`` grants every client verb a fixed tick budget
@@ -91,14 +104,10 @@ class ClusterStore(ChunkStore):
         transport: Optional[PartitionedTransport] = None,
         heartbeat_interval: Optional[int] = None,
         suspicion_threshold: int = 3,
-        sloppy_quorum: bool = True,
         hedge_reads: bool = False,
-        hedge_quantile: float = 0.95,
         deadline_budget: Optional[int] = None,
         breaker_threshold: Optional[int] = 5,
         breaker_cooldown: int = 64,
-        accountability: Optional[AccountabilityBoard] = None,
-        audit_repairs: bool = True,
         audit_rate: float = 0.05,
         audit_seed: int = 0,
     ) -> None:
@@ -111,8 +120,6 @@ class ClusterStore(ChunkStore):
             raise ValueError("write_quorum must be in [1, replication]")
         if heartbeat_interval is not None and heartbeat_interval < 1:
             raise ValueError("heartbeat_interval must be >= 1")
-        if not 0.0 < hedge_quantile <= 1.0:
-            raise ValueError(f"hedge_quantile must be in (0, 1], got {hedge_quantile}")
         if deadline_budget is not None and deadline_budget < 1:
             raise ValueError("deadline_budget must be >= 1 tick")
         if not 0.0 <= audit_rate <= 1.0:
@@ -139,13 +146,9 @@ class ClusterStore(ChunkStore):
         #: round for the acting origin (background failure detection).
         self.heartbeat_interval = heartbeat_interval
         self.suspicion_threshold = suspicion_threshold
-        #: Extend writes past the home replicas along the ring when the
-        #: placement set cannot meet quorum (Dynamo-style sloppy quorum).
-        self.sloppy_quorum = sloppy_quorum
         #: Arm the first read attempt with the primary's tracked p95 as a
         #: timeout and fail over when it elapses (gray-failure hedging).
         self.hedge_reads = hedge_reads
-        self.hedge_quantile = hedge_quantile
         #: Tick budget granted to each client verb (None = no deadline).
         self.deadline_budget = deadline_budget
         #: Per-(origin, node, op) service-time statistics, on the transport
@@ -165,10 +168,10 @@ class ClusterStore(ChunkStore):
             now=self._now,
         )
         self._store_factory = node_store_factory
-        self.nodes: Dict[str, StorageNode] = {}
         names = [f"node-{index:02d}" for index in range(node_count)]
-        for name in names:
-            self.nodes[name] = self._make_node(name)
+        self.nodes: Dict[str, StorageNode] = {
+            name: self._make_node(name) for name in names
+        }
         self.ring = HashRing(names, vnodes=vnodes)
         self._hints: Dict[str, Dict[Uid, Chunk]] = {}
         self._detectors: Dict[str, FailureDetector] = {}
@@ -200,14 +203,7 @@ class ClusterStore(ChunkStore):
         #: unverified write exchange is attributed to the serving replica,
         #: and nodes that accumulate quarantine-grade evidence are routed
         #: out of quorums/hedges until :meth:`readmit` re-verifies them.
-        self.accountability = (
-            accountability if accountability is not None else AccountabilityBoard()
-        )
-        #: Audit each read-repair with management-plane re-reads right
-        #: after the verified write — the discriminator between honest
-        #: rot (the fresh copy verifies) and a lying replica (it cannot
-        #: stop lying about bytes the writer just verified).
-        self.audit_repairs = audit_repairs
+        self.accountability = AccountabilityBoard()
         #: Fraction of claimed uids the anti-entropy spot-check audits
         #: *behind agreeing digests* (forged-digest defense).
         self.audit_rate = audit_rate
@@ -286,14 +282,12 @@ class ClusterStore(ChunkStore):
         insert; without this override each half would start a fresh
         budget and the verb could block for up to twice its deadline.
         """
-        deadline = self._begin_deadline()
-        if deadline is None or self._active_deadline is not None:
-            return super().put(chunk)
-        self._active_deadline = deadline
+        outer = self._active_deadline
+        self._active_deadline = self._begin_deadline()  # `outer` itself when nested
         try:
             return super().put(chunk)
         finally:
-            self._active_deadline = None
+            self._active_deadline = outer
 
     @staticmethod
     def _stamp_deadline(
@@ -332,6 +326,29 @@ class ClusterStore(ChunkStore):
         return self.transport.send(
             origin or self.origin, node.name, op, uid, fn, timeout_ticks=timeout
         )
+
+    def _exchange(
+        self,
+        node: StorageNode,
+        op: str,
+        uid: Uid,
+        fn: Callable[[], object],
+        origin: Optional[str] = None,
+        deadline: Optional[Deadline] = None,
+        timeout_ticks: Optional[int] = None,
+    ) -> object:
+        """One replica conversation: :meth:`_send`, retried through the policy.
+
+        The one place transport, retry and the deadline/hedge cap meet.
+        A hedged exchange (``timeout_ticks`` set) gets exactly one
+        un-retried attempt capped at that many ticks — a hedged read does
+        not burn the retry budget on a replica it already believes is
+        slow, it moves to the next one.
+        """
+        send = partial(self._send, node, op, uid, fn, origin, deadline, timeout_ticks)
+        if timeout_ticks is not None:
+            return send()
+        return self.retry.call(send, deadline=deadline)
 
     def _ping_uid(self, name: str) -> Uid:
         uid = self._ping_uids.get(name)
@@ -430,20 +447,16 @@ class ClusterStore(ChunkStore):
         corrupted or adversarial replay must not become a durable copy.
         """
         node = self.nodes[name]
-        if self.accountability.is_quarantined(name):
-            discarded = len(self._hints.pop(name, {}))
-            self.hints_discarded += discarded
-            return 0
         hints = self._hints.pop(name, {})
+        if self.accountability.is_quarantined(name):
+            self.hints_discarded += len(hints)
+            return 0
         replayed = 0
         for uid, chunk in hints.items():
             if not chunk.is_valid():
                 self.hint_rejections += 1
                 continue
-            try:
-                self._node_put(node, chunk)
-            except TransientError:
-                self.transient_failures += 1
+            if not self._place(node, chunk):
                 self._queue_hint(name, chunk)  # keep it for the next revive
                 continue
             replayed += 1
@@ -508,20 +521,25 @@ class ClusterStore(ChunkStore):
     def replica_nodes(self, uid: Uid) -> List[StorageNode]:
         """The nodes responsible for ``uid``, in ring placement order.
 
-        Part of the public surface: the scrubber walks placement to find
-        healthy repair sources, and tests assert placement without reaching
-        into ring internals.
+        Part of the public surface: maintenance passes and tests ask for
+        placement without reaching into ring internals.
         """
         return [self.nodes[name] for name in self.ring.replicas(uid, self.replication)]
 
-    def _node_put(
+    def _place(
         self,
         node: StorageNode,
         chunk: Chunk,
         origin: Optional[str] = None,
         deadline: Optional[Deadline] = None,
-    ) -> None:
-        """One replica write, retried through the policy.
+    ) -> bool:
+        """One verified replica write, retried through the policy.
+
+        Returns False (counted in ``transient_failures``) when the write
+        cannot complete within the retry budget or the deadline — which
+        includes :class:`~repro.errors.DeadlineExceededError`: a replica
+        write that ran out of budget is a miss like any other, and the
+        caller's own accounting decides the verb's fate.
 
         With ``verify_writes`` the written copy is read back and checked
         against the uid before it counts: a torn or dropped write looks like
@@ -551,20 +569,19 @@ class ClusterStore(ChunkStore):
                 )
 
         try:
-            self.retry.call(
-                lambda: self._send(
-                    node, "put", chunk.uid, exchange, origin=origin, deadline=deadline
-                ),
-                deadline=deadline,
+            self._exchange(
+                node, "put", chunk.uid, exchange, origin=origin, deadline=deadline
             )
         except TransientError:
+            self.transient_failures += 1
             if verify_failures[0] > 0:
                 self.accountability.record_unverified_write(
                     origin or self.origin, node.name, chunk.uid
                 )
-            raise
+            return False
         if self.verify_writes:
             self.accountability.record_verified_write(node.name)
+        return True
 
     def transfer(self, source: StorageNode, target: StorageNode, chunk: Chunk) -> bool:
         """Ship one replica copy node-to-node (the anti-entropy path).
@@ -589,86 +606,63 @@ class ClusterStore(ChunkStore):
                 chunk.uid,
                 op="transfer",
                 kind="bad-transfer",
-                served=Chunk.compute_uid(chunk.type, chunk.data).hex(),
+                served=_digest_of(chunk),
             )
             return False
-        try:
-            self._node_put(target, chunk, origin=source.name)
-        except TransientError:
-            self.transient_failures += 1
-            return False
-        return True
+        return self._place(target, chunk, origin=source.name)
 
     def _insert(self, chunk: Chunk) -> None:
         self._maybe_tick()
         deadline = self._begin_deadline()
+        quorum = max(self.write_quorum, 1)
+        homes = self.replica_nodes(chunk.uid)
         acked = 0
+        attempted = 0
         missed: List[StorageNode] = []
-        attempted: Set[str] = set()
-        for node in self.replica_nodes(chunk.uid):
-            attempted.add(node.name)
-            if deadline is not None and deadline.expired():
-                missed.append(node)
-                continue
-            if not self._writable(node):
-                missed.append(node)
-                continue
-            try:
-                self._node_put(node, chunk, deadline=deadline)
-            except TransientError:
-                # DeadlineExceededError lands here too: this replica's
-                # write ran out of budget — hint it like any other miss
-                # and let the post-loop accounting decide the verb's fate.
-                self.transient_failures += 1
-                missed.append(node)
-                self.breakers.record(self.origin, node.name, False)
-                continue
-            acked += 1
-            self.breakers.record(self.origin, node.name, True)
-        if self.sloppy_quorum and acked < max(self.write_quorum, 1):
-            # Sloppy quorum: walk further clockwise and let the next
-            # reachable nodes stand in for the unreachable home replicas.
-            # The home nodes still get hints (queued below), and Merkle
-            # anti-entropy migrates the stand-in copies home after heal.
-            for name in self.ring.replicas(chunk.uid, len(self.nodes)):
-                if acked >= max(self.write_quorum, 1):
-                    break
-                if deadline is not None and deadline.expired():
-                    break
-                if name in attempted:
-                    continue
-                attempted.add(name)
-                stand_in = self.nodes[name]
-                if not self._writable(stand_in):
-                    continue
-                try:
-                    self._node_put(stand_in, chunk, deadline=deadline)
-                except TransientError:
-                    self.transient_failures += 1
-                    self.breakers.record(self.origin, stand_in.name, False)
-                    continue
+
+        def candidates() -> Iterator[StorageNode]:
+            yield from homes
+            if acked < quorum:
+                # Sloppy quorum: walk further clockwise and let the next
+                # reachable nodes stand in for the unreachable home replicas.
+                # The home nodes still get hints (queued below), and Merkle
+                # anti-entropy migrates the stand-in copies home after heal.
+                # Resumed only once every home has been tried, so the wider
+                # ring walk is computed only when the homes fell short.
+                for name in self.ring.replicas(chunk.uid, len(self.nodes)):
+                    if self.nodes[name] not in homes:
+                        yield self.nodes[name]
+
+        for node in candidates():
+            home = attempted < len(homes)
+            expired = deadline is not None and deadline.expired()
+            if not home and (acked >= quorum or expired):
+                break
+            attempted += 1
+            ok = not expired and self._writable(node)
+            if ok:
+                ok = self._place(node, chunk, deadline=deadline)
+                self.breakers.record(self.origin, node.name, ok)
+            if ok:
                 acked += 1
-                self.breakers.record(self.origin, stand_in.name, True)
-                self.sloppy_writes += 1
-        if (
-            acked < max(self.write_quorum, 1)
-            and deadline is not None
-            and deadline.expired()
-        ):
+                if not home:
+                    self.sloppy_writes += 1
+            elif home:
+                # Every home replica is owed a copy: the ones skipped or
+                # failed here get a hint once the write is known to stand.
+                missed.append(node)
+        if acked < quorum and deadline is not None and deadline.expired():
             # The budget, not the cluster, decided this write's fate: the
             # caller gets the deadline error (retryable with a fresh
             # budget), not a verdict about replica health.
             self.deadline_exceeded += 1
-            raise DeadlineExceededError(
-                f"write of {chunk.uid.short()} acked by {acked}/{self.replication} "
-                f"when its {deadline.budget}-tick budget ran out",
-                budget=deadline.budget,
-                elapsed=deadline.elapsed(),
+            raise deadline.exceeded(
+                f"write of {chunk.uid.short()} acked by {acked}/{self.replication}"
             )
         if acked == 0:
             raise NodeDownError(
                 f"no reachable replica target for {chunk.uid.short()} "
-                f"(all {len(attempted)} candidate nodes down or cut off)"
+                f"(all {attempted} candidate nodes down or cut off)"
             )
         if acked < self.write_quorum:
             raise QuorumWriteError(
@@ -693,10 +687,8 @@ class ClusterStore(ChunkStore):
         the retry budget to separate wire corruption (a later attempt
         verifies) from rot on the replica (every attempt mismatches).
 
-        ``timeout_ticks`` is a hedge threshold: the read gets exactly one
-        un-retried attempt capped at that many ticks — a hedged read does
-        not burn the retry budget on a replica it already believes is
-        slow, it moves to the next one.
+        ``timeout_ticks`` is a hedge threshold: a single attempt, neither
+        retried nor re-read (see :meth:`_exchange`).
         """
         attempts = self.retry.attempts if self.repair_reads else 1
         if timeout_ticks is not None:
@@ -705,22 +697,10 @@ class ClusterStore(ChunkStore):
         served: Optional[Chunk] = None
         for _ in range(attempts):
             try:
-                if timeout_ticks is not None:
-                    chunk = self._send(
-                        node,
-                        "get",
-                        uid,
-                        lambda: node.get(uid),
-                        deadline=deadline,
-                        timeout_ticks=timeout_ticks,
-                    )
-                else:
-                    chunk = self.retry.call(
-                        lambda: self._send(
-                            node, "get", uid, lambda: node.get(uid), deadline=deadline
-                        ),
-                        deadline=deadline,
-                    )
+                chunk = self._exchange(
+                    node, "get", uid, lambda: node.get(uid),
+                    deadline=deadline, timeout_ticks=timeout_ticks,
+                )
             except DeadlineExceededError:
                 # The verb's budget, not this replica, stopped the read:
                 # propagate instead of mislabelling the node unreachable.
@@ -758,50 +738,50 @@ class ClusterStore(ChunkStore):
         self, uid: Uid, deadline: Optional[Deadline]
     ) -> Optional[Chunk]:
         """The replica walk behind :meth:`_fetch` (which times it)."""
-        placement = self.replica_nodes(uid)
-        # Suspected replicas go to the back of the line: they still get
-        # tried (suspicion can be wrong) but no longer burn the retry
-        # budget before a healthy replica gets a chance.
-        ordered = [n for n in placement if not self._suspected(n.name)]
-        ordered += [n for n in placement if self._suspected(n.name)]
-        candidates = []
-        for n in ordered:
-            if not n.up:
-                continue
-            # QUARANTINED replicas are out of the read path entirely — no
-            # fallback: a node with quarantine-grade tamper evidence does
-            # not get a last word just because its siblings are down.
-            if self.accountability.is_quarantined(n.name):
-                self.quarantine_skips += 1
-                continue
-            candidates.append(n)
+        # Suspected replicas go to the back of the line (a stable sort on
+        # the verdict): they still get tried (suspicion can be wrong) but
+        # no longer burn the retry budget before a healthy replica gets a
+        # chance.
+        placement = sorted(
+            self.replica_nodes(uid), key=lambda n: self._suspected(n.name)
+        )
         # Nodes whose breaker (from this origin) is OPEN go last — tried
         # only when every admitted replica has failed, as the breaker's
         # half-open probe of last resort.
         admitted: List[StorageNode] = []
         tripped: List[StorageNode] = []
-        for node in candidates:
+        for node in placement:
+            if not node.up:
+                continue
+            # QUARANTINED replicas are out of the read path entirely — no
+            # fallback: a node with quarantine-grade tamper evidence does
+            # not get a last word just because its siblings are down.
+            if self.accountability.is_quarantined(node.name):
+                self.quarantine_skips += 1
+                continue
             if self.breakers.begin_attempt(self.origin, node.name):
                 admitted.append(node)
             else:
                 self.breaker_skips += 1
                 tripped.append(node)
         if not admitted:
-            admitted = tripped
-            tripped = []
+            admitted, tripped = tripped, []
         found: Optional[Chunk] = None
         repair_targets: List[StorageNode] = []
         saw_rot = False
         attempted_failures = 0
         hedged = False
         deadline_cut = False
-        for position, node in enumerate(admitted):
+        # One walk: the admitted replicas, then — only when every one of
+        # them failed — the tripped ones, with the same treatment.
+        for position, node in enumerate(admitted + tripped):
             if deadline is not None and deadline.expired():
                 deadline_cut = True
                 break
             # Hedge arming: cap the first attempt at the primary's tracked
-            # p95 when another replica is waiting behind it.  At most one
-            # hedge per read — later replicas run with the normal budget.
+            # p95 when another *admitted* replica is waiting behind it.  At
+            # most one hedge per read — later replicas run with the normal
+            # budget.
             threshold: Optional[int] = None
             if (
                 self.hedge_reads
@@ -810,11 +790,7 @@ class ClusterStore(ChunkStore):
                 and position + 1 < len(admitted)
             ):
                 threshold = self.latency.hedge_threshold(
-                    self.origin,
-                    node.name,
-                    "get",
-                    q=self.hedge_quantile,
-                    min_samples=self.HEDGE_MIN_SAMPLES,
+                    self.origin, node.name, "get", min_samples=self.HEDGE_MIN_SAMPLES
                 )
             before = self._now()
             status, chunk = self._read_replica(
@@ -855,30 +831,11 @@ class ClusterStore(ChunkStore):
                     uid,
                     op="get",
                     kind="served-corrupt",
-                    served=(
-                        Chunk.compute_uid(chunk.type, chunk.data).hex()
-                        if chunk is not None
-                        else None
-                    ),
+                    served=_digest_of(chunk),
                 )
                 node.drop(uid)
                 repair_targets.append(node)
             # 'unreachable' nodes are skipped; repair() will catch them up.
-        if found is None and not deadline_cut and tripped:
-            # Every admitted replica failed: probe the tripped ones rather
-            # than fail a read that an OPEN breaker could have served.
-            for node in tripped:
-                if deadline is not None and deadline.expired():
-                    deadline_cut = True
-                    break
-                status, chunk = self._read_replica(node, uid, deadline=deadline)
-                self.breakers.record(self.origin, node.name, status != "unreachable")
-                if status == "ok":
-                    if attempted_failures > 0:
-                        self.failovers += 1
-                    found = chunk
-                    break
-                attempted_failures += 1
         if found is None:
             self.failed_reads += 1
             if saw_rot:
@@ -887,70 +844,53 @@ class ClusterStore(ChunkStore):
                 )
             if deadline_cut:
                 assert deadline is not None
-                raise DeadlineExceededError(
-                    f"read of {uid.short()} ran out of its "
-                    f"{deadline.budget}-tick budget with replicas untried",
-                    budget=deadline.budget,
-                    elapsed=deadline.elapsed(),
-                )
+                raise deadline.exceeded(f"read of {uid.short()} with replicas untried")
             return None
         for node in repair_targets:
             if deadline is not None and deadline.expired():
                 break  # repair is best-effort; anti-entropy catches up
-            try:
-                self._node_put(node, found, deadline=deadline)
-            except TransientError:
-                self.transient_failures += 1
+            if not self._place(node, found, deadline=deadline):
                 continue
             self.read_repairs += 1
-            if self.audit_repairs:
-                self._audit_replica(node, found)
+            self.repair_audits += 1
+            if self.audit_copy(node, uid, self.origin) is False:
+                self.repair_audit_failures += 1
         return found
 
-    def _audit_replica(self, node: StorageNode, chunk: Chunk) -> Optional[bool]:
-        """Post-repair audit: re-read a copy the writer *just* verified.
+    def audit_copy(
+        self, node: StorageNode, uid: Uid, origin: str, kind: Optional[str] = None
+    ) -> Optional[bool]:
+        """Re-read a copy the node vouched for; strike it if it never verifies.
 
-        This is the rot-vs-lies discriminator.  ``_node_put`` read the
-        repair copy back and saw it hash to its uid; honest disk rot
-        striking that exact fresh copy on ``audit_reads`` consecutive
-        re-reads (each itself re-read once by ``diagnose_copy``) has
-        probability ~(rate²)^reads — while a replica that lies at any
-        steady rate keeps failing audits forever.  Every re-read failing
-        is therefore strike-grade evidence; any verifying re-read is a
-        clean audit.
+        This is the rot-vs-lies discriminator, shared by the post-repair
+        audit and anti-entropy's spot-check of self-reported indexes.
+        After a read-repair, ``_place`` read the copy back and saw it hash
+        to its uid; honest disk rot striking that exact fresh copy on
+        ``audit_reads`` consecutive re-reads (each itself re-read once by
+        ``diagnose_copy``) has probability ~(rate²)^reads — while a
+        replica that lies at any steady rate keeps failing audits forever.
+        Every re-read failing is therefore strike-grade evidence
+        (``kind``, or ``audit-mismatch``/``audit-withheld`` by what the
+        last re-read saw); any verifying re-read is a clean audit.
 
         Runs on the management plane (direct store access, like scrub and
         ``durability_check``) so auditing costs zero transport ticks and
         cannot eat a client verb's deadline budget.  Returns True on a
         clean audit, False on a strike, None for no verdict (unreadable).
         """
-        from repro.store.scrub import diagnose_copy  # deferred: scrub sits a layer above
-
         board = self.accountability
-        self.repair_audits += 1
-        last_status, last_served = "", None
+        status, served = "", None
         for _ in range(max(board.audit_reads, 1)):
-            status, got, _ = diagnose_copy(node.store, chunk.uid, retry=self.retry)
+            status, served, _ = diagnose_copy(node.store, uid, retry=self.retry)
             if status == "ok":
                 board.record_clean_audit(node.name)
                 return True
             if status == "unreadable":
                 return None  # transient plane down: no verdict either way
-            last_status, last_served = status, got
-        self.repair_audit_failures += 1
+        if kind is None:
+            kind = "audit-mismatch" if status == "corrupt" else "audit-withheld"
         board.record_strike(
-            self.origin,
-            node.name,
-            chunk.uid,
-            op="get",
-            kind=(
-                "audit-mismatch" if last_status == "corrupt" else "audit-withheld"
-            ),
-            served=(
-                Chunk.compute_uid(last_served.type, last_served.data).hex()
-                if last_served is not None
-                else None
-            ),
+            origin, node.name, uid, op="get", kind=kind, served=_digest_of(served)
         )
         return False
 
@@ -962,20 +902,11 @@ class ClusterStore(ChunkStore):
             if self.accountability.is_quarantined(node.name):
                 self.quarantine_skips += 1
                 continue
-            if deadline is not None and deadline.expired():
-                self.deadline_exceeded += 1
-                raise DeadlineExceededError(
-                    f"has({uid.short()}) ran out of its "
-                    f"{deadline.budget}-tick budget with replicas untried",
-                    budget=deadline.budget,
-                    elapsed=deadline.elapsed(),
-                )
             try:
-                if self.retry.call(
-                    lambda: self._send(
-                        node, "has", uid, lambda: node.has(uid), deadline=deadline
-                    ),
-                    deadline=deadline,
+                if deadline is not None and deadline.expired():
+                    raise deadline.exceeded(f"has({uid.short()}) with replicas untried")
+                if self._exchange(
+                    node, "has", uid, lambda: node.has(uid), deadline=deadline
                 ):
                     return True
             except DeadlineExceededError as error:
@@ -1028,27 +959,29 @@ class ClusterStore(ChunkStore):
             if not self.accountability.is_quarantined(node.name)
         ]
 
-    def _healthy_source(self, uid: Uid) -> Optional[Chunk]:
+    def healthy_source(
+        self, uid: Uid, exclude: Optional[StorageNode] = None
+    ) -> Optional[Chunk]:
         """A verified copy from any trusted live node (placement first).
 
-        Quarantined nodes are never repair *sources*: even a copy that
-        verifies right now came from a replica with quarantine-grade
-        tamper evidence, and repair must not launder its holdings back
-        into the trusted set.
+        The one repair-sourcing routine: the full sweep and the scrubber
+        (which excludes the node whose rot it is replacing) both copy
+        from here.  Quarantined nodes are never repair *sources*: even a
+        copy that verifies right now came from a replica with
+        quarantine-grade tamper evidence, and repair must not launder its
+        holdings back into the trusted set.
         """
-        trusted = self.trusted_nodes()
+        trusted = [node for node in self.trusted_nodes() if node is not exclude]
         candidates = [node for node in self.replica_nodes(uid) if node in trusted]
         candidates.extend(node for node in trusted if node not in candidates)
         for node in candidates:
             if not node.store.has(uid):
                 continue
-            try:
-                chunk = self.retry.call(lambda: node.store.get_maybe(uid))
-            except TransientError:
-                self.transient_failures += 1
-                continue
-            if chunk is not None and chunk.is_valid():
+            status, chunk = read_copy(node.store, uid, self.retry)
+            if status == "ok":
                 return chunk
+            if status == "unreadable":
+                self.transient_failures += 1
         return None
 
     def repair(self) -> int:
@@ -1065,9 +998,7 @@ class ClusterStore(ChunkStore):
         :class:`~repro.cluster.antientropy.SyncReport` lands in
         ``last_sync_report``.
         """
-        report = anti_entropy_pass(self)
-        self.last_sync_report = report
-        return report.chunks_transferred
+        return self.anti_entropy_pass().chunks_transferred
 
     def anti_entropy_pass(self) -> SyncReport:
         """One Merkle reconciliation round; returns the full report."""
@@ -1096,16 +1027,12 @@ class ClusterStore(ChunkStore):
             ]
             if not targets:
                 continue
-            source = self._healthy_source(uid)
+            source = self.healthy_source(uid)
             if source is None:
                 continue
             for node in targets:
-                try:
-                    self._node_put(node, source)
-                except TransientError:
-                    self.transient_failures += 1
-                    continue  # a later repair / scrub pass will place it
-                copies += 1
+                if self._place(node, source):
+                    copies += 1  # else a later repair / scrub pass places it
         return copies
 
     def rebalance(self) -> int:
@@ -1114,26 +1041,21 @@ class ClusterStore(ChunkStore):
         Returns chunks copied.  (Repair first places, then strays drop.)
         """
         copies = self.repair()
-        for node in self.trusted_nodes():
+        trusted = self.trusted_nodes()
+        for node in trusted:
             for uid in list(node.store.ids()):
-                owners = self.ring.replicas(uid, self.replication)
-                if node.name not in owners:
-                    # Only drop if every live, trusted owner has a copy —
-                    # a copy on a quarantined owner does not count.
-                    if all(
-                        self.nodes[name].up
-                        and not self.accountability.is_quarantined(name)
-                        and self.nodes[name].store.has(uid)
-                        for name in owners
-                    ):
-                        node.drop(uid)
+                owners = self.replica_nodes(uid)
+                # Only drop if every owner is live, trusted and has a copy —
+                # a copy on a quarantined owner does not count.
+                if node not in owners and all(
+                    owner in trusted and owner.store.has(uid) for owner in owners
+                ):
+                    node.drop(uid)
         return copies
 
-    def scrub(self, **kwargs: object):
+    def scrub(self, **kwargs: object) -> ScrubReport:
         """One scrub pass (see :mod:`repro.store.scrub`): re-hash every
         replica, quarantine rot, re-copy from healthy replicas."""
-        from repro.store.scrub import Scrubber
-
         return Scrubber(self, **kwargs).scrub()  # type: ignore[arg-type]
 
     def readmit(self, name: str) -> int:
@@ -1151,15 +1073,11 @@ class ClusterStore(ChunkStore):
         wrapper removed, the disk replaced): a node still lying simply
         re-earns its quarantine.
         """
-        from repro.store.scrub import diagnose_copy  # deferred: scrub sits a layer above
-
         node = self.nodes[name]
-        dropped: List[Uid] = []
-        for uid in list(node.store.ids()):
-            status, _, _ = diagnose_copy(node.store, uid, retry=self.retry)
-            if status != "ok":
-                node.drop(uid)
-                dropped.append(uid)
+        verified = build_valid_index(self, node, quarantine=False)
+        dropped = [uid for uid in node.store.ids() if uid not in verified]
+        for uid in dropped:
+            node.drop(uid)
         if dropped:
             self.notify_swept(dropped)
         self.accountability.readmit(name)
@@ -1188,26 +1106,18 @@ class ClusterStore(ChunkStore):
         sit in the hint queue is recoverable, not lost.
         """
         buckets = {"lost": 0, "single": 0, "replicated": 0}
-        hinted: Set[Uid] = set()
-        for hints in self._hints.values():
-            hinted.update(hints)
+        hinted: Set[Uid] = set().union(*self._hints.values())
         # A quarantined node's copies are untrusted and do not count
         # toward durability: the report shows the real exposure.
         live = self.trusted_nodes()
-        holdings: Dict[str, Set[Uid]] = {}
-        if verify:
-            from repro.store.scrub import diagnose_copy  # deferred: scrub sits a layer above
-
-            for node in live:
-                held: Set[Uid] = set()
-                for uid in list(node.store.ids()):
-                    status, _, _ = diagnose_copy(node.store, uid, retry=self.retry)
-                    if status == "ok":
-                        held.add(uid)
-                holdings[node.name] = held
-        else:
-            for node in live:
-                holdings[node.name] = set(node.store.ids())
+        holdings: Dict[str, Set[Uid]] = {
+            node.name: (
+                build_valid_index(self, node, quarantine=False)
+                if verify
+                else set(node.store.ids())
+            )
+            for node in live
+        }
         for uid in self._ids():
             copies = sum(
                 1

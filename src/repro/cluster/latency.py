@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.membership import LogicalClock
+from repro.errors import DeadlineExceededError
 
 #: Key identifying one latency stream: (observing origin, peer node, op).
 StreamKey = Tuple[str, str, str]
@@ -226,6 +227,14 @@ class Deadline:
     def expired(self) -> bool:
         """True once the budget is fully spent."""
         return self.remaining() <= 0
+
+    def exceeded(self, what: str) -> DeadlineExceededError:
+        """The error the owning verb raises when ``what`` outran the budget."""
+        return DeadlineExceededError(
+            f"{what} ran out of its {self.budget}-tick budget",
+            budget=self.budget,
+            elapsed=self.elapsed(),
+        )
 
     def __repr__(self) -> str:
         return f"Deadline(budget={self.budget}, remaining={self.remaining()})"

@@ -8,11 +8,9 @@ boundary occurs wherever :math:`\\Phi \\bmod 2^q = 0`.  This package provides
   recurrence from the paper (buzhash),
 - :class:`~repro.rolling.hashes.RabinKarpHash` — a classical alternative
   used by the ablation benchmarks,
-- :class:`~repro.rolling.detector.PatternDetector` — boundary detection
-  with min/max-size clamps,
 - :mod:`~repro.rolling.chunker` — byte-stream and entry-stream chunkers
-  (entry streams extend a mid-entry pattern to the entry boundary, as the
-  paper specifies).
+  with min/max-size clamps (entry streams extend a mid-entry pattern to
+  the entry boundary, as the paper specifies).
 """
 
 from repro.rolling.chunker import (
@@ -22,7 +20,6 @@ from repro.rolling.chunker import (
     chunk_entries,
     iter_chunk_spans,
 )
-from repro.rolling.detector import PatternDetector
 from repro.rolling.fast import (
     VectorEntryChunker,
     fast_chunk_spans,
@@ -38,7 +35,6 @@ __all__ = [
     "chunk_bytes",
     "chunk_entries",
     "iter_chunk_spans",
-    "PatternDetector",
     "VectorEntryChunker",
     "fast_chunk_spans",
     "fast_entry_spans",

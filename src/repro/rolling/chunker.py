@@ -19,8 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.rolling.detector import make_hash
-from repro.rolling.hashes import CyclicPolynomialHash, RollingHash
+from repro.rolling.hashes import CyclicPolynomialHash, RabinKarpHash, RollingHash
+
+
+def make_hash(algorithm: str, window: int, bits: int, seed: bytes) -> RollingHash:
+    """Instantiate a rolling hash by name (``cyclic`` or ``rabin-karp``)."""
+    if algorithm == "cyclic":
+        return CyclicPolynomialHash(window=window, bits=bits, seed=seed)
+    if algorithm == "rabin-karp":
+        return RabinKarpHash(window=window, bits=bits)
+    raise ValueError(f"unknown rolling hash algorithm: {algorithm!r}")
 
 
 @dataclass(frozen=True)

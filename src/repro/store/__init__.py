@@ -13,8 +13,8 @@ Implementations:
 - :class:`~repro.store.filestore.FileStore` — append-only segment files
   with a persisted index; survives close/reopen.
 - :class:`~repro.store.packstore.PackStore` — append-only pack files with
-  CRC-framed compressed records, mmap reads, a bloom filter, and segment
-  compaction; the throughput-oriented durable backend.
+  CRC-framed compressed records, mmap reads, an in-RAM uid index, and
+  segment compaction; the throughput-oriented durable backend.
 - :class:`~repro.store.cached.CachedStore` — LRU read-through cache of
   raw chunks over any other store.
 - :class:`~repro.store.nodecache.NodeCacheStore` — LRU cache of *decoded*

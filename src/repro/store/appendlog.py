@@ -5,7 +5,7 @@ write primitive the substrate rests on; :class:`AppendLog` owns it once,
 for the commit journal, FileStore segments, and PackStore packs alike.
 Owners keep only what is genuinely theirs: record framing, the scan that
 finds the last valid record boundary, and the prune of their own
-bookkeeping (index, bloom, journal records) after a poison.
+bookkeeping (index, journal records) after a poison.
 """
 
 from __future__ import annotations

@@ -20,10 +20,8 @@ chunk family — with three additions the indexing-structure survey
   crash-points so the torture suite can kill the store at every append
   and index-save boundary.  Torn tails truncate on recovery; interior rot
   raises the :mod:`repro.errors` taxonomy errors.
-- **A bloom existence filter** over the uid space so negative ``has()``
-  probes are answered from a few bit tests — no index probe, no disk.
-  Content addresses are already uniform SHA-256 output, so the filter's
-  hash functions are just four 64-bit slices of the digest.
+- **An in-RAM uid index**: ``has()`` and every miss are one dict probe
+  on the uid's precomputed hash — no disk.
 
 Deletes drop the index entry (durable at the next index snapshot, exactly
 like FileStore); dead bytes are reclaimed by :meth:`PackStore.compact_segments`,
@@ -78,50 +76,6 @@ _WATERMARK_ENTRY = struct.Struct(">IQ")  # segment number, indexed length
 _TAG_TO_TYPE: Dict[int, ChunkType] = {int(member): member for member in ChunkType}
 
 
-class _Bloom:
-    """Bit-array existence filter keyed on SHA-256 digests.
-
-    uids are already uniform hash output, so k=4 independent hash
-    functions fall out of slicing the digest into four big-endian 64-bit
-    words — no extra hashing, fully deterministic across runs.
-    """
-
-    __slots__ = ("_bits", "_mask", "count")
-
-    #: Target bits per key; 16 bits/key at k=4 gives ~0.24% false positives.
-    BITS_PER_KEY = 16
-
-    def __init__(self, capacity: int = 1024) -> None:
-        size = 1024
-        while size < capacity * self.BITS_PER_KEY:
-            size <<= 1
-        self._bits = bytearray(size // 8)
-        self._mask = size - 1
-        self.count = 0
-
-    def add(self, uid: Uid) -> None:
-        bits = self._bits
-        mask = self._mask
-        for word in struct.unpack(">4Q", uid.digest):
-            position = word & mask
-            bits[position >> 3] |= 1 << (position & 7)
-        self.count += 1
-
-    def __contains__(self, uid: Uid) -> bool:
-        bits = self._bits
-        mask = self._mask
-        for word in struct.unpack(">4Q", uid.digest):
-            position = word & mask
-            if not bits[position >> 3] & (1 << (position & 7)):
-                return False
-        return True
-
-    @property
-    def saturated(self) -> bool:
-        """True once additions exceed the sizing target (rebuild time)."""
-        return self.count * self.BITS_PER_KEY > (self._mask + 1)
-
-
 class PackStore(ChunkStore):
     """Durable chunk store over compressed, CRC-framed pack files."""
 
@@ -147,7 +101,6 @@ class PackStore(ChunkStore):
         self._closed = False
         self._dead_records = 0
         self._dead_bytes = 0
-        self.bloom_negatives = 0
         os.makedirs(self._pack_dir, exist_ok=True)
         self._segments = sorted(
             int(name[5:-4])
@@ -165,7 +118,6 @@ class PackStore(ChunkStore):
         # appended records are indexed at the offset they land on.
         self._active = self._segments[-1]
         self._log = self._open_log(self._active, end)
-        self._bloom = self._rebuild_bloom()
 
     @property
     def poisoned(self) -> bool:
@@ -448,12 +400,6 @@ class PackStore(ChunkStore):
         durable_replace(tmp, path)
         self.stats.record_io(written=len(payload))
 
-    def _rebuild_bloom(self) -> _Bloom:
-        bloom = _Bloom(capacity=max(1024, len(self._index)))
-        for uid in self._index:
-            bloom.add(uid)
-        return bloom
-
     # -- mmap read path ------------------------------------------------------
 
     def _view(self, segment: int, offset: int, length: int) -> bytes:
@@ -527,7 +473,6 @@ class PackStore(ChunkStore):
         ]
         for uid in doomed:
             del self._index[uid]
-        self._bloom = self._rebuild_bloom()
 
     def _check_writer(self) -> None:
         if self._closed:
@@ -547,9 +492,6 @@ class PackStore(ChunkStore):
             self._log = self._open_log(self._active, 0)
         offset = self._log.append(record, chunk.uid.short())
         self._index[chunk.uid] = (self._active, offset, len(record))
-        self._bloom.add(chunk.uid)
-        if self._bloom.saturated:
-            self._bloom = self._rebuild_bloom()
         self.stats.record_io(written=len(record))
 
     def _insert(self, chunk: Chunk) -> None:
@@ -569,12 +511,8 @@ class PackStore(ChunkStore):
     def _fetch(self, uid: Uid) -> Optional[Chunk]:
         if self._closed:
             raise StoreClosedError("store is closed")
-        # The in-RAM index probe is cheaper than four bloom hashes, so on
-        # the hit path skip the filter; it still screens every miss.
         location = self._index.get(uid)
         if location is None:
-            if uid not in self._bloom:
-                self.bloom_negatives += 1
             return None
         segment, offset, length = location
         record = self._view(segment, offset, length)
@@ -582,9 +520,6 @@ class PackStore(ChunkStore):
         return self._decode_record(record, uid)
 
     def _contains(self, uid: Uid) -> bool:
-        if uid not in self._bloom:
-            self.bloom_negatives += 1
-            return False
         return uid in self._index
 
     def _delete(self, uid: Uid) -> bool:
@@ -707,7 +642,6 @@ class PackStore(ChunkStore):
             self._drop_segment_file(segment)
         self._dead_records = 0
         self._dead_bytes = 0
-        self._bloom = self._rebuild_bloom()
         return {
             "segments_before": len(old_segments),
             "segments_after": len(new_segments),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.chunk import Chunk, Uid
 from repro.errors import (
@@ -28,6 +28,9 @@ from repro.errors import (
 )
 from repro.faults.retry import RetryPolicy
 from repro.store.base import ChunkStore
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
+    from repro.cluster.cluster import ClusterStore
 
 
 @dataclass
@@ -66,7 +69,7 @@ class ScrubReport:
         )
 
 
-def _read_copy_once(
+def read_copy(
     store: ChunkStore, uid: Uid, retry: RetryPolicy
 ) -> Tuple[str, Optional[Chunk]]:
     """One verified read: ('ok'|'corrupt'|'missing'|'unreadable', chunk)."""
@@ -130,12 +133,12 @@ def diagnose_copy(
     spent; only an intact frame falls back to the re-read heuristic.
     """
     retry = retry if retry is not None else RetryPolicy.instant()
-    status, chunk = _read_copy_once(store, uid, retry)
+    status, chunk = read_copy(store, uid, retry)
     if status == "corrupt":
         if _frame_verdict(store, uid) in ("crc", "torn"):
             return status, chunk, False
         if reread_on_mismatch:
-            second_status, second_chunk = _read_copy_once(store, uid, retry)
+            second_status, second_chunk = read_copy(store, uid, retry)
             if second_status == "ok":
                 return second_status, second_chunk, True
     return status, chunk, False
@@ -158,10 +161,6 @@ class Scrubber:
 
     # -- read helpers --------------------------------------------------------
 
-    def _read_copy(self, store: ChunkStore, uid: Uid) -> Tuple[str, Optional[Chunk]]:
-        """One verified read: ('ok'|'corrupt'|'missing'|'unreadable', chunk)."""
-        return _read_copy_once(store, uid, self.retry)
-
     def _diagnose(
         self, store: ChunkStore, uid: Uid, report: ScrubReport
     ) -> Tuple[str, Optional[Chunk]]:
@@ -176,12 +175,15 @@ class Scrubber:
     # -- scrub entry points ---------------------------------------------------
 
     def scrub(self) -> ScrubReport:
-        """Scrub the configured store (replica-aware for clusters)."""
-        from repro.cluster.cluster import ClusterStore
+        """Scrub the configured store (replica-aware for clusters).
 
+        A replicated store is recognised by its maintenance surface
+        (``trusted_nodes``), not by class: the scrubber sits below the
+        cluster layer, which is what lets the cluster import it.
+        """
         start = self.clock()
-        if isinstance(self.store, ClusterStore):
-            report = self._scrub_cluster(self.store)
+        if callable(getattr(self.store, "trusted_nodes", None)):
+            report = self._scrub_cluster(self.store)  # type: ignore[arg-type]
         else:
             report = self._scrub_flat(self.store)
         report.seconds = self.clock() - start
@@ -230,7 +232,7 @@ class Scrubber:
                 report.corrupt += 1
                 report.corrupt_uids.append(uid)
                 node.store.delete(uid)
-                healthy = self._healthy_copy(cluster, uid, exclude=node)
+                healthy = cluster.healthy_source(uid, exclude=node)
                 if healthy is not None:
                     try:
                         self.retry.call(lambda: self._put_verified(node.store, healthy))
@@ -255,30 +257,6 @@ class Scrubber:
             raise TransientStoreError(
                 f"repair write of {chunk.uid.short()} did not verify"
             )
-
-    def _healthy_copy(
-        self, cluster: "ClusterStore", uid: Uid, exclude: object
-    ) -> Optional[Chunk]:
-        """A verified copy from any other trusted live node (placement
-        first) — never from a QUARANTINED replica."""
-        trusted = cluster.trusted_nodes()
-        candidates = [
-            node
-            for node in cluster.replica_nodes(uid)
-            if node in trusted and node is not exclude
-        ]
-        candidates.extend(
-            node
-            for node in trusted
-            if node is not exclude and node not in candidates
-        )
-        for node in candidates:
-            if not node.store.has(uid):
-                continue
-            status, chunk = self._read_copy(node.store, uid)
-            if status == "ok" and chunk is not None:
-                return chunk
-        return None
 
 
 def scrub(store: ChunkStore, **kwargs: object) -> ScrubReport:

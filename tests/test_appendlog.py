@@ -5,8 +5,7 @@ FileStore and PackStore all write through, so the protocol — un-ack on a
 failed write, bounded ENOSPC retry, fsyncgate recovery on a fresh
 descriptor, poisoning, torn-tail truncation at open — is pinned here
 under :class:`FsFaultPlan` / :class:`CrashPlan`, not once per owner.
-The owner-specific halves (index prune, bloom rebuild, ``_records``
-drop) stay in ``test_fsfaults.py``; the every-boundary sweeps stay in
+The owner-specific halves (index prune, ``_records`` drop) stay in ``test_fsfaults.py``; the every-boundary sweeps stay in
 the torture suites.
 """
 

@@ -500,11 +500,11 @@ class TestAntiEntropyAudit:
         cluster = ClusterStore(node_count=3, replication=2)
         orphan = _chunk(999)
         cluster.nodes["node-02"].store.put(orphan)  # valid, but only there
-        assert cluster._healthy_source(orphan.uid) is not None
+        assert cluster.healthy_source(orphan.uid) is not None
         board = cluster.accountability
         board.record_strike("c", "node-02", _uid(1), op="get", kind="audit-mismatch")
         board.record_strike("c", "node-02", _uid(2), op="get", kind="audit-mismatch")
-        assert cluster._healthy_source(orphan.uid) is None
+        assert cluster.healthy_source(orphan.uid) is None
         cluster.full_sweep_repair()
         for name in ("node-00", "node-01"):
             assert not cluster.nodes[name].store.has(orphan.uid)

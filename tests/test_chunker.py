@@ -1,4 +1,4 @@
-"""Tests for content-defined chunking (repro.rolling.chunker / detector)."""
+"""Tests for content-defined chunking (repro.rolling.chunker)."""
 
 import random
 
@@ -10,8 +10,8 @@ from repro.rolling.chunker import (
     chunk_bytes,
     chunk_entries,
     iter_chunk_spans,
+    make_hash,
 )
-from repro.rolling.detector import PatternDetector, make_hash
 
 
 def _random_bytes(n, seed=0):
@@ -176,28 +176,3 @@ class TestEntryChunker:
         entries = self._entries(500, seed=4)
         spans = chunk_entries(entries, config)
         assert spans[-1][1] == len(entries)
-
-
-class TestPatternDetector:
-    def test_min_size_suppresses_patterns(self):
-        hasher = make_hash("cyclic", 16, 31, b"forkbase-gamma")
-        detector = PatternDetector(hasher, pattern_bits=4, min_size=100)
-        hits = list(detector.scan(_random_bytes(1000, seed=8)))
-        for first, second in zip(hits, hits[1:]):
-            assert second - first >= 100
-
-    def test_max_size_forces_boundary(self):
-        hasher = make_hash("cyclic", 16, 31, b"forkbase-gamma")
-        detector = PatternDetector(hasher, pattern_bits=30, min_size=1, max_size=64)
-        hits = list(detector.scan(b"\x00" * 1000))
-        assert hits, "max_size must force boundaries on pattern-free input"
-        assert hits[0] <= 64
-
-    def test_validation(self):
-        hasher = make_hash("cyclic", 16, 31, b"forkbase-gamma")
-        with pytest.raises(ValueError):
-            PatternDetector(hasher, pattern_bits=0)
-        with pytest.raises(ValueError):
-            PatternDetector(hasher, pattern_bits=4, min_size=0)
-        with pytest.raises(ValueError):
-            PatternDetector(hasher, pattern_bits=4, min_size=10, max_size=5)

@@ -193,7 +193,7 @@ def test_fsync_path_propagates_directory_fsync_errors(tmp_path):
 # The protocol itself (un-ack + bounded ENOSPC retry, fsyncgate recovery on
 # a fresh descriptor) is pinned once on the primitive in test_appendlog.py;
 # what stays here is each owner's half of a poison: un-acking its own
-# bookkeeping (index prune, bloom rebuild, journal records).
+# bookkeeping (index prune, journal records).
 
 
 @pytest.mark.parametrize("factory", [FileStore, PackStore], ids=["file", "pack"])
@@ -207,8 +207,7 @@ def test_unrecoverable_fsync_poisons_writer(tmp_path, factory):
         with pytest.raises(DiskFaultError):
             store.put_many(chunks)
         assert store.poisoned
-        # Un-acked in memory at once: pruned from the index (and, for
-        # the pack store, from the rebuilt bloom filter).
+        # Un-acked in memory at once: pruned from the index.
         assert len(store) == 1 and store.has(_chunk(b"acked").uid)
         assert not any(store.has(chunk.uid) for chunk in chunks)
         # Poisoned writer refuses further appends...

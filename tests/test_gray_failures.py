@@ -13,13 +13,18 @@ import pytest
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.cluster import ALIVE, CLOSED, OPEN, ClusterStore
 from repro.db import ForkBase
-from repro.errors import DeadlineExceededError, NetworkTimeoutError
+from repro.errors import (
+    ChunkCorruptionError,
+    DeadlineExceededError,
+    NetworkTimeoutError,
+)
 from repro.faults import (
     NetworkPlan,
     PartitionedTransport,
     RetryPolicy,
     apply_slow_event,
 )
+from repro.security import TamperingStore
 
 
 def _chunk(n: int, tag: str = "gray") -> Chunk:
@@ -263,6 +268,34 @@ class TestCircuitBreaker:
             if "node-01" in {n.name for n in cluster.replica_nodes(chunk.uid)}
         ]
         assert cluster.get(served[0].uid).data == served[0].data
+
+    @pytest.mark.parametrize("tripped", [False, True], ids=["closed", "open"])
+    def test_rot_on_a_tripped_replica_is_corruption_not_absence(self, tripped):
+        """A last-resort replica gets the same treatment as an admitted
+        one: rot it serves raises, is attributed, and is dropped — an OPEN
+        breaker must not turn "every copy is corrupt" into "not found"."""
+        cluster = ClusterStore(
+            node_count=3,
+            replication=2,
+            transport=PartitionedTransport(),
+            breaker_threshold=2,
+        )
+        chunk = _chunk(0, "rot")
+        cluster.put(chunk)
+        absent, rotten = cluster.replica_nodes(chunk.uid)
+        absent.drop(chunk.uid)
+        TamperingStore.wrap_node(rotten).flip_byte(chunk.uid)
+        if tripped:
+            for _ in range(2):
+                cluster.breakers.record("client", rotten.name, False)
+            assert cluster.breakers.state("client", rotten.name) == OPEN
+        with pytest.raises(ChunkCorruptionError):
+            cluster.get_maybe(chunk.uid)
+        evidence = cluster.health_report()["tamper_evidence"]
+        assert [(e["node"], e["kind"]) for e in evidence] == [
+            (rotten.name, "served-corrupt")
+        ]
+        assert not rotten.store.has(chunk.uid)
 
 
 class TestDeadlines:

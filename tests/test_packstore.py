@@ -1,7 +1,7 @@
 """Unit tests for the pack-file chunk store.
 
 Covers the record frame (compression negotiation, CRC, embedded digest),
-the bloom existence filter, the FBPX index lifecycle (save, load, stale
+``has()`` presence probes, the FBPX index lifecycle (save, load, stale
 rejection, rebuild), deletes, segment compaction, and the frame-level
 ``diagnose_record`` verdicts the scrubber consumes.
 """
@@ -177,29 +177,23 @@ class TestCompression:
             assert store.diagnose_record(chunk.uid) == "codec"
 
 
-class TestBloom:
-    def test_negative_lookup_skips_index(self, populated):
+class TestHas:
+    def test_ghost_uids_are_absent(self, populated):
         directory, chunks = populated
         with PackStore(directory) as store:
-            baseline = store.bloom_negatives
             for i in range(512):
                 ghost = Uid(struct.pack(">Q", i) * 4)
                 assert not store.has(ghost)
-            # ~0.24% expected false-positive rate: nearly every miss must
-            # have been answered by the filter alone.
-            assert store.bloom_negatives - baseline >= 500
 
-    def test_present_chunks_never_filtered(self, populated):
+    def test_present_chunks_are_found(self, populated):
         directory, chunks = populated
         with PackStore(directory) as store:
             for chunk in chunks:
                 assert store.has(chunk.uid)
 
-    def test_filter_grows_with_the_store(self, tmp_path):
+    def test_has_keeps_up_with_a_growing_store(self, tmp_path):
         with PackStore(str(tmp_path / "ps")) as store:
-            seed_mask = store._bloom._mask
             store.put_many([_chunk(i, size=8) for i in range(1100)])
-            assert store._bloom._mask > seed_mask
             for i in range(1050, 1100):
                 assert store.has(_chunk(i, size=8).uid)
 
