@@ -40,18 +40,19 @@ LAYERS: Mapping[str, int] = {
     "repro.store.cached": 3,
     # The retry helper is pure policy over repro.errors; it sits beside
     # the storage primitives so the append log can bound ENOSPC retries.
+    # The fault kernel under it is pure hashlib/struct.
     "repro.faults.retry": 3,
+    "repro.faults.kernel": 3,
     # The scrubber and its copy-verification primitives (``read_copy``,
     # ``diagnose_copy``) need only errors, chunks, the retry helper and
     # the store interface; a replicated store is recognised by its public
     # maintenance surface, never imported — so the cluster's maintenance
     # plane can import them at module level.
     "repro.store.scrub": 4,
+    # Every plane — including the stores that lie (rotting, byzantine,
+    # scripted) — knows chunks and stores, never the cluster it is
+    # installed on.
     "repro.faults": 4,
-    "repro.faults.network": 4,
-    # The byzantine adversary wraps node stores the way FaultyStore does;
-    # it knows chunks and stores, never the cluster that hosts it.
-    "repro.faults.byzantine": 4,
     # The durable-append primitive embeds crash-points and the disk-fault
     # seam, so it sits above faults; the two backends that write through
     # it sit beside it, below everything that stores chunks.
@@ -78,7 +79,6 @@ LAYERS: Mapping[str, int] = {
     "repro.store.nodecache": 9,
     "repro.store": 9,  # the facade re-exports gc/nodecache (and scrub)
     "repro.security.verify": 10,
-    "repro.security.tamper": 10,
     "repro.db": 11,
     "repro.security": 12,  # security.acl wraps the engine
     "repro.table": 12,

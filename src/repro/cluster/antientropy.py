@@ -24,13 +24,13 @@ from a healthy peer — O(divergence) transfers, not O(N).
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.chunk import Chunk, Uid
 from repro.cluster.ring import POSITION_BITS, ring_position
 from repro.errors import StoreError, TransientError
+from repro.faults import kernel
 from repro.store.scrub import diagnose_copy
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports, no runtime cycle
@@ -277,16 +277,11 @@ def node_index(
 def _audit_draw(seed: int, node: str, uid: Uid) -> float:
     """Uniform [0, 1) deciding whether one claimed uid gets audited.
 
-    Hash-derived like every other fault/defense decision, so the sample —
-    and therefore detection latency — replays bit-identically from
-    ``cluster.audit_seed``.
+    A fault-kernel draw like every other fault/defense decision, so the
+    sample — and therefore detection latency — replays bit-identically
+    from ``cluster.audit_seed``.
     """
-    hasher = hashlib.sha256()
-    hasher.update(b"ae-audit:")
-    hasher.update(struct.pack(">q", seed))
-    hasher.update(node.encode("utf-8"))
-    hasher.update(uid.digest)
-    return int.from_bytes(hasher.digest()[:8], "big") / float(1 << 64)
+    return kernel.unit("ae-audit:", seed, node, uid.digest)
 
 
 def _audit_index(

@@ -15,8 +15,10 @@ class StorageNode:
     """One member of the simulated cluster.
 
     ``store`` defaults to a fresh :class:`InMemoryStore`; fault-injection
-    tests pass a :class:`~repro.faults.store.FaultyStore` instead, so the
-    node misbehaves exactly as its plan dictates.
+    tests pass a :class:`~repro.faults.store.FaultyStore` instead, or put
+    any lying wrapper on a running node with
+    :meth:`~repro.faults.store.InterposedStore.install` (and take it off
+    with ``remove``), so the node misbehaves exactly as its plan dictates.
     """
 
     def __init__(

@@ -1,28 +1,56 @@
-"""Deterministic fault injection.
+"""Deterministic fault injection: five planes over one kernel.
 
 The paper's threat model (§III-C) treats storage as potentially faulty or
 malicious; the tamper-evident uid exists to *detect* bad bytes.  This
-package supplies the adversary: a seeded :class:`~repro.faults.plan.FaultPlan`
-describing fault rates, a :class:`~repro.faults.store.FaultyStore` wrapper
-that applies the plan to any :class:`~repro.store.base.ChunkStore`, and a
-:class:`~repro.faults.retry.RetryPolicy` with injectable clock/sleep so the
-healing machinery can be tested instantly and reproducibly.
+package supplies the adversary on five planes.  Every decision on every
+plane is one :mod:`~repro.faults.kernel` draw — SHA-256 over the seed and
+the event's coordinates, nothing else — so replaying a workload against
+the same plan reproduces every fault bit for bit.  The planes differ
+only in *which coordinates* they hash and *what they do* with the draw:
 
-Every injected fault is a pure function of ``(seed, op kind, uid, attempt
-number)`` — replaying the same workload against the same plan yields the
-same faults, which is what makes the chaos suite assertable.
+==========  ==================  =======================================  ==========================================
+plane       plan                hashed coordinates (in order)            behaviours (applied by)
+==========  ==================  =======================================  ==========================================
+store       ``FaultPlan``       seed, kind, uid, attempt                 corrupt read, dropped / torn put,
+                                                                         transient error (``FaultyStore``)
+process     ``CrashPlan``       seed, kind, label, boundary index        die at the n-th durability boundary,
+                                                                         tearing a write (``crash_zone``)
+disk        ``FsFaultPlan``     seed, syscall, label, attempt            ENOSPC, short write, EIO, fsyncgate
+                                                                         (``FaultyOS`` in an ``fs_zone``)
+network     ``NetworkPlan``     seed, fault, src, "->", dst, op, uid,    drop, delay, duplicate, graded slowness;
+                                attempt                                  partition / slow schedules
+                                                                         (``PartitionedTransport``)
+node        ``ByzantinePlan``   seed, node, behavior, op, uid, attempt   flip, substitute, withhold, fake ack,
+                                                                         conceal / forge index, corrupt hint
+                                                                         (``ByzantineStore``)
+==========  ==================  =======================================  ==========================================
+
+Sub-seeds hash ``seed, "scope:" | "net-scope:", label``; named RNG
+streams ``seed, "rng:" | "net-rng:", label``.  Two seeded *defenses* use
+the same kernel: retry jitter (``seed, delay slot``) and the anti-entropy
+audit sample (``"ae-audit:", seed, node, uid``).
+
+The three stores that lie — ``FaultyStore`` (rotting), ``ByzantineStore``
+(adversarial), ``TamperingStore`` (scripted) — are behaviours on one
+:class:`~repro.faults.store.InterposedStore`, whose ``install(node)`` /
+``remove(node)`` put them on and take them off a cluster node.  The two
+boundary planes (process, disk) share the kernel's ``Census``: run once
+unarmed to enumerate boundaries, then once per boundary.
+
+The suites take their seed from the ``FORKBASE_SEED`` environment
+variable (``tests/conftest.py::fault_seed``).
 """
 
 from repro.faults.byzantine import (
     ByzantinePlan,
     ByzantineStore,
     corrupt_queued_hints,
-    flip_at,
     heal_node,
     make_byzantine,
 )
 from repro.faults.crash import CrashPlan, crash_zone, crashing_write, crashpoint
 from repro.faults.fs import FaultyOS, FsFaultPlan, fs_zone
+from repro.faults.kernel import flip_at
 from repro.faults.network import (
     NetworkPlan,
     PartitionedTransport,
@@ -31,7 +59,7 @@ from repro.faults.network import (
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy, with_retry
-from repro.faults.store import FaultyStore
+from repro.faults.store import FaultyStore, InterposedStore, TamperingStore
 
 __all__ = [
     "ByzantinePlan",
@@ -41,9 +69,11 @@ __all__ = [
     "FaultyOS",
     "FaultyStore",
     "FsFaultPlan",
+    "InterposedStore",
     "NetworkPlan",
     "PartitionedTransport",
     "RetryPolicy",
+    "TamperingStore",
     "apply_schedule_event",
     "apply_slow_event",
     "corrupt_queued_hints",

@@ -1,20 +1,16 @@
-"""Byzantine-node fault injection (the fifth fault dimension).
+"""Byzantine-node fault injection (the node plane of :mod:`repro.faults`).
 
-The other planes model *honest* failures: :class:`~repro.faults.plan.FaultPlan`
-rots bytes, :class:`~repro.faults.crash.CrashPlan` kills processes,
-:class:`~repro.faults.network.NetworkPlan` cuts links, and
-:class:`~repro.faults.fs.FsFaultPlan` breaks the disk.  A byzantine node is
-different in kind: it is *up*, *responsive*, and **lying** — the untrusted
-storage provider of the paper's threat model (§III-C), scaled from one
-local store (:class:`~repro.security.tamper.TamperingStore`) to a cluster
-replica that other machinery trusts for reads, write acks, anti-entropy
-digests, and hint replays.
+The other planes model *honest* failures.  A byzantine node is different
+in kind: it is *up*, *responsive*, and **lying** — the untrusted storage
+provider of the paper's threat model (§III-C), scaled from one local
+store (:class:`~repro.faults.store.TamperingStore`) to a cluster replica
+that other machinery trusts for reads, write acks, anti-entropy digests,
+and hint replays.
 
-A :class:`ByzantinePlan` is a pure description of *how* a node lies.  Every
-decision is derived by hashing ``(seed, node, behavior, op, uid, attempt)``
-— the same discipline as the other planes, so a byzantine run replays
-bit-identically from its seed.  :class:`ByzantineStore` applies the plan to
-one node's backing store; :func:`make_byzantine` installs it on a cluster
+A :class:`ByzantinePlan` is a pure description of *how* a node lies:
+every decision is a kernel draw at ``(seed, node, behavior, op, uid,
+attempt)``.  :class:`ByzantineStore` applies the plan to one node's
+backing store; :func:`make_byzantine` installs it on a cluster
 :class:`~repro.cluster.node.StorageNode` in place.
 
 Behaviors (each with its own rate):
@@ -36,15 +32,13 @@ hardened :mod:`repro.cluster.antientropy`; this module is only the attack.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.chunk import Chunk, Uid
+from repro.faults import kernel
+from repro.faults.store import InterposedStore
 from repro.store.base import ChunkStore
-
-_SCALE = float(1 << 64)
 
 _RATE_FIELDS = (
     "flip_rate",
@@ -54,21 +48,6 @@ _RATE_FIELDS = (
     "conceal_rate",
     "hint_corrupt_rate",
 )
-
-
-def flip_at(data: bytes, offset: int, mask: int = 0xFF) -> bytes:
-    """Flip one byte of ``data`` at ``offset`` (never a no-op).
-
-    The shared corruption primitive: :class:`ByzantinePlan` derives the
-    offset and mask from its replay hash, and
-    :meth:`~repro.security.tamper.TamperingStore.flip_byte` passes them
-    explicitly — one definition of "wrong bytes under the right uid".
-    """
-    if not data:
-        return b"\x01"
-    corrupted = bytearray(data)
-    corrupted[offset % len(corrupted)] ^= (mask | 0x01) & 0xFF
-    return bytes(corrupted)
 
 
 @dataclass(frozen=True)
@@ -92,75 +71,58 @@ class ByzantinePlan:
     forge_index: bool = False
 
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        kernel.check_rates(self, *_RATE_FIELDS)
 
-    # -- deterministic draws -------------------------------------------------
+    # -- deterministic draws: (seed, node, behavior, op, uid, attempt) ---------
 
-    def _digest(
-        self, node: str, behavior: str, op: str, uid: Uid, attempt: int
-    ) -> bytes:
-        hasher = hashlib.sha256()
-        hasher.update(struct.pack(">q", self.seed))
-        hasher.update(node.encode("utf-8"))
-        hasher.update(behavior.encode("utf-8"))
-        hasher.update(op.encode("utf-8"))
-        hasher.update(uid.digest)
-        hasher.update(struct.pack(">q", attempt))
-        return hasher.digest()
+    def _at(self, node: str, behavior: str, op: str, uid: Uid, attempt: int) -> tuple:
+        return (self.seed, node, behavior, op, uid.digest, attempt)
 
     def draw(
         self, node: str, behavior: str, op: str, uid: Uid, attempt: int
     ) -> float:
         """Uniform ``[0, 1)`` for one (node, behavior, op, uid, attempt)."""
-        digest = self._digest(node, behavior, op, uid, attempt)
-        return int.from_bytes(digest[:8], "big") / _SCALE
+        return kernel.unit(*self._at(node, behavior, op, uid, attempt))
 
     def flip(self, node: str, op: str, uid: Uid, attempt: int) -> bool:
         """Should this read serve flipped bytes under the claimed uid?"""
-        return self.draw(node, "flip", op, uid, attempt) < self.flip_rate
+        return kernel.chance(self.flip_rate, *self._at(node, "flip", op, uid, attempt))
 
     def substitute(self, node: str, op: str, uid: Uid, attempt: int) -> bool:
         """Should this read serve another chunk's content (replay)?"""
-        return self.draw(node, "substitute", op, uid, attempt) < self.substitute_rate
+        return kernel.chance(
+            self.substitute_rate, *self._at(node, "substitute", op, uid, attempt)
+        )
 
     def withhold(self, node: str, op: str, uid: Uid, attempt: int) -> bool:
         """Should this read claim not-found for a held chunk?"""
-        return self.draw(node, "withhold", op, uid, attempt) < self.withhold_rate
+        return kernel.chance(self.withhold_rate, *self._at(node, "withhold", op, uid, attempt))
 
     def fake_ack(self, node: str, op: str, uid: Uid, attempt: int) -> bool:
         """Should this write be acknowledged but never stored?"""
-        return self.draw(node, "fake-ack", op, uid, attempt) < self.fake_ack_rate
+        return kernel.chance(self.fake_ack_rate, *self._at(node, "fake-ack", op, uid, attempt))
 
     def conceal(self, node: str, uid: Uid) -> bool:
         """Should this uid be hidden from the node's claimed index?"""
-        return self.draw(node, "conceal", "index", uid, 0) < self.conceal_rate
+        return kernel.chance(self.conceal_rate, *self._at(node, "conceal", "index", uid, 0))
 
     def corrupt_hint(self, node: str, uid: Uid, attempt: int) -> bool:
         """Should this queued hint payload be replayed corrupted?"""
-        return (
-            self.draw(node, "corrupt-hint", "hint", uid, attempt)
-            < self.hint_corrupt_rate
+        return kernel.chance(
+            self.hint_corrupt_rate, *self._at(node, "corrupt-hint", "hint", uid, attempt)
         )
 
     def mutate(
         self, node: str, op: str, data: bytes, uid: Uid, attempt: int
     ) -> bytes:
         """Deterministically flip one byte of ``data`` (never a no-op)."""
-        digest = self._digest(node, "mutation", op, uid, attempt)
-        offset = int.from_bytes(digest[8:16], "big")
-        return flip_at(data, offset, mask=digest[16])
+        return kernel.mutate(data, *self._at(node, "mutation", op, uid, attempt))
 
     def pick(
         self, node: str, behavior: str, op: str, uid: Uid, attempt: int, n: int
     ) -> int:
         """A deterministic index in ``[0, n)`` (donor selection)."""
-        if n < 1:
-            raise ValueError("pick needs n >= 1")
-        digest = self._digest(node, behavior, op, uid, attempt)
-        return int.from_bytes(digest[8:16], "big") % n
+        return kernel.pick(*self._at(node, behavior, op, uid, attempt), n=n)
 
     def lying(self) -> bool:
         """Does this plan misbehave at all? (All-zero plans are honest.)"""
@@ -169,26 +131,22 @@ class ByzantinePlan:
         )
 
 
-class ByzantineStore(ChunkStore):
+class ByzantineStore(InterposedStore):
     """One node's store under a :class:`ByzantinePlan`'s control.
 
-    Wraps the node's honest backing store the way
-    :class:`~repro.faults.store.FaultyStore` wraps a rotting one, but the
+    Interposed on the node's honest backing store the way
+    :class:`~repro.faults.store.FaultyStore` is on a rotting one, but the
     lies are *adversarial*: wrong bytes arrive well-formed under the
     claimed uid, withheld chunks are claimed not-found, fake-acked writes
     vanish, and :meth:`claimed_ids` misreports holdings to anti-entropy.
-    Per-``(kind, uid)`` attempt counters make every draw reproducible and
-    let retries land on fresh decisions, exactly like the honest planes.
     """
 
     def __init__(
         self, backing: ChunkStore, plan: ByzantinePlan, node: str = ""
     ) -> None:
-        super().__init__(verify_reads=False)
-        self.backing = backing
+        super().__init__(backing)
         self.plan = plan
         self.node = node
-        self._attempts: dict[Tuple[str, Uid], int] = {}
         #: Writes acknowledged but never materialized (and, with
         #: ``forge_index``, still *claimed* to anti-entropy).
         self._fake_acked: Set[Uid] = set()
@@ -196,12 +154,6 @@ class ByzantineStore(ChunkStore):
         self.reads_withheld = 0
         self.writes_faked = 0
         self.index_forgeries = 0
-
-    def _attempt(self, kind: str, uid: Uid) -> int:
-        key = (kind, uid)
-        attempt = self._attempts.get(key, 0)
-        self._attempts[key] = attempt + 1
-        return attempt
 
     def _donor(self, uid: Uid) -> Optional[Chunk]:
         """A deterministically chosen *other* held chunk (replay source)."""
@@ -250,9 +202,6 @@ class ByzantineStore(ChunkStore):
             return False
         return held
 
-    def _ids(self) -> Iterator[Uid]:
-        return iter(self.backing.ids())
-
     def _delete(self, uid: Uid) -> bool:
         self._fake_acked.discard(uid)
         return self.backing.delete(uid)
@@ -285,25 +234,12 @@ class ByzantineStore(ChunkStore):
             claimed = kept
         return sorted(claimed)
 
-    def physical_size(self) -> int:
-        return self.backing.physical_size()
-
-    def close(self) -> None:
-        self.backing.close()
-
 
 def make_byzantine(node: object, plan: ByzantinePlan) -> ByzantineStore:
-    """Turn a cluster ``StorageNode`` adversarial in place.
-
-    Duck-typed on ``node.name``/``node.store`` so this layer needs no
-    cluster import.  Returns the installed wrapper; undo with
-    :func:`heal_node`.
-    """
-    adversary = ByzantineStore(
-        node.store, plan, node=str(node.name)  # type: ignore[attr-defined]
-    )
-    node.store = adversary  # type: ignore[attr-defined]
-    return adversary
+    """Turn a cluster ``StorageNode`` adversarial in place (undo with
+    :func:`heal_node`): :meth:`~repro.faults.store.InterposedStore.install`
+    with the node's own name as the plan's node coordinate."""
+    return ByzantineStore.install(node, plan, node=str(node.name))  # type: ignore[attr-defined]
 
 
 def heal_node(node: object) -> bool:
@@ -313,11 +249,7 @@ def heal_node(node: object) -> bool:
     caused — is restored as ``node.store``.  Returns False when the node
     was not wrapped.
     """
-    store = getattr(node, "store", None)
-    if not isinstance(store, ByzantineStore):
-        return False
-    node.store = store.backing  # type: ignore[attr-defined]
-    return True
+    return ByzantineStore.remove(node)
 
 
 def corrupt_queued_hints(cluster: object, plan: ByzantinePlan) -> int:

@@ -1,22 +1,19 @@
-"""Deterministic crash-point injection.
+"""Deterministic crash-point injection (the process plane of
+:mod:`repro.faults`).
 
-Where :class:`~repro.faults.plan.FaultPlan` models a *byzantine* store
-(wrong bytes, lost writes), a :class:`CrashPlan` models the honest but
-mortal process: it dies — at a write, an fsync, or a rename boundary —
-and recovery must reconstruct a consistent state from whatever the dead
-process left on disk.
+A :class:`CrashPlan` models the honest but mortal process: it dies — at
+a write, an fsync, or a rename boundary — and recovery must reconstruct
+a consistent state from whatever the dead process left on disk.
 
 Persistence code marks its durability boundaries by calling
 :func:`crashpoint` (fsync / replace boundaries) and routing file appends
 through :func:`crashing_write` (write boundaries).  Outside a
 :func:`crash_zone` both are free no-ops.  Inside one, every boundary is
-assigned a global index and a replay stamp hashed from ``(seed, kind,
-label, index)`` — the same ``(seed, op, attempt)`` hashing discipline the
-chaos suite's :class:`FaultPlan` uses — and the plan's ``crash_at``-th
-boundary raises :class:`~repro.errors.SimulatedCrash`.  A crash at a
-write boundary first materializes a deterministic *strict prefix* of the
-data (a torn write), which is exactly the damage a real kill mid-append
-leaves behind.
+assigned a global index and a replay stamp (a kernel digest of ``(seed,
+kind, label, index)``), and the plan's ``crash_at``-th boundary raises
+:class:`~repro.errors.SimulatedCrash`.  A crash at a write boundary
+first materializes a deterministic *strict prefix* of the data (a torn
+write), which is exactly the damage a real kill mid-append leaves behind.
 
 The torture recipe: run the workload once under ``CrashPlan()`` (census
 mode — nothing raises) to learn how many boundaries it crosses, then run
@@ -25,13 +22,14 @@ it once per boundary with ``crash_at=n``, reopen, and assert recovery.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, FrozenSet, Iterator, List, Optional, Tuple
+from typing import IO, FrozenSet, Iterator, Optional, Tuple
 
 from repro.errors import SimulatedCrash
+from repro.faults import kernel
+from repro.faults.kernel import Boundary, Census
+from repro.store.durability import write_bytes
 
 
 @dataclass(frozen=True)
@@ -55,49 +53,32 @@ class CrashPlan:
         """Is this boundary kind visible to the plan?"""
         return self.kinds is None or kind in self.kinds
 
+    def _at(self, kind: str, label: str, index: int) -> tuple:
+        return (self.seed, kind, label, index)
+
     def digest(self, kind: str, label: str, index: int) -> bytes:
         """The (seed, kind, label, index) replay hash for one boundary."""
-        hasher = hashlib.sha256()
-        hasher.update(struct.pack(">q", self.seed))
-        hasher.update(kind.encode("utf-8"))
-        hasher.update(label.encode("utf-8"))
-        hasher.update(struct.pack(">q", index))
-        return hasher.digest()
+        return kernel.digest(*self._at(kind, label, index))
 
 
-@dataclass(frozen=True)
-class BoundaryHit:
-    """One durability boundary the workload crossed."""
-
-    index: int
-    kind: str
-    label: str
-    stamp: str  # replay-hash prefix: equal traces ⇔ equal executions
-
-
-class CrashClock:
-    """Mutable per-zone state: the boundary counter and trace."""
+class CrashClock(Census):
+    """Mutable per-zone state: the boundary census under one plan."""
 
     def __init__(self, plan: CrashPlan) -> None:
+        super().__init__()
         self.plan = plan
-        self.trace: List[BoundaryHit] = []
-        self.crashed: Optional[BoundaryHit] = None
 
     @property
-    def count(self) -> int:
-        """How many boundaries have been crossed so far."""
-        return len(self.trace)
+    def crashed(self) -> Optional[Boundary]:
+        """The boundary the process died at, if it has."""
+        return self.injected[0] if self.injected else None
 
     def register(self, kind: str, label: str) -> Tuple[int, bool]:
         """Record one boundary; return (index, should-crash-here)."""
-        index = len(self.trace)
-        hit = BoundaryHit(
-            index, kind, label, self.plan.digest(kind, label, index).hex()[:16]
-        )
-        self.trace.append(hit)
+        index = self.count
         crash = self.plan.crash_at == index
-        if crash:
-            self.crashed = hit
+        stamp = kernel.stamp(*self.plan._at(kind, label, index))
+        self.record(kind, label, "crash" if crash else None, stamp)
         return index, crash
 
 
@@ -132,18 +113,6 @@ def crashpoint(kind: str, label: str = "") -> None:
         raise SimulatedCrash(index, kind, label)
 
 
-def _disk_write(handle: IO[bytes], data: bytes, label: str) -> None:
-    """The actual write, routed through the disk-fault seam.
-
-    Deferred import: :mod:`repro.store.durability` sits below this module
-    in the layer DAG, but importing it at module scope would close an
-    import cycle through the :mod:`repro.store` package facade.
-    """
-    from repro.store.durability import write_bytes
-
-    write_bytes(handle, data, label=label)
-
-
 def crashing_write(handle: IO[bytes], data: bytes, kind: str = "write", label: str = "") -> None:
     """Write ``data`` to ``handle`` through a write boundary.
 
@@ -156,16 +125,12 @@ def crashing_write(handle: IO[bytes], data: bytes, kind: str = "write", label: s
     short write even when no crash plan is active.
     """
     clock = _ACTIVE
-    if clock is None or not clock.plan.counts(kind):
-        _disk_write(handle, data, label)
-        return
-    index, crash = clock.register(kind, label)
-    if crash:
-        if clock.plan.tear_writes and len(data) > 1:
-            keep = int.from_bytes(
-                clock.plan.digest(kind, label, index)[8:16], "big"
-            ) % len(data)
-            handle.write(data[:keep])
-            handle.flush()
-        raise SimulatedCrash(index, kind, label)
-    _disk_write(handle, data, label)
+    if clock is not None and clock.plan.counts(kind):
+        index, crash = clock.register(kind, label)
+        if crash:
+            if clock.plan.tear_writes and len(data) > 1:
+                keep = kernel.pick(*clock.plan._at(kind, label, index), n=len(data))
+                handle.write(data[:keep])
+                handle.flush()
+            raise SimulatedCrash(index, kind, label)
+    write_bytes(handle, data, label=label)

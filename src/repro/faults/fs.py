@@ -1,21 +1,18 @@
-"""Deterministic filesystem-fault injection (the fourth fault dimension).
+"""Deterministic filesystem-fault injection (the disk plane of
+:mod:`repro.faults`).
 
-Where :class:`~repro.faults.plan.FaultPlan` models a byzantine store,
-:class:`~repro.faults.network.NetworkPlan` a faulty network, and
-:class:`~repro.faults.crash.CrashPlan` a mortal process, an
-:class:`FsFaultPlan` models the **disk that stops cooperating**: writes
-fail with ENOSPC (sometimes after materializing a short prefix), reads
-and fsyncs fail with EIO, and — the fsyncgate bug class — a failed fsync
-silently *drops the unsynced dirty pages* and then falsely reports
+An :class:`FsFaultPlan` models the **disk that stops cooperating**:
+writes fail with ENOSPC (sometimes after materializing a short prefix),
+reads and fsyncs fail with EIO, and — the fsyncgate bug class — a failed
+fsync silently *drops the unsynced dirty pages* and then falsely reports
 success if retried on the same descriptor.
 
 The shim (:class:`FaultyOS`) subclasses the no-op
 :class:`~repro.store.durability.DiskInjector` that every persistence
 path already routes its syscalls through, so the journal, FileStore,
 PackStore, gc swap, and heads-snapshot paths are all injectable without
-monkeypatching.  Every decision is a pure function of ``(seed, syscall,
-path, attempt)`` — the same hashing discipline as the other planners —
-so a schedule replays bit-identically.
+monkeypatching.  Every decision is a kernel draw at ``(seed, syscall,
+path label, attempt)``, so a schedule replays bit-identically.
 
 Two modes, mirroring :class:`CrashPlan`:
 
@@ -29,16 +26,14 @@ Two modes, mirroring :class:`CrashPlan`:
 from __future__ import annotations
 
 import errno
-import hashlib
 import os
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Dict, Iterator, Optional, Tuple
 
+from repro.faults import kernel
+from repro.faults.kernel import Attempts, Census
 from repro.store.durability import DiskInjector, install_injector
-
-_SCALE = float(1 << 64)
 
 #: Which fault flavors a targeted plan can land on each syscall kind.
 TARGETED_FLAVORS: Dict[str, Tuple[str, ...]] = {
@@ -46,6 +41,14 @@ TARGETED_FLAVORS: Dict[str, Tuple[str, ...]] = {
     "fsync": ("fsync",),
     "read": ("eio",),
     "replace": ("enospc", "eio"),
+}
+
+#: Rate mode: the stacked (flavor, rate field) bands one draw falls into.
+RATED_FLAVORS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "write": (("enospc", "enospc_rate"), ("short", "short_write_rate")),
+    "fsync": (("fsync", "fsync_fail_rate"),),
+    "read": (("eio", "eio_read_rate"),),
+    "replace": (("enospc", "enospc_rate"),),
 }
 
 
@@ -69,58 +72,39 @@ class FsFaultPlan:
     fail_at: Optional[int] = None
     flavor: str = "enospc"
 
+    def __post_init__(self) -> None:
+        kernel.check_rates(
+            self, "enospc_rate", "short_write_rate", "eio_read_rate", "fsync_fail_rate"
+        )
+        if not any(self.flavor in flavors for flavors in TARGETED_FLAVORS.values()):
+            raise ValueError(f"flavor {self.flavor!r} can land on no syscall kind")
+
+    def _at(self, syscall: str, label: str, attempt: int) -> tuple:
+        return (self.seed, syscall, label, attempt)
+
     def digest(self, syscall: str, label: str, attempt: int) -> bytes:
         """The (seed, syscall, path-label, attempt) replay hash."""
-        hasher = hashlib.sha256()
-        hasher.update(struct.pack(">q", self.seed))
-        hasher.update(syscall.encode("utf-8"))
-        hasher.update(label.encode("utf-8"))
-        hasher.update(struct.pack(">q", attempt))
-        return hasher.digest()
+        return kernel.digest(*self._at(syscall, label, attempt))
 
     def draw(self, syscall: str, label: str, attempt: int) -> float:
         """Deterministic uniform draw in ``[0, 1)`` for one boundary."""
-        digest = self.digest(syscall, label, attempt)
-        return int.from_bytes(digest[:8], "big") / _SCALE
+        return kernel.unit(*self._at(syscall, label, attempt))
 
     def decide(self, syscall: str, label: str, attempt: int, index: int) -> Optional[str]:
         """The fault flavor for one boundary, or ``None`` for clean."""
         if self.fail_at is not None:
-            if index != self.fail_at:
-                return None
-            if self.flavor in TARGETED_FLAVORS.get(syscall, ()):
-                return self.flavor
-            return None
+            lands = index == self.fail_at and self.flavor in TARGETED_FLAVORS.get(syscall, ())
+            return self.flavor if lands else None
         value = self.draw(syscall, label, attempt)
-        if syscall == "write":
-            if value < self.enospc_rate:
-                return "enospc"
-            if value < self.enospc_rate + self.short_write_rate:
-                return "short"
-        elif syscall == "fsync":
-            if value < self.fsync_fail_rate:
-                return "fsync"
-        elif syscall == "read":
-            if value < self.eio_read_rate:
-                return "eio"
-        elif syscall == "replace":
-            if value < self.enospc_rate:
-                return "enospc"
+        band = 0.0
+        for flavor, rate in RATED_FLAVORS.get(syscall, ()):
+            band += getattr(self, rate)
+            if value < band:
+                return flavor
         return None
 
 
-@dataclass(frozen=True)
-class FsBoundary:
-    """One filesystem boundary the workload crossed."""
-
-    index: int
-    syscall: str
-    label: str
-    fault: Optional[str]
-    stamp: str  # replay-hash prefix: equal traces ⇔ equal executions
-
-
-class FaultyOS(DiskInjector):
+class FaultyOS(DiskInjector, Census):
     """The armed disk shim: applies an :class:`FsFaultPlan` per syscall.
 
     Public counters the suites assert on:
@@ -135,12 +119,11 @@ class FaultyOS(DiskInjector):
     """
 
     def __init__(self, plan: FsFaultPlan) -> None:
+        super().__init__()
         self.plan = plan
-        self.trace: List[FsBoundary] = []
-        self.injected: List[FsBoundary] = []
         self.false_fsyncs = 0
         self.dropped_bytes = 0
-        self._attempts: Dict[Tuple[str, str], int] = {}
+        self._attempts = Attempts()
         #: id(handle) -> (handle, durable offset).  The handle reference
         #: pins the id so it cannot be recycled while tracked.
         self._marks: Dict[int, Tuple[IO[bytes], int]] = {}
@@ -148,29 +131,18 @@ class FaultyOS(DiskInjector):
 
     # -- bookkeeping ---------------------------------------------------------
 
-    @property
-    def count(self) -> int:
-        """How many boundaries have been crossed so far."""
-        return len(self.trace)
-
     def _label(self, handle_or_path: object, label: str) -> str:
         if label:
             return label
         name = getattr(handle_or_path, "name", handle_or_path)
         return os.path.basename(str(name))
 
-    def _register(self, syscall: str, label: str) -> Optional[str]:
-        key = (syscall, label)
-        attempt = self._attempts.get(key, 0)
-        self._attempts[key] = attempt + 1
-        index = len(self.trace)
-        fault = self.plan.decide(syscall, label, attempt, index)
-        stamp = self.plan.digest(syscall, label, attempt).hex()[:16]
-        hit = FsBoundary(index, syscall, label, fault, stamp)
-        self.trace.append(hit)
-        if fault is not None:
-            self.injected.append(hit)
-        return fault
+    def _register(self, syscall: str, label: str) -> Tuple[Optional[str], int]:
+        """Record one boundary; return (fault flavor or None, attempt)."""
+        attempt = self._attempts.next(syscall, label)
+        fault = self.plan.decide(syscall, label, attempt, self.count)
+        self.record(syscall, label, fault, kernel.stamp(*self.plan._at(syscall, label, attempt)))
+        return fault, attempt
 
     # -- DiskInjector overrides ----------------------------------------------
 
@@ -179,14 +151,16 @@ class FaultyOS(DiskInjector):
         # First sight of a handle fixes its durable floor: everything
         # below this offset predates the zone and counts as on-platter.
         self._marks.setdefault(id(handle), (handle, handle.tell()))
-        fault = self._register("write", label)
+        fault, attempt = self._register("write", label)
         if fault == "enospc":
             raise OSError(errno.ENOSPC, "injected: no space left on device", label)
         if fault == "short":
             keep = 0
             if len(data) > 1:
-                digest = self.plan.digest("write", label, self._attempts[("write", label)])
-                keep = int.from_bytes(digest[8:16], "big") % len(data)
+                # Drawn at attempt + 1, not attempt: the shim has always
+                # read the counter after advancing it, and seeded
+                # schedules replay bit-identically only if it still does.
+                keep = kernel.pick(*self.plan._at("write", label, attempt + 1), n=len(data))
             handle.write(data[:keep])
             handle.flush()
             raise OSError(
@@ -203,7 +177,7 @@ class FaultyOS(DiskInjector):
             # for pages that are already gone.
             self.false_fsyncs += 1
             return
-        fault = self._register("fsync", label)
+        fault, _ = self._register("fsync", label)
         if fault is None:
             os.fsync(handle.fileno())
             self._marks[key] = (handle, handle.tell())
@@ -224,7 +198,7 @@ class FaultyOS(DiskInjector):
         # basename is the (random) temp dir in tests, and replay stamps
         # must be identical across directories.
         label = "<dir>" if os.path.isdir(path) else self._label(path, "")
-        fault = self._register("fsync", label)
+        fault, _ = self._register("fsync", label)
         if fault is None:
             os.fsync(fd)
             return
@@ -232,7 +206,7 @@ class FaultyOS(DiskInjector):
 
     def replace(self, source: str, destination: str) -> None:
         label = self._label(destination, "")
-        fault = self._register("replace", label)
+        fault, _ = self._register("replace", label)
         if fault == "enospc":
             raise OSError(errno.ENOSPC, "injected: no space left on device", destination)
         if fault == "eio":
@@ -241,17 +215,9 @@ class FaultyOS(DiskInjector):
 
     def read_probe(self, path: str, label: str = "") -> None:
         label = self._label(path, label)
-        fault = self._register("read", label)
+        fault, _ = self._register("read", label)
         if fault == "eio":
             raise OSError(errno.EIO, "injected: read failed", path)
-
-
-_ACTIVE: Optional[FaultyOS] = None
-
-
-def active_zone() -> Optional[FaultyOS]:
-    """The armed shim, if any (for tests asserting on its counters)."""
-    return _ACTIVE
 
 
 @contextmanager
@@ -263,13 +229,9 @@ def fs_zone(plan: FsFaultPlan) -> Iterator[FaultyOS]:
     enumerate boundaries, then once per boundary × flavor with
     ``fail_at=n`` and assert recovery.
     """
-    global _ACTIVE
     shim = FaultyOS(plan)
-    previous_active = _ACTIVE
     previous = install_injector(shim)
-    _ACTIVE = shim
     try:
         yield shim
     finally:
-        _ACTIVE = previous_active
         install_injector(previous)

@@ -19,9 +19,7 @@ whole model FB-DETERM-clean and replayable.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import random
-import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -32,10 +30,10 @@ from repro.errors import (
     NetworkPartitionedError,
     NetworkTimeoutError,
 )
+from repro.faults import kernel
+from repro.faults.kernel import Attempts
 
 T = TypeVar("T")
-
-_SCALE = float(1 << 64)
 
 #: A partition layout: each endpoint name maps to the index of its side.
 Groups = Tuple[FrozenSet[str], ...]
@@ -66,53 +64,38 @@ class NetworkPlan:
     slow_factors: Tuple[int, int] = (8, 128)
 
     def __post_init__(self) -> None:
-        for name in ("drop_rate", "delay_rate", "dup_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        low, high = self.delay_ticks
-        if not 1 <= low <= high:
-            raise ValueError(f"delay_ticks must satisfy 1 <= low <= high, got {self.delay_ticks}")
-        low, high = self.slow_factors
-        if not 1 <= low <= high:
-            raise ValueError(f"slow_factors must satisfy 1 <= low <= high, got {self.slow_factors}")
+        kernel.check_rates(self, "drop_rate", "delay_rate", "dup_rate")
+        for name in ("delay_ticks", "slow_factors"):
+            low, high = span = getattr(self, name)
+            if not 1 <= low <= high:
+                raise ValueError(f"{name} must satisfy 1 <= low <= high, got {span}")
 
-    # -- deterministic draws -------------------------------------------------
+    # -- deterministic draws: (seed, fault, src -> dst, op, uid, attempt) ------
 
-    def _digest(self, fault: str, src: str, dst: str, op: str, uid: Uid, attempt: int) -> bytes:
-        hasher = hashlib.sha256()
-        hasher.update(struct.pack(">q", self.seed))
-        hasher.update(fault.encode("utf-8"))
-        hasher.update(src.encode("utf-8"))
-        hasher.update(b"->")
-        hasher.update(dst.encode("utf-8"))
-        hasher.update(op.encode("utf-8"))
-        hasher.update(uid.digest)
-        hasher.update(struct.pack(">q", attempt))
-        return hasher.digest()
+    def _at(self, fault: str, src: str, dst: str, op: str, uid: Uid, attempt: int) -> tuple:
+        return (self.seed, fault, src, "->", dst, op, uid.digest, attempt)
 
     def draw(self, fault: str, src: str, dst: str, op: str, uid: Uid, attempt: int) -> float:
         """Uniform value in ``[0, 1)`` for one message event."""
-        digest = self._digest(fault, src, dst, op, uid, attempt)
-        return int.from_bytes(digest[:8], "big") / _SCALE
+        return kernel.unit(*self._at(fault, src, dst, op, uid, attempt))
 
     def drop(self, src: str, dst: str, op: str, uid: Uid, attempt: int) -> bool:
         """Should this message be silently lost?"""
-        return self.draw("drop", src, dst, op, uid, attempt) < self.drop_rate
+        return kernel.chance(self.drop_rate, *self._at("drop", src, dst, op, uid, attempt))
 
     def delay(self, src: str, dst: str, op: str, uid: Uid, attempt: int) -> bool:
         """Should this message arrive after the sender's deadline?"""
-        return self.draw("delay", src, dst, op, uid, attempt) < self.delay_rate
+        return kernel.chance(self.delay_rate, *self._at("delay", src, dst, op, uid, attempt))
 
     def duplicate(self, src: str, dst: str, op: str, uid: Uid, attempt: int) -> bool:
         """Should this message be applied twice?"""
-        return self.draw("dup", src, dst, op, uid, attempt) < self.dup_rate
+        return kernel.chance(self.dup_rate, *self._at("dup", src, dst, op, uid, attempt))
 
     def delay_for(self, src: str, dst: str, op: str, uid: Uid, attempt: int) -> int:
         """How many ticks a delayed message stays in flight."""
-        digest = self._digest("delay-ticks", src, dst, op, uid, attempt)
         low, high = self.delay_ticks
-        return low + int.from_bytes(digest[8:16], "big") % (high - low + 1)
+        at = self._at("delay-ticks", src, dst, op, uid, attempt)
+        return low + kernel.pick(*at, n=high - low + 1)
 
     def service_ticks(
         self, src: str, dst: str, op: str, uid: Uid, attempt: int, factor: int
@@ -121,34 +104,40 @@ class NetworkPlan:
 
         A gray-failed endpoint does not fail messages — it *serves* them,
         roughly ``factor`` times slower than the healthy 1-tick baseline,
-        with a deterministic jitter of up to +25% drawn from the same
-        ``(seed, src, dst, op, uid, attempt)`` hash discipline as every
-        other fault, so slow schedules replay bit-identically.
+        with a deterministic jitter of up to +25% drawn at the same
+        coordinates as every other network fault, so slow schedules
+        replay bit-identically.
         """
         if factor <= 1:
             return 1
-        digest = self._digest("slow-service", src, dst, op, uid, attempt)
-        jitter = int.from_bytes(digest[8:16], "big") % max(1, factor // 4)
-        return factor + jitter
+        at = self._at("slow-service", src, dst, op, uid, attempt)
+        return factor + kernel.pick(*at, n=max(1, factor // 4))
 
     def scoped(self, label: str) -> "NetworkPlan":
         """Same rates, seed re-derived from ``label`` (per-link decorrelation)."""
-        hasher = hashlib.sha256()
-        hasher.update(struct.pack(">q", self.seed))
-        hasher.update(b"net-scope:")
-        hasher.update(label.encode("utf-8"))
-        derived = int.from_bytes(hasher.digest()[:8], "big") - (1 << 63)
-        return dataclasses.replace(self, seed=derived)
+        return dataclasses.replace(
+            self, seed=kernel.derive_seed(self.seed, "net-scope:", label)
+        )
 
     # -- schedule generation -------------------------------------------------
 
     def rng(self, label: str) -> random.Random:
         """A named RNG stream derived from the seed (schedule shaping)."""
-        hasher = hashlib.sha256()
-        hasher.update(struct.pack(">q", self.seed))
-        hasher.update(b"net-rng:")
-        hasher.update(label.encode("utf-8"))
-        return random.Random(int.from_bytes(hasher.digest()[:8], "big"))
+        return kernel.rng(self.seed, "net-rng:", label)
+
+    def _alternating(
+        self, label: str, events: int, horizon: int, strike: Callable[[random.Random], T]
+    ) -> List[Tuple[int, Optional[T]]]:
+        """``events`` op indexes scattered over ``[0, horizon)``, sorted;
+        each one strikes, or — half the time when a strike is already in
+        force — clears it (``None``)."""
+        rng = self.rng(label)
+        schedule: List[Tuple[int, Optional[T]]] = []
+        active = False
+        for at in sorted(rng.randrange(horizon) for _ in range(events)):
+            active = not (active and rng.random() < 0.5)
+            schedule.append((at, strike(rng) if active else None))
+        return schedule
 
     def partition_schedule(
         self,
@@ -167,21 +156,14 @@ class NetworkPlan:
         names = sorted(endpoints)
         if len(names) < 2 or events < 1 or horizon < 1:
             return []
-        rng = self.rng("partitions")
-        schedule: List[Tuple[int, Optional[Groups]]] = []
-        partitioned = False
-        for at in sorted(rng.randrange(horizon) for _ in range(events)):
-            if partitioned and rng.random() < 0.5:
-                schedule.append((at, None))
-                partitioned = False
-                continue
+
+        def split(rng: random.Random) -> Groups:
             cut = rng.randint(1, len(names) - 1)
             members = list(names)
             rng.shuffle(members)
-            groups: Groups = (frozenset(members[:cut]), frozenset(members[cut:]))
-            schedule.append((at, groups))
-            partitioned = True
-        return schedule
+            return (frozenset(members[:cut]), frozenset(members[cut:]))
+
+        return self._alternating("partitions", events, horizon, split)
 
     def slow_schedule(
         self,
@@ -193,27 +175,19 @@ class NetworkPlan:
 
         ``None`` means every endpoint recovers to full speed; otherwise the
         dict maps one victim endpoint to its slowdown factor (drawn from
-        ``slow_factors``).  Events are sorted by op index and alternate
-        between slowing and recovering with the same discipline as
-        :meth:`partition_schedule`; the same ``(seed, endpoints, events,
-        horizon)`` always yields the same schedule.
+        ``slow_factors``).  Same ordering and alternation discipline as
+        :meth:`partition_schedule`.
         """
         names = sorted(endpoints)
         if not names or events < 1 or horizon < 1:
             return []
-        rng = self.rng("slowness")
         low, high = self.slow_factors
-        schedule: List[Tuple[int, Optional[Dict[str, int]]]] = []
-        slowed = False
-        for at in sorted(rng.randrange(horizon) for _ in range(events)):
-            if slowed and rng.random() < 0.5:
-                schedule.append((at, None))
-                slowed = False
-                continue
-            victim = names[rng.randrange(len(names))]
-            schedule.append((at, {victim: rng.randint(low, high)}))
-            slowed = True
-        return schedule
+        return self._alternating(
+            "slowness",
+            events,
+            horizon,
+            lambda rng: {names[rng.randrange(len(names))]: rng.randint(low, high)},
+        )
 
 
 class PartitionedTransport:
@@ -236,7 +210,7 @@ class PartitionedTransport:
         #: endpoint *serves* every message, just late — the gray failure a
         #: liveness probe cannot see.
         self._slow: Dict[str, int] = {}
-        self._attempts: Dict[Tuple[str, str, str, Uid], int] = {}
+        self._attempts = Attempts()
         #: Delayed deliveries: (due tick, sequence number, thunk).
         self._in_flight: List[Tuple[int, int, Callable[[], object]]] = []
         self._sequence = 0
@@ -324,12 +298,6 @@ class PartitionedTransport:
 
     # -- message delivery ----------------------------------------------------
 
-    def _next_attempt(self, src: str, dst: str, op: str, uid: Uid) -> int:
-        key = (src, dst, op, uid)
-        index = self._attempts.get(key, 0)
-        self._attempts[key] = index + 1
-        return index
-
     def _pump(self) -> None:
         """Deliver every in-flight message whose due tick has passed."""
         if not self._in_flight:
@@ -388,7 +356,7 @@ class PartitionedTransport:
                 f"{src} cannot reach {dst}: partition "
                 f"(side {self.side_of(src)} vs {self.side_of(dst)})"
             )
-        attempt = self._next_attempt(src, dst, op, uid)
+        attempt = self._attempts.next(src, dst, op, uid)
         if self.plan.drop(src, dst, op, uid, attempt):
             self.messages_dropped += 1
             raise MessageDroppedError(f"{op} {src}->{dst} lost in transit")

@@ -1,24 +1,22 @@
 """Seeded fault plans.
 
 A :class:`FaultPlan` is a pure description of *how often* and *how* things
-go wrong.  It holds no mutable state: every decision is derived by hashing
-``(seed, op kind, uid, attempt index)``, so two stores driven by the same
-plan over the same workload fail in exactly the same places — the property
-the chaos suite's replay assertion depends on.
+go wrong.  It holds no mutable state: every decision is a
+:mod:`~repro.faults.kernel` draw at ``(seed, op kind, uid, attempt
+index)``, so two stores driven by the same plan over the same workload
+fail in exactly the same places — the property the chaos suite's replay
+assertion depends on.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import random
-import struct
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.chunk import Uid
-
-_SCALE = float(1 << 64)
+from repro.faults import kernel
 
 
 @dataclass(frozen=True)
@@ -48,67 +46,45 @@ class FaultPlan:
     latency_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "corrupt_read_rate",
-            "drop_put_rate",
-            "torn_put_rate",
-            "transient_error_rate",
-        ):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        kernel.check_rates(
+            self, "corrupt_read_rate", "drop_put_rate", "torn_put_rate", "transient_error_rate"
+        )
 
-    # -- deterministic draws -------------------------------------------------
+    # -- deterministic draws: (seed, kind, uid, attempt) -----------------------
 
-    def _digest(self, kind: str, uid: Uid, attempt: int) -> bytes:
-        hasher = hashlib.sha256()
-        hasher.update(struct.pack(">q", self.seed))
-        hasher.update(kind.encode("utf-8"))
-        hasher.update(uid.digest)
-        hasher.update(struct.pack(">q", attempt))
-        return hasher.digest()
+    def _at(self, kind: str, uid: Uid, attempt: int) -> tuple:
+        return (self.seed, kind, uid.digest, attempt)
 
     def draw(self, kind: str, uid: Uid, attempt: int) -> float:
         """Uniform value in ``[0, 1)`` for one (kind, uid, attempt) event."""
-        digest = self._digest(kind, uid, attempt)
-        return int.from_bytes(digest[:8], "big") / _SCALE
+        return kernel.unit(*self._at(kind, uid, attempt))
 
     def corrupt_read(self, uid: Uid, attempt: int) -> bool:
         """Should this read attempt return flipped bytes?"""
-        return self.draw("corrupt-read", uid, attempt) < self.corrupt_read_rate
+        return kernel.chance(self.corrupt_read_rate, *self._at("corrupt-read", uid, attempt))
 
     def drop_put(self, uid: Uid, attempt: int) -> bool:
         """Should this put be silently lost?"""
-        return self.draw("drop-put", uid, attempt) < self.drop_put_rate
+        return kernel.chance(self.drop_put_rate, *self._at("drop-put", uid, attempt))
 
     def torn_put(self, uid: Uid, attempt: int) -> bool:
         """Should this put materialize a truncated payload?"""
-        return self.draw("torn-put", uid, attempt) < self.torn_put_rate
+        return kernel.chance(self.torn_put_rate, *self._at("torn-put", uid, attempt))
 
     def transient_error(self, kind: str, uid: Uid, attempt: int) -> bool:
         """Should this attempt fail transiently?"""
-        return (
-            self.draw(f"transient-{kind}", uid, attempt) < self.transient_error_rate
-        )
+        at = self._at(f"transient-{kind}", uid, attempt)
+        return kernel.chance(self.transient_error_rate, *at)
 
     def mutate(self, data: bytes, uid: Uid, attempt: int) -> bytes:
         """Deterministically flip one byte of ``data`` (never a no-op)."""
-        digest = self._digest("mutation", uid, attempt)
-        if not data:
-            return b"\x01"
-        corrupted = bytearray(data)
-        offset = int.from_bytes(digest[8:16], "big") % len(corrupted)
-        flip = digest[16] | 0x01  # never XOR with 0
-        corrupted[offset] ^= flip
-        return bytes(corrupted)
+        return kernel.mutate(data, *self._at("mutation", uid, attempt))
 
     def tear(self, data: bytes, uid: Uid, attempt: int) -> bytes:
         """Deterministically truncate ``data`` to a strict prefix."""
-        digest = self._digest("tear", uid, attempt)
         if len(data) <= 1:
             return b""
-        keep = int.from_bytes(digest[8:16], "big") % len(data)
-        return data[:keep]
+        return data[: kernel.pick(*self._at("tear", uid, attempt), n=len(data))]
 
     def scoped(self, label: str) -> "FaultPlan":
         """Same rates, seed re-derived from ``label``.
@@ -119,22 +95,13 @@ class FaultPlan:
         Scoping is deterministic: the same (seed, label) always yields the
         same sub-plan.
         """
-        hasher = hashlib.sha256()
-        hasher.update(struct.pack(">q", self.seed))
-        hasher.update(b"scope:")
-        hasher.update(label.encode("utf-8"))
-        derived = int.from_bytes(hasher.digest()[:8], "big") - (1 << 63)
-        return dataclasses.replace(self, seed=derived)
+        return dataclasses.replace(self, seed=kernel.derive_seed(self.seed, "scope:", label))
 
     # -- workload-level randomness -------------------------------------------
 
     def rng(self, label: str) -> random.Random:
         """A named RNG stream derived from the seed (for workload shaping)."""
-        hasher = hashlib.sha256()
-        hasher.update(struct.pack(">q", self.seed))
-        hasher.update(b"rng:")
-        hasher.update(label.encode("utf-8"))
-        return random.Random(int.from_bytes(hasher.digest()[:8], "big"))
+        return kernel.rng(self.seed, "rng:", label)
 
     def flap_schedule(
         self,

@@ -16,13 +16,12 @@ seeds spread out while any single schedule stays exactly replayable.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import struct
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Protocol, Tuple, Type, TypeVar
 
 from repro.errors import DeadlineExceededError, TransientError
+from repro.faults.kernel import check_rates, unit
 
 T = TypeVar("T")
 
@@ -34,8 +33,6 @@ class DeadlineLike(Protocol):
     structural type keeps the retry helper below it in the layer DAG."""
 
     def remaining(self) -> int: ...  # pragma: no cover - protocol
-
-_SCALE = float(1 << 64)
 
 
 @dataclass
@@ -67,18 +64,12 @@ class RetryPolicy:
             raise ValueError("attempts must be >= 1")
         if self.base_delay < 0 or self.max_delay < 0:
             raise ValueError("delays must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
+        check_rates(self, "jitter")
 
     @classmethod
     def instant(cls, attempts: int = 4, seed: int = 0) -> "RetryPolicy":
         """A policy that never actually sleeps (for tests and simulation)."""
         return cls(attempts=attempts, seed=seed, sleep=lambda _seconds: None)
-
-    def _jitter_unit(self, index: int) -> float:
-        """Deterministic uniform draw in ``[0, 1)`` for one delay slot."""
-        digest = hashlib.sha256(struct.pack(">qq", self.seed, index)).digest()
-        return int.from_bytes(digest[:8], "big") / _SCALE
 
     def delays(self) -> Iterator[float]:
         """The backoff delay before each retry, in order (jitter applied)."""
@@ -86,7 +77,7 @@ class RetryPolicy:
         for index in range(self.attempts - 1):
             capped = min(delay, self.max_delay)
             if self.jitter:
-                capped *= 1.0 - self.jitter * self._jitter_unit(index)
+                capped *= 1.0 - self.jitter * unit(self.seed, index)
             yield capped
             delay *= self.multiplier
 
@@ -108,7 +99,8 @@ class RetryPolicy:
         budget is not a reason to hang on retries that cannot finish.
         """
         last: Optional[BaseException] = None
-        for index, delay in enumerate(list(self.delays()) + [None]):
+        delays = self.delays()  # lazy: a call that succeeds draws no jitter
+        for index in range(self.attempts):
             before = deadline.remaining() if deadline is not None else None
             if before is not None and before <= 0:
                 self.deadline_stops += 1
@@ -119,6 +111,7 @@ class RetryPolicy:
                 return fn()
             except retry_on as error:  # type: ignore[misc]
                 last = error
+                delay = next(delays, None)
                 if delay is None:
                     break
                 if deadline is not None and before is not None:

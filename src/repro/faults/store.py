@@ -1,25 +1,60 @@
-"""A ChunkStore wrapper that injects faults from a :class:`FaultPlan`.
+"""Stores that lie: one interposing wrapper, three behaviours.
 
-``FaultyStore`` sits between a component and its honest backing store and
-misbehaves exactly as the plan dictates: reads come back bit-flipped, puts
-are silently dropped or torn, operations fail transiently, and every call
-accrues simulated latency.  Fault decisions are keyed by ``(op kind, uid,
-attempt number)`` so the Nth access to a chunk always behaves the same —
-replays are exact, and retried operations legitimately re-draw.
+An :class:`InterposedStore` sits between a component and its honest
+backing store and misbehaves in whichever primitives a subclass
+overrides; everything else passes through
+(:class:`~repro.store.base.WrapperStore`), and a batch put still reaches
+``_insert`` once per chunk, so no lie can be bypassed by batching.
+:class:`FaultyStore` rots (seeded :class:`~repro.faults.plan.FaultPlan`),
+:class:`~repro.faults.byzantine.ByzantineStore` attacks (seeded
+``ByzantinePlan``), :class:`TamperingStore` follows a test's script.  The
+seeded two key each decision by ``(op kind, uid, attempt)``: the Nth
+access to a chunk always behaves the same, and a retry re-draws.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple, Type
+from typing import Dict, Iterator, Optional, Set, Type
 
 from repro.chunk import Chunk, Uid
 from repro.errors import TransientStoreError
+from repro.faults.kernel import Attempts, flip_at
 from repro.faults.plan import FaultPlan
-from repro.store.base import ChunkStore
+from repro.store.base import ChunkStore, WrapperStore
 
 
-class FaultyStore(ChunkStore):
-    """Applies a seeded :class:`FaultPlan` to every store operation."""
+class InterposedStore(WrapperStore):
+    """A lying wrapper: the attempt counter, and putting it on a node.
+    Never verifies its own reads — wrong bytes under the claimed uid are
+    the point; catching them is the job of the layer above."""
+
+    def __init__(self, backing: ChunkStore) -> None:
+        super().__init__(backing, verify_reads=False)
+        #: ``_attempt(kind, uid)`` -> next attempt index for that pair.
+        self._attempt = Attempts().next
+
+    @classmethod
+    def install(cls, node: object, /, *args: object, **kwargs: object) -> "InterposedStore":
+        """Interpose ``cls(node.store, ...)`` on a cluster node in place
+        (duck-typed on ``node.store``: no cluster import); undo with
+        :meth:`remove`."""
+        wrapper = cls(node.store, *args, **kwargs)  # type: ignore[attr-defined]
+        node.store = wrapper  # type: ignore[attr-defined]
+        return wrapper
+
+    @classmethod
+    def remove(cls, node: object) -> bool:
+        """Restore the honest backing store as ``node.store``; False
+        when the node's store is not a ``cls`` wrapper."""
+        store = getattr(node, "store", None)
+        if not isinstance(store, cls):
+            return False
+        node.store = store.backing  # type: ignore[attr-defined]
+        return True
+
+
+class FaultyStore(InterposedStore):
+    """Applies a seeded :class:`FaultPlan` to every put and get."""
 
     def __init__(
         self,
@@ -28,26 +63,17 @@ class FaultyStore(ChunkStore):
         transient_error: Type[Exception] = TransientStoreError,
         name: str = "",
     ) -> None:
-        super().__init__(verify_reads=False)
-        self.backing = backing
+        super().__init__(backing)
         # A named store gets its own fault stream so that replicas of the
         # same chunk on different nodes do not fail in lockstep.
         self.plan = plan.scoped(name) if name else plan
         self.transient_error = transient_error
         self.name = name
-        self._attempts: Dict[Tuple[str, Uid], int] = {}
         self.injected_corrupt_reads = 0
         self.injected_dropped_puts = 0
         self.injected_torn_puts = 0
         self.injected_transient_errors = 0
         self.simulated_ms = 0.0
-
-    def _attempt(self, kind: str, uid: Uid) -> int:
-        """Next attempt index for this (kind, uid) pair."""
-        key = (kind, uid)
-        index = self._attempts.get(key, 0)
-        self._attempts[key] = index + 1
-        return index
 
     def _maybe_transient(self, kind: str, uid: Uid, attempt: int) -> None:
         self.simulated_ms += self.plan.latency_ms
@@ -57,8 +83,6 @@ class FaultyStore(ChunkStore):
                 f"injected transient fault on {kind} {uid.short()}"
                 + (f" at {self.name}" if self.name else "")
             )
-
-    # -- ChunkStore primitives ------------------------------------------------
 
     def _insert(self, chunk: Chunk) -> None:
         attempt = self._attempt("put", chunk.uid)
@@ -88,20 +112,94 @@ class FaultyStore(ChunkStore):
             return Chunk(chunk.type, self.plan.mutate(chunk.data, uid, attempt), uid=uid)
         return chunk
 
+
+class TamperingStore(InterposedStore):
+    """A chunk store under scripted adversarial control.
+
+    Lets a test or benchmark act as the adversary of the paper's threat
+    model: return modified bytes for a known uid, swap one chunk's
+    content for another's, or drop chunks entirely — always under the
+    *claimed* uid, exactly what client-side verification must catch.
+    Wrap a flat store directly (the single-provider threat model), or
+    :meth:`wrap_node` one cluster replica: the per-uid counterpart to
+    the rate-driven :class:`~repro.faults.byzantine.ByzantinePlan`.
+    """
+
+    def __init__(self, backing: ChunkStore) -> None:
+        super().__init__(backing)
+        self._overrides: Dict[Uid, Chunk] = {}
+        self._dropped: Set[Uid] = set()
+
+    @classmethod
+    def wrap_node(cls, node: object) -> "TamperingStore":
+        """:meth:`install` under the name the security suites use."""
+        return cls.install(node)  # type: ignore[return-value]
+
+    @classmethod
+    def unwrap_node(cls, node: object) -> bool:
+        """:meth:`remove` under the name the security suites use."""
+        return cls.remove(node)
+
+    # -- adversary actions -----------------------------------------------------
+
+    def corrupt_chunk(self, uid: Uid, new_data: bytes) -> None:
+        """Serve ``new_data`` for ``uid`` while claiming the old identity."""
+        original = self.backing.get(uid)
+        self._overrides[uid] = Chunk(original.type, new_data, uid=uid)
+
+    def flip_byte(self, uid: Uid, offset: int = 0) -> None:
+        """Flip one payload byte (classic silent-corruption model)."""
+        original = self.backing.get(uid)
+        self._overrides[uid] = Chunk(
+            original.type, flip_at(original.data, offset), uid=uid
+        )
+
+    def substitute(self, uid: Uid, other: Uid) -> None:
+        """Serve another chunk's content under this uid (replay attack)."""
+        donor = self.backing.get(other)
+        self._overrides[uid] = Chunk(donor.type, donor.data, uid=uid)
+
+    def drop_chunk(self, uid: Uid) -> None:
+        """Pretend the chunk was never stored (withholding attack)."""
+        self._dropped.add(uid)
+
+    def heal(self, uid: Optional[Uid] = None) -> None:
+        """Undo tampering for one uid (or everything)."""
+        if uid is None:
+            self._overrides.clear()
+            self._dropped.clear()
+        else:
+            self._overrides.pop(uid, None)
+            self._dropped.discard(uid)
+
+    @property
+    def tampered_uids(self) -> Set[Uid]:
+        """Uids currently being lied about."""
+        return set(self._overrides) | set(self._dropped)
+
+    # -- the primitives it lies in ---------------------------------------------
+
+    def _fetch(self, uid: Uid) -> Optional[Chunk]:
+        if uid in self._dropped:
+            return None
+        if uid in self._overrides:
+            return self._overrides[uid]
+        return self.backing.get_maybe(uid)
+
     def _contains(self, uid: Uid) -> bool:
-        return self.backing.has(uid)
+        if uid in self._dropped:
+            return False
+        return uid in self._overrides or self.backing.has(uid)
 
     def _ids(self) -> Iterator[Uid]:
-        return iter(self.backing.ids())
+        for uid in self.backing.ids():
+            if uid not in self._dropped:
+                yield uid
 
     def _delete(self, uid: Uid) -> bool:
+        self.heal(uid)
         return self.backing.delete(uid)
 
-    def __len__(self) -> int:
-        return len(self.backing)
-
-    def physical_size(self) -> int:
-        return self.backing.physical_size()
-
-    def close(self) -> None:
-        self.backing.close()
+    # A withheld chunk is also missing from the count and the byte total.
+    __len__ = ChunkStore.__len__
+    physical_size = ChunkStore.physical_size

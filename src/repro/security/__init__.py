@@ -11,8 +11,8 @@ among the semantic views; :mod:`~repro.security.acl` implements it with
 per-key/per-branch grants and a wrapper engine that enforces them.
 """
 
+from repro.faults.store import TamperingStore
 from repro.security.acl import AccessController, Permission, SecuredForkBase
-from repro.security.tamper import TamperingStore
 from repro.security.verify import VerificationReport, Verifier
 
 __all__ = [

@@ -16,19 +16,13 @@ from repro.store.stats import StoreStats
 
 
 def physical_store(store: "ChunkStore") -> "ChunkStore":
-    """Peel cache wrappers down to the physical store.
+    """Peel every :class:`WrapperStore` down to the physical store.
 
-    Wrapper stores expose their wrapped store as the public ``backing``
-    attribute; sweep notification and segment compaction must talk to the
-    physical layer — the one whose holdings actually change.
+    Sweep notification and segment compaction must talk to the physical
+    layer — the one whose holdings actually change.
     """
-    depth = 0
-    while depth < 8:
-        backing = getattr(store, "backing", None)
-        if not isinstance(backing, ChunkStore):
-            return store
-        store = backing
-        depth += 1
+    while isinstance(store, WrapperStore):
+        store = store.backing
     return store
 
 
@@ -230,3 +224,49 @@ class ChunkStore:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+class WrapperStore(ChunkStore):
+    """A store that stands in front of another one (its public ``backing``).
+
+    Every primitive passes straight through; a subclass overrides only
+    the ones it caches, counts or lies in.  ``_insert_many`` is
+    deliberately *not* forwarded: with the loop default a batch reaches
+    a subclass's ``_insert`` once per chunk and cannot bypass it; a
+    cache that wants the backend's batched append overrides it.
+    ``verify_reads=None`` inherits the backing store's setting — wrapping
+    a verifying store must not silently disable its tamper check.
+    """
+
+    def __init__(self, backing: ChunkStore, verify_reads: Optional[bool] = None) -> None:
+        super().__init__(backing.verify_reads if verify_reads is None else verify_reads)
+        self.backing = backing
+        # delete() passes through, so it is as durable as the backing's.
+        self.supports_in_place_sweep = backing.supports_in_place_sweep
+
+    def _insert(self, chunk: Chunk) -> None:
+        self.backing.put(chunk)
+
+    def _fetch(self, uid: Uid) -> Optional[Chunk]:
+        return self.backing.get_maybe(uid)
+
+    def _contains(self, uid: Uid) -> bool:
+        return self.backing.has(uid)
+
+    def _ids(self) -> Iterator[Uid]:
+        return iter(self.backing.ids())
+
+    def _delete(self, uid: Uid) -> bool:
+        return self.backing.delete(uid)
+
+    def __len__(self) -> int:
+        return len(self.backing)
+
+    def physical_size(self) -> int:
+        return self.backing.physical_size()
+
+    def close(self) -> None:
+        self.backing.close()
+
+    def abandon(self) -> None:
+        self.backing.abandon()

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.chunk import Chunk, Uid
-from repro.store.base import ChunkStore, physical_store
+from repro.store.base import ChunkStore, WrapperStore, physical_store
 from repro.store.stats import StoreStats
 
 
-class CachedStore(ChunkStore):
+class CachedStore(WrapperStore):
     """Wraps a backing store with an LRU cache of raw chunks."""
 
     def __init__(
@@ -37,14 +37,10 @@ class CachedStore(ChunkStore):
         capacity: int = 4096,
         verify_reads: Optional[bool] = None,
     ) -> None:
-        if verify_reads is None:
-            verify_reads = backing.verify_reads
-        super().__init__(verify_reads=verify_reads)
+        super().__init__(backing, verify_reads)
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.backing = backing
         self.capacity = capacity
-        self.supports_in_place_sweep = backing.supports_in_place_sweep
         self._lock = threading.Lock()
         self._cache: "OrderedDict[Uid, Chunk]" = OrderedDict()  # guarded-by: self._lock
         self.hits = 0  # guarded-by: self._lock
@@ -93,9 +89,6 @@ class CachedStore(ChunkStore):
                 return True
         return self.backing.has(uid)
 
-    def _ids(self) -> Iterator[Uid]:
-        return iter(self.backing.ids())
-
     def _delete(self, uid: Uid) -> bool:
         with self._lock:
             self._cache.pop(uid, None)
@@ -107,9 +100,6 @@ class CachedStore(ChunkStore):
             for uid in uids:
                 self._cache.pop(uid, None)
 
-    def __len__(self) -> int:
-        return len(self.backing)
-
     @property
     def hit_rate(self) -> float:
         """Fraction of fetches served from cache."""
@@ -118,9 +108,6 @@ class CachedStore(ChunkStore):
                 return 0.0
             return self.hits / self.lookups
 
-    def physical_size(self) -> int:
-        return self.backing.physical_size()
-
     def stats_snapshot(self) -> StoreStats:
         """The backing store's snapshot plus this layer's cache counters."""
         snap = self.backing.stats_snapshot()
@@ -128,9 +115,3 @@ class CachedStore(ChunkStore):
             snap.cache_hits += self.hits
             snap.cache_lookups += self.lookups
         return snap
-
-    def close(self) -> None:
-        self.backing.close()
-
-    def abandon(self) -> None:
-        self.backing.abandon()

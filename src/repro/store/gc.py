@@ -69,15 +69,6 @@ class GcReport:
         return self.swept_bytes / total
 
 
-def _unwrap(store: ChunkStore) -> ChunkStore:
-    """Peel cache wrappers down to the physical store.
-
-    Alias of :func:`repro.store.base.physical_store`, kept under the
-    name this module has always exported.
-    """
-    return physical_store(store)
-
-
 def mark_live(store: ChunkStore, roots: Iterable[Uid]) -> Set[Uid]:
     """Every chunk reachable from ``roots`` (missing chunks are skipped)."""
     live: Set[Uid] = set()
@@ -153,7 +144,7 @@ def collect_garbage(
     segments_after = 0
     compacted_bytes = 0
     if compact and not dry_run:
-        physical = _unwrap(store)
+        physical = physical_store(store)
         compactor = getattr(physical, "compact_segments", None)
         if callable(compactor):
             outcome = compactor()

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.postree.listtree import ListIndexNode, ListLeafNode
 from repro.postree.node import IndexNode, LeafNode, load_node
-from repro.store.base import ChunkStore, physical_store
+from repro.store.base import ChunkStore, WrapperStore, physical_store
 from repro.store.stats import StoreStats
 
 #: Everything ``get_node`` can hand back: keyed-tree nodes, list-tree
@@ -54,7 +54,7 @@ def decode_chunk(chunk: Chunk) -> DecodedNode:
     return chunk
 
 
-class NodeCacheStore(ChunkStore):
+class NodeCacheStore(WrapperStore):
     """Wraps a backing store with an LRU cache of decoded tree nodes."""
 
     def __init__(
@@ -63,14 +63,10 @@ class NodeCacheStore(ChunkStore):
         capacity: int = 4096,
         verify_reads: Optional[bool] = None,
     ) -> None:
-        if verify_reads is None:
-            verify_reads = backing.verify_reads
-        super().__init__(verify_reads=verify_reads)
+        super().__init__(backing, verify_reads)
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.backing = backing
         self.capacity = capacity
-        self.supports_in_place_sweep = backing.supports_in_place_sweep
         self._lock = threading.Lock()
         self._nodes: "OrderedDict[Uid, DecodedNode]" = OrderedDict()  # guarded-by: self._lock
         self.node_hits = 0  # guarded-by: self._lock
@@ -106,22 +102,10 @@ class NodeCacheStore(ChunkStore):
         while len(nodes) > self.capacity:
             nodes.popitem(last=False)
 
-    # -- primitives delegate to the backing store ----------------------------
-
-    def _insert(self, chunk: Chunk) -> None:
-        self.backing.put(chunk)
+    # -- chunk primitives pass through (WrapperStore); a batch stays a batch --
 
     def _insert_many(self, chunks: List[Chunk]) -> None:
         self.backing.put_many(chunks)
-
-    def _fetch(self, uid: Uid) -> Optional[Chunk]:
-        return self.backing.get_maybe(uid)
-
-    def _contains(self, uid: Uid) -> bool:
-        return self.backing.has(uid)
-
-    def _ids(self) -> Iterator[Uid]:
-        return iter(self.backing.ids())
 
     def _delete(self, uid: Uid) -> bool:
         with self._lock:
@@ -134,9 +118,6 @@ class NodeCacheStore(ChunkStore):
             for uid in uids:
                 self._nodes.pop(uid, None)
 
-    def __len__(self) -> int:
-        return len(self.backing)
-
     @property
     def node_hit_rate(self) -> float:
         """Fraction of ``get_node`` calls served without decoding."""
@@ -145,9 +126,6 @@ class NodeCacheStore(ChunkStore):
                 return 0.0
             return self.node_hits / self.node_lookups
 
-    def physical_size(self) -> int:
-        return self.backing.physical_size()
-
     def stats_snapshot(self) -> StoreStats:
         """The backing store's snapshot plus this layer's cache counters."""
         snap = self.backing.stats_snapshot()
@@ -155,9 +133,3 @@ class NodeCacheStore(ChunkStore):
             snap.cache_hits += self.node_hits
             snap.cache_lookups += self.node_lookups
         return snap
-
-    def close(self) -> None:
-        self.backing.close()
-
-    def abandon(self) -> None:
-        self.backing.abandon()

@@ -27,7 +27,7 @@ from repro.errors import (
     TransientStoreError,
 )
 from repro.faults.retry import RetryPolicy
-from repro.store.base import ChunkStore
+from repro.store.base import ChunkStore, WrapperStore
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
     from repro.cluster.cluster import ClusterStore
@@ -93,22 +93,18 @@ def _frame_verdict(store: ChunkStore, uid: Uid) -> Optional[str]:
     """Ask the physical layer for an on-disk frame diagnosis, if it has one.
 
     Pack-style backends expose ``diagnose_record`` returning
-    ``'ok' | 'missing' | 'torn' | 'crc' | 'codec'``; cache wrappers are
-    peeled via their public ``backing`` attribute.  None when no layer
-    understands record frames (dict- and file-per-segment stores).
+    ``'ok' | 'missing' | 'torn' | 'crc' | 'codec'``; wrappers are peeled.
+    None when no layer understands record frames (dict- and
+    file-per-segment stores).
     """
-    depth = 0
-    while depth < 8:
+    while True:
         probe = getattr(store, "diagnose_record", None)
         if callable(probe):
             verdict = probe(uid)
             return verdict if isinstance(verdict, str) else None
-        backing = getattr(store, "backing", None)
-        if not isinstance(backing, ChunkStore):
+        if not isinstance(store, WrapperStore):
             return None
-        store = backing
-        depth += 1
-    return None
+        store = store.backing
 
 
 def diagnose_copy(

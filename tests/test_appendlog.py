@@ -132,7 +132,7 @@ def test_two_failed_recoveries_poison_and_name_what_to_unack(path):
         with pytest.raises(DiskFaultError):
             log.sync()
         assert shim.false_fsyncs == 0
-        fsyncs = [hit.label for hit in shim.trace if hit.syscall == "fsync"]
+        fsyncs = [hit.label for hit in shim.trace if hit.kind == "fsync"]
         assert fsyncs == ["log.dat", "fsync-recovery", "fsync-recovery"]
     assert log.poisoned
     # durable_size names exactly what to un-ack: everything at or past it.
@@ -167,7 +167,7 @@ def test_rewrite_buffer_is_bounded_by_a_forced_durable_point(path, monkeypatch):
     with fs_zone(FsFaultPlan()) as shim:
         for n in range(12):
             log.append(_record(n))
-    fsyncs = [hit.label for hit in shim.trace if hit.syscall == "fsync"]
+    fsyncs = [hit.label for hit in shim.trace if hit.kind == "fsync"]
     assert fsyncs == ["tail-limit", "tail-limit"]
     assert log.durable_size == 10 * len(_record(0))
     assert log._tail_bytes == 2 * len(_record(0))

@@ -15,10 +15,8 @@ the network may be slow and lossy on top.  The claims under test:
   trusted replica set converges: ``digests_agree`` despite forged digests;
 - **determinism** — the whole run replays bit-identically from its seed.
 
-``FORKBASE_BYZ_SEED`` picks the adversary universe (CI runs several).
+``FORKBASE_SEED`` picks the adversary universe (CI runs several).
 """
-
-import os
 
 import pytest
 
@@ -39,8 +37,9 @@ from repro.faults import (
     heal_node,
     make_byzantine,
 )
+from tests.conftest import fault_seed
 
-SEED = int(os.environ.get("FORKBASE_BYZ_SEED", "20260808"))
+SEED = fault_seed(20260808)
 
 #: Detection-latency bound: a persistent liar must be quarantined within
 #: this many client operations that could possibly implicate it.

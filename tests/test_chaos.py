@@ -6,10 +6,10 @@ dropped/torn writes and transient node errors, two node flaps over a
 must end with zero lost chunks and zero corrupt reads surfacing to
 callers — and replaying the same seed must reach the same end state.
 
-The seed comes from ``FORKBASE_FAULT_SEED`` (CI runs a small matrix), so a
+The seed comes from ``FORKBASE_SEED`` (CI runs a small matrix), so a
 failure report is always reproducible locally with::
 
-    FORKBASE_FAULT_SEED=<seed> PYTHONPATH=src python -m pytest tests/test_chaos.py
+    FORKBASE_SEED=<seed> PYTHONPATH=src python -m pytest tests/test_chaos.py
 """
 
 import os
@@ -23,8 +23,9 @@ from repro.errors import NodeDownError, QuorumWriteError
 from repro.faults import FaultPlan, FaultyStore, RetryPolicy
 from repro.store.memory import InMemoryStore
 from repro.store.scrub import Scrubber
+from tests.conftest import fault_seed
 
-SEED = int(os.environ.get("FORKBASE_FAULT_SEED", "20260805"))
+SEED = fault_seed(20260805)
 CHUNKS = int(os.environ.get("FORKBASE_CHAOS_CHUNKS", "10000"))
 
 try:

@@ -10,7 +10,7 @@ and is reopened.  Recovery must show either the state after the last
 (which may have become durable before the ack) — never anything else —
 and every surviving head must verify.
 
-Honors ``FORKBASE_FAULT_SEED`` like the chaos suite; the seed varies the
+Honors ``FORKBASE_SEED`` like the chaos suite; the seed varies the
 torn-write prefixes, not the boundary schedule.
 """
 
@@ -25,8 +25,9 @@ from repro.chunk import Uid
 from repro.db.engine import ForkBase
 from repro.errors import SimulatedCrash
 from repro.faults import CrashPlan, crash_zone
+from tests.conftest import fault_seed
 
-SEED = int(os.environ.get("FORKBASE_FAULT_SEED", "20260805"))
+SEED = fault_seed(20260805)
 
 #: Small enough to force several compactions mid-workload.
 JOURNAL_LIMIT = 700

@@ -16,7 +16,7 @@ invariant is the robustness contract of ISSUE 7:
 - a degraded engine serves reads and refuses writes with
   :class:`~repro.errors.ReadOnlyError`; reopen restores full health.
 
-Honors ``FORKBASE_FSFAULT_SEED``; set ``FORKBASE_FSFAULT_FULL=1`` to
+Honors ``FORKBASE_SEED``; set ``FORKBASE_FSFAULT_FULL=1`` to
 cross every boundary with *every* eligible flavor instead of the
 deterministic rotation (slower, same coverage over time).
 """
@@ -33,9 +33,11 @@ from repro.chunk import Uid
 from repro.db.engine import HEALTH_DEGRADED, HEALTH_HEALTHY, ForkBase
 from repro.errors import DiskFaultError, DiskFullError, ReadOnlyError
 from repro.faults import FsFaultPlan, fs_zone
-from repro.faults.fs import TARGETED_FLAVORS, FsBoundary
+from repro.faults.fs import TARGETED_FLAVORS
+from repro.faults.kernel import Boundary
+from tests.conftest import fault_seed
 
-SEED = int(os.environ.get("FORKBASE_FSFAULT_SEED", "20260805"))
+SEED = fault_seed(20260805)
 FULL = os.environ.get("FORKBASE_FSFAULT_FULL") == "1"
 
 #: Small enough that the workload triggers journal compaction (snapshot
@@ -102,7 +104,7 @@ def _run_workload(
         return "faulted", engine
 
 
-def _census(directory: str, backend: str) -> List[FsBoundary]:
+def _census(directory: str, backend: str) -> List[Boundary]:
     with fs_zone(FsFaultPlan(seed=SEED)) as shim:
         status, _ = _run_workload(directory, [], backend)
     assert status == "completed"
@@ -115,11 +117,11 @@ def test_census_is_deterministic(tmp_path, backend):
     second = _census(str(tmp_path / "b"), backend)
     assert [hit.stamp for hit in first] == [hit.stamp for hit in second]
     # The workload must cross every syscall kind the shim can fault.
-    assert {hit.syscall for hit in first} == {"write", "fsync", "read", "replace"}
+    assert {hit.kind for hit in first} == {"write", "fsync", "read", "replace"}
 
 
-def _flavors_for(hit: FsBoundary) -> Tuple[str, ...]:
-    flavors = TARGETED_FLAVORS[hit.syscall]
+def _flavors_for(hit: Boundary) -> Tuple[str, ...]:
+    flavors = TARGETED_FLAVORS[hit.kind]
     if FULL or len(flavors) == 1:
         return flavors
     # Deterministic rotation: each boundary gets one flavor, every flavor
@@ -140,7 +142,7 @@ def test_torture_every_fs_boundary(tmp_path, backend):
                 FsFaultPlan(seed=SEED, fail_at=hit.index, flavor=flavor)
             ) as shim:
                 status, engine = _run_workload(directory, acked, backend)
-                context = f"boundary {hit.index} ({hit.syscall}/{flavor}, {backend})"
+                context = f"boundary {hit.index} ({hit.kind}/{flavor}, {backend})"
                 # The library must never fsync a descriptor whose previous
                 # fsync failed: the kernel would falsely report success.
                 assert shim.false_fsyncs == 0, context

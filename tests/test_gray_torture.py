@@ -7,11 +7,9 @@ write must be durable on its full replica set, no verb may have blocked
 past its deadline budget, and the whole run must replay bit-identically
 from the same seed.
 
-``FORKBASE_GRAYFAULT_SEED`` picks the deterministic slowness universe
+``FORKBASE_SEED`` picks the deterministic slowness universe
 (the CI chaos matrix runs several).
 """
-
-import os
 
 import pytest
 
@@ -24,6 +22,7 @@ from repro.faults import (
     RetryPolicy,
     apply_slow_event,
 )
+from tests.conftest import fault_seed
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -32,7 +31,7 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is in the toolchain
     HAVE_HYPOTHESIS = False
 
-SEED = int(os.environ.get("FORKBASE_GRAYFAULT_SEED", "20260808"))
+SEED = fault_seed(20260808)
 
 
 def _chunk(tag: str, n: int) -> Chunk:

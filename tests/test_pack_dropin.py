@@ -21,8 +21,9 @@ from repro.errors import EngineError, SimulatedCrash
 from repro.faults import CrashPlan, crash_zone
 from repro.store import NodeCacheStore, PackStore
 from repro.store.scrub import diagnose_copy
+from tests.conftest import fault_seed
 
-SEED = int(os.environ.get("FORKBASE_FAULT_SEED", "20260808"))
+SEED = fault_seed(20260808)
 
 HeadMap = Dict[Tuple[str, str], Uid]
 

@@ -8,7 +8,7 @@ the workload is re-run once per boundary under ``CrashPlan(crash_at=n)``
 with torn writes.  Recovery must serve every chunk whose batch was
 acknowledged, bit-identical, and never serve wrong bytes for anything.
 
-Honors ``FORKBASE_FAULT_SEED`` like the chaos suite.
+Honors ``FORKBASE_SEED`` like the chaos suite.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from repro.chunk import Chunk, ChunkType
 from repro.errors import ChunkCorruptionError, SimulatedCrash
 from repro.faults import CrashPlan, crash_zone
 from repro.store import PackStore
+from tests.conftest import fault_seed
 
-SEED = int(os.environ.get("FORKBASE_FAULT_SEED", "20260808"))
+SEED = fault_seed(20260808)
 
 #: Fixed corpus shared by every run: 4 acknowledged batches of 9.
 CHUNKS = [

@@ -6,7 +6,7 @@ through the engine, heal, run Merkle anti-entropy — then every
 digests must agree, and the reconciliation must have shipped
 O(divergence) chunks rather than sweeping the whole store.
 
-``FORKBASE_FAULT_SEED`` picks the deterministic fault universe (the CI
+``FORKBASE_SEED`` picks the deterministic fault universe (the CI
 chaos matrix runs several); ``FORKBASE_AE_CHUNKS`` scales the acceptance
 scenario (default 10k chunks).
 """
@@ -31,6 +31,7 @@ from repro.faults import (
 )
 from repro.types import load_object
 from repro.vcs import VersionGraph
+from tests.conftest import fault_seed
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -39,7 +40,7 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is in the toolchain
     HAVE_HYPOTHESIS = False
 
-SEED = int(os.environ.get("FORKBASE_FAULT_SEED", "20260805"))
+SEED = fault_seed(20260805)
 AE_CHUNKS = int(os.environ.get("FORKBASE_AE_CHUNKS", "10000"))
 
 
