@@ -40,15 +40,6 @@ from repro.faults import kernel
 from repro.faults.store import InterposedStore
 from repro.store.base import ChunkStore
 
-_RATE_FIELDS = (
-    "flip_rate",
-    "substitute_rate",
-    "withhold_rate",
-    "fake_ack_rate",
-    "conceal_rate",
-    "hint_corrupt_rate",
-)
-
 
 @dataclass(frozen=True)
 class ByzantinePlan:
@@ -71,7 +62,7 @@ class ByzantinePlan:
     forge_index: bool = False
 
     def __post_init__(self) -> None:
-        kernel.check_rates(self, *_RATE_FIELDS)
+        kernel.check_rates(self)
 
     # -- deterministic draws: (seed, node, behavior, op, uid, attempt) ---------
 
@@ -126,9 +117,7 @@ class ByzantinePlan:
 
     def lying(self) -> bool:
         """Does this plan misbehave at all? (All-zero plans are honest.)"""
-        return self.forge_index or any(
-            getattr(self, name) > 0.0 for name in _RATE_FIELDS
-        )
+        return self.forge_index or any(getattr(self, r) > 0.0 for r in kernel.rate_fields(self))
 
 
 class ByzantineStore(InterposedStore):
@@ -242,14 +231,9 @@ def make_byzantine(node: object, plan: ByzantinePlan) -> ByzantineStore:
     return ByzantineStore.install(node, plan, node=str(node.name))  # type: ignore[attr-defined]
 
 
-def heal_node(node: object) -> bool:
-    """Remove a node's byzantine wrapper (the adversary gives up).
-
-    The honest backing store — including any real divergence the lies
-    caused — is restored as ``node.store``.  Returns False when the node
-    was not wrapped.
-    """
-    return ByzantineStore.remove(node)
+#: The adversary gives up: ``heal_node(node)`` restores the honest backing
+#: store — including any real divergence the lies caused — as ``node.store``.
+heal_node = ByzantineStore.remove
 
 
 def corrupt_queued_hints(cluster: object, plan: ByzantinePlan) -> int:

@@ -56,10 +56,6 @@ class CrashPlan:
     def _at(self, kind: str, label: str, index: int) -> tuple:
         return (self.seed, kind, label, index)
 
-    def digest(self, kind: str, label: str, index: int) -> bytes:
-        """The (seed, kind, label, index) replay hash for one boundary."""
-        return kernel.digest(*self._at(kind, label, index))
-
 
 class CrashClock(Census):
     """Mutable per-zone state: the boundary census under one plan."""
@@ -77,8 +73,7 @@ class CrashClock(Census):
         """Record one boundary; return (index, should-crash-here)."""
         index = self.count
         crash = self.plan.crash_at == index
-        stamp = kernel.stamp(*self.plan._at(kind, label, index))
-        self.record(kind, label, "crash" if crash else None, stamp)
+        self.record(kind, label, "crash" if crash else None, *self.plan._at(kind, label, index))
         return index, crash
 
 

@@ -73,18 +73,12 @@ class FsFaultPlan:
     flavor: str = "enospc"
 
     def __post_init__(self) -> None:
-        kernel.check_rates(
-            self, "enospc_rate", "short_write_rate", "eio_read_rate", "fsync_fail_rate"
-        )
+        kernel.check_rates(self)
         if not any(self.flavor in flavors for flavors in TARGETED_FLAVORS.values()):
             raise ValueError(f"flavor {self.flavor!r} can land on no syscall kind")
 
     def _at(self, syscall: str, label: str, attempt: int) -> tuple:
         return (self.seed, syscall, label, attempt)
-
-    def digest(self, syscall: str, label: str, attempt: int) -> bytes:
-        """The (seed, syscall, path-label, attempt) replay hash."""
-        return kernel.digest(*self._at(syscall, label, attempt))
 
     def draw(self, syscall: str, label: str, attempt: int) -> float:
         """Deterministic uniform draw in ``[0, 1)`` for one boundary."""
@@ -141,7 +135,7 @@ class FaultyOS(DiskInjector, Census):
         """Record one boundary; return (fault flavor or None, attempt)."""
         attempt = self._attempts.next(syscall, label)
         fault = self.plan.decide(syscall, label, attempt, self.count)
-        self.record(syscall, label, fault, kernel.stamp(*self.plan._at(syscall, label, attempt)))
+        self.record(syscall, label, fault, *self.plan._at(syscall, label, attempt))
         return fault, attempt
 
     # -- DiskInjector overrides ----------------------------------------------

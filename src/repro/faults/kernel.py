@@ -60,11 +60,6 @@ def pick(*parts: Part, n: int) -> int:
     return int.from_bytes(digest(*parts)[8:16], "big") % n
 
 
-def stamp(*parts: Part) -> str:
-    """Replay-hash prefix for census traces: equal stamps ⇔ equal runs."""
-    return digest(*parts).hex()[:16]
-
-
 def derive_seed(*parts: Part) -> int:
     """A signed 64-bit sub-seed (what ``plan.scoped(label)`` re-seeds to)."""
     return int.from_bytes(digest(*parts)[:8], "big") - (1 << 63)
@@ -93,9 +88,15 @@ def mutate(data: bytes, *parts: Part) -> bytes:
     return flip_at(data, int.from_bytes(hashed[8:16], "big"), mask=hashed[16])
 
 
+def rate_fields(plan: object) -> List[str]:
+    """The probability fields of a plan: every field named ``*_rate``."""
+    return [name for name in vars(plan) if name.endswith("_rate")]
+
+
 def check_rates(plan: object, *names: str) -> None:
-    """Reject any named field of ``plan`` outside ``[0, 1]``."""
-    for name in names:
+    """Reject any rate of ``plan`` outside ``[0, 1]``: the named fields,
+    or every ``*_rate`` field — a new rate cannot go unvalidated."""
+    for name in names or rate_fields(plan):
         rate = getattr(plan, name)
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {rate}")
@@ -144,9 +145,11 @@ class Census:
         """How many boundaries have been crossed so far."""
         return len(self.trace)
 
-    def record(self, kind: str, label: str, fault: Optional[str], stamp: str) -> Boundary:
-        """Append the next boundary (its index is the current count)."""
-        hit = Boundary(len(self.trace), kind, label, fault, stamp)
+    def record(self, kind: str, label: str, fault: Optional[str], *at: Part) -> Boundary:
+        """Append the next boundary (its index is the current count),
+        stamped with the replay hash of the coordinates it was decided
+        at: equal stamps ⇔ equal runs."""
+        hit = Boundary(len(self.trace), kind, label, fault, digest(*at).hex()[:16])
         self.trace.append(hit)
         if fault is not None:
             self.injected.append(hit)

@@ -64,7 +64,7 @@ class NetworkPlan:
     slow_factors: Tuple[int, int] = (8, 128)
 
     def __post_init__(self) -> None:
-        kernel.check_rates(self, "drop_rate", "delay_rate", "dup_rate")
+        kernel.check_rates(self)
         for name in ("delay_ticks", "slow_factors"):
             low, high = span = getattr(self, name)
             if not 1 <= low <= high:

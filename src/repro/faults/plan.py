@@ -46,9 +46,7 @@ class FaultPlan:
     latency_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        kernel.check_rates(
-            self, "corrupt_read_rate", "drop_put_rate", "torn_put_rate", "transient_error_rate"
-        )
+        kernel.check_rates(self)
 
     # -- deterministic draws: (seed, kind, uid, attempt) -----------------------
 

@@ -30,6 +30,9 @@ class InterposedStore(WrapperStore):
 
     def __init__(self, backing: ChunkStore) -> None:
         super().__init__(backing, verify_reads=False)
+        # Sweeping in place through a store that lies about its holdings
+        # would delete chunks it merely withholds: gc must refuse.
+        self.supports_in_place_sweep = False
         #: ``_attempt(kind, uid)`` -> next attempt index for that pair.
         self._attempt = Attempts().next
 
@@ -51,6 +54,9 @@ class InterposedStore(WrapperStore):
             return False
         node.store = store.backing  # type: ignore[attr-defined]
         return True
+
+    #: The same pair under the names the security suites have always used.
+    wrap_node, unwrap_node = install, remove
 
 
 class FaultyStore(InterposedStore):
@@ -130,22 +136,7 @@ class TamperingStore(InterposedStore):
         self._overrides: Dict[Uid, Chunk] = {}
         self._dropped: Set[Uid] = set()
 
-    @classmethod
-    def wrap_node(cls, node: object) -> "TamperingStore":
-        """:meth:`install` under the name the security suites use."""
-        return cls.install(node)  # type: ignore[return-value]
-
-    @classmethod
-    def unwrap_node(cls, node: object) -> bool:
-        """:meth:`remove` under the name the security suites use."""
-        return cls.remove(node)
-
     # -- adversary actions -----------------------------------------------------
-
-    def corrupt_chunk(self, uid: Uid, new_data: bytes) -> None:
-        """Serve ``new_data`` for ``uid`` while claiming the old identity."""
-        original = self.backing.get(uid)
-        self._overrides[uid] = Chunk(original.type, new_data, uid=uid)
 
     def flip_byte(self, uid: Uid, offset: int = 0) -> None:
         """Flip one payload byte (classic silent-corruption model)."""
@@ -171,11 +162,6 @@ class TamperingStore(InterposedStore):
         else:
             self._overrides.pop(uid, None)
             self._dropped.discard(uid)
-
-    @property
-    def tampered_uids(self) -> Set[Uid]:
-        """Uids currently being lied about."""
-        return set(self._overrides) | set(self._dropped)
 
     # -- the primitives it lies in ---------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.errors import (
     TransientStoreError,
 )
 from repro.faults.retry import RetryPolicy
-from repro.store.base import ChunkStore, WrapperStore
+from repro.store.base import ChunkStore, physical_store
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
     from repro.cluster.cluster import ClusterStore
@@ -97,14 +97,9 @@ def _frame_verdict(store: ChunkStore, uid: Uid) -> Optional[str]:
     None when no layer understands record frames (dict- and
     file-per-segment stores).
     """
-    while True:
-        probe = getattr(store, "diagnose_record", None)
-        if callable(probe):
-            verdict = probe(uid)
-            return verdict if isinstance(verdict, str) else None
-        if not isinstance(store, WrapperStore):
-            return None
-        store = store.backing
+    probe = getattr(physical_store(store), "diagnose_record", None)
+    verdict = probe(uid) if callable(probe) else None
+    return verdict if isinstance(verdict, str) else None
 
 
 def diagnose_copy(

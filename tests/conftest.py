@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import warnings
 
 import pytest
 
@@ -20,10 +21,17 @@ _OLD_SEED_NAMES = (
 
 def fault_seed(default: int) -> int:
     """The seed every fault suite runs under: ``FORKBASE_SEED``, else the
-    first deprecated name that is set, else the suite's own ``default``
-    (so an unset environment replays exactly the schedules it always has)."""
+    first deprecated name that is set (with a warning: each now reaches
+    every plane's suites, not one), else the suite's own ``default`` (so
+    an unset environment replays exactly the schedules it always has)."""
     for name in ("FORKBASE_SEED",) + _OLD_SEED_NAMES:
         if name in os.environ:
+            if name in _OLD_SEED_NAMES:
+                warnings.warn(
+                    f"{name} is deprecated and now seeds every fault suite; set FORKBASE_SEED",
+                    DeprecationWarning,
+                    stacklevel=2,
+                )
             return int(os.environ[name])
     return default
 

@@ -15,6 +15,15 @@ def _chunk(n: int, size: int = 32) -> Chunk:
 
 
 class TestFaultPlan:
+    def test_draws_are_deterministic(self):
+        plan_a = FaultPlan(seed=7, corrupt_read_rate=0.5)
+        plan_b = FaultPlan(seed=7, corrupt_read_rate=0.5)
+        uid = Uid.of(b"x")
+        for attempt in range(20):
+            assert plan_a.draw("corrupt-read", uid, attempt) == plan_b.draw(
+                "corrupt-read", uid, attempt
+            )
+
     def test_different_seeds_differ(self):
         uid = Uid.of(b"x")
         draws_a = [FaultPlan(seed=1).draw("op", uid, i) for i in range(32)]

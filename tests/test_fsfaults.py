@@ -50,6 +50,24 @@ def _chunk(tag: bytes) -> Chunk:
 # -- plan determinism ---------------------------------------------------------
 
 
+def test_plan_decisions_replay_bit_identically():
+    plan = FsFaultPlan(seed=7, enospc_rate=0.3, fsync_fail_rate=0.2, eio_read_rate=0.1)
+    first = [
+        plan.decide(syscall, "seg-000000.dat", attempt, index)
+        for index, (syscall, attempt) in enumerate(
+            (s, a) for s in ("write", "fsync", "read", "replace") for a in range(32)
+        )
+    ]
+    second = [
+        plan.decide(syscall, "seg-000000.dat", attempt, index)
+        for index, (syscall, attempt) in enumerate(
+            (s, a) for s in ("write", "fsync", "read", "replace") for a in range(32)
+        )
+    ]
+    assert first == second
+    assert any(fault is not None for fault in first)
+
+
 def test_plan_seed_changes_schedule():
     a = FsFaultPlan(seed=1, enospc_rate=0.5)
     b = FsFaultPlan(seed=2, enospc_rate=0.5)

@@ -16,6 +16,14 @@ UID = Uid.of(b"message")
 
 
 class TestNetworkPlan:
+    def test_draws_are_deterministic(self):
+        a = NetworkPlan(seed=7, drop_rate=0.5)
+        b = NetworkPlan(seed=7, drop_rate=0.5)
+        for attempt in range(20):
+            assert a.draw("drop", "c", "n", "put", UID, attempt) == b.draw(
+                "drop", "c", "n", "put", UID, attempt
+            )
+
     def test_different_seeds_differ(self):
         draws_a = [NetworkPlan(seed=1).draw("op", "c", "n", "put", UID, i) for i in range(32)]
         draws_b = [NetworkPlan(seed=2).draw("op", "c", "n", "put", UID, i) for i in range(32)]
