@@ -21,9 +21,10 @@ from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 # Lower layers never import higher ones (equal layers may import each
 # other; actual cycles are caught separately).  The longest dotted prefix
 # wins, which is how repro.store splits: the storage primitives
-# (base/memory/cached/stats/durability) sit below the POS-Tree that writes
-# through them, the durable backends (appendlog/filestore/packstore) sit
-# just above the fault seams they embed, and the tree-walking maintenance
+# (base/memory/stats/durability) sit below the POS-Tree that writes
+# through them, the durable backends (appendlog/segments and the two
+# record formats over them, filestore/packstore) sit just above the
+# fault seams they embed, and the tree-walking maintenance
 # pass (gc) and the package facade sit above everything.
 # Deferred (function-scope) imports and ``if TYPE_CHECKING`` imports are
 # exempt — they cannot create import-time cycles and are the sanctioned
@@ -37,7 +38,6 @@ LAYERS: Mapping[str, int] = {
     "repro.store.durability": 3,
     "repro.store.base": 3,
     "repro.store.memory": 3,
-    "repro.store.cached": 3,
     # The retry helper is pure policy over repro.errors; it sits beside
     # the storage primitives so the append log can bound ENOSPC retries.
     # The fault kernel under it is pure hashlib/struct.
@@ -54,9 +54,10 @@ LAYERS: Mapping[str, int] = {
     # installed on.
     "repro.faults": 4,
     # The durable-append primitive embeds crash-points and the disk-fault
-    # seam, so it sits above faults; the two backends that write through
-    # it sit beside it, below everything that stores chunks.
+    # seam, so it sits above faults; the segment store over it and its two
+    # record formats sit beside it, below everything that stores chunks.
     "repro.store.appendlog": 5,
+    "repro.store.segments": 5,
     "repro.store.filestore": 5,
     "repro.store.packstore": 5,
     "repro.postree": 5,
@@ -355,8 +356,8 @@ DEFAULT_ALLOW: Dict[str, Sequence[str]] = {
     # flag exists for (scrub wants the raw bytes to diagnose them), so
     # the tainted merge at the return is sanctioned here — everywhere
     # else a fetch-without-verify path is a real FB-TAMPER bug (the
-    # CachedStore verify_reads=False regression this rule was built to
-    # catch).  physical_size() sums *lengths* parsed out of frame
+    # cache-wrapper verify_reads=False regression this rule was built
+    # to catch).  physical_size() sums *lengths* parsed out of frame
     # headers; the integers it returns describe the payload, they are
     # not the payload.
     "FB-TAMPER": (
@@ -366,13 +367,13 @@ DEFAULT_ALLOW: Dict[str, Sequence[str]] = {
     ),
     # Appends that target a *temporary* file are outside the un-ack
     # discipline: a failure leaves the live artifact untouched and the
-    # torn tmp is discarded on the next open (heads snapshot, pack-index
-    # snapshot, journal reset).  Every append to a *live* file goes
-    # through AppendLog._write, whose handler unwinds — so the journal's
-    # create path and pack compaction need no entry any more.
+    # torn tmp is discarded on the next open (heads snapshot, the segment
+    # stores' one index snapshot, journal reset).  Every append to a
+    # *live* file goes through AppendLog._write, whose handler unwinds —
+    # so the journal's create path and pack compaction need no entry.
     "FB-ACKFLOW": (
         "src/repro/db/engine.py::_compact",
-        "src/repro/store/packstore.py::_save_index",
+        "src/repro/store/segments.py::_save_index",
         "src/repro/vcs/journal.py::reset",
     ),
 }

@@ -33,7 +33,7 @@ Quickstart::
 """
 
 from repro.db.engine import ForkBase, VersionInfo
-from repro.store import CachedStore, FileStore, InMemoryStore
+from repro.store import FileStore, InMemoryStore
 from repro.types import FBlob, FBool, FList, FMap, FNumber, FSet, FString
 
 __version__ = "1.0.0"
@@ -41,7 +41,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ForkBase",
     "VersionInfo",
-    "CachedStore",
     "FileStore",
     "InMemoryStore",
     "FBlob",

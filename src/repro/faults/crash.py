@@ -93,22 +93,25 @@ def crash_zone(plan: CrashPlan) -> Iterator[CrashClock]:
         _ACTIVE = previous
 
 
-def crashpoint(kind: str, label: str = "") -> None:
+def crashpoint(kind: Optional[str], label: str = "") -> None:
     """Mark a durability boundary (fsync, rename, …).
 
     Raises :class:`SimulatedCrash` when the armed plan's ``crash_at``
     lands here; the boundary's side effect (the fsync, the rename) has
-    then *not* happened.  No-op outside a :func:`crash_zone`.
+    then *not* happened.  No-op outside a :func:`crash_zone`, and for
+    ``kind=None``: a caller of shared code that declares no boundary here.
     """
     clock = _ACTIVE
-    if clock is None or not clock.plan.counts(kind):
+    if clock is None or kind is None or not clock.plan.counts(kind):
         return
     index, crash = clock.register(kind, label)
     if crash:
         raise SimulatedCrash(index, kind, label)
 
 
-def crashing_write(handle: IO[bytes], data: bytes, kind: str = "write", label: str = "") -> None:
+def crashing_write(
+    handle: IO[bytes], data: bytes, kind: Optional[str] = "write", label: str = ""
+) -> None:
     """Write ``data`` to ``handle`` through a write boundary.
 
     A crash here tears the write: a deterministic strict prefix of
@@ -117,10 +120,10 @@ def crashing_write(handle: IO[bytes], data: bytes, kind: str = "write", label: s
     must cope with the partial record.  The write itself goes through
     :func:`repro.store.durability.write_bytes`, so an armed
     :class:`~repro.faults.fs.FsFaultPlan` can fail it with ENOSPC or a
-    short write even when no crash plan is active.
+    short write even when no crash plan is active (or ``kind`` is None).
     """
     clock = _ACTIVE
-    if clock is not None and clock.plan.counts(kind):
+    if clock is not None and kind is not None and clock.plan.counts(kind):
         index, crash = clock.register(kind, label)
         if crash:
             if clock.plan.tear_writes and len(data) > 1:

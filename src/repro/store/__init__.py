@@ -10,15 +10,22 @@ vs physical bytes and dedup hits.
 Implementations:
 
 - :class:`~repro.store.memory.InMemoryStore` — dict-backed, the default.
-- :class:`~repro.store.filestore.FileStore` — append-only segment files
-  with a persisted index; survives close/reopen.
-- :class:`~repro.store.packstore.PackStore` — append-only pack files with
-  CRC-framed compressed records, mmap reads, an in-RAM uid index, and
-  segment compaction; the throughput-oriented durable backend.
-- :class:`~repro.store.cached.CachedStore` — LRU read-through cache of
-  raw chunks over any other store.
+- :class:`~repro.store.segments.SegmentStore` — the one durable layout: a
+  directory of append-only segments (each written through
+  :class:`~repro.store.appendlog.AppendLog`) plus a watermarked index
+  snapshot; owns discovery, recovery, roll, un-ack and close.  Two record
+  formats sit on it and survive close/reopen:
+
+  - :class:`~repro.store.filestore.FileStore` — ``[tag][len][payload]``
+    records under ``segments/`` + FBIX ``index.dat``; one open/seek/read
+    per fetch; a garbage tail ends a scan quietly (no checksum); bytes
+    are reclaimed only by copying live chunks out.
+  - :class:`~repro.store.packstore.PackStore` — CRC-framed, per-record
+    compressed records under ``packs/`` + FBPX ``pack-index.dat`` (entries
+    carry the record length); mmap reads; interior rot stops recovery
+    loudly; segment compaction.  The throughput-oriented backend.
 - :class:`~repro.store.nodecache.NodeCacheStore` — LRU cache of *decoded*
-  POS-Tree nodes, so hot descents skip parsing entirely.
+  POS-Tree nodes, so hot descents skip parsing entirely; the only cache.
 
 Maintenance: :mod:`repro.store.scrub` re-hashes every materialized copy
 against its content address, quarantining (and, on replicated stores,
@@ -27,7 +34,6 @@ chunks and drives pack segment compaction.
 """
 
 from repro.store.base import ChunkStore, physical_store
-from repro.store.cached import CachedStore
 from repro.store.filestore import FileStore
 from repro.store.memory import InMemoryStore
 from repro.store.nodecache import NodeCacheStore
@@ -37,7 +43,6 @@ from repro.store.stats import StoreStats
 
 __all__ = [
     "ChunkStore",
-    "CachedStore",
     "FileStore",
     "InMemoryStore",
     "NodeCacheStore",

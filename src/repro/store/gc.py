@@ -96,8 +96,10 @@ def collect_garbage(
     In-place sweeping needs a store whose ``delete`` reclaims durably
     (``supports_in_place_sweep``): the dict-backed store frees memory
     immediately, and the pack store drops index entries whose bytes die
-    at the next segment compaction.  One-file-per-record stores should
-    use :func:`compact_into` (copy-live-out) instead.
+    at the next segment compaction.  The file store shares the pack
+    store's segmented log and durable deletes but has no compaction to
+    reclaim the dead bytes, so it does not claim in-place sweeping: use
+    :func:`compact_into` (copy-live-out) for it instead.
 
     With ``compact=True``, a pack-backed store additionally rewrites its
     live records into fresh segments after the sweep and unlinks the dead

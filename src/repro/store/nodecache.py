@@ -1,10 +1,12 @@
 """LRU cache of *decoded* POS-Tree nodes over another chunk store.
 
-:class:`~repro.store.cached.CachedStore` caches raw chunks, which saves
-the device read but still pays entry decoding on every descent.  At tree
-fan-outs of ~60 the decode dominates a hot lookup, so this wrapper caches
-the decoded node objects themselves — a hot descent touches no codec, no
-CRC, and no disk.  Content addressing makes this safe: a uid names one
+A cache of raw chunks would save the device read but still pay entry
+decoding on every descent.  At tree fan-outs of ~60 the decode dominates
+a hot lookup, so this wrapper — the one cache in the store stack —
+caches the decoded node objects themselves: a hot descent touches no
+codec, no CRC, and no disk.  ``get`` deliberately always reaches the
+backing store, so ``verify()`` and the scrubber see on-disk damage
+through the cache.  Content addressing makes this safe: a uid names one
 immutable byte string forever, so a decoded node never needs
 invalidation, and sharing the cached object across readers is sound
 because nodes are sealed (FB-IMMUT).
@@ -22,7 +24,7 @@ every access sits under a dominating ``with self._lock``).  Decoding and
 backing-store reads happen outside the lock: a cache miss must not stall
 every hit behind the codec.  Read verification is inherited from the
 backing store unless overridden — wrapping a verifying store must not
-silently disable its tamper checks (the CachedStore regression class).
+silently disable its tamper checks.
 """
 
 from __future__ import annotations

@@ -1,0 +1,384 @@
+"""One segmented append-only log under both durable backends.
+
+A segment store is a directory of numbered append-only segment files
+plus one index snapshot that maps each uid to where its record starts.
+What does not depend on what a record looks like lives here, once;
+:class:`~repro.store.filestore.FileStore` and
+:class:`~repro.store.packstore.PackStore` are two record formats over it.
+
+The snapshot is ``magic, entry count, segment count``, one ``(segment,
+indexed length)`` watermark per segment, then one entry per uid.  Each
+watermark is an exact record boundary, so records appended after the
+snapshot (a crash before ``close``) are recovered by scanning every
+segment from its watermark, and a deleted record below the watermark is
+never scanned back in.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
+
+from repro.chunk import Chunk, ChunkType, Uid
+from repro.errors import ChunkCorruptionError, StoreClosedError, map_os_error
+from repro.faults.crash import crashing_write, crashpoint
+from repro.store.appendlog import AppendLog
+from repro.store.base import ChunkStore
+from repro.store.durability import durable_replace, fsync_file
+
+_COUNTS = struct.Struct(">QQ")  # index entries, watermarked segments
+_WATERMARK = struct.Struct(">IQ")  # segment number, indexed length
+
+#: Tag decode shared by both formats: a dict probe is ~10x cheaper than
+#: ``ChunkType(tag)``, and a rotted tag is a ``None``, not a ``ValueError``.
+TAG_TO_TYPE: Dict[int, ChunkType] = {int(member): member for member in ChunkType}
+
+#: What :meth:`SegmentStore._parse_record` returns: ``(uid, record
+#: length)`` for a whole valid record, ``None`` where the scan should
+#: stop quietly, or a ``str`` naming the damage where it must stop loudly.
+Parsed = Union[Tuple[Uid, int], str, None]
+
+
+class SegmentStore(ChunkStore):
+    """Durable chunk store over numbered append-only segment files.
+
+    Owns segment discovery, the watermarked snapshot (staleness rules,
+    watermark-resume scan, rebuild, durable save), the scan loop, opening
+    the :class:`~repro.store.appendlog.AppendLog` only after recovery,
+    segment roll, un-ack after a poison, and ``close`` / ``abandon``.  A
+    format supplies the class attributes below and three methods:
+    :meth:`_encode_record`, :meth:`_parse_record` and ``_fetch``.
+    ``_index`` maps a uid to its entry's fields after the digest:
+    ``(segment, offset)``, plus the record length where the format
+    persists it (``_LOCATION_FIELDS``).
+
+    Where the two formats used to disagree, the rule is decided here:
+
+    - A *torn* record (incomplete at EOF, the signature of a crashed
+      append) always ends the scan; the log that opens the active
+      segment truncates it away.  The verdict on a *complete but
+      invalid* record is the format's, and is the visible return value
+      of :meth:`_parse_record`: a CRC-framed format names the damage and
+      the scan raises (appends are prefix writes, so damage inside a
+      whole frame cannot be a crash artifact); a format with no checksum
+      cannot tell rot from a garbage tail and returns ``None``.
+    - A snapshot with no watermark table is rejected, and index and
+      scan reads are counted in ``stats``, for both.
+    - Only a format that compacts ever unlinks a segment file
+      (:meth:`_drop_leftovers`); the default scans whatever it finds.
+    - The snapshot is written through the disk seam for both; which of
+      its steps are crash boundaries is the format's ``_INDEX_KINDS``.
+    """
+
+    _SEGMENT_DIR: str
+    _SEGMENT_STEM: str
+    _INDEX_STEM: str
+    _INDEX_MAGIC: bytes
+    _INDEX_ENTRY: struct.Struct
+    _LOCATION_FIELDS: int
+    #: Fixed bytes in front of a record's payload: what an entry is known
+    #: to cover where the format records no length.
+    _HEADER_SIZE: int
+    #: Crash-boundary kinds (``None`` registers none): record append —
+    #: a format that declares one also labels each append with the uid,
+    #: so a torture run can name the record it died in — the batch
+    #: fsync, and the snapshot's write / fsync / replace.
+    _WRITE_KIND: Optional[str] = None
+    _FSYNC_KIND: Optional[str] = None
+    _INDEX_KINDS: Tuple[Optional[str], Optional[str], Optional[str]] = (None, None, None)
+
+    def __init__(
+        self,
+        directory: str,
+        verify_reads: bool = False,
+        segment_limit: int = 64 * 1024 * 1024,
+    ) -> None:
+        super().__init__(verify_reads=verify_reads)
+        self._dir = directory
+        self._seg_dir = os.path.join(directory, self._SEGMENT_DIR)
+        self._segment_limit = segment_limit
+        self._index: Dict[Uid, Tuple[int, ...]] = {}
+        self._closed = False
+        os.makedirs(self._seg_dir, exist_ok=True)
+        prefix = self._SEGMENT_STEM + "-"
+        self._segments = sorted(
+            int(name[len(prefix) : -4])
+            for name in os.listdir(self._seg_dir)
+            if name.startswith(prefix) and name.endswith(".dat")
+        )
+        if not self._segments:
+            self._segments = [0]
+            open(self._segment_path(0), "ab").close()
+        end = self._load_index()
+        if end is None:
+            end = self._rebuild_index()
+        # Only now, with the surviving segments and the active one's last
+        # whole record known, does the writer open: the log drops any
+        # torn tail first, so appends are indexed at the offset they land on.
+        self._active = self._segments[-1]
+        self._log = self._open_log(self._active, end)
+
+    @property
+    def poisoned(self) -> bool:
+        """True once an unrecoverable disk fault disabled the writer."""
+        return self._log.poisoned
+
+    def _segment_path(self, number: int) -> str:
+        return os.path.join(self._seg_dir, f"{self._SEGMENT_STEM}-{number:06d}.dat")
+
+    def _index_path(self) -> str:
+        return os.path.join(self._dir, self._INDEX_STEM + ".dat")
+
+    def _segment_size(self, segment: int) -> int:
+        path = self._segment_path(segment)
+        try:
+            return os.path.getsize(path)
+        except FileNotFoundError:
+            return 0  # never-flushed fresh segment
+        except OSError as exc:
+            raise map_os_error(exc, "stat", path) from exc
+
+    # -- format hooks --------------------------------------------------------
+
+    def _encode_record(self, chunk: Chunk) -> bytes:
+        """The bytes one chunk is appended as."""
+        raise NotImplementedError
+
+    def _parse_record(self, handle: IO[bytes]) -> Parsed:
+        """Read the record at ``handle``'s position: record | tear | rot."""
+        raise NotImplementedError
+
+    def _drop_leftovers(self, watermarks: Dict[int, int]) -> None:
+        """Reconcile ``_segments`` with an accepted snapshot's table.
+
+        The default keeps every file: one the snapshot does not track is
+        scanned from zero — a store that never compacts never unlinks.
+        """
+
+    def _release(self) -> None:
+        """Drop read-side OS resources (a format that keeps none: no-op)."""
+
+    # -- index persistence ---------------------------------------------------
+
+    def _load_index(self) -> Optional[int]:
+        """Load the index snapshot; None if absent, corrupt, or stale.
+
+        On success returns the active segment's last record boundary.
+        Any rejection falls back to :meth:`_rebuild_index`.
+        """
+        watermarks = self._read_snapshot()
+        if watermarks is None or self._stale(watermarks):
+            self._index.clear()
+            return None
+        self._drop_leftovers(watermarks)
+        end = 0
+        for segment in self._segments:
+            end = self._scan_segment(segment, start=watermarks.get(segment, 0))
+        return end
+
+    def _read_snapshot(self) -> Optional[Dict[int, int]]:
+        """Fill ``_index`` from the snapshot; return its watermark table."""
+        path = self._index_path()
+        if not os.path.exists(path):
+            return None
+        watermarks: Dict[int, int] = {}
+        entry = self._INDEX_ENTRY
+        try:
+            with open(path, "rb") as handle:
+                if handle.read(len(self._INDEX_MAGIC)) != self._INDEX_MAGIC:
+                    return None
+                count, seg_count = _COUNTS.unpack(handle.read(_COUNTS.size))
+                for _ in range(seg_count):
+                    segment, length = _WATERMARK.unpack(handle.read(_WATERMARK.size))
+                    watermarks[segment] = length
+                for _ in range(count):
+                    fields = entry.unpack(handle.read(entry.size))
+                    self._index[Uid(fields[0])] = fields[1:]
+                self.stats.record_io(read=handle.tell())
+        except (OSError, struct.error):
+            return None  # unreadable, or truncated inside a table
+        return watermarks
+
+    def _stale(self, watermarks: Dict[int, int]) -> bool:
+        """Does the loaded snapshot no longer describe the segment files?
+
+        Every watermarked segment must still exist and must not have
+        shrunk below its watermark (offsets would dangle), and every
+        entry must fall inside its segment's indexed region.
+        """
+        if not watermarks:
+            return True  # a snapshot always tracks the active segment
+        known = set(self._segments)
+        for segment, watermark in watermarks.items():
+            if segment not in known:
+                return True  # indexed segment vanished
+            if self._segment_size(segment) < watermark:
+                return True  # segment shrank
+        for location in self._index.values():
+            segment, offset = location[0], location[1]
+            if segment not in watermarks:
+                return True  # entry points into an untracked segment
+            # An entry covers its record's recorded length, else its header.
+            covered = location[2] if len(location) > 2 else self._HEADER_SIZE
+            if offset + covered > watermarks[segment]:
+                return True  # past the indexed region
+        return False
+
+    def _rebuild_index(self) -> int:
+        """Reconstruct the index by scanning every segment file.
+
+        Returns the active segment's last record boundary.
+        """
+        self._index.clear()
+        end = 0
+        for segment in self._segments:
+            end = self._scan_segment(segment)
+        return end
+
+    def _scan_segment(self, segment: int, start: int = 0) -> int:
+        """Index whole records from ``start``; return where they end."""
+        path = self._segment_path(segment)
+        with open(path, "rb") as handle:
+            handle.seek(start)
+            offset = start
+            while True:
+                parsed = self._parse_record(handle)
+                if parsed is None:
+                    break
+                if isinstance(parsed, str):
+                    raise ChunkCorruptionError(
+                        f"{os.path.basename(path)} has a rotten record at "
+                        f"offset {offset} ({parsed})"
+                    )
+                uid, length = parsed
+                self._index[uid] = (segment, offset, length)[: self._LOCATION_FIELDS]
+                offset += length
+        self.stats.record_io(read=offset - start)
+        return offset
+
+    def _save_index(self) -> None:
+        """Write the index snapshot durably (fsync before rename)."""
+        path = self._index_path()
+        tmp = path + ".tmp"
+        parts = [self._INDEX_MAGIC, _COUNTS.pack(len(self._index), len(self._segments))]
+        parts.extend(_WATERMARK.pack(seg, self._segment_size(seg)) for seg in self._segments)
+        pack = self._INDEX_ENTRY.pack
+        parts.extend(pack(uid.digest, *location) for uid, location in self._index.items())
+        payload = b"".join(parts)
+        write_kind, fsync_kind, replace_kind = self._INDEX_KINDS
+        with open(tmp, "wb") as handle:
+            crashing_write(handle, payload, kind=write_kind, label=self._INDEX_STEM)
+            crashpoint(fsync_kind, self._INDEX_STEM)
+            fsync_file(handle)
+        crashpoint(replace_kind, self._INDEX_STEM)
+        durable_replace(tmp, path)
+        self.stats.record_io(written=len(payload))
+
+    # -- primitives ----------------------------------------------------------
+
+    def _open_log(self, segment: int, end: int) -> AppendLog:
+        # Batch and compaction fsyncs are marked where they happen, so a
+        # roll or close is not a crash boundary: no ``fsync_kind``.
+        return AppendLog(
+            self._segment_path(segment), end, write_kind=self._WRITE_KIND, on_unack=self._unack
+        )
+
+    def _unack(self, log: AppendLog) -> None:
+        """Un-index what a poisoned log never made durable (acked ⇒ durable)."""
+        if log is not self._log:
+            return  # a compaction rewrite: the index still describes the old layout
+        doomed = [
+            uid
+            for uid, location in self._index.items()
+            if location[0] == self._active and location[1] >= log.durable_size
+        ]
+        for uid in doomed:
+            del self._index[uid]
+
+    def _check_writer(self) -> None:
+        if self._closed:
+            raise StoreClosedError("store is closed")
+        self._log.check()
+
+    def _append(self, chunk: Chunk) -> None:
+        """Append one record to the active segment (no flush)."""
+        record = self._encode_record(chunk)
+        if self._log.size >= self._segment_limit:
+            # Retire the active segment: it gets watermarked at its full
+            # size by the next index snapshot, so it is fsynced before a
+            # fresh log takes over — a power loss cannot shrink it.
+            self._log.close(f"roll:{self._active}")
+            self._active += 1
+            self._segments.append(self._active)
+            self._log = self._open_log(self._active, 0)
+        label = chunk.uid.short() if self._WRITE_KIND else ""
+        offset = self._log.append(record, label)
+        self._index[chunk.uid] = (self._active, offset, len(record))[: self._LOCATION_FIELDS]
+        self.stats.record_io(written=len(record))
+
+    def _insert(self, chunk: Chunk) -> None:
+        self._check_writer()
+        self._append(chunk)
+        self._log.flush()
+
+    def _insert_many(self, chunks: List[Chunk]) -> None:
+        """Batched append: one fsync and one index snapshot per batch.
+
+        Single :meth:`put` stays cheap (flush only, index saved at close);
+        a batch is acknowledged durable as a unit — the whole point of
+        routing bulk loads through ``put_many``.
+        """
+        self._check_writer()
+        for chunk in chunks:
+            self._append(chunk)
+        label = f"batch:{len(chunks)}"
+        crashpoint(self._FSYNC_KIND, label)
+        self._log.sync(label)
+        self._save_index()
+
+    def _contains(self, uid: Uid) -> bool:
+        return uid in self._index
+
+    def _delete(self, uid: Uid) -> bool:
+        """Drop the index entry; segment bytes are reclaimed by compaction.
+
+        Durable across reopen once an index snapshot lands (batch put,
+        compaction, or close): the watermark table keeps an unindexed
+        record below the watermark from being scanned back in.
+        """
+        return self._index.pop(uid, None) is not None
+
+    def _ids(self) -> Iterator[Uid]:
+        return iter(list(self._index.keys()))
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        if self._log.poisoned:
+            # The writer is disabled and the in-memory index already had
+            # its un-durable entries removed; persisting a snapshot would
+            # launder the poisoned state into "clean close".  Abandon and
+            # let reopen rebuild from the watermark scan.
+            self.abandon()
+            return
+        self._log.close()
+        self._save_index()
+        self._release()
+        self._closed = True
+
+    def abandon(self) -> None:
+        """Release OS handles without persisting the index (crash sim).
+
+        Models a SIGKILL minus page-cache loss: appended records survive
+        on disk (every ``_insert`` flushed them) but no fresh index
+        snapshot is written — reopen recovers via the watermark scan.
+        """
+        if self._closed:
+            return
+        self._log.abandon()
+        self._release()
+        self._closed = True

@@ -232,6 +232,39 @@ def test_unrecoverable_fsync_poisons_writer(tmp_path, factory):
     reopened.close()
 
 
+@pytest.mark.parametrize(
+    "factory, label", [(FileStore, "index"), (PackStore, "pack-index")], ids=["file", "pack"]
+)
+def test_index_snapshot_goes_through_the_disk_seam(tmp_path, factory, label):
+    chunks = [_chunk(bytes([n])) for n in range(3)]
+
+    def run(directory):
+        store = factory(directory)
+        store.put_many(chunks[:2])  # snapshot 1
+        store.put(chunks[2])
+        return store
+
+    with fs_zone(FsFaultPlan()) as census:
+        run(str(tmp_path / "census")).close()  # snapshot 2
+    snapshots = [hit.index for hit in census.trace if (hit.kind, hit.label) == ("write", label)]
+    assert len(snapshots) == 2  # exactly one write hit per snapshot
+
+    directory = str(tmp_path / "enospc")
+    index = os.path.join(directory, label + ".dat")
+    with fs_zone(FsFaultPlan(fail_at=snapshots[-1], flavor="enospc")):
+        store = run(directory)
+        with open(index, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(DiskFullError):  # classified, not a raw OSError
+            store.close()
+        store.abandon()
+    with open(index, "rb") as handle:
+        assert handle.read() == before  # the old snapshot is untouched
+    with factory(directory) as reopened:
+        for chunk in chunks:  # every acked chunk, the un-snapshotted one included
+            assert reopened.get(chunk.uid).data == chunk.data
+
+
 # -- journal recovery ---------------------------------------------------------
 
 
@@ -352,7 +385,9 @@ def test_reopen_recovers_from_degraded_state(tmp_path):
 
 
 def test_read_fault_while_degraded_fails_engine(tmp_path):
-    engine = _open_engine(tmp_path)
+    # The file format probes the disk on every get; pack serves a segment
+    # it has already mapped without touching the seam again.
+    engine = _open_engine(tmp_path, backend="file")
     engine.put("doc", {"a": "1", "pad": "x" * 64})
     with fs_zone(FsFaultPlan(fsync_fail_rate=1.0)):
         with pytest.raises(DiskFaultError):

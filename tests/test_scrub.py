@@ -8,7 +8,7 @@ from repro.chunk import Chunk, ChunkType, Uid
 from repro.cluster import ClusterStore
 from repro.errors import ChunkNotFoundError
 from repro.faults import FaultPlan, FaultyStore
-from repro.store import CachedStore, FileStore, InMemoryStore, Scrubber, scrub
+from repro.store import FileStore, InMemoryStore, NodeCacheStore, Scrubber, scrub
 
 
 def _chunk(n: int) -> Chunk:
@@ -32,11 +32,12 @@ class TestDeleteApi:
 
     def test_cached_delete_evicts(self):
         backing = InMemoryStore()
-        store = CachedStore(backing, capacity=8)
+        store = NodeCacheStore(backing, capacity=8)
         chunk = _chunk(1)
         store.put(chunk)
-        store.get(chunk.uid)  # warm the cache
+        store.get_node(chunk.uid)  # warm the cache
         assert store.delete(chunk.uid) is True
+        assert chunk.uid not in store._nodes
         assert store.get_maybe(chunk.uid) is None
         assert not backing.has(chunk.uid)
 
@@ -94,17 +95,22 @@ class TestScrubFlat:
         chunks = [_chunk(i) for i in range(20)]
         with FileStore(directory) as store:
             store.put_many(chunks)
-        # Flip one payload byte of the first record on disk.
+        # Flip one payload byte of the first record on disk, and the tag
+        # byte of the second (a tag no ChunkType has: rot, not ValueError).
         segment = os.path.join(directory, "segments", "seg-000000.dat")
         with open(segment, "r+b") as handle:
-            handle.seek(5 + 3)  # header (5B) + 3 bytes into the payload
-            byte = handle.read(1)
-            handle.seek(-1, os.SEEK_CUR)
-            handle.write(bytes([byte[0] ^ 0xFF]))
+            # header (5B) + 3 bytes into the payload; then the next header
+            for offset in (5 + 3, 5 + len(chunks[0].data)):
+                handle.seek(offset)
+                byte = handle.read(1)
+                handle.seek(-1, os.SEEK_CUR)
+                handle.write(bytes([byte[0] ^ 0xFF]))
         store = FileStore(directory)
         report = scrub(store)
-        assert report.corrupt >= 1 and report.quarantined == report.corrupt
+        assert report.corrupt == 2 and report.quarantined == report.corrupt
         assert scrub(store).healthy
+        with pytest.raises(ChunkNotFoundError):
+            store.get(chunks[1].uid)
         store.close()
 
     def test_transient_wire_corruption_not_quarantined(self):

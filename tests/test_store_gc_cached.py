@@ -1,8 +1,8 @@
-"""Deeper coverage for repro.store.gc and repro.store.cached.
+"""Deeper coverage for repro.store.gc and the cache wrapper.
 
 Three scenarios the basic suites skip: sweeping with live roots explicitly
-pinned (version archival on top of GC), cache accounting when the backing
-store verifies every read, and cache coherence across deletes.
+pinned (version archival on top of GC), reads through the cache when the
+backing store verifies every read, and cache coherence across deletes.
 """
 
 import pytest
@@ -12,7 +12,7 @@ from repro.cluster import ClusterStore
 from repro.db import ForkBase
 from repro.errors import ChunkCorruptionError, ChunkNotFoundError
 from repro.faults import flip_at
-from repro.store import CachedStore, InMemoryStore, NodeCacheStore
+from repro.store import InMemoryStore, NodeCacheStore
 from repro.store.gc import collect_garbage, mark_live
 
 
@@ -70,51 +70,24 @@ class TestSweepWithPinnedRoots:
 class TestCachedStoreVerifyReads:
     def test_corrupt_backing_chunk_caught_through_cache(self):
         backing = InMemoryStore(verify_reads=True)
-        cache = CachedStore(backing, capacity=4)
+        cache = NodeCacheStore(backing, capacity=4)
         bad = Chunk(ChunkType.BLOB, b"evil", uid=Uid.of(b"claimed"))
         backing._insert(bad)
         with pytest.raises(ChunkCorruptionError):
-            cache.get(bad.uid)
+            cache.get_node(bad.uid)
         # The corrupt chunk must not have been cached by the failed read.
+        assert bad.uid not in cache._nodes
         with pytest.raises(ChunkCorruptionError):
             cache.get(bad.uid)
-
-    def test_eviction_accounting_is_exact(self):
-        backing = InMemoryStore(verify_reads=True)
-        cache = CachedStore(backing, capacity=2)
-        a, b, c = _chunk(b"a"), _chunk(b"b"), _chunk(b"c")
-        for chunk in (a, b, c):  # puts warm the cache; c evicts a (LRU)
-            cache.put(chunk)
-        assert len(cache._cache) == 2
-
-        assert cache.get(b.uid).data == b"b"  # hit
-        assert cache.get(a.uid).data == b"a"  # miss: refetched, evicts c
-        assert cache.get(c.uid).data == b"c"  # miss again
-        assert (cache.lookups, cache.hits) == (3, 1)
-        assert cache.hit_rate == pytest.approx(1 / 3)
-
-    def test_hits_are_not_reverified(self):
-        """A cache hit serves the already-verified decoded chunk; only
-        backing reads pay the verification hash."""
-        backing = InMemoryStore(verify_reads=True)
-        cache = CachedStore(backing, capacity=4)
-        chunk = _chunk(b"payload")
-        backing.put(chunk)
-
-        assert cache.get(chunk.uid).data == b"payload"  # verified fetch
-        # Corrupt the backing copy in place; the cached entry still serves.
-        backing._chunks[chunk.uid] = Chunk(ChunkType.BLOB, b"tampered", uid=chunk.uid)
-        assert cache.get(chunk.uid).data == b"payload"
-        assert cache.hits == 1
 
 
 class TestDeleteWhileCached:
     def test_delete_through_wrapper_drops_cache_entry(self):
         backing = InMemoryStore()
-        cache = CachedStore(backing, capacity=4)
+        cache = NodeCacheStore(backing, capacity=4)
         chunk = _chunk(b"gone")
         cache.put(chunk)
-        assert cache.get(chunk.uid).data == b"gone"  # now cached
+        assert cache.get_node(chunk.uid).data == b"gone"  # now cached
 
         assert cache.delete(chunk.uid) is True
         assert not cache.has(chunk.uid)
@@ -124,23 +97,25 @@ class TestDeleteWhileCached:
 
     def test_backing_delete_then_wrapper_delete_is_coherent(self):
         backing = InMemoryStore()
-        cache = CachedStore(backing, capacity=4)
+        cache = NodeCacheStore(backing, capacity=4)
         chunk = _chunk(b"stale")
         cache.put(chunk)
-        cache.get(chunk.uid)
+        cache.get_node(chunk.uid)
 
         backing.delete(chunk.uid)  # out-of-band delete: cache is now stale
         assert cache.delete(chunk.uid) is False  # backing already empty...
-        assert cache.get_maybe(chunk.uid) is None  # ...but the entry is gone
+        assert chunk.uid not in cache._nodes  # ...but the entry is gone
+        with pytest.raises(ChunkNotFoundError):
+            cache.get_node(chunk.uid)
 
     def test_reinsert_after_delete_serves_fresh_chunk(self):
         backing = InMemoryStore()
-        cache = CachedStore(backing, capacity=4)
+        cache = NodeCacheStore(backing, capacity=4)
         chunk = _chunk(b"again")
         cache.put(chunk)
         cache.delete(chunk.uid)
         cache.put(chunk)
-        assert cache.get(chunk.uid).data == b"again"
+        assert cache.get_node(chunk.uid).data == b"again"
         assert backing.has(chunk.uid)
 
 
@@ -159,12 +134,12 @@ class TestSweepInvalidationBus:
         )
         # Two independent cached readers over the same physical store,
         # both warmed with the doomed subtree before the sweep.
-        raw_cache = CachedStore(backing, capacity=4096)
+        other_cache = NodeCacheStore(backing, capacity=4096)
         node_cache = NodeCacheStore(backing, capacity=4096)
         for uid in doomed_only:
-            assert raw_cache.get(uid) is not None
+            assert other_cache.get_node(uid) is not None
         node_cache.get_node(doomed_head)
-        assert any(uid in raw_cache._cache for uid in doomed_only)
+        assert all(uid in other_cache._nodes for uid in doomed_only)
         assert doomed_head in node_cache._nodes
 
         engine.delete_branch("doomed", "master")
@@ -174,7 +149,7 @@ class TestSweepInvalidationBus:
         # physical layer no longer holds.
         for uid in doomed_only:
             if not backing.has(uid):
-                assert raw_cache.get_maybe(uid) is None
+                assert uid not in other_cache._nodes
         assert not backing.has(doomed_head)
         assert doomed_head not in node_cache._nodes
         with pytest.raises(ChunkNotFoundError):
@@ -184,7 +159,7 @@ class TestSweepInvalidationBus:
 
     def test_quarantine_resync_invalidates_shared_cache(self):
         cluster = ClusterStore(node_count=3, replication=2)
-        cache = CachedStore(cluster, capacity=64)
+        cache = NodeCacheStore(cluster, capacity=64)
         chunks = [_chunk(b"resync-%d" % n) for n in range(30)]
         cluster.put_many(chunks)
         victim = "node-01"
@@ -192,7 +167,7 @@ class TestSweepInvalidationBus:
         held = [c for c in chunks if node.store.has(c.uid)][:4]
         assert held
         for chunk in held:  # warm the shared cache through the cluster
-            assert cache.get(chunk.uid).data == chunk.data
+            assert cache.get_node(chunk.uid).data == chunk.data
         for chunk in held:  # the node's copies rot while it is quarantined
             node.store.delete(chunk.uid)
             node.store._insert(
@@ -208,5 +183,5 @@ class TestSweepInvalidationBus:
         for chunk in held:
             # The resync's drops were broadcast: no stale entries survive,
             # and a re-read refetches the repaired copy through the cluster.
-            assert chunk.uid not in cache._cache
-            assert cache.get(chunk.uid).data == chunk.data
+            assert chunk.uid not in cache._nodes
+            assert cache.get_node(chunk.uid).data == chunk.data

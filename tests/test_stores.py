@@ -6,7 +6,7 @@ import pytest
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import ChunkCorruptionError, ChunkNotFoundError, StoreClosedError
-from repro.store import CachedStore, FileStore, InMemoryStore
+from repro.store import FileStore, InMemoryStore, NodeCacheStore
 from repro.store.stats import StoreStats
 
 
@@ -181,28 +181,22 @@ class TestFileStore:
 
 
 class TestCachedStore:
-    def test_read_through_and_hits(self):
-        backing = InMemoryStore()
-        cache = CachedStore(backing, capacity=8)
-        chunk = _chunk(b"cached")
-        cache.put(chunk)
-        cache.get(chunk.uid)
-        cache.get(chunk.uid)
-        assert cache.hits >= 1
-        assert cache.hit_rate > 0
+    """What the cache wrapper (``NodeCacheStore``) shares with every
+    ``WrapperStore``; its decoded-node cache is ``test_pack_dropin``'s."""
 
     def test_eviction_respects_capacity(self):
-        cache = CachedStore(InMemoryStore(), capacity=2)
+        cache = NodeCacheStore(InMemoryStore(), capacity=2)
         chunks = [_chunk(bytes([i])) for i in range(5)]
         for chunk in chunks:
             cache.put(chunk)
-        assert len(cache._cache) <= 2
+            cache.get_node(chunk.uid)
+        assert len(cache._nodes) <= 2
         # Evicted chunks still come from backing.
-        assert cache.get(chunks[0].uid).data == chunks[0].data
+        assert cache.get_node(chunks[0].uid).data == chunks[0].data
 
     def test_write_through(self):
         backing = InMemoryStore()
-        cache = CachedStore(backing, capacity=4)
+        cache = NodeCacheStore(backing, capacity=4)
         chunk = _chunk(b"w")
         cache.put(chunk)
         assert backing.has(chunk.uid)
@@ -211,29 +205,21 @@ class TestCachedStore:
         backing = InMemoryStore()
         chunk = _chunk(b"b")
         backing.put(chunk)
-        cache = CachedStore(backing, capacity=4)
+        cache = NodeCacheStore(backing, capacity=4)
         assert chunk.uid in cache
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            CachedStore(InMemoryStore(), capacity=0)
+            NodeCacheStore(InMemoryStore(), capacity=0)
 
     def test_verify_reads_inherited_from_backing(self):
-        # Regression: this layer used to hardcode verify_reads=False,
+        # Regression: a cache wrapper once hardcoded verify_reads=False,
         # silently disabling the tamper check on every read through the
         # cache when the backing store had verification on.
-        assert CachedStore(InMemoryStore(verify_reads=True), capacity=4).verify_reads
-        assert not CachedStore(InMemoryStore(), capacity=4).verify_reads
+        assert NodeCacheStore(InMemoryStore(verify_reads=True), capacity=4).verify_reads
+        assert not NodeCacheStore(InMemoryStore(), capacity=4).verify_reads
 
     def test_verify_reads_explicit_override_wins(self):
         verifying = InMemoryStore(verify_reads=True)
-        assert not CachedStore(verifying, capacity=4, verify_reads=False).verify_reads
-        assert CachedStore(InMemoryStore(), capacity=4, verify_reads=True).verify_reads
-
-    def test_cache_hit_is_verified(self):
-        cache = CachedStore(InMemoryStore(verify_reads=True), capacity=4)
-        bad = Chunk(ChunkType.BLOB, b"evil", uid=Uid.of(b"claimed"))
-        with cache._lock:
-            cache._remember(bad)  # plant a tampered chunk as a future hit
-        with pytest.raises(ChunkCorruptionError):
-            cache.get(bad.uid)
+        assert not NodeCacheStore(verifying, capacity=4, verify_reads=False).verify_reads
+        assert NodeCacheStore(InMemoryStore(), capacity=4, verify_reads=True).verify_reads
