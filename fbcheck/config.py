@@ -357,12 +357,14 @@ DEFAULT_ALLOW: Dict[str, Sequence[str]] = {
     # the tainted merge at the return is sanctioned here — everywhere
     # else a fetch-without-verify path is a real FB-TAMPER bug (the
     # cache-wrapper verify_reads=False regression this rule was built
-    # to catch).  physical_size() sums *lengths* parsed out of frame
-    # headers; the integers it returns describe the payload, they are
-    # not the payload.
+    # to catch).  The default get_node() *is* get() under the node
+    # seam's name, flag and all.  physical_size() sums *lengths* parsed
+    # out of frame headers; the integers it returns describe the
+    # payload, they are not the payload.
     "FB-TAMPER": (
         "src/repro/store/base.py::get",
         "src/repro/store/base.py::get_maybe",
+        "src/repro/store/base.py::get_node",
         "src/repro/store/packstore.py::physical_size",
     ),
     # Appends that target a *temporary* file are outside the un-ack

@@ -28,9 +28,12 @@ class Uid:
     __slots__ = ("_digest", "_hash")
 
     def __init__(self, digest: bytes) -> None:
-        if not isinstance(digest, (bytes, bytearray, memoryview)):
-            raise TypeError(f"digest must be bytes, got {type(digest).__name__}")
-        digest = bytes(digest)
+        # Every hot constructor (hashing, the codec, index loads) hands
+        # over an exact ``bytes``: that path pays one class test, no copy.
+        if digest.__class__ is not bytes:
+            if not isinstance(digest, (bytearray, memoryview)):
+                raise TypeError(f"digest must be bytes, got {type(digest).__name__}")
+            digest = bytes(digest)
         if len(digest) != _DIGEST_SIZE:
             raise ValueError(
                 f"digest must be {_DIGEST_SIZE} bytes, got {len(digest)}"
@@ -80,8 +83,15 @@ class Uid:
         return base64.b32encode(self._digest).decode("ascii").rstrip("=")
 
     def short(self, length: int = 10) -> str:
-        """Abbreviated Base32 prefix for human-oriented output."""
-        return self.base32()[:length]
+        """Abbreviated Base32 prefix for human-oriented output.
+
+        Encodes only the leading bytes those characters cover (5 bits
+        each), not all 32 and then a slice.
+        """
+        if not 0 <= length < _BASE32_LEN:
+            return self.base32()[:length]
+        needed = (length * 5 + 7) // 8
+        return base64.b32encode(self._digest[:needed]).decode("ascii")[:length]
 
     def __bytes__(self) -> bytes:
         return self._digest

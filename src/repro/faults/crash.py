@@ -29,7 +29,7 @@ from typing import IO, FrozenSet, Iterator, Optional, Tuple
 from repro.errors import SimulatedCrash
 from repro.faults import kernel
 from repro.faults.kernel import Boundary, Census
-from repro.store.durability import write_bytes
+from repro.store.durability import DiskInjector, active_injector, write_bytes
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,17 @@ def crash_zone(plan: CrashPlan) -> Iterator[CrashClock]:
         yield clock
     finally:
         _ACTIVE = previous
+
+
+def labels_observed() -> bool:
+    """Does anything read boundary labels right now?
+
+    True inside a :func:`crash_zone` or with a disk shim installed: both
+    record (and the shim seeds its draws from) the label of each write.
+    Outside them a label is dropped unread, so a hot path may skip
+    rendering one.
+    """
+    return _ACTIVE is not None or type(active_injector()) is not DiskInjector
 
 
 def crashpoint(kind: Optional[str], label: str = "") -> None:

@@ -60,7 +60,7 @@ def build_leaf_level(
     descriptors: List[IndexEntry] = []
     for start, end in fast_entry_spans(encoded, config.leaf):
         node = LeafNode(entries[start:end], encoded=encoded[start:end])
-        store.put(node.to_chunk())
+        store.put_node(node.to_chunk(), node)
         descriptors.append(node.descriptor())
     return descriptors
 
@@ -83,7 +83,7 @@ def build_index_levels(
         next_descriptors: List[IndexEntry] = []
         for start, end in fast_entry_spans(encoded, config.index):
             node = IndexNode(level, descriptors[start:end], encoded=encoded[start:end])
-            store.put(node.to_chunk())
+            store.put_node(node.to_chunk(), node)
             next_descriptors.append(node.descriptor())
         descriptors = next_descriptors
         level += 1
@@ -103,6 +103,6 @@ def bulk_build(
     descriptors = build_leaf_level(store, entries, config, check_order=check_order)
     if not descriptors:
         node = empty_leaf()
-        store.put(node.to_chunk())
+        store.put_node(node.to_chunk(), node)
         return node.uid
     return build_index_levels(store, descriptors, config)

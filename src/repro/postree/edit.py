@@ -25,6 +25,7 @@ writes is reachable from that root.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.chunk import Uid
@@ -34,7 +35,9 @@ from repro.postree.node import (
     IndexNode,
     LeafEntry,
     LeafNode,
+    encode_index_entries,
     encode_index_entry,
+    encode_leaf_entries,
     encode_leaf_entry,
 )
 from repro.rolling.fast import AnyEntryChunker, make_entry_chunker
@@ -150,27 +153,27 @@ class _Walker:
         return b""
 
 
-#: One unit of splice work: ``(entry, encoded, edited)`` — or None, an
-#: edit-point marker (a deletion: the stream diverges with nothing emitted).
-_EmitItem = Optional[Tuple[_Entry, bytes, bool]]
-
-
 class _Emitter:
     """Shared boundary/buffer state machine for one level's splice.
 
-    Entries arrive in *batches* (typically one old node's worth) so the
+    Entries arrive in *runs* (typically one old node's worth) so the
     chunker can hash each run with one vectorized pass instead of an
     interpreted loop per byte — the same batching contract the bulk
     builder uses, keeping editor and builder boundaries bit-identical.
+    Each entry travels with its encoded string, which becomes the new
+    node's payload: nothing is encoded a second time.
     """
 
-    __slots__ = ("_tree", "_chunker", "_level", "buffer", "descriptors", "bytes_since_edit")
+    __slots__ = (
+        "_tree", "_chunker", "_level", "buffer", "_encoded", "descriptors", "bytes_since_edit",
+    )
 
     def __init__(self, tree: PosTree, chunker: AnyEntryChunker, level: int) -> None:
         self._tree = tree
         self._chunker = chunker
         self._level = level
         self.buffer: List = []
+        self._encoded: List[bytes] = []
         self.descriptors: List[IndexEntry] = []
         self.bytes_since_edit: Optional[int] = None  # None: edit not reached
 
@@ -184,32 +187,34 @@ class _Emitter:
         self._chunker.seed(preceding)
         self.bytes_since_edit = None
 
-    def emit_batch(self, items: Sequence[_EmitItem]) -> None:
-        """Feed a batch of entries, flushing nodes on chunker boundaries."""
-        run: List[Tuple[_Entry, bytes, bool]] = []
-        for item in items:
-            if item is None:
-                self._emit_run(run)
-                run = []
-                self.bytes_since_edit = 0
-            else:
-                run.append(item)
-        self._emit_run(run)
+    def mark_edit(self) -> None:
+        """A deletion: the stream diverges here with nothing emitted."""
+        self.bytes_since_edit = 0
 
-    def _emit_run(self, run: List[Tuple[_Entry, bytes, bool]]) -> None:
-        if not run:
+    def emit_run(
+        self, entries: Sequence[_Entry], encoded: List[bytes], last_edited: Optional[int] = None
+    ) -> None:
+        """Feed a run of entries, flushing nodes on chunker boundaries.
+
+        ``encoded[i]`` is the serialization of ``entries[i]``;
+        ``last_edited`` is the position of the last entry of the run that
+        an op put there (None: every entry is an old one).  Neither list
+        is kept: nodes are built from slices of them.
+        """
+        if not entries:
             return
-        boundaries = self._chunker.push_many([encoded for _, encoded, _ in run])
-        next_boundary = 0
-        for index, (entry, encoded, edited) in enumerate(run):
-            self.buffer.append(entry)
-            if edited:
-                self.bytes_since_edit = 0
-            elif self.bytes_since_edit is not None:
-                self.bytes_since_edit += len(encoded)
-            if next_boundary < len(boundaries) and boundaries[next_boundary] == index:
-                next_boundary += 1
-                self.flush()
+        start = 0
+        for boundary in self._chunker.push_many(encoded):
+            self.buffer += entries[start : boundary + 1]
+            self._encoded += encoded[start : boundary + 1]
+            self.flush()
+            start = boundary + 1
+        self.buffer += entries[start:]
+        self._encoded += encoded[start:]
+        if last_edited is not None:
+            self.bytes_since_edit = sum(map(len, encoded[last_edited + 1 :]))
+        elif self.bytes_since_edit is not None:
+            self.bytes_since_edit += sum(map(len, encoded))
 
     def flush(self) -> None:
         """Materialize the buffered entries as one node."""
@@ -217,12 +222,13 @@ class _Emitter:
             return
         node: Union[LeafNode, IndexNode]
         if self._level == 0:
-            node = LeafNode(self.buffer)
+            node = LeafNode(self.buffer, encoded=self._encoded)
         else:
-            node = IndexNode(self._level, self.buffer)
-        self._tree.store.put(node.to_chunk())
+            node = IndexNode(self._level, self.buffer, encoded=self._encoded)
+        self._tree.store.put_node(node.to_chunk(), node)
         self.descriptors.append(node.descriptor())
         self.buffer = []
+        self._encoded = []
 
     def in_sync(self, window: int) -> bool:
         """True at an old node boundary the emitted stream shares: nothing
@@ -244,6 +250,9 @@ def _splice_level(
     """
     config = tree.config.leaf if level == 0 else tree.config.index
     encode: Callable[[Any], bytes] = encode_leaf_entry if level == 0 else encode_index_entry
+    encode_many: Callable[[Any], List[bytes]] = (
+        encode_leaf_entries if level == 0 else encode_index_entries
+    )
     window = config.window
     emitter = _Emitter(tree, make_entry_chunker(config), level)
     emitter.begin_region(walker.prev_tail(window))
@@ -251,11 +260,43 @@ def _splice_level(
     one_region = True
     op_index = 0
 
-    def take_op() -> _EmitItem:
+    def emit_node(entries: Sequence[_Entry], through: Optional[bytes]) -> None:
+        """Emit ``entries`` merged with the ops up to key ``through`` (None:
+        all that remain) as one chunker run per stretch between deletions.
+
+        The entries no op touches go through the bulk encoder in whole
+        stretches, a put's entry through the single one: each entry that
+        is emitted is encoded once, and a replaced one never.
+        """
         nonlocal op_index
-        entry = ops[op_index][1]
-        op_index += 1
-        return None if entry is None else (entry, encode(entry), True)
+        run: List[_Entry] = []
+        encoded: List[bytes] = []
+        last_edited: Optional[int] = None
+        position = 0
+        while op_index < len(ops) and (through is None or ops[op_index][0] <= through):
+            key, entry = ops[op_index]
+            op_index += 1
+            # ``(key,)`` sorts just before every entry that starts with ``key``.
+            found = bisect_left(entries, (key,), position)
+            if found > position:
+                untouched = entries[position:found]
+                run += untouched
+                encoded += encode_many(untouched)
+            replaces = found < len(entries) and entries[found][0] == key
+            position = found + 1 if replaces else found
+            if entry is None:
+                emitter.emit_run(run, encoded, last_edited)
+                emitter.mark_edit()
+                run, encoded, last_edited = [], [], None
+            else:
+                last_edited = len(run)
+                run.append(entry)
+                encoded.append(encode(entry))
+        if position < len(entries):
+            untouched = entries[position:]
+            run += untouched
+            encoded += encode_many(untouched)
+        emitter.emit_run(run, encoded, last_edited)
 
     while True:
         if emitter.in_sync(window):
@@ -268,20 +309,10 @@ def _splice_level(
                 emitter.begin_region(preceding)
         entries = walker.current.entries
         consumed.append(entries[-1][0])
-        # Merge this node's entries with the ops landing in it into one
-        # batch (the chunker hashes it in a single vectorized pass).
-        batch: List[_EmitItem] = []
-        for entry in entries:
-            while op_index < len(ops) and ops[op_index][0] < entry[0]:
-                batch.append(take_op())
-            if op_index < len(ops) and ops[op_index][0] == entry[0]:
-                batch.append(take_op())
-            else:
-                batch.append((entry, encode(entry), False))
-        emitter.emit_batch(batch)
+        emit_node(entries, entries[-1][0])
         if not walker.advance():
             # End of the level: any remaining ops append past the max key.
-            emitter.emit_batch([take_op() for _ in range(op_index, len(ops))])
+            emit_node((), None)
             emitter.flush()
             return emitter.descriptors, consumed, one_region
 

@@ -154,7 +154,7 @@ def _build_list_index_levels(
         next_level: List[ListIndexEntry] = []
         for start, end in fast_entry_spans(encoded, config.index):
             node = ListIndexNode(level, descriptors[start:end])
-            store.put(node.to_chunk())
+            store.put_node(node.to_chunk(), node)
             next_level.append(node.descriptor())
         descriptors = next_level
         level += 1
@@ -189,24 +189,23 @@ class PositionalTree:
         descriptors: List[ListIndexEntry] = []
         for start, end in fast_entry_spans(encoded, config.leaf):
             node = ListLeafNode(materialized[start:end])
-            store.put(node.to_chunk())
+            store.put_node(node.to_chunk(), node)
             descriptors.append(node.descriptor())
         if not descriptors:
             node = ListLeafNode([])
-            store.put(node.to_chunk())
+            store.put_node(node.to_chunk(), node)
             return cls(store, node.uid, config)
         return cls(store, _build_list_index_levels(store, descriptors, config), config)
 
     def _node(self, uid: Uid) -> Union["ListLeafNode", "ListIndexNode"]:
-        getter = getattr(self.store, "get_node", None)
-        if getter is not None:
-            decoded = getter(uid)
-            if isinstance(decoded, (ListLeafNode, ListIndexNode)):
-                return decoded
-        chunk = self.store.get(uid)
-        if chunk.type == ChunkType.LIST_LEAF:
-            return ListLeafNode.from_chunk(chunk)
-        return ListIndexNode.from_chunk(chunk)
+        node = self.store.get_node(uid)
+        if node.__class__ is Chunk:
+            if node.type == ChunkType.LIST_LEAF:
+                return ListLeafNode.from_chunk(node)
+            return ListIndexNode.from_chunk(node)
+        if isinstance(node, (ListLeafNode, ListIndexNode)):
+            return node
+        raise ChunkEncodingError(f"not a list node: {uid.short()} is a {type(node).__name__}")
 
     def __len__(self) -> int:
         return self._node(self.root).count
@@ -365,25 +364,23 @@ class BlobTree:
         descriptors: List[ListIndexEntry] = []
         for start, end in fast_chunk_spans(data, blob_config):
             chunk = Chunk(ChunkType.BLOB, data[start:end])
-            store.put(chunk)
+            store.put_node(chunk, chunk)
             descriptors.append(ListIndexEntry(chunk.uid, end - start))
         if not descriptors:
             chunk = Chunk(ChunkType.BLOB, b"")
-            store.put(chunk)
+            store.put_node(chunk, chunk)
             return cls(store, chunk.uid, blob_config, tree_config)
         root = _build_list_index_levels(store, descriptors, tree_config)
         return cls(store, root, blob_config, tree_config)
 
     def _node(self, uid: Uid) -> Union[Chunk, "ListIndexNode"]:
-        getter = getattr(self.store, "get_node", None)
-        if getter is not None:
-            decoded = getter(uid)
-            if isinstance(decoded, (Chunk, ListIndexNode)):
-                return decoded
-        chunk = self.store.get(uid)
-        if chunk.type == ChunkType.BLOB:
-            return chunk
-        return ListIndexNode.from_chunk(chunk)
+        node = self.store.get_node(uid)
+        if node.__class__ is Chunk:
+            # A blob leaf is its own decoded form.
+            return node if node.type == ChunkType.BLOB else ListIndexNode.from_chunk(node)
+        if isinstance(node, ListIndexNode):
+            return node
+        raise ChunkEncodingError(f"not a blob node: {uid.short()} is a {type(node).__name__}")
 
     def size(self) -> int:
         """Total byte length."""

@@ -102,10 +102,13 @@ def encode_index_entries(entries: List[IndexEntry]) -> List[bytes]:
     append = out.append
     for split_key, child, count in entries:
         key_len = len(split_key)
-        if key_len < 128 and count < 128:
-            append(uv1[key_len] + split_key + child.digest + uv1[count])
-        else:
-            append(uv(key_len) + split_key + child.digest + uv(count))
+        # Keys are short at every level; counts outgrow one byte above level 1.
+        append(
+            (uv1[key_len] if key_len < 128 else uv(key_len))
+            + split_key
+            + child.digest
+            + (uv1[count] if count < 128 else uv(count))
+        )
     return out
 
 
@@ -170,13 +173,14 @@ class LeafNode:
         return [encode_leaf_entry(entry) for entry in self.entries]
 
     def tail_bytes(self, window: int) -> bytes:
-        """Last ``window`` bytes of the entry stream (window seeding)."""
-        tail = b""
-        for entry in reversed(self.entries):
-            tail = encode_leaf_entry(entry) + tail
-            if len(tail) >= window:
-                break
-        return tail[-window:]
+        """Last ``window`` bytes of the entry stream (window seeding).
+
+        The payload is the count varint followed by exactly that stream,
+        so the tail is a slice of it: no entry is encoded again.
+        """
+        data = self.to_chunk().data
+        header = len(_uvarint_bytes(len(self.entries)))
+        return data[max(header, len(data) - window) :]
 
     def find(self, key: bytes) -> Optional[bytes]:
         """Binary-search the run for ``key``; return its value or None."""
@@ -270,13 +274,14 @@ class IndexNode:
         return [encode_index_entry(entry) for entry in self.entries]
 
     def tail_bytes(self, window: int) -> bytes:
-        """Last ``window`` bytes of the entry stream (window seeding)."""
-        tail = b""
-        for entry in reversed(self.entries):
-            tail = encode_index_entry(entry) + tail
-            if len(tail) >= window:
-                break
-        return tail[-window:]
+        """Last ``window`` bytes of the entry stream (window seeding).
+
+        A slice of the payload past its level and count varints, as in
+        :meth:`LeafNode.tail_bytes`.
+        """
+        data = self.to_chunk().data
+        header = len(_uvarint_bytes(self.level)) + len(_uvarint_bytes(len(self.entries)))
+        return data[max(header, len(data) - window) :]
 
     def child_for(self, key: bytes) -> int:
         """Index of the child whose subtree may contain ``key``.

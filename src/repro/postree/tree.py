@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.chunk import Uid
-from repro.errors import TreeError
+from repro.chunk import Chunk, Uid
+from repro.errors import ChunkEncodingError, TreeError
 from repro.postree.builder import bulk_build
 from repro.postree.config import DEFAULT_TREE_CONFIG, TreeConfig
 from repro.postree.node import (
@@ -78,18 +78,18 @@ class PosTree:
     # -- node access ---------------------------------------------------------
 
     def node(self, uid: Uid) -> Node:
-        """Load and decode a node chunk.
+        """Load a node in decoded form.
 
-        Stores that cache decoded nodes advertise the duck-typed
-        ``get_node`` hook (:mod:`repro.store.nodecache`); when present, a
-        hot descent costs one dict probe instead of a fetch + decode.
+        Through the store's node seam: a store that remembers decoded
+        nodes (:mod:`repro.store.nodecache`) hands one back for a dict
+        probe; any other hands back the chunk, decoded here.
         """
-        getter = getattr(self.store, "get_node", None)
-        if getter is not None:
-            decoded = getter(uid)
-            if isinstance(decoded, (LeafNode, IndexNode)):
-                return decoded
-        return load_node(self.store.get(uid))
+        node = self.store.get_node(uid)
+        if node.__class__ is Chunk:
+            return load_node(node)
+        if isinstance(node, (LeafNode, IndexNode)):
+            return node
+        raise ChunkEncodingError(f"not a POS-Tree node: {uid.short()} is a {type(node).__name__}")
 
     def root_node(self) -> Node:
         """The decoded root."""

@@ -28,8 +28,10 @@ everything degrades to the pure reference implementation.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import accumulate
 from typing import Any, Iterator, List, Sequence, Tuple, Union
 
 from repro.rolling.chunker import (
@@ -162,19 +164,19 @@ def _position_low16(data: bytes, config: ChunkerConfig, tail: bytes) -> Any:
             for m, table in enumerate(pair_tables):
                 part = idx[base - 2 * m : base - 2 * m + cnt]
                 if first:
-                    _np.take(table, part, out=acc, mode="clip")
+                    table.take(part, out=acc, mode="clip")
                     first = False
                 else:
-                    _np.take(table, part, out=scratch[:cnt], mode="clip")
+                    table.take(part, out=scratch[:cnt], mode="clip")
                     _np.bitwise_xor(acc, scratch[:cnt], out=acc)
         if single is not None:
             # Odd window: the last offset (window - 1) reads buffer[i + 1].
             idx = seg[:cnt]
             _np.copyto(idx, buffer[1 + block_start : 1 + block_end], casting="unsafe")
             if first:
-                _np.take(single, idx, out=acc, mode="clip")
+                single.take(idx, out=acc, mode="clip")
             else:
-                _np.take(single, idx, out=scratch[:cnt], mode="clip")
+                single.take(idx, out=scratch[:cnt], mode="clip")
                 _np.bitwise_xor(acc, scratch[:cnt], out=acc)
     return values
 
@@ -339,15 +341,15 @@ class VectorEntryChunker:
         data = b"".join(encoded)
         stream_len = len(data)
 
+        # numpy does the hash pass only; the replay below runs on plain
+        # lists (``bisect`` on a list beats ``np.searchsorted`` + ``int()``
+        # per node at every batch size, most at the editor's ~10 entries).
+        candidates: List[int] = []
         if stream_len:
-            candidates = _pattern_candidates(data, config, self._tail)
+            candidates = _pattern_candidates(data, config, self._tail).tolist()
             self._tail = (self._tail + data)[-config.window :]
-        else:
-            candidates = _np.empty(0, dtype=_np.int64)
         total_candidates = len(candidates)
-        ends = _np.cumsum(
-            _np.fromiter((len(part) for part in encoded), dtype=_np.int64, count=total)
-        )
+        ends = list(accumulate(map(len, encoded)))
 
         min_size = config.min_size
         max_size = config.max_size
@@ -369,22 +371,18 @@ class VectorEntryChunker:
                     entry_count += total - index
                     break
                 boundaries.append(close)
-                node_start = int(ends[close])
+                node_start = ends[close]
                 entry_count = 0
                 pending = False
                 index = close + 1
                 continue
-            entry_start = int(ends[index - 1]) if index else 0
+            entry_start = ends[index - 1] if index else 0
             # First position satisfying the pattern rule with the min-size
             # gate (since ≥ min_size ⇔ position ≥ node_start + min_size - 1),
             # restricted to the unprocessed entries.
             threshold = max(node_start + min_size - 1, entry_start)
-            cand_index = (
-                int(_np.searchsorted(candidates, threshold)) if total_candidates else 0
-            )
-            pattern_pos = (
-                int(candidates[cand_index]) if cand_index < total_candidates else stream_len
-            )
+            cand_index = bisect_left(candidates, threshold)
+            pattern_pos = candidates[cand_index] if cand_index < total_candidates else stream_len
             # First position where the max-size clamp forces a hit.  While
             # not pending, since < max_size holds at every entry end (a
             # byte reaching max_size latches pending), so forced ≥ entry_start.
@@ -396,14 +394,14 @@ class VectorEntryChunker:
             # The paper's extension rule: the hit belongs to the entry
             # containing that byte, and the boundary moves to its end —
             # or later, if the min-entries gate is still unsatisfied.
-            hit_entry = int(_np.searchsorted(ends, hit_pos, side="right"))
+            hit_entry = bisect_right(ends, hit_pos)
             close = max(hit_entry, index + min_entries - entry_count - 1)
             if close >= total:
                 entry_count += total - index
                 pending = True
                 break
             boundaries.append(close)
-            node_start = int(ends[close])
+            node_start = ends[close]
             entry_count = 0
             pending = False
             index = close + 1

@@ -24,8 +24,10 @@ Implementations:
     compressed records under ``packs/`` + FBPX ``pack-index.dat`` (entries
     carry the record length); mmap reads; interior rot stops recovery
     loudly; segment compaction.  The throughput-oriented backend.
-- :class:`~repro.store.nodecache.NodeCacheStore` — LRU cache of *decoded*
-  POS-Tree nodes, so hot descents skip parsing entirely; the only cache.
+- :class:`~repro.store.nodecache.NodeCacheStore` — write-through LRU
+  cache of *decoded* nodes (tree nodes, blob leaves, FNodes) behind the
+  ``get_node`` / ``put_node`` seam every store has, so hot descents and
+  warm commits skip fetching and parsing entirely; the only cache.
 
 Maintenance: :mod:`repro.store.scrub` re-hashes every materialized copy
 against its content address, quarantining (and, on replicated stores,

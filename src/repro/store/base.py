@@ -8,7 +8,7 @@ optional read verification, and batch helpers on top.
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Iterator, List, Optional, Set
+from typing import Any, Iterable, Iterator, List, Optional, Set
 
 from repro.chunk import Chunk, Uid
 from repro.errors import ChunkNotFoundError
@@ -126,6 +126,26 @@ class ChunkStore:
     def has(self, uid: Uid) -> bool:
         """True if the chunk is materialized here."""
         return self._contains(uid)
+
+    # -- the node I/O seam -----------------------------------------------------
+
+    def put_node(self, chunk: Chunk, decoded: Any) -> bool:
+        """Store a chunk whose decoded form (``decoded``) the writer holds.
+
+        Everything above the store that writes a tree node or an FNode
+        writes it through here.  A store that caches nothing — this
+        default — has no use for ``decoded``: it is a plain :meth:`put`.
+        """
+        return self.put(chunk)
+
+    def get_node(self, uid: Uid) -> Any:
+        """Fetch a chunk for a reader that wants its decoded form.
+
+        Returns the decoded node when the store remembers one, else the
+        raw :class:`Chunk` for the reader to decode itself.  A store that
+        caches nothing — this default — is a plain :meth:`get`.
+        """
+        return self.get(uid)
 
     def delete(self, uid: Uid) -> bool:
         """Unmaterialize a chunk; return True if it was present.

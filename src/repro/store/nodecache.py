@@ -1,30 +1,40 @@
-"""LRU cache of *decoded* POS-Tree nodes over another chunk store.
+"""Write-through LRU cache of *decoded* nodes over another chunk store.
 
 A cache of raw chunks would save the device read but still pay entry
 decoding on every descent.  At tree fan-outs of ~60 the decode dominates
 a hot lookup, so this wrapper — the one cache in the store stack —
-caches the decoded node objects themselves: a hot descent touches no
-codec, no CRC, and no disk.  ``get`` deliberately always reaches the
-backing store, so ``verify()`` and the scrubber see on-disk damage
-through the cache.  Content addressing makes this safe: a uid names one
-immutable byte string forever, so a decoded node never needs
-invalidation, and sharing the cached object across readers is sound
-because nodes are sealed (FB-IMMUT).
+caches the decoded objects themselves: POS-Tree and list-tree nodes,
+blob leaves, and the FNode of a version.  A hot descent, and a hot
+``db.get``'s load of the branch head, touch no codec, no CRC and no disk.
 
-The cache is consumed through the duck-typed :meth:`get_node` hook: tree
-handles probe ``getattr(store, "get_node", None)`` and fall back to
-``get`` + decode when absent.  That keeps :mod:`repro.postree` (layer 5)
-ignorant of this module (layer 9, beside gc/scrub) — the tree knows only
-that *some* stores can hand it pre-decoded nodes.
+It is filled from both sides of the node I/O seam
+(:meth:`ChunkStore.put_node` / :meth:`ChunkStore.get_node`): a read
+remembers what it decoded, and a *write* remembers the object the writer
+just encoded — so the next commit's walk down the path the previous
+commit wrote decodes nothing.  Write-through never outruns the device:
+the backing ``put`` runs first, and the node is remembered only after it
+returned, so a put that raised leaves no entry.
 
-This is the shared cache ROADMAP item 1 puts in front of concurrent
-clients, so the node map and its counters are lock-guarded with the
-discipline declared via ``# guarded-by:`` annotations (FB-LOCKED proves
-every access sits under a dominating ``with self._lock``).  Decoding and
-backing-store reads happen outside the lock: a cache miss must not stall
-every hit behind the codec.  Read verification is inherited from the
-backing store unless overridden — wrapping a verifying store must not
-silently disable its tamper checks.
+``get`` / ``get_maybe`` deliberately bypass the cache and always reach
+the backing store, so ``verify()``, the scrubber and gc see on-disk
+damage through a warm cache — the price is that a cached node can
+outlive rot in its record until one of them looks.  Content addressing
+makes the sharing safe: a uid names one immutable byte string forever,
+so a decoded node never goes stale, and handing the same object to every
+reader is sound because nodes are sealed (FB-IMMUT).  It can become
+*unbacked*, which is what the sweep subscription below is for.
+
+This module sits above the layers whose nodes it decodes
+(:mod:`repro.postree` layer 5, :mod:`repro.vcs` layer 7); they see only
+the seam on :class:`ChunkStore`, whose default is plain ``put`` / ``get``.
+
+The node map and its counters are lock-guarded with the discipline
+declared via ``# guarded-by:`` annotations (FB-LOCKED proves every
+access sits under a dominating ``with self._lock``).  Decoding and
+backing-store traffic happen outside the lock: a cache miss must not
+stall every hit behind the codec.  Read verification is inherited from
+the backing store unless overridden — wrapping a verifying store must
+not silently disable its tamper checks.
 """
 
 from __future__ import annotations
@@ -38,11 +48,12 @@ from repro.postree.listtree import ListIndexNode, ListLeafNode
 from repro.postree.node import IndexNode, LeafNode, load_node
 from repro.store.base import ChunkStore, WrapperStore, physical_store
 from repro.store.stats import StoreStats
+from repro.vcs.fnode import FNode
 
 #: Everything ``get_node`` can hand back: keyed-tree nodes, list-tree
-#: nodes, or the raw chunk itself for types with no richer decoding
-#: (BLOB, FNODE, META, ...).
-DecodedNode = Union[LeafNode, IndexNode, ListLeafNode, ListIndexNode, Chunk]
+#: nodes, version records, or the raw chunk itself for types with no
+#: richer decoding (BLOB, META, ...).
+DecodedNode = Union[LeafNode, IndexNode, ListLeafNode, ListIndexNode, FNode, Chunk]
 
 
 def decode_chunk(chunk: Chunk) -> DecodedNode:
@@ -53,6 +64,8 @@ def decode_chunk(chunk: Chunk) -> DecodedNode:
         return ListLeafNode.from_chunk(chunk)
     if chunk.type == ChunkType.LIST_INDEX:
         return ListIndexNode.from_chunk(chunk)
+    if chunk.type == ChunkType.FNODE:
+        return FNode.decode(chunk)
     return chunk
 
 
@@ -79,6 +92,17 @@ class NodeCacheStore(WrapperStore):
         physical_store(backing).subscribe_sweeps(self)
 
     # -- the decoded-node surface --------------------------------------------
+
+    def put_node(self, chunk: Chunk, decoded: DecodedNode) -> bool:
+        """Store ``chunk`` and remember the form its writer already holds.
+
+        The ``put`` comes first: if it raises, nothing was remembered.
+        A dedup hit remembers too — the chunk is backed.
+        """
+        new = self.put(chunk)
+        with self._lock:
+            self._remember(chunk.uid, decoded)
+        return new
 
     def get_node(self, uid: Uid) -> DecodedNode:
         """Fetch a chunk decoded to its node form, via the LRU cache.

@@ -22,7 +22,7 @@ from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import ChunkCorruptionError, StoreClosedError, map_os_error
-from repro.faults.crash import crashing_write, crashpoint
+from repro.faults.crash import crashing_write, crashpoint, labels_observed
 from repro.store.appendlog import AppendLog
 from repro.store.base import ChunkStore
 from repro.store.durability import durable_replace, fsync_file
@@ -81,9 +81,10 @@ class SegmentStore(ChunkStore):
     #: to cover where the format records no length.
     _HEADER_SIZE: int
     #: Crash-boundary kinds (``None`` registers none): record append —
-    #: a format that declares one also labels each append with the uid,
-    #: so a torture run can name the record it died in — the batch
-    #: fsync, and the snapshot's write / fsync / replace.
+    #: a format that declares one also labels each append with the uid
+    #: while a fault plan is listening, so a torture run can name the
+    #: record it died in — the batch fsync, and the snapshot's write /
+    #: fsync / replace.
     _WRITE_KIND: Optional[str] = None
     _FSYNC_KIND: Optional[str] = None
     _INDEX_KINDS: Tuple[Optional[str], Optional[str], Optional[str]] = (None, None, None)
@@ -295,6 +296,9 @@ class SegmentStore(ChunkStore):
         ]
         for uid in doomed:
             del self._index[uid]
+        # A decoded-node cache above must not keep serving what was just
+        # un-acked: tell it, as a sweep would.
+        self.notify_swept(doomed)
 
     def _check_writer(self) -> None:
         if self._closed:
@@ -312,7 +316,9 @@ class SegmentStore(ChunkStore):
             self._active += 1
             self._segments.append(self._active)
             self._log = self._open_log(self._active, 0)
-        label = chunk.uid.short() if self._WRITE_KIND else ""
+        # The label names the record a torture run died in; rendering it
+        # is Base32 work nobody reads unless a fault plan is listening.
+        label = chunk.uid.short() if self._WRITE_KIND and labels_observed() else ""
         offset = self._log.append(record, label)
         self._index[chunk.uid] = (self._active, offset, len(record))[: self._LOCATION_FIELDS]
         self.stats.record_io(written=len(record))

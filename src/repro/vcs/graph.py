@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Optional, Set
 
-from repro.chunk import ChunkType, Uid
+from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import ChunkNotFoundError, UnknownVersionError
 from repro.store.base import ChunkStore
 from repro.vcs.fnode import FNode
@@ -20,23 +20,33 @@ class VersionGraph:
     def commit(self, fnode: FNode) -> Uid:
         """Materialize an FNode; returns its uid (idempotent)."""
         chunk = fnode.encode()
-        self.store.put(chunk)
+        self.store.put_node(chunk, fnode)
         return chunk.uid
 
     def load(self, uid: Uid) -> FNode:
-        """Fetch an FNode or raise :class:`UnknownVersionError`."""
+        """Fetch an FNode or raise :class:`UnknownVersionError`.
+
+        Through the store's node seam, so a store that remembers decoded
+        nodes serves the version it was handed at :meth:`commit` (or
+        decoded for an earlier load) without a fetch or a decode.
+        """
         try:
-            chunk = self.store.get(uid)
+            node = self.store.get_node(uid)
         except ChunkNotFoundError:
             raise UnknownVersionError(uid) from None
-        if chunk.type != ChunkType.FNODE:
-            raise UnknownVersionError(uid)
-        return FNode.decode(chunk)
+        if isinstance(node, FNode):
+            return node
+        if node.__class__ is Chunk and node.type == ChunkType.FNODE:
+            return FNode.decode(node)
+        raise UnknownVersionError(uid)
 
     def exists(self, uid: Uid) -> bool:
         """True if ``uid`` resolves to a stored FNode."""
-        chunk = self.store.get_maybe(uid)
-        return chunk is not None and chunk.type == ChunkType.FNODE
+        try:
+            self.load(uid)
+        except UnknownVersionError:
+            return False
+        return True
 
     def history(self, head: Uid, limit: Optional[int] = None) -> Iterator[FNode]:
         """Walk ancestors newest-first (first parent order, BFS on merges)."""

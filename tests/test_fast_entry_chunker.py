@@ -98,6 +98,49 @@ def test_batch_split_invariance(entries, splits, preceding):
         assert got == expected
 
 
+def _compositions(total, parts=(1, 2, 3)):
+    """Every way to cut ``total`` entries into consecutive batches of 1-3."""
+    if total == 0:
+        yield []
+    for part in parts:
+        if part <= total:
+            for rest in _compositions(total - part, parts):
+                yield [part] + rest
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # a pattern in nearly every entry: pending latches at once and the
+        # min-entries gate decides every boundary
+        ChunkerConfig(window=4, pattern_bits=1, min_size=4, max_size=4096, min_entries=3),
+        ChunkerConfig(window=4, pattern_bits=2, min_size=4, max_size=4096, min_entries=4),
+        # no pattern to speak of: the max-size clamp latches it instead
+        ChunkerConfig(pattern_bits=14, min_size=16, max_size=40, min_entries=3),
+    ],
+    ids=["q1-min3", "q2-min4", "clamp-min3"],
+)
+def test_tiny_batches_with_pending_latched_across_every_split(config):
+    """The replay's small-input corner: batches of 1-3 entries, cut at every
+    index, with a pattern seen before ``min_entries`` entries joined the
+    node carried (``pending``) from one batch into the next."""
+    rng = random.Random(29)
+    entries = [rng.randbytes(rng.randrange(12, 30)) for _ in range(9)]
+    reference = EntryChunker(config)
+    expected = [i for i, entry in enumerate(entries) if reference.push(entry)]
+    assert expected, "config must close nodes inside the stream"
+    latched = 0
+    for batches in _compositions(len(entries)):
+        vector = VectorEntryChunker(config)
+        got, lo = [], 0
+        for size in batches:
+            got.extend(lo + b for b in vector.push_many(entries[lo : lo + size]))
+            lo += size
+            latched += vector._pending and lo < len(entries)
+        assert got == expected, batches
+    assert latched, "no split ever carried a latched pattern: the test is vacuous"
+
+
 def _random_pairs(rng, count, value_size):
     return {
         b"key-%08d" % rng.randrange(10 * count): bytes(

@@ -21,6 +21,7 @@ from repro.db.engine import (
     ForkBase,
 )
 from repro.errors import (
+    ChunkNotFoundError,
     DiskFaultError,
     DiskFullError,
     EngineLockedError,
@@ -31,6 +32,8 @@ from repro.errors import (
 )
 from repro.faults import FaultyOS, FsFaultPlan, fs_zone
 from repro.faults.fs import TARGETED_FLAVORS
+from repro.postree.node import LeafEntry, LeafNode
+from repro.store import NodeCacheStore
 from repro.store.durability import (
     active_injector,
     durable_replace,
@@ -230,6 +233,28 @@ def test_unrecoverable_fsync_poisons_writer(tmp_path, factory):
     for chunk in chunks:
         assert not reopened.has(chunk.uid)
     reopened.close()
+
+
+@pytest.mark.parametrize("populate", ["read", "write-through"])
+@pytest.mark.parametrize("factory", [FileStore, PackStore], ids=["file", "pack"])
+def test_unack_evicts_decoded_nodes(tmp_path, factory, populate):
+    """A poison un-acks flushed-but-unsynced records; a node cache above
+    must stop serving them, however the entry got there."""
+    backing = factory(str(tmp_path / "chunks"))
+    cache = NodeCacheStore(backing)
+    leaf = LeafNode([LeafEntry(b"key", b"value")])
+    if populate == "read":
+        cache.put(leaf.to_chunk())
+        assert isinstance(cache.get_node(leaf.uid), LeafNode)
+    else:
+        cache.put_node(leaf.to_chunk(), leaf)
+    with fs_zone(FsFaultPlan(fsync_fail_rate=1.0)):
+        with pytest.raises(DiskFaultError):
+            cache.put_many([_chunk(b"a"), _chunk(b"b")])
+    assert backing.poisoned and not backing.has(leaf.uid)
+    with pytest.raises(ChunkNotFoundError):
+        cache.get_node(leaf.uid)
+    cache.close()
 
 
 @pytest.mark.parametrize(

@@ -1,23 +1,49 @@
 """Deeper coverage for repro.store.gc and the cache wrapper.
 
-Three scenarios the basic suites skip: sweeping with live roots explicitly
+Four scenarios the basic suites skip: sweeping with live roots explicitly
 pinned (version archival on top of GC), reads through the cache when the
-backing store verifies every read, and cache coherence across deletes.
+backing store verifies every read, cache coherence across deletes, and
+write-through (``put_node``) never remembering more than the device holds.
 """
+
+import os
 
 import pytest
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.cluster import ClusterStore
 from repro.db import ForkBase
-from repro.errors import ChunkCorruptionError, ChunkNotFoundError
-from repro.faults import flip_at
-from repro.store import InMemoryStore, NodeCacheStore
+from repro.errors import (
+    ChunkCorruptionError,
+    ChunkNotFoundError,
+    DiskFaultError,
+    DiskFullError,
+    ReadOnlyError,
+)
+from repro.faults import FsFaultPlan, flip_at, fs_zone
+from repro.postree.node import LeafEntry, LeafNode
+from repro.store import FileStore, InMemoryStore, NodeCacheStore, PackStore, physical_store
 from repro.store.gc import collect_garbage, mark_live
+from repro.types import FMap
+
+#: The two ways a decoded node gets into the cache.  Tests that predate
+#: write-through loop over both (their names are pinned), new ones
+#: parametrise.
+POPULATE = ("read", "write-through")
 
 
 def _chunk(payload: bytes) -> Chunk:
     return Chunk(ChunkType.BLOB, payload)
+
+
+def _cache(cache: NodeCacheStore, chunk: Chunk, populate: str) -> None:
+    """Store ``chunk`` and get its decoded form (itself: a BLOB) cached."""
+    if populate == "read":
+        cache.put(chunk)
+        cache.get_node(chunk.uid)
+    else:
+        cache.put_node(chunk, chunk)
+    assert chunk.uid in cache._nodes
 
 
 class TestSweepWithPinnedRoots:
@@ -83,40 +109,42 @@ class TestCachedStoreVerifyReads:
 
 class TestDeleteWhileCached:
     def test_delete_through_wrapper_drops_cache_entry(self):
-        backing = InMemoryStore()
-        cache = NodeCacheStore(backing, capacity=4)
-        chunk = _chunk(b"gone")
-        cache.put(chunk)
-        assert cache.get_node(chunk.uid).data == b"gone"  # now cached
+        for populate in POPULATE:
+            backing = InMemoryStore()
+            cache = NodeCacheStore(backing, capacity=4)
+            chunk = _chunk(b"gone")
+            _cache(cache, chunk, populate)
+            assert cache.get_node(chunk.uid).data == b"gone"
 
-        assert cache.delete(chunk.uid) is True
-        assert not cache.has(chunk.uid)
-        assert cache.get_maybe(chunk.uid) is None
-        with pytest.raises(ChunkNotFoundError):
-            cache.get(chunk.uid)
+            assert cache.delete(chunk.uid) is True
+            assert not cache.has(chunk.uid)
+            assert cache.get_maybe(chunk.uid) is None
+            with pytest.raises(ChunkNotFoundError):
+                cache.get(chunk.uid)
 
     def test_backing_delete_then_wrapper_delete_is_coherent(self):
-        backing = InMemoryStore()
-        cache = NodeCacheStore(backing, capacity=4)
-        chunk = _chunk(b"stale")
-        cache.put(chunk)
-        cache.get_node(chunk.uid)
+        for populate in POPULATE:
+            backing = InMemoryStore()
+            cache = NodeCacheStore(backing, capacity=4)
+            chunk = _chunk(b"stale")
+            _cache(cache, chunk, populate)
 
-        backing.delete(chunk.uid)  # out-of-band delete: cache is now stale
-        assert cache.delete(chunk.uid) is False  # backing already empty...
-        assert chunk.uid not in cache._nodes  # ...but the entry is gone
-        with pytest.raises(ChunkNotFoundError):
-            cache.get_node(chunk.uid)
+            backing.delete(chunk.uid)  # out-of-band delete: cache is now stale
+            assert cache.delete(chunk.uid) is False  # backing already empty...
+            assert chunk.uid not in cache._nodes  # ...but the entry is gone
+            with pytest.raises(ChunkNotFoundError):
+                cache.get_node(chunk.uid)
 
     def test_reinsert_after_delete_serves_fresh_chunk(self):
-        backing = InMemoryStore()
-        cache = NodeCacheStore(backing, capacity=4)
-        chunk = _chunk(b"again")
-        cache.put(chunk)
-        cache.delete(chunk.uid)
-        cache.put(chunk)
-        assert cache.get_node(chunk.uid).data == b"again"
-        assert backing.has(chunk.uid)
+        for populate in POPULATE:
+            backing = InMemoryStore()
+            cache = NodeCacheStore(backing, capacity=4)
+            chunk = _chunk(b"again")
+            _cache(cache, chunk, populate)
+            cache.delete(chunk.uid)
+            _cache(cache, chunk, populate)
+            assert cache.get_node(chunk.uid).data == b"again"
+            assert backing.has(chunk.uid)
 
 
 class TestSweepInvalidationBus:
@@ -124,25 +152,38 @@ class TestSweepInvalidationBus:
     physical store's sweep bus must keep every subscribed cache coherent."""
 
     def test_gc_then_cached_descent_misses_swept_chunks(self):
+        for populate in POPULATE:
+            self._gc_then_cached_descent(populate)
+
+    def _gc_then_cached_descent(self, populate):
         backing = InMemoryStore()
         engine = ForkBase(store=backing, clock=lambda: 0.0)
         engine.put("keep", {f"k{i:03d}": "v" for i in range(100)})
-        engine.put("doomed", {f"d{i:03d}": "x" * 40 for i in range(200)})
-        doomed_head = engine.head("doomed")
+        # Two independent cached readers over the same physical store,
+        # both holding the doomed subtree before the sweep.
+        other_cache = NodeCacheStore(backing, capacity=4096)
+        node_cache = NodeCacheStore(backing, capacity=4096)
+        doomed = {f"d{i:03d}": "x" * 40 for i in range(200)}
+        if populate == "read":
+            engine.put("doomed", doomed)
+            doomed_head = engine.head("doomed")
+        else:
+            # Another client wrote it through its own cache; the sweeping
+            # engine never learns the branch, so to it the subtree is garbage.
+            doomed_head = ForkBase(store=node_cache, clock=lambda: 0.0).put("doomed", doomed).uid
         doomed_only = mark_live(backing, [doomed_head]) - mark_live(
             backing, [engine.head("keep")]
         )
-        # Two independent cached readers over the same physical store,
-        # both warmed with the doomed subtree before the sweep.
-        other_cache = NodeCacheStore(backing, capacity=4096)
-        node_cache = NodeCacheStore(backing, capacity=4096)
         for uid in doomed_only:
             assert other_cache.get_node(uid) is not None
-        node_cache.get_node(doomed_head)
+        if populate == "read":
+            node_cache.get_node(doomed_head)
+            engine.delete_branch("doomed", "master")
+        else:
+            assert all(uid in node_cache._nodes for uid in doomed_only)
         assert all(uid in other_cache._nodes for uid in doomed_only)
         assert doomed_head in node_cache._nodes
 
-        engine.delete_branch("doomed", "master")
         report = collect_garbage(engine)
         assert report.swept_chunks > 0
         # The sweep fanned out: neither cache may serve a chunk the
@@ -150,6 +191,7 @@ class TestSweepInvalidationBus:
         for uid in doomed_only:
             if not backing.has(uid):
                 assert uid not in other_cache._nodes
+                assert uid not in node_cache._nodes
         assert not backing.has(doomed_head)
         assert doomed_head not in node_cache._nodes
         with pytest.raises(ChunkNotFoundError):
@@ -185,3 +227,95 @@ class TestSweepInvalidationBus:
             # and a re-read refetches the repaired copy through the cluster.
             assert chunk.uid not in cache._nodes
             assert cache.get_node(chunk.uid).data == chunk.data
+
+
+class TestWriteThroughNeverOutrunsTheDevice:
+    """``put_node`` remembers a node only once its chunk is stored."""
+
+    @pytest.mark.parametrize("factory", [FileStore, PackStore], ids=["file", "pack"])
+    def test_failed_put_leaves_no_entry(self, tmp_path, factory):
+        cache = NodeCacheStore(factory(str(tmp_path / "chunks")))
+        leaf = LeafNode([LeafEntry(b"key", b"value")])
+        # Every write fails: ENOSPC outlasts the append path's bounded retry.
+        with fs_zone(FsFaultPlan(enospc_rate=1.0)):
+            with pytest.raises(DiskFullError):
+                cache.put_node(leaf.to_chunk(), leaf)
+        assert leaf.uid not in cache._nodes
+        with pytest.raises(ChunkNotFoundError):
+            cache.get_node(leaf.uid)
+        # ENOSPC un-acks cleanly: with space back the same write goes through.
+        assert cache.put_node(leaf.to_chunk(), leaf) is True
+        assert cache.get_node(leaf.uid) is leaf
+        # A poisoned writer refuses the put outright: still nothing remembered.
+        with fs_zone(FsFaultPlan(fsync_fail_rate=1.0)):
+            with pytest.raises(DiskFaultError):
+                cache.put_many([_chunk(b"a"), _chunk(b"b")])
+        other = LeafNode([LeafEntry(b"other", b"value")])
+        with pytest.raises(DiskFaultError):
+            cache.put_node(other.to_chunk(), other)
+        assert other.uid not in cache._nodes
+        cache.close()
+
+    def test_degraded_engine_remembers_nothing(self, tmp_path):
+        db = ForkBase.open(str(tmp_path / "db"), node_cache=64)
+        db.put("doc", {"a": "1"})
+        db._degrade("test: disk fault")
+        remembered = set(db.store._nodes)
+        with pytest.raises(ReadOnlyError):
+            db.put("doc", {"a": "2"})
+        assert set(db.store._nodes) == remembered
+        db.close()
+
+    def test_dedup_hit_still_remembers(self):
+        backing = InMemoryStore()
+        cache = NodeCacheStore(backing)
+        leaf = LeafNode([LeafEntry(b"key", b"value")])
+        backing.put(leaf.to_chunk())
+        assert cache.put_node(leaf.to_chunk(), leaf) is False
+        assert cache.get_node(leaf.uid) is leaf
+        assert cache.node_hits == 1
+
+    @staticmethod
+    def _flip_payload_byte(store, uid: Uid) -> None:
+        """Rot the last payload byte of ``uid``'s record on disk."""
+        location = store._index[uid]
+        path = store._segment_path(location[0])
+        if isinstance(store, PackStore):
+            store._drop_maps()
+            position = location[1] + location[2] - 1
+        else:
+            position = location[1] + store._HEADER_SIZE  # first payload byte
+        with open(path, "r+b") as handle:
+            handle.seek(position)
+            byte = handle.read(1)
+            handle.seek(position)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+            handle.flush()
+            os.fsync(handle.fileno())
+
+    @pytest.mark.parametrize("backend", ["file", "pack"])
+    def test_rot_under_a_warm_cache_is_still_reported(self, tmp_path, backend):
+        """The documented trade: ``db.get`` serves the cached head and
+        nodes, ``verify()`` and ``scrub()`` read the device and see rot."""
+        db = ForkBase.open(str(tmp_path / "db"), backend=backend, node_cache=256)
+        db.put("doc", FMap.from_dict(db.store, {b"k%04d" % i: b"v" * 60 for i in range(400)}))
+        edited = db.get("doc").set(b"k0200", b"edited")
+        head = db.put("doc", edited).uid
+        backing = physical_store(db.store)
+        gets = backing.stats.gets
+        # The head and the leaf the edit just wrote are cached by write-through.
+        leaf = next(leaf for leaf in edited.tree.leaves(b"k0200"))
+        assert backing.stats.gets == gets
+        assert db.verify("doc").ok
+        # Served from the cache, so the warm engine does not notice; the
+        # checks that exist to notice read the device and do.
+        self._flip_payload_byte(backing, leaf.uid)
+        assert db.get("doc").get(b"k0200") == b"edited"
+        report = db.verify("doc")
+        assert not report.ok and report.corrupt == 1
+        self._flip_payload_byte(backing, head)
+        assert db.get("doc").get(b"k0200") == b"edited"
+        assert not db.verify("doc").ok
+        scrubbed = db.scrub()
+        assert set(scrubbed.corrupt_uids) == {leaf.uid, head}
+        db.abandon()
