@@ -44,6 +44,10 @@ class ChunkType(enum.IntEnum):
         return bytes([int(self)])
 
 
+#: The tag byte of every chunk type, keyed by member (and so by its int).
+_TAG_BYTES = {member: member.tag() for member in ChunkType}
+
+
 class Chunk:
     """An immutable `(type, payload)` pair addressed by its SHA-256 uid."""
 
@@ -61,8 +65,10 @@ class Chunk:
     @staticmethod
     def compute_uid(type_: ChunkType, data: bytes) -> Uid:
         """SHA-256 over the tag byte followed by the payload."""
-        hasher = hashlib.sha256()
-        hasher.update(ChunkType(type_).tag())
+        try:
+            hasher = hashlib.sha256(_TAG_BYTES[type_])
+        except KeyError:
+            raise ValueError(f"{type_!r} is not a valid ChunkType") from None
         hasher.update(data)
         return Uid(hasher.digest())
 

@@ -15,20 +15,25 @@ equal holdings; a diff descends only through differing interior nodes and
 returns exactly the differing buckets.
 
 ``sync``/``anti_entropy_pass`` then ship **only the missing or rotten
-chunks**: tree construction re-hashes each local copy (reusing the
-scrubber's wire-vs-disk discrimination), so a rotted replica drops out of
-its node's digest, shows up as a differing bucket, and gets re-shipped
-from a healthy peer — O(divergence) transfers, not O(N).
+chunks**: building a node's *index* re-reads and re-hashes each local
+copy (reusing the scrubber's wire-vs-disk discrimination), so a rotted
+replica drops out of its node's index, shows up as a differing bucket,
+and gets re-shipped from a healthy peer — O(divergence) transfers, not
+O(N).  The *trees* are not rebuilt from that index: one
+:class:`ReplicaDigests` per cluster carries them (and the ring placement
+of every held uid) from pass to pass and folds in only what the fresh
+index says changed, so digest maintenance costs O(changed · depth).
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.chunk import Chunk, Uid
-from repro.cluster.ring import POSITION_BITS, ring_position
+from repro.cluster.ring import POSITION_BITS, HashRing, ring_position
 from repro.errors import StoreError, TransientError
 from repro.faults import kernel
 from repro.store.scrub import diagnose_copy
@@ -45,9 +50,14 @@ _EMPTY_DIGEST = b"\x00" * 32
 
 
 class DigestTree:
-    """A Merkle summary of one node's uid holdings, bucketed by ring arc."""
+    """A Merkle summary of one node's uid holdings, bucketed by ring arc.
 
-    __slots__ = ("depth", "buckets", "_levels")
+    Incremental: ``add``/``remove`` update the bucket's XOR accumulator
+    and mark the bucket dirty; the next digest read re-hashes only the
+    interior nodes above dirty buckets.
+    """
+
+    __slots__ = ("depth", "buckets", "_sums", "_levels", "_dirty")
 
     def __init__(self, depth: int = DEFAULT_DEPTH) -> None:
         if not 1 <= depth <= 16:
@@ -55,7 +65,12 @@ class DigestTree:
         self.depth = depth
         #: Per-bucket member sets (bucket index -> uids on this arc).
         self.buckets: List[Set[Uid]] = [set() for _ in range(1 << depth)]
-        self._levels: Optional[List[List[bytes]]] = None
+        #: Per-bucket XOR of member uid digests, as an int.
+        self._sums = [0] * (1 << depth)
+        #: Tree levels, root first: levels[0] = [root], levels[depth] = leaves.
+        self._levels = [[_EMPTY_DIGEST] * (1 << level) for level in range(depth + 1)]
+        #: Buckets whose leaf and ancestors are stale (all, until first fold).
+        self._dirty: Set[int] = set(range(1 << depth))
 
     @classmethod
     def from_uids(cls, uids: Iterable[Uid], depth: int = DEFAULT_DEPTH) -> "DigestTree":
@@ -69,15 +84,25 @@ class DigestTree:
         """Which bucket (ring arc) a uid falls into."""
         return ring_position(uid) >> (POSITION_BITS - self.depth)
 
-    def add(self, uid: Uid) -> None:
-        """Include a uid (idempotent)."""
-        self.buckets[self.bucket_of(uid)].add(uid)
-        self._levels = None
+    def add(self, uid: Uid, bucket: Optional[int] = None) -> None:
+        """Include a uid (idempotent); ``bucket`` is a memoised ``bucket_of(uid)``."""
+        if bucket is None:
+            bucket = self.bucket_of(uid)
+        members = self.buckets[bucket]
+        if uid not in members:
+            members.add(uid)
+            self._sums[bucket] ^= int.from_bytes(uid.digest, "big")
+            self._dirty.add(bucket)
 
-    def remove(self, uid: Uid) -> None:
-        """Exclude a uid (no-op when absent)."""
-        self.buckets[self.bucket_of(uid)].discard(uid)
-        self._levels = None
+    def remove(self, uid: Uid, bucket: Optional[int] = None) -> None:
+        """Exclude a uid (no-op when absent); ``bucket`` as for :meth:`add`."""
+        if bucket is None:
+            bucket = self.bucket_of(uid)
+        members = self.buckets[bucket]
+        if uid in members:
+            members.remove(uid)
+            self._sums[bucket] ^= int.from_bytes(uid.digest, "big")
+            self._dirty.add(bucket)
 
     def bucket_uids(self, index: int) -> Set[Uid]:
         """The member set of one bucket (treat as read-only)."""
@@ -85,27 +110,25 @@ class DigestTree:
 
     def bucket_digest(self, index: int) -> bytes:
         """XOR of member uid digests: order-independent and incremental."""
-        acc = 0
-        for uid in self.buckets[index]:
-            acc ^= int.from_bytes(uid.digest, "big")
-        return acc.to_bytes(32, "big")
+        return self._sums[index].to_bytes(32, "big")
 
     def _level_digests(self) -> List[List[bytes]]:
-        """All tree levels, root first: levels[0] = [root], levels[depth] = leaves."""
-        if self._levels is None:
-            leaves = [self.bucket_digest(i) for i in range(1 << self.depth)]
-            levels = [leaves]
-            while len(levels[0]) > 1:
-                below = levels[0]
-                levels.insert(
-                    0,
-                    [
-                        hashlib.sha256(below[2 * i] + below[2 * i + 1]).digest()
-                        for i in range(len(below) // 2)
-                    ],
-                )
-            self._levels = levels
-        return self._levels
+        """All tree levels, root first, re-folding only above dirty buckets."""
+        levels = self._levels
+        touched = self._dirty
+        if touched:
+            leaves = levels[self.depth]
+            for index in touched:
+                leaves[index] = self.bucket_digest(index)
+            for level in range(self.depth - 1, -1, -1):
+                touched = {index >> 1 for index in touched}
+                here, below = levels[level], levels[level + 1]
+                for index in touched:
+                    here[index] = hashlib.sha256(
+                        below[2 * index] + below[2 * index + 1]
+                    ).digest()
+            self._dirty = set()
+        return levels
 
     def root(self) -> bytes:
         """The Merkle root: equal roots mean identical holdings."""
@@ -168,8 +191,9 @@ class SyncReport:
     wire_mismatches: int = 0
     #: Copies skipped because every read attempt failed transiently.
     unreadable: int = 0
-    #: Digest trees built (one per source pull; destination trees are
-    #: built once and updated incrementally as transfers land).
+    #: Digest trees consulted: one per destination plus one per pull (16
+    #: on four nodes).  A count of comparisons set up, not of
+    #: constructions — the trees themselves live in :class:`ReplicaDigests`.
     trees_built: int = 0
     #: Merkle tree nodes compared across every diff descent.
     tree_nodes_compared: int = 0
@@ -325,18 +349,78 @@ def _audited_indexes(
     return indexes
 
 
-def _owner_map(
-    cluster: "ClusterStore", indexes: Dict[str, Set[Uid]]
-) -> Dict[Uid, FrozenSet[str]]:
-    """Ring placement for every uid seen in any index, computed once."""
-    owners: Dict[Uid, FrozenSet[str]] = {}
-    for held in indexes.values():
-        for uid in held:
-            if uid not in owners:
-                owners[uid] = frozenset(
-                    cluster.ring.replicas(uid, cluster.replication)
-                )
-    return owners
+class ReplicaDigests:
+    """The digest state one cluster keeps between anti-entropy passes.
+
+    Everything here is a pure function of (verified holdings, ring), so
+    it is *reconciled* against each pass's freshly built indexes instead
+    of being recomputed from them: the ring placement of every held uid
+    (the only place this module derives placement), the index each node
+    last showed, and one :class:`DigestTree` per *(holder, owner)* pair —
+    "what ``holder`` holds that ``owner`` owns", the two sides a pull
+    compares.  Built for one ``(ring members, replication, depth)``;
+    :meth:`of` replaces it when the cluster no longer matches.
+    """
+
+    def __init__(self, ring: HashRing, built_for: Tuple[Tuple[str, ...], int, int]) -> None:
+        self.ring = ring
+        self.built_for = built_for
+        #: uid -> (bucket, owner names), for every uid in any index.
+        self.placement: Dict[Uid, Tuple[int, Tuple[str, ...]]] = {}
+        #: node name -> the verified index it last contributed.
+        self.held: Dict[str, Set[Uid]] = {}
+        depth = built_for[2]
+        #: (holder, owner) -> the tree over what holder holds that owner owns.
+        self.trees: Dict[Tuple[str, str], DigestTree] = defaultdict(lambda: DigestTree(depth))
+
+    @classmethod
+    def of(cls, cluster: "ClusterStore", depth: int) -> "ReplicaDigests":
+        """The cluster's kept state, rebuilt if ring, RF or depth moved."""
+        state = cluster.replica_digests
+        wanted = (tuple(cluster.ring.nodes), cluster.replication, depth)
+        if state is None or state.built_for != wanted:
+            state = cluster.replica_digests = cls(cluster.ring, wanted)
+        return state
+
+    def place(self, uid: Uid) -> Tuple[int, Tuple[str, ...]]:
+        """``(bucket, owners)`` of a uid: one hash, one ring walk, once."""
+        placed = self.placement.get(uid)
+        if placed is None:
+            _, replication, depth = self.built_for
+            placed = self.placement[uid] = (
+                ring_position(uid) >> (POSITION_BITS - depth),
+                tuple(self.ring.replicas(uid, replication)),
+            )
+        return placed
+
+    def gained(self, holder: str, uid: Uid) -> None:
+        """``holder`` now holds ``uid``: into its index and every owner's view."""
+        self.held[holder].add(uid)
+        bucket, owners = self.place(uid)
+        for owner in owners:
+            self.trees[holder, owner].add(uid, bucket)
+
+    def reconcile(self, indexes: Dict[str, Set[Uid]]) -> None:
+        """Bring the kept trees in line with freshly built indexes.
+
+        Two set differences per node see every change made behind the
+        node's back (rot quarantined, deletes, wipes, gc, rebalance), so
+        nothing has to hook ``put``/``drop``.
+        """
+        lost: Set[Uid] = set()
+        for holder, index in indexes.items():
+            before = self.held.get(holder, set())
+            self.held[holder] = index
+            for uid in before - index:
+                bucket, owners = self.placement[uid]
+                for owner in owners:
+                    self.trees[holder, owner].remove(uid, bucket)
+                lost.add(uid)
+            for uid in index - before:
+                self.gained(holder, uid)
+        for uid in lost:  # forget placement nobody holds any more
+            if not any(uid in index for index in self.held.values()):
+                del self.placement[uid]
 
 
 def _read_transfer_source(cluster: "ClusterStore", src: "StorageNode", uid: Uid) -> Optional["Chunk"]:
@@ -355,30 +439,21 @@ def _pull(
     cluster: "ClusterStore",
     dst: "StorageNode",
     src: "StorageNode",
-    indexes: Dict[str, Set[Uid]],
-    owners: Dict[Uid, FrozenSet[str]],
+    digests: ReplicaDigests,
     report: SyncReport,
-    depth: int,
-    dst_tree: Optional[DigestTree] = None,
 ) -> None:
     """One directional sync: give ``dst`` every owned chunk ``src`` holds.
 
-    Both sides build their tree over the *same* key space — uids that
+    Both sides are compared over the *same* key space — uids that
     ``dst`` owns by ring placement — so equal roots prove there is
-    nothing to ship, and the diff opens only the differing arcs.  A
-    caller pulling from several sources passes the destination tree in
-    once; it is updated incrementally as transfers land.
+    nothing to ship, and the diff opens only the differing arcs.  Both
+    trees are the kept ones; a transfer that lands is folded into every
+    view of ``dst``'s holdings, so later pulls from ``dst`` see it.
     """
     report.pulls += 1
-    if dst_tree is None:
-        dst_tree = DigestTree.from_uids(
-            (uid for uid in indexes[dst.name] if dst.name in owners[uid]), depth
-        )
-        report.trees_built += 1
-    src_tree = DigestTree.from_uids(
-        (uid for uid in indexes[src.name] if dst.name in owners[uid]), depth
-    )
     report.trees_built += 1
+    dst_tree = digests.trees[dst.name, dst.name]
+    src_tree = digests.trees[src.name, dst.name]
     differing, compared = dst_tree.diff(src_tree)
     report.tree_nodes_compared += compared
     for bucket in differing:
@@ -406,8 +481,7 @@ def _pull(
                 continue
             if cluster.transfer(src, dst, chunk):
                 report.chunks_transferred += 1
-                indexes[dst.name].add(uid)
-                dst_tree.add(uid)
+                digests.gained(dst.name, uid)
             else:
                 report.transfer_failures += 1
 
@@ -442,9 +516,11 @@ def sync(
     report.quarantined_excluded += 2 - len(pair)
     if len(pair) < 2:
         return report
-    owners = _owner_map(cluster, indexes)
-    _pull(cluster, node_a, node_b, indexes, owners, report, depth)
-    _pull(cluster, node_b, node_a, indexes, owners, report, depth)
+    digests = ReplicaDigests.of(cluster, depth)
+    digests.reconcile(indexes)
+    report.trees_built += 2  # each direction's destination view
+    _pull(cluster, node_a, node_b, digests, report)
+    _pull(cluster, node_b, node_a, digests, report)
     return report
 
 
@@ -461,6 +537,12 @@ def anti_entropy_pass(
     partition heals — or on a background cadence — and the cluster
     converges to every chunk valid on its full trusted replica set,
     shipping only what actually diverged.
+
+    Convergence is over holdings **as of pass start**: each node's index
+    is read once, up front, so a copy that lands on a node while the
+    pass runs (a delayed message still in flight on the transport) is
+    not seen until the next pass.  Drain the transport first when one
+    pass must be enough.
     """
     report = SyncReport()
     rejected_before = cluster.hint_rejections
@@ -474,18 +556,13 @@ def anti_entropy_pass(
     live = [
         node for node in live if not cluster.accountability.is_quarantined(node.name)
     ]
-    owners = _owner_map(cluster, indexes)
+    digests = ReplicaDigests.of(cluster, depth)
+    digests.reconcile(indexes)
     for dst in live:
-        dst_tree = DigestTree.from_uids(
-            (uid for uid in indexes[dst.name] if dst.name in owners[uid]), depth
-        )
-        report.trees_built += 1
+        report.trees_built += 1  # the destination view every pull below shares
         for src in live:
             if src is not dst:
-                _pull(
-                    cluster, dst, src, indexes, owners, report, depth,
-                    dst_tree=dst_tree,
-                )
+                _pull(cluster, dst, src, digests, report)
     return report
 
 
@@ -505,25 +582,18 @@ def digests_agree(cluster: "ClusterStore", depth: int = DEFAULT_DEPTH) -> bool:
         node.name: node_index(cluster, node, SyncReport(), quarantine=False)[0]
         for node in live
     }
-    owners = _owner_map(cluster, indexes)
+    place = ReplicaDigests.of(cluster, depth).place
     for position, node_a in enumerate(live):
         for node_b in live[position + 1 :]:
-            shared_a = DigestTree.from_uids(
-                (
-                    uid
-                    for uid in indexes[node_a.name]
-                    if node_a.name in owners[uid] and node_b.name in owners[uid]
-                ),
-                depth,
-            )
-            shared_b = DigestTree.from_uids(
-                (
-                    uid
-                    for uid in indexes[node_b.name]
-                    if node_a.name in owners[uid] and node_b.name in owners[uid]
-                ),
-                depth,
-            )
-            if shared_a.root() != shared_b.root():
+            pair = {node_a.name, node_b.name}
+            shared = []
+            for node in (node_a, node_b):
+                tree = DigestTree(depth)
+                for uid in indexes[node.name]:
+                    bucket, owners = place(uid)
+                    if pair.issubset(owners):
+                        tree.add(uid, bucket)
+                shared.append(tree)
+            if shared[0].root() != shared[1].root():
                 return False
     return True

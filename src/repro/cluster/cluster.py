@@ -8,6 +8,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 from repro.chunk import Chunk, Uid
 from repro.cluster.accountability import AccountabilityBoard
 from repro.cluster.antientropy import (
+    ReplicaDigests,
     SyncReport,
     anti_entropy_pass,
     build_valid_index,
@@ -179,6 +180,10 @@ class ClusterStore(ChunkStore):
         self._ops_since_probe = 0
         #: The report from the most recent :meth:`repair` pass, if any.
         self.last_sync_report: Optional[SyncReport] = None
+        #: Digest trees and ring placement anti-entropy carries from pass
+        #: to pass (reconciled against fresh indexes each time; set to
+        #: ``None`` to make the next pass start from scratch).
+        self.replica_digests: Optional[ReplicaDigests] = None
         self.failed_reads = 0
         self.failovers = 0
         self.corrupt_reads = 0

@@ -1,8 +1,12 @@
 """Tests for Merkle anti-entropy repair (repro.cluster.antientropy)."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chunk import Chunk, ChunkType, Uid
+from repro.cluster import antientropy
 from repro.cluster import (
     ClusterStore,
     DigestTree,
@@ -12,7 +16,7 @@ from repro.cluster import (
     ring_position,
     sync,
 )
-from repro.cluster.ring import POSITION_BITS
+from repro.cluster.ring import POSITION_BITS, HashRing
 from repro.faults import RetryPolicy
 
 
@@ -86,6 +90,49 @@ class TestDigestTree:
             DigestTree(depth=17)
         with pytest.raises(ValueError):
             DigestTree(depth=4).diff(DigestTree(depth=8))
+
+
+class TestIncrementalTreeProperty:
+    """An evolving tree is indistinguishable from one built from scratch."""
+
+    POOL = [_chunk(i).uid for i in range(24)]
+
+    @staticmethod
+    def _same(tree: DigestTree, members: set) -> None:
+        fresh = DigestTree.from_uids(members, tree.depth)
+        assert tree.root() == fresh.root()
+        assert tree._level_digests() == fresh._level_digests()
+        assert len(tree) == len(fresh) == len(members)
+        for index in range(1 << tree.depth):
+            assert tree.bucket_digest(index) == fresh.bucket_digest(index)
+            assert tree.bucket_uids(index) == fresh.bucket_uids(index)
+
+    @given(
+        depth=st.sampled_from([1, 4, 8]),
+        edits=st.lists(
+            st.tuples(st.booleans(), st.booleans(), st.integers(0, len(POOL) - 1)),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_step_equals_a_from_scratch_build(self, depth, edits):
+        """Duplicates, removals of absent uids, interleaved digest reads:
+        after every step both evolving trees, and their diff (differing
+        buckets and ``compared`` count), equal ``from_uids(current set)``."""
+        trees = (DigestTree(depth), DigestTree(depth))
+        members = (set(), set())
+        for side, adding, pick in edits:
+            tree, held, uid = trees[side], members[side], self.POOL[pick]
+            if adding:
+                tree.add(uid)
+                held.add(uid)
+            else:
+                tree.remove(uid)
+                held.discard(uid)
+            self._same(tree, held)
+            fresh = [DigestTree.from_uids(m, depth) for m in members]
+            assert trees[0].diff(trees[1]) == fresh[0].diff(fresh[1])
+            assert (trees[0] == trees[1]) == (members[0] == members[1])
 
 
 class TestPairwiseSync:
@@ -221,6 +268,77 @@ class TestAntiEntropyPass:
         assert not digests_agree(cluster)
         anti_entropy_pass(cluster)
         assert digests_agree(cluster)
+
+
+class TestWorkBound:
+    """Counted, not timed: a warm pass derives placement and folds digests
+    for what changed, while still re-reading and re-hashing every copy."""
+
+    CHUNKS = 2000
+    DROPPED = 20
+
+    @staticmethod
+    def _count(monkeypatch, pass_fn):
+        """Calls made *from antientropy.py* during ``pass_fn()``."""
+        calls = {"ring_position": 0, "replicas": 0, "sha256": 0}
+
+        def ring_position_counted(uid, original=antientropy.ring_position):
+            calls["ring_position"] += 1
+            return original(uid)
+
+        def replicas_counted(ring, uid, count, original=HashRing.replicas):
+            if sys._getframe(1).f_code.co_filename == antientropy.__file__:
+                calls["replicas"] += 1
+            return original(ring, uid, count)
+
+        class CountedHashlib:
+            @staticmethod
+            def sha256(data, original=antientropy.hashlib.sha256):
+                calls["sha256"] += 1
+                return original(data)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(antientropy, "ring_position", ring_position_counted)
+            patched.setattr(HashRing, "replicas", replicas_counted)
+            patched.setattr(antientropy, "hashlib", CountedHashlib)
+            report = pass_fn()
+        return calls, report
+
+    def test_warm_pass_costs_what_changed(self, monkeypatch):
+        cluster = _cluster(node_count=4, replication=3)
+        chunks = [_chunk(i) for i in range(self.CHUNKS)]
+        for chunk in chunks:
+            cluster.put(chunk)
+        anti_entropy_pass(cluster)  # warm
+        copies = cluster.total_replica_count()
+        assert copies == 3 * self.CHUNKS
+        victim = cluster.nodes["node-02"]
+        for uid in sorted(victim.store.ids())[: self.DROPPED]:
+            victim.drop(uid)
+
+        calls, report = self._count(monkeypatch, lambda: anti_entropy_pass(cluster))
+        # Verification did not shrink: every remaining copy was re-hashed...
+        assert report.copies_verified == copies - self.DROPPED
+        assert report.chunks_transferred == self.DROPPED
+        assert digests_agree(cluster)
+        # ...but placement and folding cost O(changed * depth), where the
+        # from-scratch pass paid ~3 x copies ring_position calls, ~CHUNKS
+        # ring walks and 16 x 255 interior hashes.
+        bound = 4 * self.DROPPED * antientropy.DEFAULT_DEPTH
+        assert calls["ring_position"] <= bound
+        assert calls["replicas"] <= bound
+        assert calls["sha256"] <= bound
+        assert bound < self.CHUNKS
+
+        # A ring change is observed, not configured: the next pass places
+        # every chunk again, and still converges.
+        cluster.add_node()
+        calls, _ = self._count(monkeypatch, lambda: anti_entropy_pass(cluster))
+        assert self.CHUNKS <= calls["replicas"] <= 2 * self.CHUNKS
+        assert self.CHUNKS <= calls["ring_position"] <= 2 * self.CHUNKS
+        assert digests_agree(cluster)
+        check = cluster.durability_check()
+        assert check["lost"] == 0 and check["single"] == 0
 
 
 class TestVerifiedDurabilityCheck:

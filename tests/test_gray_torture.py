@@ -25,7 +25,7 @@ from repro.faults import (
 from tests.conftest import fault_seed
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - hypothesis is in the toolchain
@@ -118,6 +118,18 @@ def _drive(cluster, transport, schedule, ops, tag, budget=None):
     return acked, fingerprint
 
 
+def _settle(transport: PartitionedTransport) -> None:
+    """End the storm and let every abandoned exchange land.
+
+    A timed-out put stays in flight as a stale delivery; a pass converges
+    holdings as of its start, so one that lands mid-pass on a single owner
+    would need a second pass.  Drained first, one pass is the assertion.
+    """
+    transport.recover()
+    while transport.in_flight():
+        transport.tick()
+
+
 class TestGrayReplay:
     def test_replay_is_bit_identical(self):
         """Same seed, same schedule, same everything: hedges, breaker
@@ -159,7 +171,7 @@ class TestAckedMeansDurable:
             cluster, transport, schedule, ops=120, tag="durable", budget=64
         )
         assert acked  # the storm did not starve the workload entirely
-        transport.recover()
+        _settle(transport)
         anti_entropy_pass(cluster)
         for chunk in acked:
             assert _fully_replicated(cluster, chunk)
@@ -181,7 +193,7 @@ class TestAckedMeansDurable:
             cluster, transport, schedule, ops=90, tag="droppy", budget=96
         )
         assert acked
-        transport.recover()
+        _settle(transport)
         anti_entropy_pass(cluster)
         for chunk in acked:
             assert _fully_replicated(cluster, chunk)
@@ -191,6 +203,10 @@ class TestAckedMeansDurable:
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 class TestGrayScheduleProperty:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    # The two seeds of 0-399 where a timed-out, abandoned put is still in
+    # flight after recover() and lands on one owner *during* the pass.
+    @example(seed=144)
+    @example(seed=279)
     @settings(max_examples=10, deadline=None)
     def test_any_slow_schedule_keeps_acked_writes_durable(self, seed):
         """Under ANY deterministic slowness schedule: acked writes are
@@ -210,7 +226,7 @@ class TestGrayScheduleProperty:
             tag="prop-%d" % seed,
             budget=64,
         )
-        transport.recover()
+        _settle(transport)
         anti_entropy_pass(cluster)
         for chunk in acked:
             assert _fully_replicated(cluster, chunk)
