@@ -47,7 +47,7 @@ from repro.postree.merge import MergeConflict, Resolver
 from repro.store import FileStore, InMemoryStore, NodeCacheStore, PackStore
 from repro.store.base import ChunkStore
 from repro.store.durability import durable_replace, fsync_file, read_check
-from repro.types import FBlob, FList, FMap, FObject, FSet, load_object
+from repro.types import FBlob, FList, FMap, FObject, FSet, load_object, type_for_python
 from repro.types.convert import PyValue, unwrap, wrap
 from repro.vcs import BranchTable, CommitJournal, FNode, VersionGraph, replay_into
 from repro.vcs.branches import DEFAULT_BRANCH
@@ -502,18 +502,26 @@ class ForkBase:
         Every Put is "stamped with a unique version that is appended to
         the corresponding branch" (§III-C).
         """
-        obj = wrap(self.store, value)
         bases: Tuple[Uid, ...] = ()
         expected: Optional[Uid] = None
+        onto: Optional[FObject] = None
         if self.branch_table.has_branch(key, branch):
             parent_uid = self.branch_table.head(key, branch)
             parent = self.graph.load(parent_uid)
-            if parent.type_name != obj.TYPE_NAME:
+            # Checked before the value is wrapped: a plain value of the
+            # wrong type must not leave its chunks behind.
+            type_name = type_for_python(value)
+            if parent.type_name != type_name:
                 raise TypeMismatchError(
-                    f"{key!r} is {parent.type_name}, cannot put {obj.TYPE_NAME}"
+                    f"{key!r} is {parent.type_name}, cannot put {type_name}"
                 )
+            if isinstance(value, (dict, set, frozenset)):
+                # The head a whole-value put can edit; loading a map or a
+                # set is a view on its root, no read.
+                onto = load_object(self.store, parent.type_name, parent.value_root)
             bases = (parent_uid,)
             expected = parent_uid
+        obj = wrap(self.store, value, onto=onto)
         fnode = FNode(
             key=key,
             type_name=obj.TYPE_NAME,

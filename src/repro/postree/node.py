@@ -15,9 +15,10 @@ node boundaries — the heart of structural invariance.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from repro.chunk import Chunk, ChunkType, Reader, Uid
+from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import ChunkEncodingError
 
 
@@ -52,6 +53,26 @@ def _uvarint_bytes(value: int) -> bytes:
     return bytes(out)
 
 
+def _uvarint_at(data: bytes, pos: int) -> Tuple[int, int]:
+    """Decode the varint starting at ``data[pos]``: (value, next position).
+
+    The multi-byte fallback of the node decoders, which read a
+    single-byte varint inline.  Running off the end raises ``IndexError``
+    for them to report as truncation.
+    """
+    result = 0
+    shift = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
+        if shift > 126:
+            raise ChunkEncodingError("uvarint too long")
+
+
 def encode_leaf_entry(entry: LeafEntry) -> bytes:
     """Serialize one record (this is what the leaf-level chunker scans)."""
     key, value = entry
@@ -67,6 +88,9 @@ def encode_index_entry(entry: IndexEntry) -> bytes:
         + _uvarint_bytes(entry.count)
     )
 
+
+#: Bytes of a child digest in an index entry.
+_UID_SIZE = 32
 
 #: Single-byte varints, precomputed: lengths/counts < 128 are the common
 #: case and a list index beats a function call in the bulk loops below.
@@ -142,10 +166,38 @@ class LeafNode:
         """Decode a LEAF chunk."""
         if chunk.type != ChunkType.LEAF:
             raise ChunkEncodingError(f"expected LEAF chunk, got {chunk.type.name}")
-        reader = Reader(chunk.data)
-        count = reader.uvarint()
-        entries = [LeafEntry(reader.blob(), reader.blob()) for _ in range(count)]
-        reader.expect_end()
+        # One pass over the payload: lengths under 128 (nearly all of them)
+        # are read inline, and an index past the end is the truncation check.
+        data = chunk.data
+        entries: List[LeafEntry] = []
+        append = entries.append
+        new = tuple.__new__
+        try:
+            count = data[0]
+            pos = 1
+            if count > 0x7F:
+                count, pos = _uvarint_at(data, 0)
+            for _ in range(count):
+                key_end = data[pos]
+                pos += 1
+                if key_end > 0x7F:
+                    key_end, pos = _uvarint_at(data, pos - 1)
+                key_end += pos
+                value_end = data[key_end]
+                value_at = key_end + 1
+                if value_end > 0x7F:
+                    value_end, value_at = _uvarint_at(data, key_end)
+                value_end += value_at
+                append(new(LeafEntry, (data[pos:key_end], data[value_at:value_end])))
+                pos = value_end
+        except IndexError:
+            raise ChunkEncodingError("truncated leaf node") from None
+        # A value cut short slices short without complaint: it shows here
+        # (or as an index past the end, above).
+        if pos > len(data):
+            raise ChunkEncodingError("truncated leaf node")
+        if pos < len(data):
+            raise ChunkEncodingError(f"{len(data) - pos} trailing byte(s) after decode")
         node = cls(entries)
         node._chunk = chunk
         return node
@@ -184,15 +236,11 @@ class LeafNode:
 
     def find(self, key: bytes) -> Optional[bytes]:
         """Binary-search the run for ``key``; return its value or None."""
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid].key < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.entries) and self.entries[lo].key == key:
-            return self.entries[lo].value
+        entries = self.entries
+        # ``(key,)`` sorts just before the entry that starts with ``key``.
+        found = bisect_left(entries, (key,))
+        if found < len(entries) and entries[found][0] == key:
+            return entries[found][1]
         return None
 
     def __repr__(self) -> str:
@@ -239,14 +287,41 @@ class IndexNode:
         """Decode an INDEX chunk."""
         if chunk.type != ChunkType.INDEX:
             raise ChunkEncodingError(f"expected INDEX chunk, got {chunk.type.name}")
-        reader = Reader(chunk.data)
-        level = reader.uvarint()
-        count = reader.uvarint()
-        entries = [
-            IndexEntry(reader.blob(), reader.uid(), reader.uvarint())
-            for _ in range(count)
-        ]
-        reader.expect_end()
+        # One pass, as in :meth:`LeafNode.from_chunk`.  Reading the count
+        # byte that follows a child digest proves the digest is all there
+        # before it is sliced.
+        data = chunk.data
+        entries: List[IndexEntry] = []
+        append = entries.append
+        new = tuple.__new__
+        try:
+            level = data[0]
+            pos = 1
+            if level > 0x7F:
+                level, pos = _uvarint_at(data, 0)
+            count = data[pos]
+            pos += 1
+            if count > 0x7F:
+                count, pos = _uvarint_at(data, pos - 1)
+            for _ in range(count):
+                key_end = data[pos]
+                pos += 1
+                if key_end > 0x7F:
+                    key_end, pos = _uvarint_at(data, pos - 1)
+                key_end += pos
+                uid_end = key_end + _UID_SIZE
+                records = data[uid_end]
+                after = uid_end + 1
+                if records > 0x7F:
+                    records, after = _uvarint_at(data, uid_end)
+                append(
+                    new(IndexEntry, (data[pos:key_end], Uid(data[key_end:uid_end]), records))
+                )
+                pos = after
+        except IndexError:
+            raise ChunkEncodingError("truncated index node") from None
+        if pos != len(data):
+            raise ChunkEncodingError(f"{len(data) - pos} trailing byte(s) after decode")
         node = cls(level, entries)
         node._chunk = chunk
         return node
@@ -290,16 +365,8 @@ class IndexNode:
         the right child is the first with ``split_key >= key``; keys past
         the end route to the last child (insertion point).
         """
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid].split_key < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.entries):
-            lo -= 1
-        return lo
+        entries = self.entries
+        return min(bisect_left(entries, (key,)), len(entries) - 1)
 
     def __repr__(self) -> str:
         return (

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 from repro.errors import TypeMismatchError
 from repro.store.base import ChunkStore
@@ -26,11 +26,18 @@ def _as_bytes(value: Union[str, bytes]) -> bytes:
     )
 
 
-def wrap(store: ChunkStore, value: Union[PyValue, FObject]) -> FObject:
+def wrap(
+    store: ChunkStore, value: Union[PyValue, FObject], onto: Optional[FObject] = None
+) -> FObject:
     """Store a Python value as the matching ForkBase type.
 
     dict → map, set → set, list/tuple → list, bytes → blob, str → string,
     bool → bool, int/float → number.  FObjects pass through.
+
+    ``onto`` is the object the value supersedes (a branch head), when the
+    caller holds one: a dict over a map, or a set over a set, is stored as
+    an edit of its tree (:meth:`PosTree.assign`) — the same root a fresh
+    build gives, for the price of what changed.
     """
     if isinstance(value, FObject):
         return value
@@ -44,9 +51,14 @@ def wrap(store: ChunkStore, value: Union[PyValue, FObject]) -> FObject:
         return FBlob.from_bytes(store, bytes(value))
     if isinstance(value, dict):
         pairs = {_as_bytes(k): _as_bytes(v) for k, v in value.items()}
+        if isinstance(onto, FMap):
+            return FMap(store, onto.tree.assign(sorted(pairs.items())))
         return FMap.from_dict(store, pairs)
     if isinstance(value, (set, frozenset)):
-        return FSet.from_iterable(store, (_as_bytes(m) for m in sorted(value)))
+        members = {_as_bytes(m) for m in value}
+        if isinstance(onto, FSet):
+            return FSet(store, onto.tree.assign([(m, b"") for m in sorted(members)]))
+        return FSet.from_iterable(store, members)
     if isinstance(value, (list, tuple)):
         return FList.from_items(store, (_as_bytes(i) for i in value))
     raise TypeMismatchError(f"no ForkBase type for {type(value).__name__}")

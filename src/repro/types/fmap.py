@@ -87,8 +87,11 @@ class FMap(FObject):
             yield entry.key, entry.value
 
     def to_dict(self) -> Dict[bytes, bytes]:
-        """Materialize (tests / small maps only)."""
-        return dict(self.items())
+        """Materialize as a dict, a whole leaf at a time."""
+        out: Dict[bytes, bytes] = {}
+        for leaf in self._tree.leaves():
+            out.update(leaf.entries)
+        return out
 
     # -- functional updates ---------------------------------------------------
 
@@ -124,8 +127,3 @@ class FMap(FObject):
     def page_uids(self):
         """All pages backing this map (storage accounting)."""
         return self._tree.page_uids()
-
-    @property
-    def tree(self) -> PosTree:
-        """The underlying POS-Tree (advanced callers)."""
-        return self._tree

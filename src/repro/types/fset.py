@@ -74,8 +74,11 @@ class FSet(FObject):
         return set(diff.removed), set(diff.added)
 
     def to_set(self) -> Set[bytes]:
-        """Materialize (tests / small sets only)."""
-        return set(self._tree.keys())
+        """Materialize as a set, a whole leaf at a time."""
+        out: Set[bytes] = set()
+        for leaf in self._tree.leaves():
+            out.update([key for key, _ in leaf.entries])
+        return out
 
     def page_uids(self):
         """All pages backing this set."""

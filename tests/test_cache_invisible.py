@@ -29,7 +29,7 @@ from repro.types.convert import unwrap
 NODE_CACHES = (0, 8, 4096)
 BACKENDS = ("file", "pack")
 #: One key per value type, so every edit verb finds a value it applies to.
-KEYS = ("map", "blob", "list")
+KEYS = ("map", "blob", "list", "set")
 MAX_BRANCHES = 3
 
 
@@ -55,6 +55,11 @@ OPS = st.one_of(
     st.tuples(st.just("put-map"), branch, st.integers(0, 400), small),
     st.tuples(st.just("put-blob"), branch, st.integers(0, 20_000), small),
     st.tuples(st.just("put-list"), branch, st.integers(0, 300), small),
+    st.tuples(st.just("put-set"), branch, st.integers(0, 900), small),
+    # the head's own value with a few keys changed, as a plain dict / set:
+    # the put that edits the head instead of rebuilding it
+    st.tuples(st.just("put-map-near"), branch, st.lists(map_key, max_size=6), small),
+    st.tuples(st.just("put-set-near"), branch, st.lists(map_key, max_size=6)),
     # edits of the value at a head (the splice editor under a map)
     st.tuples(st.just("map-set"), branch, map_key, small),
     st.tuples(st.just("map-remove"), branch, map_key),
@@ -71,7 +76,10 @@ OPS = st.one_of(
 
 #: Every example starts from one value of each type, so edits, branches
 #: and merges have something to work on from the first drawn verb.
-PROLOGUE = [("put-map", 0, 300, 0), ("put-blob", 0, 9_000, 0), ("put-list", 0, 120, 0)]
+PROLOGUE = [
+    ("put-map", 0, 300, 0), ("put-blob", 0, 9_000, 0), ("put-list", 0, 120, 0),
+    ("put-set", 0, 600, 0),
+]
 
 
 class _Driver:
@@ -125,6 +133,20 @@ class _Driver:
             pick, size, salt = args
             items = [_bytes(salt, i, 4 + i % 30) for i in range(size)]
             return self._commit("list", pick, FList.from_items(db.store, items))
+        if verb == "put-set":
+            pick, size, salt = args
+            return self._commit("set", pick, {b"k%04d" % (i * (salt + 1)) for i in range(size)})
+        if verb == "put-map-near":
+            pick, keys, salt = args
+            value = unwrap(db.get("map", self._branch("map", pick)))
+            value.update((k, _bytes(salt, n, 20)) for n, k in enumerate(keys[::2]))
+            for k in keys[1::2]:
+                value.pop(k, None)
+            return self._commit("map", pick, value)
+        if verb == "put-set-near":
+            pick, keys = args
+            value = unwrap(db.get("set", self._branch("set", pick)))
+            return self._commit("set", pick, value.symmetric_difference(keys))
         if verb == "map-set":
             pick, map_key, salt = args
             return self._edit("map", pick, lambda m: m.set(map_key, _bytes(salt, 1, 33)))

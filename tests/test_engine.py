@@ -53,6 +53,18 @@ class TestPutGet:
         with pytest.raises(TypeMismatchError):
             engine.put("k", "now a string")
 
+    def test_type_change_rejected_before_anything_is_written(self, engine):
+        """A plain value of the wrong type used to be wrapped (a whole
+        tree's worth of chunks) before the head's type was looked at."""
+        engine.put("k", {"a": "b"})
+        held = len(engine.store)
+        for value in (["x"], {"member"}, b"blob", "text", 7, True):
+            with pytest.raises(TypeMismatchError, match="'k' is map"):
+                engine.put("k", value)
+            assert len(engine.store) == held
+        assert engine.get_value("k") == {b"a": b"b"}
+        assert len(engine.history("k")) == 1
+
     def test_put_same_value_twice_same_value_root(self, engine):
         v1 = engine.put("k", {"a": "1"})
         v2 = engine.put("k", {"a": "1"})

@@ -1,9 +1,13 @@
 """Tests for POS-Tree node encodings (repro.postree.node)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.chunk import Chunk, ChunkType, Uid
+from repro.chunk import Chunk, ChunkType, Reader, Uid
 from repro.errors import ChunkEncodingError
+from repro.postree import PosTree
+from repro.postree.config import TreeConfig
 from repro.postree.node import (
     IndexEntry,
     IndexNode,
@@ -14,6 +18,14 @@ from repro.postree.node import (
     encode_leaf_entry,
     load_node,
     node_level,
+)
+from repro.rolling.chunker import ChunkerConfig
+from repro.store import InMemoryStore
+
+# Small nodes, so small hypothesis maps still span several leaves.
+SMALL_CONFIG = TreeConfig(
+    leaf=ChunkerConfig(pattern_bits=5, min_size=16, max_size=512),
+    index=ChunkerConfig(pattern_bits=4, min_size=16, max_size=512, min_entries=2),
 )
 
 
@@ -136,3 +148,227 @@ class TestLoadNode:
         index = IndexNode(3, [IndexEntry(b"a", leaf.uid, 0)])
         assert node_level(leaf) == 0
         assert node_level(index) == 3
+
+
+# -- one-pass decoders ≡ the Reader-based ones they replaced ------------------
+#
+# The reference below is the decoder (and the two binary searches) this
+# module had before the single-pass rewrite, kept here as the oracle.
+
+
+def _reference_leaf(chunk: Chunk) -> LeafNode:
+    reader = Reader(chunk.data)
+    count = reader.uvarint()
+    entries = [LeafEntry(reader.blob(), reader.blob()) for _ in range(count)]
+    reader.expect_end()
+    return LeafNode(entries)
+
+
+def _reference_index(chunk: Chunk) -> IndexNode:
+    reader = Reader(chunk.data)
+    level = reader.uvarint()
+    count = reader.uvarint()
+    entries = [
+        IndexEntry(reader.blob(), reader.uid(), reader.uvarint()) for _ in range(count)
+    ]
+    reader.expect_end()
+    return IndexNode(level, entries)
+
+
+def _reference_search(entries, key: bytes) -> int:
+    """First position whose key is >= ``key`` (the old hand-written loop)."""
+    lo, hi = 0, len(entries)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if entries[mid][0] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _reference_find(node: LeafNode, key: bytes):
+    lo = _reference_search(node.entries, key)
+    if lo < len(node.entries) and node.entries[lo].key == key:
+        return node.entries[lo].value
+    return None
+
+
+def _reference_child_for(node: IndexNode, key: bytes) -> int:
+    lo = _reference_search(node.entries, key)
+    return lo - 1 if lo == len(node.entries) else lo
+
+
+def _assert_same_node(new, reference, canonical: bool = True) -> None:
+    assert type(new) is type(reference)
+    assert new.entries == reference.entries
+    assert all(type(entry) is type(ref) for entry, ref in zip(new.entries, reference.entries))
+    assert node_level(new) == node_level(reference)
+    if not canonical:
+        return
+    # The reference node re-encodes itself; the new one kept the chunk it
+    # was decoded from.  For a payload an encoder wrote they are the same.
+    assert new.uid == reference.uid
+    for window in (0, 1, 16, 48, 10_000):
+        assert new.tail_bytes(window) == reference.tail_bytes(window)
+
+
+def _assert_both_reject(decode, reference, chunk: Chunk) -> None:
+    with pytest.raises(ChunkEncodingError):
+        reference(chunk)
+    with pytest.raises(ChunkEncodingError):
+        decode(chunk)
+
+
+# Lengths on both sides of every varint width the format meets: 0, one
+# byte (< 128), two bytes (keys >= 128 B), three (values >= 16 KiB).
+_key = st.one_of(st.binary(max_size=12), st.binary(min_size=128, max_size=140))
+_value = st.one_of(
+    st.binary(max_size=40),
+    st.binary(min_size=128, max_size=200),
+    st.integers(16_384, 16_500).map(lambda size: b"v" * size),
+)
+_leaf_entries = st.one_of(
+    st.dictionaries(_key, _value, max_size=12),
+    # counts >= 128: a two-byte count varint
+    st.integers(128, 300).flatmap(
+        lambda count: st.dictionaries(
+            st.binary(min_size=1, max_size=6), st.binary(max_size=3),
+            min_size=count, max_size=count + 8,
+        )
+    ),
+).map(lambda mapping: [LeafEntry(k, mapping[k]) for k in sorted(mapping)])
+
+_index_entries = st.dictionaries(
+    _key,
+    # subtree counts >= 2**14 take three bytes
+    st.tuples(st.integers(0, 10**6), st.one_of(st.integers(0, 200), st.integers(2**14, 2**40))),
+    max_size=12,
+).map(lambda mapping: [IndexEntry(k, _uid(mapping[k][0]), mapping[k][1]) for k in sorted(mapping)])
+_level = st.one_of(st.integers(1, 5), st.integers(128, 300))
+
+_probe_settings = settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+
+
+class TestDecodersMatchReference:
+    @given(entries=_leaf_entries)
+    @_probe_settings
+    def test_leaf_decode(self, entries):
+        chunk = LeafNode(entries).to_chunk()
+        _assert_same_node(LeafNode.from_chunk(chunk), _reference_leaf(chunk))
+        _assert_same_node(load_node(chunk), _reference_leaf(chunk))
+
+    @given(level=_level, entries=_index_entries)
+    @_probe_settings
+    def test_index_decode(self, level, entries):
+        chunk = IndexNode(level, entries).to_chunk()
+        _assert_same_node(IndexNode.from_chunk(chunk), _reference_index(chunk))
+        _assert_same_node(load_node(chunk), _reference_index(chunk))
+
+    def test_index_of_two_to_the_fourteen_children(self):
+        entries = [IndexEntry(b"%05d" % i, _uid(i % 7), i) for i in range(2**14 + 3)]
+        chunk = IndexNode(2, entries).to_chunk()
+        _assert_same_node(IndexNode.from_chunk(chunk), _reference_index(chunk))
+
+    @given(
+        entries=_leaf_entries.filter(lambda entries: len(entries) < 20),
+        garbage=st.binary(min_size=1, max_size=5),
+    )
+    @_probe_settings
+    def test_leaf_truncation_and_garbage(self, entries, garbage):
+        data = LeafNode(entries).to_chunk().data
+        # Every cut point for small payloads; a spread of them for large.
+        cuts = range(len(data)) if len(data) < 600 else range(0, len(data), len(data) // 97)
+        for cut in cuts:
+            _assert_both_reject(
+                LeafNode.from_chunk, _reference_leaf, Chunk(ChunkType.LEAF, data[:cut])
+            )
+        _assert_both_reject(
+            LeafNode.from_chunk, _reference_leaf, Chunk(ChunkType.LEAF, data + garbage)
+        )
+
+    @given(level=_level, entries=_index_entries, garbage=st.binary(min_size=1, max_size=5))
+    @_probe_settings
+    def test_index_truncation_and_garbage(self, level, entries, garbage):
+        data = IndexNode(level, entries).to_chunk().data
+        for cut in range(len(data)):
+            _assert_both_reject(
+                IndexNode.from_chunk, _reference_index, Chunk(ChunkType.INDEX, data[:cut])
+            )
+        _assert_both_reject(
+            IndexNode.from_chunk, _reference_index, Chunk(ChunkType.INDEX, data + garbage)
+        )
+
+    @given(data=st.binary(max_size=80))
+    @_probe_settings
+    def test_arbitrary_bytes_agree(self, data):
+        """Garbage in: the same entries out, or ChunkEncodingError from
+        both — never an IndexError or a ValueError of the new decoder's own."""
+        for kind, decode, reference in (
+            (ChunkType.LEAF, LeafNode.from_chunk, _reference_leaf),
+            (ChunkType.INDEX, IndexNode.from_chunk, _reference_index),
+        ):
+            chunk = Chunk(kind, data)
+            try:
+                expected = reference(chunk)
+            except (ChunkEncodingError, ValueError) as exc:
+                # ValueError: IndexNode refuses level 0, both ways alike.
+                with pytest.raises(type(exc)):
+                    decode(chunk)
+            else:
+                # Padded varints decode; nothing encodes them back.
+                _assert_same_node(decode(chunk), expected, canonical=False)
+
+    def test_overlong_varint_rejected(self):
+        for kind, decode, reference in (
+            (ChunkType.LEAF, LeafNode.from_chunk, _reference_leaf),
+            (ChunkType.INDEX, IndexNode.from_chunk, _reference_index),
+        ):
+            _assert_both_reject(decode, reference, Chunk(kind, b"\x80" * 19 + b"\x01"))
+            _assert_both_reject(decode, reference, Chunk(kind, b"\x01" + b"\xff" * 19 + b"\x01"))
+
+
+class TestLookupsMatchReference:
+    @given(entries=_leaf_entries, probes=st.lists(_key, max_size=8))
+    @_probe_settings
+    def test_find(self, entries, probes):
+        node = LeafNode(entries)
+        keys = [entry.key for entry in entries]
+        edges = [b""] + [keys[0][:-1], keys[-1] + b"\x00"] if keys else [b""]
+        for key in keys[:40] + probes + edges:
+            assert node.find(key) == _reference_find(node, key)
+
+    @given(entries=_index_entries, probes=st.lists(_key, max_size=8))
+    @_probe_settings
+    def test_child_for(self, entries, probes):
+        node = IndexNode(1, entries)
+        keys = [entry.split_key for entry in entries]
+        edges = [b""] + [keys[0][:-1], keys[-1] + b"\x00"] if keys else [b""]
+        for key in keys + probes + edges:
+            assert node.child_for(key) == _reference_child_for(node, key)
+
+    @given(
+        mapping=st.dictionaries(
+            st.binary(min_size=1, max_size=8), st.binary(max_size=30), max_size=150
+        ),
+        bounds=st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.binary(max_size=8)),
+                st.one_of(st.none(), st.binary(max_size=8)),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    @_probe_settings
+    def test_iter_entries_is_the_per_entry_filter(self, mapping, bounds):
+        tree = PosTree.from_pairs(InMemoryStore(), mapping.items(), SMALL_CONFIG)
+        everything = sorted(mapping.items())
+        # Bounds that are keys of the tree hit the leaf-edge cases.
+        keys = [key for key, _ in everything]
+        bounds = bounds + [(keys[len(keys) // 3], keys[-1])] if keys else bounds
+        for start, end in bounds:
+            expected = [
+                (key, value) for key, value in everything
+                if (start is None or key >= start) and (end is None or key < end)
+            ]
+            assert list(tree.iter_entries(start, end)) == expected

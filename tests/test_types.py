@@ -204,3 +204,17 @@ class TestConversion:
     def test_mixed_key_types_rejected(self, store):
         with pytest.raises(TypeMismatchError):
             wrap(store, {1: "v"})
+
+    def test_set_of_mixed_str_and_bytes_members(self, store):
+        """``wrap`` used to sort the raw members before encoding them:
+        ``TypeError: '<' not supported between 'bytes' and 'str'``."""
+        mixed = wrap(store, {"a", b"b", "c"})
+        assert unwrap(mixed) == {b"a", b"b", b"c"}
+        assert mixed.root == wrap(store, {b"a", "b", b"c"}).root
+        assert unwrap(wrap(store, {"k": "x", b"l": b"y"})) == {b"k": b"x", b"l": b"y"}
+
+    def test_set_member_of_another_type_rejected(self, store):
+        with pytest.raises(TypeMismatchError):
+            wrap(store, {"a", 1})
+        with pytest.raises(TypeMismatchError):
+            wrap(store, frozenset({b"a", 2.5}))
