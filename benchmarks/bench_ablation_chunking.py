@@ -5,14 +5,11 @@ window k, measuring for each configuration:
 
   - realized average leaf size and tree depth;
   - dedup effectiveness on a 10-version edit chain (physical bytes vs
-    logical bytes offered);
-  - the cyclic polynomial hash (the paper's choice) vs Rabin–Karp.
+    logical bytes offered).
 
 Expected shape: small nodes dedup better but deepen the tree and
 multiply per-edit page writes; large nodes amortize metadata but dirty
-more bytes per edit.  The hash function choice barely matters (any
-well-mixed rolling hash yields the same boundary statistics) — the
-*pattern rule* is what matters, not the specific Φ.
+more bytes per edit.
 """
 
 from __future__ import annotations
@@ -110,20 +107,6 @@ def test_chunking_report(benchmark):
              f"{result['ratio']:.2f}x")
         )
 
-    algo_rows = []
-    for algorithm in ("cyclic", "rabin-karp"):
-        config = TreeConfig(
-            leaf=ChunkerConfig(algorithm=algorithm, pattern_bits=10,
-                               min_size=64, max_size=16384),
-            index=ChunkerConfig(algorithm=algorithm, pattern_bits=9,
-                                min_size=64, max_size=8192, min_entries=2),
-        )
-        result = _measure(config, states)
-        algo_rows.append(
-            (algorithm, result["depth"], f"{result['physical'] / 1024:.0f} KB",
-             f"{result['ratio']:.2f}x")
-        )
-
     lines = ["sweep: expected node size 2^q (10-version chain, 3000 rows)", ""]
     lines.extend(
         table(["target B", "depth", "leaves", "physical", "dedup ratio"], size_rows)
@@ -131,9 +114,6 @@ def test_chunking_report(benchmark):
     lines.append("")
     lines.append("sweep: rolling window k")
     lines.extend(table(["window", "depth", "physical", "dedup"], window_rows))
-    lines.append("")
-    lines.append("rolling hash function (paper uses cyclic polynomial)")
-    lines.extend(table(["algorithm", "depth", "physical", "dedup"], algo_rows))
     lines.append("")
     lines.append(
         f"one version is {logical_one / 1024:.0f} KB logical; 10 versions "
@@ -146,5 +126,3 @@ def test_chunking_report(benchmark):
     assert ratios[0] > ratios[-1]  # smaller nodes dedup better
     depths = [row[1] for row in size_rows]
     assert depths[0] >= depths[-1]  # and build deeper trees
-    algo_ratios = [float(row[3][:-1]) for row in algo_rows]
-    assert abs(algo_ratios[0] - algo_ratios[1]) < 1.5  # hash choice is minor

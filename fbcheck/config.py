@@ -96,7 +96,6 @@ IMMUT_VALUE_MODULES: Tuple[str, ...] = (
     "src/repro/chunk/chunk.py",
     "src/repro/chunk/uid.py",
     "src/repro/postree/node.py",
-    "src/repro/postree/listtree.py",
     "src/repro/vcs/fnode.py",
 )
 
@@ -109,6 +108,8 @@ IMMUT_VALUE_CLASSES: FrozenSet[str] = frozenset(
         "LeafEntry",
         "IndexEntry",
         "LeafNode",
+        "EncodedNode",
+        "AnyIndexNode",
         "IndexNode",
         "ListIndexEntry",
         "ListLeafNode",
@@ -337,10 +338,7 @@ DEFAULT_ALLOW: Dict[str, Sequence[str]] = {
     # to_chunk() is the sealing step itself: it computes the node's chunk
     # (hash) once and memoizes it; after it runs the object is immutable.
     "FB-IMMUT": (
-        "src/repro/postree/node.py::LeafNode.to_chunk",
-        "src/repro/postree/node.py::IndexNode.to_chunk",
-        "src/repro/postree/listtree.py::ListLeafNode.to_chunk",
-        "src/repro/postree/listtree.py::ListIndexNode.to_chunk",
+        "src/repro/postree/node.py::EncodedNode.to_chunk",
     ),
     # The disk-fault shim *is* the faulty kernel: raising OSError with a
     # real errno is its contract (callers classify via map_os_error).

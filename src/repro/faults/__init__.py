@@ -45,7 +45,6 @@ from repro.faults.byzantine import (
     ByzantinePlan,
     ByzantineStore,
     corrupt_queued_hints,
-    heal_node,
     make_byzantine,
 )
 from repro.faults.crash import CrashPlan, crash_zone, crashing_write, crashpoint
@@ -82,7 +81,6 @@ __all__ = [
     "crashpoint",
     "flip_at",
     "fs_zone",
-    "heal_node",
     "make_byzantine",
     "with_retry",
 ]

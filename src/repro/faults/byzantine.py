@@ -225,15 +225,12 @@ class ByzantineStore(InterposedStore):
 
 
 def make_byzantine(node: object, plan: ByzantinePlan) -> ByzantineStore:
-    """Turn a cluster ``StorageNode`` adversarial in place (undo with
-    :func:`heal_node`): :meth:`~repro.faults.store.InterposedStore.install`
-    with the node's own name as the plan's node coordinate."""
+    """Turn a cluster ``StorageNode`` adversarial in place:
+    :meth:`~repro.faults.store.InterposedStore.install` with the node's own
+    name as the plan's node coordinate.  The adversary gives up with
+    ``ByzantineStore.remove(node)``, which restores the honest backing
+    store — including any real divergence the lies caused."""
     return ByzantineStore.install(node, plan, node=str(node.name))  # type: ignore[attr-defined]
-
-
-#: The adversary gives up: ``heal_node(node)`` restores the honest backing
-#: store — including any real divergence the lies caused — as ``node.store``.
-heal_node = ByzantineStore.remove
 
 
 def corrupt_queued_hints(cluster: object, plan: ByzantinePlan) -> int:

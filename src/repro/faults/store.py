@@ -55,9 +55,6 @@ class InterposedStore(WrapperStore):
         node.store = store.backing  # type: ignore[attr-defined]
         return True
 
-    #: The same pair under the names the security suites have always used.
-    wrap_node, unwrap_node = install, remove
-
 
 class FaultyStore(InterposedStore):
     """Applies a seeded :class:`FaultPlan` to every put and get."""
@@ -127,7 +124,7 @@ class TamperingStore(InterposedStore):
     content for another's, or drop chunks entirely — always under the
     *claimed* uid, exactly what client-side verification must catch.
     Wrap a flat store directly (the single-provider threat model), or
-    :meth:`wrap_node` one cluster replica: the per-uid counterpart to
+    :meth:`install` it on one cluster replica: the per-uid counterpart to
     the rate-driven :class:`~repro.faults.byzantine.ByzantinePlan`.
     """
 

@@ -20,18 +20,17 @@ chunk payloads.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Any, Iterable, List, Union
 
 from repro.chunk import Uid
 from repro.errors import KeyOrderError
 from repro.postree.config import DEFAULT_TREE_CONFIG, TreeConfig
 from repro.postree.node import (
     IndexEntry,
-    IndexNode,
     LeafEntry,
     LeafNode,
+    ListIndexEntry,
     empty_leaf,
-    encode_index_entries,
     encode_leaf_entries,
 )
 from repro.rolling.fast import fast_entry_spans
@@ -67,22 +66,26 @@ def build_leaf_level(
 
 def build_index_levels(
     store: ChunkStore,
-    descriptors: List[IndexEntry],
+    descriptors: Union[List[IndexEntry], List[ListIndexEntry]],
     config: TreeConfig,
     first_level: int = 1,
 ) -> Uid:
     """Stack index levels over ``descriptors`` until a single root remains.
 
-    ``descriptors`` describe the nodes of level ``first_level - 1``; if
-    there is exactly one, it *is* the root (no index node is built over a
-    single child — bulk build and editor must agree on this).
+    The one index builder of every tree: keyed descriptors stack keyed
+    index nodes, positional ones (list leaves, blob chunks) positional
+    index nodes — the descriptors name their node class.  ``descriptors``
+    describe the nodes of level ``first_level - 1``; if there is exactly
+    one, it *is* the root (no index node is built over a single child —
+    bulk build and editor must agree on this).
     """
     level = first_level
     while len(descriptors) > 1:
-        encoded = encode_index_entries(descriptors)
-        next_descriptors: List[IndexEntry] = []
+        node_class: Any = descriptors[0].index_class()
+        encoded = node_class.encode_entries(descriptors)
+        next_descriptors: List[Any] = []
         for start, end in fast_entry_spans(encoded, config.index):
-            node = IndexNode(level, descriptors[start:end], encoded=encoded[start:end])
+            node = node_class(level, descriptors[start:end], encoded=encoded[start:end])
             store.put_node(node.to_chunk(), node)
             next_descriptors.append(node.descriptor())
         descriptors = next_descriptors

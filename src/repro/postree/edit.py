@@ -26,7 +26,7 @@ writes is reachable from that root.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.chunk import Uid
 from repro.postree.builder import build_index_levels, bulk_build
@@ -40,15 +40,8 @@ from repro.postree.node import (
     encode_leaf_entries,
     encode_leaf_entry,
 )
+from repro.postree.tree import LevelCursor, PosTree
 from repro.rolling.fast import AnyEntryChunker, make_entry_chunker
-
-if TYPE_CHECKING:
-    from repro.postree.tree import PosTree
-
-# A path records, from the root downward, (index node, child position)
-# frames leading to — but not including — a node of interest.
-PathFrame = Tuple[IndexNode, int]
-Path = List[PathFrame]
 
 #: A record or a child reference; field 0 is the key either way.
 _Entry = Union[LeafEntry, IndexEntry]
@@ -59,67 +52,35 @@ _Entry = Union[LeafEntry, IndexEntry]
 _Op = Tuple[bytes, Optional[_Entry]]
 
 
-class _Walker:
-    """Left-to-right cursor over the nodes of one tree level.
+def _index_memo(tree: PosTree) -> Callable[[Uid], Union[LeafNode, IndexNode]]:
+    """``tree.node`` that decodes each index node once per edit.
 
-    Keeps the parent path of the current node, so moving on — to the next
-    node or to the node a key lands in — re-reads no ancestor it still
-    stands under.
+    Shared by the walkers of every level: the walk of a level passes
+    through all the ancestors the levels above will ask for again.
     """
+    seen: Dict[Uid, IndexNode] = {}
 
-    __slots__ = ("_tree", "_level", "_stack", "_seen", "current")
-
-    def __init__(
-        self,
-        tree: PosTree,
-        level: int,
-        stack: Path,
-        current: Union[LeafNode, IndexNode],
-        seen: Dict[Uid, IndexNode],
-    ) -> None:
-        self._tree = tree
-        self._level = level
-        self._stack = stack
-        self._seen = seen
-        self.current = current
-
-    def _node(self, uid: Uid) -> Union[LeafNode, IndexNode]:
-        """Load a node, decoding each index node once per edit.
-
-        ``seen`` is shared by the walkers of every level: the walk of a
-        level passes through all the ancestors the levels above will ask
-        for again.
-        """
-        node: Union[LeafNode, IndexNode, None] = self._seen.get(uid)
+    def load(uid: Uid) -> Union[LeafNode, IndexNode]:
+        node: Union[LeafNode, IndexNode, None] = seen.get(uid)
         if node is None:
-            node = self._tree.node(uid)
+            node = tree.node(uid)
             if isinstance(node, IndexNode):
-                self._seen[uid] = node
+                seen[uid] = node
         return node
 
-    def descend(self, parent: IndexNode, pos: int, key: Optional[bytes] = None) -> None:
-        """Step into child ``pos`` of ``parent`` and on down to this level,
-        toward ``key`` (leftmost when None)."""
-        while True:
-            self._stack.append((parent, pos))
-            node = self._node(parent.entries[pos].child)
-            if not isinstance(node, IndexNode) or node.level <= self._level:
-                self.current = node
-                return
-            parent, pos = node, 0 if key is None else node.child_for(key)
+    return load
 
-    def path(self) -> Path:
-        """Copy of the current node's parent path."""
-        return list(self._stack)
 
-    def advance(self) -> bool:
-        """Move to the next node at this level; False at the level's end."""
-        while self._stack:
-            parent, pos = self._stack.pop()
-            if pos + 1 < len(parent.entries):
-                self.descend(parent, pos + 1)
-                return True
-        return False
+class _Walker(LevelCursor):
+    """The editor's cursor: the shared level cursor plus the two moves only
+    a splice makes — a forward seek by key that re-reads nothing it stands
+    under, and the entry-stream bytes before the node it lands on.
+
+    Kept apart from :class:`LevelCursor` on purpose: both read split keys
+    and ``tail_bytes``, which only keyed nodes have.
+    """
+
+    __slots__ = ()
 
     def seek(self, key: bytes, window: int) -> Optional[bytes]:
         """Move forward to the node ``key`` lands in; None if already there.
@@ -138,7 +99,7 @@ class _Walker:
                 sibling = depth == len(self._stack) - 1 and target == pos + 1
                 behind = self.current
                 del self._stack[depth:]
-                self.descend(parent, target, key)
+                self.enter(parent, target, key)
                 return behind.tail_bytes(window) if sibling else self.prev_tail(window)
         return None
 
@@ -146,9 +107,9 @@ class _Walker:
         """Entry-stream bytes preceding the current node (window seeding)."""
         for parent, pos in reversed(self._stack):
             if pos > 0:
-                node = self._node(parent.entries[pos - 1].child)
+                node = self._load(parent.entries[pos - 1].child)
                 while isinstance(node, IndexNode) and node.level > self._level:
-                    node = self._node(node.entries[-1].child)
+                    node = self._load(node.entries[-1].child)
                 return node.tail_bytes(window)
         return b""
 
@@ -351,9 +312,8 @@ def apply_edits(
         # Height-0 tree: merge directly and bulk build (already O(node)).
         return bulk_build(tree.store, _merge_entries(root.entries, ops), tree.config)
 
-    seen: Dict[Uid, IndexNode] = {}
-    walker = _Walker(tree, 0, [], root, seen)
-    walker.descend(root, root.child_for(ops[0][0]), ops[0][0])
+    load = _index_memo(tree)
+    walker = _Walker(load, 0, root, ops[0][0])
     for level in range(root.level):
         start = walker.path()
         parent, pos = start[-1]
@@ -374,7 +334,7 @@ def apply_edits(
         edits = dict.fromkeys(consumed)
         edits.update((entry.split_key, entry) for entry in descriptors)
         ops = sorted(edits.items())
-        walker = _Walker(tree, level + 1, start[:-1], parent, seen)
+        walker = _Walker(load, level + 1, parent, stack=start[:-1])
 
     # The ops now address the root's own entries: final assembly.  Some
     # child survives (else the level below ran to its end, above).

@@ -1,21 +1,28 @@
-"""The POS-Tree handle: reads, scans, and immutable-style updates.
+"""The POS-Tree handles: one view base, one level cursor, the keyed tree.
 
-A :class:`PosTree` is a *view* — (store, root uid, config).  All mutating
-operations return a new handle on a new root; every chunk ever written
-stays materialized, which is exactly the paper's immutability story (old
-versions remain addressable and share pages with new ones).
+Every tree — keyed (:class:`PosTree`), positional
+(:class:`~repro.postree.listtree.PositionalTree`) and blob
+(:class:`~repro.postree.listtree.BlobTree`) — is a *view*: (store, root
+uid, config).  :class:`TreeView` owns what they share: node access through
+the store's node seam, the reachability walk, and the
+:class:`LevelCursor` that every left-to-right scan and the splice editor
+step with.  All mutating operations return a new handle on a new root;
+every chunk ever written stays materialized, which is exactly the paper's
+immutability story (old versions remain addressable and share pages with
+new ones).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.chunk import Chunk, Uid
 from repro.errors import ChunkEncodingError, TreeError
 from repro.postree.builder import bulk_build
 from repro.postree.config import DEFAULT_TREE_CONFIG, TreeConfig
 from repro.postree.node import (
+    AnyIndexNode,
     IndexNode,
     LeafEntry,
     LeafNode,
@@ -25,6 +32,11 @@ from repro.postree.node import (
 from repro.store.base import ChunkStore
 
 Node = Union[LeafNode, IndexNode]
+
+# A path records, from the root downward, (index node, child position)
+# frames leading to — but not including — a node of interest.
+PathFrame = Tuple[Any, int]
+Path = List[PathFrame]
 
 #: Share of a tree's records whose leaves may differ before
 #: :meth:`PosTree.assign` stops comparing and bulk-builds instead.  Taken
@@ -39,10 +51,78 @@ Node = Union[LeafNode, IndexNode]
 REBUILD_SHARE = 0.25
 
 
-class PosTree:
-    """Ordered key→value POS-Tree over a chunk store."""
+class LevelCursor:
+    """Left-to-right cursor over the nodes of one level of a tree.
+
+    Keeps the parent path of the current node, so moving on re-reads no
+    ancestor it still stands under.  It knows nothing of keys or
+    positions: a descent asks each index node to ``route`` the target,
+    and ``offset`` is what the last one handed down — for a positional
+    tree the target's offset inside ``current``, for a keyed tree the key.
+    """
+
+    __slots__ = ("_load", "_level", "_stack", "current", "offset")
+
+    def __init__(
+        self,
+        load: Callable[[Uid], Any],
+        level: int,
+        top: Any,
+        target: Any = None,
+        stack: Iterable[PathFrame] = (),
+    ) -> None:
+        """Stand on the node of ``level`` that ``target`` routes to from
+        ``top`` (the leftmost when None); ``stack`` is the path to ``top``."""
+        self._load = load
+        self._level = level
+        self._stack: Path = list(stack)
+        self._down(top, target)
+
+    def _down(self, node: Any, target: Any) -> None:
+        """Go from ``node`` down to this level, toward ``target``."""
+        level = self._level
+        while isinstance(node, AnyIndexNode) and node.level > level:
+            pos, target = (0, None) if target is None else node.route(target)
+            self._stack.append((node, pos))
+            node = self._load(node.entries[pos].child)
+        self.current = node
+        self.offset = target
+
+    def enter(self, parent: AnyIndexNode, pos: int, target: Any = None) -> None:
+        """Step into child ``pos`` of ``parent`` and on down to this level."""
+        self._stack.append((parent, pos))
+        self._down(self._load(parent.entries[pos].child), target)
+
+    def path(self) -> Path:
+        """Copy of the current node's parent path."""
+        return list(self._stack)
+
+    def advance(self) -> bool:
+        """Move to the next node at this level; False at the level's end."""
+        stack = self._stack
+        while stack:
+            parent, pos = stack.pop()
+            if pos + 1 < len(parent.entries):
+                self.enter(parent, pos + 1)
+                return True
+        return False
+
+    def nodes(self) -> Iterator[Any]:
+        """The current node, then every following node of the level."""
+        yield self.current
+        while self.advance():
+            yield self.current
+
+
+class TreeView:
+    """What every tree handle is: a root uid over a chunk store, and the
+    chunking parameters its index levels (and entry leaves) are cut with."""
 
     __slots__ = ("store", "root", "config")
+
+    #: The decoded node classes this view accepts (a handle on the wrong
+    #: kind of root fails at its first read).
+    NODES: Tuple[type, ...] = ()
 
     def __init__(
         self,
@@ -53,6 +133,63 @@ class PosTree:
         self.store = store
         self.root = root
         self.config = config
+
+    def node(self, uid: Uid) -> Any:
+        """Load a node in decoded form.
+
+        Through the store's node seam: a store that remembers decoded
+        nodes (:mod:`repro.store.nodecache`) hands one back for a dict
+        probe; any other hands back the chunk, decoded here.
+        """
+        node = self.store.get_node(uid)
+        if node.__class__ is Chunk:
+            node = load_node(node)
+        if isinstance(node, self.NODES):
+            return node
+        raise ChunkEncodingError(
+            f"not a {type(self).__name__} node: {uid.short()} is a {type(node).__name__}"
+        )
+
+    def cursor(self, target: Any = None) -> LevelCursor:
+        """A cursor on the leaf ``target`` routes to (the leftmost when None)."""
+        return LevelCursor(self.node, 0, self.node(self.root), target)
+
+    def reachable(self) -> Iterator[Tuple[Uid, Any]]:
+        """Every distinct (uid, node) reachable from the root, each once.
+
+        O(N); meant for tests, SIRI checkers and storage accounting.
+        """
+        seen: Set[Uid] = set()
+        stack = [self.root]
+        while stack:
+            uid = stack.pop()
+            if uid in seen:
+                continue
+            seen.add(uid)
+            node = self.node(uid)
+            yield uid, node
+            if isinstance(node, AnyIndexNode):
+                stack.extend(node.children())
+
+    def page_uids(self) -> Set[Uid]:
+        """The set P(I) of all pages reachable from the root (SIRI Def. 1)."""
+        return {uid for uid, _ in self.reachable()}
+
+    def node_count_by_level(self) -> Dict[int, int]:
+        """How many distinct pages exist per level (diagnostics)."""
+        counts: Dict[int, int] = {}
+        for _, node in self.reachable():
+            level = node_level(node)
+            counts[level] = counts.get(level, 0) + 1
+        return counts
+
+
+class PosTree(TreeView):
+    """Ordered key→value POS-Tree over a chunk store."""
+
+    __slots__ = ()
+
+    NODES = (LeafNode, IndexNode)
 
     # -- constructors --------------------------------------------------------
 
@@ -90,20 +227,6 @@ class PosTree:
 
     # -- node access ---------------------------------------------------------
 
-    def node(self, uid: Uid) -> Node:
-        """Load a node in decoded form.
-
-        Through the store's node seam: a store that remembers decoded
-        nodes (:mod:`repro.store.nodecache`) hands one back for a dict
-        probe; any other hands back the chunk, decoded here.
-        """
-        node = self.store.get_node(uid)
-        if node.__class__ is Chunk:
-            return load_node(node)
-        if isinstance(node, (LeafNode, IndexNode)):
-            return node
-        raise ChunkEncodingError(f"not a POS-Tree node: {uid.short()} is a {type(node).__name__}")
-
     def root_node(self) -> Node:
         """The decoded root."""
         return self.node(self.root)
@@ -139,26 +262,7 @@ class PosTree:
     def leaves(self, start_key: Optional[bytes] = None) -> Iterator[LeafNode]:
         """Yield leaf nodes left-to-right, starting at the leaf that would
         contain ``start_key`` (or the leftmost)."""
-        stack: List[Tuple[IndexNode, int]] = []
-        node = self.root_node()
-        while isinstance(node, IndexNode):
-            if not node.entries:
-                return
-            pos = node.child_for(start_key) if start_key is not None else 0
-            stack.append((node, pos))
-            node = self.node(node.entries[pos].child)
-        yield node
-        while stack:
-            parent, pos = stack.pop()
-            pos += 1
-            if pos >= len(parent.entries):
-                continue
-            stack.append((parent, pos))
-            child = self.node(parent.entries[pos].child)
-            while isinstance(child, IndexNode):
-                stack.append((child, 0))
-                child = self.node(child.entries[0].child)
-            yield child
+        yield from self.cursor(start_key).nodes()
 
     def iter_entries(
         self,
@@ -187,40 +291,6 @@ class PosTree:
             yield entry.key
 
     # -- structure inspection --------------------------------------------------
-
-    def page_uids(self) -> Set[Uid]:
-        """The set P(I) of all pages reachable from the root (SIRI Def. 1).
-
-        O(N); meant for tests, SIRI checkers and storage accounting.
-        """
-        pages: Set[Uid] = set()
-        stack = [self.root]
-        while stack:
-            uid = stack.pop()
-            if uid in pages:
-                continue
-            pages.add(uid)
-            node = self.node(uid)
-            if isinstance(node, IndexNode):
-                stack.extend(entry.child for entry in node.entries)
-        return pages
-
-    def node_count_by_level(self) -> Dict[int, int]:
-        """How many distinct pages exist per level (diagnostics)."""
-        counts: Dict[int, int] = {}
-        seen: Set[Uid] = set()
-        stack = [self.root]
-        while stack:
-            uid = stack.pop()
-            if uid in seen:
-                continue
-            seen.add(uid)
-            node = self.node(uid)
-            level = node_level(node)
-            counts[level] = counts.get(level, 0) + 1
-            if isinstance(node, IndexNode):
-                stack.extend(entry.child for entry in node.entries)
-        return counts
 
     def check_structure(self) -> None:
         """Validate invariants: key order, split keys, counts, levels.

@@ -5,9 +5,7 @@ a rolling hash :math:`\\Phi` is computed over a sliding k-byte window and a
 boundary occurs wherever :math:`\\Phi \\bmod 2^q = 0`.  This package provides
 
 - :class:`~repro.rolling.hashes.CyclicPolynomialHash` — the exact
-  recurrence from the paper (buzhash),
-- :class:`~repro.rolling.hashes.RabinKarpHash` — a classical alternative
-  used by the ablation benchmarks,
+  recurrence from the paper (buzhash), the one rolling hash there is,
 - :mod:`~repro.rolling.chunker` — byte-stream and entry-stream chunkers
   with min/max-size clamps (entry streams extend a mid-entry pattern to
   the entry boundary, as the paper specifies).
@@ -27,7 +25,7 @@ from repro.rolling.fast import (
     make_entry_chunker,
     numpy_available,
 )
-from repro.rolling.hashes import CyclicPolynomialHash, RabinKarpHash, RollingHash
+from repro.rolling.hashes import CyclicPolynomialHash
 
 __all__ = [
     "ChunkerConfig",
@@ -41,6 +39,4 @@ __all__ = [
     "make_entry_chunker",
     "numpy_available",
     "CyclicPolynomialHash",
-    "RabinKarpHash",
-    "RollingHash",
 ]

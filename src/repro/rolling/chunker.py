@@ -17,18 +17,9 @@ re-chunk from the middle of a level and detect boundary resynchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-from repro.rolling.hashes import CyclicPolynomialHash, RabinKarpHash, RollingHash
-
-
-def make_hash(algorithm: str, window: int, bits: int, seed: bytes) -> RollingHash:
-    """Instantiate a rolling hash by name (``cyclic`` or ``rabin-karp``)."""
-    if algorithm == "cyclic":
-        return CyclicPolynomialHash(window=window, bits=bits, seed=seed)
-    if algorithm == "rabin-karp":
-        return RabinKarpHash(window=window, bits=bits)
-    raise ValueError(f"unknown rolling hash algorithm: {algorithm!r}")
+from repro.rolling.hashes import CyclicPolynomialHash
 
 
 @dataclass(frozen=True)
@@ -46,7 +37,6 @@ class ChunkerConfig:
     max_size: int = 65536
     hash_bits: int = 31
     seed: bytes = b"forkbase-gamma"
-    algorithm: str = "cyclic"
     #: Minimum entries per node for entry-stream chunking.  Index levels
     #: MUST use >= 2: with small pattern_bits a pattern can fire inside
     #: almost every entry, producing single-entry nodes at every level and
@@ -67,10 +57,6 @@ class ChunkerConfig:
             raise ValueError("hash_bits must be >= pattern_bits")
         if self.min_entries < 1:
             raise ValueError("min_entries must be >= 1")
-
-    def make_hash(self) -> RollingHash:
-        """Build the configured rolling hash, freshly reset."""
-        return make_hash(self.algorithm, self.window, self.hash_bits, self.seed)
 
     def with_target(self, target_size: int) -> "ChunkerConfig":
         """Derive a config whose expected chunk size is ``target_size``.
@@ -109,37 +95,31 @@ def iter_chunk_spans(
     """
     if not data:
         return
-    hasher = config.make_hash()
-    window = config.window
-    if preceding:
-        hasher.feed(preceding[-window:])
-    pattern_mask = (1 << config.pattern_bits) - 1
-    min_size = config.min_size
-    max_size = config.max_size
-
-    if isinstance(hasher, CyclicPolynomialHash):
-        yield from _iter_spans_cyclic(
-            data, hasher, preceding[-window:], pattern_mask, min_size, max_size
-        )
-        return
-
-    backlog = bytearray(window)
-    if preceding:
-        tail = preceding[-window:]
-        backlog[-len(tail) :] = tail
-    idx = 0
+    hasher = CyclicPolynomialHash(config.window, config.hash_bits, config.seed)
+    backlog = bytearray(config.window)
+    seed_tail = preceding[-config.window :]
+    if seed_tail:
+        hasher.feed(seed_tail)
+        backlog[-len(seed_tail) :] = seed_tail
+    _, _, _, hits = _scan_cyclic(
+        data,
+        backlog,
+        0,
+        hasher.value,
+        0,
+        hasher._table,
+        hasher._out_rot,
+        hasher._mask,
+        hasher.bits - 1,
+        (1 << config.pattern_bits) - 1,
+        config.min_size,
+        config.max_size,
+        reset_since_on_hit=True,
+    )
     start = 0
-    since = 0
-    for pos, byte in enumerate(data):
-        outgoing = backlog[idx]
-        backlog[idx] = byte
-        idx = (idx + 1) % window
-        value = hasher.update(byte, outgoing)
-        since += 1
-        if since >= min_size and (value & pattern_mask == 0 or since >= max_size):
-            yield (start, pos + 1)
-            start = pos + 1
-            since = 0
+    for pos in hits:
+        yield (start, pos + 1)
+        start = pos + 1
     if start < len(data):
         yield (start, len(data))
 
@@ -201,42 +181,6 @@ def _scan_cyclic(
     return idx, value, since, hits
 
 
-def _iter_spans_cyclic(
-    data: bytes,
-    hasher: CyclicPolynomialHash,
-    seed_tail: bytes,
-    pattern_mask: int,
-    min_size: int,
-    max_size: int,
-) -> Iterator[Tuple[int, int]]:
-    """Byte-stream spans via the shared cyclic scan (the common case)."""
-    window = hasher.window
-    backlog = bytearray(window)
-    if seed_tail:
-        backlog[-len(seed_tail) :] = seed_tail
-    _, _, _, hits = _scan_cyclic(
-        data,
-        backlog,
-        0,
-        hasher.value,
-        0,
-        hasher._table,
-        hasher._out_rot,
-        hasher._mask,
-        hasher.bits - 1,
-        pattern_mask,
-        min_size,
-        max_size,
-        reset_since_on_hit=True,
-    )
-    start = 0
-    for pos in hits:
-        yield (start, pos + 1)
-        start = pos + 1
-    if start < len(data):
-        yield (start, len(data))
-
-
 def chunk_bytes(
     data: bytes,
     config: ChunkerConfig = BLOB_CONFIG,
@@ -277,7 +221,6 @@ class EntryChunker:
         "_min_entries",
         "_entry_count",
         "_pending",
-        "_generic_hash",
     )
 
     def __init__(self, config: ChunkerConfig = ENTRY_CONFIG) -> None:
@@ -292,17 +235,12 @@ class EntryChunker:
         self._min_entries = config.min_entries
         self._entry_count = 0
         self._pending = False
-        hasher = config.make_hash()
-        if isinstance(hasher, CyclicPolynomialHash):
-            self._generic_hash: Optional[RollingHash] = None
-            self._table = hasher._table
-            self._out_rot = hasher._out_rot
-            self._mask = hasher._mask
-            self._top_shift = hasher.bits - 1
-            self._value = hasher.value
-        else:
-            self._generic_hash = hasher
-            self._value = hasher.value
+        hasher = CyclicPolynomialHash(config.window, config.hash_bits, config.seed)
+        self._table = hasher._table
+        self._out_rot = hasher._out_rot
+        self._mask = hasher._mask
+        self._top_shift = hasher.bits - 1
+        self._value = hasher.value
 
     @property
     def config(self) -> ChunkerConfig:
@@ -318,22 +256,17 @@ class EntryChunker:
         self._entry_count = 0
         self._pending = False
 
-    def _slide(self, byte: int) -> int:
+    def _slide(self, byte: int) -> None:
         backlog = self._backlog
         idx = self._idx
         outgoing = backlog[idx]
         backlog[idx] = byte
         idx += 1
         self._idx = 0 if idx == self._window else idx
-        if self._generic_hash is not None:
-            self._value = self._generic_hash.update(byte, outgoing)
-            return self._value
         value = self._value
         value = ((value << 1) | (value >> self._top_shift)) & self._mask
         value ^= self._out_rot[outgoing]
-        value ^= self._table[byte]
-        self._value = value
-        return value
+        self._value = value ^ self._table[byte]
 
     def push(self, entry: bytes) -> bool:
         """Consume one entry; return True if a node boundary closes here.
@@ -343,35 +276,6 @@ class EntryChunker:
         both conditions hold.  This keeps every non-final node at least
         ``min_entries`` long, which is what guarantees index levels shrink.
         """
-        if self._generic_hash is None:
-            hit = self._push_cyclic(entry)
-        else:
-            hit = self._push_generic(entry)
-        self._entry_count += 1
-        if hit:
-            self._pending = True
-        if self._pending and self._entry_count >= self._min_entries:
-            self._since = 0
-            self._entry_count = 0
-            self._pending = False
-            return True
-        return False
-
-    def _push_generic(self, entry: bytes) -> bool:
-        hit = False
-        since = self._since
-        for byte in entry:
-            value = self._slide(byte)
-            since += 1
-            if not hit and since >= self._min_size and (
-                value & self._pattern_mask == 0 or since >= self._max_size
-            ):
-                hit = True
-        self._since = since
-        return hit
-
-    def _push_cyclic(self, entry: bytes) -> bool:
-        # Same semantics as _push_generic, via the shared cyclic scan.
         self._idx, self._value, self._since, hits = _scan_cyclic(
             entry,
             self._backlog,
@@ -387,7 +291,15 @@ class EntryChunker:
             self._max_size,
             reset_since_on_hit=False,
         )
-        return bool(hits)
+        self._entry_count += 1
+        if hits:
+            self._pending = True
+        if self._pending and self._entry_count >= self._min_entries:
+            self._since = 0
+            self._entry_count = 0
+            self._pending = False
+            return True
+        return False
 
     def push_many(self, encoded: Sequence[bytes]) -> List[int]:
         """Push a batch of encoded entries; return boundary indices.

@@ -22,8 +22,8 @@ tests/test_fast_entry_chunker.py); structural invariance makes them
 mechanically checkable end-to-end: a tree bulk-built either way has the
 same root uid.
 
-If numpy is unavailable, or the configured algorithm is not ``cyclic``,
-everything degrades to the pure reference implementation.
+If numpy is unavailable, everything degrades to the pure reference
+implementation.
 """
 
 from __future__ import annotations
@@ -235,10 +235,9 @@ def fast_chunk_spans(
 ) -> List[Tuple[int, int]]:
     """Spans identical to ``list(iter_chunk_spans(data, config, preceding))``.
 
-    Only the cyclic-polynomial algorithm is vectorized; other algorithms
-    (and numpy-less environments) fall back to the reference path.
+    Numpy-less environments fall back to the reference path.
     """
-    if not numpy_available() or config.algorithm != "cyclic" or not data:
+    if not numpy_available() or not data:
         return list(iter_chunk_spans(data, config, preceding))
 
     window = config.window
@@ -303,8 +302,6 @@ class VectorEntryChunker:
     __slots__ = ("_config", "_tail", "_since", "_entry_count", "_pending")
 
     def __init__(self, config: ChunkerConfig = ENTRY_CONFIG) -> None:
-        if config.algorithm != "cyclic":
-            raise ValueError("VectorEntryChunker supports only the cyclic hash")
         self._config = config
         self._tail = b""
         self._since = 0
@@ -419,12 +416,12 @@ AnyEntryChunker = Union[EntryChunker, VectorEntryChunker]
 def make_entry_chunker(config: ChunkerConfig = ENTRY_CONFIG) -> AnyEntryChunker:
     """Best available entry chunker for ``config``.
 
-    Returns the vectorized implementation when numpy is present and the
-    algorithm is the paper's cyclic hash; the pure streaming reference
-    otherwise.  Both honour the same ``seed``/``push``/``push_many``
-    contract, so call sites need not care which they got.
+    Returns the vectorized implementation when numpy is present; the pure
+    streaming reference otherwise.  Both honour the same
+    ``seed``/``push``/``push_many`` contract, so call sites need not care
+    which they got.
     """
-    if numpy_available() and config.algorithm == "cyclic":
+    if numpy_available():
         return VectorEntryChunker(config)
     return EntryChunker(config)
 
@@ -441,7 +438,7 @@ def fast_entry_spans(
     ``entries``.  Falls back to the pure reference when the fast path
     cannot run.
     """
-    if not numpy_available() or config.algorithm != "cyclic":
+    if not numpy_available():
         return chunk_entries(entries, config, preceding)
     chunker = VectorEntryChunker(config)
     if preceding:

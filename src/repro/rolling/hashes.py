@@ -7,10 +7,9 @@ The paper (§II-A) specifies the cyclic polynomial hash
 where Γ maps a byte to an integer in [0, 2^q), δ rotates its input left by
 one bit within q bits, and ⊕ is XOR.  Each step drops the oldest byte of the
 window and admits the newest.  :class:`CyclicPolynomialHash` implements this
-recurrence verbatim; :class:`RabinKarpHash` is the classical polynomial
-alternative kept for ablation comparisons.
+recurrence verbatim and is the only rolling hash the engine has.
 
-Both hashes are deterministic across runs and platforms: the Γ table is
+The hash is deterministic across runs and platforms: the Γ table is
 derived from SHA-256 of a fixed seed, never from :mod:`random` global state.
 """
 
@@ -107,42 +106,7 @@ def cyclic_step(
     return value ^ out_rot[outgoing] ^ table[incoming]
 
 
-class RollingHash:
-    """Interface for rolling hashes over a fixed-width byte window.
-
-    Subclasses maintain O(1) state and update it per byte; ``value`` is the
-    current hash of the last ``window`` bytes fed in.
-    """
-
-    #: Window width k in bytes.
-    window: int
-    #: Current hash value.
-    value: int
-
-    def reset(self) -> None:
-        """Forget all fed bytes."""
-        raise NotImplementedError
-
-    def update(self, incoming: int, outgoing: int) -> int:
-        """Slide the window: admit ``incoming``, retire ``outgoing``.
-
-        Returns the new hash value.  ``outgoing`` must be the byte that
-        entered the window exactly ``self.window`` updates ago (0 while the
-        window is still filling).
-        """
-        raise NotImplementedError
-
-    def feed(self, data: bytes) -> int:
-        """Convenience: slide over ``data`` byte-by-byte, return final value."""
-        backlog = bytearray()
-        for byte in data:
-            outgoing = backlog[-self.window] if len(backlog) >= self.window else 0
-            self.update(byte, outgoing)
-            backlog.append(byte)
-        return self.value
-
-
-class CyclicPolynomialHash(RollingHash):
+class CyclicPolynomialHash:
     """The paper's cyclic polynomial (buzhash) rolling hash.
 
     State is a ``bits``-wide integer; δ is a 1-bit left rotation within
@@ -166,16 +130,17 @@ class CyclicPolynomialHash(RollingHash):
         self._zero_init = zero_window_value(bits, window, seed)
         self.value = self._zero_init
 
-    def _rotl(self, value: int, count: int) -> int:
-        count %= self.bits
-        if count == 0:
-            return value
-        return ((value << count) | (value >> (self.bits - count))) & self._mask
-
     def reset(self) -> None:
+        """Forget all fed bytes."""
         self.value = self._zero_init
 
     def update(self, incoming: int, outgoing: int) -> int:
+        """Slide the window: admit ``incoming``, retire ``outgoing``.
+
+        Returns the new hash value.  ``outgoing`` must be the byte that
+        entered the window exactly ``self.window`` updates ago (0 while the
+        window is still filling).
+        """
         value = cyclic_step(
             self.value,
             incoming,
@@ -188,32 +153,14 @@ class CyclicPolynomialHash(RollingHash):
         self.value = value
         return value
 
-
-class RabinKarpHash(RollingHash):
-    """Classical Rabin–Karp polynomial rolling hash (ablation baseline).
-
-    ``h = (h * base + b_in - b_out * base**k) mod 2**bits``.
-    """
-
-    __slots__ = ("window", "bits", "value", "_mask", "_base", "_base_k")
-
-    def __init__(self, window: int = 16, bits: int = 31, base: int = 257) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self.bits = bits
-        self._mask = (1 << bits) - 1
-        self._base = base
-        self._base_k = pow(base, window, 1 << bits)
-        self.value = 0
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def update(self, incoming: int, outgoing: int) -> int:
-        value = (self.value * self._base + incoming - outgoing * self._base_k) & self._mask
-        self.value = value
-        return value
+    def feed(self, data: bytes) -> int:
+        """Convenience: slide over ``data`` byte-by-byte, return final value."""
+        backlog = bytearray()
+        for byte in data:
+            outgoing = backlog[-self.window] if len(backlog) >= self.window else 0
+            self.update(byte, outgoing)
+            backlog.append(byte)
+        return self.value
 
 
 def direct_cyclic_hash(

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Union
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import ChunkCorruptionError, ChunkNotFoundError, TamperError, TransientError
-from repro.postree.node import IndexNode, load_node
+from repro.postree.node import child_uids
 from repro.store.base import ChunkStore
 from repro.vcs.fnode import FNode
 
@@ -152,18 +152,8 @@ class Verifier:
                 continue
             seen.add(uid)
             chunk = self._fetch_checked(uid, report)
-            if chunk is None:
-                continue
-            if chunk.type in (ChunkType.LEAF, ChunkType.INDEX):
-                node = load_node(chunk)
-                if isinstance(node, IndexNode):
-                    stack.extend(entry.child for entry in node.entries)
-            elif chunk.type in (ChunkType.LIST_INDEX,):
-                from repro.postree.listtree import ListIndexNode
-
-                node = ListIndexNode.from_chunk(chunk)
-                stack.extend(entry.child for entry in node.entries)
-            # BLOB / LIST_LEAF / PRIMITIVE chunks have no children.
+            if chunk is not None:
+                stack.extend(child_uids(chunk))
 
     def verify_version(
         self, version: Union[Uid, str], check_history: bool = True

@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING, Iterable, List, Set
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import StoreError
-from repro.postree.listtree import ListIndexNode
-from repro.postree.node import IndexNode
+from repro.postree.node import child_uids
 from repro.store.base import ChunkStore, physical_store
 from repro.store.memory import InMemoryStore
 from repro.vcs.fnode import FNode
@@ -33,15 +32,11 @@ if TYPE_CHECKING:
 
 def chunk_children(chunk: Chunk) -> List[Uid]:
     """The uids a chunk references (its Merkle children)."""
-    if chunk.type == ChunkType.INDEX:
-        return [entry.child for entry in IndexNode.from_chunk(chunk).entries]
-    if chunk.type == ChunkType.LIST_INDEX:
-        return [entry.child for entry in ListIndexNode.from_chunk(chunk).entries]
     if chunk.type == ChunkType.FNODE:
         fnode = FNode.decode(chunk)
         return [fnode.value_root, *fnode.bases]
-    # LEAF / LIST_LEAF / BLOB / PRIMITIVE / SCHEMA / META are terminal.
-    return []
+    # A tree's index nodes have children; every other chunk is terminal.
+    return child_uids(chunk)
 
 
 @dataclass

@@ -44,29 +44,23 @@ from collections import OrderedDict
 from typing import List, Optional, Union
 
 from repro.chunk import Chunk, ChunkType, Uid
-from repro.postree.listtree import ListIndexNode, ListLeafNode
-from repro.postree.node import IndexNode, LeafNode, load_node
+from repro.postree.node import NODE_CLASSES, Node, load_node
 from repro.store.base import ChunkStore, WrapperStore, physical_store
 from repro.store.stats import StoreStats
 from repro.vcs.fnode import FNode
 
-#: Everything ``get_node`` can hand back: keyed-tree nodes, list-tree
-#: nodes, version records, or the raw chunk itself for types with no
-#: richer decoding (BLOB, META, ...).
-DecodedNode = Union[LeafNode, IndexNode, ListLeafNode, ListIndexNode, FNode, Chunk]
+#: Everything ``get_node`` can hand back: a tree node of any kind, a
+#: version record, or the raw chunk itself for types with no richer
+#: decoding (BLOB, META, ...).
+DecodedNode = Union[Node, FNode]
 
 
 def decode_chunk(chunk: Chunk) -> DecodedNode:
     """Decode one chunk into its natural in-memory node form."""
-    if chunk.type in (ChunkType.LEAF, ChunkType.INDEX):
-        return load_node(chunk)
-    if chunk.type == ChunkType.LIST_LEAF:
-        return ListLeafNode.from_chunk(chunk)
-    if chunk.type == ChunkType.LIST_INDEX:
-        return ListIndexNode.from_chunk(chunk)
     if chunk.type == ChunkType.FNODE:
         return FNode.decode(chunk)
-    return chunk
+    # Which tags are tree nodes, and how each decodes, is postree's to say.
+    return load_node(chunk) if chunk.type in NODE_CLASSES else chunk
 
 
 class NodeCacheStore(WrapperStore):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Type
+from typing import Any, Dict, Set, Type
 
 from repro.chunk import Uid
 from repro.errors import TypeMismatchError
@@ -25,6 +25,8 @@ class FObject:
 
     store: ChunkStore
     root: Uid
+    #: The tree behind a chunkable value; a primitive has none.
+    _tree: Any = None
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FObject):
@@ -37,6 +39,11 @@ class FObject:
     @classmethod
     def load(cls, store: ChunkStore, root: Uid) -> "FObject":
         raise NotImplementedError
+
+    def page_uids(self) -> Set[Uid]:
+        """All pages backing this value (storage accounting): the tree's
+        for a chunkable type, the one chunk of a primitive."""
+        return {self.root} if self._tree is None else self._tree.page_uids()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(root={self.root.short()}…)"

@@ -53,7 +53,3 @@ class FBlob(FObject):
         """Functional append."""
         size = self.size()
         return self.splice(size, size, data)
-
-    def page_uids(self):
-        """All pages backing this blob (storage accounting)."""
-        return self._tree.page_uids()

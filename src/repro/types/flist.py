@@ -78,7 +78,3 @@ class FList(FObject):
     def to_list(self) -> List[bytes]:
         """Materialize (tests / small lists only)."""
         return self._tree.items()
-
-    def page_uids(self):
-        """All pages backing this list."""
-        return self._tree.page_uids()

@@ -123,7 +123,3 @@ class FMap(FObject):
         """Three-way merge: self and ``other`` against common ``base``."""
         result = three_way_merge(base._tree, self._tree, other._tree, resolver)
         return FMap(self.store, self._tree.with_root(result.root)), result
-
-    def page_uids(self):
-        """All pages backing this map (storage accounting)."""
-        return self._tree.page_uids()

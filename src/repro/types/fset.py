@@ -79,7 +79,3 @@ class FSet(FObject):
         for leaf in self._tree.leaves():
             out.update([key for key, _ in leaf.entries])
         return out
-
-    def page_uids(self):
-        """All pages backing this set."""
-        return self._tree.page_uids()

@@ -3,37 +3,18 @@
 from __future__ import annotations
 
 import os
-import warnings
 
 import pytest
 
 from repro.db.engine import ForkBase
 from repro.store import InMemoryStore
 
-#: Deprecated per-plane spellings of ``FORKBASE_SEED``, honoured this round.
-_OLD_SEED_NAMES = (
-    "FORKBASE_FAULT_SEED",
-    "FORKBASE_FSFAULT_SEED",
-    "FORKBASE_GRAYFAULT_SEED",
-    "FORKBASE_BYZ_SEED",
-)
-
 
 def fault_seed(default: int) -> int:
     """The seed every fault suite runs under: ``FORKBASE_SEED``, else the
-    first deprecated name that is set (with a warning: each now reaches
-    every plane's suites, not one), else the suite's own ``default`` (so
-    an unset environment replays exactly the schedules it always has)."""
-    for name in ("FORKBASE_SEED",) + _OLD_SEED_NAMES:
-        if name in os.environ:
-            if name in _OLD_SEED_NAMES:
-                warnings.warn(
-                    f"{name} is deprecated and now seeds every fault suite; set FORKBASE_SEED",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            return int(os.environ[name])
-    return default
+    suite's own ``default`` (so an unset environment replays exactly the
+    schedules it always has)."""
+    return int(os.environ.get("FORKBASE_SEED", default))
 
 
 @pytest.fixture

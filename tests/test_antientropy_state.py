@@ -17,10 +17,10 @@ from repro.chunk import Chunk, ChunkType
 from repro.cluster import ClusterStore, digests_agree, sync
 from repro.faults import (
     ByzantinePlan,
+    ByzantineStore,
     NetworkPlan,
     PartitionedTransport,
     RetryPolicy,
-    heal_node,
     make_byzantine,
 )
 from tests.conftest import fault_seed
@@ -128,7 +128,7 @@ def _run(forget: bool) -> list:
     assert cluster.accountability.is_quarantined(LIAR)
     step("liar quarantined, sits out")
 
-    heal_node(cluster.nodes[LIAR])
+    ByzantineStore.remove(cluster.nodes[LIAR])
     cluster.readmit(LIAR)
     observe("readmit", cluster.last_sync_report)
 

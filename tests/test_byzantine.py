@@ -28,7 +28,6 @@ from repro.faults import (
     ByzantineStore,
     corrupt_queued_hints,
     flip_at,
-    heal_node,
     make_byzantine,
 )
 from repro.security import TamperingStore, Verifier
@@ -200,9 +199,9 @@ class TestByzantineStore:
         assert node.store is wrapper
         assert wrapper.node == "node-00"
         assert not node.store.get_maybe(chunk.uid).is_valid()
-        assert heal_node(node)
+        assert ByzantineStore.remove(node)
         assert node.store.get_maybe(chunk.uid).is_valid()
-        assert not heal_node(node)  # already honest
+        assert not ByzantineStore.remove(node)  # already honest
 
 
 class TestAccountabilityBoard:
@@ -567,7 +566,7 @@ class TestTamperingStoreNodeWrap:
         chunks = [_chunk(n) for n in range(30)]
         cluster.put_many(chunks)
         node = cluster.nodes["node-00"]
-        adversary = TamperingStore.wrap_node(node)
+        adversary = TamperingStore.install(node)
         assert node.store is adversary
         # Target a uid whose read will hit node-00 first, so the lie is
         # actually served (a second-replica lie may never be consulted).
@@ -583,9 +582,9 @@ class TestTamperingStoreNodeWrap:
             r.node == "node-00" and r.kind == "served-corrupt"
             for r in cluster.accountability.evidence
         )
-        assert TamperingStore.unwrap_node(node)
+        assert TamperingStore.remove(node)
         assert node.store is adversary.backing
-        assert not TamperingStore.unwrap_node(node)
+        assert not TamperingStore.remove(node)
 
     def test_wrap_node_shares_flip_primitive_with_plan(self):
         store = TamperingStore(InMemoryStore())
@@ -630,7 +629,7 @@ class TestEvidenceSurfaces:
         from repro.api.rest import Router
 
         cluster = self._lied_to_cluster()
-        heal_node(cluster.nodes["node-00"])
+        ByzantineStore.remove(cluster.nodes["node-00"])
         engine = ForkBase(cluster.client("api"), clock=lambda: 0.0)
         engine.put("doc", {"body": "hello"})
         response = Router(engine).request("GET", "/v1/status")

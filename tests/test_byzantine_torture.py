@@ -25,6 +25,7 @@ from repro.cluster import ClusterStore, anti_entropy_pass, digests_agree
 from repro.errors import ClusterError
 from repro.faults import (
     ByzantinePlan,
+    ByzantineStore,
     FaultPlan,
     FaultyStore,
     FsFaultPlan,
@@ -34,7 +35,6 @@ from repro.faults import (
     apply_slow_event,
     flip_at,
     fs_zone,
-    heal_node,
     make_byzantine,
 )
 from tests.conftest import fault_seed
@@ -317,7 +317,7 @@ class TestByzantineGrayDiskMatrix:
         # disk replaced (unwrap its fault plan): the cluster converges to
         # every acked chunk durable on trusted replicas.  With the wire
         # still rotting, a point-in-time verify would be seed-noisy.
-        assert heal_node(cluster.nodes[liar])
+        assert ByzantineStore.remove(cluster.nodes[liar])
         cluster.nodes[rotten].store = cluster.nodes[rotten].store.backing
         cluster.readmit(liar)
         anti_entropy_pass(cluster)

@@ -10,7 +10,6 @@ from repro.rolling.chunker import (
     chunk_bytes,
     chunk_entries,
     iter_chunk_spans,
-    make_hash,
 )
 
 
@@ -37,12 +36,6 @@ class TestConfig:
         assert config.pattern_bits == 12
         assert config.min_size == 1024
         assert config.max_size == 32768
-
-    def test_make_hash_algorithms(self):
-        assert ChunkerConfig(algorithm="cyclic").make_hash() is not None
-        assert ChunkerConfig(algorithm="rabin-karp").make_hash() is not None
-        with pytest.raises(ValueError):
-            make_hash("nope", 16, 31, b"s")
 
 
 class TestChunkBytes:
@@ -100,15 +93,6 @@ class TestChunkBytes:
         seeded = list(iter_chunk_spans(data, self.CFG, preceding=b"prefix-noise"))
         # Boundaries must converge once past the window influence.
         assert plain[-1] == seeded[-1]
-
-    def test_rabin_karp_path(self):
-        config = ChunkerConfig(
-            pattern_bits=7, min_size=16, max_size=2048, algorithm="rabin-karp"
-        )
-        data = _random_bytes(30_000, seed=7)
-        parts = chunk_bytes(data, config)
-        assert b"".join(parts) == data
-        assert len(parts) > 10
 
 
 class TestEntryChunker:
@@ -169,10 +153,3 @@ class TestEntryChunker:
         ]
         assert suffix_spans == expected
 
-    def test_generic_hash_fallback(self):
-        config = ChunkerConfig(
-            pattern_bits=6, min_size=16, max_size=1024, algorithm="rabin-karp"
-        )
-        entries = self._entries(500, seed=4)
-        spans = chunk_entries(entries, config)
-        assert spans[-1][1] == len(entries)

@@ -33,12 +33,12 @@ from repro.cluster import ClusterStore
 from repro.errors import ForkBaseError
 from repro.faults import (
     ByzantinePlan,
+    ByzantineStore,
     FaultPlan,
     FaultyStore,
     NetworkPlan,
     PartitionedTransport,
     RetryPolicy,
-    heal_node,
     make_byzantine,
 )
 from repro.store import InMemoryStore
@@ -163,7 +163,7 @@ def fingerprint(seed: int, config: dict) -> dict:
     readmitted = []
     for name in sorted(cluster.nodes):
         if cluster.accountability.is_quarantined(name):
-            heal_node(cluster.nodes[name])
+            ByzantineStore.remove(cluster.nodes[name])
             readmitted.append((name, cluster.readmit(name)))
     report = cluster.anti_entropy_pass()
     return {

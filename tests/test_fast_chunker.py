@@ -58,15 +58,6 @@ class TestEquivalence:
     def test_empty(self):
         assert fast_chunk_spans(b"", CFG) == []
 
-    def test_rabin_karp_falls_back(self):
-        config = ChunkerConfig(
-            pattern_bits=7, min_size=16, max_size=2048, algorithm="rabin-karp"
-        )
-        data = os.urandom(10_000)
-        assert fast_chunk_spans(data, config) == list(
-            iter_chunk_spans(data, config)
-        )
-
     def test_fast_chunk_bytes_reassembles(self):
         data = os.urandom(20_000)
         assert b"".join(fast_chunk_bytes(data, CFG)) == data

@@ -284,7 +284,7 @@ class TestCircuitBreaker:
         cluster.put(chunk)
         absent, rotten = cluster.replica_nodes(chunk.uid)
         absent.drop(chunk.uid)
-        TamperingStore.wrap_node(rotten).flip_byte(chunk.uid)
+        TamperingStore.install(rotten).flip_byte(chunk.uid)
         if tripped:
             for _ in range(2):
                 cluster.breakers.record("client", rotten.name, False)

@@ -288,7 +288,9 @@ class TestWorkBound:
                     counts["encoded"] += len(entries)
                     return original(entries)
 
-                for module in (edit, builder):
+                # Module globals (the editor's runs, the leaf builder) and the
+                # function the node classes' ``encode_entries`` forward to.
+                for module in (edit, builder, node):
                     monkeypatch.setattr(module, name, many, raising=False)
 
         warm = ForkBase.open(str(tmp_path / "warm"), backend="pack", node_cache=16384)

@@ -1,11 +1,20 @@
 """Tests for positional trees and blob trees (repro.postree.listtree)."""
 
+import functools
 import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.chunk import Chunk, ChunkType
+from repro.errors import ChunkEncodingError
 from repro.postree.listtree import BlobTree, PositionalTree
+from repro.postree.node import ListIndexNode, ListLeafNode, load_node, node_level
+from repro.postree.tree import PosTree
+from repro.store import InMemoryStore, NodeCacheStore
+from repro.types import FList
 
 
 def _items(n, seed=0):
@@ -146,3 +155,135 @@ class TestBlobTree:
         blob_2 = BlobTree.from_bytes(store, bytes(data))
         assert blob_1.root == blob_2.root
         assert blob_1.page_uids() == blob_2.page_uids()
+
+
+def _gets(store):
+    return store.stats.gets + store.stats.misses
+
+
+SMALL = os.urandom(70_000)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_blob():
+    return BlobTree.from_bytes(InMemoryStore(), SMALL)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_list():
+    items = _items(2_000, seed=11)
+    return items, FList.from_items(InMemoryStore(), items)
+
+
+class TestReadsFetchWhatTheyReturn:
+    """A positional read descends by cumulative count to where it starts:
+    what lies before ``offset`` / ``start`` is never fetched."""
+
+    DATA = os.urandom(600_000)
+
+    def _blob(self):
+        store = InMemoryStore()
+        blob = BlobTree.from_bytes(store, self.DATA)
+        height = node_level(blob.node(blob.root))
+        assert height >= 2  # multi-level: index nodes over index nodes
+        assert len(blob.page_uids()) > 100
+        return store, blob, height
+
+    def test_tail_read_costs_one_path(self):
+        store, blob, height = self._blob()
+        before = _gets(store)
+        assert blob.read_at(len(self.DATA) - 100, 100) == self.DATA[-100:]
+        assert _gets(store) - before <= height + 2
+
+    def test_any_short_read_costs_one_path(self):
+        store, blob, height = self._blob()
+        for offset in (0, 4096, 300_000, 599_000):
+            before = _gets(store)
+            assert blob.read_at(offset, 100) == self.DATA[offset : offset + 100]
+            assert _gets(store) - before <= height + 2
+
+    def test_late_slice_of_a_list_costs_one_path(self):
+        store = InMemoryStore()
+        items = _items(30_000, seed=9)
+        flist = FList.from_items(store, items)
+        tree = PositionalTree(store, flist.root)
+        height = node_level(tree.node(tree.root))
+        assert height >= 2
+        before = _gets(store)
+        assert flist.slice(29_990) == items[29_990:]
+        # ``len`` reads the root once more than the descent does.
+        assert _gets(store) - before <= height + 3
+        before = _gets(store)
+        assert flist.slice(20_000, 20_005) == items[20_000:20_005]
+        assert _gets(store) - before <= height + 3
+        assert flist[29_999] == items[-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 75_000), st.integers(0, 75_000))
+    def test_read_at_is_a_slice_of_read(self, offset, length):
+        assert _small_blob().read_at(offset, length) == SMALL[offset : offset + length]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2_000), st.one_of(st.none(), st.integers(-5, 2_100)))
+    def test_slice_is_a_slice_of_the_list(self, start, stop):
+        items, flist = _small_list()
+        assert flist.slice(start, stop) == items[start:stop if stop is None else max(stop, 0)]
+
+    def test_bounds(self):
+        blob = _small_blob()
+        assert blob.read_at(len(SMALL), 10) == b""
+        assert blob.read_at(10**9, 10) == b""
+        assert blob.read_at(5, 0) == b""
+        with pytest.raises(IndexError):
+            blob.read_at(-1, 5)
+        with pytest.raises(IndexError):
+            blob.read_at(0, -1)
+        single = BlobTree.from_bytes(InMemoryStore(), b"tiny")
+        assert single.read_at(2, 10) == b"ny" and single.read_at(9, 1) == b""
+
+
+class TestOneNodeSeam:
+    """Every tree decodes through ``postree.node.load_node``; each view
+    names the node classes it accepts."""
+
+    def test_load_node_decodes_positional_kinds(self, store):
+        tree = PositionalTree.from_items(store, _items(2_000))
+        root = load_node(store.get(tree.root))
+        assert isinstance(root, ListIndexNode)
+        leaf = load_node(store.get(root.children()[0]))
+        while isinstance(leaf, ListIndexNode):
+            leaf = load_node(store.get(leaf.children()[0]))
+        assert isinstance(leaf, ListLeafNode)
+        blob_leaf = Chunk(ChunkType.BLOB, b"payload")
+        assert load_node(blob_leaf) is blob_leaf  # its own decoded form
+
+    def test_encode_once_matches_plain_encoding(self, store):
+        tree = PositionalTree.from_items(store, _items(2_000))
+        for _uid, node in tree.reachable():
+            fresh = (
+                ListIndexNode(node.level, node.entries)
+                if isinstance(node, ListIndexNode)
+                else ListLeafNode(node.entries)
+            )
+            assert fresh.to_chunk().data == node.to_chunk().data
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["plain", "node-cache"])
+    def test_a_handle_on_the_wrong_kind_of_root_raises(self, cached):
+        store = NodeCacheStore(InMemoryStore(), 64) if cached else InMemoryStore()
+        keyed = PosTree.from_pairs(store, {b"k%04d" % i: b"v" for i in range(500)}.items())
+        listed = PositionalTree.from_items(store, _items(500))
+        blob = BlobTree.from_bytes(store, os.urandom(30_000))
+        with pytest.raises(ChunkEncodingError):
+            PosTree(store, listed.root).get(b"k0001")
+        with pytest.raises(ChunkEncodingError):
+            PosTree(store, blob.root).page_uids()
+        with pytest.raises(ChunkEncodingError):
+            len(PositionalTree(store, keyed.root))
+        with pytest.raises(ChunkEncodingError):
+            PositionalTree(store, blob.root).items()
+        with pytest.raises(ChunkEncodingError):
+            BlobTree(store, keyed.root).read()
+        # A list index node is a positional index node too, but its
+        # leaves are not blob chunks: the read fails where it reaches one.
+        with pytest.raises(ChunkEncodingError):
+            BlobTree(store, listed.root).read()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.rolling.hashes import (
     CyclicPolynomialHash,
-    RabinKarpHash,
     direct_cyclic_hash,
     gamma_table,
 )
@@ -90,29 +89,3 @@ class TestCyclicPolynomial:
                 hits += 1
         expected = len(data) / 256
         assert 0.7 * expected < hits < 1.3 * expected
-
-
-class TestRabinKarp:
-    def test_sliding_consistency(self):
-        """The rolled value equals recomputing the window polynomial."""
-        window = 8
-        hasher = RabinKarpHash(window=window, bits=31)
-        data = bytes((i * 31 + 7) % 256 for i in range(100))
-        hasher.feed(data)
-        expected = 0
-        for byte in data[-window:]:
-            expected = (expected * 257 + byte) & (2**31 - 1)
-        assert hasher.value == expected
-
-    def test_old_bytes_do_not_influence(self):
-        h1 = RabinKarpHash(window=8)
-        h2 = RabinKarpHash(window=8)
-        h1.feed(b"XXXXXXXX" + b"tail-win")
-        h2.feed(b"YYYYYYYY" + b"tail-win")
-        assert h1.value == h2.value
-
-    def test_reset(self):
-        hasher = RabinKarpHash(window=8)
-        hasher.feed(b"junk")
-        hasher.reset()
-        assert hasher.value == 0
