@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.chunk import Chunk, Uid
 from repro.cluster.accountability import AccountabilityBoard
@@ -294,6 +294,32 @@ class ClusterStore(ChunkStore):
         finally:
             self._active_deadline = outer
 
+    def put_nodes(self, pairs: Iterable[Tuple[Chunk, object]]) -> int:
+        """Store one verb's chunks under one deadline: one verified
+        exchange per replica node, not one per chunk and replica.
+
+        There is no ``has`` precheck — a node's ``put`` is idempotent, so
+        a chunk the cluster already holds costs a dedup hit on each home
+        instead of a round of messages.  A chunk is counted new when some
+        replica stored it for the first time.
+        """
+        pairs = list(pairs)
+        batch = list({chunk.uid: chunk for chunk, _ in pairs}.values())
+        if not batch:
+            return 0
+        outer = self._active_deadline
+        self._active_deadline = self._begin_deadline()
+        try:
+            fresh = self._write(batch)
+        finally:
+            self._active_deadline = outer
+        new = len(fresh)
+        for chunk, _ in pairs:
+            uid = chunk.uid
+            self.stats.record_put(chunk.type.name, chunk.size(), uid in fresh)
+            fresh.discard(uid)  # a repeat within the batch is a dedup hit
+        return new
+
     @staticmethod
     def _stamp_deadline(
         error: DeadlineExceededError, deadline: Optional[Deadline]
@@ -342,9 +368,11 @@ class ClusterStore(ChunkStore):
         deadline: Optional[Deadline] = None,
         timeout_ticks: Optional[int] = None,
     ) -> object:
-        """One replica conversation: :meth:`_send`, retried through the policy.
+        """One read-side replica conversation: :meth:`_send`, retried
+        through the policy.  (:meth:`_place`, the write side, retries the
+        same way but builds a fresh delivery per attempt: its attempts
+        carry different chunks.)
 
-        The one place transport, retry and the deadline/hedge cap meet.
         A hedged exchange (``timeout_ticks`` set) gets exactly one
         un-retried attempt capped at that many ticks — a hedged read does
         not burn the retry budget on a replica it already believes is
@@ -461,7 +489,7 @@ class ClusterStore(ChunkStore):
             if not chunk.is_valid():
                 self.hint_rejections += 1
                 continue
-            if not self._place(node, chunk):
+            if not self._place(node, [chunk]):
                 self._queue_hint(name, chunk)  # keep it for the next revive
                 continue
             replayed += 1
@@ -534,59 +562,96 @@ class ClusterStore(ChunkStore):
     def _place(
         self,
         node: StorageNode,
-        chunk: Chunk,
+        chunks: List[Chunk],
         origin: Optional[str] = None,
         deadline: Optional[Deadline] = None,
-    ) -> bool:
-        """One verified replica write, retried through the policy.
+    ) -> Dict[int, bool]:
+        """Verified replica writes of ``chunks`` to one node: one exchange,
+        retried through the policy for the chunks it has not acked yet.
 
-        Returns False (counted in ``transient_failures``) when the write
-        cannot complete within the retry budget or the deadline — which
-        includes :class:`~repro.errors.DeadlineExceededError`: a replica
-        write that ran out of budget is a miss like any other, and the
-        caller's own accounting decides the verb's fate.
+        Returns ``position in chunks → stored fresh`` for every chunk the
+        node acked; a missing position is a miss (the exchange counts once
+        in ``transient_failures``) because the write could not complete
+        within the retry budget or the deadline — which includes
+        :class:`~repro.errors.DeadlineExceededError`: a replica write that
+        ran out of budget is a miss like any other, and the caller's own
+        accounting decides the verb's fate.
 
-        With ``verify_writes`` the written copy is read back and checked
-        against the uid before it counts: a torn or dropped write looks like
-        any other transient failure and gets retried.  The whole write-and-
-        verify exchange is one message on the transport.
+        With ``verify_writes`` each written copy is read back and checked
+        against its uid before it counts: a torn or dropped write looks
+        like any other transient failure and gets retried.  The whole
+        write-and-verify exchange is one message on the transport,
+        addressed by the first chunk it carries.  Only a reply the sender
+        waited for acks anything: each attempt answers into its own
+        table, so a late delivery of an abandoned attempt cannot.
 
-        The verify outcome also feeds the accountability board: a write
-        exchange that exhausts its retries with the read-back *never*
-        verifying is the fake-ack signature (honest rot striking every
-        attempt of every retry is astronomically unlikely), while any
-        verified write clears the node's unverified-run counter.
+        The verify outcome also feeds the accountability board, chunk by
+        chunk: a write that exhausts its retries with the read-back
+        *never* verifying is the fake-ack signature (honest rot striking
+        every attempt of every retry is astronomically unlikely), while
+        any verified write clears the node's unverified-run counter.
         """
-        verify_failures = [0]
+        pending = list(range(len(chunks)))
+        placed: Dict[int, bool] = {}
+        verify_failures = [0] * len(chunks)
+        verify = self.verify_writes
 
-        def exchange() -> None:
-            node.put(chunk)
-            if not self.verify_writes:
-                return
-            got = node.store.get_maybe(chunk.uid)
-            if got is None or not got.is_valid():
-                verify_failures[0] += 1
-                # Evict the bad copy: put() dedups on uid, so a retry would
-                # otherwise no-op against the torn bytes squatting there.
-                node.store.delete(chunk.uid)
-                raise TransientStoreError(
-                    f"write of {chunk.uid.short()} to {node.name} did not verify"
-                )
+        def attempt() -> None:
+            carried = list(pending)
+            # position -> stored fresh, None until the copy is acked.
+            answered: List[Optional[bool]] = [None] * len(chunks)
+
+            def exchange() -> None:
+                # Every chunk gets its answer; the first failure is the
+                # reply's error (a duplicated delivery answers again).
+                failure: Optional[TransientError] = None
+                for position in carried:
+                    chunk = chunks[position]
+                    answered[position] = None
+                    try:
+                        fresh = node.put(chunk)
+                        if verify:
+                            got = node.store.get_maybe(chunk.uid)
+                            if got is None or not got.is_valid():
+                                verify_failures[position] += 1
+                                # Evict the bad copy: put() dedups on uid, so a
+                                # retry would otherwise no-op against the torn bytes.
+                                node.store.delete(chunk.uid)
+                                raise TransientStoreError(
+                                    f"write of {chunk.uid.short()} to {node.name} did not verify"
+                                )
+                    except TransientError as error:
+                        failure = failure or error
+                        continue
+                    answered[position] = fresh
+                if failure is not None:
+                    raise failure
+
+            try:
+                self._send(node, "put", chunks[carried[0]].uid, exchange, origin, deadline)
+            finally:
+                pending.clear()
+                for position in carried:
+                    fresh = answered[position]
+                    if fresh is None:
+                        pending.append(position)
+                    else:
+                        placed[position] = fresh
 
         try:
-            self._exchange(
-                node, "put", chunk.uid, exchange, origin=origin, deadline=deadline
-            )
+            self.retry.call(attempt, deadline=deadline)
         except TransientError:
             self.transient_failures += 1
-            if verify_failures[0] > 0:
-                self.accountability.record_unverified_write(
-                    origin or self.origin, node.name, chunk.uid
+        board = self.accountability
+        for position, failures in enumerate(verify_failures):
+            if position in placed:
+                if verify:
+                    board.record_verified_write(node.name)
+            elif failures:
+                board.record_unverified_write(
+                    origin or self.origin, node.name, chunks[position].uid
                 )
-            return False
-        if self.verify_writes:
-            self.accountability.record_verified_write(node.name)
-        return True
+        return placed
 
     def transfer(self, source: StorageNode, target: StorageNode, chunk: Chunk) -> bool:
         """Ship one replica copy node-to-node (the anti-entropy path).
@@ -614,70 +679,103 @@ class ClusterStore(ChunkStore):
                 served=_digest_of(chunk),
             )
             return False
-        return self._place(target, chunk, origin=source.name)
+        return bool(self._place(target, [chunk], origin=source.name))
 
     def _insert(self, chunk: Chunk) -> None:
+        self._write([chunk])
+
+    def _try_write(
+        self, node: StorageNode, chunks: List[Chunk], deadline: Optional[Deadline]
+    ) -> Dict[int, bool]:
+        """One replica exchange of the write walk, if the node is writable
+        and the budget not spent; what :meth:`_place` acked."""
+        if (deadline is not None and deadline.expired()) or not self._writable(node):
+            return {}
+        placed = self._place(node, chunks, deadline=deadline)
+        self.breakers.record(self.origin, node.name, len(placed) == len(chunks))
+        return placed
+
+    def _write(self, chunks: List[Chunk]) -> Set[Uid]:
+        """The write walk: place distinct ``chunks`` on ``write_quorum``
+        replicas each; return the uids some replica stored fresh.
+
+        Home replicas first, one exchange per node carrying every chunk
+        it is home to.  A chunk short of quorum then walks further
+        clockwise on its own (sloppy quorum): the next reachable nodes
+        stand in for the unreachable homes, which still get hints, and
+        Merkle anti-entropy migrates the stand-in copies home after heal.
+        The wider ring walk is computed only for a chunk whose homes fell
+        short.  Hints are queued for every chunk that stands; the first
+        chunk that does not raises.
+        """
         self._maybe_tick()
         deadline = self._begin_deadline()
         quorum = max(self.write_quorum, 1)
-        homes = self.replica_nodes(chunk.uid)
-        acked = 0
-        attempted = 0
-        missed: List[StorageNode] = []
-
-        def candidates() -> Iterator[StorageNode]:
-            yield from homes
-            if acked < quorum:
-                # Sloppy quorum: walk further clockwise and let the next
-                # reachable nodes stand in for the unreachable home replicas.
-                # The home nodes still get hints (queued below), and Merkle
-                # anti-entropy migrates the stand-in copies home after heal.
-                # Resumed only once every home has been tried, so the wider
-                # ring walk is computed only when the homes fell short.
-                for name in self.ring.replicas(chunk.uid, len(self.nodes)):
-                    if self.nodes[name] not in homes:
-                        yield self.nodes[name]
-
-        for node in candidates():
-            home = attempted < len(homes)
-            expired = deadline is not None and deadline.expired()
-            if not home and (acked >= quorum or expired):
-                break
-            attempted += 1
-            ok = not expired and self._writable(node)
-            if ok:
-                ok = self._place(node, chunk, deadline=deadline)
-                self.breakers.record(self.origin, node.name, ok)
-            if ok:
-                acked += 1
-                if not home:
+        # Per chunk, by position: its homes, acks, and the homes it missed.
+        homes = [self.replica_nodes(chunk.uid) for chunk in chunks]
+        acked = [0] * len(chunks)
+        missed: List[List[StorageNode]] = [[] for _ in chunks]
+        fresh: Set[Uid] = set()
+        by_node: Dict[StorageNode, List[int]] = {}
+        for index, nodes in enumerate(homes):
+            for node in nodes:
+                by_node.setdefault(node, []).append(index)
+        for node, indexes in by_node.items():
+            placed = self._try_write(node, [chunks[index] for index in indexes], deadline)
+            for position, index in enumerate(indexes):
+                if position in placed:
+                    acked[index] += 1
+                    if placed[position]:
+                        fresh.add(chunks[index].uid)
+                else:
+                    # Every home replica is owed a copy: the ones skipped or
+                    # failed here get a hint once the write is known to stand.
+                    missed[index].append(node)
+        attempted = [len(nodes) for nodes in homes]
+        for index, chunk in enumerate(chunks):
+            if acked[index] >= quorum:
+                continue
+            for name in self.ring.replicas(chunk.uid, len(self.nodes)):
+                node = self.nodes[name]
+                if node in homes[index]:
+                    continue
+                if acked[index] >= quorum or (deadline is not None and deadline.expired()):
+                    break
+                attempted[index] += 1
+                placed = self._try_write(node, [chunk], deadline)
+                if placed:
+                    acked[index] += 1
                     self.sloppy_writes += 1
-            elif home:
-                # Every home replica is owed a copy: the ones skipped or
-                # failed here get a hint once the write is known to stand.
-                missed.append(node)
-        if acked < quorum and deadline is not None and deadline.expired():
+                    if placed[0]:
+                        fresh.add(chunk.uid)
+        failed = [index for index, count in enumerate(acked) if count < quorum]
+        for index, chunk in enumerate(chunks):
+            if acked[index] >= quorum:
+                for node in missed[index]:
+                    self._queue_hint(node.name, chunk)
+        if not failed:
+            return fresh
+        first = failed[0]
+        uid, count = chunks[first].uid, acked[first]
+        if deadline is not None and deadline.expired():
             # The budget, not the cluster, decided this write's fate: the
             # caller gets the deadline error (retryable with a fresh
             # budget), not a verdict about replica health.
             self.deadline_exceeded += 1
             raise deadline.exceeded(
-                f"write of {chunk.uid.short()} acked by {acked}/{self.replication}"
+                f"write of {uid.short()} acked by {count}/{self.replication}"
             )
-        if acked == 0:
+        if count == 0:
             raise NodeDownError(
-                f"no reachable replica target for {chunk.uid.short()} "
-                f"(all {attempted} candidate nodes down or cut off)"
+                f"no reachable replica target for {uid.short()} "
+                f"(all {attempted[first]} candidate nodes down or cut off)"
             )
-        if acked < self.write_quorum:
-            raise QuorumWriteError(
-                f"write of {chunk.uid.short()} acked by {acked}/{self.replication} "
-                f"replicas, quorum is {self.write_quorum}",
-                acked=acked,
-                required=self.write_quorum,
-            )
-        for node in missed:
-            self._queue_hint(node.name, chunk)
+        raise QuorumWriteError(
+            f"write of {uid.short()} acked by {count}/{self.replication} "
+            f"replicas, quorum is {self.write_quorum}",
+            acked=count,
+            required=self.write_quorum,
+        )
 
     def _read_replica(
         self,
@@ -854,7 +952,7 @@ class ClusterStore(ChunkStore):
         for node in repair_targets:
             if deadline is not None and deadline.expired():
                 break  # repair is best-effort; anti-entropy catches up
-            if not self._place(node, found, deadline=deadline):
+            if not self._place(node, [found], deadline=deadline):
                 continue
             self.read_repairs += 1
             self.repair_audits += 1
@@ -1036,7 +1134,7 @@ class ClusterStore(ChunkStore):
             if source is None:
                 continue
             for node in targets:
-                if self._place(node, source):
+                if self._place(node, [source]):
                     copies += 1  # else a later repair / scrub pass places it
         return copies
 
@@ -1236,6 +1334,13 @@ class ClusterClient(ChunkStore):
 
     def _insert(self, chunk: Chunk) -> None:
         self._as_origin(lambda: self.cluster.put(chunk))
+
+    def put_nodes(self, pairs: Iterable[Tuple[Chunk, object]]) -> int:
+        """The cluster's batch write, issued from this origin (and
+        accounted in the cluster's stats, not this endpoint's)."""
+        batch = list(pairs)
+        new = self._as_origin(lambda: self.cluster.put_nodes(batch))
+        return int(new)  # type: ignore[call-overload]
 
     def _fetch(self, uid: Uid) -> Optional[Chunk]:
         return self._as_origin(lambda: self.cluster.get_maybe(uid))  # type: ignore[return-value]

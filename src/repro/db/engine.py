@@ -355,9 +355,12 @@ class ForkBase:
         The in-memory table has already applied (and CAS-validated) the
         mutation; the journal append makes it durable before the verb
         returns — a crash in between loses only an *unacknowledged* op.
-        If the append fails on a disk fault, ``undo`` rolls the in-memory
-        table back so it matches what recovery will reconstruct: the verb
-        raises with the op cleanly un-acked, never half-applied.
+        When the append is the journal's fsync point, the chunk store is
+        synced first: no head becomes durable before the chunks under it.
+        If the sync or the append fails on a disk fault, ``undo`` rolls
+        the in-memory table back so it matches what recovery will
+        reconstruct: the verb raises with the op cleanly un-acked, never
+        half-applied.
         """
         if self._journal is None:
             return
@@ -365,6 +368,8 @@ class ForkBase:
         record: Dict[str, object] = {"op": op, "seq": self._seq}
         record.update(fields)
         try:
+            if self._journal.sync_due:
+                self.store.sync()
             self._journal.append(record)
         except (DiskFullError, DiskFaultError):
             self._seq -= 1
@@ -383,14 +388,16 @@ class ForkBase:
     def _compact(self) -> None:
         """Rewrite the heads snapshot durably, then truncate the journal.
 
-        Ordering is the whole crash-safety argument: the snapshot
-        (stamped with the last journaled sequence number) is fully
-        durable *before* the journal is truncated, and replay skips
+        Ordering is the whole crash-safety argument: the chunks under
+        every head are synced before the snapshot is written, the
+        snapshot (stamped with the last journaled sequence number) is
+        fully durable *before* the journal is truncated, and replay skips
         records the snapshot covers — a crash anywhere in between loses
         nothing and double-applies nothing.
         """
         if self._directory is None:
             return
+        self.store.sync()
         heads_path = os.path.join(self._directory, "branches.json")
         tmp = heads_path + ".tmp"
         payload = json.dumps(

@@ -16,13 +16,19 @@ compute the node spans with the fast chunker (numpy when available,
 byte-identical pure fallback otherwise — see :mod:`repro.rolling.fast`),
 then materialize nodes from span slices, reusing the encodings for the
 chunk payloads.
+
+Nodes are not stored one at a time: the builders append them to a
+:data:`WriteBatch`, children before parents, and the verb that owns the
+batch hands it to :meth:`~repro.store.base.ChunkStore.put_nodes` in one
+call — :func:`bulk_build` owns its own, the editor and the positional
+trees theirs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Union
+from typing import Any, Iterable, List, Tuple, Union
 
-from repro.chunk import Uid
+from repro.chunk import Chunk, Uid
 from repro.errors import KeyOrderError
 from repro.postree.config import DEFAULT_TREE_CONFIG, TreeConfig
 from repro.postree.node import (
@@ -36,9 +42,13 @@ from repro.postree.node import (
 from repro.rolling.fast import fast_entry_spans
 from repro.store.base import ChunkStore
 
+#: One verb's writes in order, children before parents: ``(chunk, the
+#: decoded node it encodes)`` pairs, what ``ChunkStore.put_nodes`` takes.
+WriteBatch = List[Tuple[Chunk, Any]]
+
 
 def build_leaf_level(
-    store: ChunkStore,
+    batch: WriteBatch,
     entries: Iterable[LeafEntry],
     config: TreeConfig,
     check_order: bool = True,
@@ -59,13 +69,13 @@ def build_leaf_level(
     descriptors: List[IndexEntry] = []
     for start, end in fast_entry_spans(encoded, config.leaf):
         node = LeafNode(entries[start:end], encoded=encoded[start:end])
-        store.put_node(node.to_chunk(), node)
+        batch.append((node.to_chunk(), node))
         descriptors.append(node.descriptor())
     return descriptors
 
 
 def build_index_levels(
-    store: ChunkStore,
+    batch: WriteBatch,
     descriptors: Union[List[IndexEntry], List[ListIndexEntry]],
     config: TreeConfig,
     first_level: int = 1,
@@ -86,11 +96,28 @@ def build_index_levels(
         next_descriptors: List[Any] = []
         for start, end in fast_entry_spans(encoded, config.index):
             node = node_class(level, descriptors[start:end], encoded=encoded[start:end])
-            store.put_node(node.to_chunk(), node)
+            batch.append((node.to_chunk(), node))
             next_descriptors.append(node.descriptor())
         descriptors = next_descriptors
         level += 1
     return descriptors[0].child
+
+
+def build_tree(
+    batch: WriteBatch,
+    entries: Iterable[LeafEntry],
+    config: TreeConfig,
+    check_order: bool = True,
+) -> Uid:
+    """Build a POS-Tree over sorted, unique-keyed records into ``batch``;
+    return its root.  An empty record set yields the canonical empty leaf.
+    """
+    descriptors = build_leaf_level(batch, entries, config, check_order=check_order)
+    if not descriptors:
+        node = empty_leaf()
+        batch.append((node.to_chunk(), node))
+        return node.uid
+    return build_index_levels(batch, descriptors, config)
 
 
 def bulk_build(
@@ -101,11 +128,9 @@ def bulk_build(
 ) -> Uid:
     """Build a POS-Tree over sorted, unique-keyed records; return its root.
 
-    An empty record set yields the canonical empty leaf.
+    :func:`build_tree` with a batch of its own, stored in one ``put_nodes``.
     """
-    descriptors = build_leaf_level(store, entries, config, check_order=check_order)
-    if not descriptors:
-        node = empty_leaf()
-        store.put_node(node.to_chunk(), node)
-        return node.uid
-    return build_index_levels(store, descriptors, config)
+    batch: WriteBatch = []
+    root = build_tree(batch, entries, config, check_order)
+    store.put_nodes(batch)
+    return root

@@ -29,7 +29,7 @@ from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.chunk import Uid
-from repro.postree.builder import build_index_levels, bulk_build
+from repro.postree.builder import WriteBatch, build_index_levels, build_tree
 from repro.postree.node import (
     IndexEntry,
     IndexNode,
@@ -122,15 +122,16 @@ class _Emitter:
     interpreted loop per byte — the same batching contract the bulk
     builder uses, keeping editor and builder boundaries bit-identical.
     Each entry travels with its encoded string, which becomes the new
-    node's payload: nothing is encoded a second time.
+    node's payload: nothing is encoded a second time.  Nodes go to the
+    edit's write batch, stored when the whole edit is done.
     """
 
     __slots__ = (
-        "_tree", "_chunker", "_level", "buffer", "_encoded", "descriptors", "bytes_since_edit",
+        "_batch", "_chunker", "_level", "buffer", "_encoded", "descriptors", "bytes_since_edit",
     )
 
-    def __init__(self, tree: PosTree, chunker: AnyEntryChunker, level: int) -> None:
-        self._tree = tree
+    def __init__(self, batch: WriteBatch, chunker: AnyEntryChunker, level: int) -> None:
+        self._batch = batch
         self._chunker = chunker
         self._level = level
         self.buffer: List = []
@@ -186,7 +187,7 @@ class _Emitter:
             node = LeafNode(self.buffer, encoded=self._encoded)
         else:
             node = IndexNode(self._level, self.buffer, encoded=self._encoded)
-        self._tree.store.put_node(node.to_chunk(), node)
+        self._batch.append((node.to_chunk(), node))
         self.descriptors.append(node.descriptor())
         self.buffer = []
         self._encoded = []
@@ -200,14 +201,14 @@ class _Emitter:
 
 
 def _splice_level(
-    tree: PosTree, level: int, walker: _Walker, ops: Sequence[_Op]
+    tree: PosTree, batch: WriteBatch, level: int, walker: _Walker, ops: Sequence[_Op]
 ) -> Tuple[List[IndexEntry], List[bytes], bool]:
     """Re-chunk one level around each of ``ops``, region by region.
 
-    ``walker`` stands on the node the first op lands in.  Returns the new
-    nodes' descriptors, the split keys of the old nodes they replace (both
-    in key order, all regions together), and whether the splice was one
-    region that ran to the level's end.
+    ``walker`` stands on the node the first op lands in; new nodes go to
+    ``batch``.  Returns the new nodes' descriptors, the split keys of the
+    old nodes they replace (both in key order, all regions together), and
+    whether the splice was one region that ran to the level's end.
     """
     config = tree.config.leaf if level == 0 else tree.config.index
     encode: Callable[[Any], bytes] = encode_leaf_entry if level == 0 else encode_index_entry
@@ -215,7 +216,7 @@ def _splice_level(
         encode_leaf_entries if level == 0 else encode_index_entries
     )
     window = config.window
-    emitter = _Emitter(tree, make_entry_chunker(config), level)
+    emitter = _Emitter(batch, make_entry_chunker(config), level)
     emitter.begin_region(walker.prev_tail(window))
     consumed: List[bytes] = []
     one_region = True
@@ -297,6 +298,7 @@ def apply_edits(
     """Apply a batch of edits; return the new root uid.
 
     Keys present in both ``puts`` and ``deletes`` are treated as puts.
+    Every node the edit writes reaches the store in one ``put_nodes``.
     """
     edits: Dict[bytes, Optional[_Entry]] = {key: None for key in deletes}
     for key, value in puts.items():
@@ -305,19 +307,25 @@ def apply_edits(
         edits[key] = LeafEntry(key, value)
     if not edits:
         return tree.root
-    ops: List[_Op] = sorted(edits.items())
+    batch: WriteBatch = []
+    root = _splice(tree, batch, sorted(edits.items()))
+    tree.store.put_nodes(batch)
+    return root
 
+
+def _splice(tree: PosTree, batch: WriteBatch, ops: List[_Op]) -> Uid:
+    """The edit itself, level by level, with its nodes going to ``batch``."""
     root = tree.root_node()
     if isinstance(root, LeafNode):
         # Height-0 tree: merge directly and bulk build (already O(node)).
-        return bulk_build(tree.store, _merge_entries(root.entries, ops), tree.config)
+        return build_tree(batch, _merge_entries(root.entries, ops), tree.config)
 
     load = _index_memo(tree)
     walker = _Walker(load, 0, root, ops[0][0])
     for level in range(root.level):
         start = walker.path()
         parent, pos = start[-1]
-        descriptors, consumed, to_level_end = _splice_level(tree, level, walker, ops)
+        descriptors, consumed, to_level_end = _splice_level(tree, batch, level, walker, ops)
         if to_level_end and all(above == 0 for _, above in start[:-1]):
             # One region from under the level's leftmost parent to its
             # end: the tree above no longer constrains anything — rebuild
@@ -326,10 +334,8 @@ def apply_edits(
             # instead of being wrapped).
             descriptors = parent.entries[:pos] + descriptors
             if not descriptors:
-                return bulk_build(tree.store, [], tree.config)
-            return build_index_levels(
-                tree.store, descriptors, tree.config, first_level=level + 1
-            )
+                return build_tree(batch, [], tree.config)
+            return build_index_levels(batch, descriptors, tree.config, first_level=level + 1)
         # The parent level's batch: drop what was consumed, add what replaced it.
         edits = dict.fromkeys(consumed)
         edits.update((entry.split_key, entry) for entry in descriptors)
@@ -339,5 +345,5 @@ def apply_edits(
     # The ops now address the root's own entries: final assembly.  Some
     # child survives (else the level below ran to its end, above).
     return build_index_levels(
-        tree.store, _merge_entries(root.entries, ops), tree.config, first_level=root.level
+        batch, _merge_entries(root.entries, ops), tree.config, first_level=root.level
     )

@@ -25,7 +25,7 @@ import itertools
 from typing import Iterable, Iterator, List, Optional
 
 from repro.chunk import Chunk, ChunkType, Uid
-from repro.postree.builder import build_index_levels
+from repro.postree.builder import WriteBatch, build_index_levels
 from repro.postree.config import DEFAULT_TREE_CONFIG, TreeConfig
 from repro.postree.node import (
     ListIndexEntry,
@@ -53,19 +53,23 @@ class PositionalTree(TreeView):
         items: Iterable[bytes],
         config: TreeConfig = DEFAULT_TREE_CONFIG,
     ) -> "PositionalTree":
-        """Bulk-build a sequence tree."""
+        """Bulk-build a sequence tree (one ``put_nodes``)."""
         materialized = [bytes(item) for item in items]
         encoded = [encode_list_item(item) for item in materialized]
+        batch: WriteBatch = []
         descriptors: List[ListIndexEntry] = []
         for start, end in fast_entry_spans(encoded, config.leaf):
             node = ListLeafNode(materialized[start:end], encoded=encoded[start:end])
-            store.put_node(node.to_chunk(), node)
+            batch.append((node.to_chunk(), node))
             descriptors.append(node.descriptor())
-        if not descriptors:
+        if descriptors:
+            root = build_index_levels(batch, descriptors, config)
+        else:
             node = ListLeafNode([])
-            store.put_node(node.to_chunk(), node)
-            return cls(store, node.uid, config)
-        return cls(store, build_index_levels(store, descriptors, config), config)
+            batch.append((node.to_chunk(), node))
+            root = node.uid
+        store.put_nodes(batch)
+        return cls(store, root, config)
 
     def __len__(self) -> int:
         return self.node(self.root).count
@@ -177,18 +181,22 @@ class BlobTree(TreeView):
         """Slice ``data`` with the rolling hash and build the Merkle tree.
 
         Uses the vectorized chunker when numpy is available (identical
-        spans, ~5x faster; see :mod:`repro.rolling.fast`).
+        spans, ~5x faster; see :mod:`repro.rolling.fast`).  Every chunk
+        reaches the store in one ``put_nodes``.
         """
+        batch: WriteBatch = []
         descriptors: List[ListIndexEntry] = []
         for start, end in fast_chunk_spans(data, blob_config):
             chunk = Chunk(ChunkType.BLOB, data[start:end])
-            store.put_node(chunk, chunk)
+            batch.append((chunk, chunk))
             descriptors.append(ListIndexEntry(chunk.uid, end - start))
-        if not descriptors:
+        if descriptors:
+            root = build_index_levels(batch, descriptors, tree_config)
+        else:
             chunk = Chunk(ChunkType.BLOB, b"")
-            store.put_node(chunk, chunk)
-            return cls(store, chunk.uid, blob_config, tree_config)
-        root = build_index_levels(store, descriptors, tree_config)
+            batch.append((chunk, chunk))
+            root = chunk.uid
+        store.put_nodes(batch)
         return cls(store, root, blob_config, tree_config)
 
     def size(self) -> int:

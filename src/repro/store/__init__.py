@@ -26,7 +26,7 @@ Implementations:
     loudly; segment compaction.  The throughput-oriented backend.
 - :class:`~repro.store.nodecache.NodeCacheStore` — write-through LRU
   cache of *decoded* nodes (tree nodes, blob leaves, FNodes) behind the
-  ``get_node`` / ``put_node`` seam every store has, so hot descents and
+  ``get_node`` / ``put_nodes`` seam every store has, so hot descents and
   warm commits skip fetching and parsing entirely; the only cache.
 
 Maintenance: :mod:`repro.store.scrub` re-hashes every materialized copy

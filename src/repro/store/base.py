@@ -8,7 +8,7 @@ optional read verification, and batch helpers on top.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Iterable, Iterator, List, Optional, Set
+from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.chunk import Chunk, Uid
 from repro.errors import ChunkNotFoundError
@@ -129,14 +129,17 @@ class ChunkStore:
 
     # -- the node I/O seam -----------------------------------------------------
 
-    def put_node(self, chunk: Chunk, decoded: Any) -> bool:
-        """Store a chunk whose decoded form (``decoded``) the writer holds.
+    def put_nodes(self, pairs: Iterable[Tuple[Chunk, Any]]) -> int:
+        """Store one verb's writes: ``(chunk, decoded form)`` pairs, children
+        before parents; return how many chunks were new.
 
-        Everything above the store that writes a tree node or an FNode
-        writes it through here.  A store that caches nothing — this
-        default — has no use for ``decoded``: it is a plain :meth:`put`.
+        Everything above the store that writes tree nodes or an FNode
+        hands it here, one call per verb.  A store that caches nothing
+        has no use for the decoded forms, and a durable backend gains
+        nothing from the batch (its per-chunk flush is a sliver of a
+        commit): this default is one plain :meth:`put` per chunk.
         """
-        return self.put(chunk)
+        return sum(self.put(chunk) for chunk, _ in pairs)
 
     def get_node(self, uid: Uid) -> Any:
         """Fetch a chunk for a reader that wants its decoded form.
@@ -228,6 +231,15 @@ class ChunkStore:
     def invalidate_swept(self, uids: List[Uid]) -> None:
         """Drop any cached state for removed uids; default is a no-op."""
 
+    def sync(self) -> None:
+        """Make every chunk stored so far survive power loss.
+
+        The engine calls this before anything that makes a head durable
+        (a journal fsync, a heads snapshot), so no durable head points at
+        a chunk that is not.  A store with nothing to fsync — this
+        default — has nothing to do.
+        """
+
     def close(self) -> None:
         """Release resources; default is a no-op."""
 
@@ -250,10 +262,11 @@ class WrapperStore(ChunkStore):
     """A store that stands in front of another one (its public ``backing``).
 
     Every primitive passes straight through; a subclass overrides only
-    the ones it caches, counts or lies in.  ``_insert_many`` is
-    deliberately *not* forwarded: with the loop default a batch reaches
-    a subclass's ``_insert`` once per chunk and cannot bypass it; a
-    cache that wants the backend's batched append overrides it.
+    the ones it caches, counts or lies in.  ``_insert_many`` and
+    ``put_nodes`` are deliberately *not* forwarded: with the loop
+    defaults a batch reaches a subclass's ``_insert`` once per chunk and
+    cannot bypass it; a cache that wants the backend's batch overrides
+    them.  ``sync`` is forwarded.
     ``verify_reads=None`` inherits the backing store's setting — wrapping
     a verifying store must not silently disable its tamper check.
     """
@@ -284,6 +297,9 @@ class WrapperStore(ChunkStore):
 
     def physical_size(self) -> int:
         return self.backing.physical_size()
+
+    def sync(self) -> None:
+        self.backing.sync()
 
     def close(self) -> None:
         self.backing.close()

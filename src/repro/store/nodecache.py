@@ -8,12 +8,12 @@ blob leaves, and the FNode of a version.  A hot descent, and a hot
 ``db.get``'s load of the branch head, touch no codec, no CRC and no disk.
 
 It is filled from both sides of the node I/O seam
-(:meth:`ChunkStore.put_node` / :meth:`ChunkStore.get_node`): a read
-remembers what it decoded, and a *write* remembers the object the writer
-just encoded — so the next commit's walk down the path the previous
-commit wrote decodes nothing.  Write-through never outruns the device:
-the backing ``put`` runs first, and the node is remembered only after it
-returned, so a put that raised leaves no entry.
+(:meth:`ChunkStore.put_nodes` / :meth:`ChunkStore.get_node`): a read
+remembers what it decoded, and a *write* remembers the objects the
+writer just encoded — so the next commit's walk down the path the
+previous commit wrote decodes nothing.  Write-through never outruns the
+device: the backing write runs first, and the nodes are remembered only
+after it returned, so a batch that raised leaves no entry.
 
 ``get`` / ``get_maybe`` deliberately bypass the cache and always reach
 the backing store, so ``verify()``, the scrubber and gc see on-disk
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import List, Optional, Union
+from typing import Iterable, List, Optional, Set, Tuple, Union
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.postree.node import NODE_CLASSES, Node, load_node
@@ -87,16 +87,30 @@ class NodeCacheStore(WrapperStore):
 
     # -- the decoded-node surface --------------------------------------------
 
-    def put_node(self, chunk: Chunk, decoded: DecodedNode) -> bool:
-        """Store ``chunk`` and remember the form its writer already holds.
+    def put_nodes(self, pairs: Iterable[Tuple[Chunk, DecodedNode]]) -> int:
+        """Store a batch and remember the forms its writer already holds.
 
-        The ``put`` comes first: if it raises, nothing was remembered.
-        A dedup hit remembers too — the chunk is backed.
+        Accounted like one ``put`` per chunk: a dedup hit is answered by
+        ``has`` and never reaches the backing store, which gets the novel
+        remainder as one batch.  That write comes first: if it raises,
+        nothing was remembered.  A dedup hit remembers too — the chunk is
+        backed.
         """
-        new = self.put(chunk)
+        pairs = list(pairs)
+        novel: List[Tuple[Chunk, DecodedNode]] = []
+        seen: Set[Uid] = set()
+        for chunk, decoded in pairs:
+            new = not self._contains(chunk.uid) and chunk.uid not in seen
+            self.stats.record_put(chunk.type.name, chunk.size(), new)
+            if new:
+                seen.add(chunk.uid)
+                novel.append((chunk, decoded))
+        if novel:
+            self.backing.put_nodes(novel)
         with self._lock:
-            self._remember(chunk.uid, decoded)
-        return new
+            for chunk, decoded in pairs:
+                self._remember(chunk.uid, decoded)
+        return len(novel)
 
     def get_node(self, uid: Uid) -> DecodedNode:
         """Fetch a chunk decoded to its node form, via the LRU cache.

@@ -343,6 +343,21 @@ class SegmentStore(ChunkStore):
         self._log.sync(label)
         self._save_index()
 
+    def sync(self) -> None:
+        """Fsync what was appended since the last durable point.
+
+        A crash boundary of the format's fsync kind.  The index snapshot
+        is not rewritten: records past a watermark are recovered by the
+        scan.  A failed fsync that recovery cannot repair un-acks the
+        tail and raises, so the caller never makes a head durable over
+        chunks that are not.
+        """
+        if self._log.durable_size == self._log.size and not self._log.poisoned:
+            return  # nothing new since the last durable point (or a clean close)
+        self._check_writer()
+        crashpoint(self._FSYNC_KIND, "sync")
+        self._log.sync("sync")
+
     def _contains(self, uid: Uid) -> bool:
         return uid in self._index
 

@@ -20,7 +20,7 @@ class VersionGraph:
     def commit(self, fnode: FNode) -> Uid:
         """Materialize an FNode; returns its uid (idempotent)."""
         chunk = fnode.encode()
-        self.store.put_node(chunk, fnode)
+        self.store.put_nodes([(chunk, fnode)])
         return chunk.uid
 
     def load(self, uid: Uid) -> FNode:

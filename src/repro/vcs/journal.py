@@ -149,10 +149,20 @@ class CommitJournal:
 
     # -- appending -----------------------------------------------------------
 
+    @property
+    def sync_due(self) -> bool:
+        """Will the next :meth:`append` fsync?  (The policy's durable
+        point: every append under ``always``, every ``batch_interval``-th
+        under ``batch``, never under ``never``.)"""
+        return self.fsync == "always" or (
+            self.fsync == "batch" and self._pending + 1 >= self.batch_interval
+        )
+
     def append(self, record: Mapping[str, object]) -> None:
         """Durably (per policy) append one op record."""
         if self._closed:
             raise JournalError(f"{self.path}: journal is closed")
+        due = self.sync_due
         payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
         blob = _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
         self._log.append(blob, str(record.get("op", "")))
@@ -161,9 +171,7 @@ class CommitJournal:
         self._log.flush()
         self._records.append((self._log.size, dict(record)))
         self._pending += 1
-        if self.fsync == "always" or (
-            self.fsync == "batch" and self._pending >= self.batch_interval
-        ):
+        if due:
             self.sync()
 
     def sync(self) -> None:

@@ -247,7 +247,7 @@ def test_unack_evicts_decoded_nodes(tmp_path, factory, populate):
         cache.put(leaf.to_chunk())
         assert isinstance(cache.get_node(leaf.uid), LeafNode)
     else:
-        cache.put_node(leaf.to_chunk(), leaf)
+        cache.put_nodes([(leaf.to_chunk(), leaf)])
     with fs_zone(FsFaultPlan(fsync_fail_rate=1.0)):
         with pytest.raises(DiskFaultError):
             cache.put_many([_chunk(b"a"), _chunk(b"b")])

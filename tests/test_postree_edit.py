@@ -240,9 +240,9 @@ class TestWorkBound:
         """Load the map, warm it, then ``get -> set(one key) -> put`` 20 times.
 
         Returns the backend stats spent by the 2nd..20th commit; ``written``
-        collects the chunks those commits offered to the store, and
-        ``counted`` is called once, after the first commit, to start any
-        other counters.
+        collects the chunks those commits offered to the store (through
+        the node seam, ``put_nodes``), and ``counted`` is called once,
+        after the first commit, to start any other counters.
         """
         _, tree, keys = big
         db._clock = lambda: 0.0  # identical FNode uids across engines
@@ -256,8 +256,14 @@ class TestWorkBound:
                 if written is not None:
                     # At the top of the stack: a cache wrapper answers a
                     # dedup hit itself, and a re-emitted node is one.
-                    put = db.store.put
-                    db.store.put = lambda chunk: written.append(chunk) or put(chunk)
+                    put_nodes = db.store.put_nodes
+
+                    def offered(pairs):
+                        pairs = list(pairs)
+                        written.extend(chunk for chunk, _ in pairs)
+                        return put_nodes(pairs)
+
+                    db.store.put_nodes = offered
             key = keys[commit * 7919 % len(keys)]
             db.put("m", db.get("m").set(key, b"edited-%d" % commit))
         return backing.stats.delta(before)

@@ -23,7 +23,7 @@ import shutil
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.chunk import Uid
 from repro.db.engine import HEALTH_HEALTHY, ForkBase
@@ -89,9 +89,12 @@ def _run(directory: str, plan: FsFaultPlan):
     return stamps, acked, status, false_fsyncs
 
 
-# Derandomised: ≈1 in 40 hypothesis seeds (e.g. --hypothesis-seed=27) finds a
-# real, known gap (ROADMAP aim 3) that must not sink unrelated changes.
-@settings(max_examples=15, deadline=None, derandomize=True)
+# The pinned example is what --hypothesis-seed=27 found while chunks were
+# flushed, not fsynced, before the head over them was journaled: a failed
+# fsync that recovery could not repair then un-acked chunks under a
+# durable head, and the recovered head failed verification.
+@settings(max_examples=15, deadline=None)
+@example(plan=FsFaultPlan(seed=557, short_write_rate=0.125, fsync_fail_rate=0.125))
 @given(plan=_plans)
 def test_random_schedules_replay_and_recover(plan):
     first_dir = tempfile.mkdtemp(prefix="fsprop-a-")

@@ -192,9 +192,14 @@ class TestWorkBound:
                 return fn(*args, **kwargs)
             return counted
 
-        # Every module that binds the builder by name.
-        for module in (tree_module, edit_module):
-            monkeypatch.setattr(module, "bulk_build", counting("bulk_build", module.bulk_build))
+        # Every name a rebuild goes through: the bulk-build verb, and the
+        # batch builder the editor binds for a height-0 tree.
+        monkeypatch.setattr(
+            tree_module, "bulk_build", counting("bulk_build", tree_module.bulk_build)
+        )
+        monkeypatch.setattr(
+            edit_module, "build_tree", counting("bulk_build", edit_module.build_tree)
+        )
         decode = LeafNode.from_chunk.__func__
         monkeypatch.setattr(
             LeafNode, "from_chunk", classmethod(counting("leaf_decodes", decode))

@@ -3,7 +3,11 @@
 Four scenarios the basic suites skip: sweeping with live roots explicitly
 pinned (version archival on top of GC), reads through the cache when the
 backing store verifies every read, cache coherence across deletes, and
-write-through (``put_node``) never remembering more than the device holds.
+write-through (``put_nodes``) never remembering more than the device holds.
+
+The ``TestCachedStore*`` classes test :class:`NodeCacheStore`, the one
+cache; they keep the name of the raw-chunk cache it replaced because
+their test ids are pinned.
 """
 
 import os
@@ -42,7 +46,7 @@ def _cache(cache: NodeCacheStore, chunk: Chunk, populate: str) -> None:
         cache.put(chunk)
         cache.get_node(chunk.uid)
     else:
-        cache.put_node(chunk, chunk)
+        cache.put_nodes([(chunk, chunk)])
     assert chunk.uid in cache._nodes
 
 
@@ -230,7 +234,7 @@ class TestSweepInvalidationBus:
 
 
 class TestWriteThroughNeverOutrunsTheDevice:
-    """``put_node`` remembers a node only once its chunk is stored."""
+    """``put_nodes`` remembers a node only once its chunk is stored."""
 
     @pytest.mark.parametrize("factory", [FileStore, PackStore], ids=["file", "pack"])
     def test_failed_put_leaves_no_entry(self, tmp_path, factory):
@@ -239,12 +243,12 @@ class TestWriteThroughNeverOutrunsTheDevice:
         # Every write fails: ENOSPC outlasts the append path's bounded retry.
         with fs_zone(FsFaultPlan(enospc_rate=1.0)):
             with pytest.raises(DiskFullError):
-                cache.put_node(leaf.to_chunk(), leaf)
+                cache.put_nodes([(leaf.to_chunk(), leaf)])
         assert leaf.uid not in cache._nodes
         with pytest.raises(ChunkNotFoundError):
             cache.get_node(leaf.uid)
         # ENOSPC un-acks cleanly: with space back the same write goes through.
-        assert cache.put_node(leaf.to_chunk(), leaf) is True
+        assert cache.put_nodes([(leaf.to_chunk(), leaf)]) == 1
         assert cache.get_node(leaf.uid) is leaf
         # A poisoned writer refuses the put outright: still nothing remembered.
         with fs_zone(FsFaultPlan(fsync_fail_rate=1.0)):
@@ -252,7 +256,7 @@ class TestWriteThroughNeverOutrunsTheDevice:
                 cache.put_many([_chunk(b"a"), _chunk(b"b")])
         other = LeafNode([LeafEntry(b"other", b"value")])
         with pytest.raises(DiskFaultError):
-            cache.put_node(other.to_chunk(), other)
+            cache.put_nodes([(other.to_chunk(), other)])
         assert other.uid not in cache._nodes
         cache.close()
 
@@ -271,7 +275,7 @@ class TestWriteThroughNeverOutrunsTheDevice:
         cache = NodeCacheStore(backing)
         leaf = LeafNode([LeafEntry(b"key", b"value")])
         backing.put(leaf.to_chunk())
-        assert cache.put_node(leaf.to_chunk(), leaf) is False
+        assert cache.put_nodes([(leaf.to_chunk(), leaf)]) == 0
         assert cache.get_node(leaf.uid) is leaf
         assert cache.node_hits == 1
 
