@@ -153,9 +153,9 @@ def _scan_cyclic(
     extended to the entry end by the caller).
 
     Both modes, the scalar :meth:`CyclicPolynomialHash.update`, and the
-    vectorized k-pass scheme in :mod:`repro.rolling.fast` must agree —
-    asserted by tests/test_chunker.py, tests/test_fast_chunker.py and
-    tests/test_fast_entry_chunker.py.
+    vectorized doubling kernel in :mod:`repro.rolling.fast` must agree —
+    asserted by tests/test_chunker.py, tests/test_fast_chunker.py,
+    tests/test_fast_entry_chunker.py and tests/test_rolling_kernel.py.
     """
     window = len(backlog)
     hits: List[int] = []

@@ -1,12 +1,13 @@
 """Vectorized content-defined chunking (optional numpy fast path).
 
 Pure-Python byte loops cap ingestion at a few MB/s; this module computes
-the cyclic-polynomial hash for *every* position of a buffer with k
-vectorized passes (one per window offset):
+the cyclic-polynomial hash for *every* position of a buffer,
 
-    value[i] = ⊕_{j=0..k-1} δ^j( Γ(data[i-j]) )
+    value[i] = ⊕_{j=0..k-1} δ^j( Γ(data[i-j]) ),
 
-then replays the min/max-size state machine only over the sparse pattern
+with one kernel (:func:`_window_hashes`) that builds the k-byte window
+from two-byte windows by doubling, in O(log k) vectorized passes, then
+replays the min/max-size state machine only over the sparse pattern
 candidates.  Two consumers:
 
 - :func:`fast_chunk_spans` slices raw bytes (blob leaves) — spans are
@@ -42,7 +43,7 @@ from repro.rolling.chunker import (
     chunk_entries,
     iter_chunk_spans,
 )
-from repro.rolling.hashes import rotated_gamma_table
+from repro.rolling.hashes import gamma_table
 
 try:  # pragma: no cover - exercised implicitly by which path runs
     import numpy as _np
@@ -75,157 +76,134 @@ def forced_pure() -> Iterator[None]:
 
 
 @lru_cache(maxsize=None)
-def _gamma_array(bits: int, seed: bytes) -> Any:
-    """Γ as a numpy lookup table, in the narrowest sufficient dtype."""
-    dtype = _np.uint32 if bits <= 32 else _np.uint64
-    return _np.array(rotated_gamma_table(bits, 0, seed), dtype=dtype)
+def _lookup_tables(bits: int, seed: bytes) -> Tuple[Any, Any, int]:
+    """Γ and the pair-fused table, as uint64 arrays, plus the latter's width.
 
-
-@lru_cache(maxsize=None)
-def _low_pair_tables(bits: int, window: int, seed: bytes) -> Tuple[Tuple[Any, ...], Any]:
-    """Byte-pair gather tables for the low 16 bits of the position hashes.
-
-    XOR is bitwise-independent, and the pattern rule only ever inspects the
-    low ``pattern_bits`` bits of Φ, so the candidate scan can work on a
-    16-bit truncation of the hash.  Two adjacent window offsets are folded
-    into one 65536-entry table:
-
-        PT_m[new << 8 | old] = low16(δ^{2m}(Γ(new)) ⊕ δ^{2m+1}(Γ(old)))
-
-    halving both the gathers and the memory traffic versus one 256-entry
-    gather (or shift pass) per offset.  Odd windows keep one single-byte
-    table for the final offset.  Each table is 128 KB — L2-resident.
+    The pair table is the window hash of every two-byte window,
+    indexed by ``old | new << 8`` (a little-endian uint16 read of the
+    two bytes): ``Γ(new) ⊕ δ(Γ(old))``, kept unfolded (see
+    :func:`_delta`).  It does not depend on the window length, so one
+    512 KB table per ``(bits, seed)`` serves every config.
     """
-
-    def low16(rotation: int) -> Any:
-        table = _np.array(rotated_gamma_table(bits, rotation, seed), dtype=_np.uint64)
-        return (table & _np.uint64(0xFFFF)).astype(_np.uint16)
-
-    pair_tables = []
-    for m in range(window // 2):
-        new16 = low16(2 * m)
-        old16 = low16(2 * m + 1)
-        pair_tables.append((new16[:, None] ^ old16[None, :]).reshape(65536))
-    single = low16(window - 1) if window % 2 else None
-    return tuple(pair_tables), single
+    gamma = _np.array(gamma_table(bits, seed), dtype=_np.uint64)
+    old = _np.empty_like(gamma)
+    width = _delta(gamma, bits, 1, bits, old)
+    pairs = (gamma[:, None] ^ old[None, :]).reshape(65536)
+    gamma.setflags(write=False)  # shared by every caller: cached
+    pairs.setflags(write=False)
+    return gamma, pairs, width
 
 
-#: Positions hashed per block: index slices (8 B/position) and gather
-#: outputs stay cache-resident, roughly halving wall time versus one
-#: full-buffer pass per table (measured on 26.8 MB streams).
-_LOW16_BLOCK = 1 << 17
+def _delta(values: Any, width: int, count: int, bits: int, out: Any) -> int:
+    """Write δ^count of ``width``-bit lanes to ``out``; return its width.
 
-
-def _position_low16(data: bytes, config: ChunkerConfig, tail: bytes) -> Any:
-    """Low 16 bits of the window hash ending at every position of ``data``.
-
-    Same contract as :func:`_position_hashes` but truncated to the low 16
-    bits, which is all the pattern rule needs when ``pattern_bits <= 16``.
-    Adjacent bytes are fused into 16-bit pair indices (two strided byte
-    copies into a little-endian uint16 view — no integer math), so each
-    pair table covers two window offsets in one gather; gathers run on
-    ``intp`` indices (``np.take``'s fast path, converted per cache-sized
-    block) so the index widening never touches DRAM-scale arrays.
+    A lane wider than ``bits`` stands for the XOR of its ``bits``-wide
+    digits: rotation within ``bits`` bits is multiplication by x^count
+    modulo x^bits − 1, so a plain left shift is exact as long as nothing
+    leaves the 64-bit lane, and :func:`_fold` reduces once at the end.
+    Only a shift that would overflow folds ``values`` (in place, which
+    keeps what they stand for) and rotates for real: ``hash_bits`` > 32
+    or long windows.
     """
-    window = config.window
-    prefix = b"\x00" * (window - len(tail)) + tail
-    buffer = _np.frombuffer(prefix + data, dtype=_np.uint8)
-    n = len(data)
-    pair_tables, single = _low_pair_tables(config.hash_bits, window, config.seed)
-    count_pairs = len(pair_tables)
-    if count_pairs:
-        # pair16[t] = buffer[t+1] << 8 | buffer[t]: the pair *ending* at
-        # buffer position p is pair16[p - 1].
-        pair16 = _np.empty(len(buffer) - 1, dtype=_np.uint16)
-        as_bytes = pair16.view(_np.uint8)
-        if _np.little_endian:
-            as_bytes[0::2] = buffer[:-1]
-            as_bytes[1::2] = buffer[1:]
-        else:  # pragma: no cover - big-endian hosts
-            as_bytes[1::2] = buffer[:-1]
-            as_bytes[0::2] = buffer[1:]
-    values = _np.empty(n, dtype=_np.uint16)
-    block = _LOW16_BLOCK
-    seg = _np.empty(block + window, dtype=_np.intp)
-    scratch = _np.empty(block, dtype=_np.uint16)
-    for block_start in range(0, n, block):
-        block_end = min(block_start + block, n)
-        cnt = block_end - block_start
-        acc = values[block_start:block_end]
-        first = True
-        if count_pairs:
-            # Gather m covers offsets 2m/2m+1 via the pair ending at buffer
-            # position window + i - 2m; widen the union of the slices once.
-            lo = window - 2 * (count_pairs - 1) - 1 + block_start
-            hi = window - 1 + block_start + cnt
-            idx = seg[: hi - lo]
-            _np.copyto(idx, pair16[lo:hi], casting="unsafe")
-            base = hi - lo - cnt  # start of gather m=0 within idx
-            for m, table in enumerate(pair_tables):
-                part = idx[base - 2 * m : base - 2 * m + cnt]
-                if first:
-                    table.take(part, out=acc, mode="clip")
-                    first = False
-                else:
-                    table.take(part, out=scratch[:cnt], mode="clip")
-                    _np.bitwise_xor(acc, scratch[:cnt], out=acc)
-        if single is not None:
-            # Odd window: the last offset (window - 1) reads buffer[i + 1].
-            idx = seg[:cnt]
-            _np.copyto(idx, buffer[1 + block_start : 1 + block_end], casting="unsafe")
-            if first:
-                single.take(idx, out=acc, mode="clip")
-            else:
-                single.take(idx, out=scratch[:cnt], mode="clip")
-                _np.bitwise_xor(acc, scratch[:cnt], out=acc)
-    return values
+    count %= bits
+    if width + count <= 64:
+        _np.left_shift(values, count, out=out)
+        return width + count
+    _fold(values, width, bits)
+    high = values << count
+    high &= (1 << bits) - 1
+    _np.right_shift(values, bits - count, out=out)
+    out |= high
+    return bits
 
 
-def _position_hashes(data: bytes, config: ChunkerConfig, tail: bytes) -> Any:
-    """Hash value of the window ending at every position of ``data``.
+def _fold(values: Any, width: int, bits: int) -> None:
+    """Reduce ``width``-bit lanes in place to the ``bits``-bit hashes."""
+    while width > bits:
+        high = values >> bits
+        values &= (1 << bits) - 1
+        values ^= high
+        width = max(bits, width - bits)
 
-    ``tail`` is the byte stream immediately preceding ``data`` (at most
-    ``window`` bytes); the conceptual zero pre-fill of the rolling window
-    pads it on the left, matching the streaming chunkers' start state.
 
-    One gather maps every byte through Γ; each of the k window offsets
-    then contributes δ^offset of its slice via two shifts and a mask —
-    value[i] = ⊕_j δ^j(Γ(buffer[window + i - j])) — which is ~4× faster
-    than one 256-entry gather per offset.
+#: Positions hashed per block.  A block's live arrays (index, lanes and
+#: scratch, 8 B/position each: 768 KB) stay in L2 from the gather through
+#: the doublings; smaller blocks pay numpy's per-call overhead more often
+#: (EXPERIMENTS.md, "One rolling-hash kernel").
+_BLOCK = 1 << 15
+
+
+def _window_hashes(
+    data: bytes, config: ChunkerConfig, tail: bytes
+) -> Iterator[Tuple[int, Any]]:
+    """Full-width Φ of the window ending at every position of ``data``.
+
+    Yields ``(start, values)`` per block, ``values[j]`` being the hash
+    after feeding ``data[start + j]`` (a fresh uint64 array the caller
+    may keep or overwrite).  ``tail`` is the byte stream immediately
+    preceding ``data`` (at most ``window`` bytes); the conceptual zero
+    pre-fill pads it on the left, matching the streaming chunkers'
+    start state.
+
+    Φ of a window is an XOR of per-offset rotations,
+    Φ_k(i) = ⊕_{j<k} δ^j(Γ(b[i−j])), so windows compose:
+    Φ_{a+b}(i) = Φ_b(i) ⊕ δ^b(Φ_a(i−b)).  The kernel walks the binary
+    expansion of k from the top: one gather of the pair table gives Φ_2,
+    each further digit doubles (Φ_2c from Φ_c) and a set digit adds one
+    byte (one Γ gather).  At k = 16 that is one gather and three
+    doublings per position instead of one pass per window offset.
     """
     window = config.window
     bits = config.hash_bits
-    prefix = b"\x00" * (window - len(tail)) + tail
-    buffer = _np.frombuffer(prefix + data, dtype=_np.uint8)
+    gamma, pairs, pair_width = _lookup_tables(bits, config.seed)
+    digits = bin(window)[3:]
+    head = bytes(window - len(tail)) + tail
     n = len(data)
-    table = _gamma_array(bits, config.seed)
-    dtype = table.dtype
-    mask = dtype.type((1 << bits) - 1)
-    gamma = _np.take(table, buffer)
-    values = _np.zeros(n, dtype=dtype)
-    scratch = _np.empty(n, dtype=dtype)
-    for offset in range(window):
-        segment = gamma[window - offset : window - offset + n]
-        rotation = offset % bits
-        if rotation == 0:
-            _np.bitwise_xor(values, segment, out=values)
-            continue
-        _np.left_shift(segment, dtype.type(rotation), out=scratch)
-        _np.bitwise_and(scratch, mask, out=scratch)
-        _np.bitwise_xor(values, scratch, out=values)
-        _np.right_shift(segment, dtype.type(bits - rotation), out=scratch)
-        _np.bitwise_xor(values, scratch, out=values)
-    return values
+    scratch = _np.empty(min(n, _BLOCK) + window, dtype=_np.uint64)
+    for start in range(0, n, _BLOCK):
+        end = min(start + _BLOCK, n)
+        # The block also reads the window - 1 bytes before it.
+        size = end - start + window - 1
+        if start + 1 >= window:
+            region, offset = data, start + 1 - window
+        else:
+            region, offset = (head + data[:end])[start + 1 :], 0
+        if digits:
+            index = _np.ndarray((size - 1,), "<u2", region, offset, (1,))
+            values = pairs.take(index.astype(_np.intp), mode="clip")
+            width, span = pair_width, 2
+        else:
+            index = _np.frombuffer(region, _np.uint8, size, offset)
+            values = gamma.take(index, mode="clip")
+            width, span = bits, 1
+        for position, digit in enumerate(digits):
+            if position:  # Φ_2c(i) = Φ_c(i) ⊕ δ^c(Φ_c(i − c))
+                shifted = scratch[: len(values) - span]
+                shifted_width = _delta(values[:-span], width, span, bits, shifted)
+                values = values[span:]
+                values ^= shifted
+                width = max(width, shifted_width)
+                span *= 2
+            if digit == "1":  # Φ_c+1(i) = Γ(b[i]) ⊕ δ(Φ_c(i − 1))
+                shifted = scratch[: len(values) - 1]
+                width = _delta(values[:-1], width, 1, bits, shifted)
+                values = values[1:]
+                incoming = _np.frombuffer(region, _np.uint8, size - span, offset + span)
+                gamma.take(incoming, out=values, mode="clip")
+                values ^= shifted
+                span += 1
+        _fold(values, width, bits)
+        yield start, values
 
 
 def _pattern_candidates(data: bytes, config: ChunkerConfig, tail: bytes) -> Any:
     """Sorted positions of ``data`` where the raw pattern rule fires."""
-    if config.pattern_bits <= 16:
-        values = _position_low16(data, config, tail)
-    else:
-        values = _position_hashes(data, config, tail)
-    pattern_mask = values.dtype.type((1 << config.pattern_bits) - 1)
-    return _np.nonzero((values & pattern_mask) == 0)[0]
+    pattern_mask = (1 << config.pattern_bits) - 1
+    found: List[Any] = []
+    for start, values in _window_hashes(data, config, tail):
+        values &= pattern_mask
+        found.append((values == 0).nonzero()[0] + start)
+    return found[0] if len(found) == 1 else _np.concatenate(found)
 
 
 def fast_chunk_spans(
@@ -240,12 +218,12 @@ def fast_chunk_spans(
     if not numpy_available() or not data:
         return list(iter_chunk_spans(data, config, preceding))
 
-    window = config.window
-    tail = preceding[-window:] if preceding else b""
-    candidates = _pattern_candidates(data, config, tail)
+    tail = preceding[-config.window :] if preceding else b""
+    candidates = _pattern_candidates(data, config, tail).tolist()
     n = len(data)
 
-    # Replay the min/max state machine over candidates + forced boundaries.
+    # Replay the min/max state machine over candidates + forced
+    # boundaries, on a plain list (as ``push_many`` does).
     spans: List[Tuple[int, int]] = []
     min_size = config.min_size
     max_size = config.max_size
@@ -254,15 +232,9 @@ def fast_chunk_spans(
     while start < n:
         # Next pattern at or after start + min_size - 1 (0-based position
         # of the byte that completes min_size bytes).
-        earliest = start + min_size - 1
-        cand_index = int(_np.searchsorted(candidates, earliest)) if total_candidates else 0
-        if cand_index < total_candidates:
-            position = int(candidates[cand_index])
-        else:
-            position = n  # no more patterns
-        forced = start + max_size - 1
-        boundary = min(position, forced)
-        end = boundary + 1
+        cand_index = bisect_left(candidates, start + min_size - 1)
+        position = candidates[cand_index] if cand_index < total_candidates else n
+        end = min(position, start + max_size - 1) + 1
         if end >= n:
             spans.append((start, n))
             break
@@ -285,7 +257,7 @@ class VectorEntryChunker:
 
     Same contract: entries are fed in stream order, a True/boundary means
     "the current node ends after this entry".  Internally each batch is
-    concatenated, hashed with the k-pass scheme, and the state machine is
+    concatenated, hashed by :func:`_window_hashes`, and the state machine is
     replayed over the sparse candidate set with O(nodes · log candidates)
     work instead of O(bytes) interpreted steps.
 
@@ -344,7 +316,10 @@ class VectorEntryChunker:
         candidates: List[int] = []
         if stream_len:
             candidates = _pattern_candidates(data, config, self._tail).tolist()
-            self._tail = (self._tail + data)[-config.window :]
+            if stream_len >= config.window:
+                self._tail = data[-config.window :]
+            else:
+                self._tail = (self._tail + data)[-config.window :]
         total_candidates = len(candidates)
         ends = list(accumulate(map(len, encoded)))
 

@@ -52,8 +52,7 @@ def rotated_gamma_table(
 ) -> Tuple[int, ...]:
     """Pre-rotated Γ: byte → δ^rotation(Γ(byte)), memoized.
 
-    ``rotation = window`` gives the outgoing-byte table of the recurrence;
-    the vectorized chunker uses one table per window offset.
+    ``rotation = window`` gives the outgoing-byte table of the recurrence.
     """
     mask = (1 << bits) - 1
     count = rotation % bits
@@ -97,10 +96,12 @@ def cyclic_step(
 
     This is the canonical form of the cyclic-polynomial update.  The hot
     loops in :mod:`repro.rolling.chunker` (byte-stream and entry-stream
-    scanning) and the vectorized k-pass scheme in :mod:`repro.rolling.fast`
-    restate this same recurrence; their agreement is asserted by the
-    equivalence tests (tests/test_chunker.py, tests/test_fast_chunker.py,
-    tests/test_fast_entry_chunker.py, tests/test_rolling_hashes.py).
+    scanning) restate this same recurrence, and the vectorized kernel in
+    :mod:`repro.rolling.fast` computes the window sum it maintains
+    directly; their agreement is asserted by the equivalence tests
+    (tests/test_chunker.py, tests/test_fast_chunker.py,
+    tests/test_fast_entry_chunker.py, tests/test_rolling_hashes.py,
+    tests/test_rolling_kernel.py).
     """
     value = ((value << 1) | (value >> top_shift)) & mask
     return value ^ out_rot[outgoing] ^ table[incoming]
