@@ -74,10 +74,11 @@ LAYERS: Mapping[str, int] = {
     # The tamper scorecard is pure bookkeeping over chunk uids; it serves
     # the cluster store and anti-entropy but imports neither.
     "repro.cluster.accountability": 8,
+    # The decoded-node cache decodes POS-Tree nodes and FNodes, so it sits
+    # above the tree and version layers it understands — and beside the
+    # cluster, whose coordinator holds one.
+    "repro.store.nodecache": 8,
     "repro.store.gc": 9,
-    # The decoded-node cache decodes POS-Tree nodes, so it sits above the
-    # tree layer it understands, beside the other tree-aware store code.
-    "repro.store.nodecache": 9,
     "repro.store": 9,  # the facade re-exports gc/nodecache (and scrub)
     "repro.security.verify": 10,
     "repro.db": 11,

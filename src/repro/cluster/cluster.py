@@ -29,6 +29,7 @@ from repro.errors import (
 from repro.faults.network import PartitionedTransport
 from repro.faults.retry import RetryPolicy
 from repro.store.base import ChunkStore
+from repro.store.nodecache import DecodedNode, NodeLRU, decode_chunk
 from repro.store.scrub import ScrubReport, Scrubber, diagnose_copy, read_copy
 
 
@@ -85,6 +86,20 @@ class ClusterStore(ChunkStore):
     ``breaker_threshold`` consecutive timeouts so a slow-but-alive node
     is routed around even though the failure detector rightly still
     calls it ALIVE.
+
+    The coordinator remembers the nodes it verified.  ``get_node`` — the
+    read behind every tree descent and version load — first asks a
+    :class:`~repro.store.nodecache.NodeLRU` of 4096 decoded nodes, and
+    a hit sends no message.  A node enters it only after a replicated
+    read checked its bytes against the uid, or after ``put_nodes`` saw
+    its batch acked at quorum; a uid names one immutable byte string, so
+    such a node stays valid.  A cached node is still written to every
+    home (the cluster may have lost every copy), and ``get``,
+    ``get_maybe`` and ``has`` bypass the cache, so verify, scrub,
+    anti-entropy, ``durability_check`` and the audits still reach the
+    replicas.  ``delete`` and :meth:`readmit`'s drops evict.  A
+    :class:`ClusterClient` does not share the cache: its reads go to the
+    replicas from its own side of any partition.
     """
 
     #: Observations a latency stream needs before reads hedge off its p95
@@ -229,6 +244,8 @@ class ClusterStore(ChunkStore):
         #: The deadline owned by the client verb currently on the stack,
         #: shared by every sub-operation it performs (see :meth:`put`).
         self._active_deadline: Optional[Deadline] = None
+        #: Decoded nodes this coordinator verified or saw acked at quorum.
+        self.node_cache = NodeLRU()
 
     def _make_node(self, name: str) -> StorageNode:
         store = self._store_factory(name) if self._store_factory else None
@@ -294,14 +311,15 @@ class ClusterStore(ChunkStore):
         finally:
             self._active_deadline = outer
 
-    def put_nodes(self, pairs: Iterable[Tuple[Chunk, object]]) -> int:
+    def put_nodes(self, pairs: Iterable[Tuple[Chunk, DecodedNode]]) -> int:
         """Store one verb's chunks under one deadline: one verified
         exchange per replica node, not one per chunk and replica.
 
         There is no ``has`` precheck — a node's ``put`` is idempotent, so
         a chunk the cluster already holds costs a dedup hit on each home
         instead of a round of messages.  A chunk is counted new when some
-        replica stored it for the first time.
+        replica stored it for the first time.  The writer's decoded forms
+        are remembered only once the whole batch stood at quorum.
         """
         pairs = list(pairs)
         batch = list({chunk.uid: chunk for chunk, _ in pairs}.values())
@@ -313,6 +331,7 @@ class ClusterStore(ChunkStore):
             fresh = self._write(batch)
         finally:
             self._active_deadline = outer
+        self.node_cache.remember((chunk.uid, decoded) for chunk, decoded in pairs)
         new = len(fresh)
         for chunk, _ in pairs:
             uid = chunk.uid
@@ -837,6 +856,35 @@ class ClusterStore(ChunkStore):
             if self.transport is not None:
                 self.read_ticks.observe(self.last_read_ticks)
 
+    def get_node(self, uid: Uid) -> DecodedNode:
+        """A node in decoded form: from the coordinator's cache when this
+        uid was verified before, else one replicated read.
+
+        The read is the ordinary one — failover, read-repair and
+        attribution unchanged — and its node is remembered only once its
+        bytes were checked against the uid: ``repair_reads`` and
+        ``verify_reads`` each do that, and without either it is done here.
+        """
+        cached = self.node_cache.lookup(uid)
+        if cached is not None:
+            return cached
+        chunk = self.get(uid)
+        if not (self.repair_reads or self.verify_reads):
+            chunk.verify()
+        decoded = decode_chunk(chunk)
+        self.node_cache.remember(((uid, decoded),))
+        return decoded
+
+    @property
+    def node_hits(self) -> int:
+        """``get_node`` calls answered without a message."""
+        return self.node_cache.counters()["hits"]
+
+    @property
+    def node_lookups(self) -> int:
+        """``get_node`` calls in all."""
+        return self.node_cache.counters()["lookups"]
+
     def _replicated_read(
         self, uid: Uid, deadline: Optional[Deadline]
     ) -> Optional[Chunk]:
@@ -1029,6 +1077,7 @@ class ClusterStore(ChunkStore):
                     yield uid
 
     def _delete(self, uid: Uid) -> bool:
+        self.node_cache.forget((uid,))
         removed = False
         for node in self.nodes.values():
             removed = node.drop(uid) or removed
@@ -1182,6 +1231,7 @@ class ClusterStore(ChunkStore):
         for uid in dropped:
             node.drop(uid)
         if dropped:
+            self.node_cache.forget(dropped)
             self.notify_swept(dropped)
         self.accountability.readmit(name)
         self.anti_entropy_pass()
@@ -1287,6 +1337,7 @@ class ClusterStore(ChunkStore):
             ),
             "read_latency": self.read_ticks.snapshot(),
             "latency_observations": self.latency.observations,
+            "node_cache": self.node_cache.counters(),
             "durability": self.durability_check(),
         }
         if self.transport is not None:
@@ -1335,7 +1386,7 @@ class ClusterClient(ChunkStore):
     def _insert(self, chunk: Chunk) -> None:
         self._as_origin(lambda: self.cluster.put(chunk))
 
-    def put_nodes(self, pairs: Iterable[Tuple[Chunk, object]]) -> int:
+    def put_nodes(self, pairs: Iterable[Tuple[Chunk, DecodedNode]]) -> int:
         """The cluster's batch write, issued from this origin (and
         accounted in the cluster's stats, not this endpoint's)."""
         batch = list(pairs)

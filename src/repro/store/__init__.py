@@ -27,7 +27,9 @@ Implementations:
 - :class:`~repro.store.nodecache.NodeCacheStore` — write-through LRU
   cache of *decoded* nodes (tree nodes, blob leaves, FNodes) behind the
   ``get_node`` / ``put_nodes`` seam every store has, so hot descents and
-  warm commits skip fetching and parsing entirely; the only cache.
+  warm commits skip fetching and parsing entirely.  Its LRU core,
+  :class:`~repro.store.nodecache.NodeLRU`, is also the cluster
+  coordinator's cache of verified nodes — the only cache there is.
 
 Maintenance: :mod:`repro.store.scrub` re-hashes every materialized copy
 against its content address, quarantining (and, on replicated stores,

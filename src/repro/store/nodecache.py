@@ -1,19 +1,26 @@
-"""Write-through LRU cache of *decoded* nodes over another chunk store.
+"""LRU cache of *decoded* nodes, and the write-through store around it.
 
 A cache of raw chunks would save the device read but still pay entry
 decoding on every descent.  At tree fan-outs of ~60 the decode dominates
-a hot lookup, so this wrapper — the one cache in the store stack —
-caches the decoded objects themselves: POS-Tree and list-tree nodes,
-blob leaves, and the FNode of a version.  A hot descent, and a hot
-``db.get``'s load of the branch head, touch no codec, no CRC and no disk.
+a hot lookup, so :class:`NodeLRU` keeps the decoded objects themselves:
+POS-Tree and list-tree nodes, blob leaves, and the FNode of a version.
+A hot descent, and a hot ``db.get``'s load of the branch head, touch no
+codec, no CRC and no disk.
 
-It is filled from both sides of the node I/O seam
-(:meth:`ChunkStore.put_nodes` / :meth:`ChunkStore.get_node`): a read
-remembers what it decoded, and a *write* remembers the objects the
-writer just encoded — so the next commit's walk down the path the
-previous commit wrote decodes nothing.  Write-through never outruns the
-device: the backing write runs first, and the nodes are remembered only
-after it returned, so a batch that raised leaves no entry.
+It has two holders, both on the node I/O seam
+(:meth:`ChunkStore.put_nodes` / :meth:`ChunkStore.get_node`):
+
+- :class:`NodeCacheStore` wraps a local backend;
+- :class:`~repro.cluster.cluster.ClusterStore` keeps one in the
+  coordinator, filled only by replicated reads it verified and writes it
+  saw acked at quorum.
+
+Each is filled from both sides of the seam: a read remembers what it
+decoded, and a *write* remembers the objects the writer just encoded —
+so the next commit's walk down the path the previous commit wrote
+decodes nothing.  Write-through never outruns the device: the backing
+write runs first, and the nodes are remembered only after it returned,
+so a batch that raised leaves no entry.
 
 ``get`` / ``get_maybe`` deliberately bypass the cache and always reach
 the backing store, so ``verify()``, the scrubber and gc see on-disk
@@ -25,12 +32,13 @@ reader is sound because nodes are sealed (FB-IMMUT).  It can become
 *unbacked*, which is what the sweep subscription below is for.
 
 This module sits above the layers whose nodes it decodes
-(:mod:`repro.postree` layer 5, :mod:`repro.vcs` layer 7); they see only
-the seam on :class:`ChunkStore`, whose default is plain ``put`` / ``get``.
+(:mod:`repro.postree` layer 5, :mod:`repro.vcs` layer 7) and beside the
+cluster that holds one; the trees see only the seam on
+:class:`ChunkStore`, whose default is plain ``put`` / ``get``.
 
 The node map and its counters are lock-guarded with the discipline
 declared via ``# guarded-by:`` annotations (FB-LOCKED proves every
-access sits under a dominating ``with self._lock``).  Decoding and
+access sits under a dominating ``with self.lock``).  Decoding and
 backing-store traffic happen outside the lock: a cache miss must not
 stall every hit behind the codec.  Read verification is inherited from
 the backing store unless overridden — wrapping a verifying store must
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.postree.node import NODE_CLASSES, Node, load_node
@@ -63,6 +71,64 @@ def decode_chunk(chunk: Chunk) -> DecodedNode:
     return load_node(chunk) if chunk.type in NODE_CLASSES else chunk
 
 
+class NodeLRU:
+    """A bounded, thread-safe uid → decoded-node map in LRU order.
+
+    It holds no store and judges no bytes: its holder remembers a node
+    only once the node is known good (verified on read, or acked on
+    write) and forgets what its storage swept.
+    """
+
+    def __init__(self, capacity: int = 4096) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.lock = threading.Lock()
+        self.entries: "OrderedDict[Uid, DecodedNode]" = OrderedDict()  # guarded-by: self.lock
+        self.hits = 0  # guarded-by: self.lock
+        self.lookups = 0  # guarded-by: self.lock
+
+    def lookup(self, uid: Uid) -> Optional[DecodedNode]:
+        """The remembered node for ``uid`` (now most recent), else None.
+
+        Counts one lookup either way.  :meth:`NodeCacheStore.get_node`
+        inlines this body: its hit path is the hottest read in the engine.
+        """
+        with self.lock:
+            self.lookups += 1
+            cached = self.entries.get(uid)
+            if cached is not None:
+                self.hits += 1
+                self.entries.move_to_end(uid)
+            return cached
+
+    def remember(self, pairs: Iterable[Tuple[Uid, DecodedNode]]) -> None:
+        """Remember decoded nodes, evicting the least recently used."""
+        with self.lock:
+            entries = self.entries
+            for uid, decoded in pairs:
+                entries[uid] = decoded
+                entries.move_to_end(uid)
+            while len(entries) > self.capacity:
+                entries.popitem(last=False)
+
+    def forget(self, uids: Iterable[Uid]) -> None:
+        """Drop any entries for ``uids`` (their storage no longer holds them)."""
+        with self.lock:
+            for uid in uids:
+                self.entries.pop(uid, None)
+
+    def counters(self) -> Dict[str, int]:
+        """``hits``, ``lookups``, ``size`` and ``capacity`` in one read."""
+        with self.lock:
+            return {
+                "hits": self.hits,
+                "lookups": self.lookups,
+                "size": len(self.entries),
+                "capacity": self.capacity,
+            }
+
+
 class NodeCacheStore(WrapperStore):
     """Wraps a backing store with an LRU cache of decoded tree nodes."""
 
@@ -73,13 +139,7 @@ class NodeCacheStore(WrapperStore):
         verify_reads: Optional[bool] = None,
     ) -> None:
         super().__init__(backing, verify_reads)
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._nodes: "OrderedDict[Uid, DecodedNode]" = OrderedDict()  # guarded-by: self._lock
-        self.node_hits = 0  # guarded-by: self._lock
-        self.node_lookups = 0  # guarded-by: self._lock
+        self.node_cache = NodeLRU(capacity)
         # Decoded nodes outlive their chunks unless the physical layer
         # tells us it swept them (gc, quarantine resync): a descent must
         # not keep resolving through storage that no longer holds it.
@@ -107,9 +167,7 @@ class NodeCacheStore(WrapperStore):
                 novel.append((chunk, decoded))
         if novel:
             self.backing.put_nodes(novel)
-        with self._lock:
-            for chunk, decoded in pairs:
-                self._remember(chunk.uid, decoded)
+        self.node_cache.remember((chunk.uid, decoded) for chunk, decoded in pairs)
         return len(novel)
 
     def get_node(self, uid: Uid) -> DecodedNode:
@@ -117,24 +175,34 @@ class NodeCacheStore(WrapperStore):
 
         Raises :class:`~repro.errors.ChunkNotFoundError` like ``get``.
         """
-        with self._lock:
-            self.node_lookups += 1
-            cached = self._nodes.get(uid)
+        # NodeLRU.lookup, inlined: no extra call on a hot descent's hit.
+        cache = self.node_cache
+        with cache.lock:
+            cache.lookups += 1
+            cached = cache.entries.get(uid)
             if cached is not None:
-                self.node_hits += 1
-                self._nodes.move_to_end(uid)
+                cache.hits += 1
+                cache.entries.move_to_end(uid)
                 return cached
         decoded = decode_chunk(self.backing.get(uid))
-        with self._lock:
-            self._remember(uid, decoded)
+        cache.remember(((uid, decoded),))
         return decoded
 
-    def _remember(self, uid: Uid, decoded: DecodedNode) -> None:  # holds-lock: self._lock
-        nodes = self._nodes
-        nodes[uid] = decoded
-        nodes.move_to_end(uid)
-        while len(nodes) > self.capacity:
-            nodes.popitem(last=False)
+    @property
+    def node_hits(self) -> int:
+        """``get_node`` calls served without a fetch or a decode."""
+        return self.node_cache.counters()["hits"]
+
+    @property
+    def node_lookups(self) -> int:
+        """``get_node`` calls in all."""
+        return self.node_cache.counters()["lookups"]
+
+    @property
+    def node_hit_rate(self) -> float:
+        """Fraction of ``get_node`` calls served without decoding."""
+        counters = self.node_cache.counters()
+        return counters["hits"] / counters["lookups"] if counters["lookups"] else 0.0
 
     # -- chunk primitives pass through (WrapperStore); a batch stays a batch --
 
@@ -142,28 +210,17 @@ class NodeCacheStore(WrapperStore):
         self.backing.put_many(chunks)
 
     def _delete(self, uid: Uid) -> bool:
-        with self._lock:
-            self._nodes.pop(uid, None)
+        self.node_cache.forget((uid,))
         return self.backing.delete(uid)
 
     def invalidate_swept(self, uids: List[Uid]) -> None:
         """Evict decoded nodes whose backing chunks were swept elsewhere."""
-        with self._lock:
-            for uid in uids:
-                self._nodes.pop(uid, None)
-
-    @property
-    def node_hit_rate(self) -> float:
-        """Fraction of ``get_node`` calls served without decoding."""
-        with self._lock:
-            if self.node_lookups == 0:
-                return 0.0
-            return self.node_hits / self.node_lookups
+        self.node_cache.forget(uids)
 
     def stats_snapshot(self) -> StoreStats:
         """The backing store's snapshot plus this layer's cache counters."""
         snap = self.backing.stats_snapshot()
-        with self._lock:
-            snap.cache_hits += self.node_hits
-            snap.cache_lookups += self.node_lookups
+        counters = self.node_cache.counters()
+        snap.cache_hits += counters["hits"]
+        snap.cache_lookups += counters["lookups"]
         return snap

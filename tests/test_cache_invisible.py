@@ -2,7 +2,9 @@
 
 One random verb sequence is driven against the same engine opened with
 ``node_cache`` 0, 8 (evicts constantly) and 4096 (holds everything), on
-the file and on the pack layout.  Whatever a verb returns — version
+the file and on the pack layout — and, on a 4-node cluster, through the
+coordinator (whose node cache answers ``get_node``) and through a client
+endpoint (which has none).  Whatever a verb returns — version
 uids, value roots, values, errors — and what the engines hold afterwards
 (heads, values, ``history()``, ``verify().ok``) must be identical: the
 cache, read-populated or write-through, may change what is *fetched and
@@ -19,12 +21,14 @@ from typing import Any, Callable, Dict, List, Tuple
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterStore
 from repro.db import ForkBase
 from repro.errors import ForkBaseError
 from repro.postree.merge import resolve_ours
 from repro.store import physical_store
 from repro.types import FBlob, FList, FObject
 from repro.types.convert import unwrap
+from repro.vcs.branches import BranchTable
 
 NODE_CACHES = (0, 8, 4096)
 BACKENDS = ("file", "pack")
@@ -85,10 +89,8 @@ PROLOGUE = [
 class _Driver:
     """One engine configuration; ``apply`` returns what the verb answered."""
 
-    def __init__(self, directory: str, backend: str, node_cache: int, verify_reads: bool) -> None:
-        self.open: Callable[[], ForkBase] = lambda: ForkBase.open(
-            directory, backend=backend, node_cache=node_cache
-        )
+    def __init__(self, open: Callable[[], ForkBase], backend: str, verify_reads: bool) -> None:
+        self.open = open
         self.backend = backend
         self.verify_reads = verify_reads
         self.ticks = itertools.count()
@@ -198,9 +200,9 @@ class _Driver:
             key, uid = self.versions[args[0] % len(self.versions)]
             return unwrap(db.get(key, version=uid))
         if verb == "gc":
-            # The file layout cannot sweep in place; what *would* go is
+            # Only the pack layout sweeps in place; what *would* go is
             # the same set either way.
-            report = db.collect_garbage(dry_run=self.backend == "file")
+            report = db.collect_garbage(dry_run=self.backend != "pack")
             return report.live_chunks, report.swept_chunks
         if verb == "reopen":
             db.close()
@@ -222,12 +224,33 @@ class _Driver:
         return state
 
 
+def _durable(directory: str, backend: str, node_cache: int) -> Callable[[], ForkBase]:
+    return lambda: ForkBase.open(directory, backend=backend, node_cache=node_cache)
+
+
+def _clustered(cached: bool) -> Callable[[], ForkBase]:
+    """Engines over one 4-node cluster: through the coordinator, which
+    caches decoded nodes, or through a client endpoint, which does not.
+    The cluster keeps no head record, so a reopen keeps the heads."""
+    cluster = ClusterStore(node_count=4, replication=3, write_quorum=2)
+    store = cluster if cached else cluster.client("api")
+    heads = BranchTable()
+
+    def open_engine() -> ForkBase:
+        db = ForkBase(store)
+        db.branch_table = heads
+        return db
+
+    return open_engine
+
+
 @given(ops=st.lists(OPS, min_size=1, max_size=14), verify_reads=st.booleans())
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_node_cache_is_invisible(ops, verify_reads):
     with tempfile.TemporaryDirectory() as root:
         drivers = {
-            (backend, cache): _Driver(f"{root}/{backend}-{cache}", backend, cache, verify_reads)
+            (backend, cache): _Driver(_durable(f"{root}/{backend}-{cache}", backend, cache),
+                                      backend, verify_reads)
             for backend in BACKENDS
             for cache in NODE_CACHES
         }
@@ -253,3 +276,20 @@ def test_node_cache_is_invisible(ops, verify_reads):
         finally:
             for driver in drivers.values():
                 driver.db.abandon()
+
+
+@given(ops=st.lists(OPS, min_size=1, max_size=14), verify_reads=st.booleans())
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cluster_node_cache_is_invisible(ops, verify_reads):
+    cached, uncached = (
+        _Driver(_clustered(cache), "cluster", verify_reads) for cache in (True, False)
+    )
+    for op in PROLOGUE + ops:
+        assert cached.apply(op) == uncached.apply(op), op
+    state = uncached.final_state()
+    assert all(entry[-1] for entry in state), "verify() failed"
+    assert cached.final_state() == state
+    assert sorted(uid.digest for uid in cached.db.store.ids()) == sorted(
+        uid.digest for uid in uncached.db.store.ids()
+    )
+    assert cached.db.store.node_hits > 0 and uncached.db.store.cluster.node_lookups == 0

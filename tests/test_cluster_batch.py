@@ -45,12 +45,27 @@ from tests.conftest import fault_seed
 SEED = fault_seed(2025)
 
 
-class SinglePuts(WrapperStore):
+class ClusterReads(WrapperStore):
+    """Reads nodes the way the cluster itself does (through its cache), so
+    a wrapper changes only how the script's writes reach the cluster."""
+
+    def get_node(self, uid):
+        return self.backing.get_node(uid)
+
+
+class SinglePuts(ClusterReads):
     """The cluster behind a store that exposes only single ``put``: the
-    seam's per-chunk default, ``has`` precheck included."""
+    seam's per-chunk default, ``has`` precheck included.  Once the puts
+    stand, it remembers what it wrote as the cluster's batch write does."""
+
+    def put_nodes(self, pairs):
+        pairs = list(pairs)
+        new = super().put_nodes(pairs)
+        self.backing.node_cache.remember((chunk.uid, node) for chunk, node in pairs)
+        return new
 
 
-class OneChunkBatches(WrapperStore):
+class OneChunkBatches(ClusterReads):
     """The cluster fed one chunk per batch: the same node writes as a
     batch makes, one write walk each."""
 

@@ -166,8 +166,12 @@ def fingerprint(seed: int, config: dict) -> dict:
             ByzantineStore.remove(cluster.nodes[name])
             readmitted.append((name, cluster.readmit(name)))
     report = cluster.anti_entropy_pass()
+    health = cluster.health_report()
+    # Every verb above is a chunk verb, and chunk verbs bypass the
+    # coordinator's decoded-node cache: it must end exactly as it began.
+    assert health.pop("node_cache") == {"hits": 0, "lookups": 0, "size": 0, "capacity": 4096}
     return {
-        "health": cluster.health_report(),
+        "health": health,
         "repair": (shipped, repair_report),
         "sweep": (swept, cluster.sweep_examined),
         "scrub": scrubbed,

@@ -47,7 +47,7 @@ def _cache(cache: NodeCacheStore, chunk: Chunk, populate: str) -> None:
         cache.get_node(chunk.uid)
     else:
         cache.put_nodes([(chunk, chunk)])
-    assert chunk.uid in cache._nodes
+    assert chunk.uid in cache.node_cache.entries
 
 
 class TestSweepWithPinnedRoots:
@@ -106,7 +106,7 @@ class TestCachedStoreVerifyReads:
         with pytest.raises(ChunkCorruptionError):
             cache.get_node(bad.uid)
         # The corrupt chunk must not have been cached by the failed read.
-        assert bad.uid not in cache._nodes
+        assert bad.uid not in cache.node_cache.entries
         with pytest.raises(ChunkCorruptionError):
             cache.get(bad.uid)
 
@@ -135,7 +135,7 @@ class TestDeleteWhileCached:
 
             backing.delete(chunk.uid)  # out-of-band delete: cache is now stale
             assert cache.delete(chunk.uid) is False  # backing already empty...
-            assert chunk.uid not in cache._nodes  # ...but the entry is gone
+            assert chunk.uid not in cache.node_cache.entries  # ...but the entry is gone
             with pytest.raises(ChunkNotFoundError):
                 cache.get_node(chunk.uid)
 
@@ -184,9 +184,9 @@ class TestSweepInvalidationBus:
             node_cache.get_node(doomed_head)
             engine.delete_branch("doomed", "master")
         else:
-            assert all(uid in node_cache._nodes for uid in doomed_only)
-        assert all(uid in other_cache._nodes for uid in doomed_only)
-        assert doomed_head in node_cache._nodes
+            assert all(uid in node_cache.node_cache.entries for uid in doomed_only)
+        assert all(uid in other_cache.node_cache.entries for uid in doomed_only)
+        assert doomed_head in node_cache.node_cache.entries
 
         report = collect_garbage(engine)
         assert report.swept_chunks > 0
@@ -194,10 +194,10 @@ class TestSweepInvalidationBus:
         # physical layer no longer holds.
         for uid in doomed_only:
             if not backing.has(uid):
-                assert uid not in other_cache._nodes
-                assert uid not in node_cache._nodes
+                assert uid not in other_cache.node_cache.entries
+                assert uid not in node_cache.node_cache.entries
         assert not backing.has(doomed_head)
-        assert doomed_head not in node_cache._nodes
+        assert doomed_head not in node_cache.node_cache.entries
         with pytest.raises(ChunkNotFoundError):
             node_cache.get_node(doomed_head)
         # The live branch's descent is untouched.
@@ -229,7 +229,7 @@ class TestSweepInvalidationBus:
         for chunk in held:
             # The resync's drops were broadcast: no stale entries survive,
             # and a re-read refetches the repaired copy through the cluster.
-            assert chunk.uid not in cache._nodes
+            assert chunk.uid not in cache.node_cache.entries
             assert cache.get_node(chunk.uid).data == chunk.data
 
 
@@ -244,7 +244,7 @@ class TestWriteThroughNeverOutrunsTheDevice:
         with fs_zone(FsFaultPlan(enospc_rate=1.0)):
             with pytest.raises(DiskFullError):
                 cache.put_nodes([(leaf.to_chunk(), leaf)])
-        assert leaf.uid not in cache._nodes
+        assert leaf.uid not in cache.node_cache.entries
         with pytest.raises(ChunkNotFoundError):
             cache.get_node(leaf.uid)
         # ENOSPC un-acks cleanly: with space back the same write goes through.
@@ -257,17 +257,17 @@ class TestWriteThroughNeverOutrunsTheDevice:
         other = LeafNode([LeafEntry(b"other", b"value")])
         with pytest.raises(DiskFaultError):
             cache.put_nodes([(other.to_chunk(), other)])
-        assert other.uid not in cache._nodes
+        assert other.uid not in cache.node_cache.entries
         cache.close()
 
     def test_degraded_engine_remembers_nothing(self, tmp_path):
         db = ForkBase.open(str(tmp_path / "db"), node_cache=64)
         db.put("doc", {"a": "1"})
         db._degrade("test: disk fault")
-        remembered = set(db.store._nodes)
+        remembered = set(db.store.node_cache.entries)
         with pytest.raises(ReadOnlyError):
             db.put("doc", {"a": "2"})
-        assert set(db.store._nodes) == remembered
+        assert set(db.store.node_cache.entries) == remembered
         db.close()
 
     def test_dedup_hit_still_remembers(self):

@@ -190,7 +190,7 @@ class TestCachedStore:
         for chunk in chunks:
             cache.put(chunk)
             cache.get_node(chunk.uid)
-        assert len(cache._nodes) <= 2
+        assert len(cache.node_cache.entries) <= 2
         # Evicted chunks still come from backing.
         assert cache.get_node(chunks[0].uid).data == chunks[0].data
 
