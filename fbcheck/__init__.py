@@ -19,11 +19,11 @@ Each rule is registered in :mod:`fbcheck.rules` and documented in README.md
 the per-rule allowlists (:mod:`fbcheck.config`) and inline pragma
 comments (``fbcheck: ignore[RULE-ID]``; unknown rule ids are an error).
 
-Since PR 8 the engine is flow-sensitive: :mod:`fbcheck.cfg` builds
-per-function control-flow graphs, :mod:`fbcheck.dataflow` runs taint
-propagation over them, and :mod:`fbcheck.summaries` adds one level of
-interprocedural call summaries — powering FB-TAMPER, FB-ACKFLOW, and
-FB-LOCKED.
+Two rules are flow-sensitive: :mod:`fbcheck.cfg` builds per-function
+control-flow graphs, which FB-LOCKED checks for lock domination, and
+:mod:`fbcheck.dataflow` runs taint propagation over them, with one level
+of interprocedural summaries from :mod:`fbcheck.summaries`, for
+FB-TAMPER.  A run is one serial pass that prints one text format.
 """
 
 from fbcheck.cfg import CFG, build_cfgs

@@ -1,98 +1,19 @@
 """CLI: ``python -m fbcheck [paths...]``.
 
 Prints ``file:line: RULE-ID message`` per violation (warnings carry a
-``[warning]`` marker) and exits 0 (clean), 1 (violations), or 2
-(unparseable input / unknown pragma rule ids / usage error).
-
-Machine-readable output: ``--format jsonl`` emits one JSON object per
-finding; ``--format sarif`` emits a SARIF 2.1.0 document for code-scanning
-upload.  ``--cache DIR`` keys per-file results on content hashes so
-incremental runs only re-analyze changed files; ``--jobs N`` fans the
-per-file analysis out to worker processes.
+``[warning]`` marker; CI's problem matcher reads exactly this format)
+and exits 0 (clean), 1 (violations), or 2 (unparseable input / unknown
+pragma rule ids / usage error).  ``--stale-allow`` adds a warning for
+every allowlist entry that matched nothing; use it on full-tree runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
-from fbcheck import __version__
-from fbcheck.core import Report, all_rules, check_paths
-
-
-def _emit_text(report: Report, quiet: bool) -> None:
-    for violation in report.violations:
-        print(violation.render())
-    if not quiet:
-        errors = sum(1 for v in report.violations if v.severity == "error")
-        status = "clean" if not errors and not report.errors else "FAILED"
-        print(
-            f"fbcheck: {report.files_checked} files, "
-            f"{errors} violation(s) — {status}",
-            file=sys.stderr,
-        )
-
-
-def _emit_jsonl(report: Report) -> None:
-    for violation in report.violations:
-        print(
-            json.dumps(
-                {
-                    "path": violation.path,
-                    "line": violation.line,
-                    "rule": violation.rule,
-                    "severity": violation.severity,
-                    "message": violation.message,
-                },
-                sort_keys=True,
-            )
-        )
-
-
-def _emit_sarif(report: Report) -> None:
-    rules_meta = [
-        {
-            "id": rule.rule_id,
-            "shortDescription": {"text": rule.summary},
-        }
-        for rule in all_rules()
-    ]
-    results = [
-        {
-            "ruleId": violation.rule,
-            "level": "warning" if violation.severity == "warning" else "error",
-            "message": {"text": violation.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": violation.path},
-                        "region": {"startLine": max(violation.line, 1)},
-                    }
-                }
-            ],
-        }
-        for violation in report.violations
-    ]
-    document = {
-        "$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "fbcheck",
-                        "version": __version__,
-                        "informationUri": "https://github.com/forkbase/repro",
-                        "rules": rules_meta,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    print(json.dumps(document, indent=2, sort_keys=True))
+from fbcheck.core import all_rules, check_paths
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -110,24 +31,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--select",
         metavar="RULES",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "jsonl", "sarif"),
-        default="text",
-        help="findings format (default: text)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for per-file analysis (default: 1; 0 = cpu count)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="cache per-file results in DIR, keyed on content hashes",
     )
     parser.add_argument(
         "--stale-allow",
@@ -160,30 +63,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"unknown rule id(s): {', '.join(sorted(unknown))}", file=sys.stderr)
             return 2
 
-    jobs = args.jobs
-    if jobs == 0:
-        import os
-
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        print("--jobs must be >= 0", file=sys.stderr)
-        return 2
-
-    report = check_paths(
-        args.paths,
-        select=select,
-        jobs=jobs,
-        cache_dir=args.cache,
-        stale_allow=args.stale_allow,
-    )
+    report = check_paths(args.paths, select=select, stale_allow=args.stale_allow)
     for error in report.errors:
         print(f"error: {error}", file=sys.stderr)
-    if args.format == "jsonl":
-        _emit_jsonl(report)
-    elif args.format == "sarif":
-        _emit_sarif(report)
-    else:
-        _emit_text(report, args.quiet)
+    for violation in report.violations:
+        print(violation.render())
+    if not args.quiet:
+        errors = sum(1 for v in report.violations if v.severity == "error")
+        status = "clean" if not errors and not report.errors else "FAILED"
+        print(
+            f"fbcheck: {report.files_checked} files, "
+            f"{errors} violation(s) — {status}",
+            file=sys.stderr,
+        )
     return report.exit_code
 
 

@@ -1,17 +1,16 @@
 """Per-function control-flow graphs for flow-sensitive fbcheck rules.
 
-The syntactic rules (PR 3/4/7) see one AST node at a time; the flow rules
-(FB-TAMPER, FB-ACKFLOW, FB-LOCKED) need to reason about *order*: was the
-CRC compared before the bytes were decoded, does every raising path after
-an append reach a rollback, is this field access dominated by the lock
-acquisition?  This module builds a small statement-level CFG per function
-that makes those questions graph reachability.
+The syntactic rules see one AST node at a time; the flow rules
+(FB-TAMPER, FB-LOCKED) need to reason about *order*: was the CRC
+compared before the bytes were decoded, is this field access dominated
+by the lock acquisition?  This module builds a small statement-level CFG
+per function that makes those questions dataflow and domination.
 
 Graph shape
 -----------
 
 Each :class:`Block` holds at most one simple statement (or the header
-expression of a compound statement), so "the path passes through a rescue
+expression of a compound statement), so "the path passes through this
 call" is block containment, not intra-block position tracking.  Three
 synthetic blocks exist per function: ``entry``, ``exit`` (normal returns
 and fall-through) and ``raise_exit`` (an exception escaping the function).
@@ -24,9 +23,9 @@ Edge kinds:
   matching handler, or straight to ``raise_exit`` when nothing encloses
   it;
 - ``escape`` — propagation *past* a narrow (non-catch-all) handler set:
-  the exception might not match any declared handler.  Optimistic
-  analyses (FB-ACKFLOW trusts declared handlers to cover the taxonomy
-  their try-body raises) ignore these; pessimistic ones follow them;
+  the exception might not match any declared handler.  An optimistic
+  analysis (one that trusts declared handlers to cover the taxonomy
+  their try-body raises) ignores these; a pessimistic one follows them;
 - ``reraise`` — the exception-still-in-flight edge out of a ``finally``
   body: control reached the finally *because* something raised, so the
   propagation continues regardless of what the finally block itself does.
@@ -54,9 +53,6 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-#: Edge kinds, in the order analyses usually filter them.
-EDGE_KINDS = ("normal", "true", "false", "back", "exc", "escape", "reraise")
 
 
 class Block:
@@ -332,10 +328,8 @@ class CFG:
             if finally_exit is not None:
                 self._edge(finally_exit, after.id, "normal")
                 # Exception-in-flight: control reached the finally via an
-                # exc edge and keeps propagating after the body runs.
-                fin_block = self.blocks[finally_exit]
-                saved = list(self._frames)
-                self._frames = saved  # explicit: reraise uses outer frames
+                # exc edge and keeps propagating (through the outer frames)
+                # after the body runs.
                 self._raise_edges_for_reraise(finally_exit)
         handler_entries: List[int] = []
         for handler in stmt.handlers:

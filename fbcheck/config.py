@@ -2,8 +2,9 @@
 
 This module is the one place the enforced architecture is written down:
 the layer table (FB-LAYERS), the hash-feeding value modules (FB-IMMUT), the
-determinism domain (FB-DETERM), the optional-dependency set (FB-OPTDEP),
-and the per-rule allowlists.  Rules read it; they hard-code nothing.
+determinism domain (FB-DETERM), the persistence paths (FB-DURABLE), the
+taint policy (FB-TAMPER), and the per-rule allowlists.  Rules read it;
+they hard-code nothing.
 
 Allowlist entries have the form ``"<path-suffix>::<detail>"`` — the path
 part matches a suffix of the (virtual) repo-relative path and ``detail`` is
@@ -178,18 +179,9 @@ ERRORS_BUILTIN_ALLOW: FrozenSet[str] = frozenset(
     }
 )
 
-#: Optional third-party accelerators: importable only behind a guarded
-#: try/except ImportError fast-path (the rolling/fast.py pattern), so the
-#: pure-python reference build stays the source of truth.
-OPTDEP_MODULES: FrozenSet[str] = frozenset(
-    {"numpy", "pandas", "scipy", "pyarrow", "numba", "zstandard"}
-)
-
-#: Paths that persist state via rename (FB-DURABLE): any ``os.replace``
-#: here must be preceded, in the same function, by an fsync of the source
-#: (``os.fsync`` or a :mod:`repro.store.durability` helper) — an atomic
-#: rename of un-synced bytes can publish an empty/stale file after power
-#: loss.
+#: Paths that persist state via rename (FB-DURABLE): every rename here is
+#: :func:`repro.store.durability.durable_replace` — a bare ``os.replace``
+#: can publish an empty/stale file, or lose the rename, after power loss.
 DURABLE_PERSISTENCE_PATHS: Tuple[str, ...] = (
     "src/repro/store/",
     "src/repro/vcs/",
@@ -259,44 +251,6 @@ TAMPER_DECODE_CALLS: FrozenSet[str] = frozenset(
 #: precomputed ``uid=`` — then they trust the caller and taint survives.
 TAMPER_TRUSTING_CONSTRUCTORS: FrozenSet[str] = frozenset({"Chunk"})
 
-# ---------------------------------------------------------------------------
-# FB-ACKFLOW: the un-ack discipline (PR 7), machine-checked.  After an
-# append-style write, every path on which an exception escapes the
-# function must first truncate back to the watermark, unwind the append,
-# or poison/abandon the writer.
-# ---------------------------------------------------------------------------
-
-#: Calls that extend durable state (the "append" that must be un-acked).
-ACKFLOW_TRIGGER_CALLS: FrozenSet[str] = frozenset({"write_bytes", "crashing_write"})
-
-#: Calls that may raise mid-persistence (raising edges are followed from
-#: blocks containing these; unknown calls are trusted not to raise).
-ACKFLOW_RISKY_CALLS: FrozenSet[str] = frozenset(
-    {
-        "write",
-        "writelines",
-        "flush",
-        "fsync",
-        "ftruncate",
-        "truncate",
-        "write_bytes",
-        "crashing_write",
-        "fsync_file",
-        "fsync_path",
-        "fsync_dir",
-        "durable_replace",
-        "replace",
-    }
-)
-
-#: Calls that perform the rollback/poison half of the discipline.
-ACKFLOW_RESCUE_CALLS: FrozenSet[str] = frozenset(
-    {"_unwind_append", "_recover_fsync", "truncate", "ftruncate", "abandon"}
-)
-
-#: Attribute assignments that poison the writer (``self._poisoned = True``).
-ACKFLOW_RESCUE_ATTRS: FrozenSet[str] = frozenset({"_poisoned", "poisoned"})
-
 
 @dataclass(frozen=True)
 class Config:
@@ -311,7 +265,6 @@ class Config:
     determ_core_paths: Tuple[str, ...] = DETERM_CORE_PATHS
     determ_seeded_user_paths: Tuple[str, ...] = DETERM_SEEDED_USER_PATHS
     errors_builtin_allow: FrozenSet[str] = ERRORS_BUILTIN_ALLOW
-    optdep_modules: FrozenSet[str] = OPTDEP_MODULES
     privacy_public_underscore: FrozenSet[str] = PRIVACY_PUBLIC_UNDERSCORE
     durable_persistence_paths: Tuple[str, ...] = DURABLE_PERSISTENCE_PATHS
     flow_tamper_paths: Tuple[str, ...] = FLOW_TAMPER_PATHS
@@ -324,10 +277,6 @@ class Config:
     tamper_carrier_attrs: FrozenSet[str] = TAMPER_CARRIER_ATTRS
     tamper_decode_calls: FrozenSet[str] = TAMPER_DECODE_CALLS
     tamper_trusting_constructors: FrozenSet[str] = TAMPER_TRUSTING_CONSTRUCTORS
-    ackflow_trigger_calls: FrozenSet[str] = ACKFLOW_TRIGGER_CALLS
-    ackflow_risky_calls: FrozenSet[str] = ACKFLOW_RISKY_CALLS
-    ackflow_rescue_calls: FrozenSet[str] = ACKFLOW_RESCUE_CALLS
-    ackflow_rescue_attrs: FrozenSet[str] = ACKFLOW_RESCUE_ATTRS
     #: Per-rule allowlists: rule id → ("path-suffix::detail", ...).
     allow: Mapping[str, Sequence[str]] = field(default_factory=dict)
 
@@ -344,12 +293,6 @@ DEFAULT_ALLOW: Dict[str, Sequence[str]] = {
     # The disk-fault shim *is* the faulty kernel: raising OSError with a
     # real errno is its contract (callers classify via map_os_error).
     "FB-ERRORS": ("src/repro/faults/fs.py::OSError",),
-    # AppendLog._recover_fsync() *records* each failed rewrite attempt
-    # and raises the accumulated error after its bounded retry loop —
-    # the rule cannot see a deferred raise, so the pattern is sanctioned
-    # here instead of weakening the rule.  One entry: the journal and
-    # both stores sit on the one primitive.
-    "FB-OSFAULT": ("src/repro/store/appendlog.py::_recover_fsync",),
     # ChunkStore.get/get_maybe fetch then verify behind the verify_reads
     # flag: the skip branch is the *explicit, caller-chosen* opt-out the
     # flag exists for (scrub wants the raw bytes to diagnose them), so
@@ -365,17 +308,6 @@ DEFAULT_ALLOW: Dict[str, Sequence[str]] = {
         "src/repro/store/base.py::get_maybe",
         "src/repro/store/base.py::get_node",
         "src/repro/store/packstore.py::physical_size",
-    ),
-    # Appends that target a *temporary* file are outside the un-ack
-    # discipline: a failure leaves the live artifact untouched and the
-    # torn tmp is discarded on the next open (heads snapshot, the segment
-    # stores' one index snapshot, journal reset).  Every append to a
-    # *live* file goes through AppendLog._write, whose handler unwinds —
-    # so the journal's create path and pack compaction need no entry.
-    "FB-ACKFLOW": (
-        "src/repro/db/engine.py::_compact",
-        "src/repro/store/segments.py::_save_index",
-        "src/repro/vcs/journal.py::reset",
     ),
 }
 

@@ -25,7 +25,7 @@ import ast
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type
 
 from fbcheck.config import Config, DEFAULT_CONFIG
 
@@ -94,8 +94,8 @@ class ModuleFile:
         self.skip = any(SKIP_FILE_RE.search(line) for line in header)
         self.module = _module_name(self.path)
         self.ignores = _collect_pragmas(self.lines)
-        #: Scratch space for expensive per-module analyses (CFGs, call
-        #: summaries) shared across the flow rules.
+        #: Scratch space for expensive per-module analyses (the CFGs)
+        #: shared across the flow rules.
         self.analysis_cache: Dict[str, object] = {}
 
     def ignored(self, rule: str, line: int) -> bool:
@@ -267,16 +267,14 @@ def check_source(
     module = ModuleFile(path, source)
     if module.skip:
         return []
-    out: List[Violation] = []
+    out = check_module(module, active)
     for rule in active:
-        if not rule.applies_to(module.path):
-            continue
-        for violation in rule.check(module):
-            if not module.ignored(violation.rule, violation.line):
-                out.append(violation)
-        for violation in rule.finalize([module]):
-            if not module.ignored(violation.rule, violation.line):
-                out.append(violation)
+        if rule.applies_to(module.path):
+            out.extend(
+                violation
+                for violation in rule.finalize([module])
+                if not module.ignored(violation.rule, violation.line)
+            )
     return sorted(set(out), key=lambda v: (v.path, v.line, v.rule))
 
 
@@ -307,45 +305,20 @@ def check_module(
     return out
 
 
-def _check_file_worker(
-    file_path: str, config: Config, select: Optional[Set[str]]
-) -> Tuple[str, List[Tuple[str, int, str, str, str]], Dict[str, List[str]]]:
-    """Subprocess entry point for ``--jobs``: analyze one file.
-
-    Returns plain tuples/dicts (not Violation objects) so results pickle
-    cheaply; errors never happen here — the parent already parsed the
-    file once and filtered out unparseable ones.
-    """
-    with open(file_path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    module = ModuleFile(_posix(file_path), source, real_path=_posix(file_path))
-    rules = all_rules(config)
-    if select:
-        rules = [rule for rule in rules if rule.rule_id in select]
-    violations = check_module(module, rules)
-    hits = {rule.rule_id: sorted(rule.allow_hits) for rule in rules if rule.allow_hits}
-    return (
-        file_path,
-        [(v.path, v.line, v.rule, v.message, v.severity) for v in violations],
-        hits,
-    )
-
-
 def check_paths(
     paths: Sequence[str],
     config: Optional[Config] = None,
     select: Optional[Set[str]] = None,
     *,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
     stale_allow: bool = False,
 ) -> Report:
     """Analyze every Python file under ``paths`` with the registered rules.
 
-    ``jobs > 1`` fans per-file analysis out to worker processes;
-    ``cache_dir`` enables the content-hash result cache
-    (:mod:`fbcheck.cache`); ``stale_allow`` appends warning-severity
-    findings for allowlist entries that matched nothing.
+    One serial pass: parse each file, run the per-file rules over it
+    (:func:`check_module`), then the whole-program ``finalize`` passes.
+    ``stale_allow`` appends warning-severity findings for allowlist
+    entries that matched nothing — only meaningful on a full-tree run,
+    since an entry for a file that was not scanned matches nothing.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     rules = all_rules(cfg)
@@ -376,62 +349,8 @@ def check_paths(
         if module.skip:
             continue
         modules.append(module)
+        report.violations.extend(check_module(module, rules))
     report.files_checked = len(modules)
-
-    cache = None
-    if cache_dir is not None:
-        from fbcheck.cache import ResultCache
-
-        cache = ResultCache(cache_dir, config=cfg, select=select)
-
-    allow_hits: Dict[str, Set[str]] = {}
-    misses: List[ModuleFile] = []
-    for module in modules:
-        cached = cache.get(module.source) if cache is not None else None
-        if cached is None:
-            misses.append(module)
-            continue
-        for path, line, rule_id, message, severity in cached.violations:
-            report.violations.append(Violation(path, line, rule_id, message, severity))
-        for rule_id, entries in cached.allow_hits.items():
-            allow_hits.setdefault(rule_id, set()).update(entries)
-
-    if jobs > 1 and len(misses) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_check_file_worker, module.real_path, cfg, select)
-                for module in misses
-            ]
-            by_path = {module.real_path: module for module in misses}
-            for future in futures:
-                file_path, tuples, hits = future.result()
-                violations = [Violation(*item) for item in tuples]
-                report.violations.extend(violations)
-                for rule_id, entries in hits.items():
-                    allow_hits.setdefault(rule_id, set()).update(entries)
-                if cache is not None:
-                    cache.put(by_path[file_path].source, tuples, hits)
-    else:
-        for module in misses:
-            before = {rule.rule_id: set(rule.allow_hits) for rule in rules}
-            violations = check_module(module, rules)
-            report.violations.extend(violations)
-            if cache is not None:
-                tuples = [
-                    (v.path, v.line, v.rule, v.message, v.severity)
-                    for v in violations
-                ]
-                hits = {
-                    rule.rule_id: sorted(rule.allow_hits - before[rule.rule_id])
-                    for rule in rules
-                    if rule.allow_hits - before[rule.rule_id]
-                }
-                cache.put(module.source, tuples, hits)
-
-    for rule in rules:
-        allow_hits.setdefault(rule.rule_id, set()).update(rule.allow_hits)
 
     by_real = {module.real_path: module for module in modules}
     for rule in rules:
@@ -441,10 +360,10 @@ def check_paths(
                 report.violations.append(violation)
 
     if stale_allow:
+        hits = {rule.rule_id: rule.allow_hits for rule in rules}
         for rule_id, entries in sorted(cfg.allow.items()):
-            hits = allow_hits.get(rule_id, set())
             for entry in entries:
-                if entry in hits:
+                if entry in hits.get(rule_id, ()):
                     continue
                 entry_path, _, _ = entry.partition("::")
                 report.violations.append(
@@ -457,8 +376,6 @@ def check_paths(
                     )
                 )
 
-    if cache is not None:
-        cache.save()
     report.violations = sorted(
         set(report.violations), key=lambda v: (v.path, v.line, v.rule)
     )

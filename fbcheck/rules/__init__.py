@@ -7,41 +7,32 @@ Rule ids and the ForkBase invariant each protects:
 - ``FB-DETERM``  — every hashed byte is reproducible (§II-A, §III-C)
 - ``FB-ERRORS``  — one error taxonomy, no swallowed failures
 - ``FB-LAYERS``  — the chunk → … → api import DAG (SIRI composability)
-- ``FB-OPTDEP``  — optional accelerators behind guarded imports
-- ``FB-DURABLE`` — no rename-based persistence without fsyncing the source
-- ``FB-OSFAULT`` — no swallowed broad OSError around disk I/O
+- ``FB-DURABLE`` — every rename in persistence code is ``durable_replace``
 
-Flow-sensitive rules (CFG + taint engine, PR 8):
+Flow-sensitive rules (CFG + taint engine):
 
 - ``FB-TAMPER``  — unverified medium bytes never cross the store boundary (§II)
-- ``FB-ACKFLOW`` — raising paths after an append truncate/unwind/poison first
 - ``FB-LOCKED``  — ``# guarded-by:`` fields only touched under their lock
 """
 
 from fbcheck.rules import (
-    ackflow,
     determ,
     durable,
     errors,
     immut,
     layers,
     locked,
-    optdep,
-    osfault,
     privacy,
     tamper,
 )
 
 __all__ = [
-    "ackflow",
     "determ",
     "durable",
     "errors",
     "immut",
     "layers",
     "locked",
-    "optdep",
-    "osfault",
     "privacy",
     "tamper",
 ]

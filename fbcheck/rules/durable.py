@@ -1,103 +1,62 @@
-"""FB-DURABLE: no rename-based persistence without fsyncing the source.
+"""FB-DURABLE: rename-based persistence goes through ``durable_replace``.
 
 ``os.replace`` makes a rename atomic but says nothing about the *bytes*
-of the source file reaching stable storage — the classic bug class this
-repo shipped with: ``heads.json`` was written, renamed, and acknowledged
-while its pages still sat in the page cache, so a power cut could leave
-an empty or stale head table behind an atomic-looking rename.
+of the source file reaching stable storage, nor about the rename itself
+surviving a power cut — the classic bug class this repo shipped with:
+``heads.json`` was written, renamed, and acknowledged while its pages
+still sat in the page cache, so a power cut could leave an empty or
+stale head table behind an atomic-looking rename.
 
-In persistence modules (:data:`fbcheck.config.DURABLE_PERSISTENCE_PATHS`),
-every ``os.replace`` call must be preceded — in the same function scope —
-by an fsync of the source: ``os.fsync(...)`` or one of the
-:mod:`repro.store.durability` helpers (``fsync_file`` / ``fsync_dir`` /
-``fsync_path``).  The sanctioned pattern is the helper module's
-``durable_replace``, whose own ``os.replace`` is preceded by the fsyncs
-it performs.
-
-Allowlist detail strings: the enclosing function name (``<module>`` for
-module-level code).
+:func:`repro.store.durability.durable_replace` is the one sanctioned
+rename: it fsyncs the source, renames, then fsyncs the parent directory.
+In persistence modules (:data:`fbcheck.config.DURABLE_PERSISTENCE_PATHS`)
+every bare ``os.replace`` is therefore a violation — even after an fsync
+of the temp file, which makes the bytes durable but not the rename.  The
+durability module itself, where the raw syscall lives, is exempt by path.
+No simulator models page-cache loss, so no test notices a missing fsync:
+this rule is the only thing that does.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Tuple
+from typing import Iterator
 
 from fbcheck.core import ModuleFile, Rule, Violation, register
 
-#: Call names that count as "the source was fsynced".
-FSYNC_CALLS = frozenset({"fsync", "fsync_file", "fsync_dir", "fsync_path"})
+#: The module that owns the raw rename and builds the discipline around it.
+DURABILITY_MODULE = "repro.store.durability"
 
 
-def _call_name(node: ast.Call) -> str:
+def _is_os_replace(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
     func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
-def _is_os_replace(node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Attribute) and func.attr == "replace":
-        return isinstance(func.value, ast.Name) and func.value.id == "os"
-    return False
-
-
-def _scopes(tree: ast.Module) -> Iterator[Tuple[str, List[ast.stmt]]]:
-    """Yield (name, body) per function scope, plus the module top level."""
-    yield "<module>", tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node.body
-
-
-def _own_calls(body: List[ast.stmt]) -> List[ast.Call]:
-    """Calls lexically in this scope, excluding nested function bodies.
-
-    Nested scopes are visited separately by :func:`_scopes`; a lambda's
-    calls run at a different time than the enclosing statement, so they
-    do not count as "preceding" anything either.
-    """
-    calls: List[ast.Call] = []
-    stack: List[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            calls.append(node)
-        stack.extend(ast.iter_child_nodes(node))
-    return calls
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "replace"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "os"
+    )
 
 
 @register
 class DurableRule(Rule):
     rule_id = "FB-DURABLE"
-    summary = "os.replace in persistence code must be preceded by an fsync of the source"
+    summary = "os.replace in persistence code must go through durability.durable_replace"
 
     def applies_to(self, path: str) -> bool:
         return path.startswith(tuple(self.config.durable_persistence_paths))
 
     def check(self, module: ModuleFile) -> Iterator[Violation]:
-        for scope_name, body in _scopes(module.tree):
-            calls = _own_calls(body)
-            fsync_lines = [
-                call.lineno for call in calls if _call_name(call) in FSYNC_CALLS
-            ]
-            for call in calls:
-                if not _is_os_replace(call):
-                    continue
-                if any(line < call.lineno for line in fsync_lines):
-                    continue
-                if self.allowed(module, scope_name):
-                    continue
+        if module.module == DURABILITY_MODULE:
+            return
+        for node in ast.walk(module.tree):
+            if _is_os_replace(node):
                 yield self.violation(
                     module,
-                    call.lineno,
-                    "os.replace without a preceding fsync of the source in "
-                    f"{scope_name}(); an atomic rename of un-synced bytes can "
-                    "persist an empty/stale file — use repro.store.durability."
-                    "durable_replace (after fsync_file on the temp handle)",
+                    node.lineno,
+                    "bare os.replace in persistence code; use "
+                    "repro.store.durability.durable_replace, which fsyncs the "
+                    "source before the rename and the parent directory after it",
                 )

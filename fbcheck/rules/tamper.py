@@ -28,11 +28,11 @@ from fbcheck.cfg import build_cfgs
 from fbcheck.config import Config
 from fbcheck.core import ModuleFile, Rule, Violation, register
 from fbcheck.dataflow import TaintAnalysis, TaintSpec
-from fbcheck.summaries import compute_summaries, taint_summaries
+from fbcheck.summaries import compute_summaries
 
 
 def spec_from_config(config: Config) -> TaintSpec:
-    """The live taint policy (shared with FB-ACKFLOW's summary pass)."""
+    """The live taint policy from :mod:`fbcheck.config`."""
     return TaintSpec(
         sources=config.tamper_sources,
         source_suffixes=config.tamper_source_suffixes,
@@ -43,17 +43,6 @@ def spec_from_config(config: Config) -> TaintSpec:
         carrier_attrs=config.tamper_carrier_attrs,
         decode_calls=config.tamper_decode_calls,
         trusting_constructors=config.tamper_trusting_constructors,
-    )
-
-
-def module_summaries(module: ModuleFile, config: Config):
-    """Per-module function summaries, shared by both flow rules."""
-    return compute_summaries(
-        module,
-        spec_from_config(config),
-        risky_calls=config.ackflow_risky_calls,
-        rescue_calls=config.ackflow_rescue_calls,
-        rescue_attrs=config.ackflow_rescue_attrs,
     )
 
 
@@ -69,7 +58,7 @@ class TamperTaintRule(Rule):
 
     def check(self, module: ModuleFile) -> Iterator[Violation]:
         spec = spec_from_config(self.config)
-        summaries = taint_summaries(module_summaries(module, self.config))
+        summaries = compute_summaries(module, spec)
         for func, cfg, owner in build_cfgs(module).values():
             result = TaintAnalysis(cfg, spec, summaries=summaries).run()
             if not result.events:

@@ -1,8 +1,21 @@
-# fbcheck-fixture-path: src/repro/store/dur_bad.py
-"""FB-DURABLE must fail: renames into place without fsyncing the source."""
+# fbcheck-fixture-path: src/repro/vcs/dur_bad.py
+"""FB-DURABLE must fail: bare renames in persistence code."""
 
 import json
 import os
+
+from repro.store.durability import fsync_file
+
+
+def reset(path, magic):
+    # The journal-reset shape: the temp file is fsynced, so its bytes are
+    # durable — but the rename is not until the parent directory is
+    # fsynced too, which only durable_replace does.
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as handle:
+        handle.write(magic)
+        fsync_file(handle)
+    os.replace(tmp, path)
 
 
 def save_snapshot(path, heads):
@@ -10,25 +23,3 @@ def save_snapshot(path, heads):
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(heads, handle)
     os.replace(tmp, path)
-
-
-def rotate(path):
-    # flush() moves bytes to the page cache, not to disk — still torn on
-    # power loss, so it does not count as syncing the source.
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(b"segment")
-        handle.flush()
-    os.replace(tmp, path)
-
-
-def sync_after_rename(path, payload):
-    # An fsync *after* the rename is too late: the rename may already
-    # point at un-synced bytes when power drops.
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-    os.replace(tmp, path)
-    directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-    os.fsync(directory)
-    os.close(directory)

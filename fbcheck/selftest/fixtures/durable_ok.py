@@ -1,31 +1,26 @@
-# fbcheck-fixture-path: src/repro/store/dur_ok.py
-"""FB-DURABLE must pass: fsync before the rename, or the durable helper."""
+# fbcheck-fixture-path: src/repro/vcs/dur_ok.py
+"""FB-DURABLE must pass: every rename goes through durable_replace."""
 
-import json
 import os
 
 from repro.store.durability import durable_replace, fsync_file
 
 
-def save_snapshot(path, heads):
+def reset(path, magic):
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(heads, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-def save_snapshot_with_helper(path, heads):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(heads, handle)
+    with open(tmp, "wb") as handle:
+        handle.write(magic)
         fsync_file(handle)
     durable_replace(tmp, path)
 
 
 def rename_nothing(path):
-    # No os.replace at all — the rule has nothing to say.
+    # No rename at all — the rule has nothing to say.
     with open(path, "ab") as handle:
         handle.write(b"tail")
         handle.flush()
+
+
+def replace_text(name):
+    # str.replace is not os.replace.
+    return os.path.basename(name).replace(".tmp", "")

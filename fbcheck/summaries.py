@@ -1,4 +1,4 @@
-"""One-level interprocedural call summaries for the flow rules.
+"""One-level interprocedural taint summaries for FB-TAMPER.
 
 Whole-program dataflow is overkill for a lint pass, but purely local
 analysis gets the codebase's idioms wrong in both directions: PackStore's
@@ -6,18 +6,14 @@ analysis gets the codebase's idioms wrong in both directions: PackStore's
 bytes) and ``self._decode_record(record, uid)`` (which CRC-checks its
 input before decoding — the taint dies inside).  The compromise is one
 level of summaries: every function in a module is analyzed once in
-isolation and reduced to
+isolation and reduced to a :class:`~fbcheck.dataflow.FuncTaint`:
 
-- ``taint.returns_tainted`` — its return value is unverified bytes
-  regardless of inputs (it contains a source);
-- ``taint.passes_taint`` — the set of parameters whose taint survives
-  into the return value.  Computed by running the taint engine once per
-  parameter with only that parameter tainted, so a clean parameter
-  (``uid``) does not smear taint onto a sanitized one (``record``);
-- ``may_raise_unrescued`` — for FB-ACKFLOW: calling it can propagate an
-  exception out (it contains risky I/O or a raise not locally rescued);
-- ``rescues`` — calling it performs un-ack rollback (it truncates,
-  unwinds, poisons, or abandons), so it counts as a rescue at call sites.
+- ``returns_tainted`` — its return value is unverified bytes regardless
+  of inputs (it contains a source);
+- ``passes_taint`` — the set of parameters whose taint survives into the
+  return value.  Computed by running the taint engine once per parameter
+  with only that parameter tainted, so a clean parameter (``uid``) does
+  not smear taint onto a sanitized one (``record``).
 
 Summaries are consulted by *name* (the last dotted segment of the call),
 which is exactly right for ``self._helper(...)`` method calls within a
@@ -29,21 +25,10 @@ fixpoint, no recursion worries.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, Set, Tuple
 
-from fbcheck.cfg import CFG, build_cfgs
-from fbcheck.dataflow import FuncTaint, TaintAnalysis, TaintSpec, call_text
-
-
-@dataclass(frozen=True)
-class FuncSummary:
-    """Everything the flow rules need to know about calling a function."""
-
-    name: str
-    taint: FuncTaint
-    may_raise_unrescued: bool = False
-    rescues: bool = False
+from fbcheck.cfg import build_cfgs
+from fbcheck.dataflow import FuncTaint, TaintAnalysis, TaintSpec
 
 
 def _param_names(func: ast.AST) -> Tuple[str, ...]:
@@ -52,144 +37,9 @@ def _param_names(func: ast.AST) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def _own_call_names(func: ast.AST) -> Set[str]:
-    """Call targets lexically inside ``func`` but not in nested defs."""
-    names: Set[str] = set()
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Call):
-                text = call_text(child.func)
-                if text:
-                    names.add(text.rsplit(".", 1)[-1])
-            visit(child)
-
-    visit(func)
-    return names
-
-
-def _assigned_attrs(func: ast.AST) -> Set[str]:
-    """Attribute names assigned inside ``func`` (``self._poisoned = True``)."""
-    attrs: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Attribute):
-                    attrs.add(target.attr)
-    return attrs
-
-
-def _may_raise_unrescued(
-    cfg: CFG, risky_calls: FrozenSet[str], rescue_calls: FrozenSet[str],
-    rescue_attrs: FrozenSet[str],
-) -> bool:
-    """Can an exception from risky I/O escape this function un-rescued?
-
-    A block raises when it holds a risky call or a ``raise``; the escape
-    follows ``exc``/``reraise`` edges from those blocks and ordinary edges
-    elsewhere, and stops at any block performing a rescue.
-    """
-    raising = raising_blocks(cfg, risky_calls)
-    rescuing = rescuing_blocks(cfg, rescue_calls, rescue_attrs)
-    for block_id in raising:
-        if reaches_raise_exit(cfg, block_id, raising, rescuing):
-            return True
-    return False
-
-
-def _block_calls(cfg: CFG, block_id: int) -> Set[str]:
-    names: Set[str] = set()
-    for stmt in cfg.blocks[block_id].stmts:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(node, ast.Call):
-                text = call_text(node.func)
-                if text:
-                    names.add(text.rsplit(".", 1)[-1])
-    return names
-
-
-def raising_blocks(cfg: CFG, risky_calls: FrozenSet[str]) -> Set[int]:
-    out: Set[int] = set()
-    for block in cfg.blocks:
-        if any(isinstance(s, ast.Raise) for s in block.stmts):
-            out.add(block.id)
-            continue
-        if _block_calls(cfg, block.id) & risky_calls:
-            out.add(block.id)
-    return out
-
-
-def rescuing_blocks(
-    cfg: CFG, rescue_calls: FrozenSet[str], rescue_attrs: FrozenSet[str]
-) -> Set[int]:
-    out: Set[int] = set()
-    for block in cfg.blocks:
-        if _block_calls(cfg, block.id) & rescue_calls:
-            out.add(block.id)
-            continue
-        for stmt in block.stmts:
-            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and target.attr in rescue_attrs
-                    ):
-                        out.add(block.id)
-    return out
-
-
-def reaches_raise_exit(
-    cfg: CFG, start: int, raising: Set[int], rescuing: Set[int]
-) -> bool:
-    """Walk from ``start`` looking for an un-rescued path to raise-exit.
-
-    Ordinary edges (``normal``/``true``/``false``/``back``) are always
-    followed; ``exc`` edges only out of raising blocks (only they have an
-    exception to deliver); ``reraise`` edges always (the exception is
-    already in flight); ``escape`` edges never (the optimistic model
-    trusts narrow handlers to cover the taxonomy their try-body raises).
-    Traversal stops at rescuing blocks: every path through them is
-    rolled back / poisoned before the exception escapes.
-    """
-    seen: Set[int] = set()
-    stack = [start]
-    while stack:
-        block_id = stack.pop()
-        if block_id in seen:
-            continue
-        seen.add(block_id)
-        if block_id == cfg.raise_exit:
-            return True
-        if block_id in rescuing and block_id != start:
-            continue
-        for dst, kind in cfg.blocks[block_id].succs:
-            if kind in ("normal", "true", "false", "back", "reraise"):
-                stack.append(dst)
-            elif kind == "exc" and block_id in raising:
-                stack.append(dst)
-    return False
-
-
-def compute_summaries(
-    module: "ModuleFileLike",
-    spec: TaintSpec,
-    risky_calls: FrozenSet[str],
-    rescue_calls: FrozenSet[str],
-    rescue_attrs: FrozenSet[str],
-) -> Dict[str, FuncSummary]:
-    """Summaries for every function in a module, memoized on the module."""
-    store = getattr(module, "analysis_cache", None)
-    if store is not None and "summaries" in store:
-        return store["summaries"]
-    summaries: Dict[str, FuncSummary] = {}
+def compute_summaries(module: "ModuleFileLike", spec: TaintSpec) -> Dict[str, FuncTaint]:
+    """Taint summaries for every function in a module."""
+    summaries: Dict[str, FuncTaint] = {}
     for func, cfg, _owner in build_cfgs(module).values():
         params = _param_names(func)
         base = TaintAnalysis(cfg, spec).run()
@@ -201,33 +51,14 @@ def compute_summaries(
                 run = TaintAnalysis(cfg, spec, tainted_params=[param]).run()
                 if run.returns_tainted:
                     passes.add(param)
-        own_calls = _own_call_names(func)
-        rescues = bool(own_calls & rescue_calls) or bool(
-            _assigned_attrs(func) & rescue_attrs
-        )
-        summary = FuncSummary(
-            name=func.name,
-            taint=FuncTaint(
-                returns_tainted=base.returns_tainted,
-                passes_taint=frozenset(passes),
-                params=params,
-            ),
-            may_raise_unrescued=_may_raise_unrescued(
-                cfg, risky_calls, rescue_calls, rescue_attrs
-            ),
-            rescues=rescues,
-        )
         # Last definition wins on name collisions across classes — the
         # one-level model is per-name, documented in the module docstring.
-        summaries[func.name] = summary
-    if store is not None:
-        store["summaries"] = summaries
+        summaries[func.name] = FuncTaint(
+            returns_tainted=base.returns_tainted,
+            passes_taint=frozenset(passes),
+            params=params,
+        )
     return summaries
-
-
-def taint_summaries(summaries: Dict[str, FuncSummary]) -> Dict[str, FuncTaint]:
-    """Project the taint facet for :class:`fbcheck.dataflow.TaintAnalysis`."""
-    return {name: s.taint for name, s in summaries.items()}
 
 
 class ModuleFileLike:  # pragma: no cover - typing aid only

@@ -59,7 +59,7 @@ class DiskInjector:
     def replace(self, source: str, destination: str) -> None:
         # The raw syscall primitive durable_replace builds its fsync
         # discipline around — the discipline lives in the caller.
-        os.replace(source, destination)  # fbcheck: ignore[FB-DURABLE]
+        os.replace(source, destination)
 
     def read_probe(self, path: str, label: str = "") -> None:
         """Hook before a read path touches ``path`` (no-op when healthy)."""

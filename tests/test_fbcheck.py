@@ -34,11 +34,8 @@ RULE_BY_PREFIX = {
     "determ": "FB-DETERM",
     "errors": "FB-ERRORS",
     "layers": "FB-LAYERS",
-    "optdep": "FB-OPTDEP",
     "durable": "FB-DURABLE",
-    "osfault": "FB-OSFAULT",
     "tamper": "FB-TAMPER",
-    "ackflow": "FB-ACKFLOW",
     "locked": "FB-LOCKED",
 }
 
@@ -168,27 +165,32 @@ def test_allowlist_entry_suppresses_matching_detail():
 
 
 def test_durable_ignores_fsync_in_other_scope():
-    # The fsync must precede the rename in the *same* function: syncing
-    # somewhere else in the module proves nothing about this rename.
+    # No fsync anywhere excuses a bare rename: in the same function or
+    # elsewhere, it leaves the parent-directory fsync undone.
     src = (
         "# fbcheck-fixture-path: src/repro/store/q.py\n"
         "import os\n"
         "def sync_elsewhere(handle):\n"
         "    os.fsync(handle.fileno())\n"
-        "def publish(tmp, path):\n"
+        "def publish(tmp, path, handle):\n"
+        "    os.fsync(handle.fileno())\n"
         "    os.replace(tmp, path)\n"
     )
-    assert [v.rule for v in check_source(src, "q.py")] == ["FB-DURABLE"]
+    violations = check_source(src, "q.py")
+    assert [(v.rule, v.line) for v in violations] == [("FB-DURABLE", 7)]
 
 
 def test_durable_scoped_to_persistence_paths():
     src = (
-        "# fbcheck-fixture-path: src/repro/workloads/q.py\n"
         "import os\n"
         "def publish(tmp, path):\n"
         "    os.replace(tmp, path)\n"
     )
-    assert check_source(src, "q.py") == []
+    for path in ("src/repro/workloads/q.py", "src/repro/store/durability.py"):
+        header = f"# fbcheck-fixture-path: {path}\n"
+        assert check_source(header + src, "q.py") == [], path
+    header = "# fbcheck-fixture-path: src/repro/store/q.py\n"
+    assert [v.rule for v in check_source(header + src, "q.py")] == ["FB-DURABLE"]
 
 
 def test_violation_render_format():
