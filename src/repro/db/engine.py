@@ -47,6 +47,7 @@ from repro.postree.merge import MergeConflict, Resolver
 from repro.store import FileStore, InMemoryStore, NodeCacheStore, PackStore
 from repro.store.base import ChunkStore
 from repro.store.durability import durable_replace, fsync_file, read_check
+from repro.store.packstore import COMPRESSION_POLICIES
 from repro.types import FBlob, FList, FMap, FObject, FSet, load_object, type_for_python
 from repro.types.convert import PyValue, unwrap, wrap
 from repro.vcs import BranchTable, CommitJournal, FNode, VersionGraph, replay_into
@@ -213,7 +214,12 @@ class ForkBase:
         ``"auto"`` detects which layout already lives on disk.  Both
         yield bit-identical uids and roots — the backend is invisible
         above the chunk layer.  ``compression`` is the pack codec policy
-        (``auto`` / ``zstd`` / ``zlib`` / ``none``) and ``node_cache``
+        (``auto`` / ``zstd`` / ``zlib`` / ``none``), checked on every
+        backend before the directory is touched.  A pack record keeps
+        its compressed form only if that saves at least 1/8 of its
+        bytes; after a miss, the next 63 records of the same chunk type
+        are stored raw untried, so digest-heavy index and commit records
+        skip the codec while text keeps shrinking.  ``node_cache``
         (entries; 0 disables) layers a decoded-node LRU on top for hot
         tree descents.  Branch heads live in ``branches.json`` next to
         the chunks (the client-side head record of the paper's threat
@@ -231,6 +237,8 @@ class ForkBase:
         its holder dies, so a stale ``.lock`` file never wedges the
         store.
         """
+        if compression not in COMPRESSION_POLICIES:
+            raise ValueError(f"unknown compression policy {compression!r}")
         os.makedirs(directory, exist_ok=True)
         lock_handle = cls._acquire_lock(directory)
         try:

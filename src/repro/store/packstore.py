@@ -11,7 +11,13 @@ indexing-structure survey (arXiv:2003.02090) shows matter at scale:
   ``[tag][codec][stored_len][raw_len][digest][crc32]`` followed by the
   stored payload.  The codec byte is negotiated per record: ``zstd`` when
   the optional ``zstandard`` module is importable, stdlib ``zlib``
-  otherwise, raw whenever compression does not shrink the payload.  The
+  otherwise, raw whenever compression saves less than 1/8 of the
+  payload.  A record that misses that floor also puts its chunk type on
+  a back-off: the next 63 records of that type are written raw without
+  trying, then the codec probes again.  Digest-heavy index and commit
+  records stop paying for a deflate that saves nothing, while text blob
+  leaves, which keep shrinking, keep being tried; the price is a few
+  percent more bytes on records that would have shrunk a little.  The
   CRC covers header and payload, so frame rot is detected before bytes
   are ever decompressed; the embedded digest lets index rebuilds recover
   uids without decompressing.
@@ -37,7 +43,7 @@ import struct
 import zlib
 from typing import IO, Dict, List, Optional, Tuple
 
-from repro.chunk import Chunk, Uid
+from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import (
     ChunkCorruptionError,
     DiskFaultError,
@@ -69,6 +75,15 @@ _CODEC_ZSTD = 2
 
 #: Payloads shorter than this are stored raw: a codec header would eat the gain.
 _COMPRESS_MIN = 64
+#: A compressed payload is kept only if it saves at least 1/_COMPRESS_FLOOR
+#: of the raw bytes.
+_COMPRESS_FLOOR = 8
+#: After a miss, this many further records of the same chunk type are
+#: stored raw without a codec attempt.
+_COMPRESS_BACKOFF = 63
+
+#: The ``compression=`` policies: which codec a pack store tries.
+COMPRESSION_POLICIES = ("auto", "zstd", "zlib", "none")
 
 
 class PackStore(SegmentStore):
@@ -94,6 +109,8 @@ class PackStore(SegmentStore):
         compression: str = "auto",
     ) -> None:
         self._codec = self._resolve_codec(compression)
+        # Per chunk type: records still to store raw before the next attempt.
+        self._codec_backoff: Dict[ChunkType, int] = {}
         self._maps: Dict[int, mmap.mmap] = {}
         self._dead_records = 0
         self._dead_bytes = 0
@@ -159,10 +176,18 @@ class PackStore(SegmentStore):
         codec = _CODEC_RAW
         stored = raw
         if self._codec is not None and len(raw) >= _COMPRESS_MIN:
-            candidate = self._compress(self._codec, raw)
-            if len(candidate) < len(raw):
-                codec = self._codec
-                stored = candidate
+            skip = self._codec_backoff.get(chunk.type, 0)
+            if skip:
+                self._codec_backoff[chunk.type] = skip - 1
+            else:
+                self.stats.codec_tries += 1
+                candidate = self._compress(self._codec, raw)
+                if (len(raw) - len(candidate)) * _COMPRESS_FLOOR >= len(raw):
+                    self.stats.codec_kept += 1
+                    codec = self._codec
+                    stored = candidate
+                else:
+                    self._codec_backoff[chunk.type] = _COMPRESS_BACKOFF
         fields = _FRAME.pack(
             int(chunk.type), codec, len(stored), len(raw), chunk.uid.digest
         )

@@ -43,6 +43,10 @@ class StoreStats:
     cache_hits: int = 0
     #: Lookups that consulted a cache layer at all.
     cache_lookups: int = 0
+    #: Records a pack store ran its codec on.
+    codec_tries: int = 0
+    #: Codec attempts whose output was stored (it met the savings floor).
+    codec_kept: int = 0
     #: Payload bytes currently materialized (filled by ``stats_snapshot``).
     materialized_bytes: int = 0
     #: New-chunk counts per ChunkType name (where do bytes go?).
@@ -121,6 +125,8 @@ class StoreStats:
             io_write_bytes=self.io_write_bytes,
             cache_hits=self.cache_hits,
             cache_lookups=self.cache_lookups,
+            codec_tries=self.codec_tries,
+            codec_kept=self.codec_kept,
             materialized_bytes=self.materialized_bytes,
             by_type=dict(self.by_type),
         )
@@ -144,6 +150,8 @@ class StoreStats:
             io_write_bytes=self.io_write_bytes - earlier.io_write_bytes,
             cache_hits=self.cache_hits - earlier.cache_hits,
             cache_lookups=self.cache_lookups - earlier.cache_lookups,
+            codec_tries=self.codec_tries - earlier.codec_tries,
+            codec_kept=self.codec_kept - earlier.codec_kept,
             materialized_bytes=self.materialized_bytes - earlier.materialized_bytes,
             by_type=by_type,
         )

@@ -91,6 +91,25 @@ class TestBackendParity:
         with pytest.raises(EngineError):
             ForkBase.open(str(tmp_path / "db"), backend="tape")
 
+    @pytest.mark.parametrize("backend", ["file", "pack", "auto"])
+    def test_unknown_compression_rejected_before_the_directory_exists(
+        self, tmp_path, backend
+    ):
+        directory = str(tmp_path / "db")
+        with pytest.raises(ValueError):
+            ForkBase.open(directory, backend=backend, compression="lz77")
+        assert not os.path.exists(directory)
+
+    def test_file_backend_does_not_need_zstandard(self, tmp_path, monkeypatch):
+        import repro.store.packstore as packstore_mod
+
+        monkeypatch.setattr(packstore_mod, "_zstd", None)
+        with ForkBase.open(str(tmp_path / "db"), backend="file", compression="zstd") as engine:
+            engine.put("k", {"a": "1"})
+            assert engine.get_value("k") == {b"a": b"1"}
+        with pytest.raises(ValueError):
+            ForkBase.open(str(tmp_path / "db2"), backend="pack", compression="zstd")
+
     def test_verify_and_history_on_pack(self, tmp_path):
         with ForkBase.open(str(tmp_path / "db"), backend="pack") as engine:
             _fill(engine)

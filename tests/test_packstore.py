@@ -1,12 +1,14 @@
 """Unit tests for the pack-file chunk store.
 
-Covers the record frame (compression negotiation, CRC, embedded digest),
+Covers the record frame (compression negotiation, the savings floor and
+per-type back-off, CRC, embedded digest),
 ``has()`` presence probes, the FBPX index lifecycle (save, load, stale
 rejection, rebuild), deletes, segment compaction, and the frame-level
 ``diagnose_record`` verdicts the scrubber consumes.
 """
 
 import os
+import random
 import struct
 import zlib
 
@@ -15,7 +17,14 @@ import pytest
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import ChunkCorruptionError, StoreClosedError, TransientStoreError
 from repro.store import PackStore
-from repro.store.packstore import _CODEC_RAW, _CODEC_ZLIB, _CODEC_ZSTD, _CRC, _FRAME
+from repro.store.packstore import (
+    _CODEC_RAW,
+    _CODEC_ZLIB,
+    _CODEC_ZSTD,
+    _COMPRESS_BACKOFF,
+    _CRC,
+    _FRAME,
+)
 
 _FRAME_SIZE = _FRAME.size + _CRC.size
 
@@ -175,6 +184,102 @@ class TestCompression:
             with pytest.raises(TransientStoreError):
                 store.get(chunk.uid)
             assert store.diagnose_record(chunk.uid) == "codec"
+
+
+def _noise(type_: ChunkType, n: int, size: int = 512) -> Chunk:
+    """A record zlib cannot shrink (seeded, so the suite replays)."""
+    return Chunk(type_, random.Random(n).randbytes(size))
+
+
+def _text(type_: ChunkType, n: int) -> Chunk:
+    """A record zlib shrinks by far more than the floor."""
+    return Chunk(type_, b"word text %d, more word text; " % n * 20)
+
+
+def _codec_of(store: PackStore, uid: Uid) -> int:
+    segment, offset, _length = store._index[uid]
+    return _FRAME.unpack(store._view(segment, offset, _FRAME.size))[1]
+
+
+class TestCompressionBackoff:
+    """A record keeps its deflated form only if that saves >= 1/8; a miss
+    stores the next 63 records of that chunk type raw, untried."""
+
+    def test_saving_under_an_eighth_is_stored_raw(self, tmp_path):
+        data = bytes(random.Random(3).choices(range(128), k=1024))  # 7-bit noise
+        saved = len(data) - len(zlib.compress(data, 6))
+        assert 0 < saved * 8 < len(data)  # shrinks, but by less than 1/8
+        chunk = Chunk(ChunkType.LEAF, data)
+        with PackStore(str(tmp_path / "ps"), compression="zlib") as store:
+            store.put(chunk)
+            assert (store.stats.codec_tries, store.stats.codec_kept) == (1, 0)
+            assert _codec_of(store, chunk.uid) == _CODEC_RAW
+            assert store.get(chunk.uid).data == data
+
+    def test_miss_skips_exactly_the_next_63_records_of_its_type(self, tmp_path):
+        assert _COMPRESS_BACKOFF == 63
+        with PackStore(str(tmp_path / "ps"), compression="zlib") as store:
+            store.put(_noise(ChunkType.INDEX, 0))
+            assert (store.stats.codec_tries, store.stats.codec_kept) == (1, 0)
+            window = [_text(ChunkType.INDEX, i) for i in range(63)]
+            for chunk in window:
+                store.put(chunk)
+            assert store.stats.codec_tries == 1
+            assert all(_codec_of(store, c.uid) == _CODEC_RAW for c in window)
+            probe = _text(ChunkType.INDEX, 63)
+            store.put(probe)
+            assert (store.stats.codec_tries, store.stats.codec_kept) == (2, 1)
+            assert _codec_of(store, probe.uid) == _CODEC_ZLIB
+
+    def test_digest_records_do_not_stop_text_blobs_compressing(self, tmp_path):
+        blobs = [_text(ChunkType.BLOB, i) for i in range(200)]
+        with PackStore(str(tmp_path / "ps"), compression="zlib") as store:
+            for i, blob in enumerate(blobs):
+                store.put_many([_noise(ChunkType.INDEX, i), _noise(ChunkType.FNODE, 1000 + i)])
+                store.put(blob)
+            assert all(_codec_of(store, b.uid) == _CODEC_ZLIB for b in blobs)
+            # 200 blob tries, plus one probe per 64 records of each other type.
+            assert store.stats.codec_tries == 200 + 4 + 4
+            assert store.stats.codec_kept == 200
+
+    def test_compressible_record_inside_a_window_reads_back(self, tmp_path):
+        directory = str(tmp_path / "ps")
+        text = _text(ChunkType.BLOB, 1)
+        with PackStore(directory, compression="zlib") as store:
+            store.put_many([_noise(ChunkType.BLOB, 0), text])
+            assert _codec_of(store, text.uid) == _CODEC_RAW
+            assert store.stats.codec_tries == 1
+            got = store.get(text.uid)
+            assert got.data == text.data and got.is_valid()
+        _assert_recovers(directory, [text])
+
+    def test_mixed_records_of_one_type_survive_reopen_and_compaction(self, tmp_path):
+        directory = str(tmp_path / "ps")
+        kept = [_text(ChunkType.LEAF, i) for i in range(3)]
+        missed = _noise(ChunkType.LEAF, 0)
+        windowed = [_text(ChunkType.LEAF, i) for i in range(3, 6)]
+        doomed = _text(ChunkType.LEAF, 6)
+        with PackStore(directory, compression="zlib") as store:
+            store.put_many(kept + [missed] + windowed + [doomed])
+            codecs = {c.uid: _codec_of(store, c.uid) for c in kept + [missed] + windowed}
+        assert [codecs[c.uid] for c in kept] == [_CODEC_ZLIB] * 3
+        assert [codecs[c.uid] for c in [missed] + windowed] == [_CODEC_RAW] * 4
+        _assert_recovers(directory, kept + [missed] + windowed + [doomed])
+        with PackStore(directory, compression="zlib") as store:
+            store.delete(doomed.uid)
+            store.compact_segments()
+            assert {uid: _codec_of(store, uid) for uid in codecs} == codecs
+        _assert_recovers(directory, kept + [missed] + windowed, expected_absent=[doomed])
+
+    def test_backoff_restarts_after_reopen(self, tmp_path):
+        directory = str(tmp_path / "ps")
+        with PackStore(directory, compression="zlib") as store:
+            store.put(_noise(ChunkType.INDEX, 0))
+        text = _text(ChunkType.INDEX, 0)
+        with PackStore(directory, compression="zlib") as store:
+            store.put(text)
+            assert (store.stats.codec_tries, store.stats.codec_kept) == (1, 1)
+            assert _codec_of(store, text.uid) == _CODEC_ZLIB
 
 
 class TestHas:
