@@ -89,7 +89,8 @@ class ClusterStore(ChunkStore):
 
     The coordinator remembers the nodes it verified.  ``get_node`` — the
     read behind every tree descent and version load — first asks a
-    :class:`~repro.store.nodecache.NodeLRU` of 4096 decoded nodes, and
+    :class:`~repro.store.nodecache.NodeLRU` of
+    :data:`~repro.store.nodecache.DEFAULT_CAPACITY` decoded nodes, and
     a hit sends no message.  A node enters it only after a replicated
     read checked its bytes against the uid, or after ``put_nodes`` saw
     its batch acked at quorum; a uid names one immutable byte string, so

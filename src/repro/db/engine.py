@@ -127,7 +127,19 @@ class ForkBase:
         retry: Optional[RetryPolicy] = None,
         self_heal: bool = True,
     ) -> None:
-        self.store = store if store is not None else InMemoryStore()
+        """An engine over ``store``; with none, an in-memory one.
+
+        The in-memory default is a :class:`NodeCacheStore` of
+        :data:`~repro.store.nodecache.DEFAULT_CAPACITY` decoded
+        nodes over an :class:`InMemoryStore`, so a whole-value put's walk
+        over the head and the read that follows it skip the node codec.
+        ``ForkBase(InMemoryStore())`` is the same engine without the
+        cache.  Uids, roots and answers are the same either way; a cached
+        node can outlive rot in its chunk until :meth:`verify` or
+        :meth:`scrub`, which read the chunks themselves, looks.
+        :meth:`open` keeps its own ``node_cache`` default (0).
+        """
+        self.store = store if store is not None else NodeCacheStore(InMemoryStore())
         self.graph = VersionGraph(self.store)
         self.branch_table = BranchTable()
         self.author = author

@@ -7,13 +7,20 @@ POS-Tree and list-tree nodes, blob leaves, and the FNode of a version.
 A hot descent, and a hot ``db.get``'s load of the branch head, touch no
 codec, no CRC and no disk.
 
-It has two holders, both on the node I/O seam
+It has three holders, all on the node I/O seam
 (:meth:`ChunkStore.put_nodes` / :meth:`ChunkStore.get_node`):
 
-- :class:`NodeCacheStore` wraps a local backend;
+- :class:`NodeCacheStore` wraps a local backend — when
+  ``ForkBase.open`` is given a ``node_cache``;
+- the default engine, ``ForkBase()``, whose store is a
+  :class:`NodeCacheStore` over an :class:`~repro.store.memory.InMemoryStore`
+  (``ForkBase(InMemoryStore())`` is the cacheless form);
 - :class:`~repro.cluster.cluster.ClusterStore` keeps one in the
   coordinator, filled only by replicated reads it verified and writes it
   saw acked at quorum.
+
+Every holder that is not told a capacity keeps
+:data:`DEFAULT_CAPACITY` nodes.
 
 Each is filled from both sides of the seam: a read remembers what it
 decoded, and a *write* remembers the objects the writer just encoded —
@@ -62,6 +69,9 @@ from repro.vcs.fnode import FNode
 #: decoding (BLOB, META, ...).
 DecodedNode = Union[Node, FNode]
 
+#: Decoded nodes a cache holds unless its holder says otherwise.
+DEFAULT_CAPACITY = 4096
+
 
 def decode_chunk(chunk: Chunk) -> DecodedNode:
     """Decode one chunk into its natural in-memory node form."""
@@ -79,7 +89,7 @@ class NodeLRU:
     write) and forgets what its storage swept.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -135,7 +145,7 @@ class NodeCacheStore(WrapperStore):
     def __init__(
         self,
         backing: ChunkStore,
-        capacity: int = 4096,
+        capacity: int = DEFAULT_CAPACITY,
         verify_reads: Optional[bool] = None,
     ) -> None:
         super().__init__(backing, verify_reads)

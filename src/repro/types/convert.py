@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from itertools import repeat
+from typing import AbstractSet, Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import TypeMismatchError
+from repro.postree.tree import PosTree
 from repro.store.base import ChunkStore
 from repro.types.base import FObject
 from repro.types.blob import FBlob
@@ -24,6 +26,29 @@ def _as_bytes(value: Union[str, bytes]) -> bytes:
     raise TypeMismatchError(
         f"map/set/list elements must be str or bytes, got {type(value).__name__}"
     )
+
+
+def _encoded_items(value: Dict[Any, Any]) -> List[Tuple[bytes, bytes]]:
+    """A dict's items as byte pairs, sorted, one per key.
+
+    An all-``str`` dict is encoded and sorted without a Python-level loop;
+    UTF-8 is injective, so its keys stay unique.  Anything else (bytes,
+    mixed keys that may collide, a wrong type) raises ``TypeError`` there
+    and takes the per-element path, where the last-inserted key wins.
+    """
+    try:
+        return sorted(zip(map(str.encode, value), map(str.encode, value.values())))
+    except TypeError:
+        pairs = {_as_bytes(k): _as_bytes(v) for k, v in value.items()}
+        return sorted(pairs.items())
+
+
+def _encoded_members(value: AbstractSet[Any]) -> List[bytes]:
+    """A set's members as bytes, sorted and unique (see :func:`_encoded_items`)."""
+    try:
+        return sorted(map(str.encode, value))
+    except TypeError:
+        return sorted({_as_bytes(m) for m in value})
 
 
 def wrap(
@@ -50,15 +75,15 @@ def wrap(
     if isinstance(value, (bytes, bytearray)):
         return FBlob.from_bytes(store, bytes(value))
     if isinstance(value, dict):
-        pairs = {_as_bytes(k): _as_bytes(v) for k, v in value.items()}
+        pairs = _encoded_items(value)
         if isinstance(onto, FMap):
-            return FMap(store, onto.tree.assign(sorted(pairs.items())))
-        return FMap.from_dict(store, pairs)
+            return FMap(store, onto.tree.assign(pairs))
+        return FMap(store, PosTree.from_pairs(store, pairs, presorted=True))
     if isinstance(value, (set, frozenset)):
-        members = {_as_bytes(m) for m in value}
+        entries = list(zip(_encoded_members(value), repeat(b"")))
         if isinstance(onto, FSet):
-            return FSet(store, onto.tree.assign([(m, b"") for m in sorted(members)]))
-        return FSet.from_iterable(store, members)
+            return FSet(store, onto.tree.assign(entries))
+        return FSet(store, PosTree.from_pairs(store, entries, presorted=True))
     if isinstance(value, (list, tuple)):
         return FList.from_items(store, (_as_bytes(i) for i in value))
     raise TypeMismatchError(f"no ForkBase type for {type(value).__name__}")

@@ -18,14 +18,17 @@ import itertools
 import tempfile
 from typing import Any, Callable, Dict, List, Tuple
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.chunk import Chunk, ChunkType
 from repro.cluster import ClusterStore
 from repro.db import ForkBase
-from repro.errors import ForkBaseError
+from repro.errors import ChunkNotFoundError, ForkBaseError
 from repro.postree.merge import resolve_ours
-from repro.store import physical_store
+from repro.store import InMemoryStore, NodeCacheStore, physical_store
+from repro.store.nodecache import DEFAULT_CAPACITY
 from repro.types import FBlob, FList, FObject
 from repro.types.convert import unwrap
 from repro.vcs.branches import BranchTable
@@ -293,3 +296,86 @@ def test_cluster_node_cache_is_invisible(ops, verify_reads):
         uid.digest for uid in uncached.db.store.ids()
     )
     assert cached.db.store.node_hits > 0 and uncached.db.store.cluster.node_lookups == 0
+
+
+# -- the default engine: ForkBase() caches decoded nodes ----------------------
+
+
+def _default_engine_script(db: ForkBase) -> Tuple[list, list, list, list]:
+    """Whole-value puts, a branch, a diff, a 3-way merge, a drop and a gc."""
+    base = {f"k{i:04d}": f"value-{i}-" + "x" * (i % 37) for i in range(2000)}
+    answers: List[Any] = [db.put("m", base).uid]
+    db.branch("m", "dev")
+    dev = dict(base, k0010="on-dev")
+    del dev["k0020"]
+    answers.append(db.put("m", dev, branch="dev").uid)
+    answers.append(db.put("m", dict(base, k1900="on-master", k2500="new")).uid)
+    diff = db.diff("m", "master", "dev")
+    answers.append((diff.added, diff.removed, diff.changed))
+    merged = db.merge("m", "dev")
+    answers.append((merged.uid, merged.message, db.get_value("m")))
+    db.put("s", {f"member-{i}" for i in range(900)})
+    answers.append(db.put("s", {f"member-{i}" for i in range(3, 905)}).uid)
+    db.put("scratch", {f"t{i:03d}": "y" * i for i in range(400)})
+    db.get_value("scratch")
+    db.drop("scratch")
+    report = db.collect_garbage()
+    assert report.swept_chunks > 0
+    answers.append((report.live_chunks, report.swept_chunks))
+    heads = sorted(db.branch_table.all_heads())
+    values = [
+        (key, branch, db.get(key, branch).root, db.get_value(key, branch))
+        for key, branch, _ in heads
+    ]
+    return answers, heads, values, sorted(uid.digest for uid in db.store.ids())
+
+
+def test_default_engine_cache_is_invisible():
+    cached = ForkBase(clock=itertools.count(1_700_000_000).__next__)
+    plain = ForkBase(InMemoryStore(), clock=itertools.count(1_700_000_000).__next__)
+    assert _default_engine_script(cached) == _default_engine_script(plain)
+    assert isinstance(cached.store, NodeCacheStore) and cached.store.node_hits > 0
+    assert cached.store.node_cache.capacity == DEFAULT_CAPACITY
+
+
+def _one_key_puts(db: ForkBase, rounds: int = 6) -> int:
+    """Backend gets spent by whole-dict puts (one key changed) + reads,
+    after the first put."""
+    value = {f"k{i:05d}": f"value-{i}" for i in range(6000)}
+    db.put("cfg", value)
+    db.get_value("cfg")
+    backing = physical_store(db.store)
+    before = backing.stats.snapshot()
+    for n in range(rounds):
+        value[f"k{n * 997 % 6000:05d}"] = f"edited-{n}"
+        db.put("cfg", value)
+        assert db.get_value("cfg") == {k.encode(): v.encode() for k, v in value.items()}
+    return backing.stats.delta(before).gets
+
+
+def test_default_engine_whole_dict_puts_read_nothing_back():
+    assert _one_key_puts(ForkBase()) == 0
+    # The cacheless engine decodes the head from its bytes on every put and read.
+    assert _one_key_puts(ForkBase(InMemoryStore())) > 0
+
+
+def test_default_engine_rot_under_a_cached_node_is_still_reported():
+    db = ForkBase()
+    db.put("cfg", {f"k{i:05d}": f"value-{i}" for i in range(3000)})
+    want = db.get_value("cfg")
+    backing = physical_store(db.store)
+    leaf = next(uid for uid in backing.ids() if backing.get(uid).type == ChunkType.LEAF)
+    assert leaf in db.store.node_cache.entries
+    original = backing._chunks[leaf]
+    backing._chunks[leaf] = Chunk(original.type, b"ROT" + original.data[3:], uid=leaf)
+    # The price of the cache: the decoded node outlives the rot in its bytes...
+    assert db.get_value("cfg") == want
+    # ...until verify or scrub, which read the chunks themselves, looks.
+    report = db.verify("cfg")
+    assert not report.ok and report.corrupt == 1
+    scrubbed = db.scrub()
+    assert scrubbed.corrupt == 1 and scrubbed.corrupt_uids == [leaf]
+    # The quarantine swept the copy, and with it the cached node.
+    assert leaf not in db.store.node_cache.entries
+    with pytest.raises(ChunkNotFoundError):
+        db.get_value("cfg")

@@ -312,7 +312,7 @@ class TestWorkBound:
         warm.close()
 
         # ...and the cache changes nothing about what gets written.
-        plain = ForkBase()
+        plain = ForkBase(InMemoryStore())
         plainly_written = []
         self._commit_loop(plain, big, plainly_written)
         assert {chunk.uid for chunk in written} == {chunk.uid for chunk in plainly_written}
@@ -320,7 +320,7 @@ class TestWorkBound:
     @pytest.mark.parametrize("backend", ["memory", "pack"])
     def test_seam_costs_a_cacheless_engine_no_reads(self, big, tmp_path, backend):
         if backend == "memory":
-            db = ForkBase()
+            db = ForkBase(InMemoryStore())
         else:
             db = ForkBase.open(str(tmp_path / "db"), backend=backend, node_cache=0)
         assert self._commit_loop(db, big).gets == CACHELESS_COMMIT_LOOP_GETS
