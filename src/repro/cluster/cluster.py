@@ -94,13 +94,14 @@ class ClusterStore(ChunkStore):
     a hit sends no message.  A node enters it only after a replicated
     read checked its bytes against the uid, or after ``put_nodes`` saw
     its batch acked at quorum; a uid names one immutable byte string, so
-    such a node stays valid.  A cached node is still written to every
-    home (the cluster may have lost every copy), and ``get``,
-    ``get_maybe`` and ``has`` bypass the cache, so verify, scrub,
-    anti-entropy, ``durability_check`` and the audits still reach the
-    replicas.  ``delete`` and :meth:`readmit`'s drops evict.  A
-    :class:`ClusterClient` does not share the cache: its reads go to the
-    replicas from its own side of any partition.
+    such a node stays valid.  The verified read is a fetch and the acked
+    batch a write, which decides what each displaces (see ``NodeLRU``).
+    A cached node is still written to every home (the cluster may have
+    lost every copy), and ``get``, ``get_maybe`` and ``has`` bypass the
+    cache, so verify, scrub, anti-entropy, ``durability_check`` and the
+    audits still reach the replicas.  ``delete`` and :meth:`readmit`'s
+    drops evict.  A :class:`ClusterClient` does not share the cache: its
+    reads go to the replicas from its own side of any partition.
     """
 
     #: Observations a latency stream needs before reads hedge off its p95
@@ -873,7 +874,7 @@ class ClusterStore(ChunkStore):
         if not (self.repair_reads or self.verify_reads):
             chunk.verify()
         decoded = decode_chunk(chunk)
-        self.node_cache.remember(((uid, decoded),))
+        self.node_cache.remember_fetched(uid, decoded)
         return decoded
 
     @property

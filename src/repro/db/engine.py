@@ -61,6 +61,9 @@ HEALTH_HEALTHY = "healthy"
 HEALTH_DEGRADED = "degraded-read-only"
 HEALTH_FAILED = "failed"
 
+#: What :meth:`ForkBase.open` accepts as ``backend``.
+BACKENDS = ("auto", "file", "pack")
+
 
 @dataclass(frozen=True)
 class HealthReport:
@@ -249,10 +252,17 @@ class ForkBase:
         its holder dies, so a stale ``.lock`` file never wedges the
         store.
         """
+        # Every argument is checked before the directory is touched.
         if compression not in COMPRESSION_POLICIES:
             raise ValueError(f"unknown compression policy {compression!r}")
+        if backend not in BACKENDS:
+            raise EngineError(f"unknown storage backend {backend!r}")
+        if isinstance(node_cache, bool) or not isinstance(node_cache, int) or node_cache < 0:
+            raise ValueError(f"node_cache must be an int >= 0, got {node_cache!r}")
         os.makedirs(directory, exist_ok=True)
         lock_handle = cls._acquire_lock(directory)
+        store: Optional[ChunkStore] = None
+        journal: Optional[CommitJournal] = None
         try:
             chunk_dir = os.path.join(directory, "chunks")
             store = cls._open_store(chunk_dir, backend, compression, node_cache)
@@ -280,6 +290,11 @@ class ForkBase:
             engine.branch_table = table
             engine._journal = journal
         except BaseException:
+            # A failed open persists nothing and keeps no handle.
+            if journal is not None:
+                journal.abandon()
+            if store is not None:
+                store.abandon()
             cls._release_lock(lock_handle)
             raise
         return engine
@@ -328,6 +343,7 @@ class ForkBase:
         elif backend == "pack":
             store = PackStore(chunk_dir, compression=compression)
         else:
+            # FORKBASE_BACKEND names something else.
             raise EngineError(f"unknown storage backend {backend!r}")
         if node_cache:
             store = NodeCacheStore(store, capacity=node_cache)

@@ -1,11 +1,21 @@
 """LRU cache of *decoded* nodes, and the write-through store around it.
 
 A cache of raw chunks would save the device read but still pay entry
-decoding on every descent.  At tree fan-outs of ~60 the decode dominates
-a hot lookup, so :class:`NodeLRU` keeps the decoded objects themselves:
-POS-Tree and list-tree nodes, blob leaves, and the FNode of a version.
-A hot descent, and a hot ``db.get``'s load of the branch head, touch no
-codec, no CRC and no disk.
+decoding on every descent.  At an index fan-out of about ten and
+≈ 1 KiB leaves the decode dominates a hot lookup, so :class:`NodeLRU`
+keeps the decoded objects themselves: POS-Tree and list-tree nodes,
+blob leaves, and the FNode of a version.  A hot descent, and a hot
+``db.get``'s load of the branch head, touch no codec, no CRC and no
+disk.
+
+What it gives up when full depends on how a node came in.  A node a
+``get_node`` miss had to fetch displaces the least recently used *leaf*:
+point reads over a tree larger than the cache share its index levels
+and scatter over its leaves, so they keep the few hundred index nodes
+and cycle the leaves, and a cold get costs one leaf fetch.  A node a
+write remembers displaces the least recently used node of any kind:
+each commit supersedes the index path it rewrote, and the stale path
+must be able to leave.
 
 It has three holders, all on the node I/O seam
 (:meth:`ChunkStore.put_nodes` / :meth:`ChunkStore.get_node`):
@@ -59,7 +69,7 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.chunk import Chunk, ChunkType, Uid
-from repro.postree.node import NODE_CLASSES, Node, load_node
+from repro.postree.node import NODE_CLASSES, LeafNode, ListLeafNode, Node, load_node
 from repro.store.base import ChunkStore, WrapperStore, physical_store
 from repro.store.stats import StoreStats
 from repro.vcs.fnode import FNode
@@ -72,6 +82,9 @@ DecodedNode = Union[Node, FNode]
 #: Decoded nodes a cache holds unless its holder says otherwise.
 DEFAULT_CAPACITY = 4096
 
+#: The decoded leaf classes (a BLOB chunk is a leaf too: see is_leaf).
+_LEAF_KINDS = frozenset((LeafNode, ListLeafNode))
+
 
 def decode_chunk(chunk: Chunk) -> DecodedNode:
     """Decode one chunk into its natural in-memory node form."""
@@ -81,8 +94,36 @@ def decode_chunk(chunk: Chunk) -> DecodedNode:
     return load_node(chunk) if chunk.type in NODE_CLASSES else chunk
 
 
+def is_leaf(decoded: DecodedNode) -> bool:
+    """Whether a decoded node is a tree leaf: a map or list leaf, or a
+    BLOB chunk (a blob tree's leaf is its own decoded form)."""
+    kind = decoded.__class__
+    return kind in _LEAF_KINDS or (kind is Chunk and decoded.type == ChunkType.BLOB)  # type: ignore[union-attr]
+
+
 class NodeLRU:
     """A bounded, thread-safe uid → decoded-node map in LRU order.
+
+    A node enters in one of two ways, and each way has its own victim:
+
+    - **fetched** (:meth:`remember_fetched`) — a ``get_node`` miss that
+      read the chunk from storage displaces the least recently used
+      *leaf* (a :class:`LeafNode`, a :class:`ListLeafNode` or a BLOB
+      chunk), or the least recently used node when no other leaf is
+      cached;
+    - **written** (:meth:`remember`) — a node the writer just encoded
+      displaces the least recently used node of any kind.
+
+    A point read walks the same index nodes to a different leaf each
+    time, so a fetch that gave up an index node would buy a miss on the
+    next walk through it; a fetched leaf gives up a leaf.  Writes are
+    what keep that from hoarding index nodes: every commit supersedes
+    the index path it rewrote, and the superseded nodes age out in
+    plain LRU order behind the writer's fresh ones.
+
+    A hit makes a node the most recent in ``entries`` and, for a leaf,
+    in ``leaves`` too.  ``entries`` is the one uid → node map: every
+    cached node is in it.
 
     It holds no store and judges no bytes: its holder remembers a node
     only once the node is known good (verified on read, or acked on
@@ -95,8 +136,11 @@ class NodeLRU:
         self.capacity = capacity
         self.lock = threading.Lock()
         self.entries: "OrderedDict[Uid, DecodedNode]" = OrderedDict()  # guarded-by: self.lock
+        # The cached leaves' uids, least recently used first.
+        self.leaves: "OrderedDict[Uid, None]" = OrderedDict()  # guarded-by: self.lock
         self.hits = 0  # guarded-by: self.lock
         self.lookups = 0  # guarded-by: self.lock
+        self.evictions = 0  # guarded-by: self.lock
 
     def lookup(self, uid: Uid) -> Optional[DecodedNode]:
         """The remembered node for ``uid`` (now most recent), else None.
@@ -110,32 +154,66 @@ class NodeLRU:
             if cached is not None:
                 self.hits += 1
                 self.entries.move_to_end(uid)
+                if is_leaf(cached):
+                    self.leaves.move_to_end(uid)
             return cached
 
     def remember(self, pairs: Iterable[Tuple[Uid, DecodedNode]]) -> None:
-        """Remember decoded nodes, evicting the least recently used."""
+        """Remember written nodes, evicting the least recently used."""
         with self.lock:
             entries = self.entries
+            leaves = self.leaves
             for uid, decoded in pairs:
                 entries[uid] = decoded
                 entries.move_to_end(uid)
+                if is_leaf(decoded):
+                    leaves[uid] = None
+                    leaves.move_to_end(uid)
             while len(entries) > self.capacity:
-                entries.popitem(last=False)
+                victim, _ = entries.popitem(last=False)
+                leaves.pop(victim, None)
+                self.evictions += 1
+
+    def remember_fetched(self, uid: Uid, decoded: DecodedNode) -> None:
+        """Remember a node read from storage, evicting the least recently
+        used leaf (the least recently used node if no other leaf is cached)."""
+        with self.lock:
+            entries = self.entries
+            leaves = self.leaves
+            entries[uid] = decoded
+            entries.move_to_end(uid)
+            leaf = is_leaf(decoded)
+            if leaf:
+                leaves[uid] = None
+                leaves.move_to_end(uid)
+            if len(entries) > self.capacity:
+                self.evictions += 1
+                if len(leaves) > leaf:  # a leaf other than this one is cached
+                    victim, _ = leaves.popitem(last=False)
+                    del entries[victim]
+                else:
+                    # Two or more entries are cached, so the oldest is not
+                    # this one, and it is no leaf.
+                    entries.popitem(last=False)
 
     def forget(self, uids: Iterable[Uid]) -> None:
         """Drop any entries for ``uids`` (their storage no longer holds them)."""
         with self.lock:
             for uid in uids:
                 self.entries.pop(uid, None)
+                self.leaves.pop(uid, None)
 
     def counters(self) -> Dict[str, int]:
-        """``hits``, ``lookups``, ``size`` and ``capacity`` in one read."""
+        """``hits``, ``lookups``, ``size``, ``capacity``, ``evictions``
+        and ``leaves`` (how many cached nodes are leaves) in one read."""
         with self.lock:
             return {
                 "hits": self.hits,
                 "lookups": self.lookups,
                 "size": len(self.entries),
                 "capacity": self.capacity,
+                "evictions": self.evictions,
+                "leaves": len(self.leaves),
             }
 
 
@@ -193,9 +271,15 @@ class NodeCacheStore(WrapperStore):
             if cached is not None:
                 cache.hits += 1
                 cache.entries.move_to_end(uid)
+                # is_leaf, inlined: a cached leaf is always in ``leaves``.
+                kind = cached.__class__
+                if kind in _LEAF_KINDS or (
+                    kind is Chunk and cached.type == ChunkType.BLOB  # type: ignore[union-attr]
+                ):
+                    cache.leaves.move_to_end(uid)
                 return cached
         decoded = decode_chunk(self.backing.get(uid))
-        cache.remember(((uid, decoded),))
+        cache.remember_fetched(uid, decoded)
         return decoded
 
     @property

@@ -169,7 +169,9 @@ def fingerprint(seed: int, config: dict) -> dict:
     health = cluster.health_report()
     # Every verb above is a chunk verb, and chunk verbs bypass the
     # coordinator's decoded-node cache: it must end exactly as it began.
-    assert health.pop("node_cache") == {"hits": 0, "lookups": 0, "size": 0, "capacity": 4096}
+    assert health.pop("node_cache") == {
+        "hits": 0, "lookups": 0, "size": 0, "capacity": 4096, "evictions": 0, "leaves": 0
+    }
     return {
         "health": health,
         "repair": (shipped, repair_report),

@@ -435,7 +435,7 @@ class TestStatusEndpoint:
         # The coordinator remembered the client's acked writes; the
         # client's own reads went to the replicas, not to that cache.
         node_cache = report["node_cache"]
-        assert set(node_cache) == {"hits", "lookups", "size", "capacity"}
+        assert set(node_cache) == {"hits", "lookups", "size", "capacity", "evictions", "leaves"}
         assert node_cache["size"] > 0 and node_cache["lookups"] == 0
         assert node_cache["capacity"] == 4096
         assert report["network"]["slowed_endpoints"] == 0

@@ -100,6 +100,43 @@ class TestBackendParity:
             ForkBase.open(directory, backend=backend, compression="lz77")
         assert not os.path.exists(directory)
 
+    @pytest.mark.parametrize("node_cache", [-1, 1.5, "64", True])
+    def test_bad_node_cache_rejected_before_the_directory_exists(self, tmp_path, node_cache):
+        directory = str(tmp_path / "db")
+        with pytest.raises(ValueError):
+            ForkBase.open(directory, node_cache=node_cache)
+        assert not os.path.exists(directory)
+        # Nothing was laid out, so any backend may still claim it.
+        with ForkBase.open(directory, backend="pack") as engine:
+            engine.put("k", {"a": "1"})
+
+    def test_unknown_backend_rejected_before_the_directory_exists(self, tmp_path):
+        directory = str(tmp_path / "db")
+        with pytest.raises(EngineError):
+            ForkBase.open(directory, backend="bogus")
+        assert not os.path.exists(directory)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("backend", ["file", "pack"])
+    def test_failed_open_closes_the_store_it_built(self, tmp_path, backend):
+        directory = str(tmp_path / "db")
+        with ForkBase.open(directory, backend=backend) as engine:
+            engine.put("k", {"a": "1"})
+        heads = os.path.join(directory, "branches.json")
+        with open(heads, "rb") as handle:
+            good = handle.read()
+        with open(heads, "w", encoding="utf-8") as handle:
+            handle.write("{not json")
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                ForkBase.open(directory, node_cache=16)
+        assert len(os.listdir("/proc/self/fd")) == before
+        with open(heads, "wb") as handle:
+            handle.write(good)
+        with ForkBase.open(directory) as engine:  # the lock was released too
+            assert engine.get_value("k") == {b"a": b"1"}
+
     def test_file_backend_does_not_need_zstandard(self, tmp_path, monkeypatch):
         import repro.store.packstore as packstore_mod
 
