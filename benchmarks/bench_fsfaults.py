@@ -101,8 +101,9 @@ def workdir():
 
 def _populated_engine(directory: str) -> ForkBase:
     # fsync="always": every put crosses a journal-fsync boundary, so the
-    # injected fsync failure in _degrade is guaranteed to fire.
-    engine = ForkBase.open(directory, backend="file", fsync="always")
+    # injected fsync failure in _degrade is guaranteed to fire.  Cacheless,
+    # so every timed read crosses the device seam the health check guards.
+    engine = ForkBase.open(directory, backend="file", fsync="always", node_cache=0)
     for n in range(DOCS):
         engine.put(f"doc-{n % 20}", {"n": str(n), "pad": "x" * 64})
     return engine

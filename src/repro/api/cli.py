@@ -25,6 +25,7 @@ from repro.db.engine import ForkBase
 from repro.errors import ForkBaseError, MergeConflictError
 from repro.postree.merge import resolve_ours, resolve_theirs
 from repro.security.verify import Verifier
+from repro.store.base import ChunkStore, physical_store
 from repro.table.dataset import DataTable
 from repro.vcs.branches import DEFAULT_BRANCH
 
@@ -299,7 +300,7 @@ def _dispatch(args: argparse.Namespace, engine: ForkBase) -> int:
         print(snap.describe())
         print(
             f"materialized={snap.materialized_bytes}B "
-            f"backend={type(engine.store).__name__}"
+            f"backend={type(physical_store(engine.store)).__name__}"
         )
         return 0
 
@@ -327,7 +328,7 @@ def _dispatch(args: argparse.Namespace, engine: ForkBase) -> int:
             import os
             import shutil
 
-            from repro.store import FileStore
+            from repro.store import FileStore, NodeCacheStore
             from repro.store.durability import durable_replace
             from repro.store.gc import compact_into
 
@@ -339,7 +340,11 @@ def _dispatch(args: argparse.Namespace, engine: ForkBase) -> int:
             old_dir = os.path.join(args.data_dir, "chunks")
             shutil.rmtree(old_dir)
             durable_replace(new_dir, old_dir)
-            engine.store = FileStore(old_dir)  # reopen for clean close()
+            # Reopen in the engine's own shape, for a clean close().
+            store: ChunkStore = FileStore(old_dir)
+            if isinstance(engine.store, NodeCacheStore):
+                store = NodeCacheStore(store, capacity=engine.store.node_cache.capacity)
+            engine.store = store
         print(
             f"live={report_obj.live_chunks} chunks ({report_obj.live_bytes}B), "
             f"reclaimable={report_obj.swept_chunks} chunks "

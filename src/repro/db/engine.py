@@ -47,6 +47,7 @@ from repro.postree.merge import MergeConflict, Resolver
 from repro.store import FileStore, InMemoryStore, NodeCacheStore, PackStore
 from repro.store.base import ChunkStore
 from repro.store.durability import durable_replace, fsync_file, read_check
+from repro.store.nodecache import DURABLE_CAPACITY
 from repro.store.packstore import COMPRESSION_POLICIES
 from repro.types import FBlob, FList, FMap, FObject, FSet, load_object, type_for_python
 from repro.types.convert import PyValue, unwrap, wrap
@@ -140,7 +141,8 @@ class ForkBase:
         cache.  Uids, roots and answers are the same either way; a cached
         node can outlive rot in its chunk until :meth:`verify` or
         :meth:`scrub`, which read the chunks themselves, looks.
-        :meth:`open` keeps its own ``node_cache`` default (0).
+        :meth:`open` keeps a smaller cache by default
+        (:data:`~repro.store.nodecache.DURABLE_CAPACITY`).
         """
         self.store = store if store is not None else NodeCacheStore(InMemoryStore())
         self.graph = VersionGraph(self.store)
@@ -218,7 +220,7 @@ class ForkBase:
         journal_limit: int = 1 << 20,
         backend: str = "auto",
         compression: str = "auto",
-        node_cache: int = 0,
+        node_cache: int = DURABLE_CAPACITY,
     ) -> "ForkBase":
         """Open (or create) a durable engine rooted at ``directory``.
 
@@ -234,9 +236,16 @@ class ForkBase:
         its compressed form only if that saves at least 1/8 of its
         bytes; after a miss, the next 63 records of the same chunk type
         are stored raw untried, so digest-heavy index and commit records
-        skip the codec while text keeps shrinking.  ``node_cache``
-        (entries; 0 disables) layers a decoded-node LRU on top for hot
-        tree descents.  Branch heads live in ``branches.json`` next to
+        skip the codec while text keeps shrinking.  ``node_cache`` is the
+        capacity, in decoded nodes, of the write-through LRU
+        (:class:`NodeCacheStore`) layered on the backend:
+        :data:`~repro.store.nodecache.DURABLE_CAPACITY` by default, so
+        the index levels a verb walks and the leaves a branch → edit →
+        diff → merge cycle revisits are decoded once, not fetched again
+        by every verb; ``0`` is the cacheless engine, whose every node
+        read reaches the device.  The cache never answers ``verify``,
+        ``scrub`` or gc, which read the chunks themselves, and a reopen
+        starts it empty.  Branch heads live in ``branches.json`` next to
         the chunks (the client-side head record of the paper's threat
         model), kept crash-consistent by a write-ahead commit journal
         (``journal.wal``): recovery loads the last heads snapshot and

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
 from repro.chunk import Uid
-from repro.postree.node import IndexNode, LeafEntry, LeafNode
+from repro.postree.node import IndexNode, LeafNode
 
 if TYPE_CHECKING:
     from repro.postree.tree import PosTree
@@ -62,15 +62,16 @@ class _LazyCursor:
 
     The frame stack runs root→downward; the deepest frame is the
     *frontier*.  If the frontier node is an index node, its current child
-    has not been loaded yet — :meth:`pending` exposes that child's uid so
-    the diff can prune it against the other side before fetching.
+    has not been loaded yet, so the diff can prune that child's uid
+    against the other side before fetching it.  The diff reads and moves
+    the frontier frame itself when it walks a leaf.
     """
 
-    __slots__ = ("_tree", "_frames", "done", "loads")
+    __slots__ = ("_tree", "frames", "done", "loads")
 
     def __init__(self, tree: PosTree) -> None:
         self._tree = tree
-        self._frames: List[Tuple[object, int]] = []
+        self.frames: List[Tuple[object, int]] = []
         self.done = False
         self.loads = 0
         root = self._load(tree.root)
@@ -79,7 +80,7 @@ class _LazyCursor:
         elif isinstance(root, IndexNode) and not root.entries:
             self.done = True
         else:
-            self._frames.append((root, 0))
+            self.frames.append((root, 0))
 
     def _load(self, uid: Uid) -> Union[LeafNode, IndexNode]:
         self.loads += 1
@@ -87,25 +88,11 @@ class _LazyCursor:
 
     # -- frontier inspection ---------------------------------------------------
 
-    def leaf_ready(self) -> bool:
-        """True when the frontier points directly at a record."""
-        return isinstance(self._frames[-1][0], LeafNode)
-
-    def pending(self) -> Tuple[Uid, int]:
-        """(uid, level) of the unloaded child at the frontier."""
-        node, pos = self._frames[-1]
-        return node.entries[pos].child, node.level - 1
-
     def expand(self) -> None:
         """Load the frontier child and push it (one level of descent)."""
-        node, pos = self._frames[-1]
+        node, pos = self.frames[-1]
         child = self._load(node.entries[pos].child)
-        self._frames.append((child, 0))
-
-    def entry(self) -> LeafEntry:
-        """The current record (frontier must be leaf-ready)."""
-        leaf, pos = self._frames[-1]
-        return leaf.entries[pos]
+        self.frames.append((child, 0))
 
     def aligned_subtrees(self) -> Dict[Uid, int]:
         """Sub-trees whose first record is the current position.
@@ -116,7 +103,7 @@ class _LazyCursor:
         every deeper frame to sit at position 0.
         """
         out: Dict[Uid, int] = {}
-        frames = self._frames
+        frames = self.frames
         # suffix_zero[d] := frames[d:] are all at position 0.
         zero = True
         suffix_zero = [False] * (len(frames) + 1)
@@ -134,37 +121,34 @@ class _LazyCursor:
 
     # -- movement ---------------------------------------------------------------
 
-    def _retreat(self) -> None:
+    def retreat(self) -> None:
         """Pop exhausted frames; leave the cursor at an unvisited child."""
-        while self._frames:
-            node, pos = self._frames[-1]
+        while self.frames:
+            node, pos = self.frames[-1]
             if pos < len(node.entries):
                 return
-            self._frames.pop()
-            if self._frames:
-                parent, ppos = self._frames[-1]
-                self._frames[-1] = (parent, ppos + 1)
+            self.frames.pop()
+            if self.frames:
+                parent, ppos = self.frames[-1]
+                self.frames[-1] = (parent, ppos + 1)
         self.done = True
-
-    def advance(self) -> None:
-        """Step past the current record (frontier must be leaf-ready)."""
-        leaf, pos = self._frames[-1]
-        self._frames[-1] = (leaf, pos + 1)
-        self._retreat()
 
     def skip_subtree(self, depth: int) -> None:
         """Jump past the aligned sub-tree held by frame ``depth``."""
-        del self._frames[depth + 1 :]
-        node, pos = self._frames[-1]
-        self._frames[-1] = (node, pos + 1)
-        self._retreat()
+        del self.frames[depth + 1 :]
+        node, pos = self.frames[-1]
+        self.frames[-1] = (node, pos + 1)
+        self.retreat()
 
 
 def diff_trees(tree_a: PosTree, tree_b: PosTree) -> TreeDiff:
     """Compute the key-level diff from ``tree_a`` to ``tree_b``.
 
     Cost is O(D·log N) node loads: identical sub-trees are pruned by uid
-    without being fetched.
+    without being fetched.  Once both cursors stand in leaves, the two
+    leaves are merge-walked in one loop until either runs out: past a
+    leaf's first record no sub-tree starts at the cursor, so there is
+    nothing to prune until a leaf boundary.
     """
     diff = TreeDiff()
     if tree_a.root == tree_b.root:
@@ -173,15 +157,31 @@ def diff_trees(tree_a: PosTree, tree_b: PosTree) -> TreeDiff:
 
     cursor_a = _LazyCursor(tree_a)
     cursor_b = _LazyCursor(tree_b)
+    frames_a = cursor_a.frames
+    frames_b = cursor_b.frames
+    added, removed, changed = diff.added, diff.removed, diff.changed
 
     while not cursor_a.done and not cursor_b.done:
-        subs_a = cursor_a.aligned_subtrees()
-        subs_b = cursor_b.aligned_subtrees()
+        node_a, pos_a = frames_a[-1]
+        node_b, pos_b = frames_b[-1]
+        ready_a = isinstance(node_a, LeafNode)
+        ready_b = isinstance(node_b, LeafNode)
+        # Which sub-trees start at both cursors (aligned_subtrees): none on
+        # a side standing mid-leaf; only the pending child on a side whose
+        # frontier index frame is past its first child; higher candidates
+        # only where every deeper frame is at position 0.
         common = None
-        for uid, depth_a in subs_a.items():  # topmost first
-            if uid in subs_b:
-                common = (depth_a, subs_b[uid])
-                break
+        if (ready_a and pos_a) or (ready_b and pos_b):
+            pass  # mid-leaf: the leaf walk below takes it to the leaf's end
+        elif pos_a and pos_b:
+            if node_a.entries[pos_a].child == node_b.entries[pos_b].child:
+                common = (len(frames_a) - 1, len(frames_b) - 1)
+        else:
+            subs_b = cursor_b.aligned_subtrees()
+            for uid, depth_a in cursor_a.aligned_subtrees().items():  # topmost first
+                if uid in subs_b:
+                    common = (depth_a, subs_b[uid])
+                    break
         if common is not None:
             cursor_a.skip_subtree(common[0])
             cursor_b.skip_subtree(common[1])
@@ -190,12 +190,10 @@ def diff_trees(tree_a: PosTree, tree_b: PosTree) -> TreeDiff:
         # No prune possible at the current frontiers: descend one level on
         # the taller side (or both), re-checking for prunes as new child
         # uids surface.
-        ready_a = cursor_a.leaf_ready()
-        ready_b = cursor_b.leaf_ready()
         if not ready_a or not ready_b:
             if not ready_a and not ready_b:
-                level_a = cursor_a.pending()[1]
-                level_b = cursor_b.pending()[1]
+                level_a = node_a.level
+                level_b = node_b.level
                 if level_a >= level_b:
                     cursor_a.expand()
                 if level_b >= level_a:
@@ -205,37 +203,49 @@ def diff_trees(tree_a: PosTree, tree_b: PosTree) -> TreeDiff:
             else:
                 cursor_b.expand()
             continue
-        entry_a = cursor_a.entry()
-        entry_b = cursor_b.entry()
-        if entry_a.key < entry_b.key:
-            diff.removed[entry_a.key] = entry_a.value
-            cursor_a.advance()
-        elif entry_a.key > entry_b.key:
-            diff.added[entry_b.key] = entry_b.value
-            cursor_b.advance()
-        else:
-            if entry_a.value != entry_b.value:
-                diff.changed[entry_a.key] = (entry_a.value, entry_b.value)
-            cursor_a.advance()
-            cursor_b.advance()
+        entries_a = node_a.entries
+        entries_b = node_b.entries
+        end_a = len(entries_a)
+        end_b = len(entries_b)
+        while pos_a < end_a and pos_b < end_b:
+            entry_a = entries_a[pos_a]
+            entry_b = entries_b[pos_b]
+            key_a = entry_a.key
+            key_b = entry_b.key
+            if key_a < key_b:
+                removed[key_a] = entry_a.value
+                pos_a += 1
+            elif key_a > key_b:
+                added[key_b] = entry_b.value
+                pos_b += 1
+            else:
+                if entry_a.value != entry_b.value:
+                    changed[key_a] = (entry_a.value, entry_b.value)
+                pos_a += 1
+                pos_b += 1
+        frames_a[-1] = (node_a, pos_a)
+        frames_b[-1] = (node_b, pos_b)
+        cursor_a.retreat()
+        cursor_b.retreat()
 
-    while not cursor_a.done:
-        if not cursor_a.leaf_ready():
-            cursor_a.expand()
-            continue
-        entry_a = cursor_a.entry()
-        diff.removed[entry_a.key] = entry_a.value
-        cursor_a.advance()
-    while not cursor_b.done:
-        if not cursor_b.leaf_ready():
-            cursor_b.expand()
-            continue
-        entry_b = cursor_b.entry()
-        diff.added[entry_b.key] = entry_b.value
-        cursor_b.advance()
-
+    _drain(cursor_a, removed)
+    _drain(cursor_b, added)
     diff.nodes_loaded = cursor_a.loads + cursor_b.loads
     return diff
+
+
+def _drain(cursor: _LazyCursor, out: Dict[bytes, bytes]) -> None:
+    """Copy every record left under ``cursor`` into ``out``."""
+    frames = cursor.frames
+    while not cursor.done:
+        leaf, pos = frames[-1]
+        if not isinstance(leaf, LeafNode):
+            cursor.expand()
+            continue
+        for entry in leaf.entries[pos:]:
+            out[entry.key] = entry.value
+        frames[-1] = (leaf, len(leaf.entries))
+        cursor.retreat()
 
 
 def diff_keys(tree_a: PosTree, tree_b: PosTree) -> List[bytes]:

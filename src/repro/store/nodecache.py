@@ -20,8 +20,9 @@ must be able to leave.
 It has three holders, all on the node I/O seam
 (:meth:`ChunkStore.put_nodes` / :meth:`ChunkStore.get_node`):
 
-- :class:`NodeCacheStore` wraps a local backend — when
-  ``ForkBase.open`` is given a ``node_cache``;
+- :class:`NodeCacheStore` wraps a local backend — every durable engine
+  ``ForkBase.open`` builds, with :data:`DURABLE_CAPACITY` nodes unless
+  given another ``node_cache`` (``node_cache=0`` is the cacheless form);
 - the default engine, ``ForkBase()``, whose store is a
   :class:`NodeCacheStore` over an :class:`~repro.store.memory.InMemoryStore`
   (``ForkBase(InMemoryStore())`` is the cacheless form);
@@ -29,7 +30,7 @@ It has three holders, all on the node I/O seam
   coordinator, filled only by replicated reads it verified and writes it
   saw acked at quorum.
 
-Every holder that is not told a capacity keeps
+Every other holder that is not told a capacity keeps
 :data:`DEFAULT_CAPACITY` nodes.
 
 Each is filled from both sides of the seam: a read remembers what it
@@ -81,6 +82,17 @@ DecodedNode = Union[Node, FNode]
 
 #: Decoded nodes a cache holds unless its holder says otherwise.
 DEFAULT_CAPACITY = 4096
+
+#: Decoded nodes a durable engine (``ForkBase.open``) holds by default.
+#: Fewer than :data:`DEFAULT_CAPACITY`, because a durable engine's miss
+#: has a device behind it and the in-memory engine's has none: this
+#: cache need not hold whole values, only spare the device the reads
+#: that verbs repeat — a big tree's index levels (a 50,000-row table is
+#: 4,685 leaves under 365 index nodes) plus the working set of leaves a
+#: branch → edit → diff → merge cycle walks more than once.  Every
+#: cached node is resident memory; see EXPERIMENTS.md for what each
+#: capacity costs in peak RSS on that cycle.
+DURABLE_CAPACITY = 1024
 
 #: The decoded leaf classes (a BLOB chunk is a leaf too: see is_leaf).
 _LEAF_KINDS = frozenset((LeafNode, ListLeafNode))
@@ -203,6 +215,12 @@ class NodeLRU:
                 self.entries.pop(uid, None)
                 self.leaves.pop(uid, None)
 
+    def clear(self) -> None:
+        """Drop every entry; the counters keep their values."""
+        with self.lock:
+            self.entries.clear()
+            self.leaves.clear()
+
     def counters(self) -> Dict[str, int]:
         """``hits``, ``lookups``, ``size``, ``capacity``, ``evictions``
         and ``leaves`` (how many cached nodes are leaves) in one read."""
@@ -310,6 +328,16 @@ class NodeCacheStore(WrapperStore):
     def invalidate_swept(self, uids: List[Uid]) -> None:
         """Evict decoded nodes whose backing chunks were swept elsewhere."""
         self.node_cache.forget(uids)
+
+    def close(self) -> None:
+        """Close the backing store; a closed store holds no decoded node."""
+        self.node_cache.clear()
+        self.backing.close()
+
+    def abandon(self) -> None:
+        """Abandon the backing store, dropping every decoded node."""
+        self.node_cache.clear()
+        self.backing.abandon()
 
     def stats_snapshot(self) -> StoreStats:
         """The backing store's snapshot plus this layer's cache counters."""

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 from repro.chunk import Chunk, Uid
 from repro.errors import (
     ChunkCorruptionError,
+    DiskFaultError,
     StoreError,
     TransientError,
     TransientStoreError,
@@ -77,7 +78,9 @@ def read_copy(
         chunk = retry.call(lambda: store.get_maybe(uid))
     except ChunkCorruptionError:
         return "corrupt", None
-    except TransientError:
+    except (TransientError, DiskFaultError):
+        # The device would not hand the bytes over (EIO): nothing says they
+        # are wrong, so the copy is not rot and must not be quarantined.
         return "unreadable", None
     except StoreError:
         # e.g. a torn record on disk: bytes exist but cannot be framed.

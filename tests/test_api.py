@@ -279,6 +279,7 @@ class TestCliExtensions:
         # FileStore layout, silently converting a pack DB on sweep.
         eng_dir = str(tmp_path / "db")
         from repro.db import ForkBase
+        from repro.store import physical_store
         from repro.store.packstore import PackStore
         with ForkBase.open(eng_dir, backend="pack") as engine:
             engine.put("keep", {"a": "1"})
@@ -288,7 +289,7 @@ class TestCliExtensions:
         assert code == 0 and "[compacted]" in out
         assert (tmp_path / "db" / "chunks" / "packs").is_dir()
         with ForkBase.open(eng_dir) as engine:
-            assert isinstance(engine.store, PackStore)
+            assert isinstance(physical_store(engine.store), PackStore)
         code, out = self._run(tmp_path, capsys, "get", "keep")
         assert code == 0 and json.loads(out) == {"a": "1"}
         code, _ = self._run(tmp_path, capsys, "verify", "keep")

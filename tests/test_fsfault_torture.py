@@ -86,8 +86,14 @@ def _run_workload(
     in-flight op may or may not be on disk), or ``"open-failed"``.
     """
     try:
+        # Cacheless: every node read crosses the device seam, so the census
+        # counts every read boundary the workload can fault.
         engine = ForkBase.open(
-            directory, fsync="always", journal_limit=JOURNAL_LIMIT, backend=backend
+            directory,
+            fsync="always",
+            journal_limit=JOURNAL_LIMIT,
+            backend=backend,
+            node_cache=0,
         )
     except (DiskFullError, DiskFaultError):
         return "open-failed", None

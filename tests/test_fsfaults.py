@@ -411,8 +411,10 @@ def test_reopen_recovers_from_degraded_state(tmp_path):
 
 def test_read_fault_while_degraded_fails_engine(tmp_path):
     # The file format probes the disk on every get; pack serves a segment
-    # it has already mapped without touching the seam again.
-    engine = _open_engine(tmp_path, backend="file")
+    # it has already mapped without touching the seam again.  Cacheless,
+    # so the read after the put reaches the device rather than the node
+    # the put remembered.
+    engine = _open_engine(tmp_path, backend="file", node_cache=0)
     engine.put("doc", {"a": "1", "pad": "x" * 64})
     with fs_zone(FsFaultPlan(fsync_fail_rate=1.0)):
         with pytest.raises(DiskFaultError):

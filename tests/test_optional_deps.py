@@ -46,6 +46,7 @@ for info in pkgutil.walk_packages(repro.__path__, "repro.", onerror=fail):
 from repro.chunk import Chunk, ChunkType
 from repro.db import ForkBase
 from repro.rolling.fast import numpy_available
+from repro.store import physical_store
 from repro.store.packstore import _CODEC_ZLIB, PackStore
 
 assert not numpy_available()
@@ -54,8 +55,9 @@ mapping = {f"k{i:04d}": f"v{i}" * 3 for i in range(600)}
 blob = b"".join(b"line %d of a compressible blob\n" % i for i in range(4000))
 with tempfile.TemporaryDirectory() as directory:
     with ForkBase.open(directory, backend="pack") as db:
-        assert isinstance(db.store, PackStore), type(db.store)
-        assert db.store._codec == _CODEC_ZLIB, db.store._codec
+        pack = physical_store(db.store)
+        assert isinstance(pack, PackStore), type(pack)
+        assert pack._codec == _CODEC_ZLIB, pack._codec
         db.put("map", mapping)
         db.put("blob", blob)
         chunk = Chunk(ChunkType.BLOB, blob[:4096])

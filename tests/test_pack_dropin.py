@@ -19,7 +19,7 @@ from repro.chunk import Uid
 from repro.db.engine import ForkBase
 from repro.errors import EngineError, SimulatedCrash
 from repro.faults import CrashPlan, crash_zone
-from repro.store import NodeCacheStore, PackStore
+from repro.store import NodeCacheStore, PackStore, physical_store
 from repro.store.scrub import diagnose_copy
 from tests.conftest import fault_seed
 
@@ -66,7 +66,7 @@ class TestBackendParity:
         with ForkBase.open(directory, backend="pack") as engine:
             engine.put("k", {"a": "1"})
         with ForkBase.open(directory) as engine:  # backend="auto"
-            assert isinstance(engine.store, PackStore)
+            assert isinstance(physical_store(engine.store), PackStore)
             assert engine.get_value("k") == {b"a": b"1"}
 
     def test_explicit_backend_mismatch_is_an_error(self, tmp_path):
@@ -161,7 +161,7 @@ class TestGcOnPack:
         _fill(engine)
         engine.put("dead", {"x": "y" * 500})
         engine.drop("dead")
-        physical = engine.store
+        physical = physical_store(engine.store)
         disk_before = physical.disk_size()
         report = engine.collect_garbage(compact=True)
         assert report.swept_chunks > 0
@@ -202,7 +202,7 @@ class TestScrubOnPack:
         engine = ForkBase.open(str(tmp_path / "db"), backend="pack")
         _fill(engine)
         victim = next(iter(engine.store.ids()))
-        self._flip_record_byte(engine.store, victim)
+        self._flip_record_byte(physical_store(engine.store), victim)
         report = engine.scrub()
         assert report.corrupt == 1
         assert report.corrupt_uids == [victim]

@@ -28,6 +28,7 @@ from repro.faults import FsFaultPlan, flip_at, fs_zone
 from repro.postree.node import LeafEntry, LeafNode
 from repro.store import FileStore, InMemoryStore, NodeCacheStore, PackStore, physical_store
 from repro.store.gc import collect_garbage, mark_live
+from repro.store.nodecache import DURABLE_CAPACITY
 from repro.types import FMap
 
 #: The two ways a decoded node gets into the cache.  Tests that predate
@@ -323,3 +324,65 @@ class TestWriteThroughNeverOutrunsTheDevice:
         scrubbed = db.scrub()
         assert set(scrubbed.corrupt_uids) == {leaf.uid, head}
         db.abandon()
+
+
+class TestDurableDefaultCache:
+    """``ForkBase.open`` caches decoded nodes unless told ``node_cache=0``;
+    the checks that exist to see the device still see it."""
+
+    DOC = {b"k%04d" % i: b"v" * 60 for i in range(400)}
+
+    @pytest.mark.parametrize("backend", ["file", "pack"])
+    def test_checks_and_a_reopened_read_reach_the_device(self, tmp_path, backend):
+        directory = str(tmp_path / "db")
+        db = ForkBase.open(directory, backend=backend)
+        assert isinstance(db.store, NodeCacheStore)
+        assert db.store.node_cache.capacity == DURABLE_CAPACITY
+        db.put("doc", FMap.from_dict(db.store, self.DOC))
+        backing = physical_store(db.store)
+        gets = backing.stats.gets
+        assert db.get_value("doc") == self.DOC
+        assert backing.stats.gets == gets  # write-through: nothing fetched
+        # An EIO on every read: the warm read does not notice, the checks
+        # do, and scrub reports the copies unreadable, quarantining none.
+        with fs_zone(FsFaultPlan(eio_read_rate=1.0)):
+            assert db.get_value("doc") == self.DOC
+            with pytest.raises(DiskFaultError):
+                db.verify("doc")
+            scrubbed = db.scrub()
+        assert scrubbed.unreadable == scrubbed.scanned > 0
+        assert scrubbed.corrupt == scrubbed.quarantined == 0
+        assert db.verify("doc").ok
+        # A reopen starts the cache empty: the first read reaches the device.
+        db.close()
+        db = ForkBase.open(directory)
+        backing = physical_store(db.store)
+        with fs_zone(FsFaultPlan(eio_read_rate=1.0)):
+            with pytest.raises(DiskFaultError):
+                db.get_value("doc")
+        gets = backing.stats.gets
+        assert db.get_value("doc") == self.DOC
+        assert backing.stats.gets > gets
+        # Frame rot under a cached leaf: served from the cache, seen by the checks.
+        leaf = next(iter(db.store.node_cache.leaves))
+        TestWriteThroughNeverOutrunsTheDevice._flip_payload_byte(backing, leaf)
+        assert db.get_value("doc") == self.DOC
+        report = db.verify("doc")
+        assert not report.ok and report.corrupt == 1
+        scrubbed = db.scrub()
+        assert scrubbed.corrupt_uids == [leaf] and scrubbed.quarantined == 1
+        assert leaf not in db.store.node_cache.entries
+        db.abandon()
+
+    @pytest.mark.parametrize("shutdown", ["close", "abandon"])
+    def test_a_closed_engine_holds_no_decoded_nodes(self, tmp_path, shutdown):
+        db = ForkBase.open(str(tmp_path / "db"))
+        db.put("doc", FMap.from_dict(db.store, self.DOC))
+        assert db.get_value("doc") == self.DOC
+        cache = db.store.node_cache
+        assert cache.entries and cache.leaves
+        before = cache.counters()
+        getattr(db, shutdown)()
+        assert not cache.entries and not cache.leaves
+        # The counters outlive the nodes.
+        assert cache.counters() == dict(before, size=0, leaves=0)
