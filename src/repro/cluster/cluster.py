@@ -877,6 +877,11 @@ class ClusterStore(ChunkStore):
         self.node_cache.remember_fetched(uid, decoded)
         return decoded
 
+    def cut_index(self) -> NodeLRU:
+        """The coordinator's node cache: it indexes the blob leaves it
+        saw acked or verified."""
+        return self.node_cache
+
     @property
     def node_hits(self) -> int:
         """``get_node`` calls answered without a message."""

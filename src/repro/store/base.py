@@ -150,6 +150,16 @@ class ChunkStore:
         """
         return self.get(uid)
 
+    def cut_index(self) -> Any:
+        """The blob leaves this store remembers, indexed by their first
+        bytes (a :class:`~repro.store.nodecache.NodeLRU`), or None.
+
+        :meth:`~repro.postree.listtree.BlobTree.from_bytes` reuses a
+        leaf from it wherever the bytes it slices repeat one at a cut.
+        A store that caches nothing — this default — has none.
+        """
+        return None
+
     def delete(self, uid: Uid) -> bool:
         """Unmaterialize a chunk; return True if it was present.
 

@@ -71,6 +71,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.postree.node import NODE_CLASSES, LeafNode, ListLeafNode, Node, load_node
+from repro.rolling.chunker import ChunkerConfig
 from repro.store.base import ChunkStore, WrapperStore, physical_store
 from repro.store.stats import StoreStats
 from repro.vcs.fnode import FNode
@@ -94,8 +95,16 @@ DEFAULT_CAPACITY = 4096
 #: capacity costs in peak RSS on that cycle.
 DURABLE_CAPACITY = 1024
 
+#: Leading bytes of a blob leaf that key the cut index (fewer for a
+#: config whose leaves may be shorter; see NodeLRU.note_cuts).
+CUT_HEAD = 32
+
 #: The decoded leaf classes (a BLOB chunk is a leaf too: see is_leaf).
 _LEAF_KINDS = frozenset((LeafNode, ListLeafNode))
+
+
+#: A cut-index key: the chunker config and the leaf's first bytes.
+CutKey = Tuple[ChunkerConfig, bytes]
 
 
 def decode_chunk(chunk: Chunk) -> DecodedNode:
@@ -137,6 +146,15 @@ class NodeLRU:
     in ``leaves`` too.  ``entries`` is the one uid → node map: every
     cached node is in it.
 
+    Beside it sits the *cut index* the blob builder reuses leaves
+    through (:meth:`~repro.postree.listtree.BlobTree.from_bytes`):
+    ``cuts`` maps a chunker config and a BLOB leaf's first bytes to that
+    leaf's uid, for leaves the builder saw cut by the pattern or
+    max-size rule (:meth:`note_cuts`).  A leaf's own key is its value in
+    ``leaves``, so the entry goes when the leaf is evicted, forgotten or
+    cleared, and the index never outgrows the cache.  Upkeep on any
+    other eviction is one ``None`` test.
+
     It holds no store and judges no bytes: its holder remembers a node
     only once the node is known good (verified on read, or acked on
     write) and forgets what its storage swept.
@@ -148,8 +166,11 @@ class NodeLRU:
         self.capacity = capacity
         self.lock = threading.Lock()
         self.entries: "OrderedDict[Uid, DecodedNode]" = OrderedDict()  # guarded-by: self.lock
-        # The cached leaves' uids, least recently used first.
-        self.leaves: "OrderedDict[Uid, None]" = OrderedDict()  # guarded-by: self.lock
+        # The cached leaves' uids, least recently used first, each with
+        # its cut-index key if it has one (config, head).
+        self.leaves: "OrderedDict[Uid, Optional[CutKey]]" = OrderedDict()  # guarded-by: self.lock
+        # config -> leaf head -> uid of a cached BLOB leaf starting so.
+        self.cuts: Dict[ChunkerConfig, Dict[bytes, Uid]] = {}  # guarded-by: self.lock
         self.hits = 0  # guarded-by: self.lock
         self.lookups = 0  # guarded-by: self.lock
         self.evictions = 0  # guarded-by: self.lock
@@ -179,11 +200,15 @@ class NodeLRU:
                 entries[uid] = decoded
                 entries.move_to_end(uid)
                 if is_leaf(decoded):
-                    leaves[uid] = None
-                    leaves.move_to_end(uid)
+                    if uid in leaves:  # keep its cut-index key
+                        leaves.move_to_end(uid)
+                    else:
+                        leaves[uid] = None
             while len(entries) > self.capacity:
                 victim, _ = entries.popitem(last=False)
-                leaves.pop(victim, None)
+                key = leaves.pop(victim, None)
+                if key is not None:
+                    self._drop_cut(victim, key)
                 self.evictions += 1
 
     def remember_fetched(self, uid: Uid, decoded: DecodedNode) -> None:
@@ -196,13 +221,17 @@ class NodeLRU:
             entries.move_to_end(uid)
             leaf = is_leaf(decoded)
             if leaf:
-                leaves[uid] = None
-                leaves.move_to_end(uid)
+                if uid in leaves:
+                    leaves.move_to_end(uid)
+                else:
+                    leaves[uid] = None
             if len(entries) > self.capacity:
                 self.evictions += 1
                 if len(leaves) > leaf:  # a leaf other than this one is cached
-                    victim, _ = leaves.popitem(last=False)
+                    victim, key = leaves.popitem(last=False)
                     del entries[victim]
+                    if key is not None:
+                        self._drop_cut(victim, key)
                 else:
                     # Two or more entries are cached, so the oldest is not
                     # this one, and it is no leaf.
@@ -213,13 +242,72 @@ class NodeLRU:
         with self.lock:
             for uid in uids:
                 self.entries.pop(uid, None)
-                self.leaves.pop(uid, None)
+                key = self.leaves.pop(uid, None)
+                if key is not None:
+                    self._drop_cut(uid, key)
 
     def clear(self) -> None:
         """Drop every entry; the counters keep their values."""
         with self.lock:
             self.entries.clear()
             self.leaves.clear()
+            self.cuts.clear()
+
+    # -- the cut index -------------------------------------------------------
+
+    def knows_cuts(self, config: ChunkerConfig) -> bool:
+        """Whether any cached leaf was noted under ``config``."""
+        with self.lock:
+            return config in self.cuts
+
+    def known_leaf(self, config: ChunkerConfig, data: bytes, at: int) -> Optional[Chunk]:
+        """The cached BLOB leaf noted under ``config`` that ``data``
+        repeats from ``at``, else None.
+
+        Counts no lookup and moves nothing: a caller that reuses the leaf
+        writes it, and the write does.  The byte compare runs outside
+        the lock.
+        """
+        head = data[at : at + min(CUT_HEAD, config.min_size)]
+        with self.lock:
+            table = self.cuts.get(config)
+            uid = table.get(head) if table is not None else None
+            leaf = self.entries.get(uid) if uid is not None else None
+        if isinstance(leaf, Chunk) and data.startswith(leaf.data, at):
+            return leaf
+        return None
+
+    def note_cuts(self, config: ChunkerConfig, leaves: Iterable[Chunk]) -> None:
+        """Index BLOB leaves a builder cut by the pattern or max-size rule
+        under ``config``, each by its first :data:`CUT_HEAD` bytes (its
+        first ``config.min_size``, if fewer: no such leaf is shorter).
+
+        Only leaves still cached are indexed.  A leaf keeps one entry, so
+        one it had under another key goes; a head noted for another leaf
+        now names this one.
+        """
+        width = min(CUT_HEAD, config.min_size)
+        with self.lock:
+            cached = self.leaves
+            for leaf in leaves:
+                uid = leaf.uid
+                if uid not in cached:
+                    continue
+                head = leaf.data[:width]
+                old = cached[uid]
+                if old is not None and old != (config, head):
+                    self._drop_cut(uid, old)
+                cached[uid] = (config, head)
+                self.cuts.setdefault(config, {})[head] = uid
+
+    def _drop_cut(self, uid: Uid, key: "CutKey") -> None:  # holds-lock: self.lock
+        """Remove ``uid``'s cut-index entry, if the entry still names it."""
+        config, head = key
+        table = self.cuts.get(config)
+        if table is not None and table.get(head) == uid:
+            del table[head]
+            if not table:
+                del self.cuts[config]
 
     def counters(self) -> Dict[str, int]:
         """``hits``, ``lookups``, ``size``, ``capacity``, ``evictions``
@@ -299,6 +387,10 @@ class NodeCacheStore(WrapperStore):
         decoded = decode_chunk(self.backing.get(uid))
         cache.remember_fetched(uid, decoded)
         return decoded
+
+    def cut_index(self) -> NodeLRU:
+        """The node cache: it indexes the blob leaves it holds."""
+        return self.node_cache
 
     @property
     def node_hits(self) -> int:

@@ -1,0 +1,285 @@
+"""A near-duplicate blob put re-chunks only what changed.
+
+``BlobTree.from_bytes`` over a store with a cut index (a node cache)
+reuses the cached leaf it finds at each cut and runs the chunker only
+from a cut no known leaf starts at.  These tests pin:
+
+- **roots** — a warm build has the root a cacheless build has, for
+  random multi-region, length-changing edits (at 0, at the end, inside
+  max-size zero runs), on two configs, with numpy and under
+  ``forced_pure()``, and with a cache small enough to evict mid-build;
+- **work** — a 32-byte edit of a ≈ 400 KB blob hashes O(1) BLOB chunks
+  and feeds the chunker a few probe slices; a cold put is one pass;
+- **guards** — cuts noted under one config never serve another, and a
+  config with ``min_size < window`` never consults the index;
+- **lifetime** — an index entry goes with its leaf (evicted, forgotten,
+  swept, closed, abandoned); a leaf gc swept is written again; the
+  cluster coordinator's cache serves the same roots.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+from typing import List
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.postree.listtree as listtree
+from repro.chunk import Chunk, ChunkType
+from repro.cluster import ClusterStore
+from repro.db import ForkBase
+from repro.faults import PartitionedTransport
+from repro.postree.listtree import BlobTree
+from repro.rolling.chunker import BLOB_CONFIG, ChunkerConfig
+from repro.rolling.fast import forced_pure
+from repro.store import InMemoryStore, NodeCacheStore, physical_store
+from repro.store.gc import collect_garbage
+from repro.store.nodecache import NodeLRU
+
+SMALL = ChunkerConfig(pattern_bits=6, min_size=16, max_size=256)
+
+
+def _text(rng: random.Random, size: int) -> bytes:
+    words = [bytes(rng.choices(b"abcdefghijklmnop", k=rng.randint(2, 9))) for _ in range(400)]
+    return b" ".join(rng.choices(words, k=size // 5 + 1))[:size]
+
+
+def _base(config: ChunkerConfig, seed: int) -> bytes:
+    """Text with a zero run longer than ``max_size`` in the middle."""
+    rng = random.Random(seed)
+    unit = config.max_size
+    return _text(rng, unit) + bytes(unit + unit // 3) + _text(rng, unit)
+
+
+def _cacheless_root(data: bytes, config: ChunkerConfig):
+    return BlobTree.from_bytes(InMemoryStore(), data, config).root
+
+
+def _spy_kernel(monkeypatch) -> List[int]:
+    """Record the length of every buffer the blob builder hands the chunker."""
+    fed: List[int] = []
+    kernel = listtree.fast_chunk_spans
+
+    def spy(data, config, preceding=b""):
+        fed.append(len(data))
+        return kernel(data, config, preceding)
+
+    monkeypatch.setattr(listtree, "fast_chunk_spans", spy)
+    return fed
+
+
+def _spy_blob_hashes(monkeypatch) -> List[int]:
+    """Record the length of every BLOB payload SHA-256 sees."""
+    hashed: List[int] = []
+    compute = Chunk.compute_uid
+
+    def spy(type_, data):
+        if type_ == ChunkType.BLOB:
+            hashed.append(len(data))
+        return compute(type_, data)
+
+    monkeypatch.setattr(Chunk, "compute_uid", staticmethod(spy))
+    return hashed
+
+
+def _edit(data: bytes, config: ChunkerConfig, where: str, fraction: float,
+          cut: int, patch: bytes) -> bytes:
+    zeros = data.find(bytes(config.max_size))
+    at = {
+        "start": 0,
+        "end": len(data),
+        "zeros": zeros + int(fraction * config.max_size) if zeros >= 0 else 0,
+        "anywhere": int(fraction * len(data)),
+    }[where]
+    return data[:at] + patch + data[at + cut :]
+
+
+edits = st.lists(
+    st.tuples(
+        st.sampled_from(["start", "end", "zeros", "anywhere"]),
+        st.floats(0, 1),
+        st.integers(0, 48),
+        st.binary(max_size=48) | st.just(bytes(40)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _check_versions(config: ChunkerConfig, capacity: int, seed: int, versions) -> None:
+    data = _base(config, seed)
+    warm = NodeCacheStore(InMemoryStore(), capacity=capacity)
+    tree = BlobTree.from_bytes(warm, data, config)
+    assert tree.root == _cacheless_root(data, config)
+    for regions in versions:
+        for where, fraction, cut, patch in regions:
+            data = _edit(data, config, where, fraction, cut, patch)
+        tree = BlobTree.from_bytes(warm, data, config)
+        assert tree.root == _cacheless_root(data, config)
+        assert tree.read() == data
+
+
+class TestRootsStayBitIdentical:
+    @pytest.mark.parametrize("capacity", [4096, 6], ids=["roomy", "evicting"])
+    @pytest.mark.parametrize("config", [BLOB_CONFIG, SMALL], ids=["blob", "small"])
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+              HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**16), versions=st.lists(edits, min_size=1, max_size=4))
+    def test_warm_build_equals_cacheless_build(self, config, capacity, seed, versions):
+        _check_versions(config, capacity, seed, versions)
+
+    @pytest.mark.parametrize("capacity", [4096, 6], ids=["roomy", "evicting"])
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+              HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**16), versions=st.lists(edits, min_size=1, max_size=3))
+    def test_pure_chunker_builds_the_same_roots(self, capacity, seed, versions):
+        with forced_pure():
+            _check_versions(SMALL, capacity, seed, versions)
+            _check_versions(replace(BLOB_CONFIG, max_size=4096), capacity, seed, versions[:1])
+
+
+class TestWorkFollowsTheEdit:
+    def test_a_32_byte_edit_hashes_a_few_leaves_and_probes_a_few_slices(self, monkeypatch):
+        rng = random.Random(7)
+        data = _text(rng, 400_000)
+        store = NodeCacheStore(InMemoryStore())
+        BlobTree.from_bytes(store, data)
+        fed = _spy_kernel(monkeypatch)
+        hashed = _spy_blob_hashes(monkeypatch)
+        leaves_before = physical_store(store).stats.puts_new
+        for offset in (0, 123_456, len(data) - 20):
+            data = data[:offset] + bytes(rng.choices(b"XYZ ", k=32)) + data[offset + 32 :]
+            expected = _cacheless_root(data, BLOB_CONFIG)
+            del fed[:], hashed[:]
+            assert BlobTree.from_bytes(store, data).root == expected
+            assert 1 <= len(hashed) <= 3, hashed
+            assert 1 <= len(fed) <= 3 and sum(fed) <= 64 << 10, fed
+        # A handful of new leaves and their index paths, not ≈ 80 leaves a put.
+        assert physical_store(store).stats.puts_new - leaves_before <= 3 * 6
+
+    def test_a_cold_put_is_one_pass_over_all_the_bytes(self, monkeypatch):
+        data = _text(random.Random(3), 200_000)
+        fed = _spy_kernel(monkeypatch)
+        store = NodeCacheStore(InMemoryStore())
+        BlobTree.from_bytes(store, data)
+        assert fed == [len(data)]
+        assert store.node_cache.knows_cuts(BLOB_CONFIG)
+
+
+class TestGuards:
+    def test_cuts_noted_under_one_config_never_serve_another(self, monkeypatch):
+        data = _text(random.Random(5), 120_000)
+        other = replace(BLOB_CONFIG, seed=b"another-gamma")
+        store = NodeCacheStore(InMemoryStore())
+        BlobTree.from_bytes(store, data, BLOB_CONFIG)
+        expected = {config: _cacheless_root(data, config) for config in (BLOB_CONFIG, other)}
+        fed = _spy_kernel(monkeypatch)
+        # Same bytes, same heads, another config: one full pass.
+        assert BlobTree.from_bytes(store, data, other).root == expected[other]
+        assert fed == [len(data)]
+        # Now both configs know cuts; each reuses only its own, and
+        # slices just the end-of-data leaf, which no index holds.
+        for config in (BLOB_CONFIG, other):
+            del fed[:]
+            tree = BlobTree.from_bytes(store, data, config)
+            assert tree.root == expected[config]
+            assert fed == [len(list(tree.iter_chunks())[-1].data)]
+
+    def test_the_index_answers_only_the_config_it_was_told(self):
+        leaf = Chunk(ChunkType.BLOB, b"a" * 40 + b"tail")
+        cache = NodeLRU()
+        cache.remember([(leaf.uid, leaf)])
+        cache.note_cuts(BLOB_CONFIG, [leaf])
+        assert cache.known_leaf(BLOB_CONFIG, b"x" + leaf.data + b"y", 1) is leaf
+        assert cache.known_leaf(replace(BLOB_CONFIG, window=8), leaf.data, 0) is None
+        assert cache.known_leaf(BLOB_CONFIG, leaf.data[:-1], 0) is None  # bytes must repeat
+
+    def test_min_size_below_window_never_consults_the_index(self, monkeypatch):
+        narrow = ChunkerConfig(window=16, pattern_bits=5, min_size=8, max_size=256)
+        consulted: List[str] = []
+        for name in ("knows_cuts", "known_leaf", "note_cuts"):
+            monkeypatch.setattr(NodeLRU, name, lambda *args, name=name: consulted.append(name))
+        data = _text(random.Random(9), 20_000)
+        store = NodeCacheStore(InMemoryStore())
+        for version in (data, data[:5000] + b"edit" + data[5000:]):
+            assert BlobTree.from_bytes(store, version, narrow).root == _cacheless_root(
+                version, narrow
+            )
+        assert consulted == []
+
+
+def _noted(cache: NodeLRU) -> int:
+    with cache.lock:
+        return sum(len(table) for table in cache.cuts.values())
+
+
+class TestLifetime:
+    def test_an_entry_goes_when_its_leaf_is_evicted_by_a_write_or_a_fetch(self):
+        cache = NodeLRU(capacity=2)
+        first, second, third = (Chunk(ChunkType.BLOB, bytes([n]) * 2000) for n in range(3))
+        cache.remember([(first.uid, first), (second.uid, second)])
+        cache.note_cuts(BLOB_CONFIG, [first, second])
+        assert _noted(cache) == 2
+        cache.remember([(third.uid, third)])  # a write evicts ``first``
+        assert cache.known_leaf(BLOB_CONFIG, first.data, 0) is None and _noted(cache) == 1
+        cache.remember_fetched(first.uid, first)  # a fetch evicts the oldest leaf
+        assert second.uid not in cache.entries and _noted(cache) == 0
+        assert cache.cuts == {}
+
+    def test_an_entry_goes_when_its_leaf_is_forgotten_swept_or_closed(self):
+        data = _text(random.Random(11), 60_000)
+        for drop in ("forget", "swept", "close", "abandon"):
+            store = NodeCacheStore(InMemoryStore())
+            tree = BlobTree.from_bytes(store, data)
+            uids = [leaf.uid for leaf in tree.iter_chunks()]
+            assert _noted(store.node_cache) == len(uids) - 1  # not the end-of-data leaf
+            if drop == "forget":
+                store.node_cache.forget(uids[:3])
+                assert _noted(store.node_cache) == len(uids) - 4
+            elif drop == "swept":
+                physical_store(store).notify_swept(uids)
+                assert store.node_cache.cuts == {}
+            else:
+                getattr(store, drop)()
+                assert store.node_cache.cuts == {}
+
+    def test_a_leaf_gc_swept_is_written_again_by_the_next_put(self):
+        db = ForkBase()
+        data = _text(random.Random(13), 150_000)
+        half = data[:75_000]
+        db.put("kept", half)  # its leaves stay live
+        uncommitted = BlobTree.from_bytes(db.store, data)  # second half: garbage
+        garbage = {leaf.uid for leaf in uncommitted.iter_chunks()} - {
+            leaf.uid for leaf in BlobTree(db.store, db.get("kept").root).iter_chunks()
+        }
+        assert garbage
+        assert collect_garbage(db).swept_chunks >= len(garbage)
+        physical = physical_store(db.store)
+        assert not any(physical.has(uid) for uid in garbage)
+        written = physical.stats.puts_new
+        again = BlobTree.from_bytes(db.store, data)
+        assert again.root == uncommitted.root == _cacheless_root(data, BLOB_CONFIG)
+        assert all(physical.has(leaf.uid) for leaf in again.iter_chunks())
+        assert physical.stats.puts_new - written >= len(garbage)
+
+    def test_cluster_near_duplicate_puts_match_a_cacheless_build(self, monkeypatch):
+        cluster = ClusterStore(
+            node_count=4, replication=3, write_quorum=2, transport=PartitionedTransport()
+        )
+        db = ForkBase(cluster)
+        rng = random.Random(17)
+        data = _text(rng, 150_000)
+        db.put("b", data)
+        fed = _spy_kernel(monkeypatch)
+        for _ in range(4):
+            offset = rng.randrange(len(data) - 32)
+            data = data[:offset] + bytes(rng.choices(b"QRS", k=32)) + data[offset + 32 :]
+            del fed[:]
+            db.put("b", data)
+            assert 1 <= len(fed) <= 3 and sum(fed) < len(data) // 2, fed  # no full pass
+            assert db.get("b").root == _cacheless_root(data, BLOB_CONFIG)
+        assert db.get("b").read() == data
+        assert cluster.node_cache.knows_cuts(BLOB_CONFIG)
