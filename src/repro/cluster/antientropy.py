@@ -303,7 +303,8 @@ def _audit_draw(seed: int, node: str, uid: Uid) -> float:
 
     A fault-kernel draw like every other fault/defense decision, so the
     sample — and therefore detection latency — replays bit-identically
-    from ``cluster.audit_seed``.
+    from ``cluster.audit_seed``: the seed of the cluster's network plan,
+    or 0 when it has no transport.
     """
     return kernel.unit("ae-audit:", seed, node, uid.digest)
 

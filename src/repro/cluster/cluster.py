@@ -58,17 +58,20 @@ class ClusterStore(ChunkStore):
     request flows through the simulated network: partitions, drops,
     delays and duplicates hit the cluster exactly as the plan dictates.
     A :class:`~repro.cluster.membership.FailureDetector` per client
-    origin turns missed heartbeats into SUSPECT verdicts, and the write
-    path routes around suspected nodes: when the home replicas cannot
-    meet quorum it extends past them along the ring (sloppy quorum) so
-    writes stay available during a partition (stand-in copies migrate
-    home via hinted handoff and Merkle anti-entropy);
+    origin turns missed heartbeats (a probe round per :meth:`tick`)
+    into SUSPECT verdicts, and the write path routes around suspected
+    nodes: when the home replicas cannot meet quorum it extends past
+    them along the ring (sloppy quorum) so writes stay available during
+    a partition (stand-in copies migrate home via hinted handoff and
+    Merkle anti-entropy);
     :class:`~repro.errors.QuorumWriteError` is raised only when no
     quorum of *reachable* nodes exists at all.
 
     The content address doubles as both the placement key and the
     checksum, so every healing decision is local: a copy is good iff its
     bytes hash to its uid, and any good copy can repair any replica.
+    Every replica read checks this, so rot on every reachable copy
+    raises :class:`~repro.errors.ChunkCorruptionError`, never bytes.
 
     Gray failures — a replica that is up and answering probes but ~100x
     slow — get their own machinery (all of it transport-clocked, so it
@@ -112,32 +115,23 @@ class ClusterStore(ChunkStore):
         self,
         node_count: int = 4,
         replication: int = 2,
-        vnodes: int = 64,
-        verify_reads: bool = False,
         write_quorum: Optional[int] = None,
-        repair_reads: bool = True,
         verify_writes: bool = True,
         retry: Optional[RetryPolicy] = None,
         node_store_factory: Optional[Callable[[str], ChunkStore]] = None,
         transport: Optional[PartitionedTransport] = None,
-        heartbeat_interval: Optional[int] = None,
-        suspicion_threshold: int = 3,
         hedge_reads: bool = False,
         deadline_budget: Optional[int] = None,
         breaker_threshold: Optional[int] = 5,
-        breaker_cooldown: int = 64,
         audit_rate: float = 0.05,
-        audit_seed: int = 0,
     ) -> None:
-        super().__init__(verify_reads=verify_reads)
+        super().__init__()
         if node_count < 1:
             raise ValueError("need at least one node")
         if replication < 1:
             raise ValueError("replication must be >= 1")
         if write_quorum is not None and not 1 <= write_quorum <= replication:
             raise ValueError("write_quorum must be in [1, replication]")
-        if heartbeat_interval is not None and heartbeat_interval < 1:
-            raise ValueError("heartbeat_interval must be >= 1")
         if deadline_budget is not None and deadline_budget < 1:
             raise ValueError("deadline_budget must be >= 1 tick")
         if not 0.0 <= audit_rate <= 1.0:
@@ -146,7 +140,6 @@ class ClusterStore(ChunkStore):
         #: Acks required for a put to succeed (default 1: availability-first,
         #: the seed behaviour; pass ``replication // 2 + 1`` for majority).
         self.write_quorum = write_quorum if write_quorum is not None else 1
-        self.repair_reads = repair_reads
         #: An ack only counts once the replica's stored bytes re-hash to the
         #: uid, so torn and silently-dropped writes surface as retryable
         #: failures instead of durable rot.  Content addressing makes this a
@@ -160,10 +153,6 @@ class ClusterStore(ChunkStore):
         #: made with :meth:`client` swap this for the duration of a call,
         #: so each client sits on its own side of a partition.
         self.origin = "client"
-        #: When set, every N data-plane operations run one heartbeat probe
-        #: round for the acting origin (background failure detection).
-        self.heartbeat_interval = heartbeat_interval
-        self.suspicion_threshold = suspicion_threshold
         #: Arm the first read attempt with the primary's tracked p95 as a
         #: timeout and fail over when it elapses (gray-failure hedging).
         self.hedge_reads = hedge_reads
@@ -182,7 +171,6 @@ class ClusterStore(ChunkStore):
         #: HALF_OPEN and a revived node would be shunned forever.
         self.breakers = BreakerBoard(
             threshold=breaker_threshold if transport is not None else None,
-            cooldown=breaker_cooldown,
             now=self._now,
         )
         self._store_factory = node_store_factory
@@ -190,11 +178,10 @@ class ClusterStore(ChunkStore):
         self.nodes: Dict[str, StorageNode] = {
             name: self._make_node(name) for name in names
         }
-        self.ring = HashRing(names, vnodes=vnodes)
+        self.ring = HashRing(names)
         self._hints: Dict[str, Dict[Uid, Chunk]] = {}
         self._detectors: Dict[str, FailureDetector] = {}
         self._ping_uids: Dict[str, Uid] = {}
-        self._ops_since_probe = 0
         #: The report from the most recent :meth:`repair` pass, if any.
         self.last_sync_report: Optional[SyncReport] = None
         #: Digest trees and ring placement anti-entropy carries from pass
@@ -229,8 +216,9 @@ class ClusterStore(ChunkStore):
         #: Fraction of claimed uids the anti-entropy spot-check audits
         #: *behind agreeing digests* (forged-digest defense).
         self.audit_rate = audit_rate
-        #: Seed for the audit sample draw (deterministic, replayable).
-        self.audit_seed = audit_seed
+        #: Seed for the audit sample draw: the network plan's, so one seed
+        #: replays the messages and the audits alike (0 without a transport).
+        self.audit_seed = transport.plan.seed if transport is not None else 0
         #: Read/write attempts refused because the target is QUARANTINED.
         self.quarantine_skips = 0
         #: Hints discarded because their target node is QUARANTINED.
@@ -435,24 +423,13 @@ class ClusterStore(ChunkStore):
         origin = origin if origin is not None else self.origin
         detector = self._detectors.get(origin)
         if detector is None:
-            detector = FailureDetector(
-                self, origin=origin, suspicion_threshold=self.suspicion_threshold
-            )
+            detector = FailureDetector(self, origin=origin)
             self._detectors[origin] = detector
         return detector
 
     def tick(self) -> Dict[str, str]:
         """Run one heartbeat round for the acting origin; returns states."""
         return self.failure_detector().probe_round()
-
-    def _maybe_tick(self) -> None:
-        """Background heartbeats: probe every ``heartbeat_interval`` ops."""
-        if self.heartbeat_interval is None:
-            return
-        self._ops_since_probe += 1
-        if self._ops_since_probe >= self.heartbeat_interval:
-            self._ops_since_probe = 0
-            self.tick()
 
     def _suspected(self, name: str) -> bool:
         """Does the acting origin's detector currently distrust this node?
@@ -729,7 +706,6 @@ class ClusterStore(ChunkStore):
         short.  Hints are queued for every chunk that stands; the first
         chunk that does not raises.
         """
-        self._maybe_tick()
         deadline = self._begin_deadline()
         quorum = max(self.write_quorum, 1)
         # Per chunk, by position: its homes, acks, and the homes it missed.
@@ -807,16 +783,15 @@ class ClusterStore(ChunkStore):
     ) -> Tuple[str, Optional[Chunk]]:
         """Read one replica: ('ok'|'missing'|'corrupt'|'unreachable', chunk).
 
-        With ``repair_reads`` on, a mismatching payload is re-read up to
-        the retry budget to separate wire corruption (a later attempt
-        verifies) from rot on the replica (every attempt mismatches).
+        Every payload is checked against its uid; 'ok' carries only bytes
+        that hash to it.  A mismatching payload is re-read up to the retry
+        budget to separate wire corruption (a later attempt verifies) from
+        rot on the replica (every attempt mismatches).
 
         ``timeout_ticks`` is a hedge threshold: a single attempt, neither
         retried nor re-read (see :meth:`_exchange`).
         """
-        attempts = self.retry.attempts if self.repair_reads else 1
-        if timeout_ticks is not None:
-            attempts = 1
+        attempts = self.retry.attempts if timeout_ticks is None else 1
         saw_corrupt = False
         served: Optional[Chunk] = None
         for _ in range(attempts):
@@ -834,7 +809,7 @@ class ClusterStore(ChunkStore):
                 return "unreachable", None
             if chunk is None:
                 return "missing", None
-            if not self.repair_reads or chunk.is_valid():
+            if chunk.is_valid():
                 return "ok", chunk
             self.corrupt_reads += 1
             saw_corrupt = True
@@ -844,7 +819,6 @@ class ClusterStore(ChunkStore):
         return ("corrupt" if saw_corrupt else "missing"), served
 
     def _fetch(self, uid: Uid) -> Optional[Chunk]:
-        self._maybe_tick()
         deadline = self._begin_deadline()
         started = self._now()
         try:
@@ -863,16 +837,13 @@ class ClusterStore(ChunkStore):
         uid was verified before, else one replicated read.
 
         The read is the ordinary one — failover, read-repair and
-        attribution unchanged — and its node is remembered only once its
-        bytes were checked against the uid: ``repair_reads`` and
-        ``verify_reads`` each do that, and without either it is done here.
+        attribution unchanged — and every copy it returns was checked
+        against the uid, so the node it decodes is safe to remember.
         """
         cached = self.node_cache.lookup(uid)
         if cached is not None:
             return cached
         chunk = self.get(uid)
-        if not (self.repair_reads or self.verify_reads):
-            chunk.verify()
         decoded = decode_chunk(chunk)
         self.node_cache.remember_fetched(uid, decoded)
         return decoded

@@ -8,10 +8,10 @@ partitioned, dropping, or delaying.  Consecutive missed heartbeats push a
 node through ``ALIVE -> SUSPECT -> DEAD``; one successful probe snaps it
 straight back to ``ALIVE``.
 
-Every detector runs on a :class:`LogicalClock` — a deterministic tick
-counter, never the wall clock (FB-DETERM): two runs of the same workload
-see identical heartbeat timing, which is what makes suspicion-dependent
-routing decisions replayable.
+A detector's time is its probe-round count, never the wall clock
+(FB-DETERM): two runs of the same workload see identical heartbeat
+timing, which is what makes suspicion-dependent routing decisions
+replayable.
 
 Suspicion is *per observer*: during a partition the clients on side A
 suspect the nodes on side B and vice versa, which is exactly the split-
@@ -31,13 +31,17 @@ ALIVE = "alive"
 SUSPECT = "suspect"
 DEAD = "dead"
 
+#: Consecutive missed probes that mark a node SUSPECT, then DEAD.
+SUSPICION_THRESHOLD = 3
+DEAD_THRESHOLD = 2 * SUSPICION_THRESHOLD
+
 
 class LogicalClock:
     """A deterministic monotonic clock: time is a tick counter.
 
     The heartbeat layer must not read the wall clock (replays would
-    diverge), so "time" advances only when the simulation says so —
-    once per probe round by default, or explicitly via :meth:`advance`.
+    diverge), so "time" advances only when the simulation says so,
+    via :meth:`advance`.
     """
 
     __slots__ = ("_now",)
@@ -63,33 +67,17 @@ class LogicalClock:
 class FailureDetector:
     """Heartbeat-based membership from one endpoint's point of view.
 
-    ``suspicion_threshold`` consecutive missed probes mark a node
+    :data:`SUSPICION_THRESHOLD` consecutive missed probes mark a node
     SUSPECT (the cluster stops routing writes at it and queues hints
-    instead); ``dead_threshold`` (default twice the suspicion threshold)
-    escalates to DEAD — same routing behaviour, stronger signal for
-    operators.  The thresholds absorb isolated message drops: a single
-    lost heartbeat on a healthy link never triggers rerouting.
+    instead); :data:`DEAD_THRESHOLD` escalates to DEAD — same routing
+    behaviour, stronger signal for operators.  The thresholds absorb
+    isolated message drops: a single lost heartbeat on a healthy link
+    never triggers rerouting.
     """
 
-    def __init__(
-        self,
-        cluster: "ClusterStore",
-        origin: str = "client",
-        suspicion_threshold: int = 3,
-        dead_threshold: Optional[int] = None,
-        clock: Optional[LogicalClock] = None,
-    ) -> None:
-        if suspicion_threshold < 1:
-            raise ValueError("suspicion_threshold must be >= 1")
+    def __init__(self, cluster: "ClusterStore", origin: str = "client") -> None:
         self.cluster = cluster
         self.origin = origin
-        self.suspicion_threshold = suspicion_threshold
-        self.dead_threshold = (
-            dead_threshold if dead_threshold is not None else 2 * suspicion_threshold
-        )
-        if self.dead_threshold < self.suspicion_threshold:
-            raise ValueError("dead_threshold must be >= suspicion_threshold")
-        self.clock = clock if clock is not None else LogicalClock()
         self._missed: Dict[str, int] = {}
         self._states: Dict[str, str] = {}
         self._last_heard: Dict[str, int] = {}
@@ -102,20 +90,19 @@ class FailureDetector:
     def probe_round(self) -> Dict[str, str]:
         """Ping every node once; returns the post-round state map."""
         self.rounds += 1
-        self.clock.advance()
         for name in sorted(self.cluster.nodes):
             if self.cluster.probe(self.origin, name):
                 if self._states.get(name, ALIVE) != ALIVE:
                     self.recoveries += 1
                 self._missed[name] = 0
                 self._states[name] = ALIVE
-                self._last_heard[name] = self.clock.now()
+                self._last_heard[name] = self.rounds
             else:
                 missed = self._missed.get(name, 0) + 1
                 self._missed[name] = missed
-                if missed >= self.dead_threshold:
+                if missed >= DEAD_THRESHOLD:
                     self._states[name] = DEAD
-                elif missed >= self.suspicion_threshold:
+                elif missed >= SUSPICION_THRESHOLD:
                     if self._states.get(name, ALIVE) == ALIVE:
                         self.suspicions_raised += 1
                     self._states[name] = SUSPECT
@@ -170,7 +157,7 @@ class FailureDetector:
         return {
             "origin": self.origin,
             "rounds": self.rounds,
-            "tick": self.clock.now(),
+            "tick": self.rounds,
             "suspected": self.suspected(),
             "degraded": self.degraded(),
             "suspicions_raised": self.suspicions_raised,

@@ -128,8 +128,6 @@ class ForkBase:
         store: Optional[ChunkStore] = None,
         author: str = "anonymous",
         clock: Optional[Callable[[], float]] = None,
-        retry: Optional[RetryPolicy] = None,
-        self_heal: bool = True,
     ) -> None:
         """An engine over ``store``; with none, an in-memory one.
 
@@ -162,13 +160,8 @@ class ForkBase:
         self._seq = 0
         #: Journal size (bytes) beyond which a commit triggers compaction.
         self._journal_limit = 1 << 20
-        #: Transparent retry for transient store faults on read verbs
-        #: (None disables; the default never sleeps).
-        self.retry = retry if retry is not None else RetryPolicy.instant()
-        #: On a detected-corrupt read, scrub the store (quarantine + repair
-        #: where replicas allow) and retry once — the read then returns
-        #: healed data or an honest ChunkNotFoundError, never wrong bytes.
-        self.self_heal = self_heal
+        #: Transparent retry for transient store faults on read verbs.
+        self.retry = RetryPolicy.instant()
         #: Disk-fault health machine: HEALTHY → DEGRADED_READ_ONLY → FAILED.
         self._health = HEALTH_HEALTHY
         self._health_reason: Optional[str] = None
@@ -196,14 +189,15 @@ class ForkBase:
             raise ReadOnlyError(self._health, self._health_reason)
 
     def _guarded(self, fn: Callable[[], T]) -> T:
-        """Run a read verb with transient retry and corruption self-healing."""
+        """Run a read verb with transient retry and corruption self-healing:
+        on a detected-corrupt read, scrub the store (quarantine + repair
+        where replicas allow) and run it once more — it then returns
+        healed data or an honest ChunkNotFoundError, never wrong bytes."""
         try:
-            return self.retry.call(fn) if self.retry is not None else fn()
+            return self.retry.call(fn)
         except ChunkCorruptionError:
-            if not self.self_heal:
-                raise
             self.scrub()
-            return self.retry.call(fn) if self.retry is not None else fn()
+            return self.retry.call(fn)
         except DiskFaultError as exc:
             if self._health == HEALTH_DEGRADED:
                 self._fail(str(exc))

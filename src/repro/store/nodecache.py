@@ -59,8 +59,8 @@ declared via ``# guarded-by:`` annotations (FB-LOCKED proves every
 access sits under a dominating ``with self.lock``).  Decoding and
 backing-store traffic happen outside the lock: a cache miss must not
 stall every hit behind the codec.  Read verification is inherited from
-the backing store unless overridden — wrapping a verifying store must
-not silently disable its tamper checks.
+the backing store — wrapping a verifying store must not silently
+disable its tamper checks.
 """
 
 from __future__ import annotations
@@ -326,13 +326,8 @@ class NodeLRU:
 class NodeCacheStore(WrapperStore):
     """Wraps a backing store with an LRU cache of decoded tree nodes."""
 
-    def __init__(
-        self,
-        backing: ChunkStore,
-        capacity: int = DEFAULT_CAPACITY,
-        verify_reads: Optional[bool] = None,
-    ) -> None:
-        super().__init__(backing, verify_reads)
+    def __init__(self, backing: ChunkStore, capacity: int = DEFAULT_CAPACITY) -> None:
+        super().__init__(backing)
         self.node_cache = NodeLRU(capacity)
         # Decoded nodes outlive their chunks unless the physical layer
         # tells us it swept them (gc, quarantine resync): a descent must

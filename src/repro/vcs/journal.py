@@ -26,9 +26,10 @@ Damage model, matching the append-only segment files:
   raises :class:`~repro.errors.JournalCorruptError` instead of guessing.
 
 Fsync policy: ``always`` fsyncs after every append (a commit survives
-power loss before it is acknowledged), ``batch`` every ``batch_interval``
-appends, ``never`` leaves it to the OS.  Every append is *flushed*
-regardless, so an acknowledged commit always survives a process kill.
+power loss before it is acknowledged), ``batch`` every
+:data:`BATCH_INTERVAL` appends, ``never`` leaves it to the OS.  Every
+append is *flushed* regardless, so an acknowledged commit always
+survives a process kill.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ from repro.vcs.branches import BranchTable
 MAGIC = b"FBWJ0001"
 _HEADER = struct.Struct(">II")  # payload length, CRC-32 of payload
 FSYNC_POLICIES = ("always", "batch", "never")
+#: Appends per fsync under the ``batch`` policy.
+BATCH_INTERVAL = 64
 
 Record = Dict[str, object]
 
@@ -63,12 +66,11 @@ Record = Dict[str, object]
 class CommitJournal:
     """Append-only head-mutation log with checksummed records."""
 
-    def __init__(self, path: str, fsync: str = "batch", batch_interval: int = 64) -> None:
+    def __init__(self, path: str, fsync: str = "batch") -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(f"fsync policy must be one of {FSYNC_POLICIES}, got {fsync!r}")
         self.path = path
         self.fsync = fsync
-        self.batch_interval = max(1, batch_interval)
         #: (end offset, record) per valid record, in file order.
         self._records: List[Tuple[int, Record]] = []
         self._pending = 0
@@ -152,10 +154,10 @@ class CommitJournal:
     @property
     def sync_due(self) -> bool:
         """Will the next :meth:`append` fsync?  (The policy's durable
-        point: every append under ``always``, every ``batch_interval``-th
-        under ``batch``, never under ``never``.)"""
+        point: every append under ``always``, every
+        :data:`BATCH_INTERVAL`-th under ``batch``, never under ``never``.)"""
         return self.fsync == "always" or (
-            self.fsync == "batch" and self._pending + 1 >= self.batch_interval
+            self.fsync == "batch" and self._pending + 1 >= BATCH_INTERVAL
         )
 
     def append(self, record: Mapping[str, object]) -> None:

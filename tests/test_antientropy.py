@@ -17,7 +17,13 @@ from repro.cluster import (
     sync,
 )
 from repro.cluster.ring import POSITION_BITS, HashRing
-from repro.faults import RetryPolicy
+from repro.faults import (
+    ByzantinePlan,
+    NetworkPlan,
+    PartitionedTransport,
+    RetryPolicy,
+    make_byzantine,
+)
 
 
 def _chunk(n: int, size: int = 64) -> Chunk:
@@ -268,6 +274,41 @@ class TestAntiEntropyPass:
         assert not digests_agree(cluster)
         anti_entropy_pass(cluster)
         assert digests_agree(cluster)
+
+    def test_audit_sample_follows_the_network_plan_seed(self):
+        """The spot-check of a self-reported index draws its sample from
+        the transport plan's seed, so one seed replays the messages and
+        the audits alike; a cluster with no transport draws as seed 0."""
+
+        def audited(transport):
+            cluster = _cluster(
+                node_count=3, replication=3, transport=transport, audit_rate=0.3
+            )
+            # Honest bytes, self-reported index: every claim is auditable
+            # and every audit is clean, so only the draw decides the sample.
+            make_byzantine(cluster.nodes["node-01"], ByzantinePlan(forge_index=True))
+            for n in range(60):
+                cluster.put(_chunk(n))
+            sample = []
+            audit_copy = cluster.audit_copy
+
+            def spy(node, uid, origin, kind=None):
+                sample.append((node.name, uid))
+                return audit_copy(node, uid, origin, kind)
+
+            cluster.audit_copy = spy
+            report = cluster.anti_entropy_pass()
+            assert report.audit_failures == 0
+            return sample
+
+        def plan(seed):
+            return PartitionedTransport(NetworkPlan(seed=seed))
+
+        sample = audited(plan(1))
+        assert 0 < len(sample) < 60
+        assert audited(plan(1)) == sample
+        assert audited(plan(2)) != sample
+        assert audited(None) == audited(plan(0))
 
 
 class TestWorkBound:

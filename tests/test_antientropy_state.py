@@ -54,7 +54,6 @@ def _run(forget: bool) -> list:
         retry=RetryPolicy.instant(attempts=2),
         verify_writes=False,  # so the forger below hides behind its digests
         audit_rate=0.3,
-        audit_seed=SEED,
     )
     if forget:
         # Shadow the verb on the instance so the passes inside ``readmit``

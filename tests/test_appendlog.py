@@ -23,7 +23,7 @@ from repro.errors import DiskFaultError, DiskFullError, SimulatedCrash
 from repro.faults import CrashPlan, FsFaultPlan, crash_zone, fs_zone
 from repro.store import appendlog
 from repro.store.appendlog import AppendLog
-from repro.vcs.journal import CommitJournal
+from repro.vcs.journal import BATCH_INTERVAL, CommitJournal
 
 _LEN = struct.Struct(">I")
 
@@ -268,8 +268,8 @@ def test_journal_under_never_policy_retains_no_rewrite_buffer(tmp_path):
         journal.append({"op": "set-head", "seq": seq, "pad": "x" * 256})
     assert journal._log._tail_bytes == 0
     journal.close()
-    batched = CommitJournal(str(tmp_path / "batched.wal"), fsync="batch", batch_interval=8)
-    for seq in range(1, 21):
+    batched = CommitJournal(str(tmp_path / "batched.wal"), fsync="batch")
+    for seq in range(1, 161):
         batched.append({"op": "set-head", "seq": seq})
-    assert len(batched._log._tail) == 20 % 8  # cleared at every policy fsync
+    assert len(batched._log._tail) == 160 % BATCH_INTERVAL  # cleared at every policy fsync
     batched.close()

@@ -121,7 +121,6 @@ class TestLiarAlwaysQuarantined:
             replication=2,
             verify_writes=False,
             audit_rate=0.3,
-            audit_seed=SEED,
         )
         liar = "node-01"
         make_byzantine(

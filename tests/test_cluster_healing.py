@@ -5,8 +5,10 @@ import pytest
 
 from repro.chunk import Chunk, ChunkType
 from repro.cluster import ClusterStore, StorageNode
+from repro.db import ForkBase
 from repro.errors import (
     ChunkCorruptionError,
+    ChunkNotFoundError,
     NodeDownError,
     QuorumWriteError,
 )
@@ -120,22 +122,33 @@ class TestReadRepair:
         assert healed is not None and healed.is_valid()
 
     def test_rot_everywhere_raises_corruption_not_wrong_data(self):
-        cluster = ClusterStore(node_count=3, replication=2)
-        chunk = _chunk(2)
-        cluster.put(chunk)
-        for node in cluster.replica_nodes(chunk.uid):
-            _rot(node, chunk)
-        with pytest.raises(ChunkCorruptionError):
-            cluster.get(chunk.uid)
-
-    def test_repair_reads_off_preserves_old_behavior(self):
-        cluster = ClusterStore(node_count=3, replication=2, repair_reads=False)
-        chunk = _chunk(3)
-        cluster.put(chunk)
-        for node in cluster.replica_nodes(chunk.uid):
-            _rot(node, chunk)
-        got = cluster.get(chunk.uid)  # trusts the store, like the seed did
-        assert not got.is_valid()
+        """Every replica read is checked against the uid, so rot on every
+        copy surfaces as corruption on each read verb — ``get``,
+        ``get_maybe`` and ``get_node``, the read behind every
+        ``ForkBase(cluster).get`` — and none of them serves the bytes or
+        leaves the node in the coordinator's cache.  (One test over the
+        three readers, so its id stays put.)"""
+        for reader in ("get", "get_maybe", "get_node"):
+            cluster = ClusterStore(node_count=3, replication=2)
+            if reader == "get_node":
+                engine = ForkBase(cluster)
+                engine.put("doc", {"k": "v"})
+                chunk = cluster.get(engine.get("doc").root)  # a real tree node
+                cluster.node_cache.clear()  # the put remembered it; read the replicas
+            else:
+                chunk = _chunk(2)
+                cluster.put(chunk)
+            for node in cluster.replica_nodes(chunk.uid):
+                _rot(node, chunk)
+            with pytest.raises(ChunkCorruptionError):
+                getattr(cluster, reader)(chunk.uid)
+            assert chunk.uid not in cluster.node_cache.entries, reader
+            if reader == "get_node":
+                # The engine's verb heals: its scrub drops the rotten
+                # copies and the retried read answers "not found".
+                with pytest.raises(ChunkNotFoundError):
+                    engine.get_value("doc")
+                assert chunk.uid not in cluster.node_cache.entries
 
 
 class TestTransientRetry:

@@ -210,7 +210,7 @@ def test_client_reads_still_reach_the_replicas():
 
 
 def test_unverifying_cluster_checks_before_remembering():
-    cluster = _cluster(transport=None, repair_reads=False)
+    cluster = _cluster(transport=None)
     chunk = Chunk(ChunkType.BLOB, b"payload")
     cluster.put(chunk)
     for node in cluster.replica_nodes(chunk.uid):

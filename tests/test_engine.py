@@ -158,6 +158,13 @@ class TestHistory:
         assert meta["branches"] == ["master"]
         assert len(meta["version"]) == 52
 
+    def test_engine_author_stamps_versions_unless_overridden(self):
+        engine = ForkBase(author="alice")
+        assert engine.put("k", "1").author == "alice"
+        assert engine.put("k", "2", author="bob").author == "bob"
+        assert [n.author for n in engine.history("k")] == ["bob", "alice"]
+        assert engine.meta("k")["author"] == "bob"
+
 
 class TestDiffMerge:
     def _setup(self, engine):

@@ -420,8 +420,6 @@ def test_read_fault_while_degraded_fails_engine(tmp_path):
         with pytest.raises(DiskFaultError):
             engine.put("doc", {"a": "2"})
     assert engine.health().state == HEALTH_DEGRADED
-    engine.retry = None
-    engine.self_heal = False
     with fs_zone(FsFaultPlan(eio_read_rate=1.0)):
         with pytest.raises(DiskFaultError):
             engine.get_value("doc")

@@ -206,7 +206,6 @@ class TestHedgedReads:
 class TestCircuitBreaker:
     def _gray_cluster(self, **kwargs):
         kwargs.setdefault("breaker_threshold", 4)
-        kwargs.setdefault("breaker_cooldown", 32)
         return TestHedgedReads()._warmed(**kwargs)
 
     def test_gray_node_is_alive_but_degraded(self):
@@ -363,7 +362,7 @@ class TestFailoverAccounting:
     def test_suspect_demotion_is_not_a_failover(self):
         """Reordering replicas around a SUSPECT node is routing, not
         failover: the healthy replica that serves was attempt #1."""
-        cluster, transport = _cluster(suspicion_threshold=2)
+        cluster, transport = _cluster()
         chunks = [_chunk(i, tag="suspect") for i in range(60)]
         cluster.put_many(chunks)
         transport.partition(
@@ -382,7 +381,7 @@ class TestFailoverAccounting:
     def test_snap_back_mid_read_sequence(self):
         """A SUSPECT node recovering mid-sequence serves as primary again
         the moment one probe succeeds, with no spurious failovers."""
-        cluster, transport = _cluster(suspicion_threshold=2)
+        cluster, transport = _cluster()
         chunks = [_chunk(i, tag="snap") for i in range(60)]
         cluster.put_many(chunks)
         transport.partition(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.chunk import Chunk, ChunkType
 from repro.cluster import ALIVE, DEAD, SUSPECT, ClusterStore, LogicalClock
+from repro.cluster.membership import DEAD_THRESHOLD, SUSPICION_THRESHOLD
 from repro.errors import NodeDownError, QuorumWriteError
 from repro.faults import NetworkPlan, PartitionedTransport, RetryPolicy
 
@@ -15,6 +16,12 @@ def _chunk(n: int, size: int = 64) -> Chunk:
 def _cluster(**kwargs) -> ClusterStore:
     kwargs.setdefault("retry", RetryPolicy.instant(attempts=2))
     return ClusterStore(**kwargs)
+
+
+def _suspect_rounds(tick) -> None:
+    """Just enough heartbeat rounds for every missed probe to suspect."""
+    for _ in range(SUSPICION_THRESHOLD):
+        tick()
 
 
 class TestLogicalClock:
@@ -38,23 +45,26 @@ class TestFailureDetector:
         assert detector.suspected() == []
 
     def test_dead_node_decays_to_suspect_then_dead(self):
-        cluster = _cluster(node_count=3, suspicion_threshold=2)
+        cluster = _cluster(node_count=3)
         detector = cluster.failure_detector()
         cluster.kill_node("node-01")
-        detector.probe_round()
-        assert detector.state("node-01") == ALIVE  # one miss is not enough
+        for _ in range(SUSPICION_THRESHOLD - 1):
+            detector.probe_round()
+            assert detector.state("node-01") == ALIVE  # isolated misses are absorbed
         detector.probe_round()
         assert detector.state("node-01") == SUSPECT
-        detector.probe_round()
+        for _ in range(DEAD_THRESHOLD - SUSPICION_THRESHOLD - 1):
+            detector.probe_round()
+            assert detector.state("node-01") == SUSPECT
         detector.probe_round()
         assert detector.state("node-01") == DEAD
         assert detector.suspected() == ["node-01"]
 
     def test_recovery_snaps_back_to_alive(self):
-        cluster = _cluster(node_count=3, suspicion_threshold=1)
+        cluster = _cluster(node_count=3)
         detector = cluster.failure_detector()
         cluster.kill_node("node-02")
-        detector.probe_round()
+        _suspect_rounds(detector.probe_round)
         assert detector.is_suspect("node-02")
         cluster.revive_node("node-02")
         detector.probe_round()
@@ -66,7 +76,7 @@ class TestFailureDetector:
         # drop_rate > 0 loses individual heartbeats; the threshold absorbs
         # them as long as losses are not consecutive enough.
         transport = PartitionedTransport(NetworkPlan(seed=3, drop_rate=0.15))
-        cluster = _cluster(node_count=3, transport=transport, suspicion_threshold=3)
+        cluster = _cluster(node_count=3, transport=transport)
         detector = cluster.failure_detector()
         for _ in range(20):
             detector.probe_round()
@@ -74,13 +84,13 @@ class TestFailureDetector:
 
     def test_partition_is_suspected_per_origin(self):
         transport = PartitionedTransport()
-        cluster = _cluster(node_count=4, transport=transport, suspicion_threshold=2)
+        cluster = _cluster(node_count=4, transport=transport)
         left = cluster.failure_detector("left")
         right = cluster.failure_detector("right")
         transport.partition(
             {"left", "node-00", "node-01"}, {"right", "node-02", "node-03"}
         )
-        for _ in range(3):
+        for _ in range(SUSPICION_THRESHOLD):
             left.probe_round()
             right.probe_round()
         # Split-brain: each side suspects exactly the other side's nodes.
@@ -91,15 +101,6 @@ class TestFailureDetector:
         right.probe_round()
         assert left.suspected() == []
         assert right.suspected() == []
-
-    def test_threshold_validation(self):
-        cluster = _cluster(node_count=2)
-        from repro.cluster import FailureDetector
-
-        with pytest.raises(ValueError):
-            FailureDetector(cluster, suspicion_threshold=0)
-        with pytest.raises(ValueError):
-            FailureDetector(cluster, suspicion_threshold=4, dead_threshold=2)
 
     def test_probe_rounds_are_deterministic(self):
         def run():
@@ -117,14 +118,12 @@ class TestFailureDetector:
 class TestSuspicionRouting:
     def test_writes_route_around_suspected_nodes(self):
         transport = PartitionedTransport()
-        cluster = _cluster(
-            node_count=4, replication=2, transport=transport, suspicion_threshold=1
-        )
+        cluster = _cluster(node_count=4, replication=2, transport=transport)
         chunk = _chunk(1)
         victim = cluster.replica_nodes(chunk.uid)[0].name
         others = {name for name in cluster.nodes if name != victim}
         transport.partition(others | {"client"}, {victim})
-        cluster.tick()  # one round at threshold 1 is enough to suspect
+        _suspect_rounds(cluster.tick)
         assert cluster.failure_detector().is_suspect(victim)
         cluster.put(chunk)
         # The suspected home replica was skipped without burning retries,
@@ -142,14 +141,13 @@ class TestSuspicionRouting:
             replication=2,
             write_quorum=2,
             transport=transport,
-            suspicion_threshold=1,
         )
         chunk = _chunk(2)
         home = [node.name for node in cluster.replica_nodes(chunk.uid)]
         transport.partition(
             {"client"} | {n for n in cluster.nodes if n not in home[:1]}, {home[0]}
         )
-        cluster.tick()
+        _suspect_rounds(cluster.tick)
         cluster.put(chunk)  # would fail quorum without the sloppy extension
         assert cluster.sloppy_writes >= 1
         holders = [n.name for n in cluster.nodes.values() if n.store.has(chunk.uid)]
@@ -173,26 +171,13 @@ class TestSuspicionRouting:
         assert info.value.acked == 1
         assert info.value.required == 2
 
-    def test_heartbeat_interval_probes_in_background(self):
-        transport = PartitionedTransport()
-        cluster = _cluster(
-            node_count=3,
-            transport=transport,
-            heartbeat_interval=5,
-            suspicion_threshold=1,
-        )
-        for i in range(25):
-            cluster.put(_chunk(100 + i))
-        detector = cluster.failure_detector("client")
-        assert detector.rounds >= 4
-
     def test_clients_keep_separate_views(self):
         transport = PartitionedTransport()
-        cluster = _cluster(node_count=2, transport=transport, suspicion_threshold=1)
+        cluster = _cluster(node_count=2, transport=transport)
         a = cluster.client("client-a")
         b = cluster.client("client-b")
         transport.partition({"client-a", "node-00", "node-01"}, {"client-b"})
-        a.tick()
-        b.tick()
+        _suspect_rounds(a.tick)
+        _suspect_rounds(b.tick)
         assert a.failure_detector().suspected() == []
         assert b.failure_detector().suspected() == ["node-00", "node-01"]

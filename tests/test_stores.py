@@ -219,7 +219,3 @@ class TestCachedStore:
         assert NodeCacheStore(InMemoryStore(verify_reads=True), capacity=4).verify_reads
         assert not NodeCacheStore(InMemoryStore(), capacity=4).verify_reads
 
-    def test_verify_reads_explicit_override_wins(self):
-        verifying = InMemoryStore(verify_reads=True)
-        assert not NodeCacheStore(verifying, capacity=4, verify_reads=False).verify_reads
-        assert NodeCacheStore(InMemoryStore(), capacity=4, verify_reads=True).verify_reads
