@@ -253,7 +253,7 @@ def _dispatch(args: argparse.Namespace, engine: ForkBase) -> int:
         return 0
 
     if command == "load-csv":
-        with open(args.csv_path, "r", encoding="utf-8") as handle:
+        with open(args.csv_path, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
         _, report = DataTable.load_csv(
             engine, args.key, text, primary_key=args.pk, branch=args.branch
@@ -266,7 +266,7 @@ def _dispatch(args: argparse.Namespace, engine: ForkBase) -> int:
         table = DataTable(engine, args.key)
         text = table.export_csv(branch=args.branch)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
             print(f"wrote {args.out}")
         else:

@@ -18,12 +18,49 @@ The format is a minimal length-prefixed scheme:
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 from repro.chunk.uid import Uid
 from repro.errors import ChunkEncodingError
 
 _UID_SIZE = 32
+
+#: Single-byte varints, precomputed: lengths and counts below 128 are the
+#: common case, and a table index beats a function call in bulk loops.
+UVARINT_1 = tuple(bytes((value,)) for value in range(0x80))
+
+
+def uvarint_bytes(value: int) -> bytes:
+    """Unsigned LEB128 varint (what :meth:`Writer.uvarint` appends)."""
+    if 0 <= value < 0x80:
+        return UVARINT_1[value]
+    if value < 0:
+        raise ChunkEncodingError(f"uvarint cannot encode negative {value}")
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def blob_rows(columns: Sequence[Sequence[bytes]]) -> Iterator[bytes]:
+    """Rows of length-prefixed fields, built a column at a time.
+
+    Row ``i`` is ``Writer().blob(c[i])`` for each column ``c`` in turn:
+    each column's prefixes come from :data:`UVARINT_1` unless one of its
+    fields is 128 bytes or longer, and one C-level join per row does the
+    rest.
+    """
+    parts: List[Iterable[bytes]] = []
+    for column in columns:
+        lengths = list(map(len, column))
+        prefix = UVARINT_1.__getitem__ if max(lengths, default=0) < 0x80 else uvarint_bytes
+        parts += (map(prefix, lengths), column)
+    return map(b"".join, zip(*parts))
 
 
 class Writer:
@@ -36,18 +73,7 @@ class Writer:
 
     def uvarint(self, value: int) -> "Writer":
         """Append an unsigned LEB128 varint."""
-        if value < 0:
-            raise ChunkEncodingError(f"uvarint cannot encode negative {value}")
-        out = bytearray()
-        while True:
-            byte = value & 0x7F
-            value >>= 7
-            if value:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-        self._parts.append(bytes(out))
+        self._parts.append(uvarint_bytes(value))
         return self
 
     def svarint(self, value: int) -> "Writer":

@@ -31,6 +31,7 @@ from bisect import bisect_left
 from typing import Any, ClassVar, Dict, List, NamedTuple, Optional, Tuple, Type, Union
 
 from repro.chunk import Chunk, ChunkType, Reader, Uid
+from repro.chunk.codec import UVARINT_1, uvarint_bytes
 from repro.errors import ChunkEncodingError
 
 
@@ -64,22 +65,6 @@ class ListIndexEntry(NamedTuple):
         return ListIndexNode
 
 
-def _uvarint_bytes(value: int) -> bytes:
-    """Unsigned LEB128, byte-identical to ``Writer.uvarint``."""
-    if value < 0x80:
-        return bytes((value,))
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            break
-    return bytes(out)
-
-
 def _uvarint_at(data: bytes, pos: int) -> Tuple[int, int]:
     """Decode the varint starting at ``data[pos]``: (value, next position).
 
@@ -103,25 +88,21 @@ def _uvarint_at(data: bytes, pos: int) -> Tuple[int, int]:
 def encode_leaf_entry(entry: LeafEntry) -> bytes:
     """Serialize one record (this is what the leaf-level chunker scans)."""
     key, value = entry
-    return _uvarint_bytes(len(key)) + key + _uvarint_bytes(len(value)) + value
+    return uvarint_bytes(len(key)) + key + uvarint_bytes(len(value)) + value
 
 
 def encode_index_entry(entry: IndexEntry) -> bytes:
     """Serialize one child reference (scanned by the index-level chunker)."""
     return (
-        _uvarint_bytes(len(entry.split_key))
+        uvarint_bytes(len(entry.split_key))
         + entry.split_key
         + entry.child.digest
-        + _uvarint_bytes(entry.count)
+        + uvarint_bytes(entry.count)
     )
 
 
 #: Bytes of a child digest in an index entry.
 _UID_SIZE = 32
-
-#: Single-byte varints, precomputed: lengths/counts < 128 are the common
-#: case and a list index beats a function call in the bulk loops below.
-_UV1 = [bytes((value,)) for value in range(128)]
 
 
 def encode_leaf_entries(entries: List[LeafEntry]) -> List[bytes]:
@@ -131,8 +112,8 @@ def encode_leaf_entries(entries: List[LeafEntry]) -> List[bytes]:
     strings feed the vectorized chunker and, via the nodes' ``encoded``
     parameter, the chunk payloads.
     """
-    uv1 = _UV1
-    uv = _uvarint_bytes
+    uv1 = UVARINT_1
+    uv = uvarint_bytes
     out: List[bytes] = []
     append = out.append
     for key, value in entries:
@@ -147,8 +128,8 @@ def encode_leaf_entries(entries: List[LeafEntry]) -> List[bytes]:
 
 def encode_index_entries(entries: List[IndexEntry]) -> List[bytes]:
     """Bulk per-entry serializations for index levels."""
-    uv1 = _UV1
-    uv = _uvarint_bytes
+    uv1 = UVARINT_1
+    uv = uvarint_bytes
     out: List[bytes] = []
     append = out.append
     for split_key, child, count in entries:
@@ -165,13 +146,13 @@ def encode_index_entries(entries: List[IndexEntry]) -> List[bytes]:
 
 def encode_list_item(item: bytes) -> bytes:
     """Serialize one list element (what the list-leaf chunker scans)."""
-    return _uvarint_bytes(len(item)) + item
+    return uvarint_bytes(len(item)) + item
 
 
 def encode_list_index_entries(entries: List[ListIndexEntry]) -> List[bytes]:
     """Bulk per-entry serializations for positional index levels."""
-    uv1 = _UV1
-    uv = _uvarint_bytes
+    uv1 = UVARINT_1
+    uv = uvarint_bytes
     return [
         child.digest + (uv1[count] if count < 128 else uv(count)) for child, count in entries
     ]
@@ -203,7 +184,7 @@ class EncodedNode:
 
     def _header(self) -> bytes:
         """The payload bytes ahead of the entry stream."""
-        return _uvarint_bytes(len(self.entries))
+        return uvarint_bytes(len(self.entries))
 
     def to_chunk(self) -> Chunk:
         """Encode (cached) into an immutable chunk of this kind's type."""
@@ -329,7 +310,7 @@ class AnyIndexNode(EncodedNode):
         self.level = level
 
     def _header(self) -> bytes:
-        return _uvarint_bytes(self.level) + _uvarint_bytes(len(self.entries))
+        return uvarint_bytes(self.level) + uvarint_bytes(len(self.entries))
 
     @property
     def count(self) -> int:

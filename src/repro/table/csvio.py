@@ -7,23 +7,22 @@ import io
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 
+def read_records(text: str) -> Tuple[List[str], List[List[str]]]:
+    """Parse CSV text into (header, records): blank lines skipped, widths checked."""
+    records = list(csv.reader(io.StringIO(text)))
+    if not records:
+        raise ValueError("empty CSV")
+    header = records.pop(0)
+    for line, values in enumerate(records, start=2):
+        if values and len(values) != len(header):
+            raise ValueError(f"CSV line {line}: expected {len(header)} fields, got {len(values)}")
+    return header, list(filter(None, records))
+
+
 def parse_csv(text: str) -> Tuple[List[str], List[Dict[str, str]]]:
     """Parse CSV text into (header, row dicts)."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
-        raise ValueError("empty CSV")
-    header = rows[0]
-    out: List[Dict[str, str]] = []
-    for line_no, values in enumerate(rows[1:], start=2):
-        if not values:
-            continue
-        if len(values) != len(header):
-            raise ValueError(
-                f"CSV line {line_no}: expected {len(header)} fields, got {len(values)}"
-            )
-        out.append(dict(zip(header, values)))
-    return header, out
+    header, records = read_records(text)
+    return header, [dict(zip(header, values)) for values in records]
 
 
 def render_csv(header: Sequence[str], rows: Iterator[Dict[str, str]]) -> str:
@@ -35,8 +34,3 @@ def render_csv(header: Sequence[str], rows: Iterator[Dict[str, str]]) -> str:
         writer.writerow([row[column] for column in header])
     return buffer.getvalue()
 
-
-def read_csv_file(path: str) -> Tuple[List[str], List[Dict[str, str]]]:
-    """Parse a CSV file from disk."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return parse_csv(handle.read())

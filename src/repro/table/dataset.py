@@ -140,18 +140,17 @@ class DataTable:
         increment the demo displays: large for the first load, tiny for a
         near-duplicate load.
         """
-        header, rows = csvio.parse_csv(csv_text)
+        header, records = csvio.read_records(csv_text)
         schema = Schema.of(header, primary_key)
         mapping: Dict[bytes, bytes] = {SCHEMA_KEY: schema.encode()}
-        for row in rows:
-            mapping[schema.row_key(row)] = schema.encode_row(row)
+        mapping.update(schema.encode_records(records))
         before = engine.store.stats.snapshot()
         value = FMap.from_dict(engine.store, mapping)
         info = engine.put(name, value, branch=branch, message=message)
         delta = engine.store.stats.delta(before)
         report = LoadReport(
             version=info,
-            rows_loaded=len(rows),
+            rows_loaded=len(records),
             logical_bytes=delta.logical_bytes,
             physical_bytes_added=delta.physical_bytes,
             chunks_new=delta.puts_new,

@@ -8,9 +8,11 @@ map layer's deduplication to see row-level redundancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.chunk import Reader, Writer
+from repro.chunk.codec import blob_rows
 from repro.errors import SchemaError
 
 #: Reserved map key holding the serialized schema (sorts before row keys).
@@ -81,10 +83,14 @@ class Schema:
         extra = [column for column in row if column not in self.columns]
         if extra:
             raise SchemaError(f"row has unknown columns: {extra}")
-        writer = Writer()
-        for column in self.columns:
-            writer.text(row[column])
-        return writer.getvalue()
+        return next(self.encode_records([[row[column] for column in self.columns]]))[1]
+
+    def encode_records(self, records: Sequence[Sequence[str]]) -> Iterator[Tuple[bytes, bytes]]:
+        """(row key, encoded row) per record of values in column order, a column at a time."""
+        getters = map(itemgetter, range(len(self.columns)))
+        columns = [list(map(str.encode, map(get, records))) for get in getters]
+        keys = map(ROW_PREFIX.__add__, columns[self.columns.index(self.primary_key)])
+        return zip(keys, blob_rows(columns))
 
     def decode_row(self, data: bytes) -> Dict[str, str]:
         """Parse a row back into a dict."""
