@@ -25,7 +25,7 @@ from repro.db.engine import ForkBase
 from repro.errors import ForkBaseError, MergeConflictError
 from repro.postree.merge import resolve_ours, resolve_theirs
 from repro.security.verify import Verifier
-from repro.store.base import ChunkStore, physical_store
+from repro.store.base import physical_store
 from repro.table.dataset import DataTable
 from repro.vcs.branches import DEFAULT_BRANCH
 
@@ -313,38 +313,9 @@ def _dispatch(args: argparse.Namespace, engine: ForkBase) -> int:
         return 0
 
     if command == "gc":
-        report_obj = None
-        if args.dry_run:
-            from repro.store.gc import collect_garbage
-
-            report_obj = collect_garbage(engine, dry_run=True)
-        elif engine.store.supports_in_place_sweep:
-            # The pack backend sweeps in place and reclaims the dead bytes
-            # by rewriting its own segments — no layout swap needed.
-            report_obj = engine.collect_garbage(compact=True)
-        else:
-            # The file layout reclaims by compaction into a fresh store of
-            # the same kind, then an atomic directory swap.
-            import os
-            import shutil
-
-            from repro.store import FileStore, NodeCacheStore
-            from repro.store.durability import durable_replace
-            from repro.store.gc import compact_into
-
-            new_dir = os.path.join(args.data_dir, "chunks.compact")
-            shutil.rmtree(new_dir, ignore_errors=True)
-            with FileStore(new_dir) as target:
-                report_obj = compact_into(engine, target)
-            engine.store.close()
-            old_dir = os.path.join(args.data_dir, "chunks")
-            shutil.rmtree(old_dir)
-            durable_replace(new_dir, old_dir)
-            # Reopen in the engine's own shape, for a clean close().
-            store: ChunkStore = FileStore(old_dir)
-            if isinstance(engine.store, NodeCacheStore):
-                store = NodeCacheStore(store, capacity=engine.store.node_cache.capacity)
-            engine.store = store
+        # Both durable layouts sweep in place and reclaim the dead bytes
+        # by rewriting their own segments.
+        report_obj = engine.collect_garbage(dry_run=args.dry_run, compact=True)
         print(
             f"live={report_obj.live_chunks} chunks ({report_obj.live_bytes}B), "
             f"reclaimable={report_obj.swept_chunks} chunks "

@@ -161,10 +161,8 @@ class ClusterStore(ChunkStore):
         #: Per-(origin, node, op) service-time statistics, on the transport
         #: clock.  Feeds the hedging threshold and the health report.
         self.latency = LatencyTracker()
-        #: End-to-end read latency in transport ticks (bench percentiles).
+        #: End-to-end read latency in transport ticks (``health_report``).
         self.read_ticks = LatencyStats(window=256)
-        #: Ticks the most recent read took end-to-end (bench sampling).
-        self.last_read_ticks = 0
         #: Per-(origin, node) circuit breakers.  Clocked by the transport,
         #: so the board is disabled (threshold None) without one: with no
         #: ticking clock an OPEN breaker could never cool down to
@@ -828,9 +826,8 @@ class ClusterStore(ChunkStore):
             self._stamp_deadline(error, deadline)
             raise
         finally:
-            self.last_read_ticks = self._now() - started
             if self.transport is not None:
-                self.read_ticks.observe(self.last_read_ticks)
+                self.read_ticks.observe(self._now() - started)
 
     def get_node(self, uid: Uid) -> DecodedNode:
         """A node in decoded form: from the coordinator's cache when this

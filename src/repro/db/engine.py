@@ -969,7 +969,7 @@ class ForkBase:
     def collect_garbage(self, dry_run: bool = False, compact: bool = False):
         """Sweep chunks unreachable from any branch head (see
         :mod:`repro.store.gc`).  ``compact=True`` additionally rewrites a
-        pack-backed store's segments so swept bytes return to the OS."""
+        segmented store's segments so swept bytes return to the OS."""
         from repro.store.gc import collect_garbage
 
         return collect_garbage(self, dry_run=dry_run, compact=compact)

@@ -7,17 +7,17 @@ Layout under the store directory::
 
 Everything about the directory of segments — discovery, the watermarked
 index snapshot, crash recovery, segment roll, the writer's un-ack
-protocol — is :class:`~repro.store.segments.SegmentStore`; this module
-is only what a record looks like and how one is read back.  Records
-carry no checksum and no digest: a scan hashes each payload to recover
-its uid, and cannot tell rot from a garbage tail, so a complete record
-with an unknown tag ends the scan like a tear does.
+protocol, compaction — is :class:`~repro.store.segments.SegmentStore`;
+this module is only what a record looks like and how one is read back.
+Records carry no checksum and no digest: a scan hashes each payload to
+recover its uid, and cannot tell rot from a garbage tail, so a complete
+record with an unknown tag ends the scan like a tear does.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import IO, Optional
+from typing import IO, Optional, Tuple
 
 from repro.chunk import Chunk, Uid
 from repro.errors import ChunkCorruptionError, StoreClosedError, StoreError, map_os_error
@@ -53,6 +53,24 @@ class FileStore(SegmentStore):
         if chunk_type is None:
             return None  # unknown tag: treat as a corruption tail
         return Chunk(chunk_type, payload).uid, _RECORD_HEADER.size + length
+
+    def _record_at(self, location: Tuple[int, ...]) -> bytes:
+        segment, offset = location
+        path = self._segment_path(segment)
+        try:
+            read_check(path)
+            with open(path, "rb") as handle:
+                handle.seek(offset)
+                header = handle.read(_RECORD_HEADER.size)
+                if len(header) != _RECORD_HEADER.size:
+                    raise StoreError(f"torn record at {segment}:{offset}")
+                length = _RECORD_HEADER.unpack(header)[1]
+                payload = handle.read(length)
+        except OSError as exc:
+            raise map_os_error(exc, "read", path) from exc
+        if len(payload) != length:
+            raise StoreError(f"torn record at {segment}:{offset}")
+        return header + payload
 
     def _fetch(self, uid: Uid) -> Optional[Chunk]:
         if self._closed:

@@ -23,7 +23,6 @@ from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import StoreError
 from repro.postree.node import child_uids
 from repro.store.base import ChunkStore, physical_store
-from repro.store.memory import InMemoryStore
 from repro.vcs.fnode import FNode
 
 if TYPE_CHECKING:
@@ -48,11 +47,11 @@ class GcReport:
     swept_chunks: int
     swept_bytes: int
     dry_run: bool
-    #: Pack segments that existed before / survived a segment compaction
+    #: Segments that existed before / survived a segment compaction
     #: (both zero when the backend has no segments or ``compact=False``).
     segments_before: int = 0
     segments_after: int = 0
-    #: On-disk bytes reclaimed by rewriting pack segments.
+    #: On-disk bytes reclaimed by rewriting segments.
     compacted_bytes: int = 0
 
     @property
@@ -88,19 +87,16 @@ def collect_garbage(
 ) -> GcReport:
     """Sweep chunks unreachable from the engine's branch heads.
 
-    In-place sweeping needs a store whose ``delete`` reclaims durably
+    Sweeping needs a store whose ``delete`` reclaims durably
     (``supports_in_place_sweep``): the dict-backed store frees memory
-    immediately, and the pack store drops index entries whose bytes die
-    at the next segment compaction.  The file store shares the pack
-    store's segmented log and durable deletes but has no compaction to
-    reclaim the dead bytes, so it does not claim in-place sweeping: use
-    :func:`compact_into` (copy-live-out) for it instead.
+    immediately, and both segmented layouts drop index entries whose
+    bytes die at the next segment compaction.  A store that lies about
+    its holdings does not claim it, and is refused.
 
-    With ``compact=True``, a pack-backed store additionally rewrites its
-    live records into fresh segments after the sweep and unlinks the dead
+    With ``compact=True``, a segmented store additionally rewrites its
+    live records into fresh segments after the sweep and unlinks the old
     ones, so the report's ``compacted_bytes`` shows actual disk space
-    returned to the OS — the pack-aware reclamation the append-only
-    layout calls for.
+    returned to the OS.
     """
     store = engine.store
     roots = [head for _, _, head in engine.branch_table.all_heads()]
@@ -123,11 +119,8 @@ def collect_garbage(
             swept_bytes += chunk.size()
 
     if not dry_run and doomed:
-        if not (store.supports_in_place_sweep or isinstance(store, InMemoryStore)):
-            raise StoreError(
-                "in-place sweep requires a store with durable deletes; "
-                "use compact_into()"
-            )
+        if not store.supports_in_place_sweep:
+            raise StoreError("in-place sweep requires a store with durable deletes")
         for uid in doomed:
             # Delete through the top of the stack so cache layers evict.
             store.delete(uid)
@@ -160,33 +153,3 @@ def collect_garbage(
         compacted_bytes=compacted_bytes,
     )
 
-
-def compact_into(
-    engine: Engine, target: ChunkStore, extra_roots: Iterable[Uid] = ()
-) -> GcReport:
-    """Copy every live chunk into ``target`` (append-only reclamation).
-
-    The engine keeps working against its old store; callers swap stores
-    (or reopen) once compaction finishes — the same offline-compaction
-    pattern log-structured stores use.
-    """
-    store = engine.store
-    roots = [head for _, _, head in engine.branch_table.all_heads()]
-    roots.extend(extra_roots)
-    live = mark_live(store, roots)
-
-    live_bytes = 0
-    for uid in live:
-        chunk = store.get_maybe(uid)
-        if chunk is not None:
-            target.put(chunk)
-            live_bytes += chunk.size()
-
-    total_bytes = store.physical_size()
-    return GcReport(
-        live_chunks=len(live),
-        live_bytes=live_bytes,
-        swept_chunks=max(0, len(store.ids()) - len(live)),
-        swept_bytes=max(0, total_bytes - live_bytes),
-        dry_run=True,  # the source store is untouched
-    )

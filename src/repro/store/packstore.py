@@ -29,10 +29,12 @@ indexing-structure survey (arXiv:2003.02090) shows matter at scale:
 - **An in-RAM uid index**: ``has()`` and every miss are one dict probe
   on the uid's precomputed hash — no disk.
 
-Deletes drop the index entry (durable at the next index snapshot, exactly
-like FileStore); dead bytes are reclaimed by :meth:`PackStore.compact_segments`,
-which rewrites live records into fresh segments and unlinks the old ones —
-the pack-aware sweep :mod:`repro.store.gc` drives.
+Deletes and compaction are the segment store's, exactly as for
+FileStore: a delete drops the index entry (durable at the next index
+snapshot), and :meth:`~repro.store.segments.SegmentStore.compact_segments`
+copies live records verbatim into fresh segments and unlinks the old
+ones.  A pack store also counts what its deletes left dead
+(:meth:`PackStore.dead_space`) until the next compaction.
 """
 
 from __future__ import annotations
@@ -41,20 +43,17 @@ import mmap
 import os
 import struct
 import zlib
-from typing import IO, Dict, List, Optional, Tuple
+from typing import IO, Dict, Optional, Tuple
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import (
     ChunkCorruptionError,
-    DiskFaultError,
-    DiskFullError,
     StoreClosedError,
     StoreError,
     TransientStoreError,
     map_os_error,
 )
-from repro.faults.crash import crashpoint
-from repro.store.durability import fsync_dir, read_check
+from repro.store.durability import read_check
 from repro.store.segments import TAG_TO_TYPE, Parsed, SegmentStore
 
 try:  # optional accelerator: per-record zstd compression
@@ -88,8 +87,6 @@ COMPRESSION_POLICIES = ("auto", "zstd", "zlib", "none")
 
 class PackStore(SegmentStore):
     """Durable chunk store over compressed, CRC-framed pack files."""
-
-    supports_in_place_sweep = True
 
     _SEGMENT_DIR = "packs"
     _SEGMENT_STEM = "pack"
@@ -249,23 +246,6 @@ class PackStore(SegmentStore):
             return f"unknown tag {tag}"
         return Uid(digest), _FRAME_SIZE + stored_len
 
-    def _drop_leftovers(self, watermarks: Dict[int, int]) -> None:
-        """Finish a compaction that died between its snapshot and its unlinks.
-
-        A segment file *below* the newest watermarked segment that the
-        snapshot does not track had its live records rewritten, and the
-        snapshot saying so is durable: finishing the unlink is safe.
-        Files *above* it post-date the snapshot and are scanned from zero.
-        """
-        newest = max(watermarks)
-        survivors: List[int] = []
-        for segment in self._segments:
-            if segment not in watermarks and segment < newest:
-                self._drop_segment_file(segment)
-            else:
-                survivors.append(segment)
-        self._segments = survivors
-
     # -- mmap read path ------------------------------------------------------
 
     def _view(self, segment: int, offset: int, length: int) -> bytes:
@@ -314,12 +294,10 @@ class PackStore(SegmentStore):
         mapped = self._maps.pop(segment, None)
         if mapped is not None:
             mapped.close()
-        try:
-            os.remove(self._segment_path(segment))
-        except FileNotFoundError:
-            pass  # already gone: unlink is idempotent across crashes
-        except OSError as exc:
-            raise map_os_error(exc, "unlink", self._segment_path(segment)) from exc
+        super()._drop_segment_file(segment)
+
+    def _record_at(self, location: Tuple[int, ...]) -> bytes:
+        return self._view(*location)
 
     # -- primitives ----------------------------------------------------------
 
@@ -380,10 +358,6 @@ class PackStore(SegmentStore):
         """(records, bytes) deleted but not yet compacted away."""
         return self._dead_records, self._dead_bytes
 
-    def disk_size(self) -> int:
-        """Bytes currently occupied on disk by pack segments."""
-        return sum(self._segment_size(segment) for segment in self._segments)
-
     def physical_size(self) -> int:
         """Total *logical* payload bytes currently indexed (pre-compression)."""
         total = 0
@@ -395,63 +369,8 @@ class PackStore(SegmentStore):
     # -- compaction ----------------------------------------------------------
 
     def compact_segments(self) -> Dict[str, int]:
-        """Rewrite live records into fresh segments; unlink dead ones.
-
-        Records are copied verbatim (no recompression), so uids, codecs,
-        and CRCs are preserved bit-for-bit.  The new index snapshot is
-        durable *before* the old segments are unlinked; a crash anywhere
-        in between leaves either the old layout (new segments are simply
-        rescanned or cleaned) or the new one — never data loss.
-        """
-        self._check_writer()
-        old_segments = list(self._segments)
-        bytes_before = self.disk_size()
-        # Establish a durable floor before retiring the old log.
-        old_end = self._log.size
-        self._log.close("compact-prep")
-
-        ordered = sorted(self._index.items(), key=lambda kv: (kv[1][0], kv[1][1]))
-        next_segment = self._active + 1
-        new_segments: List[int] = [next_segment]
-        log = self._open_log(next_segment, 0)
-        new_index: Dict[Uid, Tuple[int, ...]] = {}
-        try:
-            for uid, (segment, offset, length) in ordered:
-                record = self._view(segment, offset, length)
-                if log.size >= self._segment_limit:
-                    log.close("")
-                    next_segment += 1
-                    new_segments.append(next_segment)
-                    log = self._open_log(next_segment, 0)
-                position = log.append(record, f"compact:{uid.short()}")
-                new_index[uid] = (next_segment, position, length)
-                self.stats.record_io(written=length)
-            crashpoint(self._FSYNC_KIND, "compact")
-            log.sync()
-            fsync_dir(self._seg_dir)
-        except (DiskFullError, DiskFaultError):
-            # The old layout is untouched on disk: drop the half-built
-            # segments and resume appending to the old active one.
-            log.abandon()
-            for segment in new_segments:
-                self._drop_segment_file(segment)
-            self._log = self._open_log(self._active, old_end)
-            raise
-
-        self._index = new_index
-        self._segments = new_segments
-        self._active = new_segments[-1]
-        self._log = log
-        self._save_index()
-        # The snapshot no longer references the old segments: unlink them.
-        for segment in old_segments:
-            self._drop_segment_file(segment)
+        # Every dead record was dropped with its old segment.
+        outcome = super().compact_segments()
         self._dead_records = 0
         self._dead_bytes = 0
-        return {
-            "segments_before": len(old_segments),
-            "segments_after": len(new_segments),
-            "bytes_before": bytes_before,
-            "bytes_after": self.disk_size(),
-            "live_records": len(self._index),
-        }
+        return outcome

@@ -21,11 +21,17 @@ import struct
 from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.chunk import Chunk, ChunkType, Uid
-from repro.errors import ChunkCorruptionError, StoreClosedError, map_os_error
+from repro.errors import (
+    ChunkCorruptionError,
+    DiskFaultError,
+    DiskFullError,
+    StoreClosedError,
+    map_os_error,
+)
 from repro.faults.crash import crashing_write, crashpoint, labels_observed
 from repro.store.appendlog import AppendLog
 from repro.store.base import ChunkStore
-from repro.store.durability import durable_replace, fsync_file
+from repro.store.durability import durable_replace, fsync_dir, fsync_file
 
 _COUNTS = struct.Struct(">QQ")  # index entries, watermarked segments
 _WATERMARK = struct.Struct(">IQ")  # segment number, indexed length
@@ -46,9 +52,10 @@ class SegmentStore(ChunkStore):
     Owns segment discovery, the watermarked snapshot (staleness rules,
     watermark-resume scan, rebuild, durable save), the scan loop, opening
     the :class:`~repro.store.appendlog.AppendLog` only after recovery,
-    segment roll, un-ack after a poison, and ``close`` / ``abandon``.  A
-    format supplies the class attributes below and three methods:
-    :meth:`_encode_record`, :meth:`_parse_record` and ``_fetch``.
+    segment roll, un-ack after a poison, compaction, and ``close`` /
+    ``abandon``.  A format supplies the class attributes below and four
+    methods: :meth:`_encode_record`, :meth:`_parse_record`,
+    :meth:`_record_at` and ``_fetch``.
     ``_index`` maps a uid to its entry's fields after the digest:
     ``(segment, offset)``, plus the record length where the format
     persists it (``_LOCATION_FIELDS``).
@@ -65,8 +72,10 @@ class SegmentStore(ChunkStore):
       cannot tell rot from a garbage tail and returns ``None``.
     - A snapshot with no watermark table is rejected, and index and
       scan reads are counted in ``stats``, for both.
-    - Only a format that compacts ever unlinks a segment file
-      (:meth:`_drop_leftovers`); the default scans whatever it finds.
+    - Both compact the same way (:meth:`compact_segments`: live
+      records copied verbatim into fresh segments, snapshot, unlink),
+      so both finish a compaction that died before its unlinks
+      (:meth:`_drop_leftovers`).
     - The snapshot is written through the disk seam for both; which of
       its steps are crash boundaries is the format's ``_INDEX_KINDS``.
     """
@@ -88,6 +97,10 @@ class SegmentStore(ChunkStore):
     _WRITE_KIND: Optional[str] = None
     _FSYNC_KIND: Optional[str] = None
     _INDEX_KINDS: Tuple[Optional[str], Optional[str], Optional[str]] = (None, None, None)
+
+    # Deletes drop index entries durably (the watermark table keeps them
+    # from being rescanned) and compaction returns the bytes.
+    supports_in_place_sweep = True
 
     def __init__(
         self,
@@ -150,12 +163,9 @@ class SegmentStore(ChunkStore):
         """Read the record at ``handle``'s position: record | tear | rot."""
         raise NotImplementedError
 
-    def _drop_leftovers(self, watermarks: Dict[int, int]) -> None:
-        """Reconcile ``_segments`` with an accepted snapshot's table.
-
-        The default keeps every file: one the snapshot does not track is
-        scanned from zero — a store that never compacts never unlinks.
-        """
+    def _record_at(self, location: Tuple[int, ...]) -> bytes:
+        """The stored bytes of the whole record an index entry points at."""
+        raise NotImplementedError
 
     def _release(self) -> None:
         """Drop read-side OS resources (a format that keeps none: no-op)."""
@@ -177,6 +187,23 @@ class SegmentStore(ChunkStore):
         for segment in self._segments:
             end = self._scan_segment(segment, start=watermarks.get(segment, 0))
         return end
+
+    def _drop_leftovers(self, watermarks: Dict[int, int]) -> None:
+        """Finish a compaction that died between its snapshot and its unlinks.
+
+        A segment file *below* the newest watermarked segment that the
+        snapshot does not track had its live records rewritten, and the
+        snapshot saying so is durable: finishing the unlink is safe.
+        Files *above* it post-date the snapshot and are scanned from zero.
+        """
+        newest = max(watermarks)
+        survivors: List[int] = []
+        for segment in self._segments:
+            if segment not in watermarks and segment < newest:
+                self._drop_segment_file(segment)
+            else:
+                survivors.append(segment)
+        self._segments = survivors
 
     def _read_snapshot(self) -> Optional[Dict[int, int]]:
         """Fill ``_index`` from the snapshot; return its watermark table."""
@@ -358,11 +385,84 @@ class SegmentStore(ChunkStore):
         crashpoint(self._FSYNC_KIND, "sync")
         self._log.sync("sync")
 
+    def _drop_segment_file(self, segment: int) -> None:
+        path = self._segment_path(segment)
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass  # already gone: unlink is idempotent across crashes
+        except OSError as exc:
+            raise map_os_error(exc, "unlink", path) from exc
+
+    def disk_size(self) -> int:
+        """Bytes currently occupied on disk by segment files."""
+        return sum(self._segment_size(segment) for segment in self._segments)
+
+    def compact_segments(self) -> Dict[str, int]:
+        """Rewrite live records into fresh segments; unlink dead ones.
+
+        Records are copied verbatim (no re-encoding), so uids, codecs,
+        and CRCs are preserved bit-for-bit.  The new index snapshot is
+        durable *before* the old segments are unlinked; a crash anywhere
+        in between leaves either the old layout (new segments are simply
+        rescanned or cleaned) or the new one — never data loss.
+        """
+        self._check_writer()
+        old_segments = list(self._segments)
+        bytes_before = self.disk_size()
+        # Establish a durable floor before retiring the old log.
+        old_end = self._log.size
+        self._log.close("compact-prep")
+
+        ordered = sorted(self._index.items(), key=lambda kv: (kv[1][0], kv[1][1]))
+        next_segment = self._active + 1
+        new_segments: List[int] = [next_segment]
+        log = self._open_log(next_segment, 0)
+        new_index: Dict[Uid, Tuple[int, ...]] = {}
+        try:
+            for uid, location in ordered:
+                record = self._record_at(location)
+                if log.size >= self._segment_limit:
+                    log.close("")
+                    next_segment += 1
+                    new_segments.append(next_segment)
+                    log = self._open_log(next_segment, 0)
+                position = log.append(record, f"compact:{uid.short()}")
+                new_index[uid] = (next_segment, position, len(record))[: self._LOCATION_FIELDS]
+                self.stats.record_io(written=len(record))
+            crashpoint(self._FSYNC_KIND, "compact")
+            log.sync()
+            fsync_dir(self._seg_dir)
+        except (DiskFullError, DiskFaultError):
+            # The old layout is untouched on disk: drop the half-built
+            # segments and resume appending to the old active one.
+            log.abandon()
+            for segment in new_segments:
+                self._drop_segment_file(segment)
+            self._log = self._open_log(self._active, old_end)
+            raise
+
+        self._index = new_index
+        self._segments = new_segments
+        self._active = new_segments[-1]
+        self._log = log
+        self._save_index()
+        # The snapshot no longer references the old segments: unlink them.
+        for segment in old_segments:
+            self._drop_segment_file(segment)
+        return {
+            "segments_before": len(old_segments),
+            "segments_after": len(new_segments),
+            "bytes_before": bytes_before,
+            "bytes_after": self.disk_size(),
+            "live_records": len(self._index),
+        }
+
     def _contains(self, uid: Uid) -> bool:
         return uid in self._index
 
     def _delete(self, uid: Uid) -> bool:
-        """Drop the index entry; segment bytes are reclaimed by compaction.
+        """Drop the index entry; :meth:`compact_segments` reclaims the bytes.
 
         Durable across reopen once an index snapshot lands (batch put,
         compaction, or close): the watermark table keeps an unindexed

@@ -1,12 +1,18 @@
 """Tests for mark-and-sweep garbage collection (repro.store.gc)."""
 
+import shutil
+
 import pytest
 
+from repro.api import cli
 from repro.db import ForkBase
+from repro.db.engine import HEALTH_HEALTHY
 from repro.errors import StoreError
+from repro.faults import FsFaultPlan, fs_zone
+from repro.faults.fs import TARGETED_FLAVORS
 from repro.security import Verifier
-from repro.store import FileStore, InMemoryStore
-from repro.store.gc import collect_garbage, compact_into, mark_live
+from repro.store import physical_store
+from repro.store.gc import collect_garbage, mark_live
 
 
 @pytest.fixture
@@ -101,32 +107,93 @@ class TestCollect:
         assert engine.store.has(pinned)
         assert report.swept_chunks < report_dry.swept_chunks
 
-    def test_in_place_sweep_requires_memory_store(self, tmp_path):
-        # Pinned: the file backend is the one that cannot sweep in place.
-        engine = ForkBase.open(str(tmp_path / "db"), backend="file")
-        engine.put("k", "v")
-        engine.put("dead", "x")
-        engine.delete_branch("dead", "master")
-        with pytest.raises(StoreError):
-            collect_garbage(engine)
-        engine.close()
+
+def _durable_engine_with_garbage(directory, backend):
+    engine = ForkBase.open(directory, backend=backend)
+    engine.put("keep", {f"k{i:03d}": "v" for i in range(500)})
+    engine.put("doomed", {f"d{i:03d}": "x" * 50 for i in range(500)})
+    engine.delete_branch("doomed", "master")
+    return engine
 
 
 class TestCompaction:
-    def test_compact_copies_only_live(self, engine_with_garbage):
-        engine = engine_with_garbage
-        target = InMemoryStore()
-        report = compact_into(engine, target)
-        assert len(target) == report.live_chunks
-        assert len(target) < len(engine.store)
-        # The compacted store serves the live data.
-        compacted = ForkBase(store=target, clock=lambda: 0.0)
-        compacted.branch_table = engine.branch_table
-        assert compacted.get_value("keep")[b"k000"] == b"v"
-        assert Verifier(target).verify_version(engine.head("keep")).ok
+    def test_compact_copies_only_live(self, tmp_path):
+        for backend in ("file", "pack"):
+            directory = str(tmp_path / backend)
+            with _durable_engine_with_garbage(directory, backend) as engine:
+                report = collect_garbage(engine, compact=True)
+                assert report.swept_chunks > 0
+                assert len(engine.store) == report.live_chunks
+                keep = engine.head("keep")
+            # The compacted layout alone serves the live data after reopen.
+            with ForkBase.open(directory) as reopened:
+                assert set(reopened.store.ids()) == mark_live(reopened.store, [keep])
+                assert reopened.get_value("keep")[b"k000"] == b"v"
+                assert Verifier(reopened.store).verify_version(keep).ok
 
-    def test_compact_to_file_store(self, engine_with_garbage, tmp_path):
-        engine = engine_with_garbage
-        with FileStore(str(tmp_path / "compact")) as target:
-            compact_into(engine, target)
-            assert Verifier(target).verify_version(engine.head("keep")).ok
+    def test_compact_to_file_store(self, tmp_path):
+        # The default file layout sweeps and compacts in place, as pack does.
+        directory = str(tmp_path / "db")
+        with _durable_engine_with_garbage(directory, "file") as engine:
+            segments = physical_store(engine.store)
+            before = segments.disk_size()
+            report = collect_garbage(engine, compact=True)
+            assert report.compacted_bytes == before - segments.disk_size() > 0
+            assert (tmp_path / "db" / "chunks" / "segments").is_dir()
+            assert not (tmp_path / "db" / "chunks.compact").exists()
+            assert Verifier(engine.store).verify_version(engine.head("keep")).ok
+
+
+def _heads(engine):
+    return {(key, branch): head for key, branch, head in engine.branch_table.all_heads()}
+
+
+class TestGcUnderDiskFaults:
+    """``forkbase gc`` on a default directory, faulted at each disk boundary.
+
+    Census first (an all-zero plan lists every write / fsync / read /
+    replace boundary the command crosses), then one run per boundary
+    with exactly that boundary faulted.  Whatever the command reports,
+    the directory must reopen healthy with every head verifying and
+    reading back: gc may fail, but it may not lose a live chunk.
+    """
+
+    @pytest.fixture(scope="class")
+    def populated(self, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("gc-faults") / "db")
+        with ForkBase.open(directory) as engine:
+            for n in range(20):
+                engine.put(f"k{n % 4}", {"n": str(n), "pad": "x" * 40})
+            engine.put("dead", {"gone": "y" * 40})
+            engine.delete_branch("dead", "master")
+            values = {key: engine.get_value(key) for key in engine.keys()}
+            heads = _heads(engine)
+        return directory, heads, values
+
+    def _gc(self, source, directory, plan):
+        shutil.copytree(source, directory)
+        with fs_zone(plan) as shim:
+            try:
+                cli.main(["--data-dir", directory, "gc"])
+            except StoreError:
+                pass  # faults in open() and close() escape main's handler
+        return shim
+
+    def test_every_boundary_keeps_every_head(self, populated, tmp_path):
+        source, heads, values = populated
+        census = list(self._gc(source, str(tmp_path / "census"), FsFaultPlan()).trace)
+        assert {hit.kind for hit in census} == {"write", "fsync", "read", "replace"}
+        for hit in census:
+            flavors = TARGETED_FLAVORS[hit.kind]
+            flavor = flavors[hit.index % len(flavors)]
+            directory = str(tmp_path / f"b{hit.index}")
+            shim = self._gc(source, directory, FsFaultPlan(fail_at=hit.index, flavor=flavor))
+            context = f"boundary {hit.index} ({hit.kind}/{flavor} {hit.label})"
+            assert shim.false_fsyncs == 0, context
+            with ForkBase.open(directory) as recovered:
+                assert recovered.health().state == HEALTH_HEALTHY, context
+                assert _heads(recovered) == heads, context
+                for key, branch in heads:
+                    assert recovered.verify(key, branch).ok, context
+                    assert recovered.get_value(key, branch=branch) == values[key], context
+            shutil.rmtree(directory)

@@ -17,7 +17,7 @@ from repro.chunk.codec import blob_rows, uvarint_bytes
 from repro.db import ForkBase
 from repro.errors import ChunkEncodingError, SchemaError
 from repro.table import DataTable, Schema
-from repro.table.csvio import parse_csv
+from repro.table.csvio import parse_csv, render_csv
 from repro.table.dataset import LoadReport
 from repro.table.schema import ROW_PREFIX, SCHEMA_KEY
 from repro.types import FMap
@@ -116,6 +116,15 @@ class TestImportParity:
         _, rows = parse_csv(text)
         assert rows[2]["note"] == "line one\r\nline two"
 
+    def test_lone_carriage_return_round_trips(self):
+        rows = [{"id": "1", "v": "a\rb"}, {"id": "2", "v": "plain"}]
+        text = render_csv(["id", "v"], iter(rows))
+        assert text == 'id,v\n1,"a\rb"\n2,plain\n'
+        assert parse_csv(text) == (["id", "v"], rows)
+        assert_matches_reference(text)
+        # One column: the line is still a one-field record.
+        assert render_csv(["id"], iter([{"id": "x\ry"}])) == 'id\n"x\ry"\n'
+
     def test_blank_lines_skipped(self):
         report = assert_matches_reference("id,note\n\n1,a\n\n\n2,b\n")
         assert report.rows_loaded == 2
@@ -145,7 +154,7 @@ class TestImportParity:
 
 CELLS = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12
-) | st.sampled_from(["", "x" * 130, ",", '"', "\r\n"])
+) | st.sampled_from(["", "x" * 130, ",", '"', "\r\n", "\r", "a\rb"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,11 +162,10 @@ CELLS = st.text(
 def test_random_tables_match_reference(width, data):
     header = [f"c{index}" for index in range(width)]
     rows = data.draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=12))
-    # The default "\r\n" terminator quotes any cell holding "\r";
-    # render_csv's "\n" leaves a lone "\r" bare, which no reader accepts.
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows([header, *rows])
-    text = buffer.getvalue()
+    # Written as an export writes it, so the import reads what export wrote.
+    dicts = [dict(zip(header, values)) for values in rows]
+    text = render_csv(header, iter(dicts))
+    assert parse_csv(text) == (header, dicts)
     primary_key = header[data.draw(st.integers(0, width - 1))]
     assert_matches_reference(text, primary_key)
 
