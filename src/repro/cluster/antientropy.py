@@ -15,11 +15,14 @@ equal holdings; a diff descends only through differing interior nodes and
 returns exactly the differing buckets.
 
 ``sync``/``anti_entropy_pass`` then ship **only the missing or rotten
-chunks**: building a node's *index* re-reads and re-hashes each local
-copy (reusing the scrubber's wire-vs-disk discrimination), so a rotted
-replica drops out of its node's index, shows up as a differing bucket,
-and gets re-shipped from a healthy peer — O(divergence) transfers, not
-O(N).  The *trees* are not rebuilt from that index: one
+chunks**: building a node's *index* re-hashes every local copy on every
+pass, so a rotted replica drops out of its node's index, shows up as a
+differing bucket, and gets re-shipped from a healthy peer —
+O(divergence) transfers, not O(N).  The node's store does the
+re-hashing in one scan (``ChunkStore.verify_holdings``: one SHA-256 per
+copy on the in-memory node store, one verified read per copy through
+any wrapper), and only the copies that fail it get the scrubber's
+wire-vs-disk re-read.  The *trees* are not rebuilt from that index: one
 :class:`ReplicaDigests` per cluster carries them (and the ring placement
 of every held uid) from pass to pass and folds in only what the fresh
 index says changed, so digest maintenance costs O(changed · depth).
@@ -34,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.chunk import Chunk, Uid
 from repro.cluster.ring import POSITION_BITS, HashRing, ring_position
-from repro.errors import StoreError, TransientError
+from repro.errors import TransientError
 from repro.faults import kernel
 from repro.store.scrub import diagnose_copy
 
@@ -237,42 +240,39 @@ def build_valid_index(
     node: "StorageNode",
     report: Optional[SyncReport] = None,
     quarantine: bool = True,
-) -> Set[Uid]:
-    """Every uid on ``node`` whose bytes re-hash to their address.
+) -> Tuple[Set[Uid], List[Uid]]:
+    """Every uid on ``node`` whose bytes re-hash to their address, plus
+    the listed uids left out of that index (in listing order).
 
-    Reuses the scrubber's wire-vs-disk discrimination: a first-read
-    mismatch is re-read once, so transient wire corruption does not get a
-    healthy copy quarantined.  With ``quarantine`` (the default), copies
-    that are rotten *on disk* are dropped on the spot — they re-enter the
-    store via the transfer phase, from a peer whose copy verifies.
+    The node's store re-hashes every copy it lists in one scan
+    (:meth:`~repro.store.base.ChunkStore.verify_holdings`); only the
+    suspects it returns go through the scrubber's wire-vs-disk
+    discrimination: a first-read mismatch is re-read once, so transient
+    wire corruption does not get a healthy copy quarantined.  With
+    ``quarantine`` (the default), copies that are rotten *on disk* are
+    dropped on the spot — they re-enter the store via the transfer phase,
+    from a peer whose copy verifies.
     """
     report = report if report is not None else SyncReport()
-    valid: Set[Uid] = set()
-    for uid in list(node.store.ids()):
-        report.copies_verified += 1
-        # Fast path: one direct read plus one re-hash covers the healthy
-        # majority of copies; anything anomalous falls through to the
-        # scrubber's careful retry-and-re-read discrimination below.
-        try:
-            fast = node.store.get_maybe(uid)
-        except StoreError:
-            fast = None
-        if fast is not None and fast.is_valid():
-            valid.add(uid)
-            continue
+    valid, suspects = node.store.verify_holdings()
+    report.copies_verified += len(valid) + len(suspects)
+    rejected: List[Uid] = []
+    for uid in suspects:
         status, _, resolved = diagnose_copy(node.store, uid, retry=cluster.retry)
         if resolved:
             report.wire_mismatches += 1
         if status == "ok":
             valid.add(uid)
-        elif status == "corrupt":
+            continue
+        rejected.append(uid)
+        if status == "corrupt":
             if quarantine:
                 node.drop(uid)
                 report.rotten_quarantined += 1
         elif status == "unreadable":
             report.unreadable += 1
         # "missing" (listed but no bytes) simply stays out of the index.
-    return valid
+    return valid, rejected
 
 
 def node_index(
@@ -295,7 +295,7 @@ def node_index(
     claimed = getattr(node.store, "claimed_ids", None)
     if callable(claimed):
         return set(claimed()), True
-    return build_valid_index(cluster, node, report, quarantine), False
+    return build_valid_index(cluster, node, report, quarantine)[0], False
 
 
 def _audit_draw(seed: int, node: str, uid: Uid) -> float:

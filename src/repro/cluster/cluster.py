@@ -1201,8 +1201,7 @@ class ClusterStore(ChunkStore):
         re-earns its quarantine.
         """
         node = self.nodes[name]
-        verified = build_valid_index(self, node, quarantine=False)
-        dropped = [uid for uid in node.store.ids() if uid not in verified]
+        _, dropped = build_valid_index(self, node, quarantine=False)
         for uid in dropped:
             node.drop(uid)
         if dropped:
@@ -1240,7 +1239,7 @@ class ClusterStore(ChunkStore):
         live = self.trusted_nodes()
         holdings: Dict[str, Set[Uid]] = {
             node.name: (
-                build_valid_index(self, node, quarantine=False)
+                build_valid_index(self, node, quarantine=False)[0]
                 if verify
                 else set(node.store.ids())
             )

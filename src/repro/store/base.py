@@ -11,7 +11,7 @@ import weakref
 from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.chunk import Chunk, Uid
-from repro.errors import ChunkNotFoundError
+from repro.errors import ChunkNotFoundError, StoreError
 from repro.store.stats import StoreStats
 
 
@@ -126,6 +126,30 @@ class ChunkStore:
     def has(self, uid: Uid) -> bool:
         """True if the chunk is materialized here."""
         return self._contains(uid)
+
+    def verify_holdings(self) -> Tuple[Set[Uid], List[Uid]]:
+        """Re-hash every listed copy once: ``(valid uids, suspect uids)``.
+
+        A suspect is a copy whose first read failed with a
+        :class:`StoreError`, found no bytes, or did not hash to its uid;
+        suspects keep the listing's order.  Telling rot from a wire
+        mismatch or a transient error is the caller's re-read
+        (:func:`~repro.store.scrub.diagnose_copy`).  This default spends
+        one :meth:`get_maybe` per copy, so a wrapper's faults act per
+        read here exactly as for any other reader.
+        """
+        valid: Set[Uid] = set()
+        suspects: List[Uid] = []
+        for uid in self.ids():
+            try:
+                chunk = self.get_maybe(uid)
+            except StoreError:
+                chunk = None
+            if chunk is not None and chunk.is_valid():
+                valid.add(uid)
+            else:
+                suspects.append(uid)
+        return valid, suspects
 
     # -- the node I/O seam -----------------------------------------------------
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.chunk import Chunk, Uid
+from repro.chunk.chunk import split_valid
 from repro.store.base import ChunkStore
 
 
@@ -31,6 +32,21 @@ class InMemoryStore(ChunkStore):
 
     def _delete(self, uid: Uid) -> bool:
         return self._chunks.pop(uid, None) is not None
+
+    def verify_holdings(self) -> Tuple[Set[Uid], List[Uid]]:
+        """One SHA-256 per copy over a snapshot of the dict, no read each.
+
+        Counts the gets and served bytes that one :meth:`get_maybe` per
+        copy would have.  A verifying store, and a subclass that reads
+        through its own ``_fetch``, take the per-read default instead.
+        """
+        if self.verify_reads or type(self)._fetch is not InMemoryStore._fetch:
+            return super().verify_holdings()
+        held = dict(self._chunks)
+        valid, suspects, served = split_valid(held)
+        self.stats.gets += len(held)
+        self.stats.served_bytes += served
+        return valid, suspects
 
     def __len__(self) -> int:
         return len(self._chunks)

@@ -17,13 +17,17 @@ from repro.cluster import (
     sync,
 )
 from repro.cluster.ring import POSITION_BITS, HashRing
+from repro.errors import TransientStoreError
 from repro.faults import (
     ByzantinePlan,
+    InterposedStore,
     NetworkPlan,
     PartitionedTransport,
     RetryPolicy,
+    TamperingStore,
     make_byzantine,
 )
+from repro.store.base import physical_store
 
 
 def _chunk(n: int, size: int = 64) -> Chunk:
@@ -380,6 +384,101 @@ class TestWorkBound:
         assert digests_agree(cluster)
         check = cluster.durability_check()
         assert check["lost"] == 0 and check["single"] == 0
+
+
+class TestEveryCopyEveryPass:
+    """The contract a cheaper pass must keep: one pass re-hashes every
+    copy every node lists, so it finds every rotten copy that pass — not
+    a sample of them, and not on a later scrub's cadence."""
+
+    CHUNKS = 2000
+
+    def test_one_pass_finds_every_rotten_copy(self):
+        cluster = _cluster(node_count=4, replication=3)
+        chunks = [_chunk(i) for i in range(self.CHUNKS)]
+        for chunk in chunks:
+            cluster.put(chunk)
+        anti_entropy_pass(cluster)  # warm: the pass below keeps digest state
+        total = cluster.total_replica_count()
+        assert total == 3 * self.CHUNKS
+        tampering = TamperingStore.install(cluster.nodes["node-02"])
+        rotten = []
+        # In place, on one replica of each of 24 chunks, spread over all
+        # four nodes' dict stores (node-02's under the wrapper).
+        for n, chunk in enumerate(sorted(chunks, key=lambda c: c.uid)[:24]):
+            node = cluster.replica_nodes(chunk.uid)[n % 3]
+            held = physical_store(node.store)._chunks
+            held[chunk.uid] = Chunk(chunk.type, b"ROT" + chunk.data, uid=chunk.uid)
+            rotten.append((node.name, chunk.uid))
+        assert len({name for name, _ in rotten}) == 4
+        # Through the wrapper: flipped bytes and replayed content.
+        spared = sorted(set(tampering.ids()) - {uid for _, uid in rotten})
+        for uid in spared[:4]:
+            tampering.flip_byte(uid, 5)
+            rotten.append(("node-02", uid))
+        for uid, donor in zip(spared[4:8], spared[8:12]):
+            tampering.substitute(uid, donor)
+            rotten.append(("node-02", uid))
+
+        report = anti_entropy_pass(cluster)
+        assert report.copies_verified == total
+        assert report.rotten_quarantined == len(rotten) == 32
+        assert report.wire_mismatches == 0 and report.unreadable == 0
+        assert report.chunks_transferred == len(rotten)
+        for name, uid in rotten:
+            got = cluster.nodes[name].store.get_maybe(uid)
+            assert got is not None and got.is_valid()
+        assert cluster.total_replica_count() == total
+        assert digests_agree(cluster)
+
+
+class _ListsWhatItCannotServe(InterposedStore):
+    """Lists uids it holds no bytes for, fails every read of some held
+    uids transiently, and counts how often it is listed."""
+
+    def __init__(self, backing, phantoms, unreadable):
+        super().__init__(backing)
+        self.phantoms = list(phantoms)
+        self.unreadable = set(unreadable)
+        self.listings = 0
+
+    def _ids(self):
+        self.listings += 1
+        return iter(self.backing.ids() + self.phantoms)
+
+    def _fetch(self, uid):
+        if uid in self.unreadable:
+            raise TransientStoreError(f"injected: {uid.short()} unreadable")
+        return self.backing.get_maybe(uid)
+
+
+class TestReadmit:
+    def test_dropped_copies_come_from_one_listing(self):
+        cluster = _cluster(node_count=4, replication=3)
+        for i in range(120):
+            cluster.put(_chunk(i))
+        node = cluster.nodes["node-01"]
+        held = sorted(node.store.ids())
+        rotten = held[:4]
+        for uid in rotten:
+            original = node.store._chunks[uid]
+            node.store._chunks[uid] = Chunk(original.type, b"ROT" + original.data, uid=uid)
+        unreadable = held[10:13]
+        missing = [_chunk(1000 + n).uid for n in range(3)]
+        store = _ListsWhatItCannotServe.install(node, missing, unreadable)
+        listing = store.ids()
+        store.listings = 0
+        swept = []
+        cluster.notify_swept = swept.extend
+        cluster.anti_entropy_pass = lambda: None  # count readmit's own listing
+
+        dropped = cluster.readmit("node-01")
+        expected = set(rotten) | set(unreadable) | set(missing)
+        assert dropped == len(expected) == 10
+        assert swept == [uid for uid in listing if uid in expected]
+        assert store.listings == 1
+        assert expected.isdisjoint(node.store.backing.ids())
+        assert len(node.store.backing.ids()) == len(held) - 7
 
 
 class TestVerifiedDurabilityCheck:
