@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import errno
 import functools
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -40,19 +39,18 @@ from repro.errors import (
     UnknownKeyError,
     map_os_error,
 )
-from repro.faults.crash import crashing_write, crashpoint
 from repro.faults.retry import RetryPolicy
 from repro.postree.diff import TreeDiff
 from repro.postree.merge import MergeConflict, Resolver
 from repro.store import FileStore, InMemoryStore, NodeCacheStore, PackStore
 from repro.store.base import ChunkStore
-from repro.store.durability import durable_replace, fsync_file, read_check
 from repro.store.nodecache import DURABLE_CAPACITY
 from repro.store.packstore import COMPRESSION_POLICIES
 from repro.types import FBlob, FList, FMap, FObject, FSet, load_object, type_for_python
 from repro.types.convert import PyValue, unwrap, wrap
 from repro.vcs import BranchTable, CommitJournal, FNode, VersionGraph, replay_into
 from repro.vcs.branches import DEFAULT_BRANCH
+from repro.vcs.journal import checkpoint
 
 #: Engine health states: a disk fault that may have lost acknowledged
 #: state demotes the engine to read-only; a disk fault on the *read*
@@ -149,16 +147,13 @@ class ForkBase:
         # Commit timestamps are metadata, not identity: the wall-clock
         # default is the injectable-clock escape hatch, not a hashing input.
         self._clock = clock if clock is not None else time.time  # fbcheck: ignore[FB-DETERM]
-        self._directory: Optional[str] = None
         #: Open handle on ``<directory>/.lock`` while this engine holds the
         #: single-writer advisory lock (durable engines only).
         self._lock_handle: Optional[IO[str]] = None
         #: Write-ahead commit journal (durable engines only): every head
         #: mutation is recorded here before it is acknowledged.
         self._journal: Optional[CommitJournal] = None
-        #: Last journal sequence number issued (or recovered).
-        self._seq = 0
-        #: Journal size (bytes) beyond which a commit triggers compaction.
+        #: Bytes appended since the last checkpoint that trigger the next.
         self._journal_limit = 1 << 20
         #: Transparent retry for transient store faults on read verbs.
         self.retry = RetryPolicy.instant()
@@ -173,10 +168,17 @@ class ForkBase:
         return HealthReport(self._health, self._health_reason)
 
     def _degrade(self, reason: str) -> None:
-        """Demote to read-only after a write-path disk fault (one-way)."""
+        """Demote to read-only after a write-path disk fault (one-way).
+
+        A durable engine re-derives its table with :meth:`open`'s replay:
+        the fault may have un-acked chunks under journaled heads.
+        """
         if self._health == HEALTH_HEALTHY:
             self._health = HEALTH_DEGRADED
             self._health_reason = reason
+            if self._journal is not None:
+                self.branch_table = BranchTable()
+                replay_into(self.branch_table, self._journal.records, self.store.has)
 
     def _fail(self, reason: str) -> None:
         """Terminal state: the read path faulted while already degraded."""
@@ -239,14 +241,19 @@ class ForkBase:
         by every verb; ``0`` is the cacheless engine, whose every node
         read reaches the device.  The cache never answers ``verify``,
         ``scrub`` or gc, which read the chunks themselves, and a reopen
-        starts it empty.  Branch heads live in ``branches.json`` next to
-        the chunks (the client-side head record of the paper's threat
-        model), kept crash-consistent by a write-ahead commit journal
-        (``journal.wal``): recovery loads the last heads snapshot and
-        replays every journal record it does not yet cover.  ``fsync``
-        is the journal's durability policy (``always`` / ``batch`` /
-        ``never``); ``journal_limit`` is the size at which a commit
-        triggers snapshot compaction.
+        starts it empty.  Branch heads (the client-side head record of
+        the paper's threat model) live in one file, the write-ahead
+        commit journal ``journal.wal``: a checkpoint of every head, then
+        each head move since.  ``journal_limit`` is how many bytes
+        appended since the last checkpoint trigger the next; ``close``
+        writes one too.  Recovery replays the file onto an empty table,
+        stops at the first head made since the checkpoint whose FNode the
+        store does not hold, and rewrites the journal if it dropped
+        anything.  ``fsync`` is the journal's policy: under ``always`` an
+        acknowledged op survives a power loss; under ``batch`` and
+        ``never`` recovery gives a prefix of acknowledged history, and
+        every recovered head verifies.  A directory holding an older
+        format's ``branches.json`` is refused.
 
         The directory is guarded by an advisory ``fcntl.flock`` on
         ``<directory>/.lock``: a second live process opening the same
@@ -263,6 +270,9 @@ class ForkBase:
         if isinstance(node_cache, bool) or not isinstance(node_cache, int) or node_cache < 0:
             raise ValueError(f"node_cache must be an int >= 0, got {node_cache!r}")
         os.makedirs(directory, exist_ok=True)
+        legacy = os.path.join(directory, "branches.json")
+        if os.path.exists(legacy):
+            raise EngineError(f"{legacy}: heads file of an older format; not opening")
         lock_handle = cls._acquire_lock(directory)
         store: Optional[ChunkStore] = None
         journal: Optional[CommitJournal] = None
@@ -271,27 +281,12 @@ class ForkBase:
             store = cls._open_store(chunk_dir, backend, compression, node_cache)
             engine = cls(store, author=author)
             engine._lock_handle = lock_handle
-            engine._directory = directory
             engine._journal_limit = journal_limit
-            table = BranchTable()
-            snapshot_seq = 0
-            heads_path = os.path.join(directory, "branches.json")
-            if os.path.exists(heads_path):
-                try:
-                    read_check(heads_path, label="branches.json")
-                    with open(heads_path, "r", encoding="utf-8") as handle:
-                        data = json.load(handle)
-                except OSError as exc:
-                    raise map_os_error(exc, "read", heads_path) from exc
-                if isinstance(data, dict) and "heads" in data:
-                    snapshot_seq = int(data.get("seq", 0))
-                    table = BranchTable.from_dict(data["heads"])
-                else:  # legacy snapshot: the bare heads dict, pre-journal
-                    table = BranchTable.from_dict(data)
             journal = CommitJournal(os.path.join(directory, "journal.wal"), fsync=fsync)
-            engine._seq = replay_into(table, journal.records, after_seq=snapshot_seq)
-            engine.branch_table = table
             engine._journal = journal
+            records = journal.records
+            if replay_into(engine.branch_table, records, store.has) < len(records):
+                engine._compact()  # truncate the dropped suffix for good
         except BaseException:
             # A failed open persists nothing and keeps no handle.
             if journal is not None:
@@ -403,64 +398,42 @@ class ForkBase:
         """
         if self._journal is None:
             return
-        self._seq += 1
-        record: Dict[str, object] = {"op": op, "seq": self._seq}
-        record.update(fields)
+        record: Dict[str, object] = {"op": op, **fields}
         try:
             if self._journal.sync_due:
                 self.store.sync()
             self._journal.append(record)
         except (DiskFullError, DiskFaultError):
-            self._seq -= 1
             if undo is not None:
                 undo()
             raise
-        if self._journal.size() >= self._journal_limit:
+        if self._journal.size() - self._journal.checkpoint_size >= self._journal_limit:
             try:
                 self._compact()
             except DiskFullError:
                 # Deferred, not lost: the op itself is acked and durable
-                # in the journal; the snapshot rewrite just could not fit.
-                # The journal keeps growing until space frees up.
+                # in the journal; the checkpoint just could not fit.  The
+                # journal keeps growing until space frees up.
                 pass
 
     def _compact(self) -> None:
-        """Rewrite the heads snapshot durably, then truncate the journal.
+        """Checkpoint the branch table: the journal becomes one record per head.
 
-        Ordering is the whole crash-safety argument: the chunks under
-        every head are synced before the snapshot is written, the
-        snapshot (stamped with the last journaled sequence number) is
-        fully durable *before* the journal is truncated, and replay skips
-        records the snapshot covers — a crash anywhere in between loses
-        nothing and double-applies nothing.
+        The chunks under every head are synced first, so the checkpoint
+        never names a commit that is not durable;
+        :meth:`CommitJournal.reset` then replaces the journal atomically,
+        and a crash before its rename leaves the old journal, which
+        replays to the same table.
         """
-        if self._directory is None:
+        if self._journal is None:
             return
         self.store.sync()
-        heads_path = os.path.join(self._directory, "branches.json")
-        tmp = heads_path + ".tmp"
-        payload = json.dumps(
-            {
-                "format": "forkbase-heads/2",
-                "seq": self._seq,
-                "heads": self.branch_table.to_dict(),
-            },
-            indent=2,
-            sort_keys=True,
-        ).encode("utf-8")
-        with open(tmp, "wb") as handle:
-            crashing_write(handle, payload, kind="snapshot-write", label="branches.json")
-            crashpoint("snapshot-fsync", "branches.json")
-            fsync_file(handle)
-        crashpoint("snapshot-replace", "branches.json")
-        durable_replace(tmp, heads_path)
-        if self._journal is not None and not self._journal.closed:
-            self._journal.reset()
+        self._journal.reset(checkpoint(self.branch_table))
 
     def close(self) -> None:
-        """Persist branch heads (if durable) and close the store.
+        """Checkpoint branch heads (if durable) and close the store.
 
-        A degraded or failed engine does **not** rewrite snapshots over a
+        A degraded or failed engine does **not** rewrite its journal over a
         faulty device — it abandons, leaving the journal exactly as the
         last successful append left it; the next :meth:`open` recovers.
         """
@@ -468,12 +441,11 @@ class ForkBase:
             self.abandon()
             return
         try:
-            if self._directory is not None:
+            if self._journal is not None:
                 try:
                     self._compact()
-                    if self._journal is not None:
-                        self._journal.close()
-                        self._journal = None
+                    self._journal.close()
+                    self._journal = None
                 except (DiskFullError, DiskFaultError) as exc:
                     self._degrade(str(exc))
                     self.abandon()
@@ -492,7 +464,7 @@ class ForkBase:
         """Drop the engine without persisting anything (crash simulation).
 
         The in-process SIGKILL analogue for tests: OS handles are
-        released, no heads snapshot is written, and the journal stays
+        released, no checkpoint is written, and the journal stays
         exactly as the last append left it — recovery happens in the
         next :meth:`open`.
         """
@@ -960,18 +932,27 @@ class ForkBase:
         Re-hashes every materialized copy against its content address,
         quarantines rot, and (on replicated stores) repairs from healthy
         replicas.  Returns a :class:`repro.store.scrub.ScrubReport`.
+        A healthy engine checkpoints first, as :meth:`collect_garbage` does.
         """
         from repro.store.scrub import scrub
 
+        if self._health == HEALTH_HEALTHY:
+            try:
+                self._compact()
+            except DiskFaultError as exc:
+                self._degrade(str(exc))
         return scrub(self.store, **kwargs)
 
     @_writable_verb
     def collect_garbage(self, dry_run: bool = False, compact: bool = False):
-        """Sweep chunks unreachable from any branch head (see
+        """Checkpoint, so replay never takes a swept FNode for a crash
+        loss, then sweep chunks unreachable from any branch head (see
         :mod:`repro.store.gc`).  ``compact=True`` additionally rewrites a
         segmented store's segments so swept bytes return to the OS."""
         from repro.store.gc import collect_garbage
 
+        if not dry_run:
+            self._compact()
         return collect_garbage(self, dry_run=dry_run, compact=compact)
 
     # -- storage accounting ----------------------------------------------------------

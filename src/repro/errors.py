@@ -173,8 +173,8 @@ class JournalCorruptError(JournalError):
 
     Contrast with a *torn tail* (a partial final record from a crash),
     which is expected damage and silently truncated: a corrupt interior
-    record means the history between the snapshot and the tail cannot be
-    trusted, so recovery must stop loudly rather than skip it.
+    record means the history it carries cannot be trusted, so recovery
+    must stop loudly rather than skip it.
     """
 
 

@@ -10,7 +10,7 @@ success if retried on the same descriptor.
 The shim (:class:`FaultyOS`) subclasses the no-op
 :class:`~repro.store.durability.DiskInjector` that every persistence
 path already routes its syscalls through, so the journal, FileStore,
-PackStore, compaction, and heads-snapshot paths are all injectable without
+PackStore, compaction, and journal-checkpoint paths are all injectable without
 monkeypatching.  Every decision is a kernel draw at ``(seed, syscall,
 path label, attempt)``, so a schedule replays bit-identically.
 

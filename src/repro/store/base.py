@@ -11,7 +11,7 @@ import weakref
 from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.chunk import Chunk, Uid
-from repro.errors import ChunkNotFoundError, StoreError
+from repro.errors import ChunkCorruptionError, ChunkNotFoundError, StoreError
 from repro.store.stats import StoreStats
 
 
@@ -131,7 +131,8 @@ class ChunkStore:
         """Re-hash every listed copy once: ``(valid uids, suspect uids)``.
 
         A suspect is a copy whose first read failed with a
-        :class:`StoreError`, found no bytes, or did not hash to its uid;
+        :class:`StoreError`, found no bytes, or did not hash to its uid
+        (a verifying store's read raises :class:`ChunkCorruptionError`);
         suspects keep the listing's order.  Telling rot from a wire
         mismatch or a transient error is the caller's re-read
         (:func:`~repro.store.scrub.diagnose_copy`).  This default spends
@@ -143,7 +144,7 @@ class ChunkStore:
         for uid in self.ids():
             try:
                 chunk = self.get_maybe(uid)
-            except StoreError:
+            except (StoreError, ChunkCorruptionError):
                 chunk = None
             if chunk is not None and chunk.is_valid():
                 valid.add(uid)
@@ -269,7 +270,7 @@ class ChunkStore:
         """Make every chunk stored so far survive power loss.
 
         The engine calls this before anything that makes a head durable
-        (a journal fsync, a heads snapshot), so no durable head points at
+        (a journal fsync, a journal checkpoint), so no durable head points at
         a chunk that is not.  A store with nothing to fsync — this
         default — has nothing to do.
         """

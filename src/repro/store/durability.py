@@ -19,7 +19,7 @@ probes all route through the installed :class:`DiskInjector`.  The
 default injector performs the real syscall; the fs-fault harness
 (:mod:`repro.faults.fs`) installs a seeded shim that injects ENOSPC,
 EIO, short writes, and fsyncgate semantics — so the journal, FileStore,
-PackStore, compaction, and heads-snapshot paths are all fault-injectable
+PackStore, compaction, and journal-checkpoint paths are all fault-injectable
 without monkeypatching.  Failures (injected or real) surface as the
 :mod:`repro.errors` disk taxonomy (:class:`~repro.errors.DiskFullError`
 / :class:`~repro.errors.DiskFaultError`), never raw ``OSError``.

@@ -6,8 +6,9 @@ Merkle store on purpose: under the paper's threat model the storage is
 untrusted, and it is the client's record of branch heads that anchors
 tamper-evidence validation.
 
-The table serializes to a plain JSON-compatible dict so engines can
-persist it wherever they like (a local file in :class:`repro.db.engine.ForkBase`).
+A durable :class:`repro.db.engine.ForkBase` persists it in one file,
+the commit journal (:mod:`repro.vcs.journal`): a checkpoint of every
+head, then the head moves made since.
 """
 
 from __future__ import annotations
@@ -117,24 +118,6 @@ class BranchTable:
     def drop_key(self, key: str) -> None:
         """Forget every branch of ``key``."""
         self._heads.pop(key, None)
-
-    # -- (de)serialization ---------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Dict[str, str]]:
-        """JSON-compatible snapshot (uids as Base32)."""
-        return {
-            key: {branch: head.base32() for branch, head in branches.items()}
-            for key, branches in self._heads.items()
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Dict[str, str]]) -> "BranchTable":
-        """Restore a snapshot produced by :meth:`to_dict`."""
-        table = cls()
-        for key, branches in data.items():
-            for branch, head in branches.items():
-                table.set_head(key, branch, Uid.from_base32(head))
-        return table
 
     def __len__(self) -> int:
         return sum(len(branches) for branches in self._heads.values())

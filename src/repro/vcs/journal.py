@@ -1,29 +1,28 @@
-"""Write-ahead commit journal for branch heads.
+"""Write-ahead commit journal: the one file that holds branch heads.
 
 Branch heads are the only mutable state in the system (see
 :mod:`repro.vcs.branches`) and the anchor of tamper evidence — losing a
 head silently un-acknowledges every commit behind it.  The journal makes
 head mutations durable *before* they are acknowledged: each operation is
-appended as a length-prefixed, CRC-32-checksummed record, and recovery
-replays the journal over the last heads snapshot.
+appended as a length-prefixed, CRC-32-checksummed record.  A checkpoint
+(:meth:`CommitJournal.reset`) rewrites the file as one ``set-head``
+record per live head, so recovery replays the whole file, in order,
+onto an empty :class:`~repro.vcs.branches.BranchTable`.
 
 On-disk format::
 
     FBWJ0001                          8-byte magic
-    [len:u32][crc32:u32][payload]...  records, payload = canonical JSON
-
-Records carry a monotonically increasing ``seq``; the heads snapshot
-stores the last sequence it covers, so replay skips records the snapshot
-already contains — that is what makes replay idempotent across a crash
-that lands *between* snapshot rewrite and journal truncation.
+    [len:u32][crc32:u32][payload]...  checkpoint: one set-head per live head,
+                                      each flagged "checkpoint": true
+    [len:u32][crc32:u32][payload]...  ops appended since; payload = canonical JSON
 
 Damage model, matching the append-only segment files:
 
 - a **torn tail** (partial final record: the process died mid-append) is
   expected damage — the tail is truncated and recovery proceeds;
 - a **corrupt interior record** (all bytes present, CRC or decode fails)
-  means history between snapshot and tail cannot be trusted — recovery
-  raises :class:`~repro.errors.JournalCorruptError` instead of guessing.
+  means the history it carries cannot be trusted — recovery raises
+  :class:`~repro.errors.JournalCorruptError` instead of guessing.
 
 Fsync policy: ``always`` fsyncs after every append (a commit survives
 power loss before it is acknowledged), ``batch`` every
@@ -38,7 +37,7 @@ import json
 import os
 import struct
 import zlib
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 from repro.chunk import Uid
 from repro.errors import (
@@ -76,6 +75,10 @@ class CommitJournal:
         self._pending = 0
         self._closed = False
         self._log = self._open_log(self._scan())
+        #: File size right after the last checkpoint.
+        self.checkpoint_size = max(
+            [len(MAGIC)] + [end for end, record in self._records if record.get("checkpoint")]
+        )
         if self._log.size < len(MAGIC):
             # Fresh (or torn-at-creation) journal: lay down the magic.
             self._log.append(MAGIC, "magic")
@@ -165,9 +168,7 @@ class CommitJournal:
         if self._closed:
             raise JournalError(f"{self.path}: journal is closed")
         due = self.sync_due
-        payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        blob = _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
-        self._log.append(blob, str(record.get("op", "")))
+        self._log.append(_frame(record), str(record.get("op", "")))
         # Flush unconditionally: an acknowledged commit must survive a
         # process kill under every policy; fsync is about power loss.
         self._log.flush()
@@ -203,28 +204,28 @@ class CommitJournal:
     def __len__(self) -> int:
         return len(self._records)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     # -- lifecycle -----------------------------------------------------------
 
-    def reset(self) -> None:
-        """Truncate to an empty journal (call only after a durable snapshot).
+    def reset(self, records: Iterable[Mapping[str, object]]) -> None:
+        """Rewrite the journal as the magic plus ``records`` (a checkpoint).
 
-        Atomic: a fresh magic-only file is fsynced and renamed over the
-        old journal.  A crash before the rename leaves the full journal
-        (replay skips what the snapshot covers); the rename itself is
+        Call only once the chunks under every head ``records`` names are
+        durable.  Atomic: the new file is fsynced and renamed over the
+        old journal.  A crash before the rename leaves the old journal,
+        which replays to the same table; the rename itself is
         all-or-nothing.
         """
         if self._closed:
             raise JournalError(f"{self.path}: journal is closed")
         self._log.check()
+        kept = [dict(record) for record in records]
+        frames = [_frame(record) for record in kept]
+        data = MAGIC + b"".join(frames)
         tmp = self.path + ".tmp"
         try:
             with open(tmp, "wb") as handle:
-                crashing_write(handle, MAGIC, kind="journal-write", label="reset-magic")
-                crashpoint("journal-fsync", "reset-magic")
+                crashing_write(handle, data, kind="journal-write", label="checkpoint")
+                crashpoint("journal-fsync", "checkpoint")
                 fsync_file(handle)
         except (DiskFullError, DiskFaultError):
             raise  # the live journal log is untouched: still usable
@@ -235,9 +236,14 @@ class CommitJournal:
         # abandoned (poisoned) log is exactly what should stay in place.
         self._log.abandon()
         durable_replace(tmp, self.path)
-        self._log = self._open_log(len(MAGIC))
+        self._log = self._open_log(len(data))
+        end = len(MAGIC)
         self._records = []
+        for frame, record in zip(frames, kept):
+            end += len(frame)
+            self._records.append((end, record))
         self._pending = 0
+        self.checkpoint_size = len(data)
 
     def close(self) -> None:
         """Flush (and fsync unless policy is ``never``) and close."""
@@ -256,24 +262,44 @@ class CommitJournal:
         self._closed = True
 
 
-# -- replay -------------------------------------------------------------------
+# -- records and replay --------------------------------------------------------
 
 
-def apply_record(table: BranchTable, record: Mapping[str, object]) -> None:
-    """Apply one journal record to a branch table.
+def _frame(record: Mapping[str, object]) -> bytes:
+    """One record as it lies in the file: header, then canonical JSON."""
+    payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
+
+
+def checkpoint(table: BranchTable) -> List[Record]:
+    """``table`` as records for :meth:`CommitJournal.reset`: one
+    ``set-head`` per live head, flagged as the checkpoint's."""
+    return [
+        {"op": "set-head", "key": key, "branch": branch, "head": head.base32(),
+         "checkpoint": True}
+        for key, branch, head in table.all_heads()
+    ]
+
+
+def apply_record(
+    table: BranchTable, record: Mapping[str, object], holds: Callable[[Uid], bool]
+) -> bool:
+    """Apply one journal record to a branch table; False, and nothing
+    applied, for a ``set-head`` or ``create-branch`` made since the last
+    checkpoint whose head ``holds`` rejects.
 
     Replay is unconditional (no CAS): the journal *is* the serialization
     order, so re-checking expectations would only re-litigate history.
-    A record that cannot apply means the snapshot/journal pair diverged,
-    which is corruption, not a conflict.
+    A record that cannot apply means the journal lost an op, which is
+    corruption, not a conflict.
     """
     op = record.get("op")
     try:
         if op == "set-head" or op == "create-branch":
-            table.set_head(
-                str(record["key"]), str(record["branch"]),
-                Uid.from_base32(str(record["head"])),
-            )
+            head = Uid.from_base32(str(record["head"]))
+            if not record.get("checkpoint") and not holds(head):
+                return False
+            table.set_head(str(record["key"]), str(record["branch"]), head)
         elif op == "rename-branch":
             table.rename(str(record["key"]), str(record["old"]), str(record["new"]))
         elif op == "delete-branch":
@@ -288,22 +314,30 @@ def apply_record(table: BranchTable, record: Mapping[str, object]) -> None:
         raise
     except (VersionError, KeyError, ValueError) as exc:
         raise JournalCorruptError(f"journal op {op!r} does not apply: {exc}") from exc
+    return True
 
 
 def replay_into(
-    table: BranchTable, records: Iterable[Mapping[str, object]], after_seq: int = 0
+    table: BranchTable,
+    records: Iterable[Mapping[str, object]],
+    holds: Callable[[Uid], bool],
 ) -> int:
-    """Replay ``records`` with ``seq > after_seq`` onto ``table``.
+    """Replay ``records`` in order onto ``table``; return how many applied.
 
-    Returns the highest sequence number now covered (``after_seq`` when
-    nothing applied).  Skipping by sequence is what makes replay
-    idempotent: records a snapshot already covers are never re-applied.
+    ``holds`` is the chunk store's membership test.  Replay stops at the
+    first head made since the last checkpoint whose FNode the store does
+    not hold: a crash lost it, and every later record with it.  A
+    present FNode implies its whole tree: a commit appends its chunks to
+    the store's log before its FNode, and the log recovers a CRC-valid
+    prefix.  Checkpoint heads are exempt.  A checkpoint is written only
+    after the store syncs, and the engine checkpoints before gc or scrub
+    delete chunks, so a checkpoint FNode that is missing was deleted
+    (quarantined rot), not lost: its head stays, dangling, for
+    ``verify`` to report.
     """
-    last = after_seq
+    applied = 0
     for record in records:
-        seq = int(record.get("seq", 0))  # type: ignore[call-overload]
-        if seq <= after_seq:
-            continue
-        apply_record(table, record)
-        last = max(last, seq)
-    return last
+        if not apply_record(table, record, holds):
+            break
+        applied += 1
+    return applied

@@ -28,6 +28,7 @@ from repro.faults import (
     make_byzantine,
 )
 from repro.store.base import physical_store
+from repro.store.memory import InMemoryStore
 
 
 def _chunk(n: int, size: int = 64) -> Chunk:
@@ -213,6 +214,23 @@ class TestAntiEntropyPass:
         assert report.rotten_quarantined == 1
         assert report.chunks_transferred >= 1
         got = victim_node.store.get_maybe(victim_chunk.uid)
+        assert got is not None and got.is_valid()
+
+    def test_verifying_node_store_does_not_abort_the_pass(self):
+        """A node whose store verifies every read raises on rot; the pass
+        must quarantine that copy and reship it, not raise."""
+        cluster = _cluster(node_count=3, replication=2)
+        node = StorageNode("node-00", store=InMemoryStore(verify_reads=True))
+        cluster.nodes["node-00"] = node
+        chunks = [_chunk(i) for i in range(30)]
+        for chunk in chunks:
+            cluster.put(chunk)
+        victim_chunk = next(c for c in chunks if node.store.has(c.uid))
+        _rot(node, victim_chunk)
+        report = anti_entropy_pass(cluster)
+        assert report.rotten_quarantined == 1
+        assert report.chunks_transferred >= 1
+        got = node.store.get_maybe(victim_chunk.uid)
         assert got is not None and got.is_valid()
 
     def test_transfers_bounded_by_divergence(self):

@@ -265,11 +265,11 @@ def test_abandon_releases_without_syncing_and_poisons(path):
 def test_journal_under_never_policy_retains_no_rewrite_buffer(tmp_path):
     journal = CommitJournal(str(tmp_path / "journal.wal"), fsync="never")
     for seq in range(1, 201):
-        journal.append({"op": "set-head", "seq": seq, "pad": "x" * 256})
+        journal.append({"op": "set-head", "n": seq, "pad": "x" * 256})
     assert journal._log._tail_bytes == 0
     journal.close()
     batched = CommitJournal(str(tmp_path / "batched.wal"), fsync="batch")
     for seq in range(1, 161):
-        batched.append({"op": "set-head", "seq": seq})
+        batched.append({"op": "set-head", "n": seq})
     assert len(batched._log._tail) == 160 % BATCH_INTERVAL  # cleared at every policy fsync
     batched.close()

@@ -1,8 +1,8 @@
 """Crash-point torture: kill the engine at *every* durability boundary.
 
 The workload below crosses every boundary kind the version layer marks —
-journal appends and fsyncs, snapshot write/fsync/replace during
-compaction, and the journal truncation rename.  A census run counts the
+journal appends and fsyncs, and the checkpoint rewrite (write, fsync and
+rename of ``journal.wal``) at compaction and close.  A census run counts the
 boundaries; then, for each boundary ``n``, a fresh engine runs the same
 workload under ``CrashPlan(crash_at=n)``, dies there (with torn writes),
 and is reopened.  Recovery must show either the state after the last
@@ -17,6 +17,7 @@ torn-write prefixes, not the boundary schedule.
 from __future__ import annotations
 
 import os
+import shutil
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -25,6 +26,7 @@ from repro.chunk import Uid
 from repro.db.engine import ForkBase
 from repro.errors import SimulatedCrash
 from repro.faults import CrashPlan, crash_zone
+from repro.vcs import CommitJournal
 from tests.conftest import fault_seed
 
 SEED = fault_seed(20260805)
@@ -69,7 +71,7 @@ def _run_workload(directory: str, acked: List[HeadMap]) -> None:
     engine: Optional[ForkBase] = None
     try:
         # Pinned to the file backend: the census below asserts the exact
-        # journal/snapshot boundary kinds of the seed layout, so a
+        # journal boundary kinds of the seed layout, so a
         # FORKBASE_BACKEND=pack environment must not redirect this suite
         # (the pack boundaries get the same treatment in
         # test_packstore_crash.py and test_pack_dropin.py).
@@ -103,14 +105,9 @@ def test_census_is_deterministic(tmp_path):
     with crash_zone(CrashPlan(seed=SEED)) as clock:
         _run_workload(str(tmp_path / "c"), [])
     kinds = {hit.kind for hit in clock.trace}
-    assert kinds == {
-        "journal-write",
-        "journal-fsync",
-        "journal-replace",
-        "snapshot-write",
-        "snapshot-fsync",
-        "snapshot-replace",
-    }
+    assert kinds == {"journal-write", "journal-fsync", "journal-replace"}
+    # Compaction still runs mid-workload: close's checkpoint plus at least two.
+    assert sum(hit.kind == "journal-replace" for hit in clock.trace) >= 3
 
 
 def test_torture_every_crash_point(tmp_path):
@@ -154,24 +151,33 @@ def test_torture_every_crash_point(tmp_path):
 
 def test_crash_during_recovery_is_survivable(tmp_path):
     # Kill *recovery itself* at each boundary it crosses: a crash loop
-    # must never make things worse.  Recovery only writes when it has to
-    # (re)create the journal, so stage a snapshot-only directory — the
-    # upgrade path from the pre-journal format.
-    directory = str(tmp_path / "db")
-    engine = ForkBase.open(directory)
+    # must never make things worse.  Recovery writes only when replay
+    # dropped records, so stage a journal whose tail names a commit the
+    # store does not hold (an unsynced chunk a power loss took), followed
+    # by a record that would apply: recovery keeps the prefix before the
+    # dangling head and rewrites the journal as its checkpoint.
+    source = str(tmp_path / "source")
+    engine = ForkBase.open(source)
     engine.put("k", {"a": "1"})
+    engine.branch("k", "dev")
+    state = _heads(engine)
     engine.close()
-    state = {("k", "master"): engine.branch_table.head("k", "master")}
-    journal_path = os.path.join(directory, "journal.wal")
+    journal = CommitJournal(os.path.join(source, "journal.wal"))
+    journal.append({"op": "set-head", "key": "k", "branch": "master",
+                    "head": Uid.of(b"lost to a power cut").base32()})
+    journal.append({"op": "delete-branch", "key": "k", "branch": "dev"})
+    journal.close()
 
-    os.remove(journal_path)
     with crash_zone(CrashPlan(seed=SEED)) as clock:
-        probe = ForkBase.open(directory)
-        probe.abandon()
-    assert clock.count > 0  # journal creation is instrumented
+        probe_dir = str(tmp_path / "probe")
+        shutil.copytree(source, probe_dir)
+        ForkBase.open(probe_dir).abandon()
+    kinds = {hit.kind for hit in clock.trace}
+    assert kinds == {"journal-write", "journal-fsync", "journal-replace"}
 
     for boundary in range(clock.count):
-        os.remove(journal_path)
+        directory = str(tmp_path / f"crash{boundary}")
+        shutil.copytree(source, directory)
         with crash_zone(CrashPlan(crash_at=boundary, seed=SEED)):
             crashed = None
             try:
@@ -183,3 +189,6 @@ def test_crash_during_recovery_is_survivable(tmp_path):
         final = ForkBase.open(directory)
         assert _heads(final) == state, f"recovery crash at boundary {boundary}"
         final.close()
+        rewritten = CommitJournal(os.path.join(directory, "journal.wal"))
+        assert len(rewritten) == len(state)  # the checkpoint, nothing else
+        rewritten.close()

@@ -40,8 +40,8 @@ from tests.conftest import fault_seed
 SEED = fault_seed(20260805)
 FULL = os.environ.get("FORKBASE_FSFAULT_FULL") == "1"
 
-#: Small enough that the workload triggers journal compaction (snapshot
-#: write + fsync + replace, journal truncation rename) at least once.
+#: Small enough that the workload triggers journal compaction (checkpoint
+#: write + fsync + rename of ``journal.wal``) at least once.
 JOURNAL_LIMIT = 600
 
 BACKENDS = ("file", "pack")
@@ -71,6 +71,8 @@ def _ops(engine: ForkBase) -> List:
         lambda: engine.put("blob", "payload " * 6),
         lambda: engine.rename("blob", "data"),
         lambda: engine.put("bulk", {"i": "0", "pad": "z" * 64}),
+        lambda: engine.put("bulk", {"i": "1", "pad": "z" * 64}),
+        lambda: engine.put("bulk", {"i": "2", "pad": "z" * 64}),
         lambda: engine.drop("bulk"),
     ]
 

@@ -295,19 +295,19 @@ def test_index_snapshot_goes_through_the_disk_seam(tmp_path, factory, label):
 
 def test_journal_poisons_after_unrecoverable_fsync(tmp_path):
     journal = CommitJournal(str(tmp_path / "journal.wal"), fsync="always")
-    journal.append({"op": "set-head", "seq": 1})
+    journal.append({"op": "set-head", "n": 1})
     with fs_zone(FsFaultPlan(fsync_fail_rate=1.0)) as shim:
         with pytest.raises(DiskFaultError):
-            journal.append({"op": "set-head", "seq": 2})
+            journal.append({"op": "set-head", "n": 2})
         assert journal.poisoned
-        assert [record["seq"] for record in journal.records] == [1]
+        assert [record["n"] for record in journal.records] == [1]
         with pytest.raises(DiskFaultError):
-            journal.append({"op": "set-head", "seq": 3})
+            journal.append({"op": "set-head", "n": 3})
         journal.close()  # a poisoned journal closes without flushing
     assert shim.false_fsyncs == 0
     # The un-acked record was un-acked in memory too, and replay agrees.
     replayed = CommitJournal(str(tmp_path / "journal.wal"))
-    assert [record["seq"] for record in replayed.records] == [1]
+    assert [record["n"] for record in replayed.records] == [1]
     replayed.close()
 
 
@@ -376,7 +376,7 @@ def test_disk_fault_degrades_to_read_only(tmp_path):
         engine.drop("doc")
     with pytest.raises(ReadOnlyError):
         engine.collect_garbage()
-    engine.close()  # degraded close abandons instead of snapshotting
+    engine.close()  # degraded close abandons instead of checkpointing
 
 
 def test_degraded_write_is_cleanly_unacked(tmp_path):

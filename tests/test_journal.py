@@ -1,7 +1,7 @@
 """Write-ahead commit journal + head CAS (crash-consistent version layer).
 
 Covers the journal file format (round-trip, torn tails, corrupt interior
-records, reset/compaction), record replay onto a :class:`BranchTable`,
+records, checkpoint rewrites), record replay onto a :class:`BranchTable`,
 the compare-and-swap head update, and the engine-level guarantees: no
 acknowledged commit is lost across a simulated SIGKILL, and a concurrent
 head move surfaces as :class:`HeadMovedError` instead of a lost update.
@@ -10,6 +10,7 @@ head move surfaces as :class:`HeadMovedError` instead of a lost update.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import pytest
@@ -18,22 +19,27 @@ from repro.chunk import Uid
 from repro.db.engine import ForkBase
 from repro.errors import (
     BranchExistsError,
+    EngineError,
     HeadMovedError,
     JournalCorruptError,
     JournalError,
     UnknownBranchError,
 )
 from repro.vcs import BranchTable, CommitJournal, FNode, apply_record, replay_into
-from repro.vcs.journal import MAGIC, _HEADER
+from repro.vcs.journal import _HEADER, MAGIC, checkpoint
 
 
 def _uid(n: int) -> Uid:
     return Uid(bytes([n % 256]) * 32)
 
 
+def _holds_all(uid: Uid) -> bool:
+    return True
+
+
 def _records(count: int):
     return [
-        {"op": "set-head", "seq": i + 1, "key": "k", "branch": "master",
+        {"op": "set-head", "key": "k", "branch": "master",
          "head": _uid(i + 1).base32(), "prev": None}
         for i in range(count)
     ]
@@ -148,12 +154,16 @@ def test_reset_truncates_and_survives_reopen(tmp_path):
     journal = CommitJournal(path, fsync="always")
     for record in _records(4):
         journal.append(record)
-    journal.reset()
+    journal.reset([])
     assert len(journal) == 0
     assert journal.size() == len(MAGIC)
-    journal.append({"op": "drop-key", "seq": 9, "key": "k"})
+    # A checkpoint is the new file's first records; appends follow it.
+    journal.reset(_records(4)[-1:])
+    assert journal.records == _records(4)[-1:]
+    assert journal.size() == journal.checkpoint_size > len(MAGIC)
+    journal.append({"op": "drop-key", "key": "k"})
     journal.close()
-    assert CommitJournal(path).records == [{"op": "drop-key", "seq": 9, "key": "k"}]
+    assert CommitJournal(path).records == _records(4)[-1:] + [{"op": "drop-key", "key": "k"}]
 
 
 def test_append_after_close_raises(tmp_path):
@@ -180,7 +190,7 @@ def test_apply_record_covers_every_op():
         {"op": "drop-key", "key": "d"},
     ]
     for record in ops:
-        apply_record(table, record)
+        apply_record(table, record, _holds_all)
     assert table.keys() == ["a", "c"]
     assert table.branches("a") == ["master"]
     assert table.head("a", "master") == _uid(1)
@@ -189,26 +199,32 @@ def test_apply_record_covers_every_op():
 
 def test_apply_unknown_op_raises():
     with pytest.raises(JournalCorruptError):
-        apply_record(BranchTable(), {"op": "transmogrify", "key": "a"})
+        apply_record(BranchTable(), {"op": "transmogrify", "key": "a"}, _holds_all)
 
 
 def test_apply_inapplicable_op_raises():
-    # Deleting a branch that does not exist means snapshot and journal
-    # diverged — corruption, not a conflict to paper over.
+    # Deleting a branch that does not exist means the journal lost an op
+    # — corruption, not a conflict to paper over.
     with pytest.raises(JournalCorruptError):
-        apply_record(BranchTable(), {"op": "delete-branch", "key": "a", "branch": "x"})
+        apply_record(
+            BranchTable(), {"op": "delete-branch", "key": "a", "branch": "x"}, _holds_all
+        )
 
 
-def test_replay_skips_records_snapshot_covers():
+def test_replay_stops_at_the_first_head_the_store_does_not_hold():
+    records = [
+        {"op": "set-head", "key": "a", "branch": "master", "head": _uid(1).base32()},
+        {"op": "create-branch", "key": "a", "branch": "dev", "head": _uid(2).base32()},
+        {"op": "delete-branch", "key": "a", "branch": "master"},
+        {"op": "set-head", "key": "b", "branch": "master", "head": _uid(1).base32()},
+    ]
     table = BranchTable()
-    table.set_head("k", "master", _uid(2))  # snapshot state at seq 2
-    records = _records(4)
-    last = replay_into(table, records, after_seq=2)
-    assert last == 4
-    assert table.head("k", "master") == _uid(4)
-    # Replaying again from the same snapshot point is a no-op in effect.
-    assert replay_into(table, records, after_seq=last) == last
-    assert table.head("k", "master") == _uid(4)
+    assert replay_into(table, records, lambda uid: uid != _uid(2)) == 1
+    # A prefix: the later records stay unapplied even where they could.
+    assert list(table.all_heads()) == [("a", "master", _uid(1))]
+    table = BranchTable()
+    assert replay_into(table, records, _holds_all) == len(records)
+    assert list(table.all_heads()) == [("a", "dev", _uid(2)), ("b", "master", _uid(1))]
 
 
 # -- head CAS ------------------------------------------------------------------
@@ -297,7 +313,7 @@ def test_heads_survive_process_kill(tmp_path):
     for i in range(20):
         info = engine.put(f"key-{i}", {"n": str(i)}, message=f"put {i}")
         expected[f"key-{i}"] = info.uid
-    engine.abandon()  # SIGKILL analogue: no close(), no snapshot
+    engine.abandon()  # SIGKILL analogue: no close(), no checkpoint
 
     recovered = ForkBase.open(directory)
     assert sorted(recovered.keys()) == sorted(expected)
@@ -337,49 +353,86 @@ def test_recovery_replays_full_workload(tmp_path):
     recovered.close()
 
 
+def _checkpoint_on_disk(directory: str, engine: ForkBase) -> None:
+    """``journal.wal`` is the magic plus exactly one record per head."""
+    on_disk = CommitJournal(os.path.join(directory, "journal.wal"))
+    assert on_disk.records == checkpoint(engine.branch_table)
+    assert len(on_disk) == len(engine.branch_table)
+    on_disk.close()
+
+
 def test_compaction_bounds_journal_size(tmp_path):
     directory = str(tmp_path / "db")
     engine = ForkBase.open(directory, fsync="never", journal_limit=512)
+    engine.put("k", {"i": "start"})
+    for name in ("b0", "b1", "b2"):
+        engine.branch("k", name)
     for i in range(40):
         engine.put("k", {"i": str(i)})
-    # Compaction kept the journal under limit + one record's worth.
-    assert engine._journal.size() < 512 + 256
-    with open(os.path.join(directory, "branches.json"), encoding="utf-8") as handle:
-        snapshot = json.load(handle)
-    assert snapshot["format"] == "forkbase-heads/2"
-    assert snapshot["seq"] > 0
+    # Compaction kept the journal under checkpoint + limit + one record.
+    assert len(MAGIC) < engine._journal.checkpoint_size
+    assert engine._journal.size() < engine._journal.checkpoint_size + 512 + 256
     engine.abandon()
     recovered = ForkBase.open(directory)
     assert recovered.get_value("k") == {b"i": b"39"}
+    assert len(recovered.branch_table) == 4
     recovered.close()
+    _checkpoint_on_disk(directory, recovered)
 
 
 def test_clean_close_truncates_journal(tmp_path):
     directory = str(tmp_path / "db")
     engine = ForkBase.open(directory)
     engine.put("k", {"a": "1"})
+    engine.put("k", {"a": "2"})
+    engine.branch("k", "dev")
+    engine.put("other", {"b": "1"})
     engine.close()
-    # close() compacts: snapshot holds the heads, journal is magic-only.
-    assert os.path.getsize(os.path.join(directory, "journal.wal")) == len(MAGIC)
+    # close() checkpoints: the journal holds one record per head.
+    _checkpoint_on_disk(directory, engine)
     reopened = ForkBase.open(directory)
-    assert reopened.get_value("k") == {b"a": b"1"}
+    assert reopened.get_value("k") == {b"a": b"2"}
+    assert reopened.get_value("k", "dev") == {b"a": b"2"}
     reopened.close()
 
 
-def test_legacy_bare_snapshot_still_loads(tmp_path):
+def test_checkpoint_larger_than_the_limit_does_not_compact_every_commit(tmp_path):
+    limit = 1024
+    engine = ForkBase.open(str(tmp_path / "db"), fsync="never", journal_limit=limit)
+    for i in range(30):
+        engine.put(f"key-{i:02d}", {"i": str(i)})
+    engine._compact()
+    start = engine._journal.size()
+    assert engine._journal.checkpoint_size == start > 2 * limit  # the checkpoint alone
+    checkpoints = []
+    real_reset = engine._journal.reset
+    engine._journal.reset = lambda records: (checkpoints.append(1), real_reset(records))
+    engine.put("key-00", {"i": "100"})
+    assert not checkpoints
+    record = engine._journal.size() - start
+    for i in range(101, 160):
+        engine.put("key-00", {"i": str(i)})
+    # A checkpoint once per ``limit`` bytes appended, not once per commit.
+    commits_per_checkpoint = math.ceil(limit / record)
+    assert len(checkpoints) == 60 // commits_per_checkpoint > 1
+    engine.close()
+    # A reopened journal finds where its checkpoint ends by the flag.
+    engine = ForkBase.open(str(tmp_path / "db"), fsync="never", journal_limit=limit)
+    assert engine._journal.checkpoint_size == engine._journal.size() > 2 * limit
+    engine.close()
+
+
+def test_open_refuses_a_directory_with_a_legacy_heads_file(tmp_path):
     directory = str(tmp_path / "db")
-    engine = ForkBase.open(directory)
-    engine.put("k", {"a": "1"})
-    engine.close()
-    heads_path = os.path.join(directory, "branches.json")
-    with open(heads_path, encoding="utf-8") as handle:
-        heads = json.load(handle)["heads"]
-    with open(heads_path, "w", encoding="utf-8") as handle:
-        json.dump(heads, handle)  # pre-journal format: the bare dict
-    os.remove(os.path.join(directory, "journal.wal"))
-    reopened = ForkBase.open(directory)
-    assert reopened.get_value("k") == {b"a": b"1"}
-    reopened.close()
+    with ForkBase.open(directory) as engine:
+        engine.put("k", {"a": "1"})
+    with open(os.path.join(directory, "branches.json"), "w", encoding="utf-8") as handle:
+        json.dump({"k": {"master": engine.head("k").base32()}}, handle)
+    with pytest.raises(EngineError, match="branches.json"):
+        ForkBase.open(directory)
+    os.remove(os.path.join(directory, "branches.json"))
+    with ForkBase.open(directory) as engine:  # the lock was not left held
+        assert engine.get_value("k") == {b"a": b"1"}
 
 
 def test_branch_errors_not_journaled(tmp_path):

@@ -17,10 +17,11 @@ import pytest
 
 from repro.chunk import Uid
 from repro.db.engine import ForkBase
-from repro.errors import EngineError, SimulatedCrash
+from repro.errors import EngineError, JournalCorruptError, SimulatedCrash
 from repro.faults import CrashPlan, crash_zone
 from repro.store import NodeCacheStore, PackStore, physical_store
 from repro.store.scrub import diagnose_copy
+from repro.vcs.journal import _HEADER, MAGIC
 from tests.conftest import fault_seed
 
 SEED = fault_seed(20260808)
@@ -122,17 +123,21 @@ class TestBackendParity:
         directory = str(tmp_path / "db")
         with ForkBase.open(directory, backend=backend) as engine:
             engine.put("k", {"a": "1"})
-        heads = os.path.join(directory, "branches.json")
-        with open(heads, "rb") as handle:
+        journal = os.path.join(directory, "journal.wal")
+        with open(journal, "rb") as handle:
             good = handle.read()
-        with open(heads, "w", encoding="utf-8") as handle:
-            handle.write("{not json")
+        # Rot in the checkpoint's first record: every byte present, the
+        # CRC fails — an interior record, not a torn tail.
+        bad = bytearray(good)
+        bad[len(MAGIC) + _HEADER.size] ^= 0xFF
+        with open(journal, "wb") as handle:
+            handle.write(bytes(bad))
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(3):
-            with pytest.raises(ValueError):
+            with pytest.raises(JournalCorruptError):
                 ForkBase.open(directory, node_cache=16)
         assert len(os.listdir("/proc/self/fd")) == before
-        with open(heads, "wb") as handle:
+        with open(journal, "wb") as handle:
             handle.write(good)
         with ForkBase.open(directory) as engine:  # the lock was released too
             assert engine.get_value("k") == {b"a": b"1"}

@@ -2,9 +2,9 @@
 
 For *arbitrary* valid head-mutation sequences, the journal must be a
 faithful serialization: replaying what was written reconstructs exactly
-the model branch table, replay is idempotent under sequence skipping,
-and a tail cut at *any* byte offset of the final record truncates that
-record and nothing else.
+the model branch table, a journal checkpointed at any point replays to
+the same table as the full one, and a tail cut at *any* byte offset of
+the final record truncates that record and nothing else.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.chunk import Uid
 from repro.vcs import BranchTable, CommitJournal, replay_into
-from repro.vcs.journal import _HEADER
+from repro.vcs.journal import _HEADER, checkpoint
 
 KEYS = [f"k{i}" for i in range(6)]
 BRANCHES = [f"b{i}" for i in range(6)]
@@ -44,6 +44,10 @@ def _uid(n: int) -> Uid:
     return Uid(bytes([n]) * 32)
 
 
+def _holds_all(uid: Uid) -> bool:
+    return True
+
+
 def _materialize(ops: List[Tuple[int, int, int, int]]) -> Tuple[List[Record], BranchTable]:
     """Map raw draws to a *valid* op sequence plus the model it produces.
 
@@ -53,7 +57,6 @@ def _materialize(ops: List[Tuple[int, int, int, int]]) -> Tuple[List[Record], Br
     """
     model = BranchTable()
     records: List[Record] = []
-    seq = 0
     for kind, a, b, v in ops:
         key, branch = KEYS[a], BRANCHES[b]
         other_key, other_branch = KEYS[(a + 1) % len(KEYS)], BRANCHES[(b + 1) % len(BRANCHES)]
@@ -90,8 +93,6 @@ def _materialize(ops: List[Tuple[int, int, int, int]]) -> Tuple[List[Record], Br
                 continue
             model.drop_key(key)
             record = {"op": "drop-key", "key": key}
-        seq += 1
-        record["seq"] = seq
         records.append(record)
     return records, model
 
@@ -110,29 +111,40 @@ def test_journal_roundtrip_reconstructs_model(ops, tmp_path):
 
     reopened = CommitJournal(path)
     table = BranchTable()
-    last = replay_into(table, reopened.records)
+    applied = replay_into(table, reopened.records, _holds_all)
     reopened.close()
-    assert table.to_dict() == model.to_dict()
-    assert last == (records[-1]["seq"] if records else 0)
+    assert list(table.all_heads()) == list(model.all_heads())
+    assert applied == len(records)
 
 
-@given(ops=raw_ops)
+@given(ops=raw_ops, at=st.integers(0, 40))
 @_settings
-def test_replay_is_idempotent_under_seq_skip(ops, tmp_path):
+def test_replay_of_compacted_journal_matches_full_replay(ops, at, tmp_path):
     records, model = _materialize(ops)
-    table = BranchTable()
-    last = replay_into(table, records)
-    # A second replay from the covered sequence point changes nothing —
-    # the crash window between snapshot rewrite and journal truncation.
-    assert replay_into(table, records, after_seq=last) == last
-    assert table.to_dict() == model.to_dict()
-    # Replaying onto a table that already holds a mid-sequence snapshot
-    # also converges to the same state.
-    half = len(records) // 2
-    snapshot = BranchTable()
-    covered = replay_into(snapshot, records[:half])
-    assert replay_into(snapshot, records, after_seq=covered) == last
-    assert snapshot.to_dict() == model.to_dict()
+    at = min(at, len(records))
+    prefix = BranchTable()
+    replay_into(prefix, records[:at], _holds_all)
+    path = str(tmp_path / "compacted.wal")
+    if os.path.exists(path):
+        os.remove(path)
+    # Checkpoint after ``at`` ops, then keep appending: what a commit
+    # crossing ``journal_limit`` does to the file.
+    journal = CommitJournal(path, fsync="never")
+    for record in records[:at]:
+        journal.append(record)
+    journal.reset(checkpoint(prefix))
+    for record in records[at:]:
+        journal.append(record)
+    journal.close()
+
+    reopened = CommitJournal(path)
+    assert len(reopened) == len(prefix) + len(records) - at
+    compacted = BranchTable()
+    replay_into(compacted, reopened.records, _holds_all)
+    reopened.close()
+    full = BranchTable()
+    replay_into(full, records, _holds_all)
+    assert list(compacted.all_heads()) == list(full.all_heads()) == list(model.all_heads())
 
 
 @given(ops=raw_ops, cut_seed=st.integers(0, 2**31))

@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 from hypothesis import example, given, settings, strategies as st
 
 from repro.chunk import Chunk, ChunkType, Uid
-from repro.errors import ForkBaseError, StoreError
+from repro.errors import ChunkCorruptionError, ForkBaseError, StoreError
 from repro.faults import ByzantinePlan, ByzantineStore, FaultPlan, FaultyStore, TamperingStore
 from repro.faults.store import InterposedStore
 from repro.store.base import ChunkStore, WrapperStore
@@ -54,7 +54,7 @@ def per_copy(store: ChunkStore) -> Tuple[set, List[Uid]]:
     for uid in store.ids():
         try:
             chunk = store.get_maybe(uid)
-        except StoreError:
+        except (StoreError, ChunkCorruptionError):
             chunk = None
         if chunk is not None and chunk.is_valid():
             valid.add(uid)
@@ -199,7 +199,7 @@ def _scan(store: ChunkStore, scan) -> Tuple[object, list, Dict[str, object]]:
     try:
         valid, suspects = scan(store)
         outcome: object = (frozenset(valid), tuple(suspects))
-    except ForkBaseError as error:  # a verifying store raises on rot: both must
+    except ForkBaseError as error:  # whatever one raises, the other must too
         outcome = type(error).__name__
     deltas = [layer.stats.delta(earlier) for layer, earlier in zip(layers, before)]
     return outcome, deltas, _counters(store)
@@ -223,6 +223,7 @@ scripts = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(script=scripts)
 @example(script=Script("plain", (), (1,) * 30, 0, (), (), 0.0))  # an empty store
+@example(script=Script("verifying", (100, 900, 400), (1,) * 30, 3, (0, 1), (), 0.0))
 def test_scan_equals_per_copy_reads(script):
     reference_store = build(script)
     scanned_store = build(script)
@@ -245,3 +246,13 @@ def test_override_reads_nothing_per_copy_but_counts_every_read():
     assert store.stats.gets == 4
     assert store.stats.served_bytes == sum(chunk.size() for chunk in store._chunks.values())
 
+
+def test_verifying_store_counts_a_rewritten_copy_as_suspect():
+    """A verifying store's read raises on rot; the scan must file the
+    copy as a suspect for ``diagnose_copy`` and keep going, not abort."""
+    script = Script("verifying", (100, 900, 400), (1,) * 30, 5, (2,), (), 0.0)
+    store = build(script)
+    rotten = sorted(store.ids())[2]
+    valid, suspects = store.verify_holdings()
+    assert suspects == [rotten]
+    assert valid == set(store.ids()) - {rotten}

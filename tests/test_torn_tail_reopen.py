@@ -65,13 +65,13 @@ class _JournalOwner:
         self._live = CommitJournal(self.log_path)
 
     def ack(self, n: int) -> None:
-        self._live.append({"op": "set-head", "seq": n})
+        self._live.append({"op": "set-head", "n": n})
 
     def crash(self) -> None:
         self._live.abandon()
 
     def acked(self, n: int) -> bool:
-        return any(record["seq"] == n for record in self._live.records)
+        return any(record["n"] == n for record in self._live.records)
 
     def count(self) -> int:
         return len(self._live)

@@ -5,7 +5,8 @@ import pytest
 from repro.chunk import Uid
 from repro.errors import BranchExistsError, UnknownBranchError, UnknownVersionError
 from repro.store import InMemoryStore
-from repro.vcs import BranchTable, FNode, VersionGraph
+from repro.vcs import BranchTable, FNode, VersionGraph, replay_into
+from repro.vcs.journal import checkpoint
 
 
 def _value_root(n: int) -> Uid:
@@ -189,8 +190,10 @@ class TestBranchTable:
         table.create("k1", "master", Uid.of(b"1"))
         table.create("k1", "dev", Uid.of(b"2"))
         table.create("k2", "master", Uid.of(b"3"))
-        restored = BranchTable.from_dict(table.to_dict())
-        assert restored.to_dict() == table.to_dict()
+        # A table persists as its journal checkpoint: one set-head per head.
+        restored = BranchTable()
+        assert replay_into(restored, checkpoint(table), lambda uid: True) == len(table) == 3
+        assert list(restored.all_heads()) == list(table.all_heads())
         assert restored.head("k1", "dev") == Uid.of(b"2")
 
     def test_all_heads_and_len(self):
