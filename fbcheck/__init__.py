@@ -19,14 +19,13 @@ Each rule is registered in :mod:`fbcheck.rules` and documented in README.md
 the per-rule allowlists (:mod:`fbcheck.config`) and inline pragma
 comments (``fbcheck: ignore[RULE-ID]``; unknown rule ids are an error).
 
-Two rules are flow-sensitive: :mod:`fbcheck.cfg` builds per-function
-control-flow graphs, which FB-LOCKED checks for lock domination, and
-:mod:`fbcheck.dataflow` runs taint propagation over them, with one level
-of interprocedural summaries from :mod:`fbcheck.summaries`, for
-FB-TAMPER.  A run is one serial pass that prints one text format.
+Every rule is one pass over one file's AST (FB-LAYERS adds a
+whole-program cycle check); none builds a control-flow graph.  That
+every served byte hashes to its uid is a runtime property, checked by
+the stores' reads and pinned by corrupt-at-rest tests, not here.  A run
+is one serial pass that prints one text format.
 """
 
-from fbcheck.cfg import CFG, build_cfgs
 from fbcheck.core import (
     ModuleFile,
     Rule,
@@ -37,19 +36,14 @@ from fbcheck.core import (
     check_source,
     register,
 )
-from fbcheck.dataflow import TaintAnalysis, TaintSpec
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
-    "CFG",
     "ModuleFile",
     "Rule",
-    "TaintAnalysis",
-    "TaintSpec",
     "Violation",
     "all_rules",
-    "build_cfgs",
     "check_module",
     "check_paths",
     "check_source",

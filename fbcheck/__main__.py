@@ -2,9 +2,10 @@
 
 Prints ``file:line: RULE-ID message`` per violation (warnings carry a
 ``[warning]`` marker; CI's problem matcher reads exactly this format)
-and exits 0 (clean), 1 (violations), or 2 (unparseable input / unknown
-pragma rule ids / usage error).  ``--stale-allow`` adds a warning for
-every allowlist entry that matched nothing; use it on full-tree runs.
+and exits 0 (clean), 1 (violations), or 2 (a missing path / unparseable
+input / unknown pragma rule ids / usage error).  ``--stale-allow`` adds a
+warning for every allowlist entry of the selected rules that matched
+nothing; use it on full-tree runs.
 """
 
 from __future__ import annotations

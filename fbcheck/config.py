@@ -2,9 +2,8 @@
 
 This module is the one place the enforced architecture is written down:
 the layer table (FB-LAYERS), the hash-feeding value modules (FB-IMMUT), the
-determinism domain (FB-DETERM), the persistence paths (FB-DURABLE), the
-taint policy (FB-TAMPER), and the per-rule allowlists.  Rules read it;
-they hard-code nothing.
+determinism domain (FB-DETERM), the persistence paths (FB-DURABLE), and the
+per-rule allowlists.  Rules read it; they hard-code nothing.
 
 Allowlist entries have the form ``"<path-suffix>::<detail>"`` — the path
 part matches a suffix of the (virtual) repo-relative path and ``detail`` is
@@ -196,62 +195,6 @@ PRIVACY_PUBLIC_UNDERSCORE: FrozenSet[str] = frozenset(
     {"_replace", "_asdict", "_fields", "_field_defaults", "_make"}
 )
 
-# ---------------------------------------------------------------------------
-# FB-TAMPER: taint policy for the tamper-evidence dataflow rule.
-#
-# Bytes read off an unverified medium (disk, mmap window, transport) are
-# tainted until they pass one of the paper's integrity gates; returning or
-# decoding them across the store boundary before that is the violation the
-# ``verify_reads=False`` bypass made invisible.
-# ---------------------------------------------------------------------------
-
-#: Paths where the taint analysis runs (the store boundary + its feeders).
-FLOW_TAMPER_PATHS: Tuple[str, ...] = (
-    "src/repro/store/",
-    "src/repro/cluster/",
-    "src/repro/vcs/",
-)
-
-#: Calls whose result is unverified medium bytes, by bare/last name.
-TAMPER_SOURCES: FrozenSet[str] = frozenset(
-    {"read", "read1", "readinto", "pread", "read_bytes", "recv", "recv_into", "recvfrom", "_fetch"}
-)
-
-#: Dotted call suffixes that are sources (matched against the full text).
-TAMPER_SOURCE_SUFFIXES: Tuple[str, ...] = ("os.read", "mmap.mmap", "_maps.get")
-
-#: ``x.verify()`` / ``x.is_valid()`` vouch for their receiver.
-TAMPER_SANITIZER_METHODS: FrozenSet[str] = frozenset({"verify", "is_valid"})
-
-#: Calls that vouch for their byte arguments (scrub's record checkers).
-TAMPER_SANITIZER_CALLS: FrozenSet[str] = frozenset(
-    {"diagnose_record", "diagnose_copy"}
-)
-
-#: A comparison mentioning one of these (as a call or name token) is a
-#: CRC/digest equality check and cleans every name taking part in it.
-TAMPER_COMPARE_TOKENS: FrozenSet[str] = frozenset(
-    {"crc32", "crc", "digest", "uid", "compute_uid", "checksum"}
-)
-
-#: Calls that merely reshape bytes: taint flows through.
-TAMPER_PROPAGATORS: FrozenSet[str] = frozenset(
-    {"unpack", "unpack_from", "bytes", "bytearray", "memoryview", "decompress", "join"}
-)
-
-#: Attributes that carry their owner's payload bytes.
-TAMPER_CARRIER_ATTRS: FrozenSet[str] = frozenset({"data", "_data", "raw", "payload"})
-
-#: Decode sinks: parsing unverified bytes into live objects.
-TAMPER_DECODE_CALLS: FrozenSet[str] = frozenset(
-    {"loads", "load_node", "from_chunk", "decode_chunk"}
-)
-
-#: Constructors that re-hash their payload (clean) unless handed a
-#: precomputed ``uid=`` — then they trust the caller and taint survives.
-TAMPER_TRUSTING_CONSTRUCTORS: FrozenSet[str] = frozenset({"Chunk"})
-
-
 @dataclass(frozen=True)
 class Config:
     """Everything a rule may consult, bundled for injection in tests."""
@@ -267,16 +210,6 @@ class Config:
     errors_builtin_allow: FrozenSet[str] = ERRORS_BUILTIN_ALLOW
     privacy_public_underscore: FrozenSet[str] = PRIVACY_PUBLIC_UNDERSCORE
     durable_persistence_paths: Tuple[str, ...] = DURABLE_PERSISTENCE_PATHS
-    flow_tamper_paths: Tuple[str, ...] = FLOW_TAMPER_PATHS
-    tamper_sources: FrozenSet[str] = TAMPER_SOURCES
-    tamper_source_suffixes: Tuple[str, ...] = TAMPER_SOURCE_SUFFIXES
-    tamper_sanitizer_methods: FrozenSet[str] = TAMPER_SANITIZER_METHODS
-    tamper_sanitizer_calls: FrozenSet[str] = TAMPER_SANITIZER_CALLS
-    tamper_compare_tokens: FrozenSet[str] = TAMPER_COMPARE_TOKENS
-    tamper_propagators: FrozenSet[str] = TAMPER_PROPAGATORS
-    tamper_carrier_attrs: FrozenSet[str] = TAMPER_CARRIER_ATTRS
-    tamper_decode_calls: FrozenSet[str] = TAMPER_DECODE_CALLS
-    tamper_trusting_constructors: FrozenSet[str] = TAMPER_TRUSTING_CONSTRUCTORS
     #: Per-rule allowlists: rule id → ("path-suffix::detail", ...).
     allow: Mapping[str, Sequence[str]] = field(default_factory=dict)
 
@@ -293,22 +226,6 @@ DEFAULT_ALLOW: Dict[str, Sequence[str]] = {
     # The disk-fault shim *is* the faulty kernel: raising OSError with a
     # real errno is its contract (callers classify via map_os_error).
     "FB-ERRORS": ("src/repro/faults/fs.py::OSError",),
-    # ChunkStore.get/get_maybe fetch then verify behind the verify_reads
-    # flag: the skip branch is the *explicit, caller-chosen* opt-out the
-    # flag exists for (scrub wants the raw bytes to diagnose them), so
-    # the tainted merge at the return is sanctioned here — everywhere
-    # else a fetch-without-verify path is a real FB-TAMPER bug (the
-    # cache-wrapper verify_reads=False regression this rule was built
-    # to catch).  The default get_node() *is* get() under the node
-    # seam's name, flag and all.  physical_size() sums *lengths* parsed
-    # out of frame headers; the integers it returns describe the
-    # payload, they are not the payload.
-    "FB-TAMPER": (
-        "src/repro/store/base.py::get",
-        "src/repro/store/base.py::get_maybe",
-        "src/repro/store/base.py::get_node",
-        "src/repro/store/packstore.py::physical_size",
-    ),
 }
 
 DEFAULT_CONFIG = Config(allow=DEFAULT_ALLOW)

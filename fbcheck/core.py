@@ -94,9 +94,6 @@ class ModuleFile:
         self.skip = any(SKIP_FILE_RE.search(line) for line in header)
         self.module = _module_name(self.path)
         self.ignores = _collect_pragmas(self.lines)
-        #: Scratch space for expensive per-module analyses (the CFGs)
-        #: shared across the flow rules.
-        self.analysis_cache: Dict[str, object] = {}
 
     def ignored(self, rule: str, line: int) -> bool:
         """True when an inline pragma suppresses ``rule`` at ``line``."""
@@ -316,9 +313,11 @@ def check_paths(
 
     One serial pass: parse each file, run the per-file rules over it
     (:func:`check_module`), then the whole-program ``finalize`` passes.
-    ``stale_allow`` appends warning-severity findings for allowlist
-    entries that matched nothing — only meaningful on a full-tree run,
-    since an entry for a file that was not scanned matches nothing.
+    A path that does not exist is reported in ``Report.errors``.
+    ``stale_allow`` appends warning-severity findings for the selected
+    rules' allowlist entries that matched nothing — only meaningful on a
+    full-tree run, since an entry for a file that was not scanned
+    matches nothing.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     rules = all_rules(cfg)
@@ -326,6 +325,10 @@ def check_paths(
         rules = [rule for rule in rules if rule.rule_id in select]
     known_ids = _known_rule_ids(rules)
     report = Report()
+    # A missing path is an error, not an empty (hence clean) run.
+    report.errors.extend(
+        f"{path}: no such file or directory" for path in paths if not os.path.exists(path)
+    )
     modules: List[ModuleFile] = []
     for file_path in iter_python_files(paths):
         try:
@@ -360,10 +363,10 @@ def check_paths(
                 report.violations.append(violation)
 
     if stale_allow:
-        hits = {rule.rule_id: rule.allow_hits for rule in rules}
-        for rule_id, entries in sorted(cfg.allow.items()):
-            for entry in entries:
-                if entry in hits.get(rule_id, ()):
+        # Only the rules that ran can have matched their entries.
+        for rule in rules:
+            for entry in cfg.allow.get(rule.rule_id, ()):
+                if entry in rule.allow_hits:
                     continue
                 entry_path, _, _ = entry.partition("::")
                 report.violations.append(
@@ -371,7 +374,7 @@ def check_paths(
                         entry_path,
                         0,
                         STALE_ALLOW_RULE,
-                        f"allowlist entry {entry!r} for {rule_id} matched nothing",
+                        f"allowlist entry {entry!r} for {rule.rule_id} matched nothing",
                         severity="warning",
                     )
                 )

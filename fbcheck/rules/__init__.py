@@ -8,11 +8,13 @@ Rule ids and the ForkBase invariant each protects:
 - ``FB-ERRORS``  — one error taxonomy, no swallowed failures
 - ``FB-LAYERS``  — the chunk → … → api import DAG (SIRI composability)
 - ``FB-DURABLE`` — every rename in persistence code is ``durable_replace``
+- ``FB-LOCKED``  — ``# guarded-by:`` fields only touched inside a ``with``
+  body that holds their lock
 
-Flow-sensitive rules (CFG + taint engine):
-
-- ``FB-TAMPER``  — unverified medium bytes never cross the store boundary (§II)
-- ``FB-LOCKED``  — ``# guarded-by:`` fields only touched under their lock
+Each rule is one walk over one file's AST.  Tamper evidence (§II: every
+served byte hashes to its uid) has no rule: the stores check it at read
+time, and EXPERIMENTS.md ("What each fbcheck rule earns") names the
+tier-1 test that fails when any read site skips its check.
 """
 
 from fbcheck.rules import (
@@ -23,7 +25,6 @@ from fbcheck.rules import (
     layers,
     locked,
     privacy,
-    tamper,
 )
 
 __all__ = [
@@ -34,5 +35,4 @@ __all__ = [
     "layers",
     "locked",
     "privacy",
-    "tamper",
 ]

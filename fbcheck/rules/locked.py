@@ -1,30 +1,31 @@
 """FB-LOCKED: ``# guarded-by:`` fields only touched under their lock.
 
-ROADMAP item 1 (the multi-client serving layer) puts the shared node
-cache and the stores behind concurrent callers.  Python data races rarely
-crash; they corrupt counters and caches silently.  This rule lets a class
-declare its locking discipline inline and has the CFG prove it:
+A class declares its locking discipline inline, and this rule checks
+that every touch of a guarded field sits inside the declared lock:
 
 .. code-block:: python
 
-    class NodeCacheStore:
-        def __init__(self, backing):
-            self._lock = threading.Lock()
-            self._nodes = OrderedDict()   # guarded-by: self._lock
-            self.node_hits = 0            # guarded-by: self._lock
+    class NodeLRU:
+        def __init__(self):
+            self.lock = threading.Lock()
+            self.entries = OrderedDict()   # guarded-by: self.lock
+            self.hits = 0                  # guarded-by: self.lock
 
-        def _remember(self, uid, node):   # holds-lock: self._lock
+        def _drop_cut(self, uid, key):     # holds-lock: self.lock
             ...
 
-Every read or write of a guarded field outside ``__init__`` must be
-*dominated* by a ``with self._lock:`` entry and sit lexically inside its
-body — a plain reachability check would accept a path that merely might
-have taken the lock; domination requires that every path did.  A helper
-that is only ever called with the lock held declares ``# holds-lock:``
-on its ``def`` line and is checked as if the lock were taken at entry.
+Every read or write of a guarded field outside ``__init__`` must sit
+lexically inside a ``with self.lock:`` body.  Python's control flow is
+structured, so lexical nesting is domination: every path to a statement
+inside a ``with`` body passed through that ``with``'s entry.  The
+``with`` header itself is evaluated before the lock is taken, and a
+nested ``def`` or ``lambda`` runs at another time, so each starts with
+no lock held.  A helper that is only ever called with the lock held
+declares ``# holds-lock:`` on its ``def`` line and is checked as if the
+lock were taken at entry.
 
 The lock is matched by the *text* of the context expression, so
-``with self._lock:`` guards fields annotated ``# guarded-by: self._lock``
+``with self.lock:`` guards fields annotated ``# guarded-by: self.lock``
 — no alias analysis, by design: lock handles in this codebase are
 ``self``-rooted attributes created in ``__init__``.
 
@@ -35,13 +36,14 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from fbcheck.cfg import CFG, build_cfgs
 from fbcheck.core import ModuleFile, Rule, Violation, register
 
 GUARDED_RE = re.compile(r"#\s*guarded-by:\s*(\S+)")
 HOLDS_RE = re.compile(r"#\s*holds-lock:\s*(\S+)")
+
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 def _guarded_fields(cls: ast.ClassDef, lines: List[str]) -> Dict[str, str]:
@@ -64,7 +66,7 @@ def _guarded_fields(cls: ast.ClassDef, lines: List[str]) -> Dict[str, str]:
     return guarded
 
 
-def _held_locks(func: ast.AST, lines: List[str]) -> Tuple[str, ...]:
+def _held_locks(func: FunctionNode, lines: List[str]) -> Tuple[str, ...]:
     """Locks the ``# holds-lock:`` annotation declares held at entry."""
     held: List[str] = []
     start = func.lineno - 1  # the def line (decorators sit above it)
@@ -76,42 +78,62 @@ def _held_locks(func: ast.AST, lines: List[str]) -> Tuple[str, ...]:
     return tuple(held)
 
 
-def _walk_own(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's own body, skipping nested defs/lambdas (they get
-    their own CFG and their own check)."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
+Access = Tuple[ast.ClassDef, FunctionNode, ast.Attribute, Tuple[str, ...]]
 
 
-def _lock_dominates(cfg: CFG, block_id: int, lock: str) -> bool:
-    """Is this block inside a ``with lock:`` whose entry dominates it?"""
-    if lock not in cfg.blocks[block_id].withs:
-        return False
-    doms = cfg.dominators()[block_id]
-    for enter_id, contexts in cfg.with_enters.items():
-        if lock in contexts and enter_id in doms:
-            return True
-    return False
+def _self_accesses(
+    node: ast.AST,
+    lines: List[str],
+    owner: Optional[ast.ClassDef] = None,
+    func: Optional[FunctionNode] = None,
+    held: Tuple[str, ...] = (),
+) -> Iterator[Access]:
+    """Yield ``(class, method, self.<attr> node, locks held)`` under ``node``.
+
+    One walk that carries the stack of enclosing ``with`` context texts.
+    A class body starts a new owner; a ``def`` starts a new method whose
+    stack is its ``# holds-lock:`` seed; a ``lambda`` starts empty.
+    Decorators and argument defaults are not part of a body: skipped.
+    """
+    children: Iterable[ast.AST]
+    if isinstance(node, ast.ClassDef):
+        owner, func, held, children = node, None, (), node.body
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func, held, children = node, _held_locks(node, lines), node.body
+    elif isinstance(node, ast.Lambda):
+        held, children = (), [node.body]
+    elif isinstance(node, (ast.With, ast.AsyncWith)):
+        # The header runs before the lock is taken.
+        for item in node.items:
+            yield from _self_accesses(item, lines, owner, func, held)
+        held = held + tuple(ast.unparse(item.context_expr) for item in node.items)
+        children = node.body
+    else:
+        if (
+            owner is not None
+            and func is not None
+            and isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            yield owner, func, node, held
+        children = ast.iter_child_nodes(node)
+    for child in children:
+        yield from _self_accesses(child, lines, owner, func, held)
 
 
 @register
 class LockDisciplineRule(Rule):
-    """Dominator-checked lock discipline for annotated fields."""
+    """Lexically checked lock discipline for annotated fields."""
 
     rule_id = "FB-LOCKED"
-    summary = "# guarded-by: fields only accessed inside a dominating `with <lock>` region"
+    summary = "# guarded-by: fields only accessed inside a `with <lock>` body"
 
     def applies_to(self, path: str) -> bool:
         return path.startswith("src/")
 
     def check(self, module: ModuleFile) -> Iterator[Violation]:
         lines = module.lines
-        cfgs = build_cfgs(module)
         by_class: Dict[str, Dict[str, str]] = {}
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):
@@ -120,37 +142,18 @@ class LockDisciplineRule(Rule):
                     by_class[node.name] = fields
         if not by_class:
             return
-        for func, cfg, owner in cfgs.values():
-            if owner is None or owner.name not in by_class:
+        for owner, func, node, held in _self_accesses(module.tree, lines):
+            lock = by_class.get(owner.name, {}).get(node.attr)
+            # Construction happens before the instance is shared; the
+            # guard starts at publication.
+            if lock is None or lock in held or func.name == "__init__":
                 continue
-            if func.name == "__init__":
-                # Construction happens before the instance is shared; the
-                # guard starts at publication.
+            detail = f"{owner.name}.{func.name}.{node.attr}"
+            if self.allowed(module, detail):
                 continue
-            guarded = by_class[owner.name]
-            held = _held_locks(func, lines)
-            for node in _walk_own(func):
-                if not isinstance(node, ast.Attribute):
-                    continue
-                if not (
-                    isinstance(node.value, ast.Name) and node.value.id == "self"
-                ):
-                    continue
-                lock = guarded.get(node.attr)
-                if lock is None or lock in held:
-                    continue
-                block_id = cfg.block_of(node)
-                if block_id is None:
-                    continue
-                if _lock_dominates(cfg, block_id, lock):
-                    continue
-                detail = f"{owner.name}.{func.name}.{node.attr}"
-                if self.allowed(module, detail):
-                    continue
-                yield self.violation(
-                    module,
-                    node.lineno,
-                    f"{owner.name}.{func.name}() touches self.{node.attr} "
-                    f"(guarded-by: {lock}) outside a dominating "
-                    f"`with {lock}:` region",
-                )
+            yield self.violation(
+                module,
+                node.lineno,
+                f"{owner.name}.{func.name}() touches self.{node.attr} "
+                f"(guarded-by: {lock}) outside a `with {lock}:` body",
+            )

@@ -119,7 +119,15 @@ class VersionInfo:
 
 
 class ForkBase:
-    """Git-for-data engine over an immutable chunk store."""
+    """Git-for-data engine over an immutable chunk store.
+
+    Single-threaded: an engine serves one caller at a time, and no module
+    in ``src/`` starts a thread.  The one declared lock discipline is
+    :class:`~repro.store.nodecache.NodeLRU`'s (its ``# guarded-by:``
+    fields, checked by fbcheck's FB-LOCKED), kept for the parked
+    multi-client server; nothing else here is safe to share between
+    threads.
+    """
 
     def __init__(
         self,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +43,15 @@ def sample_pairs() -> dict:
 def small_pairs() -> dict:
     """A record set that fits in one or two leaves."""
     return {f"k{i:03d}".encode(): b"v%d" % i for i in range(40)}
+
+
+@pytest.fixture(scope="session")
+def fbcheck_live_report():
+    """One ``--stale-allow`` fbcheck scan of the live tree, shared by
+    ``test_fbcheck.py`` and ``test_fbcheck_flow.py`` (a full scan takes
+    seconds; two tests read it)."""
+    from fbcheck import check_paths
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(Path(__file__).resolve().parents[1])
+        return check_paths(["src", "tests", "benchmarks", "examples"], stale_allow=True)

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from repro.chunk import Chunk, ChunkType
+from repro.errors import StoreError
 from repro.store import FileStore, PackStore
 
 _HEADER = struct.Struct(">BI")
@@ -56,6 +57,8 @@ class Layout(NamedTuple):
 
     def assert_recovers(self, directory, expected_present, expected_absent=()):
         with self.store(directory) as store:
+            # Every intact record and nothing else: damage is never indexed.
+            assert set(store.ids()) == {chunk.uid for chunk in expected_present}
             for chunk in expected_present:
                 got = store.get(chunk.uid)
                 assert got.data == chunk.data and got.is_valid()
@@ -124,6 +127,20 @@ class TestTornTail:
             handle.truncate(size - 9)  # rips into the last record
         self.layout.assert_recovers(directory, chunks[:-1], expected_absent=[chunks[-1]])
 
+    def test_truncated_under_an_open_store(self, populated):
+        """The segment loses its tail while the store is open: reading the
+        ripped record, or compacting over it, raises — a short payload is
+        never served, or copied, under its uid."""
+        directory, chunks = populated
+        store = self.layout.store(directory)
+        path = self.layout.segment(directory)
+        os.truncate(path, os.path.getsize(path) - 9)
+        with pytest.raises(StoreError):
+            store.get(chunks[-1].uid)
+        with pytest.raises(StoreError):
+            store.compact_segments()
+        store.abandon()
+
 
 class TestTornTailOnPack(TestTornTail):
     layout = PACK
@@ -139,9 +156,23 @@ class TestIndexDamage:
         self.layout.assert_recovers(directory, chunks)
 
     def test_corrupt_magic_rebuilds(self, populated):
+        """A snapshot with a bad magic is not trusted at all.  Its body is
+        well-formed here but names each other's record for two uids, so
+        loading it anyway would serve one chunk's bytes under the other's
+        uid."""
         directory, chunks = populated
         with open(self.layout.index(directory), "r+b") as handle:
-            handle.write(b"XXXXXXXX")
+            snapshot = bytearray(handle.read())
+            size = self.layout.store._INDEX_ENTRY.size
+            first = len(snapshot) - len(chunks) * size  # entries end the file
+            second = first + size
+            snapshot[first : first + 32], snapshot[second : second + 32] = (
+                snapshot[second : second + 32],
+                snapshot[first : first + 32],
+            )
+            snapshot[:8] = b"XXXXXXXX"
+            handle.seek(0)
+            handle.write(snapshot)
         self.layout.assert_recovers(directory, chunks)
 
     def test_truncated_index_rebuilds(self, populated):

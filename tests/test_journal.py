@@ -149,6 +149,24 @@ def test_corrupt_interior_record_raises(tmp_path):
         CommitJournal(path)
 
 
+def test_rewritten_head_that_still_parses_raises(tmp_path):
+    """Tampering that leaves valid JSON (the first record's head replaced
+    by the second's) is caught by the record CRC alone."""
+    path = str(tmp_path / "j.wal")
+    journal = CommitJournal(path, fsync="always")
+    first, second = _records(2)
+    journal.append(first)
+    journal.append(second)
+    journal.close()
+    blob = open(path, "rb").read()
+    forged = blob.replace(first["head"].encode(), second["head"].encode(), 1)
+    assert forged != blob
+    with open(path, "wb") as handle:
+        handle.write(forged)
+    with pytest.raises(JournalCorruptError):
+        CommitJournal(path)
+
+
 def test_reset_truncates_and_survives_reopen(tmp_path):
     path = str(tmp_path / "j.wal")
     journal = CommitJournal(path, fsync="always")

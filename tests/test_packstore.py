@@ -414,6 +414,12 @@ class TestDiagnoseRecord:
         assert store.diagnose_record(chunks[3].uid) == "crc"
         with pytest.raises(ChunkCorruptionError):
             store.get(chunks[3].uid)
+        # Compaction copies records verbatim: it must not launder rot by
+        # re-framing the rotten bytes under a fresh CRC.
+        store.compact_segments()
+        assert store.diagnose_record(chunks[3].uid) == "crc"
+        with pytest.raises(ChunkCorruptionError):
+            store.get(chunks[3].uid)
         store.abandon()
 
     def test_torn_verdict_on_shrunken_segment(self, populated):

@@ -64,6 +64,8 @@ class TestInMemoryStore:
         store._insert(bad)
         with pytest.raises(ChunkCorruptionError):
             store.get(bad.uid)
+        with pytest.raises(ChunkCorruptionError):
+            store.get_maybe(bad.uid)
 
 
 class TestStoreStats:
