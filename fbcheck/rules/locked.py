@@ -5,13 +5,13 @@ that every touch of a guarded field sits inside the declared lock:
 
 .. code-block:: python
 
-    class NodeLRU:
+    class Registry:
         def __init__(self):
             self.lock = threading.Lock()
-            self.entries = OrderedDict()   # guarded-by: self.lock
+            self.entries = {}              # guarded-by: self.lock
             self.hits = 0                  # guarded-by: self.lock
 
-        def _drop_cut(self, uid, key):     # holds-lock: self.lock
+        def _evict(self, key):             # holds-lock: self.lock
             ...
 
 Every read or write of a guarded field outside ``__init__`` must sit

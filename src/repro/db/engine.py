@@ -122,11 +122,10 @@ class ForkBase:
     """Git-for-data engine over an immutable chunk store.
 
     Single-threaded: an engine serves one caller at a time, and no module
-    in ``src/`` starts a thread.  The one declared lock discipline is
-    :class:`~repro.store.nodecache.NodeLRU`'s (its ``# guarded-by:``
-    fields, checked by fbcheck's FB-LOCKED), kept for the parked
-    multi-client server; nothing else here is safe to share between
-    threads.
+    in ``src/`` starts a thread (``tests/test_single_threaded.py``).  No
+    lock remains in ``src/``: the node cache, the branch table and every
+    counter are updated unguarded, so nothing here is safe to share
+    between threads.
     """
 
     def __init__(

@@ -98,34 +98,38 @@ class RetryPolicy:
         attempt as expensive as the one that just failed.  An exhausted
         budget is not a reason to hang on retries that cannot finish.
         """
-        last: Optional[BaseException] = None
-        delays = self.delays()  # lazy: a call that succeeds draws no jitter
-        for index in range(self.attempts):
+        before = deadline.remaining() if deadline is not None else None
+        if before is not None and before <= 0:
+            self.deadline_stops += 1
+            raise DeadlineExceededError(
+                f"deadline spent before attempt 1/{self.attempts}"
+            ) from None
+        try:
+            return fn()  # a first attempt that succeeds builds no delay schedule
+        except retry_on as error:  # type: ignore[misc]
+            last = error
+        for tried, delay in enumerate(self.delays(), 1):
+            if deadline is not None and before is not None:
+                spent = before - deadline.remaining()
+                if deadline.remaining() <= max(spent, 0):
+                    self.deadline_stops += 1
+                    raise DeadlineExceededError(
+                        f"{deadline.remaining()} ticks left cannot cover "
+                        f"another ~{spent}-tick attempt "
+                        f"({tried}/{self.attempts} tried)"
+                    ) from last
+            self.retries += 1
+            self.sleep(delay)
             before = deadline.remaining() if deadline is not None else None
             if before is not None and before <= 0:
                 self.deadline_stops += 1
                 raise DeadlineExceededError(
-                    f"deadline spent before attempt {index + 1}/{self.attempts}"
+                    f"deadline spent before attempt {tried + 1}/{self.attempts}"
                 ) from last
             try:
                 return fn()
             except retry_on as error:  # type: ignore[misc]
                 last = error
-                delay = next(delays, None)
-                if delay is None:
-                    break
-                if deadline is not None and before is not None:
-                    spent = before - deadline.remaining()
-                    if deadline.remaining() <= max(spent, 0):
-                        self.deadline_stops += 1
-                        raise DeadlineExceededError(
-                            f"{deadline.remaining()} ticks left cannot cover "
-                            f"another ~{spent}-tick attempt "
-                            f"({index + 1}/{self.attempts} tried)"
-                        ) from error
-                self.retries += 1
-                self.sleep(delay)
-        assert last is not None
         raise last
 
 

@@ -54,18 +54,17 @@ This module sits above the layers whose nodes it decodes
 cluster that holds one; the trees see only the seam on
 :class:`ChunkStore`, whose default is plain ``put`` / ``get``.
 
-The node map and its counters are lock-guarded with the discipline
-declared via ``# guarded-by:`` annotations (FB-LOCKED proves every
-access sits under a dominating ``with self.lock``).  Decoding and
-backing-store traffic happen outside the lock: a cache miss must not
-stall every hit behind the codec.  Read verification is inherited from
-the backing store — wrapping a verifying store must not silently
-disable its tamper checks.
+The engine is single-threaded: no module in ``src/`` starts a thread
+(a tier-1 test scans for the imports), and an engine and its stores are
+driven by one caller at a time.  So the node map and its counters take
+no lock: a hit is a dict lookup and a ``move_to_end`` (two for a
+leaf), the whole price of a warm level on a hot descent.  Read
+verification is inherited from the backing store — wrapping a verifying
+store must not silently disable its tamper checks.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -123,7 +122,7 @@ def is_leaf(decoded: DecodedNode) -> bool:
 
 
 class NodeLRU:
-    """A bounded, thread-safe uid → decoded-node map in LRU order.
+    """A bounded uid → decoded-node map in LRU order.
 
     A node enters in one of two ways, and each way has its own victim:
 
@@ -164,16 +163,15 @@ class NodeLRU:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.lock = threading.Lock()
-        self.entries: "OrderedDict[Uid, DecodedNode]" = OrderedDict()  # guarded-by: self.lock
+        self.entries: "OrderedDict[Uid, DecodedNode]" = OrderedDict()
         # The cached leaves' uids, least recently used first, each with
         # its cut-index key if it has one (config, head).
-        self.leaves: "OrderedDict[Uid, Optional[CutKey]]" = OrderedDict()  # guarded-by: self.lock
+        self.leaves: "OrderedDict[Uid, Optional[CutKey]]" = OrderedDict()
         # config -> leaf head -> uid of a cached BLOB leaf starting so.
-        self.cuts: Dict[ChunkerConfig, Dict[bytes, Uid]] = {}  # guarded-by: self.lock
-        self.hits = 0  # guarded-by: self.lock
-        self.lookups = 0  # guarded-by: self.lock
-        self.evictions = 0  # guarded-by: self.lock
+        self.cuts: Dict[ChunkerConfig, Dict[bytes, Uid]] = {}
+        self.hits = 0
+        self.lookups = 0
+        self.evictions = 0
 
     def lookup(self, uid: Uid) -> Optional[DecodedNode]:
         """The remembered node for ``uid`` (now most recent), else None.
@@ -181,98 +179,90 @@ class NodeLRU:
         Counts one lookup either way.  :meth:`NodeCacheStore.get_node`
         inlines this body: its hit path is the hottest read in the engine.
         """
-        with self.lock:
-            self.lookups += 1
-            cached = self.entries.get(uid)
-            if cached is not None:
-                self.hits += 1
-                self.entries.move_to_end(uid)
-                if is_leaf(cached):
-                    self.leaves.move_to_end(uid)
-            return cached
+        self.lookups += 1
+        cached = self.entries.get(uid)
+        if cached is not None:
+            self.hits += 1
+            self.entries.move_to_end(uid)
+            if is_leaf(cached):
+                self.leaves.move_to_end(uid)
+        return cached
 
     def remember(self, pairs: Iterable[Tuple[Uid, DecodedNode]]) -> None:
         """Remember written nodes, evicting the least recently used."""
-        with self.lock:
-            entries = self.entries
-            leaves = self.leaves
-            for uid, decoded in pairs:
-                entries[uid] = decoded
-                entries.move_to_end(uid)
-                if is_leaf(decoded):
-                    if uid in leaves:  # keep its cut-index key
-                        leaves.move_to_end(uid)
-                    else:
-                        leaves[uid] = None
-            while len(entries) > self.capacity:
-                victim, _ = entries.popitem(last=False)
-                key = leaves.pop(victim, None)
-                if key is not None:
-                    self._drop_cut(victim, key)
-                self.evictions += 1
+        entries = self.entries
+        leaves = self.leaves
+        for uid, decoded in pairs:
+            entries[uid] = decoded
+            entries.move_to_end(uid)
+            if is_leaf(decoded):
+                if uid in leaves:  # keep its cut-index key
+                    leaves.move_to_end(uid)
+                else:
+                    leaves[uid] = None
+        while len(entries) > self.capacity:
+            victim, _ = entries.popitem(last=False)
+            key = leaves.pop(victim, None)
+            if key is not None:
+                self._drop_cut(victim, key)
+            self.evictions += 1
 
     def remember_fetched(self, uid: Uid, decoded: DecodedNode) -> None:
         """Remember a node read from storage, evicting the least recently
         used leaf (the least recently used node if no other leaf is cached)."""
-        with self.lock:
-            entries = self.entries
-            leaves = self.leaves
-            entries[uid] = decoded
-            entries.move_to_end(uid)
-            leaf = is_leaf(decoded)
-            if leaf:
-                if uid in leaves:
-                    leaves.move_to_end(uid)
-                else:
-                    leaves[uid] = None
-            if len(entries) > self.capacity:
-                self.evictions += 1
-                if len(leaves) > leaf:  # a leaf other than this one is cached
-                    victim, key = leaves.popitem(last=False)
-                    del entries[victim]
-                    if key is not None:
-                        self._drop_cut(victim, key)
-                else:
-                    # Two or more entries are cached, so the oldest is not
-                    # this one, and it is no leaf.
-                    entries.popitem(last=False)
+        entries = self.entries
+        leaves = self.leaves
+        entries[uid] = decoded
+        entries.move_to_end(uid)
+        leaf = is_leaf(decoded)
+        if leaf:
+            if uid in leaves:
+                leaves.move_to_end(uid)
+            else:
+                leaves[uid] = None
+        if len(entries) > self.capacity:
+            self.evictions += 1
+            if len(leaves) > leaf:  # a leaf other than this one is cached
+                victim, key = leaves.popitem(last=False)
+                del entries[victim]
+                if key is not None:
+                    self._drop_cut(victim, key)
+            else:
+                # Two or more entries are cached, so the oldest is not
+                # this one, and it is no leaf.
+                entries.popitem(last=False)
 
     def forget(self, uids: Iterable[Uid]) -> None:
         """Drop any entries for ``uids`` (their storage no longer holds them)."""
-        with self.lock:
-            for uid in uids:
-                self.entries.pop(uid, None)
-                key = self.leaves.pop(uid, None)
-                if key is not None:
-                    self._drop_cut(uid, key)
+        for uid in uids:
+            self.entries.pop(uid, None)
+            key = self.leaves.pop(uid, None)
+            if key is not None:
+                self._drop_cut(uid, key)
 
     def clear(self) -> None:
         """Drop every entry; the counters keep their values."""
-        with self.lock:
-            self.entries.clear()
-            self.leaves.clear()
-            self.cuts.clear()
+        self.entries.clear()
+        self.leaves.clear()
+        self.cuts.clear()
 
     # -- the cut index -------------------------------------------------------
 
     def knows_cuts(self, config: ChunkerConfig) -> bool:
         """Whether any cached leaf was noted under ``config``."""
-        with self.lock:
-            return config in self.cuts
+        return config in self.cuts
 
     def known_leaf(self, config: ChunkerConfig, data: bytes, at: int) -> Optional[Chunk]:
         """The cached BLOB leaf noted under ``config`` that ``data``
         repeats from ``at``, else None.
 
         Counts no lookup and moves nothing: a caller that reuses the leaf
-        writes it, and the write does.  The byte compare runs outside
-        the lock.
+        writes it, and the write does.
         """
         head = data[at : at + min(CUT_HEAD, config.min_size)]
-        with self.lock:
-            table = self.cuts.get(config)
-            uid = table.get(head) if table is not None else None
-            leaf = self.entries.get(uid) if uid is not None else None
+        table = self.cuts.get(config)
+        uid = table.get(head) if table is not None else None
+        leaf = self.entries.get(uid) if uid is not None else None
         if isinstance(leaf, Chunk) and data.startswith(leaf.data, at):
             return leaf
         return None
@@ -287,20 +277,19 @@ class NodeLRU:
         now names this one.
         """
         width = min(CUT_HEAD, config.min_size)
-        with self.lock:
-            cached = self.leaves
-            for leaf in leaves:
-                uid = leaf.uid
-                if uid not in cached:
-                    continue
-                head = leaf.data[:width]
-                old = cached[uid]
-                if old is not None and old != (config, head):
-                    self._drop_cut(uid, old)
-                cached[uid] = (config, head)
-                self.cuts.setdefault(config, {})[head] = uid
+        cached = self.leaves
+        for leaf in leaves:
+            uid = leaf.uid
+            if uid not in cached:
+                continue
+            head = leaf.data[:width]
+            old = cached[uid]
+            if old is not None and old != (config, head):
+                self._drop_cut(uid, old)
+            cached[uid] = (config, head)
+            self.cuts.setdefault(config, {})[head] = uid
 
-    def _drop_cut(self, uid: Uid, key: "CutKey") -> None:  # holds-lock: self.lock
+    def _drop_cut(self, uid: Uid, key: "CutKey") -> None:
         """Remove ``uid``'s cut-index entry, if the entry still names it."""
         config, head = key
         table = self.cuts.get(config)
@@ -312,15 +301,14 @@ class NodeLRU:
     def counters(self) -> Dict[str, int]:
         """``hits``, ``lookups``, ``size``, ``capacity``, ``evictions``
         and ``leaves`` (how many cached nodes are leaves) in one read."""
-        with self.lock:
-            return {
-                "hits": self.hits,
-                "lookups": self.lookups,
-                "size": len(self.entries),
-                "capacity": self.capacity,
-                "evictions": self.evictions,
-                "leaves": len(self.leaves),
-            }
+        return {
+            "hits": self.hits,
+            "lookups": self.lookups,
+            "size": len(self.entries),
+            "capacity": self.capacity,
+            "evictions": self.evictions,
+            "leaves": len(self.leaves),
+        }
 
 
 class NodeCacheStore(WrapperStore):
@@ -366,19 +354,18 @@ class NodeCacheStore(WrapperStore):
         """
         # NodeLRU.lookup, inlined: no extra call on a hot descent's hit.
         cache = self.node_cache
-        with cache.lock:
-            cache.lookups += 1
-            cached = cache.entries.get(uid)
-            if cached is not None:
-                cache.hits += 1
-                cache.entries.move_to_end(uid)
-                # is_leaf, inlined: a cached leaf is always in ``leaves``.
-                kind = cached.__class__
-                if kind in _LEAF_KINDS or (
-                    kind is Chunk and cached.type == ChunkType.BLOB  # type: ignore[union-attr]
-                ):
-                    cache.leaves.move_to_end(uid)
-                return cached
+        cache.lookups += 1
+        cached = cache.entries.get(uid)
+        if cached is not None:
+            cache.hits += 1
+            cache.entries.move_to_end(uid)
+            # is_leaf, inlined: a cached leaf is always in ``leaves``.
+            kind = cached.__class__
+            if kind in _LEAF_KINDS or (
+                kind is Chunk and cached.type == ChunkType.BLOB  # type: ignore[union-attr]
+            ):
+                cache.leaves.move_to_end(uid)
+            return cached
         decoded = decode_chunk(self.backing.get(uid))
         cache.remember_fetched(uid, decoded)
         return decoded

@@ -90,7 +90,10 @@ class FMap(FObject):
         """Materialize as a dict, a whole leaf at a time."""
         out: Dict[bytes, bytes] = {}
         for leaf in self._tree.leaves():
-            out.update(leaf.entries)
+            # Unpacked here: dict.update copies each LeafEntry, a tuple
+            # subclass, into a temporary list before inserting it.
+            for key, value in leaf.entries:
+                out[key] = value
         return out
 
     # -- functional updates ---------------------------------------------------

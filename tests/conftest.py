@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Callable, List, Optional
 
 import pytest
 
 from repro.db.engine import ForkBase
+from repro.errors import TransientStoreError
+from repro.faults.retry import DeadlineLike, RetryPolicy
 from repro.store import InMemoryStore
 
 
@@ -16,6 +19,46 @@ def fault_seed(default: int) -> int:
     suite's own ``default`` (so an unset environment replays exactly the
     schedules it always has)."""
     return int(os.environ.get("FORKBASE_SEED", default))
+
+
+#: Attempts of the policy :func:`check_k_failures` drives.
+RETRY_ATTEMPTS = 4
+
+
+def check_k_failures(
+    failures: int,
+    deadline: Optional[DeadlineLike] = None,
+    on_attempt: Callable[[], object] = lambda: None,
+) -> None:
+    """Call, through a jittered policy of :data:`RETRY_ATTEMPTS` attempts, a
+    callable whose first ``failures`` calls raise distinct transient errors,
+    and check what the call is pinned to: the calls made, the exact sleeps
+    (the schedule's first delays, one per retry), ``retries``, no deadline
+    stop, and once the attempts run out, the last error re-raised as is."""
+    slept: List[float] = []
+    policy = RetryPolicy(
+        attempts=RETRY_ATTEMPTS, base_delay=0.01, jitter=0.5, seed=11, sleep=slept.append
+    )
+    calls: List[int] = []
+    errors = [TransientStoreError(f"flap {n}") for n in range(failures)]
+
+    def fn() -> str:
+        on_attempt()
+        calls.append(1)
+        if len(calls) <= failures:
+            raise errors[len(calls) - 1]
+        return "ok"
+
+    retried = min(failures, RETRY_ATTEMPTS - 1)
+    if failures < RETRY_ATTEMPTS:
+        assert policy.call(fn, deadline=deadline) == "ok"
+    else:
+        with pytest.raises(TransientStoreError) as excinfo:
+            policy.call(fn, deadline=deadline)
+        assert excinfo.value is errors[-1]
+    assert len(calls) == retried + 1
+    assert slept == list(policy.delays())[:retried]
+    assert policy.retries == retried and policy.deadline_stops == 0
 
 
 @pytest.fixture

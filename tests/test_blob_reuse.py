@@ -212,8 +212,7 @@ class TestGuards:
 
 
 def _noted(cache: NodeLRU) -> int:
-    with cache.lock:
-        return sum(len(table) for table in cache.cuts.values())
+    return sum(len(table) for table in cache.cuts.values())
 
 
 class TestLifetime:

@@ -8,6 +8,7 @@ from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import NodeDownError, TransientStoreError
 from repro.faults import FaultPlan, FaultyStore, RetryPolicy, with_retry
 from repro.store.memory import InMemoryStore
+from tests.conftest import RETRY_ATTEMPTS, check_k_failures
 
 
 def _chunk(n: int, size: int = 32) -> Chunk:
@@ -240,6 +241,10 @@ class TestRetryPolicy:
 
         assert policy.call(once) == 42
         assert slept == [0.1]
+
+    @pytest.mark.parametrize("failures", range(RETRY_ATTEMPTS + 1))
+    def test_k_failures_cost_k_jittered_sleeps(self, failures):
+        check_k_failures(failures)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from repro.cluster import (
 )
 from repro.errors import DeadlineExceededError, TransientError, TransientStoreError
 from repro.faults import RetryPolicy
+from tests.conftest import RETRY_ATTEMPTS, check_k_failures
 
 
 class TestLatencyStats:
@@ -261,3 +262,9 @@ class TestRetryDeadline:
         with pytest.raises(DeadlineExceededError):
             policy.call(fn, deadline=deadline)
         assert policy.retries == 0
+
+    @pytest.mark.parametrize("failures", range(RETRY_ATTEMPTS + 1))
+    def test_k_failures_within_the_budget_match_the_seed_behaviour(self, failures):
+        """A budget every attempt fits in changes nothing."""
+        clock = LogicalClock()
+        check_k_failures(failures, Deadline(100, clock.now), lambda: clock.advance(3))
