@@ -106,7 +106,6 @@ IMMUT_VALUE_CLASSES: FrozenSet[str] = frozenset(
     {
         "Chunk",
         "Uid",
-        "LeafEntry",
         "IndexEntry",
         "LeafNode",
         "EncodedNode",

@@ -58,13 +58,12 @@ def build_leaf_level(
         entries = list(entries)
     if check_order:
         previous_key = None
-        for entry in entries:
-            if previous_key is not None and entry.key <= previous_key:
+        for key, _ in entries:
+            if previous_key is not None and key <= previous_key:
                 raise KeyOrderError(
-                    f"keys must be strictly increasing: {previous_key!r} "
-                    f"then {entry.key!r}"
+                    f"keys must be strictly increasing: {previous_key!r} then {key!r}"
                 )
-            previous_key = entry.key
+            previous_key = key
     encoded = encode_leaf_entries(entries)
     descriptors: List[IndexEntry] = []
     for start, end in fast_entry_spans(encoded, config.leaf):

@@ -208,19 +208,17 @@ def diff_trees(tree_a: PosTree, tree_b: PosTree) -> TreeDiff:
         end_a = len(entries_a)
         end_b = len(entries_b)
         while pos_a < end_a and pos_b < end_b:
-            entry_a = entries_a[pos_a]
-            entry_b = entries_b[pos_b]
-            key_a = entry_a.key
-            key_b = entry_b.key
+            key_a, value_a = entries_a[pos_a]
+            key_b, value_b = entries_b[pos_b]
             if key_a < key_b:
-                removed[key_a] = entry_a.value
+                removed[key_a] = value_a
                 pos_a += 1
             elif key_a > key_b:
-                added[key_b] = entry_b.value
+                added[key_b] = value_b
                 pos_b += 1
             else:
-                if entry_a.value != entry_b.value:
-                    changed[key_a] = (entry_a.value, entry_b.value)
+                if value_a != value_b:
+                    changed[key_a] = (value_a, value_b)
                 pos_a += 1
                 pos_b += 1
         frames_a[-1] = (node_a, pos_a)
@@ -242,8 +240,7 @@ def _drain(cursor: _LazyCursor, out: Dict[bytes, bytes]) -> None:
         if not isinstance(leaf, LeafNode):
             cursor.expand()
             continue
-        for entry in leaf.entries[pos:]:
-            out[entry.key] = entry.value
+        out.update(leaf.entries[pos:])
         frames[-1] = (leaf, len(leaf.entries))
         cursor.retreat()
 

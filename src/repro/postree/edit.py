@@ -304,7 +304,7 @@ def apply_edits(
     for key, value in puts.items():
         if not isinstance(key, bytes) or not isinstance(value, bytes):
             raise TypeError("POS-Tree keys and values must be bytes")
-        edits[key] = LeafEntry(key, value)
+        edits[key] = (key, value)
     if not edits:
         return tree.root
     batch: WriteBatch = []

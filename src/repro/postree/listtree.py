@@ -283,7 +283,7 @@ class BlobTree(TreeView):
 
     def read(self) -> bytes:
         """Reassemble the full payload."""
-        return b"".join(chunk.data for chunk in self.iter_chunks())
+        return b"".join([chunk.data for chunk in self.iter_chunks()])
 
     def read_at(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes from ``offset`` without full assembly.

@@ -34,12 +34,11 @@ from repro.chunk import Chunk, ChunkType, Reader, Uid
 from repro.chunk.codec import UVARINT_1, uvarint_bytes
 from repro.errors import ChunkEncodingError
 
-
-class LeafEntry(NamedTuple):
-    """A record stored in a data chunk."""
-
-    key: bytes
-    value: bytes
+#: A record stored in a data chunk: a plain ``(key, value)`` tuple.  Not a
+#: NamedTuple: a decode builds one per record, and a tuple display is one
+#: allocation the collector can untrack (EXPERIMENTS "Records as plain
+#: tuples").
+LeafEntry = Tuple[bytes, bytes]
 
 
 class IndexEntry(NamedTuple):
@@ -236,7 +235,6 @@ class LeafNode(EncodedNode):
         data = chunk.data
         entries: List[LeafEntry] = []
         append = entries.append
-        new = tuple.__new__
         try:
             count = data[0]
             pos = 1
@@ -253,7 +251,7 @@ class LeafNode(EncodedNode):
                 if value_end > 0x7F:
                     value_end, value_at = _uvarint_at(data, key_end)
                 value_end += value_at
-                append(new(LeafEntry, (data[pos:key_end], data[value_at:value_end])))
+                append((data[pos:key_end], data[value_at:value_end]))
                 pos = value_end
         except IndexError:
             raise ChunkEncodingError("truncated leaf node") from None
@@ -274,20 +272,11 @@ class LeafNode(EncodedNode):
 
     def split_key(self) -> bytes:
         """Largest key (the entry keys are sorted)."""
-        return self.entries[-1].key if self.entries else b""
+        return self.entries[-1][0] if self.entries else b""
 
     def descriptor(self) -> IndexEntry:
         """The index entry a parent would hold for this node."""
         return IndexEntry(self.split_key(), self.uid, self.count)
-
-    def find(self, key: bytes) -> Optional[bytes]:
-        """Binary-search the run for ``key``; return its value or None."""
-        entries = self.entries
-        # ``(key,)`` sorts just before the entry that starts with ``key``.
-        found = bisect_left(entries, (key,))
-        if found < len(entries) and entries[found][0] == key:
-            return entries[found][1]
-        return None
 
     def __repr__(self) -> str:
         return f"LeafNode({self.count} entries, {self.uid.short()}…)"

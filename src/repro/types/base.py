@@ -70,12 +70,6 @@ def type_for_python(value: object) -> str:
     """Map a plain Python value to the ForkBase type that stores it."""
     if isinstance(value, FObject):
         return value.TYPE_NAME
-    import repro.types.primitives  # noqa: F401  (populate registry)
-    import repro.types.blob  # noqa: F401
-    import repro.types.fmap  # noqa: F401
-    import repro.types.fset  # noqa: F401
-    import repro.types.flist  # noqa: F401
-
     if isinstance(value, bool):
         return "bool"
     if isinstance(value, (int, float)):

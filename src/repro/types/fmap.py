@@ -30,8 +30,9 @@ class FMap(FObject):
 
     @classmethod
     def from_dict(cls, store: ChunkStore, mapping: Dict[bytes, bytes]) -> "FMap":
-        """Bulk-build from a dict."""
-        return cls(store, PosTree.from_pairs(store, mapping.items()))
+        """Bulk-build from a dict: its keys are unique, so its sorted items
+        are the records, with nothing to merge."""
+        return cls(store, PosTree.from_pairs(store, sorted(mapping.items()), presorted=True))
 
     @classmethod
     def from_pairs(
@@ -83,17 +84,13 @@ class FMap(FObject):
 
     def scan(self, start: bytes, end: bytes) -> Iterator[Tuple[bytes, bytes]]:
         """Pairs with start <= key < end."""
-        for entry in self._tree.iter_entries(start, end):
-            yield entry.key, entry.value
+        return self._tree.iter_entries(start, end)
 
     def to_dict(self) -> Dict[bytes, bytes]:
         """Materialize as a dict, a whole leaf at a time."""
         out: Dict[bytes, bytes] = {}
         for leaf in self._tree.leaves():
-            # Unpacked here: dict.update copies each LeafEntry, a tuple
-            # subclass, into a temporary list before inserting it.
-            for key, value in leaf.entries:
-                out[key] = value
+            out.update(leaf.entries)
         return out
 
     # -- functional updates ---------------------------------------------------

@@ -26,7 +26,7 @@ from repro.cluster import ClusterStore
 from repro.db import ForkBase
 from repro.errors import ChunkCorruptionError, ChunkNotFoundError, QuorumWriteError
 from repro.faults import PartitionedTransport
-from repro.postree.node import LeafEntry, LeafNode
+from repro.postree.node import LeafNode
 from repro.store import InMemoryStore
 from repro.store.gc import mark_live
 from repro.types import FMap
@@ -43,7 +43,7 @@ def _engine(store) -> ForkBase:
 
 
 def _leaf(n: int) -> LeafNode:
-    return LeafNode([LeafEntry(b"key-%04d" % n, b"value-%d" % n)])
+    return LeafNode([(b"key-%04d" % n, b"value-%d" % n)])
 
 
 def _rot(store: InMemoryStore, uid: Uid) -> None:

@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.faults import FaultyOS, FsFaultPlan, fs_zone
 from repro.faults.fs import TARGETED_FLAVORS
-from repro.postree.node import LeafEntry, LeafNode
+from repro.postree.node import LeafNode
 from repro.store import NodeCacheStore
 from repro.store.durability import (
     active_injector,
@@ -242,7 +242,7 @@ def test_unack_evicts_decoded_nodes(tmp_path, factory, populate):
     must stop serving them, however the entry got there."""
     backing = factory(str(tmp_path / "chunks"))
     cache = NodeCacheStore(backing)
-    leaf = LeafNode([LeafEntry(b"key", b"value")])
+    leaf = LeafNode([(b"key", b"value")])
     if populate == "read":
         cache.put(leaf.to_chunk())
         assert isinstance(cache.get_node(leaf.uid), LeafNode)

@@ -29,7 +29,7 @@ from repro.chunk import Chunk, ChunkType, Uid
 from repro.cluster import ClusterStore
 from repro.db import ForkBase
 from repro.faults import PartitionedTransport
-from repro.postree.node import AnyIndexNode, IndexEntry, IndexNode, LeafEntry, LeafNode, load_node
+from repro.postree.node import AnyIndexNode, IndexEntry, IndexNode, LeafNode, load_node
 from repro.store import InMemoryStore, NodeCacheStore, physical_store
 from repro.store.base import ChunkStore, WrapperStore
 from repro.store.nodecache import NodeLRU, decode_chunk, is_leaf
@@ -44,11 +44,11 @@ def _map(size: int) -> Dict[str, str]:
 
 
 def _leaf(n: int) -> LeafNode:
-    return LeafNode([LeafEntry(b"key-%04d" % n, b"value-%d" % n)])
+    return LeafNode([(b"key-%04d" % n, b"value-%d" % n)])
 
 
 def _index(*children: LeafNode) -> IndexNode:
-    return IndexNode(1, [IndexEntry(c.entries[-1].key, c.uid, len(c.entries)) for c in children])
+    return IndexNode(1, [IndexEntry(c.entries[-1][0], c.uid, len(c.entries)) for c in children])
 
 
 def _walk(store: ChunkStore, root: Uid) -> Tuple[Set[Uid], Dict[bytes, Uid]]:
@@ -64,8 +64,8 @@ def _walk(store: ChunkStore, root: Uid) -> Tuple[Set[Uid], Dict[bytes, Uid]]:
             index.add(uid)
             pending.extend(node.children())
         else:
-            for entry in node.entries:
-                leaf_of[entry.key] = uid
+            for key, _ in node.entries:
+                leaf_of[key] = uid
     return index, leaf_of
 
 

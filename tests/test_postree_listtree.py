@@ -276,6 +276,8 @@ class TestOneNodeSeam:
         with pytest.raises(ChunkEncodingError):
             PosTree(store, listed.root).get(b"k0001")
         with pytest.raises(ChunkEncodingError):
+            PosTree(store, blob.root).get(b"k0001")
+        with pytest.raises(ChunkEncodingError):
             PosTree(store, blob.root).page_uids()
         with pytest.raises(ChunkEncodingError):
             len(PositionalTree(store, keyed.root))

@@ -1,5 +1,7 @@
 """Tests for POS-Tree node encodings (repro.postree.node)."""
 
+import gc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,6 @@ from repro.postree.config import TreeConfig
 from repro.postree.node import (
     IndexEntry,
     IndexNode,
-    LeafEntry,
     LeafNode,
     empty_leaf,
     encode_index_entry,
@@ -35,34 +36,34 @@ def _uid(n: int) -> Uid:
 
 class TestLeafNode:
     def test_round_trip(self):
-        entries = [LeafEntry(b"a", b"1"), LeafEntry(b"b", b"2")]
+        entries = [(b"a", b"1"), (b"b", b"2")]
         node = LeafNode(entries)
         decoded = LeafNode.from_chunk(node.to_chunk())
         assert decoded.entries == entries
 
     def test_uid_stable_across_encodes(self):
-        node = LeafNode([LeafEntry(b"k", b"v")])
-        assert node.uid == LeafNode([LeafEntry(b"k", b"v")]).uid
+        node = LeafNode([(b"k", b"v")])
+        assert node.uid == LeafNode([(b"k", b"v")]).uid
 
     def test_count_and_split_key(self):
-        node = LeafNode([LeafEntry(b"a", b""), LeafEntry(b"z", b"")])
+        node = LeafNode([(b"a", b""), (b"z", b"")])
         assert node.count == 2
         assert node.split_key() == b"z"
 
     def test_descriptor(self):
-        node = LeafNode([LeafEntry(b"m", b"v")])
+        node = LeafNode([(b"m", b"v")])
         descriptor = node.descriptor()
         assert descriptor.split_key == b"m"
         assert descriptor.child == node.uid
         assert descriptor.count == 1
 
     def test_find_binary_search(self):
-        entries = [LeafEntry(b"k%02d" % i, b"v%d" % i) for i in range(50)]
-        node = LeafNode(entries)
-        assert node.find(b"k25") == b"v25"
-        assert node.find(b"k00") == b"v0"
-        assert node.find(b"k49") == b"v49"
-        assert node.find(b"nope") is None
+        entries = [(b"k%02d" % i, b"v%d" % i) for i in range(50)]
+        tree = _leaf_tree(LeafNode(entries))
+        assert tree.get(b"k25") == b"v25"
+        assert tree.get(b"k00") == b"v0"
+        assert tree.get(b"k49") == b"v49"
+        assert tree.get(b"nope") is None
 
     def test_empty_leaf(self):
         node = empty_leaf()
@@ -71,12 +72,12 @@ class TestLeafNode:
         assert LeafNode.from_chunk(node.to_chunk()).entries == []
 
     def test_entry_bytes_match_encoder(self):
-        entry = LeafEntry(b"k", b"v")
+        entry = (b"k", b"v")
         node = LeafNode([entry])
         assert node.entry_bytes() == [encode_leaf_entry(entry)]
 
     def test_tail_bytes(self):
-        entries = [LeafEntry(b"a" * 10, b"b" * 10) for _ in range(3)]
+        entries = [(b"a" * 10, b"b" * 10) for _ in range(3)]
         node = LeafNode(entries)
         stream = b"".join(node.entry_bytes())
         assert node.tail_bytes(16) == stream[-16:]
@@ -85,6 +86,16 @@ class TestLeafNode:
     def test_wrong_chunk_type_rejected(self):
         with pytest.raises(ChunkEncodingError):
             LeafNode.from_chunk(Chunk(ChunkType.BLOB, b"raw"))
+
+    def test_decoded_records_are_plain_untracked_tuples(self):
+        # A tuple subclass per record (a NamedTuple) costs a second
+        # allocation and stays in the collector's sight for good.
+        entries = [(b"k%03d" % i, b"v" * i) for i in range(200)]
+        decoded = LeafNode.from_chunk(LeafNode(entries).to_chunk()).entries
+        assert decoded == entries
+        assert all(type(entry) is tuple for entry in decoded)
+        gc.collect()
+        assert not any(gc.is_tracked(entry) for entry in decoded)
 
 
 class TestIndexNode:
@@ -134,7 +145,7 @@ class TestIndexNode:
 
 class TestLoadNode:
     def test_dispatches_by_type(self):
-        leaf = LeafNode([LeafEntry(b"a", b"b")])
+        leaf = LeafNode([(b"a", b"b")])
         index = IndexNode(1, [IndexEntry(b"a", leaf.uid, 1)])
         assert isinstance(load_node(leaf.to_chunk()), LeafNode)
         assert isinstance(load_node(index.to_chunk()), IndexNode)
@@ -159,7 +170,7 @@ class TestLoadNode:
 def _reference_leaf(chunk: Chunk) -> LeafNode:
     reader = Reader(chunk.data)
     count = reader.uvarint()
-    entries = [LeafEntry(reader.blob(), reader.blob()) for _ in range(count)]
+    entries = [(reader.blob(), reader.blob()) for _ in range(count)]
     reader.expect_end()
     return LeafNode(entries)
 
@@ -187,10 +198,17 @@ def _reference_search(entries, key: bytes) -> int:
     return lo
 
 
+def _leaf_tree(node: LeafNode) -> PosTree:
+    """A one-leaf tree: ``PosTree.get`` searches the leaf in place."""
+    store = InMemoryStore()
+    store.put(node.to_chunk())
+    return PosTree(store, node.uid)
+
+
 def _reference_find(node: LeafNode, key: bytes):
     lo = _reference_search(node.entries, key)
-    if lo < len(node.entries) and node.entries[lo].key == key:
-        return node.entries[lo].value
+    if lo < len(node.entries) and node.entries[lo][0] == key:
+        return node.entries[lo][1]
     return None
 
 
@@ -237,7 +255,7 @@ _leaf_entries = st.one_of(
             min_size=count, max_size=count + 8,
         )
     ),
-).map(lambda mapping: [LeafEntry(k, mapping[k]) for k in sorted(mapping)])
+).map(lambda mapping: [(k, mapping[k]) for k in sorted(mapping)])
 
 _index_entries = st.dictionaries(
     _key,
@@ -333,10 +351,11 @@ class TestLookupsMatchReference:
     @_probe_settings
     def test_find(self, entries, probes):
         node = LeafNode(entries)
-        keys = [entry.key for entry in entries]
+        tree = _leaf_tree(node)
+        keys = [key for key, _ in entries]
         edges = [b""] + [keys[0][:-1], keys[-1] + b"\x00"] if keys else [b""]
         for key in keys[:40] + probes + edges:
-            assert node.find(key) == _reference_find(node, key)
+            assert tree.get(key) == _reference_find(node, key)
 
     @given(entries=_index_entries, probes=st.lists(_key, max_size=8))
     @_probe_settings

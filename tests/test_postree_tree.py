@@ -1,12 +1,71 @@
 """Tests for POS-Tree construction and reads (repro.postree.tree/builder)."""
 
+import random
+
 import pytest
 
 from repro.errors import KeyOrderError, TreeError
 from repro.postree import PosTree
 from repro.postree.builder import bulk_build
 from repro.postree.config import DEFAULT_TREE_CONFIG, TreeConfig
-from repro.postree.node import IndexNode, LeafEntry
+from repro.postree.listtree import BlobTree
+from repro.postree.node import IndexNode, node_level
+from repro.postree.tree import LevelCursor
+from repro.rolling.chunker import ChunkerConfig
+from repro.store import InMemoryStore
+from repro.store.nodecache import NodeCacheStore
+
+#: Small nodes, so a few thousand records make a tree four or five levels tall.
+SMALL_CONFIG = TreeConfig(
+    leaf=ChunkerConfig(pattern_bits=5, min_size=16, max_size=512),
+    index=ChunkerConfig(pattern_bits=4, min_size=16, max_size=512, min_entries=2),
+)
+
+
+def _descend(tree: PosTree, key: bytes):
+    """The per-level descent ``PosTree.get`` inlines: ``node``, then
+    ``child_for`` at each index node, then the leaf's record for ``key``."""
+    node = tree.node(tree.root)
+    while isinstance(node, IndexNode):
+        if not node.entries:
+            return None
+        node = tree.node(node.entries[node.child_for(key)].child)
+    return dict(node.entries).get(key)
+
+
+def _position(cursor: LevelCursor):
+    """Where a cursor stands: its node, its path's frames and its offset."""
+    frames = [(parent.uid, pos) for parent, pos in cursor.path()]
+    return cursor.current.uid, frames, cursor.offset
+
+
+def _stepped(cursor: LevelCursor):
+    """A level read one ``advance()`` at a time, as positions."""
+    positions = [_position(cursor)]
+    while cursor.advance():
+        positions.append(_position(cursor))
+    return positions
+
+
+def _streamed(cursor: LevelCursor):
+    """The same level read through ``nodes()``, as positions."""
+    positions = []
+    for node in cursor.nodes():
+        assert node is cursor.current
+        positions.append(_position(cursor))
+    return positions
+
+
+class _CountingStore(InMemoryStore):
+    """Records the uid of every ``get_node`` call, in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reads = []
+
+    def get_node(self, uid):
+        self.reads.append(uid)
+        return super().get_node(uid)
 
 
 class TestBulkBuild:
@@ -41,7 +100,7 @@ class TestBulkBuild:
         with pytest.raises(KeyOrderError):
             bulk_build(
                 store,
-                [LeafEntry(b"b", b""), LeafEntry(b"a", b"")],
+                [(b"b", b""), (b"a", b"")],
                 DEFAULT_TREE_CONFIG,
             )
 
@@ -75,6 +134,23 @@ class TestPointReads:
         assert b"k001" in tree
         assert b"nope" not in tree
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["cacheless", "node-cache"])
+    def test_get_matches_the_per_level_descent(self, sample_pairs, cached):
+        backing = InMemoryStore()
+        # A cache smaller than the tree: the descent meets hits and misses.
+        store = NodeCacheStore(backing, capacity=16) if cached else backing
+        tree = PosTree.from_pairs(store, sample_pairs.items(), SMALL_CONFIG)
+        assert tree.height() >= 3
+        keys = sorted(sample_pairs)
+        probes = keys + [b"", keys[0][:-1], keys[-1] + b"\x00", b"key01000x", b"\xff" * 9]
+        for key in probes:
+            assert tree.get(key) == _descend(tree, key) == sample_pairs.get(key)
+
+    def test_get_on_the_empty_tree(self, store):
+        tree = PosTree.empty(store)
+        assert tree.get(b"") is None
+        assert tree.get(b"any") is None
+
 
 class TestScans:
     def test_items_in_key_order(self, store, sample_pairs):
@@ -84,7 +160,7 @@ class TestScans:
 
     def test_range_scan(self, store, sample_pairs):
         tree = PosTree.from_pairs(store, sample_pairs.items())
-        got = [e.key for e in tree.iter_entries(b"key00500", b"key00510")]
+        got = [key for key, _ in tree.iter_entries(b"key00500", b"key00510")]
         expected = [k for k in sorted(sample_pairs) if b"key00500" <= k < b"key00510"]
         assert got == expected
 
@@ -101,6 +177,49 @@ class TestScans:
         tree = PosTree.from_pairs(store, sample_pairs.items())
         total = sum(leaf.count for leaf in tree.leaves())
         assert total == len(sample_pairs)
+
+    @pytest.mark.parametrize("start", [None, b"key00100", b"key01234"])
+    def test_walk_matches_a_stepped_cursor(self, sample_pairs, start):
+        # ``nodes()`` reads the nodes ``advance()`` would, in its order, and
+        # holds the cursor on the same path: a node cache ends the walk in
+        # the state a stepped walk leaves it in.
+        store = _CountingStore()
+        tree = PosTree.from_pairs(store, sample_pairs.items(), SMALL_CONFIG)
+        assert tree.height() >= 3
+        store.reads.clear()
+        stepped = _stepped(tree.cursor(start))
+        stepped_reads = store.reads[:]
+        store.reads.clear()
+        assert _streamed(tree.cursor(start)) == stepped
+        assert store.reads == stepped_reads
+        store.reads.clear()
+        assert [leaf.uid for leaf in tree.leaves(start)] == [uid for uid, _, _ in stepped]
+        assert store.reads == stepped_reads
+        if start is None:
+            assert sorted(store.reads) == sorted(tree.page_uids())
+        upper = LevelCursor(tree.node, 1, tree.node(tree.root), start)
+        assert _streamed(upper) == _stepped(LevelCursor(tree.node, 1, tree.node(tree.root), start))
+
+    @pytest.mark.parametrize("offset", [None, 12_345])
+    def test_blob_walk_matches_a_stepped_cursor(self, offset):
+        data = random.Random(3).randbytes(40_000)
+        store = _CountingStore()
+        blob = BlobTree.from_bytes(
+            store, data, ChunkerConfig(pattern_bits=7, min_size=64, max_size=512), SMALL_CONFIG
+        )
+        assert node_level(blob.node(blob.root)) >= 2
+        store.reads.clear()
+        stepped = _stepped(blob.cursor(offset))
+        stepped_reads = store.reads[:]
+        store.reads.clear()
+        assert _streamed(blob.cursor(offset)) == stepped
+        assert store.reads == stepped_reads
+        if offset is None:
+            store.reads.clear()
+            assert [chunk.uid for chunk in blob.iter_chunks()] == [uid for uid, _, _ in stepped]
+            assert store.reads == stepped_reads
+            assert sorted(store.reads) == sorted(blob.page_uids())
+            assert blob.read() == data
 
 
 class TestStructure:

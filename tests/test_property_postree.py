@@ -203,7 +203,7 @@ def _keys_under_level1(tree: PosTree, key: bytes) -> List[bytes]:
     node = tree.root_node()
     while node.level > 1:
         node = tree.node(node.entries[node.child_for(key)].child)
-    return [e.key for child in node.entries for e in tree.node(child.child).entries]
+    return [e[0] for child in node.entries for e in tree.node(child.child).entries]
 
 
 _EDIT_KINDS = (
@@ -228,7 +228,7 @@ def _batch(tree: PosTree, keys: List[bytes], picks):
         elif kind == "delete-absent":
             deletes.add(key + b"-")  # an edit point that changes nothing
         elif kind == "delete-leaf":  # a region with zero replacements
-            deletes.update(e.key for e in next(tree.leaves(key)).entries)
+            deletes.update(gone for gone, _ in next(tree.leaves(key)).entries)
         elif kind == "delete-level1":
             deletes.update(_keys_under_level1(tree, key))
         elif kind == "delete-rest":  # shrinks the tree, often its height
@@ -269,7 +269,7 @@ def test_two_regions_under_one_parent_and_under_one_grandparent():
     levels 0 and 1, coalescing above)."""
     store, tree, mapping = _big_tree(2000, SMALL_CONFIG)
     keys = sorted(mapping)
-    firsts = [leaf.entries[0].key for leaf in tree.leaves()]
+    firsts = [leaf.entries[0][0] for leaf in tree.leaves()]
     for anchor in (firsts[40], firsts[700], firsts[-9]):
         under = _keys_under_level1(tree, anchor)
         same_parent = {under[0]: b"left", under[-1]: b"right"}
@@ -284,7 +284,7 @@ def test_keeping_only_the_first_leaf_yields_a_leaf_root():
     at whatever level it survives (a single-entry index root is not bulk)."""
     for config in (SMALL_CONFIG, CAPPED_CONFIG):
         store, tree, mapping = _big_tree(1500, config)
-        keep = {e.key for e in next(tree.leaves()).entries}
+        keep = {key for key, _ in next(tree.leaves()).entries}
         edited, _ = _update_and_check(store, tree, mapping, {}, set(mapping) - keep)
         assert edited.height() == 0
         # ... and one level up: only the first level-1 node's records survive.

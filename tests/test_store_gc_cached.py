@@ -25,7 +25,7 @@ from repro.errors import (
     ReadOnlyError,
 )
 from repro.faults import FsFaultPlan, flip_at, fs_zone
-from repro.postree.node import LeafEntry, LeafNode
+from repro.postree.node import LeafNode
 from repro.store import FileStore, InMemoryStore, NodeCacheStore, PackStore, physical_store
 from repro.store.gc import collect_garbage, mark_live
 from repro.store.nodecache import DURABLE_CAPACITY
@@ -240,7 +240,7 @@ class TestWriteThroughNeverOutrunsTheDevice:
     @pytest.mark.parametrize("factory", [FileStore, PackStore], ids=["file", "pack"])
     def test_failed_put_leaves_no_entry(self, tmp_path, factory):
         cache = NodeCacheStore(factory(str(tmp_path / "chunks")))
-        leaf = LeafNode([LeafEntry(b"key", b"value")])
+        leaf = LeafNode([(b"key", b"value")])
         # Every write fails: ENOSPC outlasts the append path's bounded retry.
         with fs_zone(FsFaultPlan(enospc_rate=1.0)):
             with pytest.raises(DiskFullError):
@@ -255,7 +255,7 @@ class TestWriteThroughNeverOutrunsTheDevice:
         with fs_zone(FsFaultPlan(fsync_fail_rate=1.0)):
             with pytest.raises(DiskFaultError):
                 cache.put_many([_chunk(b"a"), _chunk(b"b")])
-        other = LeafNode([LeafEntry(b"other", b"value")])
+        other = LeafNode([(b"other", b"value")])
         with pytest.raises(DiskFaultError):
             cache.put_nodes([(other.to_chunk(), other)])
         assert other.uid not in cache.node_cache.entries
@@ -274,7 +274,7 @@ class TestWriteThroughNeverOutrunsTheDevice:
     def test_dedup_hit_still_remembers(self):
         backing = InMemoryStore()
         cache = NodeCacheStore(backing)
-        leaf = LeafNode([LeafEntry(b"key", b"value")])
+        leaf = LeafNode([(b"key", b"value")])
         backing.put(leaf.to_chunk())
         assert cache.put_nodes([(leaf.to_chunk(), leaf)]) == 0
         assert cache.get_node(leaf.uid) is leaf

@@ -1,5 +1,7 @@
 """Tests for the typed object layer (repro.types)."""
 
+import random
+
 import pytest
 
 from repro.errors import TypeMismatchError
@@ -91,6 +93,14 @@ class TestFMap:
         a = FMap.from_dict(store, {b"k": b"v"})
         b = FMap.empty(store).set(b"k", b"v")
         assert a == b
+
+    def test_from_dict_is_from_pairs_over_shuffled_items(self, store):
+        rng = random.Random(7)
+        items = [(rng.randbytes(rng.randrange(1, 9)), rng.randbytes(20)) for _ in range(3000)]
+        rng.shuffle(items)
+        mapping = dict(items)
+        assert FMap.from_dict(store, mapping).root == FMap.from_pairs(store, items).root
+        assert FMap.from_dict(store, {}).root == FMap.empty(store).root
 
 
 class TestFSet:
