@@ -584,12 +584,7 @@ class ForkBase:
         version: Optional[Union[Uid, str]] = None,
     ) -> FObject:
         """Fetch the typed object at a branch head or explicit version."""
-
-        def read() -> FObject:
-            fnode = self._load_fnode(key, branch, version)
-            return load_object(self.store, fnode.type_name, fnode.value_root)
-
-        return self._guarded(read)
+        return self._guarded(lambda: self._read(key, branch, version))
 
     def get_value(
         self,
@@ -597,8 +592,20 @@ class ForkBase:
         branch: Optional[str] = None,
         version: Optional[Union[Uid, str]] = None,
     ) -> PyValue:
-        """Like :meth:`get` but materialized to a plain Python value."""
-        return self._guarded(lambda: unwrap(self.get(key, branch, version)))
+        """Like :meth:`get` but materialized to a plain Python value.
+
+        One guard around the load and the materialization, which reads
+        the value's nodes: a transient fault is retried and a corrupt
+        read scrubbed once, as for :meth:`get`.
+        """
+        return self._guarded(lambda: unwrap(self._read(key, branch, version)))
+
+    def _read(
+        self, key: str, branch: Optional[str], version: Optional[Union[Uid, str]]
+    ) -> FObject:
+        """The unguarded body of :meth:`get`."""
+        fnode = self._load_fnode(key, branch, version)
+        return load_object(self.store, fnode.type_name, fnode.value_root)
 
     def head(self, key: str, branch: str = DEFAULT_BRANCH) -> Uid:
         """Current head version of a branch."""

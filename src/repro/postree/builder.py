@@ -26,7 +26,7 @@ trees theirs.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Tuple, Union
+from typing import Any, Iterable, List, Optional, Tuple, Union
 
 from repro.chunk import Chunk, Uid
 from repro.errors import KeyOrderError
@@ -39,6 +39,7 @@ from repro.postree.node import (
     empty_leaf,
     encode_leaf_entries,
 )
+from repro.rolling.chunker import ChunkerConfig
 from repro.rolling.fast import fast_entry_spans
 from repro.store.base import ChunkStore
 
@@ -78,6 +79,8 @@ def build_index_levels(
     descriptors: Union[List[IndexEntry], List[ListIndexEntry]],
     config: TreeConfig,
     first_level: int = 1,
+    cuts: Any = None,
+    ruled: Optional[List[Any]] = None,
 ) -> Uid:
     """Stack index levels over ``descriptors`` until a single root remains.
 
@@ -87,19 +90,100 @@ def build_index_levels(
     describe the nodes of level ``first_level - 1``; if there is exactly
     one, it *is* the root (no index node is built over a single child —
     bulk build and editor must agree on this).
+
+    Given a cut index ``cuts`` (a store's
+    :meth:`~repro.store.base.ChunkStore.cut_index`), each level reuses
+    the cached node it knows at each cut (:func:`_reuse_nodes`), and the
+    new nodes a chunking rule closed are appended to ``ruled``, for the
+    caller to note once the batch is stored.
     """
     level = first_level
+    reuse = cuts is not None and cuts.knows_cuts(config.index)
     while len(descriptors) > 1:
         node_class: Any = descriptors[0].index_class()
-        encoded = node_class.encode_entries(descriptors)
+        if reuse:
+            nodes = _reuse_nodes(node_class, level, descriptors, config.index, cuts, ruled)
+        else:
+            encoded = node_class.encode_entries(descriptors)
+            nodes = [
+                node_class(level, descriptors[start:end], encoded=encoded[start:end])
+                for start, end in fast_entry_spans(encoded, config.index)
+            ]
+            if ruled is not None:
+                ruled.extend(nodes[:-1])
         next_descriptors: List[Any] = []
-        for start, end in fast_entry_spans(encoded, config.index):
-            node = node_class(level, descriptors[start:end], encoded=encoded[start:end])
+        for node in nodes:
             batch.append((node.to_chunk(), node))
             next_descriptors.append(node.descriptor())
         descriptors = next_descriptors
         level += 1
     return descriptors[0].child
+
+
+def _reuse_nodes(
+    node_class: Any,
+    level: int,
+    descriptors: List[Any],
+    config: ChunkerConfig,
+    cuts: Any,
+    ruled: Optional[List[Any]],
+) -> List[Any]:
+    """Chunk one index level, reusing the node ``cuts`` knows at each cut.
+
+    :func:`~repro.postree.listtree._reuse_leaves` one level up, and
+    bit-identical to chunking the whole level for the same reason: with
+    ``min_size ≥ window`` (every :class:`TreeConfig` has it) the next
+    cut depends only on the entries from the last cut on, so a node a
+    rule closed is the next node wherever its entries recur at a cut.
+    From a cut no known node starts at, a slice of entries is encoded
+    and chunked, primed with the preceding bytes, doubling while none of
+    its cuts starts a known node; a slice's last span was ended by the
+    slice, so it is chunked again with the next one.  The level's last
+    node was ended by the level and goes unnoted.
+    """
+    nodes: List[Any] = []
+    size = len(descriptors)
+    # Every index entry carries a 32-byte child digest, so a slice this
+    # long spans at least ``min_size`` and four expected nodes of bytes
+    # (and ``min_entries``, for a config so small that this is 0).
+    first_slice = max(config.min_entries, (config.min_size + (4 << config.pattern_bits)) // 32)
+    at = 0
+    known = cuts.known_node(config, descriptors, 0)
+    while at < size:
+        if known is not None:
+            nodes.append(known)
+            at += len(known.entries)
+            known = cuts.known_node(config, descriptors, at) if at < size else None
+            continue
+        width = first_slice
+        while known is None and at < size:
+            base = at
+            end = min(size, base + width)
+            encoded = node_class.encode_entries(descriptors[base:end])
+            preceding = b""
+            primer = base
+            while primer > 0 and len(preceding) < config.window:
+                primer -= 1
+                (entry,) = node_class.encode_entries(descriptors[primer : primer + 1])
+                preceding = entry + preceding
+            spans = fast_entry_spans(encoded, config, preceding)
+            if end < size:
+                spans.pop()
+            for start, stop in spans:
+                node = node_class(
+                    level, descriptors[base + start : base + stop], encoded=encoded[start:stop]
+                )
+                nodes.append(node)
+                at = base + stop
+                if at == size:
+                    break
+                if ruled is not None:
+                    ruled.append(node)
+                known = cuts.known_node(config, descriptors, at)
+                if known is not None:
+                    break
+            width *= 2
+    return nodes
 
 
 def build_tree(

@@ -18,8 +18,10 @@ version, so *storage* cost is proportional to the change.  For lists the
 compute is still O(N) per edit (the keyed tree is the structure the
 paper's hot paths use).  A blob built over a node cache slices only what
 changed: :meth:`BlobTree.from_bytes` reuses every cached leaf its bytes
-repeat at a cut, so the hash pass and SHA-256 cost follow the edit, and
-what stays O(N) is a byte compare and the index levels.
+repeat at a cut, and every cached index node whose entries repeat at a
+cut of its level, so the hash pass, the index encodes and SHA-256 follow
+the edit.  What stays O(N) is a byte compare, one descriptor per leaf
+and the store's dedup check and cache refresh per chunk.
 """
 
 from __future__ import annotations
@@ -249,8 +251,11 @@ class BlobTree(TreeView):
         cut, that leaf is reused as is — no hash pass, no SHA-256 — and
         the chunker runs only from a cut no known leaf starts at, until
         one of its cuts lands on a known leaf again (see
-        :func:`_reuse_leaves`).  The tree is the one a full slicing
-        builds, bit for bit.
+        :func:`_reuse_leaves`).  The index levels do the same one level
+        up: a cached index node whose entries recur at a cut is reused,
+        not encoded and hashed again, so only the path above the edit is
+        rebuilt (:func:`~repro.postree.builder.build_index_levels`).  The
+        tree is the one a full slicing builds, bit for bit.
         """
         cuts = store.cut_index() if blob_config.min_size >= blob_config.window else None
         if cuts is not None and cuts.knows_cuts(blob_config):
@@ -260,9 +265,10 @@ class BlobTree(TreeView):
             leaves = [Chunk(ChunkType.BLOB, data[start:end]) for start, end in spans]
             ruled = leaves[:-1]
         batch: WriteBatch = [(leaf, leaf) for leaf in leaves]
+        ruled_index: List[ListIndexNode] = []
         if leaves:
             descriptors = [ListIndexEntry(leaf.uid, len(leaf.data)) for leaf in leaves]
-            root = build_index_levels(batch, descriptors, tree_config)
+            root = build_index_levels(batch, descriptors, tree_config, cuts=cuts, ruled=ruled_index)
         else:
             chunk = Chunk(ChunkType.BLOB, b"")
             batch.append((chunk, chunk))
@@ -270,6 +276,7 @@ class BlobTree(TreeView):
         store.put_nodes(batch)
         if cuts is not None:
             cuts.note_cuts(blob_config, ruled)
+            cuts.note_cuts(tree_config.index, ruled_index)
         return cls(store, root, blob_config, tree_config)
 
     def size(self) -> int:

@@ -66,10 +66,10 @@ store must not silently disable its tamper checks.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.chunk import Chunk, ChunkType, Uid
-from repro.postree.node import NODE_CLASSES, LeafNode, ListLeafNode, Node, load_node
+from repro.postree.node import NODE_CLASSES, AnyIndexNode, LeafNode, ListLeafNode, Node
 from repro.rolling.chunker import ChunkerConfig
 from repro.store.base import ChunkStore, WrapperStore, physical_store
 from repro.store.stats import StoreStats
@@ -95,23 +95,29 @@ DEFAULT_CAPACITY = 4096
 DURABLE_CAPACITY = 1024
 
 #: Leading bytes of a blob leaf that key the cut index (fewer for a
-#: config whose leaves may be shorter; see NodeLRU.note_cuts).
+#: config whose leaves may be shorter; see NodeLRU.note_cuts).  An index
+#: node is keyed by its first child's digest.
 CUT_HEAD = 32
 
 #: The decoded leaf classes (a BLOB chunk is a leaf too: see is_leaf).
 _LEAF_KINDS = frozenset((LeafNode, ListLeafNode))
 
 
-#: A cut-index key: the chunker config and the leaf's first bytes.
+#: A cut-index key: the chunker config and the node's first bytes (a
+#: leaf's own, an index node's first child digest).
 CutKey = Tuple[ChunkerConfig, bytes]
+
+#: Chunk type -> the class whose ``from_chunk`` decodes it: the tree node
+#: kinds (which tags those are is postree's to say) and the FNode.  A
+#: class, not a bound ``from_chunk``: a decode looks the method up when
+#: it runs.  A type with no entry is its own decoded form.
+_DECODERS: Dict[ChunkType, type] = {**NODE_CLASSES, ChunkType.FNODE: FNode}
 
 
 def decode_chunk(chunk: Chunk) -> DecodedNode:
     """Decode one chunk into its natural in-memory node form."""
-    if chunk.type == ChunkType.FNODE:
-        return FNode.decode(chunk)
-    # Which tags are tree nodes, and how each decodes, is postree's to say.
-    return load_node(chunk) if chunk.type in NODE_CLASSES else chunk
+    decoder = _DECODERS.get(chunk.type)
+    return chunk if decoder is None else decoder.from_chunk(chunk)  # type: ignore[attr-defined]
 
 
 def is_leaf(decoded: DecodedNode) -> bool:
@@ -145,14 +151,16 @@ class NodeLRU:
     in ``leaves`` too.  ``entries`` is the one uid → node map: every
     cached node is in it.
 
-    Beside it sits the *cut index* the blob builder reuses leaves
+    Beside it sits the *cut index* the blob builder reuses nodes
     through (:meth:`~repro.postree.listtree.BlobTree.from_bytes`):
-    ``cuts`` maps a chunker config and a BLOB leaf's first bytes to that
-    leaf's uid, for leaves the builder saw cut by the pattern or
-    max-size rule (:meth:`note_cuts`).  A leaf's own key is its value in
-    ``leaves``, so the entry goes when the leaf is evicted, forgotten or
-    cleared, and the index never outgrows the cache.  Upkeep on any
-    other eviction is one ``None`` test.
+    ``cuts`` maps a chunker config and a node's first bytes to that
+    cached node, for nodes a builder saw closed by the pattern or
+    max-size rule (:meth:`note_cuts`) — BLOB leaves by their first
+    bytes, index nodes by their first child's digest.  ``cut_keys``
+    holds each noted node's key, so the entry goes when the node is
+    evicted, forgotten or cleared, and the index never outgrows the
+    cache.  Upkeep on any other eviction is one ``dict.pop`` that finds
+    nothing.
 
     It holds no store and judges no bytes: its holder remembers a node
     only once the node is known good (verified on read, or acked on
@@ -164,11 +172,12 @@ class NodeLRU:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.entries: "OrderedDict[Uid, DecodedNode]" = OrderedDict()
-        # The cached leaves' uids, least recently used first, each with
-        # its cut-index key if it has one (config, head).
-        self.leaves: "OrderedDict[Uid, Optional[CutKey]]" = OrderedDict()
-        # config -> leaf head -> uid of a cached BLOB leaf starting so.
-        self.cuts: Dict[ChunkerConfig, Dict[bytes, Uid]] = {}
+        # The cached leaves' uids, least recently used first.
+        self.leaves: "OrderedDict[Uid, None]" = OrderedDict()
+        # The cut-index key (config, head) of each noted cached node.
+        self.cut_keys: Dict[Uid, CutKey] = {}
+        # config -> node head -> a cached node starting so.
+        self.cuts: Dict[ChunkerConfig, Dict[bytes, DecodedNode]] = {}
         self.hits = 0
         self.lookups = 0
         self.evictions = 0
@@ -192,17 +201,23 @@ class NodeLRU:
         """Remember written nodes, evicting the least recently used."""
         entries = self.entries
         leaves = self.leaves
+        blob = ChunkType.BLOB
         for uid, decoded in pairs:
             entries[uid] = decoded
             entries.move_to_end(uid)
-            if is_leaf(decoded):
-                if uid in leaves:  # keep its cut-index key
+            # is_leaf, inlined: a write batch holds every leaf of a blob.
+            kind = decoded.__class__
+            if kind in _LEAF_KINDS or (
+                kind is Chunk and decoded.type is blob  # type: ignore[union-attr]
+            ):
+                try:
                     leaves.move_to_end(uid)
-                else:
+                except KeyError:
                     leaves[uid] = None
         while len(entries) > self.capacity:
             victim, _ = entries.popitem(last=False)
-            key = leaves.pop(victim, None)
+            leaves.pop(victim, None)
+            key = self.cut_keys.pop(victim, None)
             if key is not None:
                 self._drop_cut(victim, key)
             self.evictions += 1
@@ -223,20 +238,22 @@ class NodeLRU:
         if len(entries) > self.capacity:
             self.evictions += 1
             if len(leaves) > leaf:  # a leaf other than this one is cached
-                victim, key = leaves.popitem(last=False)
+                victim, _ = leaves.popitem(last=False)
                 del entries[victim]
-                if key is not None:
-                    self._drop_cut(victim, key)
             else:
                 # Two or more entries are cached, so the oldest is not
                 # this one, and it is no leaf.
-                entries.popitem(last=False)
+                victim, _ = entries.popitem(last=False)
+            key = self.cut_keys.pop(victim, None)
+            if key is not None:
+                self._drop_cut(victim, key)
 
     def forget(self, uids: Iterable[Uid]) -> None:
         """Drop any entries for ``uids`` (their storage no longer holds them)."""
         for uid in uids:
             self.entries.pop(uid, None)
-            key = self.leaves.pop(uid, None)
+            self.leaves.pop(uid, None)
+            key = self.cut_keys.pop(uid, None)
             if key is not None:
                 self._drop_cut(uid, key)
 
@@ -244,12 +261,13 @@ class NodeLRU:
         """Drop every entry; the counters keep their values."""
         self.entries.clear()
         self.leaves.clear()
+        self.cut_keys.clear()
         self.cuts.clear()
 
     # -- the cut index -------------------------------------------------------
 
     def knows_cuts(self, config: ChunkerConfig) -> bool:
-        """Whether any cached leaf was noted under ``config``."""
+        """Whether any cached node was noted under ``config``."""
         return config in self.cuts
 
     def known_leaf(self, config: ChunkerConfig, data: bytes, at: int) -> Optional[Chunk]:
@@ -259,41 +277,62 @@ class NodeLRU:
         Counts no lookup and moves nothing: a caller that reuses the leaf
         writes it, and the write does.
         """
-        head = data[at : at + min(CUT_HEAD, config.min_size)]
         table = self.cuts.get(config)
-        uid = table.get(head) if table is not None else None
-        leaf = self.entries.get(uid) if uid is not None else None
+        leaf = table.get(data[at : at + min(CUT_HEAD, config.min_size)]) if table else None
         if isinstance(leaf, Chunk) and data.startswith(leaf.data, at):
             return leaf
         return None
 
-    def note_cuts(self, config: ChunkerConfig, leaves: Iterable[Chunk]) -> None:
-        """Index BLOB leaves a builder cut by the pattern or max-size rule
-        under ``config``, each by its first :data:`CUT_HEAD` bytes (its
-        first ``config.min_size``, if fewer: no such leaf is shorter).
+    def known_node(
+        self, config: ChunkerConfig, entries: List[Any], at: int
+    ) -> Optional[AnyIndexNode]:
+        """The cached index node noted under ``config`` whose entries
+        ``entries`` repeat from ``at``, else None.
 
-        Only leaves still cached are indexed.  A leaf keeps one entry, so
-        one it had under another key goes; a head noted for another leaf
+        Looked up by the digest of ``entries[at]``'s child; counts no
+        lookup and moves nothing, as :meth:`known_leaf`.
+        """
+        table = self.cuts.get(config)
+        node = table.get(entries[at].child.digest) if table else None
+        if isinstance(node, AnyIndexNode) and entries[at : at + len(node.entries)] == node.entries:
+            return node
+        return None
+
+    def note_cuts(self, config: ChunkerConfig, nodes: Iterable[Node]) -> None:
+        """Index nodes a builder closed by the pattern or max-size rule
+        under ``config``: a BLOB leaf by its first :data:`CUT_HEAD` bytes
+        (its first ``config.min_size``, if fewer: no such leaf is
+        shorter), an index node by its first child's digest.
+
+        Only nodes still cached are indexed.  A node keeps one entry, so
+        one it had under another key goes; a head noted for another node
         now names this one.
         """
         width = min(CUT_HEAD, config.min_size)
-        cached = self.leaves
-        for leaf in leaves:
-            uid = leaf.uid
+        cached = self.entries
+        cut_keys = self.cut_keys
+        for node in nodes:
+            uid = node.uid
             if uid not in cached:
                 continue
-            head = leaf.data[:width]
-            old = cached[uid]
-            if old is not None and old != (config, head):
+            if node.__class__ is Chunk:
+                key = (config, node.data[:width])  # type: ignore[union-attr]
+            else:
+                key = (config, node.entries[0].child.digest)  # type: ignore[union-attr]
+            old = cut_keys.get(uid)
+            cut_keys[uid] = key
+            if old is not None and old != key:
                 self._drop_cut(uid, old)
-            cached[uid] = (config, head)
-            self.cuts.setdefault(config, {})[head] = uid
+            self.cuts.setdefault(config, {})[key[1]] = node
 
     def _drop_cut(self, uid: Uid, key: "CutKey") -> None:
         """Remove ``uid``'s cut-index entry, if the entry still names it."""
         config, head = key
         table = self.cuts.get(config)
-        if table is not None and table.get(head) == uid:
+        if table is None:
+            return
+        noted = table.get(head)
+        if noted is not None and noted.uid == uid:
             del table[head]
             if not table:
                 del self.cuts[config]
@@ -333,18 +372,32 @@ class NodeCacheStore(WrapperStore):
         nothing was remembered.  A dedup hit remembers too — the chunk is
         backed.
         """
-        pairs = list(pairs)
+        has = self.backing.has
+        stats = self.stats
         novel: List[Tuple[Chunk, DecodedNode]] = []
+        remembered: List[Tuple[Uid, DecodedNode]] = []
         seen: Set[Uid] = set()
-        for chunk, decoded in pairs:
-            new = not self._contains(chunk.uid) and chunk.uid not in seen
-            self.stats.record_put(chunk.type.name, chunk.size(), new)
-            if new:
-                seen.add(chunk.uid)
-                novel.append((chunk, decoded))
+        # A near-duplicate blob is mostly dedup hits: those are summed
+        # here and added once, as ``record_put`` would have added them.
+        dups = dup_bytes = 0
+        try:
+            for pair in pairs:
+                chunk, decoded = pair
+                uid = chunk.uid
+                if has(uid) or uid in seen:
+                    dups += 1
+                    dup_bytes += chunk.size()
+                else:
+                    seen.add(uid)
+                    novel.append(pair)
+                    stats.record_put(chunk.type.name, chunk.size(), True)
+                remembered.append((uid, decoded))
+        finally:
+            stats.puts_dup += dups
+            stats.logical_bytes += dup_bytes
         if novel:
             self.backing.put_nodes(novel)
-        self.node_cache.remember((chunk.uid, decoded) for chunk, decoded in pairs)
+        self.node_cache.remember(remembered)
         return len(novel)
 
     def get_node(self, uid: Uid) -> DecodedNode:

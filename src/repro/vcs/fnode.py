@@ -67,6 +67,10 @@ class FNode:
         reader.expect_end()
         return node
 
+    #: The decoder's name on every node kind, so one table decodes them all
+    #: (:func:`repro.store.nodecache.decode_chunk`).
+    from_chunk = decode
+
     @property
     def uid(self) -> Uid:
         """The tamper-evident version identifier."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional, Set
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import ChunkNotFoundError, UnknownVersionError
@@ -48,35 +48,40 @@ class VersionGraph:
             return False
         return True
 
-    def history(self, head: Uid, limit: Optional[int] = None) -> Iterator[FNode]:
-        """Walk ancestors newest-first (first parent order, BFS on merges)."""
+    def _walk(self, head: Uid) -> Iterator[Tuple[Uid, FNode]]:
+        """``(uid, FNode)`` of every ancestor of ``head`` (inclusive),
+        newest first (first parent order, BFS on merges).
+
+        Each uid is the one the FNode was loaded by, so no caller re-hashes
+        an FNode (``FNode.uid`` encodes it and runs SHA-256) to learn it.
+        """
         seen: Set[Uid] = set()
         queue = deque([head])
-        emitted = 0
         while queue:
             uid = queue.popleft()
             if uid in seen:
                 continue
             seen.add(uid)
             fnode = self.load(uid)
+            yield uid, fnode
+            queue.extend(fnode.bases)
+
+    def history(self, head: Uid, limit: Optional[int] = None) -> Iterator[FNode]:
+        """Walk ancestors newest-first (first parent order, BFS on merges)."""
+        for emitted, (_, fnode) in enumerate(self._walk(head), 1):
             yield fnode
-            emitted += 1
             if limit is not None and emitted >= limit:
                 return
-            queue.extend(fnode.bases)
 
     def ancestors(self, head: Uid) -> Set[Uid]:
         """Every version reachable from ``head`` (inclusive)."""
-        return {fnode.uid for fnode in self.history(head)}
+        return {uid for uid, _ in self._walk(head)}
 
     def is_ancestor(self, maybe_ancestor: Uid, head: Uid) -> bool:
         """True if ``maybe_ancestor`` is reachable from ``head``."""
         if maybe_ancestor == head:
             return True
-        for fnode in self.history(head):
-            if fnode.uid == maybe_ancestor:
-                return True
-        return False
+        return any(uid == maybe_ancestor for uid, _ in self._walk(head))
 
     def lowest_common_ancestor(self, a: Uid, b: Uid) -> Optional[Uid]:
         """Merge base: the first version reachable from both heads.

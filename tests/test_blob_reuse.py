@@ -2,23 +2,29 @@
 
 ``BlobTree.from_bytes`` over a store with a cut index (a node cache)
 reuses the cached leaf it finds at each cut and runs the chunker only
-from a cut no known leaf starts at.  These tests pin:
+from a cut no known leaf starts at; its index levels reuse the cached
+index node whose entries recur at each cut the same way.  These tests
+pin:
 
 - **roots** — a warm build has the root a cacheless build has, for
   random multi-region, length-changing edits (at 0, at the end, inside
   max-size zero runs), on two configs, with numpy and under
   ``forced_pure()``, and with a cache small enough to evict mid-build;
-- **work** — a 32-byte edit of a ≈ 400 KB blob hashes O(1) BLOB chunks
-  and feeds the chunker a few probe slices; a cold put is one pass;
+  again under an index config small enough for three or more index
+  levels, and for a level whose last node recurs with entries after it;
+- **work** — a 32-byte edit of a ≈ 400 KB blob hashes O(1) BLOB chunks,
+  feeds the chunker a few probe slices and encodes O(height) index
+  nodes; a cold put is one pass;
 - **guards** — cuts noted under one config never serve another, and a
   config with ``min_size < window`` never consults the index;
-- **lifetime** — an index entry goes with its leaf (evicted, forgotten,
-  swept, closed, abandoned); a leaf gc swept is written again; the
+- **lifetime** — an index entry goes with its node (evicted, forgotten,
+  swept, closed, abandoned); a node gc swept is written again; the
   cluster coordinator's cache serves the same roots.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 from typing import List
@@ -32,7 +38,9 @@ from repro.chunk import Chunk, ChunkType
 from repro.cluster import ClusterStore
 from repro.db import ForkBase
 from repro.faults import PartitionedTransport
+from repro.postree.config import DEFAULT_TREE_CONFIG, TreeConfig
 from repro.postree.listtree import BlobTree
+from repro.postree.node import ListIndexNode, node_level
 from repro.rolling.chunker import BLOB_CONFIG, ChunkerConfig
 from repro.rolling.fast import forced_pure
 from repro.store import InMemoryStore, NodeCacheStore, physical_store
@@ -41,21 +49,28 @@ from repro.store.nodecache import NodeLRU
 
 SMALL = ChunkerConfig(pattern_bits=6, min_size=16, max_size=256)
 
+#: Index nodes of about three entries: a few dozen leaves stand three or
+#: more index levels, and a probe slice is nine entries.
+TALL = TreeConfig(index=ChunkerConfig(pattern_bits=6, min_size=32, max_size=512, min_entries=2))
+
+#: Blob configs and ``_base`` sizes that stand ≥ 3 index levels under TALL.
+TALL_BASES = [(BLOB_CONFIG, 4), (SMALL, 16)]
+
 
 def _text(rng: random.Random, size: int) -> bytes:
     words = [bytes(rng.choices(b"abcdefghijklmnop", k=rng.randint(2, 9))) for _ in range(400)]
     return b" ".join(rng.choices(words, k=size // 5 + 1))[:size]
 
 
-def _base(config: ChunkerConfig, seed: int) -> bytes:
+def _base(config: ChunkerConfig, seed: int, units: int = 1) -> bytes:
     """Text with a zero run longer than ``max_size`` in the middle."""
     rng = random.Random(seed)
     unit = config.max_size
-    return _text(rng, unit) + bytes(unit + unit // 3) + _text(rng, unit)
+    return _text(rng, units * unit) + bytes(unit + unit // 3) + _text(rng, units * unit)
 
 
-def _cacheless_root(data: bytes, config: ChunkerConfig):
-    return BlobTree.from_bytes(InMemoryStore(), data, config).root
+def _cacheless_root(data: bytes, config: ChunkerConfig, tree_config=DEFAULT_TREE_CONFIG):
+    return BlobTree.from_bytes(InMemoryStore(), data, config, tree_config).root
 
 
 def _spy_kernel(monkeypatch) -> List[int]:
@@ -71,13 +86,13 @@ def _spy_kernel(monkeypatch) -> List[int]:
     return fed
 
 
-def _spy_blob_hashes(monkeypatch) -> List[int]:
-    """Record the length of every BLOB payload SHA-256 sees."""
+def _spy_hashes(monkeypatch, kind: ChunkType = ChunkType.BLOB) -> List[int]:
+    """Record the length of every ``kind`` payload SHA-256 sees."""
     hashed: List[int] = []
     compute = Chunk.compute_uid
 
     def spy(type_, data):
-        if type_ == ChunkType.BLOB:
+        if type_ == kind:
             hashed.append(len(data))
         return compute(type_, data)
 
@@ -109,17 +124,21 @@ edits = st.lists(
 )
 
 
-def _check_versions(config: ChunkerConfig, capacity: int, seed: int, versions) -> None:
-    data = _base(config, seed)
+def _check_versions(
+    config: ChunkerConfig, capacity: int, seed: int, versions, tree_config=DEFAULT_TREE_CONFIG,
+    units: int = 1,
+) -> BlobTree:
+    data = _base(config, seed, units)
     warm = NodeCacheStore(InMemoryStore(), capacity=capacity)
-    tree = BlobTree.from_bytes(warm, data, config)
-    assert tree.root == _cacheless_root(data, config)
+    first = tree = BlobTree.from_bytes(warm, data, config, tree_config)
+    assert tree.root == _cacheless_root(data, config, tree_config)
     for regions in versions:
         for where, fraction, cut, patch in regions:
             data = _edit(data, config, where, fraction, cut, patch)
-        tree = BlobTree.from_bytes(warm, data, config)
-        assert tree.root == _cacheless_root(data, config)
+        tree = BlobTree.from_bytes(warm, data, config, tree_config)
+        assert tree.root == _cacheless_root(data, config, tree_config)
         assert tree.read() == data
+    return first
 
 
 class TestRootsStayBitIdentical:
@@ -130,6 +149,40 @@ class TestRootsStayBitIdentical:
     @given(seed=st.integers(0, 2**16), versions=st.lists(edits, min_size=1, max_size=4))
     def test_warm_build_equals_cacheless_build(self, config, capacity, seed, versions):
         _check_versions(config, capacity, seed, versions)
+
+    @pytest.mark.parametrize("capacity", [4096, 12], ids=["roomy", "evicting"])
+    @pytest.mark.parametrize("config, units", TALL_BASES, ids=["blob", "small"])
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+              HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**16), versions=st.lists(edits, min_size=1, max_size=4))
+    def test_warm_index_levels_equal_cacheless_ones(self, config, units, capacity, seed, versions):
+        first = _check_versions(config, capacity, seed, versions, TALL, units)
+        assert node_level(first.node(first.root)) >= 3
+
+    @pytest.mark.parametrize("config, units", TALL_BASES, ids=["blob", "small"])
+    def test_a_level_end_is_not_reused_where_entries_follow(self, config, units):
+        # Each prefix ends on a leaf cut of the full blob, so its levels
+        # end on nodes that the full blob's levels may run on past: a
+        # warm build must not take such a node for one a rule closed.
+        data = _base(config, 23, units)
+        cacheless = BlobTree.from_bytes(InMemoryStore(), data, config, TALL)
+        ends = list(itertools.accumulate(len(leaf.data) for leaf in cacheless.iter_chunks()))
+        assert len(ends) >= 24
+        for end in ends[len(ends) // 3 :: max(1, len(ends) // 8)]:
+            warm = NodeCacheStore(InMemoryStore())
+            prefix = _cacheless_root(data[:end], config, TALL)
+            for _ in range(2):  # a cold put, then one that walks the cut index
+                assert BlobTree.from_bytes(warm, data[:end], config, TALL).root == prefix
+            assert BlobTree.from_bytes(warm, data, config, TALL).root == cacheless.root
+
+    def test_an_index_config_whose_probe_slice_rounds_to_no_entries(self):
+        # (min_size + 4 << pattern_bits) // 32 is 0 here: a probe slice
+        # still holds min_entries, so a warm put walks the cut index.
+        tiny = TreeConfig(
+            index=ChunkerConfig(pattern_bits=1, min_size=16, max_size=512, min_entries=2)
+        )
+        versions = [[("anywhere", 0.5, 8, b"edit")], [("start", 0.0, 0, b"x" * 40)]]
+        _check_versions(SMALL, 4096, 31, versions, tiny, 4)
 
     @pytest.mark.parametrize("capacity", [4096, 6], ids=["roomy", "evicting"])
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow,
@@ -148,7 +201,7 @@ class TestWorkFollowsTheEdit:
         store = NodeCacheStore(InMemoryStore())
         BlobTree.from_bytes(store, data)
         fed = _spy_kernel(monkeypatch)
-        hashed = _spy_blob_hashes(monkeypatch)
+        hashed = _spy_hashes(monkeypatch)
         leaves_before = physical_store(store).stats.puts_new
         for offset in (0, 123_456, len(data) - 20):
             data = data[:offset] + bytes(rng.choices(b"XYZ ", k=32)) + data[offset + 32 :]
@@ -159,6 +212,25 @@ class TestWorkFollowsTheEdit:
             assert 1 <= len(fed) <= 3 and sum(fed) <= 64 << 10, fed
         # A handful of new leaves and their index paths, not ≈ 80 leaves a put.
         assert physical_store(store).stats.puts_new - leaves_before <= 3 * 6
+
+    def test_a_near_duplicate_put_encodes_the_index_path_above_its_edit(self, monkeypatch):
+        rng = random.Random(7)
+        data = _text(rng, 400_000)
+        store = NodeCacheStore(InMemoryStore())
+        tree = BlobTree.from_bytes(store, data, BLOB_CONFIG, TALL)
+        height = node_level(tree.node(tree.root))
+        index_nodes = sum(isinstance(node, ListIndexNode) for _, node in tree.reachable())
+        assert height >= 4 and index_nodes >= 25
+        encoded = _spy_hashes(monkeypatch, ChunkType.LIST_INDEX)
+        for offset in (0, 123_456, 300_001, len(data) - 20):
+            data = data[:offset] + bytes(rng.choices(b"XYZ ", k=32)) + data[offset + 32 :]
+            expected = _cacheless_root(data, BLOB_CONFIG, TALL)
+            del encoded[:]
+            assert BlobTree.from_bytes(store, data, BLOB_CONFIG, TALL).root == expected
+            # The path above the edit, each level's last node (never
+            # noted: the level, not a rule, ended it) and a neighbour
+            # where a boundary moved; not every index node.
+            assert height <= len(encoded) <= 3 * height, encoded
 
     def test_a_cold_put_is_one_pass_over_all_the_bytes(self, monkeypatch):
         data = _text(random.Random(3), 200_000)
@@ -211,8 +283,9 @@ class TestGuards:
         assert consulted == []
 
 
-def _noted(cache: NodeLRU) -> int:
-    return sum(len(table) for table in cache.cuts.values())
+def _noted(cache: NodeLRU, config: ChunkerConfig = BLOB_CONFIG) -> int:
+    """How many nodes ``cache`` has noted under ``config``."""
+    return len(cache.cuts.get(config, {}))
 
 
 class TestLifetime:
@@ -240,10 +313,53 @@ class TestLifetime:
                 assert _noted(store.node_cache) == len(uids) - 4
             elif drop == "swept":
                 physical_store(store).notify_swept(uids)
+                assert _noted(store.node_cache) == 0
+                physical_store(store).notify_swept(tree.page_uids())  # the index nodes too
                 assert store.node_cache.cuts == {}
             else:
                 getattr(store, drop)()
                 assert store.node_cache.cuts == {}
+
+    @pytest.mark.parametrize("drop", ["evict", "forget", "swept"])
+    def test_a_noted_index_node_goes_with_its_node_mid_series(self, drop):
+        rng = random.Random(29)
+        data = _text(rng, 120_000)
+        store = NodeCacheStore(InMemoryStore(), capacity=4096)
+        cache, physical = store.node_cache, physical_store(store)
+        for version in range(6):
+            offset = rng.randrange(len(data) - 32)
+            data = data[:offset] + bytes(rng.choices(b"QRS", k=32)) + data[offset + 32 :]
+            tree = BlobTree.from_bytes(store, data, BLOB_CONFIG, TALL)
+            assert tree.root == _cacheless_root(data, BLOB_CONFIG, TALL)
+            # Every node a key names is cached, and so is every keyed node
+            # (a head noted again names the newer node).
+            table = cache.cuts.get(TALL.index, {})
+            assert table and set(cache.cut_keys) <= set(cache.entries)
+            for head, node in table.items():
+                assert cache.cut_keys[node.uid] == (TALL.index, head)
+                assert cache.entries[node.uid] is node
+            if version != 2:
+                continue
+            noted = [uid for uid, (config, _) in cache.cut_keys.items() if config == TALL.index]
+            if drop == "evict":
+                doomed = noted
+                filler = [Chunk(ChunkType.META, b"%d" % n) for n in range(len(cache.entries))]
+                cache.capacity = len(filler)
+                cache.remember((chunk.uid, chunk) for chunk in filler)  # every node goes
+                cache.capacity = 4096
+                assert not cache.leaves and not cache.cuts and not cache.cut_keys
+            elif drop == "forget":
+                doomed = noted[::2]
+                cache.forget(doomed)
+            else:
+                doomed = noted[::2]
+                for uid in doomed:
+                    physical.delete(uid)
+                physical.notify_swept(doomed)
+            assert not set(doomed) & set(cache.cut_keys)
+            assert not any(node.uid in doomed for node in cache.cuts.get(TALL.index, {}).values())
+        # A swept node the next versions still hold was written again.
+        assert all(physical.has(uid) for uid in tree.page_uids())
 
     def test_a_leaf_gc_swept_is_written_again_by_the_next_put(self):
         db = ForkBase()

@@ -5,11 +5,15 @@ import pytest
 from repro.db import ForkBase
 from repro.errors import (
     BranchExistsError,
+    ChunkCorruptionError,
     MergeConflictError,
+    TransientStoreError,
     TypeMismatchError,
     UnknownBranchError,
     UnknownKeyError,
 )
+from repro.store import InMemoryStore
+from repro.store.base import WrapperStore
 from repro.postree.merge import resolve_ours, resolve_theirs
 
 
@@ -269,3 +273,51 @@ class TestPersistence:
         stats = engine.storage_stats()
         assert stats.physical_bytes > 0
         assert engine.physical_size() == stats.physical_bytes
+
+
+class _FailingReads(WrapperStore):
+    """Serves reads until told to fail them, then raises ``error`` on each."""
+
+    def __init__(self, backing):
+        super().__init__(backing)
+        self.error = None
+        self.failed = 0
+
+    def _fetch(self, uid):
+        if self.error is not None:
+            self.failed += 1
+            raise self.error
+        return super()._fetch(uid)
+
+
+class TestReadGuard:
+    """``get_value`` runs its read under one guard, like ``get``."""
+
+    def _engine(self):
+        store = _FailingReads(InMemoryStore())
+        engine = ForkBase(store)
+        engine.put("k", {"a": "1", "b": "2"})
+        return engine, store
+
+    @pytest.mark.parametrize("verb", ["get", "get_value"])
+    def test_a_transient_fault_is_tried_max_attempts_times(self, verb):
+        engine, store = self._engine()
+        store.error = TransientStoreError("flaky read")
+        with pytest.raises(TransientStoreError):
+            getattr(engine, verb)("k")
+        assert store.failed == engine.retry.attempts
+
+    @pytest.mark.parametrize("verb", ["get", "get_value"])
+    def test_a_corrupt_read_runs_one_scrub(self, verb, monkeypatch):
+        engine, store = self._engine()
+        scrubs = []
+        monkeypatch.setattr(engine, "scrub", lambda **kwargs: scrubs.append(kwargs))
+        store.error = ChunkCorruptionError("rotten")
+        with pytest.raises(ChunkCorruptionError):
+            getattr(engine, verb)("k")
+        assert len(scrubs) == 1
+        assert store.failed == 2  # the read, and its one retry after the scrub
+
+    def test_get_value_still_reads_through_the_guard(self):
+        engine, store = self._engine()
+        assert engine.get_value("k") == {b"a": b"1", b"b": b"2"}

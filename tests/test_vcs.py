@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.chunk import Uid
+from repro.chunk import Chunk, Uid
 from repro.errors import BranchExistsError, UnknownBranchError, UnknownVersionError
-from repro.store import InMemoryStore
+from repro.store import InMemoryStore, NodeCacheStore
 from repro.vcs import BranchTable, FNode, VersionGraph, replay_into
 from repro.vcs.journal import checkpoint
 
@@ -129,6 +129,37 @@ class TestVersionGraph:
         graph = VersionGraph(InMemoryStore())
         uids = self._chain(graph, 7)
         assert graph.chain_length(uids[-1]) == 7
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["plain", "node-cache"])
+    def test_ancestry_walks_hash_no_fnode(self, monkeypatch, cached):
+        # 200 commits on a trunk; every tenth also starts a side commit
+        # that the next tenth merges back in.
+        graph = VersionGraph(NodeCacheStore(InMemoryStore()) if cached else InMemoryStore())
+        trunk = [graph.commit(FNode("k", "map", _value_root(0)))]
+        side = None
+        for index in range(1, 200):
+            bases = (trunk[-1],) if side is None else (trunk[-1], side)
+            trunk.append(graph.commit(FNode("k", "map", _value_root(index), bases=bases)))
+            side = None
+            if index % 10 == 0:
+                side = graph.commit(FNode("k", "side", _value_root(index), bases=(trunk[-1],)))
+        stray = graph.commit(FNode("k", "map", _value_root(999)))
+        expected = {fnode.uid for fnode in graph.history(trunk[-1])}
+        assert len(expected) == 200 + 19
+
+        hashed = []
+        compute = Chunk.compute_uid
+        monkeypatch.setattr(
+            Chunk, "compute_uid", staticmethod(lambda *args: hashed.append(1) or compute(*args))
+        )
+        assert graph.is_ancestor(trunk[57], trunk[57])
+        assert graph.is_ancestor(trunk[0], trunk[-1])
+        assert graph.is_ancestor(trunk[120], trunk[-1])
+        assert not graph.is_ancestor(trunk[-1], trunk[0])
+        assert not graph.is_ancestor(stray, trunk[-1])
+        assert graph.ancestors(trunk[-1]) == expected
+        assert graph.ancestors(trunk[3]) == set(trunk[:4])
+        assert hashed == []
 
 
 class TestBranchTable:
