@@ -21,11 +21,11 @@ from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 # Lower layers never import higher ones (equal layers may import each
 # other; actual cycles are caught separately).  The longest dotted prefix
 # wins, which is how repro.store splits: the storage primitives
-# (base/memory/stats/durability) sit below the POS-Tree that writes
-# through them, the durable backends (appendlog/segments and the two
-# record formats over them, filestore/packstore) sit just above the
-# fault seams they embed, and the tree-walking maintenance
-# pass (gc) and the package facade sit above everything.
+# (base/memory/stats/durability) and the durable backends over them
+# (appendlog/segments and the two record formats, filestore/packstore)
+# sit below the fault planes and the POS-Tree that writes through them,
+# and the tree-walking maintenance pass (gc) and the package facade sit
+# above everything.
 # Deferred (function-scope) imports and ``if TYPE_CHECKING`` imports are
 # exempt — they cannot create import-time cycles and are the sanctioned
 # escape hatch for runtime mutual recursion (db ↔ security.verify).
@@ -43,6 +43,15 @@ LAYERS: Mapping[str, int] = {
     # The fault kernel under it is pure hashlib/struct.
     "repro.faults.retry": 3,
     "repro.faults.kernel": 3,
+    # The durable-append primitive crosses only the disk seam
+    # (store.durability), so no fault plane sits under it: a plane
+    # injects from outside, through the installed DiskInjector.  The
+    # segment store over it and its two record formats sit beside it,
+    # below everything that stores chunks.
+    "repro.store.appendlog": 3,
+    "repro.store.segments": 3,
+    "repro.store.filestore": 3,
+    "repro.store.packstore": 3,
     # The scrubber and its copy-verification primitives (``read_copy``,
     # ``diagnose_copy``) need only errors, chunks, the retry helper and
     # the store interface; a replicated store is recognised by its public
@@ -53,13 +62,6 @@ LAYERS: Mapping[str, int] = {
     # scripted) — knows chunks and stores, never the cluster it is
     # installed on.
     "repro.faults": 4,
-    # The durable-append primitive embeds crash-points and the disk-fault
-    # seam, so it sits above faults; the segment store over it and its two
-    # record formats sit beside it, below everything that stores chunks.
-    "repro.store.appendlog": 5,
-    "repro.store.segments": 5,
-    "repro.store.filestore": 5,
-    "repro.store.packstore": 5,
     "repro.postree": 5,
     "repro.types": 6,
     "repro.vcs": 7,

@@ -8,8 +8,6 @@ Rule ids and the ForkBase invariant each protects:
 - ``FB-ERRORS``  — one error taxonomy, no swallowed failures
 - ``FB-LAYERS``  — the chunk → … → api import DAG (SIRI composability)
 - ``FB-DURABLE`` — every rename in persistence code is ``durable_replace``
-- ``FB-LOCKED``  — ``# guarded-by:`` fields only touched inside a ``with``
-  body that holds their lock
 
 Each rule is one walk over one file's AST.  Tamper evidence (§II: every
 served byte hashes to its uid) has no rule: the stores check it at read
@@ -23,7 +21,6 @@ from fbcheck.rules import (
     errors,
     immut,
     layers,
-    locked,
     privacy,
 )
 
@@ -33,6 +30,5 @@ __all__ = [
     "errors",
     "immut",
     "layers",
-    "locked",
     "privacy",
 ]

@@ -263,18 +263,19 @@ class NotFoundApiError(ApiError):
 
 
 class SimulatedCrash(ForkBaseError):
-    """Raised by the crash-point harness to simulate a SIGKILL.
+    """Raised by the disk-fault shim's ``crash`` flavor to simulate a SIGKILL.
 
-    Deliberately *not* a :class:`TransientError`: nothing may catch and
-    retry it.  Test harnesses let it propagate, abandon the process state
-    (no ``close()``), and then assert what a fresh open recovers.
+    Deliberately neither an ``OSError`` nor a :class:`TransientError`:
+    no disk-error handler unwinds it and nothing may catch and retry it.
+    Test harnesses let it propagate, abandon the process state (no
+    ``close()``), and then assert what a fresh open recovers.
     """
 
-    def __init__(self, boundary: int, kind: str, label: str = "") -> None:
-        where = f"{kind}:{label}" if label else kind
+    def __init__(self, boundary: int, syscall: str, label: str = "") -> None:
+        where = f"{syscall}:{label}" if label else syscall
         super().__init__(f"simulated crash at boundary #{boundary} ({where})")
         self.boundary = boundary
-        self.kind = kind
+        self.syscall = syscall
         self.label = label
 
 

@@ -1,8 +1,8 @@
-"""Deterministic fault injection: five planes over one kernel.
+"""Deterministic fault injection: four planes over one kernel.
 
 The paper's threat model (§III-C) treats storage as potentially faulty or
 malicious; the tamper-evident uid exists to *detect* bad bytes.  This
-package supplies the adversary on five planes.  Every decision on every
+package supplies the adversary on four planes.  Every decision on every
 plane is one :mod:`~repro.faults.kernel` draw — SHA-256 over the seed and
 the event's coordinates, nothing else — so replaying a workload against
 the same plan reproduces every fault bit for bit.  The planes differ
@@ -13,10 +13,10 @@ plane       plan                hashed coordinates (in order)            behavio
 ==========  ==================  =======================================  ==========================================
 store       ``FaultPlan``       seed, kind, uid, attempt                 corrupt read, dropped / torn put,
                                                                          transient error (``FaultyStore``)
-process     ``CrashPlan``       seed, kind, label, boundary index        die at the n-th durability boundary,
-                                                                         tearing a write (``crash_zone``)
-disk        ``FsFaultPlan``     seed, syscall, label, attempt            ENOSPC, short write, EIO, fsyncgate
-                                                                         (``FaultyOS`` in an ``fs_zone``)
+disk        ``FsFaultPlan``     seed, syscall, label, attempt            ENOSPC, short write, EIO, fsyncgate,
+                                                                         process death at the n-th write /
+                                                                         fsync / rename (``FaultyOS`` in an
+                                                                         ``fs_zone``)
 network     ``NetworkPlan``     seed, fault, src, "->", dst, op, uid,    drop, delay, duplicate, graded slowness;
                                 attempt                                  partition / slow schedules
                                                                          (``PartitionedTransport``)
@@ -33,9 +33,14 @@ audit sample (``"ae-audit:", seed, node, uid``).
 The three stores that lie — ``FaultyStore`` (rotting), ``ByzantineStore``
 (adversarial), ``TamperingStore`` (scripted) — are behaviours on one
 :class:`~repro.faults.store.InterposedStore`, whose ``install(node)`` /
-``remove(node)`` put them on and take them off a cluster node.  The two
-boundary planes (process, disk) share the kernel's ``Census``: run once
-unarmed to enumerate boundaries, then once per boundary.
+``remove(node)`` put them on and take them off a cluster node.
+
+A crash is not a plane of its own: the process dies at a disk boundary,
+so it is the disk plane's ``crash`` flavor, raised by the same
+``DiskInjector`` seam every write, fsync and rename already crosses.
+The disk plane keeps the kernel's ``Census``: run once unarmed to
+enumerate boundaries, then once per boundary × flavor.  No persistence
+module imports a plane; they import only :mod:`~repro.faults.retry`.
 
 The suites take their seed from the ``FORKBASE_SEED`` environment
 variable (``tests/conftest.py::fault_seed``).
@@ -47,7 +52,6 @@ from repro.faults.byzantine import (
     corrupt_queued_hints,
     make_byzantine,
 )
-from repro.faults.crash import CrashPlan, crash_zone, crashing_write, crashpoint
 from repro.faults.fs import FaultyOS, FsFaultPlan, fs_zone
 from repro.faults.kernel import flip_at
 from repro.faults.network import (
@@ -63,7 +67,6 @@ from repro.faults.store import FaultyStore, InterposedStore, TamperingStore
 __all__ = [
     "ByzantinePlan",
     "ByzantineStore",
-    "CrashPlan",
     "FaultPlan",
     "FaultyOS",
     "FaultyStore",
@@ -76,9 +79,6 @@ __all__ = [
     "apply_schedule_event",
     "apply_slow_event",
     "corrupt_queued_hints",
-    "crash_zone",
-    "crashing_write",
-    "crashpoint",
     "flip_at",
     "fs_zone",
     "make_byzantine",

@@ -1,26 +1,33 @@
 """Deterministic filesystem-fault injection (the disk plane of
 :mod:`repro.faults`).
 
-An :class:`FsFaultPlan` models the **disk that stops cooperating**:
-writes fail with ENOSPC (sometimes after materializing a short prefix),
-reads and fsyncs fail with EIO, and — the fsyncgate bug class — a failed
-fsync silently *drops the unsynced dirty pages* and then falsely reports
-success if retried on the same descriptor.
+An :class:`FsFaultPlan` models the **disk that stops cooperating** and
+the **process that dies on it**: writes fail with ENOSPC (sometimes
+after materializing a short prefix), reads and fsyncs fail with EIO,
+and — the fsyncgate bug class — a failed fsync silently *drops the
+unsynced dirty pages* and then falsely reports success if retried on
+the same descriptor.  The ``crash`` flavor kills the process at a
+write, fsync or rename: :class:`~repro.errors.SimulatedCrash` is raised
+before the syscall's side effect, after a write has landed the same
+strict prefix a ``short`` fault would.  A dead process truncates
+nothing and un-acks nothing, so recovery sees exactly what a SIGKILL
+leaves on disk.
 
 The shim (:class:`FaultyOS`) subclasses the no-op
 :class:`~repro.store.durability.DiskInjector` that every persistence
 path already routes its syscalls through, so the journal, FileStore,
-PackStore, compaction, and journal-checkpoint paths are all injectable without
-monkeypatching.  Every decision is a kernel draw at ``(seed, syscall,
-path label, attempt)``, so a schedule replays bit-identically.
+PackStore, compaction, and journal-checkpoint paths are all injectable
+without monkeypatching, and no persistence module names a boundary of
+its own.  Every decision is a kernel draw at ``(seed, syscall, path
+label, attempt)``, so a schedule replays bit-identically.
 
-Two modes, mirroring :class:`CrashPlan`:
+Two modes:
 
 - **rate mode** (census when all rates are 0): each boundary draws a
   deterministic uniform number and compares it to the per-syscall rate;
 - **targeted mode** (``fail_at=n, flavor=...``): exactly the ``n``-th
-  boundary faults, with the requested flavor — how the torture suite
-  walks every persistence boundary × {ENOSPC, EIO, fsync-fail}.
+  boundary faults, with the requested flavor — how the torture suites
+  walk every persistence boundary × {ENOSPC, EIO, fsync-fail, crash}.
 """
 
 from __future__ import annotations
@@ -31,16 +38,19 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Dict, Iterator, Optional, Tuple
 
+from repro.errors import SimulatedCrash
 from repro.faults import kernel
 from repro.faults.kernel import Attempts, Census
 from repro.store.durability import DiskInjector, install_injector
 
 #: Which fault flavors a targeted plan can land on each syscall kind.
+#: ``crash`` is process death, not a disk error: it lands on every
+#: syscall that changes what is on disk, never on a read.
 TARGETED_FLAVORS: Dict[str, Tuple[str, ...]] = {
-    "write": ("enospc", "short"),
-    "fsync": ("fsync",),
+    "write": ("enospc", "short", "crash"),
+    "fsync": ("fsync", "crash"),
     "read": ("eio",),
-    "replace": ("enospc", "eio"),
+    "replace": ("enospc", "eio", "crash"),
 }
 
 #: Rate mode: the stacked (flavor, rate field) bands one draw falls into.
@@ -61,7 +71,9 @@ class FsFaultPlan:
     before the ENOSPC), ``eio_read_rate`` to read probes, and
     ``fsync_fail_rate`` to fsyncs (EIO with fsyncgate page loss).
     ``fail_at``/``flavor`` switch to targeted mode: exactly that global
-    boundary index faults and every rate is ignored.
+    boundary index faults and every rate is ignored.  ``flavor="crash"``
+    raises :class:`~repro.errors.SimulatedCrash` there instead of an
+    ``OSError``.
     """
 
     seed: int = 0
@@ -74,6 +86,9 @@ class FsFaultPlan:
 
     def __post_init__(self) -> None:
         kernel.check_rates(self)
+        if self.fail_at is not None and self.fail_at < 0:
+            # No boundary index is negative: the plan would run as a census.
+            raise ValueError(f"fail_at must be >= 0, got {self.fail_at}")
         if not any(self.flavor in flavors for flavors in TARGETED_FLAVORS.values()):
             raise ValueError(f"flavor {self.flavor!r} can land on no syscall kind")
 
@@ -138,6 +153,10 @@ class FaultyOS(DiskInjector, Census):
         self.record(syscall, label, fault, *self.plan._at(syscall, label, attempt))
         return fault, attempt
 
+    def _crash(self, syscall: str, label: str) -> SimulatedCrash:
+        """The process death at the boundary just registered."""
+        return SimulatedCrash(self.count - 1, syscall, label)
+
     # -- DiskInjector overrides ----------------------------------------------
 
     def write(self, handle: IO[bytes], data: bytes, label: str = "") -> None:
@@ -148,7 +167,8 @@ class FaultyOS(DiskInjector, Census):
         fault, attempt = self._register("write", label)
         if fault == "enospc":
             raise OSError(errno.ENOSPC, "injected: no space left on device", label)
-        if fault == "short":
+        if fault is not None:
+            # A short write and a crash mid-write land the same strict prefix.
             keep = 0
             if len(data) > 1:
                 # Drawn at attempt + 1, not attempt: the shim has always
@@ -157,6 +177,8 @@ class FaultyOS(DiskInjector, Census):
                 keep = kernel.pick(*self.plan._at("write", label, attempt + 1), n=len(data))
             handle.write(data[:keep])
             handle.flush()
+            if fault == "crash":
+                raise self._crash("write", label)
             raise OSError(
                 errno.ENOSPC, f"injected: short write ({keep}/{len(data)}B)", label
             )
@@ -172,6 +194,8 @@ class FaultyOS(DiskInjector, Census):
             self.false_fsyncs += 1
             return
         fault, _ = self._register("fsync", label)
+        if fault == "crash":
+            raise self._crash("fsync", label)  # no fsync: the marks stay put
         if fault is None:
             os.fsync(handle.fileno())
             self._marks[key] = (handle, handle.tell())
@@ -193,6 +217,8 @@ class FaultyOS(DiskInjector, Census):
         # must be identical across directories.
         label = "<dir>" if os.path.isdir(path) else self._label(path, "")
         fault, _ = self._register("fsync", label)
+        if fault == "crash":
+            raise self._crash("fsync", label)
         if fault is None:
             os.fsync(fd)
             return
@@ -201,6 +227,8 @@ class FaultyOS(DiskInjector, Census):
     def replace(self, source: str, destination: str) -> None:
         label = self._label(destination, "")
         fault, _ = self._register("replace", label)
+        if fault == "crash":
+            raise self._crash("replace", label)
         if fault == "enospc":
             raise OSError(errno.ENOSPC, "injected: no space left on device", destination)
         if fault == "eio":
@@ -218,10 +246,10 @@ class FaultyOS(DiskInjector, Census):
 def fs_zone(plan: FsFaultPlan) -> Iterator[FaultyOS]:
     """Arm ``plan`` for the duration of the block; yields the shim.
 
-    The census recipe mirrors :func:`~repro.faults.crash.crash_zone`:
-    run the workload once under ``FsFaultPlan()`` (all rates zero) to
-    enumerate boundaries, then once per boundary × flavor with
-    ``fail_at=n`` and assert recovery.
+    The census recipe: run the workload once under ``FsFaultPlan()``
+    (all rates zero) to enumerate boundaries, then once per boundary ×
+    flavor with ``fail_at=n`` and assert recovery — or, for ``crash``,
+    reopen what the dead process left and assert that.
     """
     shim = FaultyOS(plan)
     previous = install_injector(shim)

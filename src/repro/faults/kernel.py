@@ -6,7 +6,7 @@ and the event's coordinates, then a uniform number or an index read off
 the digest.  Replay is exact because nothing else enters the hash.  The
 planes own only their coordinate tables (which parts, in which order);
 this module owns the hashing, the attempt counter that makes retries
-re-draw, the boundary census the crash and disk planes walk, and rate
+re-draw, the boundary census the disk plane walks, and rate
 validation.  Pure ``hashlib``/``struct``, so it sits at the bottom of
 the layer DAG beside :mod:`~repro.faults.retry`.
 """
@@ -119,7 +119,7 @@ class Attempts:
 
 @dataclass(frozen=True)
 class Boundary:
-    """One durability or syscall boundary a workload crossed."""
+    """One syscall boundary a workload crossed."""
 
     index: int
     kind: str
@@ -131,9 +131,8 @@ class Boundary:
 class Census:
     """Every boundary crossed inside a fault zone, in order.
 
-    The torture recipe for both boundary planes: run once unarmed to
-    enumerate boundaries, then once per boundary with that index
-    faulted.  ``injected`` is the faulted subset of ``trace``.
+    The disk plane's torture recipe: run once unarmed to enumerate
+    boundaries, then once per boundary with that index faulted.  ``injected`` is the faulted subset of ``trace``.
     """
 
     def __init__(self) -> None:

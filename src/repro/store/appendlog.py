@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import IO, Callable, List, Optional
 
 from repro.errors import DiskFaultError, DiskFullError, StoreError, map_os_error
-from repro.faults.crash import crashing_write, crashpoint
 from repro.faults.retry import RetryPolicy
 from repro.store.durability import fsync_file, write_bytes
 
@@ -40,9 +39,8 @@ class AppendLog:
     ``end`` is the last valid record boundary the owner's scan found:
     bytes past it are a torn tail, truncated *before* the writer opens so
     every append lands at true EOF and at the offset it is indexed under.
-    ``write_kind`` / ``fsync_kind`` name the crash boundaries appends and
-    syncs register (``None`` registers none).  ``rewritable=False`` is for
-    an owner that never fsyncs: no rewrite buffer is kept at all.
+    ``rewritable=False`` is for an owner that never fsyncs: no rewrite
+    buffer is kept at all.
     ``on_unack`` is called with the log when a poison un-acks appends.
     """
 
@@ -50,14 +48,10 @@ class AppendLog:
         self,
         path: str,
         end: int,
-        write_kind: Optional[str] = None,
-        fsync_kind: Optional[str] = None,
         rewritable: bool = True,
         on_unack: Optional[Callable[["AppendLog"], None]] = None,
     ) -> None:
         self.path = path
-        self._write_kind = write_kind
-        self._fsync_kind = fsync_kind
         self._rewritable = rewritable
         self._on_unack = on_unack
         #: True once the log was abandoned or hit an unrecoverable fault.
@@ -109,12 +103,9 @@ class AppendLog:
         return offset
 
     def _write(self, handle: IO[bytes], blob: bytes, label: str) -> None:
-        """One append attempt, un-acked on any failure."""
+        """One append attempt, un-acked on any disk failure."""
         try:
-            if self._write_kind is None:
-                write_bytes(handle, blob, label)
-            else:
-                crashing_write(handle, blob, kind=self._write_kind, label=label)
+            write_bytes(handle, blob, label)
         except (DiskFullError, DiskFaultError):
             self._unwind_append(handle)
             raise
@@ -151,8 +142,6 @@ class AppendLog:
     def sync(self, label: str = "") -> None:
         """Fsync everything appended so far, recovering a failed fsync."""
         handle = self._writer()
-        if self._fsync_kind is not None:
-            crashpoint(self._fsync_kind, label)
         try:
             fsync_file(handle, label)
         except (DiskFullError, DiskFaultError) as exc:

@@ -18,11 +18,14 @@ which the filesystem is touched**: writes, fsyncs, renames, and read
 probes all route through the installed :class:`DiskInjector`.  The
 default injector performs the real syscall; the fs-fault harness
 (:mod:`repro.faults.fs`) installs a seeded shim that injects ENOSPC,
-EIO, short writes, and fsyncgate semantics — so the journal, FileStore,
-PackStore, compaction, and journal-checkpoint paths are all fault-injectable
-without monkeypatching.  Failures (injected or real) surface as the
-:mod:`repro.errors` disk taxonomy (:class:`~repro.errors.DiskFullError`
-/ :class:`~repro.errors.DiskFaultError`), never raw ``OSError``.
+EIO, short writes, fsyncgate semantics and process death — so the
+journal, FileStore, PackStore, compaction, and journal-checkpoint paths
+are all fault- and crash-injectable at every write, fsync and rename
+without monkeypatching, and without naming a boundary of their own.
+Failures (injected or real) surface as the :mod:`repro.errors` disk
+taxonomy (:class:`~repro.errors.DiskFullError` /
+:class:`~repro.errors.DiskFaultError`), never raw ``OSError``; a
+simulated crash surfaces as :class:`~repro.errors.SimulatedCrash`.
 """
 
 from __future__ import annotations
@@ -79,6 +82,16 @@ def install_injector(injector: Optional[DiskInjector]) -> DiskInjector:
 def active_injector() -> DiskInjector:
     """The currently installed disk shim."""
     return _injector
+
+
+def labels_observed() -> bool:
+    """Does anything read boundary labels right now?
+
+    True with a disk shim installed: it records (and seeds its draws
+    from) the label of each write.  Otherwise a label is dropped unread,
+    so a hot path may skip rendering one.
+    """
+    return type(_injector) is not DiskInjector
 
 
 def write_bytes(handle: IO[bytes], data: bytes, label: str = "") -> None:

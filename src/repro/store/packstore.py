@@ -23,9 +23,9 @@ indexing-structure survey (arXiv:2003.02090) shows matter at scale:
   uids without decompressing.
 - **An FBPX offset index that records each record's length**, so a
   fetch is one mmap slice, and whose every step — like every append and
-  batch fsync — is a declared crash boundary the torture suite can kill
-  the store at.  Torn tails truncate on recovery; interior rot raises
-  the :mod:`repro.errors` taxonomy errors.
+  batch fsync — crosses the disk seam, where the torture suites fault
+  the store or kill it.  Torn tails truncate on recovery; interior rot
+  raises the :mod:`repro.errors` taxonomy errors.
 - **An in-RAM uid index**: ``has()`` and every miss are one dict probe
   on the uid's precomputed hash — no disk.
 
@@ -94,9 +94,6 @@ class PackStore(SegmentStore):
     _INDEX_MAGIC = b"FBPX0001"
     _INDEX_ENTRY = struct.Struct(">32sIQI")  # digest, segment, offset, record length
     _LOCATION_FIELDS = 3  # the record length includes the frame
-    _WRITE_KIND = "pack-write"
-    _FSYNC_KIND = "pack-fsync"
-    _INDEX_KINDS = ("packindex-write", "packindex-fsync", "packindex-replace")
 
     def __init__(
         self,

@@ -28,10 +28,15 @@ from repro.errors import (
     StoreClosedError,
     map_os_error,
 )
-from repro.faults.crash import crashing_write, crashpoint, labels_observed
 from repro.store.appendlog import AppendLog
 from repro.store.base import ChunkStore
-from repro.store.durability import durable_replace, fsync_dir, fsync_file
+from repro.store.durability import (
+    durable_replace,
+    fsync_dir,
+    fsync_file,
+    labels_observed,
+    write_bytes,
+)
 
 _COUNTS = struct.Struct(">QQ")  # index entries, watermarked segments
 _WATERMARK = struct.Struct(">IQ")  # segment number, indexed length
@@ -76,8 +81,8 @@ class SegmentStore(ChunkStore):
       records copied verbatim into fresh segments, snapshot, unlink),
       so both finish a compaction that died before its unlinks
       (:meth:`_drop_leftovers`).
-    - The snapshot is written through the disk seam for both; which of
-      its steps are crash boundaries is the format's ``_INDEX_KINDS``.
+    - Every record append, fsync and snapshot step goes through the disk
+      seam for both, so both are crash- and fault-injectable at each.
     """
 
     _SEGMENT_DIR: str
@@ -89,14 +94,6 @@ class SegmentStore(ChunkStore):
     #: Fixed bytes in front of a record's payload: what an entry is known
     #: to cover where the format records no length.
     _HEADER_SIZE: int
-    #: Crash-boundary kinds (``None`` registers none): record append —
-    #: a format that declares one also labels each append with the uid
-    #: while a fault plan is listening, so a torture run can name the
-    #: record it died in — the batch fsync, and the snapshot's write /
-    #: fsync / replace.
-    _WRITE_KIND: Optional[str] = None
-    _FSYNC_KIND: Optional[str] = None
-    _INDEX_KINDS: Tuple[Optional[str], Optional[str], Optional[str]] = (None, None, None)
 
     # Deletes drop index entries durably (the watermark table keeps them
     # from being rescanned) and compaction returns the bytes.
@@ -294,23 +291,16 @@ class SegmentStore(ChunkStore):
         pack = self._INDEX_ENTRY.pack
         parts.extend(pack(uid.digest, *location) for uid, location in self._index.items())
         payload = b"".join(parts)
-        write_kind, fsync_kind, replace_kind = self._INDEX_KINDS
         with open(tmp, "wb") as handle:
-            crashing_write(handle, payload, kind=write_kind, label=self._INDEX_STEM)
-            crashpoint(fsync_kind, self._INDEX_STEM)
+            write_bytes(handle, payload, label=self._INDEX_STEM)
             fsync_file(handle)
-        crashpoint(replace_kind, self._INDEX_STEM)
         durable_replace(tmp, path)
         self.stats.record_io(written=len(payload))
 
     # -- primitives ----------------------------------------------------------
 
     def _open_log(self, segment: int, end: int) -> AppendLog:
-        # Batch and compaction fsyncs are marked where they happen, so a
-        # roll or close is not a crash boundary: no ``fsync_kind``.
-        return AppendLog(
-            self._segment_path(segment), end, write_kind=self._WRITE_KIND, on_unack=self._unack
-        )
+        return AppendLog(self._segment_path(segment), end, on_unack=self._unack)
 
     def _unack(self, log: AppendLog) -> None:
         """Un-index what a poisoned log never made durable (acked ⇒ durable)."""
@@ -344,8 +334,8 @@ class SegmentStore(ChunkStore):
             self._segments.append(self._active)
             self._log = self._open_log(self._active, 0)
         # The label names the record a torture run died in; rendering it
-        # is Base32 work nobody reads unless a fault plan is listening.
-        label = chunk.uid.short() if self._WRITE_KIND and labels_observed() else ""
+        # is Base32 work nobody reads unless a disk shim is listening.
+        label = chunk.uid.short() if labels_observed() else ""
         offset = self._log.append(record, label)
         self._index[chunk.uid] = (self._active, offset, len(record))[: self._LOCATION_FIELDS]
         self.stats.record_io(written=len(record))
@@ -365,16 +355,13 @@ class SegmentStore(ChunkStore):
         self._check_writer()
         for chunk in chunks:
             self._append(chunk)
-        label = f"batch:{len(chunks)}"
-        crashpoint(self._FSYNC_KIND, label)
-        self._log.sync(label)
+        self._log.sync(f"batch:{len(chunks)}")
         self._save_index()
 
     def sync(self) -> None:
         """Fsync what was appended since the last durable point.
 
-        A crash boundary of the format's fsync kind.  The index snapshot
-        is not rewritten: records past a watermark are recovered by the
+        The index snapshot is not rewritten: records past a watermark are recovered by the
         scan.  A failed fsync that recovery cannot repair un-acks the
         tail and raises, so the caller never makes a head durable over
         chunks that are not.
@@ -382,7 +369,6 @@ class SegmentStore(ChunkStore):
         if self._log.durable_size == self._log.size and not self._log.poisoned:
             return  # nothing new since the last durable point (or a clean close)
         self._check_writer()
-        crashpoint(self._FSYNC_KIND, "sync")
         self._log.sync("sync")
 
     def _drop_segment_file(self, segment: int) -> None:
@@ -430,7 +416,6 @@ class SegmentStore(ChunkStore):
                 position = log.append(record, f"compact:{uid.short()}")
                 new_index[uid] = (next_segment, position, len(record))[: self._LOCATION_FIELDS]
                 self.stats.record_io(written=len(record))
-            crashpoint(self._FSYNC_KIND, "compact")
             log.sync()
             fsync_dir(self._seg_dir)
         except (DiskFullError, DiskFaultError):

@@ -48,9 +48,8 @@ from repro.errors import (
     VersionError,
     map_os_error,
 )
-from repro.faults.crash import crashing_write, crashpoint
 from repro.store.appendlog import AppendLog
-from repro.store.durability import durable_replace, fsync_file, read_check
+from repro.store.durability import durable_replace, fsync_file, read_check, write_bytes
 from repro.vcs.branches import BranchTable
 
 MAGIC = b"FBWJ0001"
@@ -98,8 +97,6 @@ class CommitJournal:
         return AppendLog(
             self.path,
             end,
-            write_kind="journal-write",
-            fsync_kind="journal-fsync",
             # Under ``never`` nothing is ever fsynced, so there is no
             # failed fsync to rewrite a tail after: keep none.
             rewritable=self.fsync != "never",
@@ -224,14 +221,12 @@ class CommitJournal:
         tmp = self.path + ".tmp"
         try:
             with open(tmp, "wb") as handle:
-                crashing_write(handle, data, kind="journal-write", label="checkpoint")
-                crashpoint("journal-fsync", "checkpoint")
+                write_bytes(handle, data, label="checkpoint")
                 fsync_file(handle)
         except (DiskFullError, DiskFaultError):
             raise  # the live journal log is untouched: still usable
         except OSError as exc:
             raise map_os_error(exc, "write", tmp) from exc
-        crashpoint("journal-replace", os.path.basename(self.path))
         # If the rename fails half-way the state is ambiguous: the
         # abandoned (poisoned) log is exactly what should stay in place.
         self._log.abandon()

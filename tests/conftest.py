@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 from pathlib import Path
 from typing import Callable, List, Optional
@@ -19,6 +20,13 @@ def fault_seed(default: int) -> int:
     suite's own ``default`` (so an unset environment replays exactly the
     schedules it always has)."""
     return int(os.environ.get("FORKBASE_SEED", default))
+
+
+def pin_clock(engine: ForkBase) -> None:
+    """Commit timestamps feed version hashing; a counter replays exactly,
+    so a fault suite's census (uid labels included) is the same each run."""
+    counter = itertools.count(1)
+    engine._clock = lambda: float(next(counter))
 
 
 #: Attempts of the policy :func:`check_k_failures` drives.

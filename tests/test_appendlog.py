@@ -4,7 +4,8 @@
 FileStore and PackStore all write through, so the protocol — un-ack on a
 failed write, bounded ENOSPC retry, fsyncgate recovery on a fresh
 descriptor, poisoning, torn-tail truncation at open — is pinned here
-under :class:`FsFaultPlan` / :class:`CrashPlan`, not once per owner.
+under :class:`FsFaultPlan` (its ``crash`` flavor included), not once
+per owner.
 The owner-specific halves (index prune, ``_records`` drop) stay in ``test_fsfaults.py``; the every-boundary sweeps stay in
 the torture suites.
 """
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DiskFaultError, DiskFullError, SimulatedCrash
-from repro.faults import CrashPlan, FsFaultPlan, crash_zone, fs_zone
+from repro.faults import FsFaultPlan, fs_zone
 from repro.store import appendlog
 from repro.store.appendlog import AppendLog
 from repro.vcs.journal import BATCH_INTERVAL, CommitJournal
@@ -213,30 +214,14 @@ def test_torn_tail_at_any_byte_offset_reopens_to_the_last_whole_record(count, da
         assert _scan(path)[0] == survivors + [_record(99)]
 
 
-# -- crash boundaries ---------------------------------------------------------
-
-
-def test_owner_named_crash_kinds_are_registered_and_none_by_default(path, tmp_path):
-    with crash_zone(CrashPlan()) as clock:
-        named = AppendLog(path, 0, write_kind="demo-write", fsync_kind="demo-fsync")
-        named.append(_record(1), "first")
-        named.sync("policy")
-        named.close()
-        plain = AppendLog(str(tmp_path / "plain.dat"), 0)
-        plain.append(_record(1))
-        plain.close()
-    assert [(hit.kind, hit.label) for hit in clock.trace] == [
-        ("demo-write", "first"),
-        ("demo-fsync", "policy"),
-        ("demo-fsync", "close"),
-    ]
+# -- crashes ------------------------------------------------------------------
 
 
 def test_crash_mid_append_leaves_a_tear_the_next_open_drops(path):
-    log = AppendLog(path, 0, write_kind="demo-write")
+    log = AppendLog(path, 0)
     log.append(_record(1))
     log.flush()
-    with crash_zone(CrashPlan(crash_at=0, seed=3)):
+    with fs_zone(FsFaultPlan(fail_at=0, seed=3, flavor="crash")):
         with pytest.raises(SimulatedCrash):
             log.append(_record(2, size=64))
     log.abandon()

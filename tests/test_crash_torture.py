@@ -1,14 +1,19 @@
-"""Crash-point torture: kill the engine at *every* durability boundary.
+"""Crash torture: kill the engine at *every* write, fsync and rename.
 
-The workload below crosses every boundary kind the version layer marks —
-journal appends and fsyncs, and the checkpoint rewrite (write, fsync and
-rename of ``journal.wal``) at compaction and close.  A census run counts the
-boundaries; then, for each boundary ``n``, a fresh engine runs the same
-workload under ``CrashPlan(crash_at=n)``, dies there (with torn writes),
-and is reopened.  Recovery must show either the state after the last
-*acknowledged* operation or the state after the one in-flight operation
-(which may have become durable before the ack) — never anything else —
-and every surviving head must verify.
+The workload below crosses every durability step of both layouts: record
+appends, batch and sync fsyncs, the index snapshot's write / fsync /
+rename, journal appends and fsyncs, and the checkpoint rewrite of
+``journal.wal`` at compaction and close.  A census run under an all-zero
+:class:`FsFaultPlan` lists the boundaries; then, for each one the
+``crash`` flavor lands on, a fresh engine runs the same workload under
+``FsFaultPlan(fail_at=n, flavor="crash")``, dies there (a write lands a
+torn prefix first), and is reopened.  Recovery must show either the
+state after the last *acknowledged* operation or the state after the one
+in-flight operation (which may have become durable before the ack) —
+never anything else — and every surviving head must verify.
+
+``test_fsfault_torture.py`` walks the same seam with the disk-error
+flavors, where the process survives; this suite is the reopen's half.
 
 Honors ``FORKBASE_SEED`` like the chaos suite; the seed varies the
 torn-write prefixes, not the boundary schedule.
@@ -25,14 +30,19 @@ import pytest
 from repro.chunk import Uid
 from repro.db.engine import ForkBase
 from repro.errors import SimulatedCrash
-from repro.faults import CrashPlan, crash_zone
+from repro.faults import FsFaultPlan, fs_zone
+from repro.faults.fs import TARGETED_FLAVORS
+from repro.faults.kernel import Boundary
+from repro.store import physical_store
 from repro.vcs import CommitJournal
-from tests.conftest import fault_seed
+from tests.conftest import fault_seed, pin_clock
 
 SEED = fault_seed(20260805)
 
 #: Small enough to force several compactions mid-workload.
 JOURNAL_LIMIT = 700
+
+BACKENDS = ("file", "pack")
 
 HeadMap = Dict[Tuple[str, str], Uid]
 
@@ -62,7 +72,7 @@ def _ops(engine: ForkBase) -> List:
     return ops
 
 
-def _run_workload(directory: str, acked: List[HeadMap]) -> None:
+def _run_workload(directory: str, acked: List[HeadMap], backend: str) -> None:
     """Run the workload, appending a head-map snapshot to ``acked`` after
     every acknowledged operation.  On a simulated crash, append the
     engine's in-memory state last: the in-flight op may or may not have
@@ -70,14 +80,10 @@ def _run_workload(directory: str, acked: List[HeadMap]) -> None:
     final two snapshots."""
     engine: Optional[ForkBase] = None
     try:
-        # Pinned to the file backend: the census below asserts the exact
-        # journal boundary kinds of the seed layout, so a
-        # FORKBASE_BACKEND=pack environment must not redirect this suite
-        # (the pack boundaries get the same treatment in
-        # test_packstore_crash.py and test_pack_dropin.py).
         engine = ForkBase.open(
-            directory, fsync="always", journal_limit=JOURNAL_LIMIT, backend="file"
+            directory, fsync="always", journal_limit=JOURNAL_LIMIT, backend=backend
         )
+        pin_clock(engine)
         acked.append(_heads(engine))
         for op in _ops(engine):
             op()
@@ -90,36 +96,59 @@ def _run_workload(directory: str, acked: List[HeadMap]) -> None:
         raise
 
 
-def _census(directory: str) -> List[str]:
-    """Count the workload's boundaries; return their replay stamps."""
-    with crash_zone(CrashPlan(seed=SEED)) as clock:
-        _run_workload(directory, [])
-    return [hit.stamp for hit in clock.trace]
+def _crashable(trace: List[Boundary]) -> List[Boundary]:
+    """The census entries a crash can land on: writes, fsyncs, renames."""
+    return [hit for hit in trace if "crash" in TARGETED_FLAVORS[hit.kind]]
+
+
+def _census(directory: str, backend: str) -> List[Boundary]:
+    """The workload's boundaries, crossed once with nothing armed."""
+    with fs_zone(FsFaultPlan(seed=SEED)) as shim:
+        _run_workload(directory, [], backend)
+    return list(shim.trace)
 
 
 def test_census_is_deterministic(tmp_path):
-    first = _census(str(tmp_path / "a"))
-    second = _census(str(tmp_path / "b"))
-    assert first == second
-    # The workload must actually cross every boundary kind we guard.
-    with crash_zone(CrashPlan(seed=SEED)) as clock:
-        _run_workload(str(tmp_path / "c"), [])
-    kinds = {hit.kind for hit in clock.trace}
-    assert kinds == {"journal-write", "journal-fsync", "journal-replace"}
-    # Compaction still runs mid-workload: close's checkpoint plus at least two.
-    assert sum(hit.kind == "journal-replace" for hit in clock.trace) >= 3
+    for backend in BACKENDS:
+        directory = str(tmp_path / f"{backend}-a")
+        first = _census(directory, backend)
+        second = _census(str(tmp_path / f"{backend}-b"), backend)
+        assert [hit.stamp for hit in first] == [hit.stamp for hit in second], backend
+        seen = {(hit.kind, hit.label) for hit in first}
+        # The journal: appends, per-op fsyncs, and the checkpoint rewrite
+        # (compaction mid-workload: close's checkpoint plus at least two).
+        assert {("write", "set-head"), ("fsync", "journal.wal")} <= seen, backend
+        assert {("write", "checkpoint"), ("fsync", "journal.wal.tmp")} <= seen, backend
+        assert sum(hit.kind == "replace" and hit.label == "journal.wal" for hit in first) >= 3
+        # The chunk store: one write per record, labelled by its uid; the
+        # store fsync before each journal fsync point; and the index
+        # snapshot's write, fsync and rename at close.
+        assert ("fsync", "sync") in seen, backend
+        index = "pack-index" if backend == "pack" else "index"
+        assert {
+            ("write", index),
+            ("fsync", f"{index}.dat.tmp"),
+            ("replace", f"{index}.dat"),
+        } <= seen, backend
+        engine = ForkBase.open(directory, backend=backend)
+        stored = {uid.short() for uid in physical_store(engine.store).ids()}
+        engine.close()
+        assert stored and stored <= {label for kind, label in seen if kind == "write"}, backend
 
 
-def test_torture_every_crash_point(tmp_path):
-    total = len(_census(str(tmp_path / "census")))
-    assert total > 40, "workload too small to be a torture test"
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_torture_every_crash_point(tmp_path, backend):
+    census = _crashable(_census(str(tmp_path / "census"), backend))
+    assert len(census) > 80, "workload too small to be a torture test"
 
-    for boundary in range(total):
+    for hit in census:
+        boundary = hit.index
         directory = str(tmp_path / f"crash{boundary}")
         acked: List[HeadMap] = []
-        with pytest.raises(SimulatedCrash):
-            with crash_zone(CrashPlan(crash_at=boundary, seed=SEED)):
-                _run_workload(directory, acked)
+        with pytest.raises(SimulatedCrash) as excinfo:
+            with fs_zone(FsFaultPlan(seed=SEED, fail_at=boundary, flavor="crash")):
+                _run_workload(directory, acked, backend)
+        assert excinfo.value.boundary == boundary
 
         # acked[-1] is the engine's in-memory state at the crash (the
         # in-flight op, if it got far enough); acked[-2] the last state
@@ -128,24 +157,25 @@ def test_torture_every_crash_point(tmp_path):
         if len(acked) > 1:
             allowed.append(acked[-2])
 
-        recovered = ForkBase.open(directory)
+        recovered = ForkBase.open(directory, backend=backend)
         state = _heads(recovered)
+        context = f"boundary {boundary} ({hit.kind}/{hit.label}, {backend})"
         assert state in allowed, (
-            f"boundary {boundary}: recovered {sorted(state)} is neither the "
+            f"{context}: recovered {sorted(state)} is neither the "
             f"acknowledged state nor the in-flight one"
         )
         # Every surviving head resolves and passes tamper validation.
         for (key, branch) in state:
-            assert recovered.verify(key, branch).ok, f"boundary {boundary}"
+            assert recovered.verify(key, branch).ok, context
         recovered.close()
 
         # Replay idempotence: recovery reaches a fixed point — a second
         # (and third) open sees the identical head map.
-        again = ForkBase.open(directory)
-        assert _heads(again) == state, f"boundary {boundary}: replay not idempotent"
+        again = ForkBase.open(directory, backend=backend)
+        assert _heads(again) == state, f"{context}: replay not idempotent"
         again.close()
-        once_more = ForkBase.open(directory)
-        assert _heads(once_more) == state
+        once_more = ForkBase.open(directory, backend=backend)
+        assert _heads(once_more) == state, context
         once_more.close()
 
 
@@ -168,17 +198,23 @@ def test_crash_during_recovery_is_survivable(tmp_path):
     journal.append({"op": "delete-branch", "key": "k", "branch": "dev"})
     journal.close()
 
-    with crash_zone(CrashPlan(seed=SEED)) as clock:
+    with fs_zone(FsFaultPlan(seed=SEED)) as shim:
         probe_dir = str(tmp_path / "probe")
         shutil.copytree(source, probe_dir)
         ForkBase.open(probe_dir).abandon()
-    kinds = {hit.kind for hit in clock.trace}
-    assert kinds == {"journal-write", "journal-fsync", "journal-replace"}
+    census = _crashable(shim.trace)
+    # Recovery's only durable step is the journal's checkpoint rewrite.
+    assert {(hit.kind, hit.label) for hit in census} >= {
+        ("write", "checkpoint"),
+        ("fsync", "journal.wal.tmp"),
+        ("replace", "journal.wal"),
+    }
 
-    for boundary in range(clock.count):
+    for hit in census:
+        boundary = hit.index
         directory = str(tmp_path / f"crash{boundary}")
         shutil.copytree(source, directory)
-        with crash_zone(CrashPlan(crash_at=boundary, seed=SEED)):
+        with fs_zone(FsFaultPlan(seed=SEED, fail_at=boundary, flavor="crash")):
             crashed = None
             try:
                 crashed = ForkBase.open(directory)

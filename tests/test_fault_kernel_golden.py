@@ -5,8 +5,11 @@ observes; it pins no crash or filesystem decision, and a compensating
 pair of changes inside one plane could slip past it.  This file freezes
 the decisions themselves, plane by plane: draws, mutation offsets, tear
 lengths, derived seeds, schedules and census stamps, each section as a
-short hash *generated on the parent commit* (8f99462, PR 15) — before
-the five planes were rewritten over ``repro.faults.kernel``.
+short hash *generated on the parent commit* (8f99462) — before the
+planes were rewritten over ``repro.faults.kernel``.  The ``crash``
+sections were regenerated when process death became the disk plane's
+``crash`` flavor: they pin where a targeted crash dies, the torn prefix
+it lands, and the census around it.
 
 A moved hash means a replay somewhere no longer reproduces.  To see what
 moved, run ``decisions(seed)`` on both checkouts and diff the dicts.  To
@@ -16,7 +19,6 @@ regenerate after a *deliberate* change (reason in CHANGES.md):
 
 import dataclasses
 import hashlib
-import io
 import json
 import pathlib
 import tempfile
@@ -29,15 +31,11 @@ from repro.errors import DiskFullError, SimulatedCrash, StoreError
 from repro.faults import (
     ByzantinePlan,
     ByzantineStore,
-    CrashPlan,
     FaultPlan,
     FaultyStore,
     FsFaultPlan,
     NetworkPlan,
     RetryPolicy,
-    crash_zone,
-    crashing_write,
-    crashpoint,
     fs_zone,
 )
 from repro.security import TamperingStore
@@ -52,16 +50,17 @@ DATA = bytes(range(256)) * 3
 ATTEMPTS = (0, 1, 7)
 
 #: ``seed<seed>-<section>`` -> first 16 hex digits of SHA-256 over the
-#: section's canonical JSON, generated by running this file on 8f99462.
+#: section's canonical JSON, generated by running this file on 8f99462
+#: (the two ``crash`` sections: regenerated for the disk plane's flavor).
 GOLDEN = {
     "seed1-store": "87ce709404a74212",
-    "seed1-crash": "c14bdab8d37ce293",
+    "seed1-crash": "d62bb5289f8dc87e",
     "seed1-fs": "41aa0577363638a2",
     "seed1-network": "2fb31838422f92a4",
     "seed1-byzantine": "1f1934214938dca1",
     "seed1-defense": "8b8781182d34da0a",
     "seed42-store": "9475ede59b1e1f21",
-    "seed42-crash": "634acafd28797d63",
+    "seed42-crash": "e08b8bb342f7332b",
     "seed42-fs": "d01dffa849c12ac8",
     "seed42-network": "6963f9edd491172a",
     "seed42-byzantine": "30d7dfe4ce1aa51a",
@@ -101,39 +100,6 @@ def _store_plane(seed: int) -> dict:
     }
 
 
-def _crash_census(plan: CrashPlan) -> dict:
-    """A short write/fsync/rename workload under ``plan``."""
-    handle = io.BytesIO()
-    crashed = None
-    with crash_zone(plan) as clock:
-        try:
-            crashing_write(handle, DATA, "journal-write", "journal.wal")
-            crashpoint("journal-fsync", "journal.wal")
-            crashing_write(handle, DATA[:100], "segment-write", "seg-000000.dat")
-            crashing_write(handle, b"x", "segment-write", "seg-000000.dat")
-            crashpoint("segment-fsync", "seg-000000.dat")
-            crashpoint("index-replace", "index.dat")
-            crashing_write(handle, DATA, label="heads.json")
-        except SimulatedCrash as crash:
-            crashed = (crash.boundary, crash.kind, crash.label)
-    return {
-        "trace": [(hit.index, hit.kind, hit.label, hit.stamp) for hit in clock.trace],
-        "crashed": crashed,
-        "landed": len(handle.getvalue()),
-    }
-
-
-def _crash_plane(seed: int) -> dict:
-    return {
-        "census": _crash_census(CrashPlan(seed=seed)),
-        "filtered": _crash_census(
-            CrashPlan(seed=seed, kinds=frozenset({"segment-write", "segment-fsync"}))
-        ),
-        "torn": [_crash_census(CrashPlan(crash_at=at, seed=seed)) for at in range(7)],
-        "untorn": _crash_census(CrashPlan(crash_at=0, seed=seed, tear_writes=False)),
-    }
-
-
 def _fs_census(plan: FsFaultPlan, root: pathlib.Path) -> dict:
     """A short write/fsync/replace/read workload under ``plan``."""
     root.mkdir()
@@ -164,6 +130,43 @@ def _fs_census(plan: FsFaultPlan, root: pathlib.Path) -> dict:
         "landed": segment.stat().st_size,
         "dropped": shim.dropped_bytes,
     }
+
+
+def _crash_census(plan: FsFaultPlan, root: pathlib.Path) -> dict:
+    """A short write/fsync/replace/read workload under a crash plan."""
+    root.mkdir()
+    segment, temp, index = root / "seg-000000.dat", root / "index.tmp", root / "index.dat"
+    crashed = None
+    with fs_zone(plan) as shim:
+        try:
+            with open(segment, "ab") as handle:
+                write_bytes(handle, DATA, "journal.wal")
+                fsync_file(handle, "journal.wal")
+                write_bytes(handle, DATA[:100])
+                write_bytes(handle, b"x")
+                fsync_file(handle)
+            temp.write_bytes(b"index")
+            durable_replace(str(temp), str(index))
+            read_check(str(segment))
+        except SimulatedCrash as crash:
+            crashed = (crash.boundary, crash.syscall, crash.label)
+    return {
+        "trace": [dataclasses.astuple(hit) for hit in shim.trace],
+        "crashed": crashed,
+        "landed": segment.stat().st_size,
+        "replaced": index.exists(),
+    }
+
+
+def _crash_plane(seed: int) -> dict:
+    with tempfile.TemporaryDirectory() as scratch:
+        root = pathlib.Path(scratch)
+        return {
+            "torn": [
+                _crash_census(FsFaultPlan(seed=seed, fail_at=at, flavor="crash"), root / str(at))
+                for at in range(9)
+            ],
+        }
 
 
 def _short_write_lengths(plan: FsFaultPlan, root: pathlib.Path) -> list:

@@ -36,7 +36,6 @@ RULE_BY_PREFIX = {
     "errors": "FB-ERRORS",
     "layers": "FB-LAYERS",
     "durable": "FB-DURABLE",
-    "locked": "FB-LOCKED",
 }
 
 

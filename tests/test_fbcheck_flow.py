@@ -1,8 +1,7 @@
-"""Tests for fbcheck's engine features and the FB-LOCKED rule.
+"""Tests for fbcheck's engine features.
 
 Covers the stale-allowlist audit (and its ``--select`` scoping), missing
-paths, pragma edge cases, and FB-LOCKED's lexical lock check: the
-``locked_bad.py`` fixture marks every line the rule must flag.
+paths, and pragma edge cases.
 """
 
 from __future__ import annotations
@@ -14,48 +13,6 @@ from fbcheck.core import STALE_ALLOW_RULE, check_paths, check_source
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fbcheck" / "selftest" / "fixtures"
-HEADER = "# fbcheck-fixture-path: src/repro/store/flowtest.py\n"
-
-
-# -- FB-LOCKED -----------------------------------------------------------------
-
-
-def test_locked_init_is_exempt():
-    src = HEADER + (
-        "import threading\n"
-        "class C:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "        self.n = 0  # guarded-by: self._lock\n"
-    )
-    assert check_source(src, "flowtest.py") == []
-
-
-def test_locked_branch_local_with_does_not_dominate():
-    src = HEADER + (
-        "import threading\n"
-        "class C:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "        self.n = 0  # guarded-by: self._lock\n"
-        "    def read(self, flag):\n"
-        "        if flag:\n"
-        "            with self._lock:\n"
-        "                pass\n"
-        "        return self.n\n"
-    )
-    assert [v.rule for v in check_source(src, "flowtest.py")] == ["FB-LOCKED"]
-
-
-def test_locked_flags_exactly_the_marked_lines():
-    path = FIXTURES / "locked_bad.py"
-    marked = {
-        number
-        for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if line.endswith("# <- FB-LOCKED")
-    }
-    report = check_paths([str(path)])
-    assert {v.line for v in report.violations} == marked
 
 
 # -- engine features -----------------------------------------------------------

@@ -1,9 +1,10 @@
 """Filesystem-fault injection: plan, shim, store/journal recovery, health.
 
-The fourth fault dimension (after byzantine stores, network partitions,
-and crash points): the disk itself misbehaves.  These are the unit-level
-checks; ``test_fsfault_torture.py`` walks every boundary × flavor and
-``test_property_fsfaults.py`` drives random schedules.
+The disk itself misbehaves, or the process dies on it (the ``crash``
+flavor).  These are the unit-level checks; ``test_fsfault_torture.py``
+walks every boundary × disk-error flavor, ``test_crash_torture.py``
+every boundary a crash lands on, and ``test_property_fsfaults.py``
+drives random schedules.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.errors import (
     DiskFullError,
     EngineLockedError,
     ReadOnlyError,
+    SimulatedCrash,
     StoreError,
     TransientStoreError,
     map_os_error,
@@ -34,9 +36,11 @@ from repro.faults import FaultyOS, FsFaultPlan, fs_zone
 from repro.faults.fs import TARGETED_FLAVORS
 from repro.postree.node import LeafNode
 from repro.store import NodeCacheStore
+from repro.store.appendlog import AppendLog
 from repro.store.durability import (
     active_injector,
     durable_replace,
+    fsync_file,
     fsync_path,
     read_check,
     write_bytes,
@@ -86,6 +90,13 @@ def test_plan_rejects_out_of_range_rate_and_unknown_flavor(bad):
     # a targeted torture leg passed vacuously, having injected nothing.
     with pytest.raises(ValueError):
         FsFaultPlan(**bad)
+
+
+def test_plan_rejects_a_negative_fail_at():
+    # No boundary index is negative, so such a plan used to run as a
+    # census: a targeted leg that injected nothing and passed.
+    with pytest.raises(ValueError):
+        FsFaultPlan(fail_at=-1)
 
 
 def test_targeted_plan_faults_exactly_one_boundary(tmp_path):
@@ -169,6 +180,105 @@ def test_replace_fault_classifies_and_preserves_source(tmp_path):
         with pytest.raises(DiskFaultError):
             durable_replace(str(source), str(destination))
     assert destination.read_bytes() == b"old"
+
+
+# -- the crash flavor ---------------------------------------------------------
+
+
+def test_crash_at_a_write_lands_the_short_prefix_and_is_not_unwound(tmp_path):
+    first, second = b"record-one|", b"0123456789" * 8
+    short = tmp_path / "short.dat"
+    with fs_zone(FsFaultPlan(seed=3, fail_at=0, flavor="short")):
+        with open(short, "ab") as handle:
+            with pytest.raises(DiskFullError):
+                write_bytes(handle, second, "rec")
+    prefix = short.read_bytes()
+    assert len(prefix) < len(second) and second.startswith(prefix)
+
+    path = str(tmp_path / "log.dat")
+    log = AppendLog(path, 0)
+    log.append(first)
+    log.flush()
+    with fs_zone(FsFaultPlan(seed=3, fail_at=0, flavor="crash")):
+        with pytest.raises(SimulatedCrash):
+            log.append(second, "rec")
+    # A dead process truncates nothing: the torn prefix stays on disk,
+    # and the log never acked it.
+    with open(path, "rb") as handle:
+        assert handle.read() == first + prefix
+    assert log.size == len(first) and not log.poisoned
+    log.abandon()
+
+
+def test_crash_at_an_fsync_performs_none_and_keeps_the_marks(tmp_path, monkeypatch):
+    path = tmp_path / "blob.dat"
+    path.write_bytes(b"durable")
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd)))
+    with fs_zone(FsFaultPlan(fail_at=1, flavor="crash")) as shim:
+        with open(path, "r+b") as handle:
+            handle.seek(0, os.SEEK_END)
+            write_bytes(handle, b"-dirty")  # boundary 0 fixes the durable floor
+            marks = dict(shim._marks)
+            with pytest.raises(SimulatedCrash) as excinfo:
+                fsync_file(handle)  # boundary 1: the process dies first
+            assert fsyncs == []
+            assert shim._marks == marks
+            assert shim.false_fsyncs == 0 and shim.dropped_bytes == 0
+            # Not fsyncgate: a later fsync on the descriptor is a real one.
+            fsync_file(handle)
+            assert len(fsyncs) == 1 and shim.false_fsyncs == 0
+    assert excinfo.value.syscall == "fsync"
+    assert path.read_bytes() == b"durable-dirty"  # no page was dropped
+
+
+@pytest.mark.parametrize("boundary", [0, 1])
+def test_crash_at_a_replace_leaves_the_destination_untouched(tmp_path, boundary):
+    source = tmp_path / "new.tmp"
+    destination = tmp_path / "index.dat"
+    destination.write_bytes(b"old")
+    source.write_bytes(b"new")
+    # Boundary 0 is fsync_path(source); boundary 1 is the rename itself.
+    with fs_zone(FsFaultPlan(fail_at=boundary, flavor="crash")) as shim:
+        with pytest.raises(SimulatedCrash):
+            durable_replace(str(source), str(destination))
+    assert destination.read_bytes() == b"old"
+    assert source.read_bytes() == b"new"
+    assert [hit.kind for hit in shim.trace] == ["fsync", "replace"][: boundary + 1]
+
+
+def _seam_workload(root) -> None:
+    """One of each syscall the shim sees: write, fsync, read, replace."""
+    with open(root / "seg.dat", "ab") as handle:
+        write_bytes(handle, b"record")
+        fsync_file(handle, "seg")
+    read_check(str(root / "seg.dat"))
+    (root / "index.tmp").write_bytes(b"index")
+    durable_replace(str(root / "index.tmp"), str(root / "index.dat"))
+
+
+def test_simulated_crash_names_its_census_boundary(tmp_path):
+    (tmp_path / "census").mkdir()
+    with fs_zone(FsFaultPlan(seed=5)) as census:
+        _seam_workload(tmp_path / "census")
+    kinds = [hit.kind for hit in census.trace]
+    assert kinds == ["write", "fsync", "read", "fsync", "replace", "fsync"]
+    for hit in census.trace:
+        root = tmp_path / f"b{hit.index}"
+        root.mkdir()
+        with fs_zone(FsFaultPlan(seed=5, fail_at=hit.index, flavor="crash")) as shim:
+            if "crash" not in TARGETED_FLAVORS[hit.kind]:
+                _seam_workload(root)  # a crash never lands on a read
+                assert shim.injected == []
+                continue
+            with pytest.raises(SimulatedCrash) as excinfo:
+                _seam_workload(root)
+        crash = excinfo.value
+        assert (crash.boundary, crash.syscall, crash.label) == (hit.index, hit.kind, hit.label)
+        assert [(b.index, b.fault, b.stamp) for b in shim.injected] == [
+            (hit.index, "crash", hit.stamp)
+        ]
 
 
 def test_map_os_error_taxonomy():

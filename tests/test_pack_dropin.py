@@ -1,30 +1,26 @@
-"""The pack backend as a drop-in: engine, gc, scrub, cache, crash torture.
+"""The pack backend as a drop-in: engine, gc, scrub, cache.
 
 The acceptance bar for the backend swap: everything above the chunk layer
 behaves identically — roots and uids are bit-for-bit the same as with
 FileStore, the garbage collector can sweep and compact it, the scrubber
-understands its record frames, the decoded-node cache layers on top, and
-the engine-level crash-torture discipline holds with pack boundaries in
-the schedule.
+understands its record frames, and the decoded-node cache layers on top.
+The engine-level crash torture runs on both layouts in
+``test_crash_torture.py``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import pytest
 
 from repro.chunk import Uid
 from repro.db.engine import ForkBase
-from repro.errors import EngineError, JournalCorruptError, SimulatedCrash
-from repro.faults import CrashPlan, crash_zone
+from repro.errors import EngineError, JournalCorruptError
 from repro.store import NodeCacheStore, PackStore, physical_store
 from repro.store.scrub import diagnose_copy
 from repro.vcs.journal import _HEADER, MAGIC
-from tests.conftest import fault_seed
-
-SEED = fault_seed(20260808)
 
 HeadMap = Dict[Tuple[str, str], Uid]
 
@@ -268,65 +264,3 @@ class TestNodeCache:
             engine.get_value("doc")
         assert engine.store.node_hit_rate > 0.5
         engine.close()
-
-
-class TestEngineCrashTortureOnPack:
-    """The engine torture discipline with pack boundaries in the schedule."""
-
-    def _ops(self, engine: ForkBase) -> List:
-        ops = [
-            lambda: engine.put("doc", {"a": "1"}),
-            lambda: engine.put("doc", {"a": "2", "pad": "x" * 48}),
-            lambda: engine.branch("doc", "dev"),
-            lambda: engine.put("doc", {"a": "3"}, branch="dev"),
-            lambda: engine.merge("doc", "dev", "master"),
-            lambda: engine.put("blob", "payload " * 6),
-        ]
-        for i in range(4):
-            ops.append(lambda i=i: engine.put("bulk", {"i": str(i)}))
-        return ops
-
-    def _run(self, directory: str, acked: List[HeadMap]) -> None:
-        engine: Optional[ForkBase] = None
-        try:
-            engine = ForkBase.open(
-                directory, fsync="always", journal_limit=700, backend="pack"
-            )
-            acked.append(_heads(engine))
-            for op in self._ops(engine):
-                op()
-                acked.append(_heads(engine))
-            engine.close()
-        except SimulatedCrash:
-            acked.append(_heads(engine) if engine is not None else {})
-            if engine is not None:
-                engine.abandon()
-            raise
-
-    def test_torture_every_crash_point(self, tmp_path):
-        with crash_zone(CrashPlan(seed=SEED)) as clock:
-            self._run(str(tmp_path / "census"), [])
-        kinds = {hit.kind for hit in clock.trace}
-        assert "pack-write" in kinds  # the pack layer is in the schedule
-        assert "journal-write" in kinds
-        total = clock.count
-        assert total > 40
-
-        for boundary in range(total):
-            directory = str(tmp_path / f"crash{boundary}")
-            acked: List[HeadMap] = []
-            with pytest.raises(SimulatedCrash):
-                with crash_zone(CrashPlan(crash_at=boundary, seed=SEED)):
-                    self._run(directory, acked)
-            allowed = [acked[-1]]
-            if len(acked) > 1:
-                allowed.append(acked[-2])
-            recovered = ForkBase.open(directory)
-            state = _heads(recovered)
-            assert state in allowed, f"boundary {boundary}"
-            for (key, branch) in state:
-                assert recovered.verify(key, branch).ok, f"boundary {boundary}"
-            recovered.close()
-            again = ForkBase.open(directory)
-            assert _heads(again) == state, f"boundary {boundary}: not idempotent"
-            again.close()

@@ -1,12 +1,14 @@
-"""Crash-point torture for the pack store's append and index boundaries.
+"""Crash torture for the segment stores' append and index boundaries.
 
-Mirrors ``test_crash_torture`` one layer down: a census run counts every
-durability boundary a pack workload crosses — record appends
-(``pack-write``), batch fsyncs (``pack-fsync``), and the three index
-snapshot steps (``packindex-write`` / ``-fsync`` / ``-replace``) — then
-the workload is re-run once per boundary under ``CrashPlan(crash_at=n)``
-with torn writes.  Recovery must serve every chunk whose batch was
-acknowledged, bit-identical, and never serve wrong bytes for anything.
+Mirrors ``test_crash_torture`` one layer down, on both record formats: a
+census run under an all-zero :class:`FsFaultPlan` lists every boundary a
+store workload crosses — record appends, batch and compaction fsyncs,
+and the index snapshot's write / fsync / rename — then the workload is
+re-run once per write, fsync and rename under
+``FsFaultPlan(fail_at=n, flavor="crash")``, which tears a write.
+Recovery must serve every chunk whose batch was acknowledged,
+bit-identical, and never serve wrong bytes for anything.  The rest of
+the file pins pack-specific recovery by hand.
 
 Honors ``FORKBASE_SEED`` like the chaos suite.
 """
@@ -14,14 +16,17 @@ Honors ``FORKBASE_SEED`` like the chaos suite.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 import pytest
 
 from repro.chunk import Chunk, ChunkType
 from repro.errors import ChunkCorruptionError, SimulatedCrash
-from repro.faults import CrashPlan, crash_zone
-from repro.store import PackStore
+from repro.faults import FsFaultPlan, fs_zone
+from repro.faults.fs import TARGETED_FLAVORS
+from repro.faults.kernel import Boundary
+from repro.store import FileStore, PackStore
+from repro.store.segments import SegmentStore
 from tests.conftest import fault_seed
 
 SEED = fault_seed(20260808)
@@ -32,27 +37,33 @@ CHUNKS = [
 ]
 BATCHES = [CHUNKS[i : i + 9] for i in range(0, 36, 9)]
 
+LAYOUTS: Dict[str, Callable[[str], SegmentStore]] = {
+    "file": lambda directory: FileStore(directory, segment_limit=2048),
+    "pack": lambda directory: PackStore(directory, segment_limit=2048, compression="zlib"),
+}
 
-def _run_workload(directory: str, acked: Set[int]) -> None:
+
+def _run_workload(directory: str, acked: Set[int], gone: Set[int], layout: str) -> None:
     """Batched puts, deletes, a segment compaction, more puts, close.
 
     ``acked`` collects the index of every chunk whose ``put_many`` batch
-    returned (minus those whose delete was later made durable) — the set
-    recovery is REQUIRED to serve.
+    returned (minus those deleted since) — the set recovery is REQUIRED
+    to serve; ``gone`` the chunks whose delete a returned compaction
+    made durable — the set it must NOT serve.
     """
-    store: Optional[PackStore] = None
+    store: Optional[SegmentStore] = None
     try:
-        store = PackStore(directory, segment_limit=2048, compression="zlib")
+        store = LAYOUTS[layout](directory)
         for number, batch in enumerate(BATCHES[:3]):
             store.put_many(batch)
             acked.update(CHUNKS.index(chunk) for chunk in batch)
-        # Deletes becomes durable at the compaction's index snapshot;
-        # until then a crash may legitimately resurrect them.
+        # Deletes become durable at the compaction's index snapshot; until
+        # compact_segments returns, a crash may resurrect them or not.
         store.delete(CHUNKS[1].uid)
         store.delete(CHUNKS[10].uid)
+        acked.difference_update((1, 10))
         store.compact_segments()
-        acked.discard(1)
-        acked.discard(10)
+        gone.update((1, 10))
         store.put_many(BATCHES[3])
         acked.update(CHUNKS.index(chunk) for chunk in BATCHES[3])
         store.close()
@@ -62,45 +73,57 @@ def _run_workload(directory: str, acked: Set[int]) -> None:
         raise
 
 
-def _census(directory: str) -> List[str]:
-    with crash_zone(CrashPlan(seed=SEED)) as clock:
-        _run_workload(directory, set())
-    return [hit.stamp for hit in clock.trace]
+def _census(directory: str, layout: str) -> List[Boundary]:
+    with fs_zone(FsFaultPlan(seed=SEED)) as shim:
+        _run_workload(directory, set(), set(), layout)
+    return list(shim.trace)
 
 
 def test_census_is_deterministic(tmp_path):
-    first = _census(str(tmp_path / "a"))
-    second = _census(str(tmp_path / "b"))
-    assert first == second
-    with crash_zone(CrashPlan(seed=SEED)) as clock:
-        _run_workload(str(tmp_path / "c"), set())
-    kinds = {hit.kind for hit in clock.trace}
-    assert kinds == {
-        "pack-write",
-        "pack-fsync",
-        "packindex-write",
-        "packindex-fsync",
-        "packindex-replace",
-    }
+    for layout in LAYOUTS:
+        first = _census(str(tmp_path / f"{layout}-a"), layout)
+        second = _census(str(tmp_path / f"{layout}-b"), layout)
+        assert [hit.stamp for hit in first] == [hit.stamp for hit in second], layout
+        index = "pack-index" if layout == "pack" else "index"
+        seen = {(hit.kind, hit.label) for hit in first}
+        # Every record append, labelled by its uid ...
+        writes = {label for kind, label in seen if kind == "write"}
+        assert {chunk.uid.short() for chunk in CHUNKS} <= writes, layout
+        # ... the batch and compaction fsyncs, and each index snapshot step.
+        assert {("fsync", "batch:9"), ("fsync", "compact-prep")} <= seen, layout
+        assert {
+            ("write", index),
+            ("fsync", f"{index}.dat.tmp"),
+            ("replace", f"{index}.dat"),
+        } <= seen, layout
 
 
-def test_torture_every_crash_point(tmp_path):
-    total = len(_census(str(tmp_path / "census")))
-    assert total > 60, "workload too small to be a torture test"
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_torture_every_crash_point(tmp_path, layout):
+    census = [
+        hit
+        for hit in _census(str(tmp_path / "census"), layout)
+        if "crash" in TARGETED_FLAVORS[hit.kind]
+    ]
+    assert len(census) > 60, "workload too small to be a torture test"
 
-    for boundary in range(total):
+    for hit in census:
+        boundary = hit.index
         directory = str(tmp_path / f"crash{boundary}")
         acked: Set[int] = set()
+        gone: Set[int] = set()
         with pytest.raises(SimulatedCrash):
-            with crash_zone(CrashPlan(crash_at=boundary, seed=SEED)):
-                _run_workload(directory, acked)
+            with fs_zone(FsFaultPlan(seed=SEED, fail_at=boundary, flavor="crash")):
+                _run_workload(directory, acked, gone, layout)
 
-        store = PackStore(directory)
+        store = LAYOUTS[layout](directory)
         # Required: everything acknowledged before the crash, bit-identical.
         for i in acked:
             got = store.get(CHUNKS[i].uid)
             assert got.data == CHUNKS[i].data, f"boundary {boundary}: chunk {i}"
             assert got.is_valid()
+        # Forbidden: a chunk whose delete a returned compaction made durable.
+        assert not [i for i in gone if store.has(CHUNKS[i].uid)], f"boundary {boundary}"
         # Forbidden: wrong bytes for ANY surviving record (in-flight
         # records may be present or absent, but never corrupt).
         for uid in store.ids():
@@ -109,7 +132,7 @@ def test_torture_every_crash_point(tmp_path):
         store.close()
 
         # Recovery idempotence: a second open sees the identical store.
-        again = PackStore(directory)
+        again = LAYOUTS[layout](directory)
         assert sorted(uid.digest for uid in again.ids()) == survivors
         again.close()
 

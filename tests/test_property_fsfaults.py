@@ -18,7 +18,6 @@ descriptor (``false_fsyncs == 0``).
 
 from __future__ import annotations
 
-import itertools
 import shutil
 import tempfile
 from typing import Dict, List, Optional, Tuple
@@ -29,6 +28,7 @@ from repro.chunk import Uid
 from repro.db.engine import HEALTH_HEALTHY, ForkBase
 from repro.errors import DiskFaultError, DiskFullError
 from repro.faults import FsFaultPlan, fs_zone
+from tests.conftest import pin_clock
 
 HeadMap = Dict[Tuple[str, str], Uid]
 
@@ -42,11 +42,6 @@ _plans = st.builds(
     eio_read_rate=st.floats(min_value=0.0, max_value=0.05, allow_nan=False),
     fsync_fail_rate=_rates,
 )
-
-
-def _pin_clock(engine: ForkBase) -> None:
-    counter = itertools.count(1)
-    engine._clock = lambda: float(next(counter))
 
 
 def _heads(engine: ForkBase) -> HeadMap:
@@ -71,7 +66,7 @@ def _run(directory: str, plan: FsFaultPlan):
         engine: Optional[ForkBase] = None
         try:
             engine = ForkBase.open(directory, fsync="always", backend="file")
-            _pin_clock(engine)
+            pin_clock(engine)
             acked.append(_heads(engine))
             for op in _workload(engine):
                 op()

@@ -9,13 +9,16 @@ fixed script per layout (single puts, a ``put_many`` that rolls a
 segment, reads, deletes, ``close``; reopen, ``put_many``, ``abandon``;
 reopen through the watermark scan, delete, ``close``; for pack a
 ``compact_segments``) pins, after every step, each file's
-``(relative path, size, sha256)`` and ``stats.io_write_bytes``; the
-whole script's ``(kind, label)`` sequence under an fs census and its
-``(kind, label, stamp)`` sequence under a crash census.
+``(relative path, size, sha256)`` and ``stats.io_write_bytes``, and the
+whole script's ``(kind, label)`` sequence under an fs census — the
+boundaries every disk fault and every crash lands on.
 
 One deliberate difference is filtered out rather than pinned: since the
 rewrite the file layout's index snapshot goes through the disk seam, so
-its fs census gained one ``("write", "index")`` hit per snapshot.
+its fs census gained one ``("write", "index")`` hit per snapshot.  One
+was regenerated: ``file/fs-census``, when file records took the uid
+label pack records already had (the crash plane became a disk-plane
+flavor and its per-format boundary kinds went).
 
 A moved hash means a record, index or snapshot byte moved, or a
 boundary did.  To see which, run ``trace(layout)`` on both checkouts and
@@ -31,7 +34,7 @@ import tempfile
 import pytest
 
 from repro.chunk import Chunk, ChunkType
-from repro.faults import CrashPlan, FsFaultPlan, crash_zone, fs_zone
+from repro.faults import FsFaultPlan, fs_zone
 from repro.store import FileStore, PackStore
 
 LAYOUTS = {
@@ -46,7 +49,8 @@ CHUNKS = [
 ]
 
 #: ``<layout>/<section>`` -> first 16 hex digits of SHA-256 over the
-#: section's canonical JSON, generated by running this file on 4efe54f.
+#: section's canonical JSON, generated by running this file on 4efe54f
+#: (``file/fs-census``: regenerated when file records took uid labels).
 GOLDEN = {
     "file/00-puts": "a57904b491925c17",
     "file/01-batch-rolls": "5441062144f20af3",
@@ -56,9 +60,7 @@ GOLDEN = {
     "file/05-abandon": "66183a4e796e3ce3",
     "file/06-rescan": "93b76ab976018010",
     "file/07-rescan-close": "2e7c61b25a1969aa",
-    "file/fs-census": "ee8d637ca188cf3c",
-    # The hash of "[]": the file layout registers no crash boundary.
-    "file/crash-census": "4f53cda18c2baa0c",
+    "file/fs-census": "c53a4578a5b5a2ef",
     "pack/00-puts": "f88232282639ecdf",
     "pack/01-batch-rolls": "6f3a265cc1d09a62",
     "pack/02-deletes": "6f3a265cc1d09a62",
@@ -70,7 +72,6 @@ GOLDEN = {
     "pack/08-compact": "c310663904890634",
     "pack/09-compact-close": "e7835c1aaabdb33b",
     "pack/fs-census": "1f129cf67e654d59",
-    "pack/crash-census": "673eb3ddde18f1ba",
 }
 
 
@@ -149,9 +150,6 @@ def trace(layout: str) -> dict:
             for hit in shim.trace
             if not (layout == "file" and (hit.kind, hit.label) == ("write", "index"))
         ]
-        with crash_zone(CrashPlan(seed=1)) as clock:
-            _script(layout, os.path.join(scratch, "crash"))
-        sections["crash-census"] = [[hit.kind, hit.label, hit.stamp] for hit in clock.trace]
     return sections
 
 
