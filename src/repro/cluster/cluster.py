@@ -33,6 +33,16 @@ from repro.store.nodecache import DecodedNode, NodeLRU, decode_chunk
 from repro.store.scrub import ScrubReport, Scrubber, diagnose_copy, read_copy
 
 
+#: One verb's caller, threaded from the verb down to the transport: the
+#: endpoint the request is issued from and the verb's deadline (None: no
+#: deadline).
+Call = Tuple[str, Optional[Deadline]]
+
+#: The endpoint the coordinator's own verbs, hint replay and the full
+#: sweep are issued from.
+COORDINATOR = "client"
+
+
 def _digest_of(chunk: Optional[Chunk]) -> Optional[str]:
     """What a served payload *actually* hashes to (tamper-evidence field)."""
     if chunk is None:
@@ -54,18 +64,22 @@ class ClusterStore(ChunkStore):
     :class:`~repro.faults.retry.RetryPolicy` (instant by default — the
     cluster is simulated).
 
-    Pass a :class:`~repro.faults.network.PartitionedTransport` and every
-    request flows through the simulated network: partitions, drops,
-    delays and duplicates hit the cluster exactly as the plan dictates.
-    A :class:`~repro.cluster.membership.FailureDetector` per client
-    origin turns missed heartbeats (a probe round per :meth:`tick`)
-    into SUSPECT verdicts, and the write path routes around suspected
-    nodes: when the home replicas cannot meet quorum it extends past
-    them along the ring (sloppy quorum) so writes stay available during
-    a partition (stand-in copies migrate home via hinted handoff and
-    Merkle anti-entropy);
-    :class:`~repro.errors.QuorumWriteError` is raised only when no
-    quorum of *reachable* nodes exists at all.
+    Every request crosses a :class:`~repro.faults.network.PartitionedTransport`:
+    the one passed in, whose plan's partitions, drops, delays and
+    duplicates hit the cluster exactly as it dictates, or a fault-free
+    one built here.  Each public verb starts one *call* — the endpoint
+    it is issued from plus its deadline — and threads it down to the
+    transport; the coordinator's own verbs are issued as ``"client"``
+    under ``deadline_budget``, and a :class:`ClusterClient` issues the
+    same verbs as its own origin.  A
+    :class:`~repro.cluster.membership.FailureDetector` per origin turns
+    missed heartbeats (a probe round per :meth:`tick`) into SUSPECT
+    verdicts, and the write path routes around suspected nodes: when
+    the home replicas cannot meet quorum it extends past them along the
+    ring (sloppy quorum) so writes stay available during a partition
+    (stand-in copies migrate home via hinted handoff and Merkle
+    anti-entropy); :class:`~repro.errors.QuorumWriteError` is raised only
+    when no quorum of *reachable* nodes exists at all.
 
     The content address doubles as both the placement key and the
     checksum, so every healing decision is local: a copy is good iff its
@@ -74,14 +88,13 @@ class ClusterStore(ChunkStore):
     raises :class:`~repro.errors.ChunkCorruptionError`, never bytes.
 
     Gray failures — a replica that is up and answering probes but ~100x
-    slow — get their own machinery (all of it transport-clocked, so it
-    only engages when a ``transport`` is set): a
+    slow — get their own machinery, all of it on the transport clock: a
     :class:`~repro.cluster.latency.LatencyTracker` remembers per-node
     service times; ``hedge_reads`` arms the first read attempt with that
     node's tracked p95 as a timeout and fails over to
     the next replica the moment it elapses (the Tail-at-Scale hedge —
     the abandoned response still lands late as a stale delivery);
-    ``deadline_budget`` grants every client verb a fixed tick budget
+    ``deadline_budget`` grants every verb a fixed tick budget
     threaded through sends and retries, surfacing
     :class:`~repro.errors.DeadlineExceededError` instead of blocking
     past it; and a per-``(origin, node)``
@@ -146,31 +159,21 @@ class ClusterStore(ChunkStore):
         #: read-back plus one hash.
         self.verify_writes = verify_writes
         self.retry = retry if retry is not None else RetryPolicy.instant()
-        #: None means requests are direct function calls (the seed behaviour);
-        #: set to route every request through the simulated network.
-        self.transport = transport
-        #: The endpoint name requests are currently issued from.  Clients
-        #: made with :meth:`client` swap this for the duration of a call,
-        #: so each client sits on its own side of a partition.
-        self.origin = "client"
+        #: The simulated network every request crosses (None builds a
+        #: fault-free one: every message delivered, one tick each).
+        self.transport = transport or PartitionedTransport()
         #: Arm the first read attempt with the primary's tracked p95 as a
         #: timeout and fail over when it elapses (gray-failure hedging).
         self.hedge_reads = hedge_reads
-        #: Tick budget granted to each client verb (None = no deadline).
+        #: Tick budget granted to each verb (None = no deadline).
         self.deadline_budget = deadline_budget
         #: Per-(origin, node, op) service-time statistics, on the transport
         #: clock.  Feeds the hedging threshold and the health report.
         self.latency = LatencyTracker()
         #: End-to-end read latency in transport ticks (``health_report``).
         self.read_ticks = LatencyStats(window=256)
-        #: Per-(origin, node) circuit breakers.  Clocked by the transport,
-        #: so the board is disabled (threshold None) without one: with no
-        #: ticking clock an OPEN breaker could never cool down to
-        #: HALF_OPEN and a revived node would be shunned forever.
-        self.breakers = BreakerBoard(
-            threshold=breaker_threshold if transport is not None else None,
-            now=self._now,
-        )
+        #: Per-(origin, node) circuit breakers, cooled on the transport clock.
+        self.breakers = BreakerBoard(threshold=breaker_threshold, now=self._now)
         self._store_factory = node_store_factory
         names = [f"node-{index:02d}" for index in range(node_count)]
         self.nodes: Dict[str, StorageNode] = {
@@ -215,8 +218,8 @@ class ClusterStore(ChunkStore):
         #: *behind agreeing digests* (forged-digest defense).
         self.audit_rate = audit_rate
         #: Seed for the audit sample draw: the network plan's, so one seed
-        #: replays the messages and the audits alike (0 without a transport).
-        self.audit_seed = transport.plan.seed if transport is not None else 0
+        #: replays the messages and the audits alike (0 for a default plan).
+        self.audit_seed = self.transport.plan.seed
         #: Read/write attempts refused because the target is QUARANTINED.
         self.quarantine_skips = 0
         #: Hints discarded because their target node is QUARANTINED.
@@ -229,9 +232,6 @@ class ClusterStore(ChunkStore):
         #: Post-repair audits run / audits whose every re-read failed.
         self.repair_audits = 0
         self.repair_audit_failures = 0
-        #: The deadline owned by the client verb currently on the stack,
-        #: shared by every sub-operation it performs (see :meth:`put`).
-        self._active_deadline: Optional[Deadline] = None
         #: Decoded nodes this coordinator verified or saw acked at quorum.
         self.node_cache = NodeLRU()
 
@@ -269,35 +269,29 @@ class ClusterStore(ChunkStore):
     # -- network & failure detection ------------------------------------------------
 
     def _now(self) -> int:
-        """The transport's logical tick (0 without one) — never wall time."""
-        return self.transport.clock if self.transport is not None else 0
+        """The transport's logical tick — never wall time."""
+        return self.transport.clock
 
-    def _begin_deadline(self) -> Optional[Deadline]:
-        """A fresh tick budget for one client verb, if deadlines are on.
+    def _call(self, origin: str, budget: Optional[int]) -> Call:
+        """One verb's caller: ``origin`` and a fresh deadline of ``budget``
+        ticks on the transport clock (None: the verb has no deadline)."""
+        return origin, (Deadline(budget, self._now) if budget is not None else None)
 
-        Deadlines are measured on the transport clock, so without a
-        transport there is no time for a budget to elapse in — direct
-        function calls are instantaneous in the model.
-        """
-        if self._active_deadline is not None:
-            return self._active_deadline
-        if self.deadline_budget is None or self.transport is None:
-            return None
-        return Deadline(self.deadline_budget, self._now)
+    def _verb(self) -> Call:
+        """The call of one of the coordinator's own verbs."""
+        return self._call(COORDINATOR, self.deadline_budget)
 
     def put(self, chunk: Chunk) -> bool:
-        """Store a chunk under ONE deadline budget for the whole verb.
+        """Store a chunk: a dedup precheck and the write walk under ONE
+        call, so the verb cannot block for twice its deadline."""
+        return self._put(chunk, self._verb())
 
-        The base class implements ``put`` as a dedup precheck plus an
-        insert; without this override each half would start a fresh
-        budget and the verb could block for up to twice its deadline.
-        """
-        outer = self._active_deadline
-        self._active_deadline = self._begin_deadline()  # `outer` itself when nested
-        try:
-            return super().put(chunk)
-        finally:
-            self._active_deadline = outer
+    def _put(self, chunk: Chunk, call: Call) -> bool:
+        new = not self._has(chunk.uid, call)
+        if new:
+            self._write([chunk], call)
+        self.stats.record_put(chunk.type.name, chunk.size(), new)
+        return new
 
     def put_nodes(self, pairs: Iterable[Tuple[Chunk, DecodedNode]]) -> int:
         """Store one verb's chunks under one deadline: one verified
@@ -309,16 +303,14 @@ class ClusterStore(ChunkStore):
         replica stored it for the first time.  The writer's decoded forms
         are remembered only once the whole batch stood at quorum.
         """
+        return self._put_nodes(pairs, self._verb())
+
+    def _put_nodes(self, pairs: Iterable[Tuple[Chunk, DecodedNode]], call: Call) -> int:
         pairs = list(pairs)
         batch = list({chunk.uid: chunk for chunk, _ in pairs}.values())
         if not batch:
             return 0
-        outer = self._active_deadline
-        self._active_deadline = self._begin_deadline()
-        try:
-            fresh = self._write(batch)
-        finally:
-            self._active_deadline = outer
+        fresh = self._write(batch, call)
         self.node_cache.remember((chunk.uid, decoded) for chunk, decoded in pairs)
         new = len(fresh)
         for chunk, _ in pairs:
@@ -346,24 +338,20 @@ class ClusterStore(ChunkStore):
         op: str,
         uid: Uid,
         fn: Callable[[], object],
-        origin: Optional[str] = None,
-        deadline: Optional[Deadline] = None,
+        call: Call,
         timeout_ticks: Optional[int] = None,
     ) -> object:
-        """One request to a node, through the transport when one is set.
+        """One request to a node, through the transport, from ``call``'s origin.
 
-        ``timeout_ticks`` (a hedge threshold) and the verb ``deadline``
+        ``timeout_ticks`` (a hedge threshold) and the call's deadline
         both cap the sender's patience; the tighter one wins.
         """
-        if self.transport is None:
-            return fn()
+        origin, deadline = call
         timeout = timeout_ticks
         if deadline is not None:
             remaining = deadline.remaining()
             timeout = remaining if timeout is None else min(timeout, remaining)
-        return self.transport.send(
-            origin or self.origin, node.name, op, uid, fn, timeout_ticks=timeout
-        )
+        return self.transport.send(origin, node.name, op, uid, fn, timeout_ticks=timeout)
 
     def _exchange(
         self,
@@ -371,8 +359,7 @@ class ClusterStore(ChunkStore):
         op: str,
         uid: Uid,
         fn: Callable[[], object],
-        origin: Optional[str] = None,
-        deadline: Optional[Deadline] = None,
+        call: Call,
         timeout_ticks: Optional[int] = None,
     ) -> object:
         """One read-side replica conversation: :meth:`_send`, retried
@@ -385,10 +372,10 @@ class ClusterStore(ChunkStore):
         not burn the retry budget on a replica it already believes is
         slow, it moves to the next one.
         """
-        send = partial(self._send, node, op, uid, fn, origin, deadline, timeout_ticks)
+        send = partial(self._send, node, op, uid, fn, call, timeout_ticks)
         if timeout_ticks is not None:
             return send()
-        return self.retry.call(send, deadline=deadline)
+        return self.retry.call(send, deadline=call[1])
 
     def _ping_uid(self, name: str) -> Uid:
         uid = self._ping_uids.get(name)
@@ -407,18 +394,17 @@ class ClusterStore(ChunkStore):
         """
         node = self.nodes[name]
         try:
-            self._send(node, "ping", self._ping_uid(name), node.ping, origin=origin)
+            self._send(node, "ping", self._ping_uid(name), node.ping, (origin, None))
         except TransientError:
             return False
         return True
 
-    def failure_detector(self, origin: Optional[str] = None) -> FailureDetector:
+    def failure_detector(self, origin: str = COORDINATOR) -> FailureDetector:
         """The per-origin failure detector (created on first use).
 
         Each origin keeps its own view: during a partition, clients on
         side A suspect the nodes on side B and vice versa.
         """
-        origin = origin if origin is not None else self.origin
         detector = self._detectors.get(origin)
         if detector is None:
             detector = FailureDetector(self, origin=origin)
@@ -426,29 +412,29 @@ class ClusterStore(ChunkStore):
         return detector
 
     def tick(self) -> Dict[str, str]:
-        """Run one heartbeat round for the acting origin; returns states."""
+        """Run one heartbeat round from the coordinator; returns states."""
         return self.failure_detector().probe_round()
 
-    def _suspected(self, name: str) -> bool:
-        """Does the acting origin's detector currently distrust this node?
+    def _suspected(self, name: str, origin: str) -> bool:
+        """Does ``origin``'s detector currently distrust this node?
 
         False when no detector has been started for the origin — routing
         only changes once somebody is actually measuring heartbeats.
         """
-        detector = self._detectors.get(self.origin)
+        detector = self._detectors.get(origin)
         return detector is not None and detector.is_suspect(name)
 
-    def _writable(self, node: StorageNode) -> bool:
-        """Should a write even be attempted at this node right now?"""
+    def _writable(self, node: StorageNode, origin: str) -> bool:
+        """Should ``origin`` even attempt a write at this node right now?"""
         if not node.up:
             return False
         if self.accountability.is_quarantined(node.name):
             self.quarantine_skips += 1
             return False
-        if self._suspected(node.name):
+        if self._suspected(node.name, origin):
             self.suspect_skips += 1
             return False
-        if not self.breakers.begin_attempt(self.origin, node.name):
+        if not self.breakers.begin_attempt(origin, node.name):
             self.breaker_skips += 1
             return False
         return True
@@ -485,7 +471,7 @@ class ClusterStore(ChunkStore):
             if not chunk.is_valid():
                 self.hint_rejections += 1
                 continue
-            if not self._place(node, [chunk]):
+            if not self._place(node, [chunk], (COORDINATOR, None)):
                 self._queue_hint(name, chunk)  # keep it for the next revive
                 continue
             replayed += 1
@@ -559,11 +545,11 @@ class ClusterStore(ChunkStore):
         self,
         node: StorageNode,
         chunks: List[Chunk],
-        origin: Optional[str] = None,
-        deadline: Optional[Deadline] = None,
+        call: Call,
     ) -> Dict[int, bool]:
-        """Verified replica writes of ``chunks`` to one node: one exchange,
-        retried through the policy for the chunks it has not acked yet.
+        """Verified replica writes of ``chunks`` to one node as ``call``: one
+        exchange, retried through the policy for the chunks it has not
+        acked yet.
 
         Returns ``position in chunks → stored fresh`` for every chunk the
         node acked; a missing position is a miss (the exchange counts once
@@ -587,6 +573,7 @@ class ClusterStore(ChunkStore):
         every attempt of every retry is astronomically unlikely), while
         any verified write clears the node's unverified-run counter.
         """
+        origin, deadline = call
         pending = list(range(len(chunks)))
         placed: Dict[int, bool] = {}
         verify_failures = [0] * len(chunks)
@@ -624,7 +611,7 @@ class ClusterStore(ChunkStore):
                     raise failure
 
             try:
-                self._send(node, "put", chunks[carried[0]].uid, exchange, origin, deadline)
+                self._send(node, "put", chunks[carried[0]].uid, exchange, call)
             finally:
                 pending.clear()
                 for position in carried:
@@ -644,9 +631,7 @@ class ClusterStore(ChunkStore):
                 if verify:
                     board.record_verified_write(node.name)
             elif failures:
-                board.record_unverified_write(
-                    origin or self.origin, node.name, chunks[position].uid
-                )
+                board.record_unverified_write(origin, node.name, chunks[position].uid)
         return placed
 
     def transfer(self, source: StorageNode, target: StorageNode, chunk: Chunk) -> bool:
@@ -675,23 +660,22 @@ class ClusterStore(ChunkStore):
                 served=_digest_of(chunk),
             )
             return False
-        return bool(self._place(target, [chunk], origin=source.name))
+        return bool(self._place(target, [chunk], (source.name, None)))
 
     def _insert(self, chunk: Chunk) -> None:
-        self._write([chunk])
+        self._write([chunk], self._verb())
 
-    def _try_write(
-        self, node: StorageNode, chunks: List[Chunk], deadline: Optional[Deadline]
-    ) -> Dict[int, bool]:
+    def _try_write(self, node: StorageNode, chunks: List[Chunk], call: Call) -> Dict[int, bool]:
         """One replica exchange of the write walk, if the node is writable
         and the budget not spent; what :meth:`_place` acked."""
-        if (deadline is not None and deadline.expired()) or not self._writable(node):
+        origin, deadline = call
+        if (deadline is not None and deadline.expired()) or not self._writable(node, origin):
             return {}
-        placed = self._place(node, chunks, deadline=deadline)
-        self.breakers.record(self.origin, node.name, len(placed) == len(chunks))
+        placed = self._place(node, chunks, call)
+        self.breakers.record(origin, node.name, len(placed) == len(chunks))
         return placed
 
-    def _write(self, chunks: List[Chunk]) -> Set[Uid]:
+    def _write(self, chunks: List[Chunk], call: Call) -> Set[Uid]:
         """The write walk: place distinct ``chunks`` on ``write_quorum``
         replicas each; return the uids some replica stored fresh.
 
@@ -704,7 +688,7 @@ class ClusterStore(ChunkStore):
         short.  Hints are queued for every chunk that stands; the first
         chunk that does not raises.
         """
-        deadline = self._begin_deadline()
+        deadline = call[1]
         quorum = max(self.write_quorum, 1)
         # Per chunk, by position: its homes, acks, and the homes it missed.
         homes = [self.replica_nodes(chunk.uid) for chunk in chunks]
@@ -716,7 +700,7 @@ class ClusterStore(ChunkStore):
             for node in nodes:
                 by_node.setdefault(node, []).append(index)
         for node, indexes in by_node.items():
-            placed = self._try_write(node, [chunks[index] for index in indexes], deadline)
+            placed = self._try_write(node, [chunks[index] for index in indexes], call)
             for position, index in enumerate(indexes):
                 if position in placed:
                     acked[index] += 1
@@ -737,7 +721,7 @@ class ClusterStore(ChunkStore):
                 if acked[index] >= quorum or (deadline is not None and deadline.expired()):
                     break
                 attempted[index] += 1
-                placed = self._try_write(node, [chunk], deadline)
+                placed = self._try_write(node, [chunk], call)
                 if placed:
                     acked[index] += 1
                     self.sloppy_writes += 1
@@ -776,7 +760,7 @@ class ClusterStore(ChunkStore):
         self,
         node: StorageNode,
         uid: Uid,
-        deadline: Optional[Deadline] = None,
+        call: Call,
         timeout_ticks: Optional[int] = None,
     ) -> Tuple[str, Optional[Chunk]]:
         """Read one replica: ('ok'|'missing'|'corrupt'|'unreachable', chunk).
@@ -795,8 +779,7 @@ class ClusterStore(ChunkStore):
         for _ in range(attempts):
             try:
                 chunk = self._exchange(
-                    node, "get", uid, lambda: node.get(uid),
-                    deadline=deadline, timeout_ticks=timeout_ticks,
+                    node, "get", uid, lambda: node.get(uid), call, timeout_ticks
                 )
             except DeadlineExceededError:
                 # The verb's budget, not this replica, stopped the read:
@@ -817,17 +800,19 @@ class ClusterStore(ChunkStore):
         return ("corrupt" if saw_corrupt else "missing"), served
 
     def _fetch(self, uid: Uid) -> Optional[Chunk]:
-        deadline = self._begin_deadline()
+        return self._read(uid, self._verb())
+
+    def _read(self, uid: Uid, call: Call) -> Optional[Chunk]:
+        """One timed replicated read as ``call``."""
         started = self._now()
         try:
-            return self._replicated_read(uid, deadline)
+            return self._replicated_read(uid, call)
         except DeadlineExceededError as error:
             self.deadline_exceeded += 1
-            self._stamp_deadline(error, deadline)
+            self._stamp_deadline(error, call[1])
             raise
         finally:
-            if self.transport is not None:
-                self.read_ticks.observe(self._now() - started)
+            self.read_ticks.observe(self._now() - started)
 
     def get_node(self, uid: Uid) -> DecodedNode:
         """A node in decoded form: from the coordinator's cache when this
@@ -860,16 +845,15 @@ class ClusterStore(ChunkStore):
         """``get_node`` calls in all."""
         return self.node_cache.counters()["lookups"]
 
-    def _replicated_read(
-        self, uid: Uid, deadline: Optional[Deadline]
-    ) -> Optional[Chunk]:
-        """The replica walk behind :meth:`_fetch` (which times it)."""
+    def _replicated_read(self, uid: Uid, call: Call) -> Optional[Chunk]:
+        """The replica walk behind :meth:`_read` (which times it)."""
+        origin, deadline = call
         # Suspected replicas go to the back of the line (a stable sort on
         # the verdict): they still get tried (suspicion can be wrong) but
         # no longer burn the retry budget before a healthy replica gets a
         # chance.
         placement = sorted(
-            self.replica_nodes(uid), key=lambda n: self._suspected(n.name)
+            self.replica_nodes(uid), key=lambda n: self._suspected(n.name, origin)
         )
         # Nodes whose breaker (from this origin) is OPEN go last — tried
         # only when every admitted replica has failed, as the breaker's
@@ -885,7 +869,7 @@ class ClusterStore(ChunkStore):
             if self.accountability.is_quarantined(node.name):
                 self.quarantine_skips += 1
                 continue
-            if self.breakers.begin_attempt(self.origin, node.name):
+            if self.breakers.begin_attempt(origin, node.name):
                 admitted.append(node)
             else:
                 self.breaker_skips += 1
@@ -909,26 +893,16 @@ class ClusterStore(ChunkStore):
             # most one hedge per read — later replicas run with the normal
             # budget.
             threshold: Optional[int] = None
-            if (
-                self.hedge_reads
-                and self.transport is not None
-                and not hedged
-                and position + 1 < len(admitted)
-            ):
+            if self.hedge_reads and not hedged and position + 1 < len(admitted):
                 threshold = self.latency.hedge_threshold(
-                    self.origin, node.name, "get", min_samples=self.HEDGE_MIN_SAMPLES
+                    origin, node.name, "get", min_samples=self.HEDGE_MIN_SAMPLES
                 )
             before = self._now()
-            status, chunk = self._read_replica(
-                node, uid, deadline=deadline, timeout_ticks=threshold
-            )
-            if self.transport is not None:
-                self.latency.observe(
-                    self.origin, node.name, "get", self._now() - before
-                )
+            status, chunk = self._read_replica(node, uid, call, threshold)
+            self.latency.observe(origin, node.name, "get", self._now() - before)
             # A replica that *answered* (even "missing"/"corrupt") is not
             # gray; only failing to get an answer feeds the breaker.
-            self.breakers.record(self.origin, node.name, status != "unreachable")
+            self.breakers.record(origin, node.name, status != "unreachable")
             if status == "ok":
                 if attempted_failures > 0:
                     self.failovers += 1
@@ -952,7 +926,7 @@ class ClusterStore(ChunkStore):
                 # — the post-repair audit below is the discriminator.
                 saw_rot = True
                 self.accountability.record_suspicion(
-                    self.origin,
+                    origin,
                     node.name,
                     uid,
                     op="get",
@@ -975,11 +949,11 @@ class ClusterStore(ChunkStore):
         for node in repair_targets:
             if deadline is not None and deadline.expired():
                 break  # repair is best-effort; anti-entropy catches up
-            if not self._place(node, [found], deadline=deadline):
+            if not self._place(node, [found], call):
                 continue
             self.read_repairs += 1
             self.repair_audits += 1
-            if self.audit_copy(node, uid, self.origin) is False:
+            if self.audit_copy(node, uid, origin) is False:
                 self.repair_audit_failures += 1
         return found
 
@@ -1021,7 +995,11 @@ class ClusterStore(ChunkStore):
         return False
 
     def _contains(self, uid: Uid) -> bool:
-        deadline = self._begin_deadline()
+        return self._has(uid, self._verb())
+
+    def _has(self, uid: Uid, call: Call) -> bool:
+        """Does a trusted home replica answer ``call`` that it holds ``uid``?"""
+        deadline = call[1]
         for node in self.replica_nodes(uid):
             if not node.up:
                 continue
@@ -1031,9 +1009,7 @@ class ClusterStore(ChunkStore):
             try:
                 if deadline is not None and deadline.expired():
                     raise deadline.exceeded(f"has({uid.short()}) with replicas untried")
-                if self._exchange(
-                    node, "has", uid, lambda: node.has(uid), deadline=deadline
-                ):
+                if self._exchange(node, "has", uid, lambda: node.has(uid), call):
                     return True
             except DeadlineExceededError as error:
                 self.deadline_exceeded += 1
@@ -1158,7 +1134,7 @@ class ClusterStore(ChunkStore):
             if source is None:
                 continue
             for node in targets:
-                if self._place(node, [source]):
+                if self._place(node, [source], (COORDINATOR, None)):
                     copies += 1  # else a later repair / scrub pass places it
         return copies
 
@@ -1266,7 +1242,7 @@ class ClusterStore(ChunkStore):
 
     def health_report(self) -> Dict[str, object]:
         """Operational counters in one place (chaos-suite assertions)."""
-        report: Dict[str, object] = {
+        return {
             "nodes_up": len(self.live_nodes()),
             "nodes_total": len(self.nodes),
             "failed_reads": self.failed_reads,
@@ -1313,22 +1289,22 @@ class ClusterStore(ChunkStore):
             "latency_observations": self.latency.observations,
             "node_cache": self.node_cache.counters(),
             "durability": self.durability_check(),
+            "network": self.transport.stats(),
         }
-        if self.transport is not None:
-            report["network"] = self.transport.stats()
-        return report
 
 
 class ClusterClient(ChunkStore):
-    """A named endpoint issuing requests against a shared cluster.
+    """A named caller of a shared cluster.
 
-    Everything delegates to the cluster's public ChunkStore surface; the
-    only twist is that the cluster's acting ``origin`` is swapped to this
-    client's name for the duration of each call, so the transport sees
-    the request coming from *this* endpoint (its partition side, its
-    fault stream) and failure detection accrues to this origin's view.
-    Two engines opened over two clients therefore experience a split
-    exactly the way two application servers would.
+    A client holds no replica state and swaps nothing on the cluster.
+    Each verb starts one call — this client's ``origin`` plus a fresh
+    deadline from its own budget, else the cluster's — and runs the
+    cluster's request path with it.  The transport sees the request come
+    from *this* endpoint (its partition side, its fault stream), and
+    failure detection, breakers and latency accrue to this origin.  Two
+    engines opened over two clients therefore experience a split exactly
+    the way two application servers would.  A client does not share the
+    coordinator's node cache: its reads reach the replicas.
     """
 
     def __init__(
@@ -1345,39 +1321,31 @@ class ClusterClient(ChunkStore):
         #: Per-client verb budget; None inherits the cluster-wide setting.
         self.deadline_budget = deadline_budget
 
-    def _as_origin(self, fn: Callable[[], object]) -> object:
-        previous = self.cluster.origin
-        previous_budget = self.cluster.deadline_budget
-        self.cluster.origin = self.origin
-        if self.deadline_budget is not None:
-            self.cluster.deadline_budget = self.deadline_budget
-        try:
-            return fn()
-        finally:
-            self.cluster.origin = previous
-            self.cluster.deadline_budget = previous_budget
+    def _call(self) -> Call:
+        budget = self.deadline_budget
+        if budget is None:
+            budget = self.cluster.deadline_budget
+        return self.cluster._call(self.origin, budget)
 
     def _insert(self, chunk: Chunk) -> None:
-        self._as_origin(lambda: self.cluster.put(chunk))
+        self.cluster._put(chunk, self._call())
 
     def put_nodes(self, pairs: Iterable[Tuple[Chunk, DecodedNode]]) -> int:
         """The cluster's batch write, issued from this origin (and
         accounted in the cluster's stats, not this endpoint's)."""
-        batch = list(pairs)
-        new = self._as_origin(lambda: self.cluster.put_nodes(batch))
-        return int(new)  # type: ignore[call-overload]
+        return self.cluster._put_nodes(pairs, self._call())
 
     def _fetch(self, uid: Uid) -> Optional[Chunk]:
-        return self._as_origin(lambda: self.cluster.get_maybe(uid))  # type: ignore[return-value]
+        return self.cluster._read(uid, self._call())
 
     def _contains(self, uid: Uid) -> bool:
-        return bool(self._as_origin(lambda: self.cluster.has(uid)))
+        return self.cluster._has(uid, self._call())
 
     def _ids(self) -> Iterator[Uid]:
-        return iter(list(self.cluster.ids()))
+        return iter(self.cluster.ids())
 
     def _delete(self, uid: Uid) -> bool:
-        return bool(self._as_origin(lambda: self.cluster.delete(uid)))
+        return self.cluster.delete(uid)
 
     def failure_detector(self) -> FailureDetector:
         """This origin's membership view."""
@@ -1385,11 +1353,11 @@ class ClusterClient(ChunkStore):
 
     def tick(self) -> Dict[str, str]:
         """Run one heartbeat round from this origin."""
-        return dict(self._as_origin(lambda: self.cluster.tick()))  # type: ignore[arg-type]
+        return self.failure_detector().probe_round()
 
     def health_report(self) -> Dict[str, object]:
-        """The cluster's health counters, gathered as this origin."""
-        return dict(self._as_origin(lambda: self.cluster.health_report()))  # type: ignore[arg-type]
+        """The cluster's health counters."""
+        return self.cluster.health_report()
 
     def __repr__(self) -> str:
         return f"ClusterClient(origin={self.origin!r})"
