@@ -277,14 +277,14 @@ class ClusterStore(ChunkStore):
         ticks on the transport clock (None: the verb has no deadline)."""
         return origin, (Deadline(budget, self._now) if budget is not None else None)
 
-    def _verb(self) -> Call:
+    def _own_call(self) -> Call:
         """The call of one of the coordinator's own verbs."""
         return self._call(COORDINATOR, self.deadline_budget)
 
     def put(self, chunk: Chunk) -> bool:
         """Store a chunk: a dedup precheck and the write walk under ONE
         call, so the verb cannot block for twice its deadline."""
-        return self._put(chunk, self._verb())
+        return self._put(chunk, self._own_call())
 
     def _put(self, chunk: Chunk, call: Call) -> bool:
         new = not self._has(chunk.uid, call)
@@ -303,7 +303,7 @@ class ClusterStore(ChunkStore):
         replica stored it for the first time.  The writer's decoded forms
         are remembered only once the whole batch stood at quorum.
         """
-        return self._put_nodes(pairs, self._verb())
+        return self._put_nodes(pairs, self._own_call())
 
     def _put_nodes(self, pairs: Iterable[Tuple[Chunk, DecodedNode]], call: Call) -> int:
         pairs = list(pairs)
@@ -663,7 +663,7 @@ class ClusterStore(ChunkStore):
         return bool(self._place(target, [chunk], (source.name, None)))
 
     def _insert(self, chunk: Chunk) -> None:
-        self._write([chunk], self._verb())
+        self._write([chunk], self._own_call())
 
     def _try_write(self, node: StorageNode, chunks: List[Chunk], call: Call) -> Dict[int, bool]:
         """One replica exchange of the write walk, if the node is writable
@@ -800,7 +800,7 @@ class ClusterStore(ChunkStore):
         return ("corrupt" if saw_corrupt else "missing"), served
 
     def _fetch(self, uid: Uid) -> Optional[Chunk]:
-        return self._read(uid, self._verb())
+        return self._read(uid, self._own_call())
 
     def _read(self, uid: Uid, call: Call) -> Optional[Chunk]:
         """One timed replicated read as ``call``."""
@@ -995,7 +995,7 @@ class ClusterStore(ChunkStore):
         return False
 
     def _contains(self, uid: Uid) -> bool:
-        return self._has(uid, self._verb())
+        return self._has(uid, self._own_call())
 
     def _has(self, uid: Uid, call: Call) -> bool:
         """Does a trusted home replica answer ``call`` that it holds ``uid``?"""
@@ -1321,25 +1321,32 @@ class ClusterClient(ChunkStore):
         #: Per-client verb budget; None inherits the cluster-wide setting.
         self.deadline_budget = deadline_budget
 
-    def _call(self) -> Call:
+    def _own_call(self) -> Call:
+        """One verb's call from this client: its origin, and a deadline from
+        its own budget, else the cluster's."""
         budget = self.deadline_budget
         if budget is None:
             budget = self.cluster.deadline_budget
         return self.cluster._call(self.origin, budget)
 
+    def put(self, chunk: Chunk) -> bool:
+        """The cluster's put, issued from this origin: one precheck and one
+        budget, accounted in the cluster's stats as :meth:`put_nodes` is."""
+        return self.cluster._put(chunk, self._own_call())
+
     def _insert(self, chunk: Chunk) -> None:
-        self.cluster._put(chunk, self._call())
+        self.cluster._write([chunk], self._own_call())
 
     def put_nodes(self, pairs: Iterable[Tuple[Chunk, DecodedNode]]) -> int:
         """The cluster's batch write, issued from this origin (and
         accounted in the cluster's stats, not this endpoint's)."""
-        return self.cluster._put_nodes(pairs, self._call())
+        return self.cluster._put_nodes(pairs, self._own_call())
 
     def _fetch(self, uid: Uid) -> Optional[Chunk]:
-        return self.cluster._read(uid, self._call())
+        return self.cluster._read(uid, self._own_call())
 
     def _contains(self, uid: Uid) -> bool:
-        return self.cluster._has(uid, self._call())
+        return self.cluster._has(uid, self._own_call())
 
     def _ids(self) -> Iterator[Uid]:
         return iter(self.cluster.ids())

@@ -1,7 +1,9 @@
 """Exception hierarchy for the ForkBase reproduction.
 
 Every error raised by this library derives from :class:`ForkBaseError`, so
-applications can catch one base type.  Sub-hierarchies mirror the layers of
+applications can catch one base type; the one exception is the fault
+shim's :class:`SimulatedCrash`, which stands for the process dying and
+is meant to be caught by nothing.  Sub-hierarchies mirror the layers of
 the system (chunk storage, POS-Tree, version control, engine, security,
 API); see DESIGN.md for the layer map.
 """
@@ -262,13 +264,16 @@ class NotFoundApiError(ApiError):
     status = 404
 
 
-class SimulatedCrash(ForkBaseError):
+class SimulatedCrash(BaseException):
     """Raised by the disk-fault shim's ``crash`` flavor to simulate a SIGKILL.
 
-    Deliberately neither an ``OSError`` nor a :class:`TransientError`:
-    no disk-error handler unwinds it and nothing may catch and retry it.
-    Test harnesses let it propagate, abandon the process state (no
-    ``close()``), and then assert what a fresh open recovers.
+    A ``BaseException``, as ``SystemExit`` is: no ``except ForkBaseError``
+    or ``except Exception`` handler catches it, so it ends the process
+    the way a kill does.  Once raised, the shim stays dead and every
+    later write, fsync or rename raises it again, so no ``finally`` on
+    the way out persists anything.  Test harnesses let it propagate,
+    abandon the process state, and then assert what a fresh open
+    recovers.
     """
 
     def __init__(self, boundary: int, syscall: str, label: str = "") -> None:

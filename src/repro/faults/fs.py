@@ -10,8 +10,9 @@ the same descriptor.  The ``crash`` flavor kills the process at a
 write, fsync or rename: :class:`~repro.errors.SimulatedCrash` is raised
 before the syscall's side effect, after a write has landed the same
 strict prefix a ``short`` fault would.  A dead process truncates
-nothing and un-acks nothing, so recovery sees exactly what a SIGKILL
-leaves on disk.
+nothing and un-acks nothing, and the shim stays dead: every later
+write, fsync or rename raises the same crash, so recovery sees exactly
+what a SIGKILL leaves on disk.
 
 The shim (:class:`FaultyOS`) subclasses the no-op
 :class:`~repro.store.durability.DiskInjector` that every persistence
@@ -137,6 +138,8 @@ class FaultyOS(DiskInjector, Census):
         #: pins the id so it cannot be recycled while tracked.
         self._marks: Dict[int, Tuple[IO[bytes], int]] = {}
         self._gated: Dict[int, IO[bytes]] = {}
+        #: The crash that killed the process, once one has fired.
+        self._dead: Optional[SimulatedCrash] = None
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -147,7 +150,13 @@ class FaultyOS(DiskInjector, Census):
         return os.path.basename(str(name))
 
     def _register(self, syscall: str, label: str) -> Tuple[Optional[str], int]:
-        """Record one boundary; return (fault flavor or None, attempt)."""
+        """Record one boundary; return (fault flavor or None, attempt).
+
+        A dead process changes nothing on disk: a write, fsync or rename
+        raises its crash again.
+        """
+        if self._dead is not None and syscall != "read":
+            raise self._dead
         attempt = self._attempts.next(syscall, label)
         fault = self.plan.decide(syscall, label, attempt, self.count)
         self.record(syscall, label, fault, *self.plan._at(syscall, label, attempt))
@@ -155,7 +164,8 @@ class FaultyOS(DiskInjector, Census):
 
     def _crash(self, syscall: str, label: str) -> SimulatedCrash:
         """The process death at the boundary just registered."""
-        return SimulatedCrash(self.count - 1, syscall, label)
+        self._dead = SimulatedCrash(self.count - 1, syscall, label)
+        return self._dead
 
     # -- DiskInjector overrides ----------------------------------------------
 

@@ -8,11 +8,22 @@ from pathlib import Path
 from typing import Callable, List, Optional
 
 import pytest
+from hypothesis import settings
 
 from repro.db.engine import ForkBase
 from repro.errors import TransientStoreError
 from repro.faults.retry import DeadlineLike, RetryPolicy
 from repro.store import InMemoryStore
+
+
+#: Tier-1 draws the same hypothesis examples on every run and machine (a
+#: hash of each test seeds its draws), so a red run is a real regression,
+#: not an unlucky draw.  ``--hypothesis-profile=explore`` draws fresh
+#: examples instead; pass ``--hypothesis-seed=<n>`` to replay one run.  A
+#: failure it finds becomes an ``@example`` on the test it broke.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile("tier1")
 
 
 def fault_seed(default: int) -> int:

@@ -6,6 +6,7 @@ from repro.chunk import Chunk, ChunkType, Uid
 from repro.cluster import ClusterStore, HashRing
 from repro.db import ForkBase
 from repro.errors import NodeDownError
+from repro.faults import PartitionedTransport
 
 
 def _chunk(n: int) -> Chunk:
@@ -57,6 +58,24 @@ class TestClusterStore:
         chunk = _chunk(1)
         cluster.put(chunk)
         assert cluster.get(chunk.uid).data == chunk.data
+
+    def test_a_client_put_costs_what_a_coordinator_put_costs(self):
+        """A client's put is the cluster's put issued from another origin:
+        one ``has`` probe and one write exchange per home, accounted once,
+        in the cluster's stats (as a client's ``put_nodes`` is)."""
+        cluster = ClusterStore(
+            node_count=4, replication=3, write_quorum=2, transport=PartitionedTransport()
+        )
+        client = cluster.client("b")
+
+        def messages(store, chunk):
+            before = cluster.transport.messages_sent
+            assert store.put(chunk)
+            return cluster.transport.messages_sent - before
+
+        assert messages(cluster, _chunk(1)) == messages(client, _chunk(2)) == 6
+        assert cluster.stats.puts_new == 2
+        assert client.stats.puts_new == 0
 
     def test_replication_factor_respected(self):
         cluster = ClusterStore(node_count=5, replication=3)

@@ -60,18 +60,18 @@ CONFIGS = {
 SEEDS = (1, 42)
 
 #: scenario -> first 16 hex digits of SHA-256 over the canonical JSON
-#: fingerprint, generated by running this scenario on commit e5f72e1 with
-#: ``audit_seed=seed`` passed there (the seed a cluster takes from its
-#: transport plan).
+#: fingerprint.  Regenerated when a client's put became one verb (one
+#: ``has`` precheck, not two): each scenario's transport clock fell by
+#: 77-90 ticks and its sends by 77-91 messages, with the same errors.
 GOLDEN = {
-    "seed1-plain": "59e903366a161554",
-    "seed1-hedged": "241653e3becfc67d",
-    "seed1-deadline60": "abe57e8da5b93355",
-    "seed1-hedged-deadline30-breaker3": "25ab21d09e255e6f",
-    "seed42-plain": "31a36dd8f810e9d7",
-    "seed42-hedged": "7639e680e94b5d4e",
-    "seed42-deadline60": "0e9b0a1808504c06",
-    "seed42-hedged-deadline30-breaker3": "ce7c440b45b48500",
+    "seed1-plain": "57774c604f9c0dde",
+    "seed1-hedged": "ead13e37e5897d5d",
+    "seed1-deadline60": "89547903dfc48124",
+    "seed1-hedged-deadline30-breaker3": "1c3260d5db2ce12f",
+    "seed42-plain": "dbf90f93fa9254ff",
+    "seed42-hedged": "6874c2f559df26c3",
+    "seed42-deadline60": "e57ae4d52ad07a9c",
+    "seed42-hedged-deadline30-breaker3": "51516d117b7a90bb",
 }
 
 

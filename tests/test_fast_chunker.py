@@ -4,7 +4,6 @@ The one property that matters: bit-identical spans to the reference
 streaming chunker, under every configuration and input shape.
 """
 
-import os
 import random
 
 import pytest
@@ -59,7 +58,7 @@ class TestEquivalence:
         assert fast_chunk_spans(b"", CFG) == []
 
     def test_fast_chunk_bytes_reassembles(self):
-        data = os.urandom(20_000)
+        data = random.Random(20).randbytes(20_000)
         assert b"".join(fast_chunk_bytes(data, CFG)) == data
 
 
@@ -70,7 +69,7 @@ class TestBlobIntegration:
         from repro.chunk import Chunk, ChunkType
         from repro.postree.listtree import BlobTree
 
-        data = os.urandom(150_000)
+        data = random.Random(150).randbytes(150_000)
         blob = BlobTree.from_bytes(store, data)
         reference_chunks = [
             Chunk(ChunkType.BLOB, data[s:e]).uid
@@ -83,7 +82,7 @@ class TestBlobIntegration:
         """Not a strict benchmark, but the fast path must not be slower."""
         import time
 
-        data = os.urandom(1_000_000)
+        data = random.Random(1).randbytes(1_000_000)
         start = time.perf_counter()
         list(iter_chunk_spans(data))
         pure = time.perf_counter() - start

@@ -13,6 +13,7 @@ record packer.
 """
 
 import os
+import random
 import struct
 import zlib
 from typing import Callable, NamedTuple
@@ -185,7 +186,7 @@ class TestIndexDamage:
     def test_garbage_index_rebuilds(self, populated):
         directory, chunks = populated
         with open(self.layout.index(directory), "wb") as handle:
-            handle.write(os.urandom(64))
+            handle.write(random.Random(64).randbytes(64))
         self.layout.assert_recovers(directory, chunks)
 
     def test_vanished_segment_rebuilds(self, populated):

@@ -226,11 +226,41 @@ def test_crash_at_an_fsync_performs_none_and_keeps_the_marks(tmp_path, monkeypat
             assert fsyncs == []
             assert shim._marks == marks
             assert shim.false_fsyncs == 0 and shim.dropped_bytes == 0
-            # Not fsyncgate: a later fsync on the descriptor is a real one.
-            fsync_file(handle)
-            assert len(fsyncs) == 1 and shim.false_fsyncs == 0
+            # Not fsyncgate: the process is dead, so a later fsync on the
+            # descriptor is no false success either — it raises the crash.
+            with pytest.raises(SimulatedCrash) as again:
+                fsync_file(handle)
+            assert again.value is excinfo.value
+            assert fsyncs == [] and shim.false_fsyncs == 0
     assert excinfo.value.syscall == "fsync"
     assert path.read_bytes() == b"durable-dirty"  # no page was dropped
+
+
+def test_a_dead_process_writes_nothing_more(tmp_path):
+    """After a crash every write, fsync and rename through the shim raises
+    the same crash and lands nothing, so a ``finally: close()`` on the
+    way out cannot persist what a killed process never would."""
+    path = tmp_path / "seg.dat"
+    with fs_zone(FsFaultPlan(fail_at=1, flavor="crash")) as shim:
+        with open(path, "ab") as handle:
+            write_bytes(handle, b"acked")
+            with pytest.raises(SimulatedCrash) as excinfo:
+                fsync_file(handle)
+            crossed = len(shim.trace)
+            with pytest.raises(SimulatedCrash) as write:
+                write_bytes(handle, b"-after")
+            handle.flush()
+            assert path.read_bytes() == b"acked"
+            with pytest.raises(SimulatedCrash) as fsync:
+                fsync_file(handle)
+        (tmp_path / "index.tmp").write_bytes(b"index")
+        with pytest.raises(SimulatedCrash) as rename:
+            durable_replace(str(tmp_path / "index.tmp"), str(tmp_path / "index.dat"))
+        assert not (tmp_path / "index.dat").exists()
+        read_check(str(path))  # reads change nothing on disk
+        assert {write.value, fsync.value, rename.value} == {excinfo.value}
+        assert [hit.kind for hit in shim.trace[crossed:]] == ["read"]
+    assert not isinstance(excinfo.value, Exception)  # no `except Exception` catches it
 
 
 @pytest.mark.parametrize("boundary", [0, 1])

@@ -7,7 +7,7 @@ import pytest
 from repro.api import cli
 from repro.db import ForkBase
 from repro.db.engine import HEALTH_HEALTHY
-from repro.errors import StoreError
+from repro.errors import SimulatedCrash, StoreError
 from repro.faults import FsFaultPlan, fs_zone
 from repro.faults.fs import TARGETED_FLAVORS
 from repro.security import Verifier
@@ -148,6 +148,28 @@ def _heads(engine):
     return {(key, branch): head for key, branch, head in engine.branch_table.all_heads()}
 
 
+def _populate(directory, backend="auto"):
+    """Twenty puts over four keys plus one dropped object (gc's garbage);
+    returns the heads and values every later reopen must still serve."""
+    with ForkBase.open(directory, backend=backend) as engine:
+        for n in range(20):
+            engine.put(f"k{n % 4}", {"n": str(n), "pad": "x" * 40})
+        engine.put("dead", {"gone": "y" * 40})
+        engine.delete_branch("dead", "master")
+        values = {key: engine.get_value(key) for key in engine.keys()}
+        heads = _heads(engine)
+    return heads, values
+
+
+def _assert_recovers(directory, heads, values, context):
+    with ForkBase.open(directory) as recovered:
+        assert recovered.health().state == HEALTH_HEALTHY, context
+        assert _heads(recovered) == heads, context
+        for key, branch in heads:
+            assert recovered.verify(key, branch).ok, context
+            assert recovered.get_value(key, branch=branch) == values[key], context
+
+
 class TestGcUnderDiskFaults:
     """``forkbase gc`` on a default directory, faulted at each disk boundary.
 
@@ -161,14 +183,7 @@ class TestGcUnderDiskFaults:
     @pytest.fixture(scope="class")
     def populated(self, tmp_path_factory):
         directory = str(tmp_path_factory.mktemp("gc-faults") / "db")
-        with ForkBase.open(directory) as engine:
-            for n in range(20):
-                engine.put(f"k{n % 4}", {"n": str(n), "pad": "x" * 40})
-            engine.put("dead", {"gone": "y" * 40})
-            engine.delete_branch("dead", "master")
-            values = {key: engine.get_value(key) for key in engine.keys()}
-            heads = _heads(engine)
-        return directory, heads, values
+        return (directory, *_populate(directory))
 
     def _gc(self, source, directory, plan):
         shutil.copytree(source, directory)
@@ -191,10 +206,48 @@ class TestGcUnderDiskFaults:
             shim = self._gc(source, directory, FsFaultPlan(fail_at=hit.index, flavor=flavor))
             context = f"boundary {hit.index} ({hit.kind}/{flavor} {hit.label})"
             assert shim.false_fsyncs == 0, context
-            with ForkBase.open(directory) as recovered:
-                assert recovered.health().state == HEALTH_HEALTHY, context
-                assert _heads(recovered) == heads, context
-                for key, branch in heads:
-                    assert recovered.verify(key, branch).ok, context
-                    assert recovered.get_value(key, branch=branch) == values[key], context
+            _assert_recovers(directory, heads, values, context)
+            shutil.rmtree(directory)
+
+    @pytest.mark.parametrize("backend", ["file", "pack"])
+    def test_a_crash_at_every_boundary_ends_the_process(self, tmp_path, monkeypatch, backend):
+        """A crash anywhere in ``forkbase gc`` — open, sweep, compaction,
+        checkpoint or close — escapes ``main`` instead of becoming exit
+        code 1, and its ``finally: close()`` persists nothing more.  What
+        the dead process left reopens with every head verifying.
+
+        The close may raise an error of its own while the crash unwinds
+        (a checkpoint rename the crash cut leaves the journal poisoned,
+        and closing it raises a disk fault); that error carries the crash
+        as its context and is the only thing that may replace it."""
+        source = str(tmp_path / "source")
+        heads, values = _populate(source, backend)
+        census = self._gc(source, str(tmp_path / "census"), FsFaultPlan()).trace
+        crashable = [hit for hit in census if "crash" in TARGETED_FLAVORS[hit.kind]]
+        assert {hit.kind for hit in crashable} == {"write", "fsync", "replace"}
+        opened = []
+        real_open = ForkBase.open
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        for hit in crashable:
+            directory = str(tmp_path / f"b{hit.index}")
+            shutil.copytree(source, directory)
+            context = f"{backend} boundary {hit.index} ({hit.kind} {hit.label})"
+            with fs_zone(FsFaultPlan(fail_at=hit.index, flavor="crash")) as shim:
+                with monkeypatch.context() as patch, pytest.raises(BaseException) as excinfo:
+                    patch.setattr(cli.ForkBase, "open", recording_open)
+                    cli.main(["--data-dir", directory, "gc"])
+            error = excinfo.value
+            crash = error if isinstance(error, SimulatedCrash) else error.__context__
+            assert isinstance(crash, SimulatedCrash), context
+            assert crash.boundary == hit.index, context
+            # Dead: past the crash, the process crossed no write, fsync or rename.
+            assert {b.kind for b in shim.trace[hit.index + 1 :]} <= {"read"}, context
+            # The OS closes a killed process's files.
+            while opened:
+                opened.pop().abandon()
+            _assert_recovers(directory, heads, values, context)
             shutil.rmtree(directory)

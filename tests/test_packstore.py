@@ -121,7 +121,7 @@ class TestCompression:
             assert store.get(chunk.uid).data == chunk.data
 
     def test_incompressible_payload_stored_raw(self, tmp_path):
-        chunk = Chunk(ChunkType.BLOB, os.urandom(1024))  # incompressible
+        chunk = Chunk(ChunkType.BLOB, random.Random(1024).randbytes(1024))  # incompressible
         with PackStore(str(tmp_path / "ps"), compression="zlib") as store:
             store.put(chunk)
         with open(_segment(str(tmp_path / "ps")), "rb") as handle:

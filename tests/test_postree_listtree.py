@@ -1,7 +1,6 @@
 """Tests for positional trees and blob trees (repro.postree.listtree)."""
 
 import functools
-import os
 import random
 
 import pytest
@@ -108,7 +107,7 @@ class TestPositionalTree:
 
 class TestBlobTree:
     def test_round_trip(self, store):
-        data = os.urandom(150_000)
+        data = random.Random(150).randbytes(150_000)
         blob = BlobTree.from_bytes(store, data)
         assert blob.read() == data
         assert blob.size() == len(data)
@@ -123,34 +122,34 @@ class TestBlobTree:
         assert blob.read() == b"tiny"
 
     def test_read_at(self, store):
-        data = os.urandom(80_000)
+        data = random.Random(80).randbytes(80_000)
         blob = BlobTree.from_bytes(store, data)
         assert blob.read_at(0, 10) == data[:10]
         assert blob.read_at(40_000, 1000) == data[40_000:41_000]
         assert blob.read_at(79_990, 100) == data[79_990:]
 
     def test_splice_replaces_bytes(self, store):
-        data = os.urandom(100_000)
+        data = random.Random(100).randbytes(100_000)
         blob = BlobTree.from_bytes(store, data)
         edited = blob.splice(500, 600, b"REPLACEMENT")
         assert edited.read() == data[:500] + b"REPLACEMENT" + data[600:]
 
     def test_one_byte_edit_shares_chunks(self, store):
-        data = os.urandom(200_000)
+        data = random.Random(200).randbytes(200_000)
         blob = BlobTree.from_bytes(store, data)
         edited = blob.splice(100_000, 100_001, b"Z")
         shared = blob.page_uids() & edited.page_uids()
         assert len(shared) >= 0.7 * len(blob.page_uids())
 
     def test_structural_invariance_via_splice(self, store):
-        data = os.urandom(60_000)
+        data = random.Random(60).randbytes(60_000)
         edited = data[:30_000] + b"X" + data[30_000:]
         direct = BlobTree.from_bytes(store, edited)
         spliced = BlobTree.from_bytes(store, data).splice(30_000, 30_000, b"X")
         assert direct.root == spliced.root
 
     def test_identical_blobs_share_all_pages(self, store):
-        data = os.urandom(50_000)
+        data = random.Random(50).randbytes(50_000)
         blob_1 = BlobTree.from_bytes(store, data)
         blob_2 = BlobTree.from_bytes(store, bytes(data))
         assert blob_1.root == blob_2.root
@@ -161,7 +160,7 @@ def _gets(store):
     return store.stats.gets + store.stats.misses
 
 
-SMALL = os.urandom(70_000)
+SMALL = random.Random(70).randbytes(70_000)
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,7 +178,8 @@ class TestReadsFetchWhatTheyReturn:
     """A positional read descends by cumulative count to where it starts:
     what lies before ``offset`` / ``start`` is never fetched."""
 
-    DATA = os.urandom(600_000)
+    #: Seed 0 chunks into a height-2 tree of 118 leaves (``_blob``'s precondition).
+    DATA = random.Random(0).randbytes(600_000)
 
     def _blob(self):
         store = InMemoryStore()
@@ -272,7 +272,7 @@ class TestOneNodeSeam:
         store = NodeCacheStore(InMemoryStore(), 64) if cached else InMemoryStore()
         keyed = PosTree.from_pairs(store, {b"k%04d" % i: b"v" for i in range(500)}.items())
         listed = PositionalTree.from_items(store, _items(500))
-        blob = BlobTree.from_bytes(store, os.urandom(30_000))
+        blob = BlobTree.from_bytes(store, random.Random(30).randbytes(30_000))
         with pytest.raises(ChunkEncodingError):
             PosTree(store, listed.root).get(b"k0001")
         with pytest.raises(ChunkEncodingError):

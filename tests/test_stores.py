@@ -1,6 +1,7 @@
 """Tests for the physical chunk stores (repro.store)."""
 
 import os
+import random
 
 import pytest
 
@@ -160,7 +161,8 @@ class TestFileStore:
     def test_segment_rollover(self, tmp_path):
         path = str(tmp_path / "store")
         with FileStore(path, segment_limit=256) as fs:
-            chunks = [_chunk(os.urandom(100)) for _ in range(10)]
+            rng = random.Random(100)
+            chunks = [_chunk(rng.randbytes(100)) for _ in range(10)]
             fs.put_many(chunks)
             assert len(fs._segments) > 1
             for chunk in chunks:

@@ -152,9 +152,7 @@ class TestFList:
 
 class TestFBlob:
     def test_round_trip(self, store):
-        import os
-
-        data = os.urandom(30_000)
+        data = random.Random(30).randbytes(30_000)
         blob = FBlob.from_bytes(store, data)
         assert blob.read() == data
         assert blob.size() == len(data)
