@@ -52,11 +52,11 @@ LAYERS: Mapping[str, int] = {
     "repro.store.segments": 3,
     "repro.store.filestore": 3,
     "repro.store.packstore": 3,
-    # The scrubber and its copy-verification primitives (``read_copy``,
-    # ``diagnose_copy``) need only errors, chunks, the retry helper and
-    # the store interface; a replicated store is recognised by its public
-    # maintenance surface, never imported — so the cluster's maintenance
-    # plane can import them at module level.
+    # The scrubber and its copy-verification primitive (``diagnose_copy``)
+    # need only errors, chunks, the retry helper and the store interface;
+    # a replicated store is recognised by its public maintenance surface,
+    # never imported — so the cluster's maintenance plane can import them
+    # at module level.
     "repro.store.scrub": 4,
     # Every plane — including the stores that lie (rotting, byzantine,
     # scripted) — knows chunks and stores, never the cluster it is

@@ -147,15 +147,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     engine = ForkBase.open(args.data_dir, author=args.author)
     try:
-        return _dispatch(args, engine)
+        code = _dispatch(args, engine)
     except MergeConflictError as error:
         print(f"merge conflict: {len(error.conflicts)} conflicting key(s)", file=sys.stderr)
-        return 2
+        code = 2
     except ForkBaseError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
+        code = 1
+    except Exception:
         engine.close()
+        raise
+    except BaseException:
+        # A crash (or an interrupt) ends the process where it stands: a
+        # killed process writes no checkpoint and closes no journal.
+        engine.abandon()
+        raise
+    engine.close()
+    return code
 
 
 def _dispatch(args: argparse.Namespace, engine: ForkBase) -> int:

@@ -6,9 +6,10 @@ in-process: chunks are placed on N storage nodes by consistent hashing
 with a configurable replication factor, nodes can be killed and repaired,
 and reads fail over across replicas.  The store self-heals: writes take a
 quorum with hinted handoff for down replicas, reads verify content
-addresses and repair rotten or missing copies in place, and a scrub pass
-(:mod:`repro.store.scrub`) re-hashes every replica.  All upper layers are
-oblivious —
+addresses and repair rotten or missing copies in place, a scrub pass
+(:mod:`repro.store.scrub`) re-hashes every replica and drops rot, and
+Merkle anti-entropy (:mod:`repro.cluster.antientropy`) re-ships what is
+missing.  All upper layers are oblivious —
 :class:`~repro.cluster.cluster.ClusterStore` is just another
 :class:`~repro.store.base.ChunkStore` — which is exactly the property
 that makes the substitution faithful: dedup, diff, merge and verification
@@ -26,7 +27,6 @@ from repro.cluster.antientropy import (
     SyncReport,
     anti_entropy_pass,
     digests_agree,
-    sync,
 )
 from repro.cluster.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
 from repro.cluster.cluster import ClusterClient, ClusterStore
@@ -62,5 +62,4 @@ __all__ = [
     "anti_entropy_pass",
     "digests_agree",
     "ring_position",
-    "sync",
 ]

@@ -3,7 +3,10 @@
 The SIRI properties that make Fast Diff O(D log N) (paper §II-B) apply to
 replicas too: two copies of the same uid space can be compared by digest
 and reconciled by descending only into the parts that differ, instead of
-sweeping every chunk on every node the way ``full_sweep_repair`` does.
+sweeping every chunk on every node.  :func:`anti_entropy_pass` is the
+cluster's one repair loop: it is the only path that re-ships a replica
+copy (through ``ClusterStore.transfer``), and ``scrub`` on a cluster
+drops the rot it finds and leaves the re-shipping to one pass.
 
 Each node's holdings are summarized by a :class:`DigestTree`: uids are
 bucketed by their **ring position** (the same coordinate placement uses,
@@ -14,15 +17,15 @@ buckets are folded into a binary Merkle tree with SHA-256 — the same
 equal holdings; a diff descends only through differing interior nodes and
 returns exactly the differing buckets.
 
-``sync``/``anti_entropy_pass`` then ship **only the missing or rotten
-chunks**: building a node's *index* re-hashes every local copy on every
-pass, so a rotted replica drops out of its node's index, shows up as a
-differing bucket, and gets re-shipped from a healthy peer —
-O(divergence) transfers, not O(N).  The node's store does the
-re-hashing in one scan (``ChunkStore.verify_holdings``: one SHA-256 per
-copy on the in-memory node store, one verified read per copy through
-any wrapper), and only the copies that fail it get the scrubber's
-wire-vs-disk re-read.  The *trees* are not rebuilt from that index: one
+A pass then ships **only the missing or rotten chunks**: building a
+node's *index* re-hashes every local copy on every pass, so a rotted
+replica drops out of its node's index, shows up as a differing bucket,
+and gets re-shipped from a trusted peer whose copy verifies (read
+through ``diagnose_copy``) — O(divergence) transfers, not O(N).  The
+node's store does the re-hashing in one scan
+(``ChunkStore.verify_holdings``: one SHA-256 per copy on the in-memory
+node store, one verified read per copy through any wrapper), and only
+the copies that fail it get the scrubber's wire-vs-disk re-read.  The *trees* are not rebuilt from that index: one
 :class:`ReplicaDigests` per cluster carries them (and the ring placement
 of every held uid) from pass to pass and folds in only what the fresh
 index says changed, so digest maintenance costs O(changed · depth).
@@ -35,9 +38,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.chunk import Chunk, Uid
+from repro.chunk import Uid
 from repro.cluster.ring import POSITION_BITS, HashRing, ring_position
-from repro.errors import TransientError
 from repro.faults import kernel
 from repro.store.scrub import diagnose_copy
 
@@ -177,11 +179,11 @@ class DigestTree:
 
 @dataclass
 class SyncReport:
-    """Counters from one anti-entropy pass (or one pairwise sync).
+    """Counters from one anti-entropy pass.
 
     ``chunks_transferred`` is the headline number: the torture suite
-    asserts it is O(divergence) — strictly below what a full sweep
-    touches — and the benchmark reports it next to the sweep baseline.
+    asserts it is O(divergence) — bounded by what diverged, far below the
+    chunks the cluster holds.
     """
 
     #: Queued hints replayed before the Merkle phase (cheap, exact).
@@ -424,18 +426,6 @@ class ReplicaDigests:
                 del self.placement[uid]
 
 
-def _read_transfer_source(cluster: "ClusterStore", src: "StorageNode", uid: Uid) -> Optional["Chunk"]:
-    """A verified copy from the source node, re-reading once past wire rot."""
-    for _ in range(2):
-        try:
-            chunk = cluster.retry.call(lambda: src.store.get_maybe(uid))
-        except TransientError:
-            return None
-        if chunk is not None and chunk.is_valid():
-            return chunk
-    return None
-
-
 def _pull(
     cluster: "ClusterStore",
     dst: "StorageNode",
@@ -464,8 +454,8 @@ def _pull(
         report.buckets_differing += 1
         for uid in wanted:
             report.chunks_examined += 1
-            chunk = _read_transfer_source(cluster, src, uid)
-            if chunk is None:
+            status, chunk, _ = diagnose_copy(src.store, uid, retry=cluster.retry)
+            if status != "ok" or chunk is None:
                 report.transfer_failures += 1
                 if callable(getattr(src.store, "claimed_ids", None)):
                     # A self-reported index claimed a chunk its node could
@@ -485,44 +475,6 @@ def _pull(
                 digests.gained(dst.name, uid)
             else:
                 report.transfer_failures += 1
-
-
-def sync(
-    cluster: "ClusterStore",
-    node_a: "StorageNode",
-    node_b: "StorageNode",
-    depth: int = DEFAULT_DEPTH,
-) -> SyncReport:
-    """Two-way Merkle reconciliation between one pair of nodes.
-
-    A QUARANTINED node sits the sync out entirely: it must not be
-    repaired *from* (its holdings are untrusted) and is not repaired *to*
-    (re-admission re-verifies and resyncs in one step).
-    """
-    report = SyncReport()
-    pair = [
-        node
-        for node in (node_a, node_b)
-        if not cluster.accountability.is_quarantined(node.name)
-    ]
-    report.quarantined_excluded += 2 - len(pair)
-    if len(pair) < 2:
-        return report
-    indexes = _audited_indexes(cluster, pair, report)
-    # The audit may have quarantined a claimant mid-sync: re-check before
-    # any bytes move.
-    pair = [
-        node for node in pair if not cluster.accountability.is_quarantined(node.name)
-    ]
-    report.quarantined_excluded += 2 - len(pair)
-    if len(pair) < 2:
-        return report
-    digests = ReplicaDigests.of(cluster, depth)
-    digests.reconcile(indexes)
-    report.trees_built += 2  # each direction's destination view
-    _pull(cluster, node_a, node_b, digests, report)
-    _pull(cluster, node_b, node_a, digests, report)
-    return report
 
 
 def anti_entropy_pass(

@@ -30,7 +30,7 @@ from repro.faults.network import PartitionedTransport
 from repro.faults.retry import RetryPolicy
 from repro.store.base import ChunkStore
 from repro.store.nodecache import DecodedNode, NodeLRU, decode_chunk
-from repro.store.scrub import ScrubReport, Scrubber, diagnose_copy, read_copy
+from repro.store.scrub import ScrubReport, diagnose_copy, scrub
 
 
 #: One verb's caller, threaded from the verb down to the transport: the
@@ -38,8 +38,8 @@ from repro.store.scrub import ScrubReport, Scrubber, diagnose_copy, read_copy
 #: deadline).
 Call = Tuple[str, Optional[Deadline]]
 
-#: The endpoint the coordinator's own verbs, hint replay and the full
-#: sweep are issued from.
+#: The endpoint the coordinator's own verbs and hint replay are issued
+#: from.
 COORDINATOR = "client"
 
 
@@ -206,9 +206,6 @@ class ClusterStore(ChunkStore):
         self.deadline_exceeded = 0
         #: Attempts refused because the target's circuit breaker was OPEN.
         self.breaker_skips = 0
-        #: Chunks examined by the last :meth:`full_sweep_repair` (the
-        #: baseline the anti-entropy benchmark compares against).
-        self.sweep_examined = 0
         #: The tamper scorecard: every corrupt/withheld read and every
         #: unverified write exchange is attributed to the serving replica,
         #: and nodes that accumulate quarantine-grade evidence are routed
@@ -1062,43 +1059,17 @@ class ClusterStore(ChunkStore):
             if not self.accountability.is_quarantined(node.name)
         ]
 
-    def healthy_source(
-        self, uid: Uid, exclude: Optional[StorageNode] = None
-    ) -> Optional[Chunk]:
-        """A verified copy from any trusted live node (placement first).
-
-        The one repair-sourcing routine: the full sweep and the scrubber
-        (which excludes the node whose rot it is replacing) both copy
-        from here.  Quarantined nodes are never repair *sources*: even a
-        copy that verifies right now came from a replica with
-        quarantine-grade tamper evidence, and repair must not launder its
-        holdings back into the trusted set.
-        """
-        trusted = [node for node in self.trusted_nodes() if node is not exclude]
-        candidates = [node for node in self.replica_nodes(uid) if node in trusted]
-        candidates.extend(node for node in trusted if node not in candidates)
-        for node in candidates:
-            if not node.store.has(uid):
-                continue
-            status, chunk = read_copy(node.store, uid, self.retry)
-            if status == "ok":
-                return chunk
-            if status == "unreadable":
-                self.transient_failures += 1
-        return None
-
     def repair(self) -> int:
         """Merkle anti-entropy repair: converge every live replica.
 
-        Replaces the old full-sweep loop (kept as
-        :meth:`full_sweep_repair` — the benchmark baseline): instead of
-        walking every uid in the cluster, each node pair compares compact
-        digest trees over the ring's arcs and ships exactly the chunks
-        that differ, so a mostly-converged cluster pays O(divergence),
-        not O(N).  Rotten copies are quarantined during tree construction
-        and re-shipped from healthy peers, so this pass also subsumes the
-        scrubber's repair role.  Returns replica copies shipped; the full
-        :class:`~repro.cluster.antientropy.SyncReport` lands in
+        The cluster's one repair loop: instead of walking every uid in the
+        cluster, each node pair compares compact digest trees over the
+        ring's arcs and ships exactly the chunks that differ, so a
+        mostly-converged cluster pays O(divergence), not O(N).  Rotten
+        copies are quarantined during tree construction and re-shipped
+        from trusted peers; :meth:`scrub` drops rot and leaves the
+        re-shipping to this pass too.  Returns replica copies shipped; the
+        full :class:`~repro.cluster.antientropy.SyncReport` lands in
         ``last_sync_report``.
         """
         return self.anti_entropy_pass().chunks_transferred
@@ -1108,35 +1079,6 @@ class ClusterStore(ChunkStore):
         report = anti_entropy_pass(self)
         self.last_sync_report = report
         return report
-
-    def full_sweep_repair(self) -> int:
-        """The pre-Merkle repair loop: walk EVERY uid, check EVERY replica.
-
-        Kept as the O(N·R) baseline the anti-entropy benchmark measures
-        against; ``sweep_examined`` records how many chunks it touched.
-        Returns copies made.  Source copies are verified against their
-        uid before being copied, so repair never propagates rot.
-        """
-        self.flush_hints()
-        copies = 0
-        self.sweep_examined = 0
-        for uid in list(self._ids()):
-            self.sweep_examined += 1
-            trusted = self.trusted_nodes()
-            targets = [
-                node
-                for node in self.replica_nodes(uid)
-                if node in trusted and not node.store.has(uid)
-            ]
-            if not targets:
-                continue
-            source = self.healthy_source(uid)
-            if source is None:
-                continue
-            for node in targets:
-                if self._place(node, [source], (COORDINATOR, None)):
-                    copies += 1  # else a later repair / scrub pass places it
-        return copies
 
     def rebalance(self) -> int:
         """Move chunks onto their current ring placement; drop strays.
@@ -1156,10 +1098,11 @@ class ClusterStore(ChunkStore):
                     node.drop(uid)
         return copies
 
-    def scrub(self, **kwargs: object) -> ScrubReport:
+    def scrub(self) -> ScrubReport:
         """One scrub pass (see :mod:`repro.store.scrub`): re-hash every
-        replica, quarantine rot, re-copy from healthy replicas."""
-        return Scrubber(self, **kwargs).scrub()  # type: ignore[arg-type]
+        trusted replica, drop rot, and let one anti-entropy pass put it
+        back."""
+        return scrub(self)
 
     def readmit(self, name: str) -> int:
         """Re-admit a quarantined node after a fully re-verified resync.

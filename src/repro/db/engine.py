@@ -940,12 +940,13 @@ class ForkBase:
         uid = self._resolve(key, branch, version)
         return Verifier(self.store).verify_version(uid, check_history=check_history)
 
-    def scrub(self, **kwargs):
+    def scrub(self):
         """One integrity-scrub pass over the chunk store.
 
-        Re-hashes every materialized copy against its content address,
-        quarantines rot, and (on replicated stores) repairs from healthy
-        replicas.  Returns a :class:`repro.store.scrub.ScrubReport`.
+        Re-hashes every materialized copy against its content address and
+        quarantines rot; on a replicated store one anti-entropy pass then
+        puts it back from trusted replicas.  Returns a
+        :class:`repro.store.scrub.ScrubReport`.
         A healthy engine checkpoints first, as :meth:`collect_garbage` does.
         """
         from repro.store.scrub import scrub
@@ -955,7 +956,7 @@ class ForkBase:
                 self._compact()
             except DiskFaultError as exc:
                 self._degrade(str(exc))
-        return scrub(self.store, **kwargs)
+        return scrub(self.store)
 
     @_writable_verb
     def collect_garbage(self, dry_run: bool = False, compact: bool = False):

@@ -32,9 +32,10 @@ Implementations:
   coordinator's cache of verified nodes — the only cache there is.
 
 Maintenance: :mod:`repro.store.scrub` re-hashes every materialized copy
-against its content address, quarantining (and, on replicated stores,
-repairing) silent corruption; :mod:`repro.store.gc` sweeps unreachable
-chunks and drives pack segment compaction.
+against its content address and quarantines silent corruption (on
+replicated stores, the cluster's anti-entropy pass then puts it back);
+:mod:`repro.store.gc` sweeps unreachable chunks and drives pack segment
+compaction.
 """
 
 from repro.store.base import ChunkStore, physical_store
@@ -42,7 +43,7 @@ from repro.store.filestore import FileStore
 from repro.store.memory import InMemoryStore
 from repro.store.nodecache import NodeCacheStore
 from repro.store.packstore import PackStore
-from repro.store.scrub import ScrubReport, Scrubber, scrub
+from repro.store.scrub import ScrubReport, scrub
 from repro.store.stats import StoreStats
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "NodeCacheStore",
     "PackStore",
     "ScrubReport",
-    "Scrubber",
     "StoreStats",
     "physical_store",
     "scrub",

@@ -14,7 +14,6 @@ from repro.cluster import (
     anti_entropy_pass,
     digests_agree,
     ring_position,
-    sync,
 )
 from repro.cluster.ring import POSITION_BITS, HashRing
 from repro.errors import TransientStoreError
@@ -147,16 +146,18 @@ class TestIncrementalTreeProperty:
 
 
 class TestPairwiseSync:
+    """One pass between two nodes: what one holds, the other gets."""
+
     def test_sync_ships_missing_chunks(self):
         cluster = _cluster(node_count=2, replication=2)
         chunks = [_chunk(i) for i in range(30)]
         for chunk in chunks:
             cluster.put(chunk)
-        node_a, node_b = cluster.nodes["node-00"], cluster.nodes["node-01"]
+        node_b = cluster.nodes["node-01"]
         dropped = [c for c in chunks[:5]]
         for chunk in dropped:
             node_b.store.delete(chunk.uid)
-        report = sync(cluster, node_a, node_b)
+        report = anti_entropy_pass(cluster)
         assert report.chunks_transferred == len(dropped)
         assert all(node_b.store.has(c.uid) for c in dropped)
 
@@ -164,23 +165,30 @@ class TestPairwiseSync:
         cluster = _cluster(node_count=2, replication=2)
         for i in range(30):
             cluster.put(_chunk(i))
-        node_a, node_b = cluster.nodes["node-00"], cluster.nodes["node-01"]
-        report = sync(cluster, node_a, node_b)
+        report = anti_entropy_pass(cluster)
         assert report.chunks_transferred == 0
         assert report.buckets_differing == 0
 
     def test_sync_respects_ownership(self):
-        # A chunk b holds but a does NOT own must not be pushed onto a.
+        # A chunk a peer holds but node-00 does NOT own must not be pushed
+        # onto node-00, while what it owns and lost comes back.
         cluster = _cluster(node_count=4, replication=2)
         chunks = [_chunk(i) for i in range(40)]
         for chunk in chunks:
             cluster.put(chunk)
         node_a, node_b = cluster.nodes["node-00"], cluster.nodes["node-01"]
+        strays = [c for c in chunks if node_a not in cluster.replica_nodes(c.uid)]
+        for chunk in strays:
+            node_b.store.put(chunk)  # stand-in copies node-00 does not own
+        lost = sorted(node_a.store.ids())[:3]
+        for uid in lost:
+            node_a.store.delete(uid)
         before = set(node_a.store.ids())
-        sync(cluster, node_a, node_b)
+        anti_entropy_pass(cluster)
         gained = set(node_a.store.ids()) - before
-        owners = {uid: cluster.ring.replicas(uid, 2) for uid in gained}
-        assert all("node-00" in names for names in owners.values())
+        assert gained == set(lost)
+        assert all("node-00" in cluster.ring.replicas(uid, 2) for uid in gained)
+        assert strays and not any(node_a.store.has(c.uid) for c in strays)
 
 
 class TestAntiEntropyPass:
@@ -247,10 +255,9 @@ class TestAntiEntropyPass:
             victim.store.delete(uid)
         report = anti_entropy_pass(cluster)
         assert report.chunks_transferred == len(dropped)
-        # The full sweep touches every chunk in the cluster; the Merkle
-        # pass must examine only the divergent arcs.
-        cluster.full_sweep_repair()
-        assert cluster.sweep_examined == total
+        # A walk of every uid touches every chunk in the cluster; the
+        # Merkle pass must examine only the divergent arcs.
+        assert len(cluster.ids()) == total
         assert report.chunks_examined <= 4 * len(dropped)
         assert report.chunks_examined < total
 

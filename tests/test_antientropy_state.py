@@ -14,7 +14,7 @@ Seeded, no timing.  ``FORKBASE_SEED`` picks the fault universe.
 from dataclasses import asdict
 
 from repro.chunk import Chunk, ChunkType
-from repro.cluster import ClusterStore, digests_agree, sync
+from repro.cluster import ClusterStore, digests_agree
 from repro.faults import (
     ByzantinePlan,
     ByzantineStore,
@@ -112,9 +112,7 @@ def _run(forget: bool) -> list:
 
     for uid in _held(cluster, "node-01", 13):
         cluster.nodes["node-01"].store.delete(uid)
-    if forget:
-        cluster.replica_digests = None
-    observe("pairwise sync", sync(cluster, cluster.nodes["node-01"], cluster.nodes["node-03"]))
+    step("store.delete behind node-01's back, again")
 
     make_byzantine(
         cluster.nodes[LIAR], ByzantinePlan(seed=SEED, fake_ack_rate=1.0, forge_index=True)

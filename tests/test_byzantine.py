@@ -19,7 +19,6 @@ from repro.cluster import (
     StorageNode,
     anti_entropy_pass,
     digests_agree,
-    sync,
 )
 from repro.cluster.accountability import SUSPECT
 from repro.db import ForkBase
@@ -485,26 +484,37 @@ class TestAntiEntropyAudit:
     def test_sync_sits_out_quarantined_nodes(self):
         cluster = ClusterStore(node_count=3, replication=2)
         cluster.put_many([_chunk(n) for n in range(20)])
+        quarantined = cluster.nodes["node-00"]
+        lost = sorted(quarantined.store.ids())[:3]
+        for uid in lost:
+            quarantined.store.delete(uid)
         board = cluster.accountability
         board.record_strike("c", "node-00", _uid(1), op="get", kind="audit-mismatch")
         board.record_strike("c", "node-00", _uid(2), op="get", kind="audit-mismatch")
-        report = sync(cluster, cluster.nodes["node-00"], cluster.nodes["node-01"])
+        report = anti_entropy_pass(cluster)
         assert report.quarantined_excluded == 1
-        assert report.pulls == 0
+        assert report.pulls == 2  # node-01 <-> node-02 only
         assert report.chunks_transferred == 0
+        assert not any(quarantined.store.has(uid) for uid in lost)
 
     def test_quarantined_node_never_a_repair_source(self):
         """Even a copy that verifies right now must not be laundered out
         of a quarantined replica by the repair machinery."""
-        cluster = ClusterStore(node_count=3, replication=2)
         orphan = _chunk(999)
-        cluster.nodes["node-02"].store.put(orphan)  # valid, but only there
-        assert cluster.healthy_source(orphan.uid) is not None
-        board = cluster.accountability
-        board.record_strike("c", "node-02", _uid(1), op="get", kind="audit-mismatch")
-        board.record_strike("c", "node-02", _uid(2), op="get", kind="audit-mismatch")
-        assert cluster.healthy_source(orphan.uid) is None
-        cluster.full_sweep_repair()
+
+        def orphaned(quarantine: bool) -> ClusterStore:
+            cluster = ClusterStore(node_count=3, replication=2)
+            cluster.nodes["node-02"].store.put(orphan)  # valid, but only there
+            if quarantine:
+                board = cluster.accountability
+                board.record_strike("c", "node-02", _uid(1), op="get", kind="audit-mismatch")
+                board.record_strike("c", "node-02", _uid(2), op="get", kind="audit-mismatch")
+            cluster.repair()
+            return cluster
+
+        trusted = orphaned(quarantine=False)
+        assert any(trusted.nodes[name].store.has(orphan.uid) for name in ("node-00", "node-01"))
+        cluster = orphaned(quarantine=True)
         for name in ("node-00", "node-01"):
             assert not cluster.nodes[name].store.has(orphan.uid)
 

@@ -22,7 +22,7 @@ from repro.db import ForkBase
 from repro.errors import NodeDownError, QuorumWriteError
 from repro.faults import FaultPlan, FaultyStore, RetryPolicy
 from repro.store.memory import InMemoryStore
-from repro.store.scrub import Scrubber
+from repro.store.scrub import scrub
 from tests.conftest import fault_seed
 
 SEED = fault_seed(20260805)
@@ -82,15 +82,15 @@ def _rot_free(cluster: ClusterStore) -> bool:
 def _heal(cluster: ClusterStore, max_passes: int = 8):
     """Repair + scrub until the backing stores hold only verified bytes.
 
-    A single pass is not guaranteed clean: scrub's own repair writes run
-    under fault injection and can be torn again, and persistent wire
+    A single pass is not guaranteed clean: the repair writes run under
+    fault injection and can be torn again, and persistent wire
     corruption occasionally double-faults a healthy copy into a (harmless,
     repaired) false rot verdict.  Convergence takes a pass or two.
     """
     report = None
     for _ in range(max_passes):
         cluster.repair()  # re-replicate before scrub so repairs have sources
-        report = Scrubber(cluster).scrub()
+        report = scrub(cluster)
         cluster.repair()  # re-place anything the scrub quarantined
         if _rot_free(cluster) and cluster.durability_check()["lost"] == 0:
             break

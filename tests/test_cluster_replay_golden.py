@@ -12,9 +12,8 @@ Every scenario drives one cluster through the whole fault matrix at once:
 duplicates; a ``FaultyStore`` under every node; one ``ByzantinePlan``
 node; a second ``client()`` origin with its own deadline budget; a
 heartbeat round from the acting origin every sixth op; a slow node, a
-partition + heal, a kill + revive; then ``repair()``,
-``full_sweep_repair()``, ``scrub()``, ``readmit()`` and
-``anti_entropy_pass()``.  The fingerprint is the whole
+partition + heal, a kill + revive; then ``repair()``, ``scrub()``,
+``readmit()`` and ``anti_entropy_pass()``.  The fingerprint is the whole
 ``health_report()``, every maintenance report, every raised error class
 by op index, and the transport clock.
 
@@ -26,6 +25,10 @@ prints the dict to paste into ``GOLDEN``.
 import dataclasses
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -60,18 +63,18 @@ CONFIGS = {
 SEEDS = (1, 42)
 
 #: scenario -> first 16 hex digits of SHA-256 over the canonical JSON
-#: fingerprint.  Regenerated when a client's put became one verb (one
-#: ``has`` precheck, not two): each scenario's transport clock fell by
-#: 77-90 ticks and its sends by 77-91 messages, with the same errors.
+#: fingerprint.  Regenerated when anti-entropy became the one repair loop:
+#: the scenario lost its full-sweep call, and a scrub that drops rot runs
+#: one anti-entropy pass instead of re-copying in place.
 GOLDEN = {
-    "seed1-plain": "57774c604f9c0dde",
-    "seed1-hedged": "ead13e37e5897d5d",
-    "seed1-deadline60": "89547903dfc48124",
-    "seed1-hedged-deadline30-breaker3": "1c3260d5db2ce12f",
-    "seed42-plain": "dbf90f93fa9254ff",
-    "seed42-hedged": "6874c2f559df26c3",
-    "seed42-deadline60": "e57ae4d52ad07a9c",
-    "seed42-hedged-deadline30-breaker3": "51516d117b7a90bb",
+    "seed1-plain": "7ab4c3ec7b88b8fc",
+    "seed1-hedged": "33c3fc2cfca1a224",
+    "seed1-deadline60": "9f95baa8e18d5780",
+    "seed1-hedged-deadline30-breaker3": "85cf2ea0d4cbab54",
+    "seed42-plain": "928b48a9632c3ae7",
+    "seed42-hedged": "9b0c95c020536af6",
+    "seed42-deadline60": "f7e66f7a4d8acf7f",
+    "seed42-hedged-deadline30-breaker3": "e35fbb73f0400074",
 }
 
 
@@ -148,14 +151,13 @@ def fingerprint(seed: int, config: dict) -> dict:
                 actor.has(probe.uid)
             except ForkBaseError as error:
                 errors.append((op, "has", type(error).__name__))
-    # Maintenance plane, every entry point once: Merkle repair, the
-    # full-sweep baseline over freshly dropped copies, scrub, re-admission
-    # of whoever got quarantined, and a closing anti-entropy pass.
+    # Maintenance plane, every entry point once: Merkle repair, freshly
+    # dropped copies, scrub (one more pass when it drops rot),
+    # re-admission of whoever got quarantined, and a closing pass.
     shipped = cluster.repair()
     repair_report = dataclasses.asdict(cluster.last_sync_report)
     for chunk in written[::9]:
         cluster.replica_nodes(chunk.uid)[0].drop(chunk.uid)
-    swept = cluster.full_sweep_repair()
     scrubbed = dataclasses.asdict(cluster.scrub())
     del scrubbed["seconds"]  # wall clock
     readmitted = []
@@ -173,7 +175,6 @@ def fingerprint(seed: int, config: dict) -> dict:
     return {
         "health": health,
         "repair": (shipped, repair_report),
-        "sweep": (swept, cluster.sweep_examined),
         "scrub": scrubbed,
         "readmitted": readmitted,
         "sync": dataclasses.asdict(report),
@@ -203,6 +204,50 @@ def test_replay_matches_parent_commit(name, seed, config):
 
 def test_golden_covers_every_scenario():
     assert sorted(GOLDEN) == sorted(scenario[0] for scenario in SCENARIOS)
+
+
+#: Prints this file's and the fault-kernel golden's hashes as one JSON dict.
+_ALL_GOLDENS = """
+import json
+from tests import test_cluster_replay_golden as replay, test_fault_kernel_golden as kernel
+hashes = {name: replay.short_hash(seed, config) for name, seed, config in replay.SCENARIOS}
+for seed in kernel.SEEDS:
+    hashes.update(kernel.short_hashes(seed))
+print(json.dumps(hashes, sort_keys=True))
+"""
+
+
+def test_goldens_do_not_depend_on_the_hash_seed():
+    """Iteration order of a set or dict of ``str``/``bytes`` is salted per
+    process by ``PYTHONHASHSEED``; no golden may depend on it.  Two
+    interpreters with different salts compute both goldens' hashes and
+    must print the same bytes, equal to the frozen ones."""
+    from tests.test_fault_kernel_golden import GOLDEN as KERNEL_GOLDEN
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    children = []
+    for salt in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=salt)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), str(root), env.get("PYTHONPATH")) if p
+        )
+        children.append(
+            subprocess.Popen(
+                [sys.executable, "-c", _ALL_GOLDENS],
+                cwd=root,
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        )
+    outputs = []
+    for child in children:
+        out, err = child.communicate()
+        assert child.returncode == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]) == {**GOLDEN, **KERNEL_GOLDEN}
 
 
 if __name__ == "__main__":

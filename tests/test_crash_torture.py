@@ -21,6 +21,7 @@ torn-write prefixes, not the boundary schedule.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 from typing import Dict, List, Optional, Tuple
@@ -228,3 +229,57 @@ def test_crash_during_recovery_is_survivable(tmp_path):
         rewritten = CommitJournal(os.path.join(directory, "journal.wal"))
         assert len(rewritten) == len(state)  # the checkpoint, nothing else
         rewritten.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_cli_put_crash_at_every_boundary_ends_the_process(tmp_path, monkeypatch, backend):
+    """``forkbase put`` killed at every write, fsync and rename it crosses
+    (open, commit, checkpoint, close): the crash escapes ``main``, nothing
+    is written after it, and the reopened directory serves every head
+    verified, with the key holding either its old value or its new one."""
+    from repro.api import cli
+
+    source = str(tmp_path / "source")
+    with ForkBase.open(source, backend=backend) as engine:
+        engine.put("doc", {"a": "old"})
+        engine.put("other", {"b": "kept"})
+        heads = _heads(engine)
+    new = {"a": "new", "pad": "x" * 48}
+    argv = ["put", "doc", "--json", json.dumps(new)]
+    values = [{b"a": b"old"}, {key.encode(): text.encode() for key, text in new.items()}]
+
+    opened: List[ForkBase] = []
+    real_open = ForkBase.open
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    census_dir = str(tmp_path / "census")
+    shutil.copytree(source, census_dir)
+    with fs_zone(FsFaultPlan()) as shim:
+        assert cli.main(["--data-dir", census_dir, *argv]) == 0
+    crashable = _crashable(list(shim.trace))
+    assert {hit.kind for hit in crashable} == {"write", "fsync", "replace"}
+
+    for hit in crashable:
+        directory = str(tmp_path / f"b{hit.index}")
+        shutil.copytree(source, directory)
+        context = f"{backend} boundary {hit.index} ({hit.kind} {hit.label})"
+        with fs_zone(FsFaultPlan(fail_at=hit.index, flavor="crash")) as shim:
+            with monkeypatch.context() as patch, pytest.raises(SimulatedCrash) as excinfo:
+                patch.setattr(cli.ForkBase, "open", recording_open)
+                cli.main(["--data-dir", directory, *argv])
+        assert excinfo.value.boundary == hit.index, context
+        # Dead: past the crash, the process crossed no write, fsync or rename.
+        assert {b.kind for b in shim.trace[hit.index + 1 :]} <= {"read"}, context
+        while opened:  # the OS closes a killed process's files
+            opened.pop().abandon()
+        with ForkBase.open(directory, backend=backend) as recovered:
+            state = _heads(recovered)
+            assert state.keys() == heads.keys(), context
+            for key, branch in state:
+                assert recovered.verify(key, branch).ok, context
+            assert recovered.get_value("other") == {b"b": b"kept"}, context
+            assert recovered.get_value("doc") in values, context
+        shutil.rmtree(directory)

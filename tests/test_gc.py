@@ -213,13 +213,9 @@ class TestGcUnderDiskFaults:
     def test_a_crash_at_every_boundary_ends_the_process(self, tmp_path, monkeypatch, backend):
         """A crash anywhere in ``forkbase gc`` — open, sweep, compaction,
         checkpoint or close — escapes ``main`` instead of becoming exit
-        code 1, and its ``finally: close()`` persists nothing more.  What
-        the dead process left reopens with every head verifying.
-
-        The close may raise an error of its own while the crash unwinds
-        (a checkpoint rename the crash cut leaves the journal poisoned,
-        and closing it raises a disk fault); that error carries the crash
-        as its context and is the only thing that may replace it."""
+        code 1, and ``main`` abandons the engine instead of closing it, so
+        nothing more is persisted.  What the dead process left reopens with
+        every head verifying."""
         source = str(tmp_path / "source")
         heads, values = _populate(source, backend)
         census = self._gc(source, str(tmp_path / "census"), FsFaultPlan()).trace
@@ -237,13 +233,10 @@ class TestGcUnderDiskFaults:
             shutil.copytree(source, directory)
             context = f"{backend} boundary {hit.index} ({hit.kind} {hit.label})"
             with fs_zone(FsFaultPlan(fail_at=hit.index, flavor="crash")) as shim:
-                with monkeypatch.context() as patch, pytest.raises(BaseException) as excinfo:
+                with monkeypatch.context() as patch, pytest.raises(SimulatedCrash) as excinfo:
                     patch.setattr(cli.ForkBase, "open", recording_open)
                     cli.main(["--data-dir", directory, "gc"])
-            error = excinfo.value
-            crash = error if isinstance(error, SimulatedCrash) else error.__context__
-            assert isinstance(crash, SimulatedCrash), context
-            assert crash.boundary == hit.index, context
+            assert excinfo.value.boundary == hit.index, context
             # Dead: past the crash, the process crossed no write, fsync or rename.
             assert {b.kind for b in shim.trace[hit.index + 1 :]} <= {"read"}, context
             # The OS closes a killed process's files.

@@ -226,7 +226,7 @@ class TestScrubOnPack:
             return original(uid)
 
         store._fetch = counting_fetch  # type: ignore[method-assign]
-        status, _, resolved = diagnose_copy(store, chunk.uid, reread_on_mismatch=True)
+        status, _, resolved = diagnose_copy(store, chunk.uid)
         assert status == "corrupt" and resolved is False
         # Frame CRC settled it: exactly one data read, no wasted re-read.
         assert reads["n"] == 1

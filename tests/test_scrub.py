@@ -8,7 +8,7 @@ from repro.chunk import Chunk, ChunkType, Uid
 from repro.cluster import ClusterStore
 from repro.errors import ChunkNotFoundError
 from repro.faults import FaultPlan, FaultyStore
-from repro.store import FileStore, InMemoryStore, NodeCacheStore, Scrubber, scrub
+from repro.store import FileStore, InMemoryStore, NodeCacheStore, scrub
 
 
 def _chunk(n: int) -> Chunk:
@@ -151,11 +151,11 @@ class TestScrubCluster:
             node = cluster.replica_nodes(chunk.uid)[0]
             _rot(node.store, chunk.uid)
             rotted += 1
-        report = Scrubber(cluster).scrub()
+        report = scrub(cluster)
         assert report.corrupt == rotted
         assert report.repaired == rotted and report.quarantined == 0
         # Every replica of every chunk verifies now.
-        assert Scrubber(cluster).scrub().healthy
+        assert scrub(cluster).healthy
         assert cluster.durability_check() == {
             "lost": 0, "single": 0, "replicated": 100,
         }
@@ -166,7 +166,7 @@ class TestScrubCluster:
         cluster.put(chunk)
         for node in cluster.replica_nodes(chunk.uid):
             _rot(node.store, chunk.uid)
-        report = Scrubber(cluster).scrub()
+        report = scrub(cluster)
         assert report.corrupt == 2 and report.repaired == 0
         assert report.quarantined == 2
         assert cluster.get_maybe(chunk.uid) is None  # honest miss
@@ -175,7 +175,7 @@ class TestScrubCluster:
         cluster = ClusterStore(node_count=3, replication=2)
         cluster.put_many(_chunk(i) for i in range(50))
         cluster.kill_node("node-00")
-        report = Scrubber(cluster).scrub()
+        report = scrub(cluster)
         held_by_live = sum(n.chunk_count() for n in cluster.live_nodes())
         assert report.scanned == held_by_live
 
