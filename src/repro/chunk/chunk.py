@@ -70,7 +70,7 @@ class Chunk:
         except KeyError:
             raise ValueError(f"{type_!r} is not a valid ChunkType") from None
         hasher.update(data)
-        return Uid(hasher.digest())
+        return bytes.__new__(Uid, hasher.digest())  # 32 bytes: no checks
 
     @property
     def type(self) -> ChunkType:
@@ -142,9 +142,9 @@ def split_valid(held: Mapping[Uid, Chunk]) -> Tuple[Set[Uid], List[Uid], int]:
         hashed += len(data)
         hasher = tagged[chunk._type].copy()
         hasher.update(data)
-        if hasher.digest() != chunk._uid.digest:
+        if hasher.digest() != chunk._uid:
             invalid.append(uid)
-    # A set built from a dict reuses its stored hashes: no Uid.__hash__.
+    # A set built from a dict reuses its stored hashes.
     valid = set(held)
     valid.difference_update(invalid)
     return valid, invalid, hashed

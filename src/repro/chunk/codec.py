@@ -108,7 +108,7 @@ class Writer:
 
     def uid(self, uid: Uid) -> "Writer":
         """Append a raw 32-byte uid."""
-        self._parts.append(uid.digest)
+        self._parts.append(uid)
         return self
 
     def raw(self, data: bytes) -> "Writer":
@@ -196,7 +196,7 @@ class Reader:
 
     def uid(self) -> Uid:
         """Read a raw 32-byte uid."""
-        return Uid(self._take(_UID_SIZE))
+        return bytes.__new__(Uid, self._take(_UID_SIZE))
 
     def uid_list(self) -> List[Uid]:
         """Read a count-prefixed list of uids."""

@@ -5,6 +5,12 @@ is the only kind of "pointer" in the system: POS-Tree index entries, FNode
 value references and derivation links are all uids (paper §II-A: "the child
 node's identifier is the cryptographic hash value of the child").
 
+A uid *is* its digest: :class:`Uid` subclasses ``bytes``, so every
+uid-keyed dict probe on a tree descent hashes and compares in C, and uids
+sort lexicographically by digest.  Like any ``bytes``, its hash is salted
+per process (``PYTHONHASHSEED``): wherever the order of a *set* of uids
+could reach bytes, a message or a counter, sort it first.
+
 The demo paper (§III-C) displays versions "encoded using the RFC 4648
 Base32 alphabet"; :meth:`Uid.base32` reproduces that rendering.
 """
@@ -18,28 +24,23 @@ _DIGEST_SIZE = 32
 _BASE32_LEN = 52  # ceil(32 * 8 / 5) without padding
 
 
-class Uid:
-    """An immutable 32-byte content address.
+class Uid(bytes):
+    """An immutable 32-byte content address: the digest bytes themselves.
 
-    Instances compare by digest bytes, hash cheaply (first 8 bytes), and
-    sort lexicographically so they can key ordered structures.
+    ``Uid(...)`` checks its argument.  A hot constructor that holds
+    exactly 32 bytes by construction (a SHA-256 digest, a fixed-width
+    read) builds with ``bytes.__new__(Uid, digest)`` and skips the checks.
     """
 
-    __slots__ = ("_digest", "_hash")
+    __slots__ = ()
 
-    def __init__(self, digest: bytes) -> None:
-        # Every hot constructor (hashing, the codec, index loads) hands
-        # over an exact ``bytes``: that path pays one class test, no copy.
-        if digest.__class__ is not bytes:
-            if not isinstance(digest, (bytearray, memoryview)):
-                raise TypeError(f"digest must be bytes, got {type(digest).__name__}")
-            digest = bytes(digest)
-        if len(digest) != _DIGEST_SIZE:
-            raise ValueError(
-                f"digest must be {_DIGEST_SIZE} bytes, got {len(digest)}"
-            )
-        self._digest = digest
-        self._hash = int.from_bytes(digest[:8], "big")
+    def __new__(cls, digest: bytes) -> "Uid":
+        if not isinstance(digest, (bytes, bytearray, memoryview)):
+            raise TypeError(f"digest must be bytes, got {type(digest).__name__}")
+        uid = bytes.__new__(cls, digest)
+        if len(uid) != _DIGEST_SIZE:
+            raise ValueError(f"digest must be {_DIGEST_SIZE} bytes, got {len(uid)}")
+        return uid
 
     @classmethod
     def of(cls, data: bytes) -> "Uid":
@@ -48,7 +49,7 @@ class Uid:
 
     @classmethod
     def from_hex(cls, text: str) -> "Uid":
-        """Parse a 64-char hex rendering."""
+        """Parse a 64-char hex rendering (:meth:`hex` is ``bytes.hex``)."""
         return cls(bytes.fromhex(text))
 
     @classmethod
@@ -71,16 +72,12 @@ class Uid:
 
     @property
     def digest(self) -> bytes:
-        """The raw 32-byte SHA-256 digest."""
-        return self._digest
-
-    def hex(self) -> str:
-        """Lowercase hex rendering (64 chars)."""
-        return self._digest.hex()
+        """The digest as a plain ``bytes`` copy (a uid already is one)."""
+        return bytes(self)
 
     def base32(self) -> str:
         """RFC 4648 Base32 rendering without padding (52 chars, §III-C)."""
-        return base64.b32encode(self._digest).decode("ascii").rstrip("=")
+        return base64.b32encode(self).decode("ascii").rstrip("=")
 
     def short(self, length: int = 10) -> str:
         """Abbreviated Base32 prefix for human-oriented output.
@@ -91,39 +88,14 @@ class Uid:
         if not 0 <= length < _BASE32_LEN:
             return self.base32()[:length]
         needed = (length * 5 + 7) // 8
-        return base64.b32encode(self._digest[:needed]).decode("ascii")[:length]
-
-    def __bytes__(self) -> bytes:
-        return self._digest
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Uid):
-            return self._digest == other._digest
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        if isinstance(other, Uid):
-            return self._digest != other._digest
-        return NotImplemented
-
-    def __lt__(self, other: "Uid") -> bool:
-        return self._digest < other._digest
-
-    def __le__(self, other: "Uid") -> bool:
-        return self._digest <= other._digest
-
-    def __gt__(self, other: "Uid") -> bool:
-        return self._digest > other._digest
-
-    def __ge__(self, other: "Uid") -> bool:
-        return self._digest >= other._digest
-
-    def __hash__(self) -> int:
-        return self._hash
+        return base64.b32encode(self[:needed]).decode("ascii")[:length]
 
     def __repr__(self) -> str:
         return f"Uid({self.short()}…)"
 
+    # ``bytes.__str__`` would print the raw digest.
+    __str__ = __repr__
+
 
 #: Sentinel uid (all zero bytes); used to mark "no value" references.
-NULL_UID = Uid(b"\x00" * _DIGEST_SIZE)
+NULL_UID = Uid(bytes(_DIGEST_SIZE))

@@ -96,7 +96,7 @@ class DigestTree:
         members = self.buckets[bucket]
         if uid not in members:
             members.add(uid)
-            self._sums[bucket] ^= int.from_bytes(uid.digest, "big")
+            self._sums[bucket] ^= int.from_bytes(uid, "big")
             self._dirty.add(bucket)
 
     def remove(self, uid: Uid, bucket: Optional[int] = None) -> None:
@@ -106,7 +106,7 @@ class DigestTree:
         members = self.buckets[bucket]
         if uid in members:
             members.remove(uid)
-            self._sums[bucket] ^= int.from_bytes(uid.digest, "big")
+            self._sums[bucket] ^= int.from_bytes(uid, "big")
             self._dirty.add(bucket)
 
     def bucket_uids(self, index: int) -> Set[Uid]:
@@ -308,7 +308,7 @@ def _audit_draw(seed: int, node: str, uid: Uid) -> float:
     from ``cluster.audit_seed``: the seed of the cluster's network plan,
     or 0 when it has no transport.
     """
-    return kernel.unit("ae-audit:", seed, node, uid.digest)
+    return kernel.unit("ae-audit:", seed, node, uid)
 
 
 def _audit_index(

@@ -25,7 +25,7 @@ def ring_position(uid: Uid) -> int:
     digest-tree bucket corresponds to a contiguous arc of the ring — the
     property that keeps replica digests comparable across nodes.
     """
-    return _point(uid.digest)
+    return _point(uid)
 
 
 class HashRing:
@@ -71,7 +71,7 @@ class HashRing:
         if not self._nodes:
             return []
         count = min(count, len(self._nodes))
-        start = bisect.bisect(self._points, _point(uid.digest))
+        start = bisect.bisect(self._points, _point(uid))
         chosen: List[str] = []
         for offset in range(len(self._points)):
             owner = self._owners[(start + offset) % len(self._points)]

@@ -67,7 +67,7 @@ class ByzantinePlan:
     # -- deterministic draws: (seed, node, behavior, op, uid, attempt) ---------
 
     def _at(self, node: str, behavior: str, op: str, uid: Uid, attempt: int) -> tuple:
-        return (self.seed, node, behavior, op, uid.digest, attempt)
+        return (self.seed, node, behavior, op, uid, attempt)
 
     def draw(
         self, node: str, behavior: str, op: str, uid: Uid, attempt: int

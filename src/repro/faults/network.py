@@ -73,7 +73,7 @@ class NetworkPlan:
     # -- deterministic draws: (seed, fault, src -> dst, op, uid, attempt) ------
 
     def _at(self, fault: str, src: str, dst: str, op: str, uid: Uid, attempt: int) -> tuple:
-        return (self.seed, fault, src, "->", dst, op, uid.digest, attempt)
+        return (self.seed, fault, src, "->", dst, op, uid, attempt)
 
     def draw(self, fault: str, src: str, dst: str, op: str, uid: Uid, attempt: int) -> float:
         """Uniform value in ``[0, 1)`` for one message event."""

@@ -51,7 +51,7 @@ class FaultPlan:
     # -- deterministic draws: (seed, kind, uid, attempt) -----------------------
 
     def _at(self, kind: str, uid: Uid, attempt: int) -> tuple:
-        return (self.seed, kind, uid.digest, attempt)
+        return (self.seed, kind, uid, attempt)
 
     def draw(self, kind: str, uid: Uid, attempt: int) -> float:
         """Uniform value in ``[0, 1)`` for one (kind, uid, attempt) event."""

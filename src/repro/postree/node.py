@@ -95,7 +95,7 @@ def encode_index_entry(entry: IndexEntry) -> bytes:
     return (
         uvarint_bytes(len(entry.split_key))
         + entry.split_key
-        + entry.child.digest
+        + entry.child
         + uvarint_bytes(entry.count)
     )
 
@@ -137,7 +137,7 @@ def encode_index_entries(entries: List[IndexEntry]) -> List[bytes]:
         append(
             (uv1[key_len] if key_len < 128 else uv(key_len))
             + split_key
-            + child.digest
+            + child
             + (uv1[count] if count < 128 else uv(count))
         )
     return out
@@ -153,7 +153,7 @@ def encode_list_index_entries(entries: List[ListIndexEntry]) -> List[bytes]:
     uv1 = UVARINT_1
     uv = uvarint_bytes
     return [
-        child.digest + (uv1[count] if count < 128 else uv(count)) for child, count in entries
+        child + (uv1[count] if count < 128 else uv(count)) for child, count in entries
     ]
 
 
@@ -334,6 +334,7 @@ class IndexNode(AnyIndexNode):
         entries: List[IndexEntry] = []
         append = entries.append
         new = tuple.__new__
+        new_uid = bytes.__new__
         try:
             level = data[0]
             pos = 1
@@ -354,9 +355,8 @@ class IndexNode(AnyIndexNode):
                 after = uid_end + 1
                 if records > 0x7F:
                     records, after = _uvarint_at(data, uid_end)
-                append(
-                    new(IndexEntry, (data[pos:key_end], Uid(data[key_end:uid_end]), records))
-                )
+                child = new_uid(Uid, data[key_end:uid_end])
+                append(new(IndexEntry, (data[pos:key_end], child, records)))
                 pos = after
         except IndexError:
             raise ChunkEncodingError("truncated index node") from None

@@ -43,7 +43,7 @@ from repro.store.filestore import FileStore
 from repro.store.memory import InMemoryStore
 from repro.store.nodecache import NodeCacheStore
 from repro.store.packstore import PackStore
-from repro.store.scrub import ScrubReport, scrub
+from repro.store.scrub import ScrubReport
 from repro.store.stats import StoreStats
 
 __all__ = [
@@ -55,5 +55,4 @@ __all__ = [
     "ScrubReport",
     "StoreStats",
     "physical_store",
-    "scrub",
 ]

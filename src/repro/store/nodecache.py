@@ -293,7 +293,7 @@ class NodeLRU:
         lookup and moves nothing, as :meth:`known_leaf`.
         """
         table = self.cuts.get(config)
-        node = table.get(entries[at].child.digest) if table else None
+        node = table.get(entries[at].child) if table else None
         if isinstance(node, AnyIndexNode) and entries[at : at + len(node.entries)] == node.entries:
             return node
         return None
@@ -318,7 +318,7 @@ class NodeLRU:
             if node.__class__ is Chunk:
                 key = (config, node.data[:width])  # type: ignore[union-attr]
             else:
-                key = (config, node.entries[0].child.digest)  # type: ignore[union-attr]
+                key = (config, node.entries[0].child)  # type: ignore[union-attr]
             old = cut_keys.get(uid)
             cut_keys[uid] = key
             if old is not None and old != key:

@@ -183,7 +183,7 @@ class PackStore(SegmentStore):
                 else:
                     self._codec_backoff[chunk.type] = _COMPRESS_BACKOFF
         fields = _FRAME.pack(
-            int(chunk.type), codec, len(stored), len(raw), chunk.uid.digest
+            int(chunk.type), codec, len(stored), len(raw), chunk.uid
         )
         return fields + _CRC.pack(zlib.crc32(fields + stored)) + stored
 
@@ -199,7 +199,7 @@ class PackStore(SegmentStore):
             raise ChunkCorruptionError(
                 f"pack record for {uid.short()} fails frame CRC"
             )
-        if digest != uid.digest:
+        if digest != uid:
             raise ChunkCorruptionError(
                 f"pack record for {uid.short()} carries digest "
                 f"{Uid(digest).short()}"
@@ -241,7 +241,7 @@ class PackStore(SegmentStore):
             return "frame CRC mismatch"
         if tag not in TAG_TO_TYPE:
             return f"unknown tag {tag}"
-        return Uid(digest), _FRAME_SIZE + stored_len
+        return bytes.__new__(Uid, digest), _FRAME_SIZE + stored_len
 
     # -- mmap read path ------------------------------------------------------
 

@@ -219,7 +219,7 @@ class SegmentStore(ChunkStore):
                     watermarks[segment] = length
                 for _ in range(count):
                     fields = entry.unpack(handle.read(entry.size))
-                    self._index[Uid(fields[0])] = fields[1:]
+                    self._index[bytes.__new__(Uid, fields[0])] = fields[1:]
                 self.stats.record_io(read=handle.tell())
         except (OSError, struct.error):
             return None  # unreadable, or truncated inside a table
@@ -289,7 +289,7 @@ class SegmentStore(ChunkStore):
         parts = [self._INDEX_MAGIC, _COUNTS.pack(len(self._index), len(self._segments))]
         parts.extend(_WATERMARK.pack(seg, self._segment_size(seg)) for seg in self._segments)
         pack = self._INDEX_ENTRY.pack
-        parts.extend(pack(uid.digest, *location) for uid, location in self._index.items())
+        parts.extend(pack(uid, *location) for uid, location in self._index.items())
         payload = b"".join(parts)
         with open(tmp, "wb") as handle:
             write_bytes(handle, payload, label=self._INDEX_STEM)

@@ -1,6 +1,8 @@
 """Tests for integrity scrubbing (repro.store.scrub) and the delete API."""
 
 import os
+import sys
+import types
 
 import pytest
 
@@ -8,7 +10,8 @@ from repro.chunk import Chunk, ChunkType, Uid
 from repro.cluster import ClusterStore
 from repro.errors import ChunkNotFoundError
 from repro.faults import FaultPlan, FaultyStore
-from repro.store import FileStore, InMemoryStore, NodeCacheStore, scrub
+from repro.store import FileStore, InMemoryStore, NodeCacheStore
+from repro.store.scrub import scrub
 
 
 def _chunk(n: int) -> Chunk:
@@ -19,6 +22,19 @@ def _rot(store: InMemoryStore, uid: Uid, data: bytes = b"ROT") -> None:
     """Plant corrupt bytes under an existing uid (in-place bit rot)."""
     original = store._chunks[uid]
     store._chunks[uid] = Chunk(original.type, data, uid=uid)
+
+
+def test_repro_store_scrub_is_the_module(monkeypatch):
+    """The package re-exports no ``scrub`` function over its submodule, so
+    the dotted path reaches the module and what it defines."""
+    import repro.store
+    import repro.store.scrub as module
+
+    assert isinstance(module, types.ModuleType)
+    assert repro.store.scrub is module is sys.modules["repro.store.scrub"]
+    marker = object()
+    monkeypatch.setattr("repro.store.scrub.diagnose_copy", marker)
+    assert module.diagnose_copy is marker
 
 
 class TestDeleteApi:

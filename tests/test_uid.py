@@ -14,6 +14,15 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Uid("f" * 64)  # type: ignore[arg-type]
 
+    def test_rejects_31_bytes(self):
+        with pytest.raises(ValueError):
+            Uid(b"x" * 31)
+
+    def test_rejects_an_int(self):
+        # ``bytes(5)`` would be five zero bytes: an int is not a digest.
+        with pytest.raises(TypeError):
+            Uid(5)  # type: ignore[arg-type]
+
     def test_of_hashes_sha256(self):
         import hashlib
 
@@ -56,6 +65,46 @@ class TestRenderings:
         uid = Uid.of(b"w")
         assert uid.base32().startswith(uid.short())
         assert len(uid.short(6)) == 6
+
+
+class TestBytesContract:
+    """A uid is its digest: hashing, comparison and sorting are ``bytes``'
+    own C slots, never Python methods (the node cache probes uids on
+    every level of every descent)."""
+
+    @pytest.mark.parametrize(
+        "slot", ["__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"]
+    )
+    def test_slot_is_inherited_from_bytes(self, slot):
+        assert getattr(Uid, slot) is getattr(bytes, slot)
+
+    def test_is_a_slotted_bytes(self):
+        uid = Uid.of(b"slot")
+        assert isinstance(uid, bytes) and Uid.__slots__ == ()
+        assert not hasattr(uid, "__dict__")
+        assert uid == bytes(uid) == uid.digest and type(uid.digest) is bytes
+
+    def test_every_rendering_names_the_uid(self):
+        uid = Uid.of(b"render")
+        text = f"Uid({uid.short()}…)"
+        assert str(uid) == repr(uid) == f"{uid}" == text
+
+    def test_hex_is_the_digest_hex(self):
+        uid = Uid.of(b"hex")
+        assert uid.hex() == uid.digest.hex() and len(uid.hex()) == 64
+
+    def test_sorted_matches_digest_order(self):
+        uids = [Uid.of(b"%d" % i) for i in range(200)]
+        assert [u.digest for u in sorted(uids)] == sorted(u.digest for u in uids)
+        assert min(uids).digest == min(u.digest for u in uids)
+
+    def test_null_uid_is_32_zero_bytes(self):
+        assert NULL_UID == bytes(32) and type(NULL_UID) is Uid
+
+    def test_hot_constructor_builds_an_equal_uid(self):
+        raw = bytes(range(32))
+        fast = bytes.__new__(Uid, raw)
+        assert type(fast) is Uid and fast == Uid(raw) and hash(fast) == hash(Uid(raw))
 
 
 class TestSemantics:
