@@ -26,7 +26,7 @@ trees theirs.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
 from repro.chunk import Chunk, Uid
 from repro.errors import KeyOrderError
@@ -81,6 +81,7 @@ def build_index_levels(
     first_level: int = 1,
     cuts: Any = None,
     ruled: Optional[List[Any]] = None,
+    ends: Optional[List[Any]] = None,
 ) -> Uid:
     """Stack index levels over ``descriptors`` until a single root remains.
 
@@ -93,16 +94,19 @@ def build_index_levels(
 
     Given a cut index ``cuts`` (a store's
     :meth:`~repro.store.base.ChunkStore.cut_index`), each level reuses
-    the cached node it knows at each cut (:func:`_reuse_nodes`), and the
-    new nodes a chunking rule closed are appended to ``ruled``, for the
-    caller to note once the batch is stored.
+    the cached node it knows at each cut (:func:`_reuse_nodes`).  The
+    new nodes a chunking rule closed are appended to ``ruled``, and each
+    level's last node to ``ends``, for the caller to note once the batch
+    is stored.
     """
     level = first_level
-    reuse = cuts is not None and cuts.knows_cuts(config.index)
+    known_node: Optional[Callable[[List[Any], int], Any]] = None
+    if cuts is not None and cuts.knows_cuts(config.index):
+        known_node = cuts.node_probe(config.index)
     while len(descriptors) > 1:
         node_class: Any = descriptors[0].index_class()
-        if reuse:
-            nodes = _reuse_nodes(node_class, level, descriptors, config.index, cuts, ruled)
+        if known_node is not None:
+            nodes = _reuse_nodes(node_class, level, descriptors, config.index, known_node, ruled)
         else:
             encoded = node_class.encode_entries(descriptors)
             nodes = [
@@ -111,6 +115,8 @@ def build_index_levels(
             ]
             if ruled is not None:
                 ruled.extend(nodes[:-1])
+        if ends is not None:
+            ends.append(nodes[-1])
         next_descriptors: List[Any] = []
         for node in nodes:
             batch.append((node.to_chunk(), node))
@@ -125,10 +131,12 @@ def _reuse_nodes(
     level: int,
     descriptors: List[Any],
     config: ChunkerConfig,
-    cuts: Any,
+    known_node: Callable[[List[Any], int], Any],
     ruled: Optional[List[Any]],
 ) -> List[Any]:
-    """Chunk one index level, reusing the node ``cuts`` knows at each cut.
+    """Chunk one index level, reusing the node ``known_node`` (a cut
+    index's :meth:`~repro.store.nodecache.NodeLRU.node_probe`) knows at
+    each cut.
 
     :func:`~repro.postree.listtree._reuse_leaves` one level up, and
     bit-identical to chunking the whole level for the same reason: with
@@ -139,7 +147,8 @@ def _reuse_nodes(
     and chunked, primed with the preceding bytes, doubling while none of
     its cuts starts a known node; a slice's last span was ended by the
     slice, so it is chunked again with the next one.  The level's last
-    node was ended by the level and goes unnoted.
+    node was ended by the level, and is no rule-closed node to note; the
+    probe reuses such a node only where it ends the level again.
     """
     nodes: List[Any] = []
     size = len(descriptors)
@@ -148,12 +157,12 @@ def _reuse_nodes(
     # (and ``min_entries``, for a config so small that this is 0).
     first_slice = max(config.min_entries, (config.min_size + (4 << config.pattern_bits)) // 32)
     at = 0
-    known = cuts.known_node(config, descriptors, 0)
+    known = known_node(descriptors, 0)
     while at < size:
         if known is not None:
             nodes.append(known)
             at += len(known.entries)
-            known = cuts.known_node(config, descriptors, at) if at < size else None
+            known = known_node(descriptors, at) if at < size else None
             continue
         width = first_slice
         while known is None and at < size:
@@ -179,7 +188,7 @@ def _reuse_nodes(
                     break
                 if ruled is not None:
                     ruled.append(node)
-                known = cuts.known_node(config, descriptors, at)
+                known = known_node(descriptors, at)
                 if known is not None:
                     break
             width *= 2

@@ -20,8 +20,10 @@ paper's hot paths use).  A blob built over a node cache slices only what
 changed: :meth:`BlobTree.from_bytes` reuses every cached leaf its bytes
 repeat at a cut, and every cached index node whose entries repeat at a
 cut of its level, so the hash pass, the index encodes and SHA-256 follow
-the edit.  What stays O(N) is a byte compare, one descriptor per leaf
-and the store's dedup check and cache refresh per chunk.
+the edit.  Cached leaves that a cached level-1 node holds back to back
+are taken as one block, with that node's entries as their descriptors.
+What stays O(N) is a byte compare and a short check per reused leaf, and
+the store's dedup check and cache refresh per chunk.
 """
 
 from __future__ import annotations
@@ -159,12 +161,15 @@ class PositionalTree(TreeView):
 
 def _reuse_leaves(
     data: bytes, config: ChunkerConfig, cuts: Any
-) -> Tuple[List[Chunk], List[Chunk]]:
-    """Slice ``data`` into BLOB leaves, reusing the leaf the cut index
+) -> Tuple[List[Chunk], List[ListIndexEntry], List[Chunk]]:
+    """Slice ``data`` into BLOB leaves, reusing what the cut index
     ``cuts`` (a store's :meth:`~repro.store.base.ChunkStore.cut_index`)
-    knows at each cut.
+    knows at each cut: a cached leaf, and with it the children after it
+    in a cached level-1 node as far as ``data`` repeats them
+    (:class:`~repro.store.nodecache.BlobWalk`).
 
-    Returns every leaf in order, and the new ones that the pattern or
+    Returns every leaf in order, their descriptors (a reused block's are
+    its node's own entries), and the new leaves that the pattern or
     max-size rule ended (not the end of ``data``) for the caller to note.
 
     Why a reused leaf is the chunk a full slicing cuts there: with
@@ -172,22 +177,25 @@ def _reuse_leaves(
     lies wholly past the last cut, so where the next cut falls depends
     only on the bytes from the last cut on.  A leaf that was ended by a
     rule under ``config`` is therefore the next chunk wherever its bytes
-    recur at a cut.  From a cut that starts no known leaf the chunker
-    runs, primed with the preceding bytes, over a slice that doubles
-    while none of its cuts starts a known leaf; a slice's last span was
-    ended by the slice, so it is sliced again with the next one.
+    recur at a cut, and a leaf the end of the data ended is the last
+    chunk wherever the data ends with it from a cut; a block is such
+    leaves back to back.  From a cut that starts no known leaf the
+    chunker runs, primed with the preceding bytes, over a slice that
+    doubles while none of its cuts starts a known leaf; a slice's last
+    span was ended by the slice, so it is sliced again with the next one.
     """
     leaves: List[Chunk] = []
+    descriptors: List[ListIndexEntry] = []
     ruled: List[Chunk] = []
+    walk = cuts.blob_walk(config)
     size = len(data)
     first_slice = config.min_size + (4 << config.pattern_bits)
     at = 0
-    known = cuts.known_leaf(config, data, 0)
+    known = walk.leaf(data, 0)
     while at < size:
         if known is not None:
-            leaves.append(known)
-            at += len(known.data)
-            known = cuts.known_leaf(config, data, at) if at < size else None
+            at = walk.take(data, at, known, leaves, descriptors)
+            known = walk.leaf(data, at) if at < size else None
             continue
         width = first_slice
         while known is None and at < size:
@@ -201,15 +209,16 @@ def _reuse_leaves(
             for start, stop in spans:
                 leaf = Chunk(ChunkType.BLOB, data[base + start : base + stop])
                 leaves.append(leaf)
+                descriptors.append(ListIndexEntry(leaf.uid, stop - start))
                 at = base + stop
                 if at == size:
                     break
                 ruled.append(leaf)
-                known = cuts.known_leaf(config, data, at)
+                known = walk.leaf(data, at)
                 if known is not None:
                     break
             width *= 2
-    return leaves, ruled
+    return leaves, descriptors, ruled
 
 
 class BlobTree(TreeView):
@@ -249,26 +258,33 @@ class BlobTree(TreeView):
         node cache) that knows cuts under ``blob_config``, only what
         changed is sliced: wherever ``data`` repeats a known leaf at a
         cut, that leaf is reused as is — no hash pass, no SHA-256 — and
-        the chunker runs only from a cut no known leaf starts at, until
-        one of its cuts lands on a known leaf again (see
-        :func:`_reuse_leaves`).  The index levels do the same one level
-        up: a cached index node whose entries recur at a cut is reused,
-        not encoded and hashed again, so only the path above the edit is
-        rebuilt (:func:`~repro.postree.builder.build_index_levels`).  The
-        tree is the one a full slicing builds, bit for bit.
+        so are the leaves after it in a cached level-1 node that holds
+        it, as one block with the node's own entries as their
+        descriptors; the chunker runs only from a cut no known leaf
+        starts at, until one of its cuts lands on a known leaf again
+        (see :func:`_reuse_leaves`).  The index levels do the same one
+        level up: a cached index node whose entries recur at a cut is
+        reused, not encoded and hashed again, so only the path above the
+        edit is rebuilt (:func:`~repro.postree.builder.build_index_levels`).
+        Each level's last leaf or node is noted too, and reused only
+        where it ends its level again.  The tree is the one a full
+        slicing builds, bit for bit.
         """
         cuts = store.cut_index() if blob_config.min_size >= blob_config.window else None
         if cuts is not None and cuts.knows_cuts(blob_config):
-            leaves, ruled = _reuse_leaves(data, blob_config, cuts)
+            leaves, descriptors, ruled = _reuse_leaves(data, blob_config, cuts)
         else:
             spans = fast_chunk_spans(data, blob_config)
             leaves = [Chunk(ChunkType.BLOB, data[start:end]) for start, end in spans]
+            descriptors = [ListIndexEntry(leaf.uid, len(leaf.data)) for leaf in leaves]
             ruled = leaves[:-1]
         batch: WriteBatch = [(leaf, leaf) for leaf in leaves]
         ruled_index: List[ListIndexNode] = []
+        ends: List[ListIndexNode] = []
         if leaves:
-            descriptors = [ListIndexEntry(leaf.uid, len(leaf.data)) for leaf in leaves]
-            root = build_index_levels(batch, descriptors, tree_config, cuts=cuts, ruled=ruled_index)
+            root = build_index_levels(
+                batch, descriptors, tree_config, cuts=cuts, ruled=ruled_index, ends=ends
+            )
         else:
             chunk = Chunk(ChunkType.BLOB, b"")
             batch.append((chunk, chunk))
@@ -276,7 +292,9 @@ class BlobTree(TreeView):
         store.put_nodes(batch)
         if cuts is not None:
             cuts.note_cuts(blob_config, ruled)
+            cuts.note_cuts(blob_config, leaves[-1:], level_end=True)
             cuts.note_cuts(tree_config.index, ruled_index)
+            cuts.note_cuts(tree_config.index, ends, level_end=True)
         return cls(store, root, blob_config, tree_config)
 
     def size(self) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.chunk import Chunk, Uid
+from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import ChunkEncodingError, TreeError
 from repro.postree.builder import bulk_build
 from repro.postree.config import DEFAULT_TREE_CONFIG, TreeConfig
@@ -32,6 +32,10 @@ from repro.postree.node import (
 from repro.store.base import ChunkStore
 
 Node = Union[LeafNode, IndexNode]
+
+#: A blob leaf's chunk type, bound once: :meth:`TreeView.node` tests it
+#: for every leaf a whole-blob read hands on.
+_BLOB = ChunkType.BLOB
 
 # A path records, from the root downward, (index node, child position)
 # frames leading to — but not including — a node of interest.
@@ -158,10 +162,12 @@ class TreeView:
 
         Through the store's node seam: a store that remembers decoded
         nodes (:mod:`repro.store.nodecache`) hands one back for a dict
-        probe; any other hands back the chunk, decoded here.
+        probe; any other hands back the chunk, decoded here.  A BLOB
+        chunk is a blob leaf's decoded form already, so a whole-blob
+        read hands each leaf on as the seam returned it.
         """
         node = self.store.get_node(uid)
-        if node.__class__ is Chunk:
+        if node.__class__ is Chunk and node.type is not _BLOB:
             node = load_node(node)
         if isinstance(node, self.NODES):
             return node

@@ -66,10 +66,18 @@ store must not silently disable its tamper checks.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.chunk import Chunk, ChunkType, Uid
-from repro.postree.node import NODE_CLASSES, AnyIndexNode, LeafNode, ListLeafNode, Node
+from repro.postree.node import (
+    NODE_CLASSES,
+    AnyIndexNode,
+    LeafNode,
+    ListIndexEntry,
+    ListIndexNode,
+    ListLeafNode,
+    Node,
+)
 from repro.rolling.chunker import ChunkerConfig
 from repro.store.base import ChunkStore, WrapperStore, physical_store
 from repro.store.stats import StoreStats
@@ -102,10 +110,18 @@ CUT_HEAD = 32
 #: The decoded leaf classes (a BLOB chunk is a leaf too: see is_leaf).
 _LEAF_KINDS = frozenset((LeafNode, ListLeafNode))
 
+#: The chunk type of a blob leaf, bound once for the hot paths.
+_BLOB = ChunkType.BLOB
 
-#: A cut-index key: the chunker config and the node's first bytes (a
-#: leaf's own, an index node's first child digest).
-CutKey = Tuple[ChunkerConfig, bytes]
+
+#: The tag of a config's level-end table: level ends are noted under
+#: ``(config, LEVEL_END)``, rule-closed nodes under the config itself.
+LEVEL_END = "level-end"
+
+#: A cut-index key: the table (a config, or a config's level-end table)
+#: and the node's first bytes (a leaf's own, an index node's first child
+#: digest).
+CutKey = Tuple[Any, bytes]
 
 #: Chunk type -> the class whose ``from_chunk`` decodes it: the tree node
 #: kinds (which tags those are is postree's to say) and the FNode.  A
@@ -156,10 +172,16 @@ class NodeLRU:
     ``cuts`` maps a chunker config and a node's first bytes to that
     cached node, for nodes a builder saw closed by the pattern or
     max-size rule (:meth:`note_cuts`) — BLOB leaves by their first
-    bytes, index nodes by their first child's digest.  ``cut_keys``
-    holds each noted node's key, so the entry goes when the node is
-    evicted, forgotten or cleared, and the index never outgrows the
-    cache.  Upkeep on any other eviction is one ``dict.pop`` that finds
+    bytes, index nodes by their first child's digest — and
+    ``(config, LEVEL_END)`` the same way to each level's last node,
+    which the end of its level closed.  ``parents`` maps each child of
+    a noted level-1 blob index node to that node, so a blob put that
+    finds one known leaf takes the leaves after it in the node as one
+    block (:class:`BlobWalk`).  ``cut_keys`` holds each noted node's
+    key, so the entries go when the node is evicted, forgotten or
+    cleared, and the index never outgrows the cache; a key also says
+    which config, and which of its tables, a node was noted under.
+    Upkeep on any other eviction is one ``dict.pop`` that finds
     nothing.
 
     It holds no store and judges no bytes: its holder remembers a node
@@ -176,8 +198,11 @@ class NodeLRU:
         self.leaves: "OrderedDict[Uid, None]" = OrderedDict()
         # The cut-index key (config, head) of each noted cached node.
         self.cut_keys: Dict[Uid, CutKey] = {}
-        # config -> node head -> a cached node starting so.
-        self.cuts: Dict[ChunkerConfig, Dict[bytes, DecodedNode]] = {}
+        # config, or (config, LEVEL_END) -> node head -> a cached node
+        # starting so.
+        self.cuts: Dict[Any, Dict[bytes, DecodedNode]] = {}
+        # blob leaf uid -> a noted level-1 node that holds the leaf.
+        self.parents: Dict[Uid, ListIndexNode] = {}
         self.hits = 0
         self.lookups = 0
         self.evictions = 0
@@ -201,25 +226,24 @@ class NodeLRU:
         """Remember written nodes, evicting the least recently used."""
         entries = self.entries
         leaves = self.leaves
-        blob = ChunkType.BLOB
         for uid, decoded in pairs:
             entries[uid] = decoded
             entries.move_to_end(uid)
             # is_leaf, inlined: a write batch holds every leaf of a blob.
             kind = decoded.__class__
             if kind in _LEAF_KINDS or (
-                kind is Chunk and decoded.type is blob  # type: ignore[union-attr]
+                kind is Chunk and decoded.type is _BLOB  # type: ignore[union-attr]
             ):
                 try:
                     leaves.move_to_end(uid)
                 except KeyError:
                     leaves[uid] = None
         while len(entries) > self.capacity:
-            victim, _ = entries.popitem(last=False)
+            victim, node = entries.popitem(last=False)
             leaves.pop(victim, None)
             key = self.cut_keys.pop(victim, None)
             if key is not None:
-                self._drop_cut(victim, key)
+                self._uncut(victim, key, node)
             self.evictions += 1
 
     def remember_fetched(self, uid: Uid, decoded: DecodedNode) -> None:
@@ -239,23 +263,23 @@ class NodeLRU:
             self.evictions += 1
             if len(leaves) > leaf:  # a leaf other than this one is cached
                 victim, _ = leaves.popitem(last=False)
-                del entries[victim]
+                node = entries.pop(victim)
             else:
                 # Two or more entries are cached, so the oldest is not
                 # this one, and it is no leaf.
-                victim, _ = entries.popitem(last=False)
+                victim, node = entries.popitem(last=False)
             key = self.cut_keys.pop(victim, None)
             if key is not None:
-                self._drop_cut(victim, key)
+                self._uncut(victim, key, node)
 
     def forget(self, uids: Iterable[Uid]) -> None:
         """Drop any entries for ``uids`` (their storage no longer holds them)."""
         for uid in uids:
-            self.entries.pop(uid, None)
+            node = self.entries.pop(uid, None)
             self.leaves.pop(uid, None)
             key = self.cut_keys.pop(uid, None)
             if key is not None:
-                self._drop_cut(uid, key)
+                self._uncut(uid, key, node)
 
     def clear(self) -> None:
         """Drop every entry; the counters keep their values."""
@@ -263,51 +287,68 @@ class NodeLRU:
         self.leaves.clear()
         self.cut_keys.clear()
         self.cuts.clear()
+        self.parents.clear()
 
     # -- the cut index -------------------------------------------------------
 
     def knows_cuts(self, config: ChunkerConfig) -> bool:
-        """Whether any cached node was noted under ``config``."""
+        """Whether any cached node was noted as rule-closed under ``config``."""
         return config in self.cuts
 
-    def known_leaf(self, config: ChunkerConfig, data: bytes, at: int) -> Optional[Chunk]:
-        """The cached BLOB leaf noted under ``config`` that ``data``
-        repeats from ``at``, else None.
+    def blob_walk(self, config: ChunkerConfig) -> "BlobWalk":
+        """The cut index as one blob put's leaf walk under ``config`` reads
+        it, the config's tables bound once (:class:`BlobWalk`)."""
+        return BlobWalk(self, config)
 
-        Counts no lookup and moves nothing: a caller that reuses the leaf
-        writes it, and the write does.
+    def node_probe(
+        self, config: ChunkerConfig
+    ) -> Callable[[List[Any], int], Optional[AnyIndexNode]]:
+        """``known_node(entries, at)`` for one index walk under ``config``:
+        the cached index node noted under ``config`` whose entries
+        ``entries`` repeat from ``at`` — one a rule closed, or a level end
+        whose entries are exactly ``entries[at:]`` — else None.
+
+        Looked up by the digest of ``entries[at]``'s child.  Binds the
+        tables once (they do not change during a walk); counts no lookup
+        and moves nothing: a caller that reuses the node writes it, and
+        the write does.
         """
-        table = self.cuts.get(config)
-        leaf = table.get(data[at : at + min(CUT_HEAD, config.min_size)]) if table else None
-        if isinstance(leaf, Chunk) and data.startswith(leaf.data, at):
-            return leaf
-        return None
+        rules = self.cuts.get(config) or {}
+        ends = self.cuts.get((config, LEVEL_END)) or {}
 
-    def known_node(
-        self, config: ChunkerConfig, entries: List[Any], at: int
-    ) -> Optional[AnyIndexNode]:
-        """The cached index node noted under ``config`` whose entries
-        ``entries`` repeat from ``at``, else None.
+        def known_node(entries: List[Any], at: int) -> Optional[AnyIndexNode]:
+            first = entries[at].child
+            node = rules.get(first)
+            if isinstance(node, AnyIndexNode) and entries[at : at + len(node.entries)] == node.entries:
+                return node
+            node = ends.get(first)
+            if isinstance(node, AnyIndexNode) and entries[at:] == node.entries:
+                return node
+            return None
 
-        Looked up by the digest of ``entries[at]``'s child; counts no
-        lookup and moves nothing, as :meth:`known_leaf`.
-        """
-        table = self.cuts.get(config)
-        node = table.get(entries[at].child) if table else None
-        if isinstance(node, AnyIndexNode) and entries[at : at + len(node.entries)] == node.entries:
-            return node
-        return None
+        return known_node
 
-    def note_cuts(self, config: ChunkerConfig, nodes: Iterable[Node]) -> None:
-        """Index nodes a builder closed by the pattern or max-size rule
-        under ``config``: a BLOB leaf by its first :data:`CUT_HEAD` bytes
-        (its first ``config.min_size``, if fewer: no such leaf is
-        shorter), an index node by its first child's digest.
+    def note_cuts(
+        self, config: ChunkerConfig, nodes: Iterable[Node], level_end: bool = False
+    ) -> None:
+        """Index nodes a builder closed under ``config``: by the pattern or
+        max-size rule, or with ``level_end`` by the end of their level.  A
+        BLOB leaf is keyed by its first :data:`CUT_HEAD` bytes (its first
+        ``config.min_size``, if fewer: no such leaf is shorter), an index
+        node by its first child's digest.
+
+        A rule-closed node is the next node wherever its bytes (entries)
+        recur at a cut; a level end only where they also end the level,
+        so level ends get a table of their own, under ``(config,
+        LEVEL_END)``.  A node once noted as rule-closed stays so: noting
+        it as a level end changes nothing.
 
         Only nodes still cached are indexed.  A node keeps one entry, so
         one it had under another key goes; a head noted for another node
-        now names this one.
+        now names this one.  A level-1 blob index node also becomes each
+        of its children's entry in ``parents``.
         """
+        table_key: Any = (config, LEVEL_END) if level_end else config
         width = min(CUT_HEAD, config.min_size)
         cached = self.entries
         cut_keys = self.cut_keys
@@ -315,27 +356,42 @@ class NodeLRU:
             uid = node.uid
             if uid not in cached:
                 continue
-            if node.__class__ is Chunk:
-                key = (config, node.data[:width])  # type: ignore[union-attr]
-            else:
-                key = (config, node.entries[0].child)  # type: ignore[union-attr]
             old = cut_keys.get(uid)
+            if level_end and old is not None and old[0] == config:
+                continue
+            if node.__class__ is Chunk:
+                key = (table_key, node.data[:width])  # type: ignore[union-attr]
+            else:
+                key = (table_key, node.entries[0].child)  # type: ignore[union-attr]
             cut_keys[uid] = key
             if old is not None and old != key:
                 self._drop_cut(uid, old)
-            self.cuts.setdefault(config, {})[key[1]] = node
+            self.cuts.setdefault(table_key, {})[key[1]] = node
+            if node.__class__ is ListIndexNode and node.level == 1:  # type: ignore[union-attr]
+                for child, _ in node.entries:  # type: ignore[union-attr]
+                    self.parents[child] = node  # type: ignore[assignment]
+
+    def _uncut(self, uid: Uid, key: CutKey, node: Optional[DecodedNode]) -> None:
+        """Drop the rest of what the cut index holds for ``node``, which
+        left the cache (its ``cut_keys`` entry ``key`` is gone already)."""
+        self._drop_cut(uid, key)
+        if node.__class__ is ListIndexNode and node.level == 1:  # type: ignore[union-attr]
+            parents = self.parents
+            for child, _ in node.entries:  # type: ignore[union-attr]
+                if parents.get(child) is node:
+                    del parents[child]
 
     def _drop_cut(self, uid: Uid, key: "CutKey") -> None:
         """Remove ``uid``'s cut-index entry, if the entry still names it."""
-        config, head = key
-        table = self.cuts.get(config)
+        table_key, head = key
+        table = self.cuts.get(table_key)
         if table is None:
             return
         noted = table.get(head)
         if noted is not None and noted.uid == uid:
             del table[head]
             if not table:
-                del self.cuts[config]
+                del self.cuts[table_key]
 
     def counters(self) -> Dict[str, int]:
         """``hits``, ``lookups``, ``size``, ``capacity``, ``evictions``
@@ -348,6 +404,104 @@ class NodeLRU:
             "evictions": self.evictions,
             "leaves": len(self.leaves),
         }
+
+
+class BlobWalk:
+    """One blob put's view of the cut index: its config's tables and the
+    leaves' level-1 parents, bound once, since nothing is noted or
+    evicted while the leaves are walked.
+
+    :meth:`leaf` is the probe at a cut; :meth:`take` takes the leaf it
+    found together with the children after it in a cached level-1 node,
+    as far as the data repeats them.  So a near-duplicate put pays one
+    probe per block of leaves, not one per leaf, and passes the node's
+    own entries on as the leaves' descriptors.  Neither counts a lookup
+    or moves a node: the put writes what it reuses, and the write does.
+    """
+
+    __slots__ = ("_cached", "_cut_keys", "_parents", "_config", "_ends_key", "_width",
+                 "_rules", "_ends")
+
+    def __init__(self, cache: NodeLRU, config: ChunkerConfig) -> None:
+        self._cached = cache.entries
+        self._cut_keys = cache.cut_keys
+        self._parents = cache.parents
+        self._config = config
+        self._ends_key = (config, LEVEL_END)
+        self._width = min(CUT_HEAD, config.min_size)
+        self._rules = cache.cuts.get(config) or {}
+        self._ends = cache.cuts.get(self._ends_key) or {}
+
+    def leaf(self, data: bytes, at: int) -> Optional[Chunk]:
+        """The cached BLOB leaf noted under the walk's config that
+        ``data`` repeats from ``at`` — one a rule closed, or a level end
+        that ``data`` ends with — else None."""
+        head = data[at : at + self._width]
+        leaf = self._rules.get(head)
+        if leaf.__class__ is Chunk and data.startswith(leaf.data, at):  # type: ignore[union-attr]
+            return leaf  # type: ignore[return-value]
+        leaf = self._ends.get(head)
+        if leaf.__class__ is Chunk and data[at:] == leaf.data:  # type: ignore[union-attr]
+            return leaf  # type: ignore[return-value]
+        return None
+
+    def take(
+        self,
+        data: bytes,
+        at: int,
+        leaf: Chunk,
+        leaves: List[Chunk],
+        descriptors: List[ListIndexEntry],
+    ) -> int:
+        """Append ``leaf`` (which :meth:`leaf` found at ``at``), then the
+        children after it in its cached level-1 parent as far as ``data``
+        repeats them, with the node's entries as their descriptors;
+        return where they end.
+
+        Each child taken is a cached BLOB chunk noted under this walk's
+        config — a parent may have been cut under another blob config,
+        and only a leaf a rule closed under this one is the next leaf
+        wherever it recurs — whose bytes ``data`` repeats next (a child
+        noted as a level end only where ``data`` also ends with it).
+        """
+        uid = leaf.uid
+        size = len(leaf.data)
+        leaves.append(leaf)
+        at += size
+        node = self._parents.get(uid)
+        first = 0
+        if node is not None:
+            entries = node.entries
+            while entries[first].child != uid:
+                first += 1
+        if node is None or entries[first].count != size:
+            descriptors.append(ListIndexEntry(uid, size))
+            return at
+        stop = first + 1
+        cut_keys = self._cut_keys
+        cached = self._cached
+        config = self._config
+        for child, count in entries[stop:]:
+            key = cut_keys.get(child)
+            if key is None:
+                break
+            chunk = cached[child]
+            if chunk.__class__ is not Chunk:
+                break
+            payload = chunk.data  # type: ignore[union-attr]
+            if len(payload) != count:
+                break
+            table = key[0]
+            if table is config or table == config:
+                if not data.startswith(payload, at):
+                    break
+            elif table != self._ends_key or len(data) - at != count or not data.endswith(payload):
+                break
+            leaves.append(chunk)  # type: ignore[arg-type]
+            at += count
+            stop += 1
+        descriptors.extend(entries[first:stop])
+        return at
 
 
 class NodeCacheStore(WrapperStore):
@@ -415,7 +569,7 @@ class NodeCacheStore(WrapperStore):
             # is_leaf, inlined: a cached leaf is always in ``leaves``.
             kind = cached.__class__
             if kind in _LEAF_KINDS or (
-                kind is Chunk and cached.type == ChunkType.BLOB  # type: ignore[union-attr]
+                kind is Chunk and cached.type is _BLOB  # type: ignore[union-attr]
             ):
                 cache.leaves.move_to_end(uid)
             return cached

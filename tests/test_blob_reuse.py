@@ -12,14 +12,20 @@ pin:
   ``forced_pure()``, and with a cache small enough to evict mid-build;
   again under an index config small enough for three or more index
   levels, and for a level whose last node recurs with entries after it;
+  and for edits in a block's first or last leaf or across two blocks
+  (a block: the leaves of one level-1 node), cacheless, evicting and
+  roomy;
 - **work** — a 32-byte edit of a ≈ 400 KB blob hashes O(1) BLOB chunks,
   feeds the chunker a few probe slices and encodes O(height) index
-  nodes; a cold put is one pass;
-- **guards** — cuts noted under one config never serve another, and a
-  config with ``min_size < window`` never consults the index;
+  nodes; one of a 4 MiB blob probes the cut index about once per block;
+  a cold put is one pass;
+- **guards** — cuts noted under one config never serve another, a block
+  takes only leaves noted under its put's config, and a config with
+  ``min_size < window`` never consults the index;
 - **lifetime** — an index entry goes with its node (evicted, forgotten,
-  swept, closed, abandoned); a node gc swept is written again; the
-  cluster coordinator's cache serves the same roots.
+  swept, closed, abandoned), and a block stops at a child that went; a
+  node gc swept is written again; the cluster coordinator's cache
+  serves the same roots.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
-from typing import List
+from typing import List, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -45,7 +51,7 @@ from repro.rolling.chunker import BLOB_CONFIG, ChunkerConfig
 from repro.rolling.fast import forced_pure
 from repro.store import InMemoryStore, NodeCacheStore, physical_store
 from repro.store.gc import collect_garbage
-from repro.store.nodecache import NodeLRU
+from repro.store.nodecache import BlobWalk, NodeLRU
 
 SMALL = ChunkerConfig(pattern_bits=6, min_size=16, max_size=256)
 
@@ -252,27 +258,27 @@ class TestGuards:
         # Same bytes, same heads, another config: one full pass.
         assert BlobTree.from_bytes(store, data, other).root == expected[other]
         assert fed == [len(data)]
-        # Now both configs know cuts; each reuses only its own, and
-        # slices just the end-of-data leaf, which no index holds.
+        # Now both configs know cuts; each reuses only its own, the
+        # end-of-data leaf (noted as its level's end) too: nothing is sliced.
         for config in (BLOB_CONFIG, other):
             del fed[:]
             tree = BlobTree.from_bytes(store, data, config)
             assert tree.root == expected[config]
-            assert fed == [len(list(tree.iter_chunks())[-1].data)]
+            assert fed == []
 
     def test_the_index_answers_only_the_config_it_was_told(self):
         leaf = Chunk(ChunkType.BLOB, b"a" * 40 + b"tail")
         cache = NodeLRU()
         cache.remember([(leaf.uid, leaf)])
         cache.note_cuts(BLOB_CONFIG, [leaf])
-        assert cache.known_leaf(BLOB_CONFIG, b"x" + leaf.data + b"y", 1) is leaf
-        assert cache.known_leaf(replace(BLOB_CONFIG, window=8), leaf.data, 0) is None
-        assert cache.known_leaf(BLOB_CONFIG, leaf.data[:-1], 0) is None  # bytes must repeat
+        assert cache.blob_walk(BLOB_CONFIG).leaf(b"x" + leaf.data + b"y", 1) is leaf
+        assert cache.blob_walk(replace(BLOB_CONFIG, window=8)).leaf(leaf.data, 0) is None
+        assert cache.blob_walk(BLOB_CONFIG).leaf(leaf.data[:-1], 0) is None  # bytes must repeat
 
     def test_min_size_below_window_never_consults_the_index(self, monkeypatch):
         narrow = ChunkerConfig(window=16, pattern_bits=5, min_size=8, max_size=256)
         consulted: List[str] = []
-        for name in ("knows_cuts", "known_leaf", "note_cuts"):
+        for name in ("knows_cuts", "blob_walk", "node_probe", "note_cuts"):
             monkeypatch.setattr(NodeLRU, name, lambda *args, name=name: consulted.append(name))
         data = _text(random.Random(9), 20_000)
         store = NodeCacheStore(InMemoryStore())
@@ -281,6 +287,169 @@ class TestGuards:
                 version, narrow
             )
         assert consulted == []
+
+
+def _blocks(tree: BlobTree) -> List[List[Tuple[int, int]]]:
+    """Each level-1 node's leaves as ``(start, end)`` byte spans, left to
+    right (a one-leaf tree is one block of one)."""
+    blocks: List[List[Tuple[int, int]]] = []
+    at = 0
+
+    def visit(uid) -> None:
+        nonlocal at
+        node = tree.node(uid)
+        if not isinstance(node, ListIndexNode):
+            blocks.append([(0, len(node.data))])
+        elif node.level > 1:
+            for entry in node.entries:
+                visit(entry.child)
+        else:
+            spans = []
+            for entry in node.entries:
+                spans.append((at, at + entry.count))
+                at += entry.count
+            blocks.append(spans)
+
+    visit(tree.root)
+    return blocks
+
+
+def _block_edit(data: bytes, blocks, where: str, which: float, fraction: float,
+                cut: int, patch: bytes) -> bytes:
+    """Edit ``data`` in one block's first or last leaf, or across the
+    boundary after the block; ``len(patch) - cut`` grows or shrinks it."""
+    block = blocks[min(int(which * len(blocks)), len(blocks) - 1)]
+    start, end = block[0] if where == "first" else block[-1]
+    if where == "across":
+        at, cut = max(0, end - 8), cut + 16
+    else:
+        at = start + int(fraction * (end - start))
+    return data[:at] + patch + data[at + cut :]
+
+
+block_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["first", "last", "across"]),
+        st.floats(0, 1),
+        st.floats(0, 1),
+        st.integers(0, 48),
+        st.binary(max_size=80),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "config, units, small", [(BLOB_CONFIG, 4, 40), (SMALL, 24, 40)], ids=["blob", "small"]
+    )
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+              HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**16), versions=st.lists(block_edits, min_size=1, max_size=4))
+    def test_edits_at_block_edges_build_cacheless_roots(self, config, units, small, seed, versions):
+        data = _base(config, seed, units)
+        # node_cache 0 (no cut index), one that evicts mid-build, the default.
+        stores = [InMemoryStore(), NodeCacheStore(InMemoryStore(), small),
+                  NodeCacheStore(InMemoryStore())]
+        trees = [BlobTree.from_bytes(store, data, config) for store in stores]
+        assert len(_blocks(trees[-1])) >= 3
+        for edits in versions:
+            blocks = _blocks(trees[-1])
+            for edit in edits:
+                data = _block_edit(data, blocks, *edit)
+            expected = _cacheless_root(data, config)
+            trees = [BlobTree.from_bytes(store, data, config) for store in stores]
+            assert [tree.root for tree in trees] == [expected] * len(stores)
+            assert trees[1].read() == trees[2].read() == data
+
+    def test_a_block_takes_only_leaves_noted_under_its_own_config(self):
+        # The same pattern cuts and a larger max size: the leaves ``a``'s
+        # max size closed are no leaves of ``b``'s.  The index tables and
+        # the level-1 parents serve both configs.
+        a, b = SMALL, replace(SMALL, max_size=2 * SMALL.max_size)
+        data = _base(a, 41, 8)
+        store = NodeCacheStore(InMemoryStore())
+        cache = store.node_cache
+        BlobTree.from_bytes(store, data, a)
+        b_tree = BlobTree.from_bytes(InMemoryStore(), data, b)
+        b_leaves = [leaf.uid for leaf in b_tree.iter_chunks()][:-1]  # closed by b's rules
+        # Leaves ``b`` cuts too, each followed in its ``a`` parent by one only ``a`` cuts.
+        parents = {node.uid: node for node in cache.parents.values()}.values()
+        shared = [
+            cache.entries[first.child]
+            for node in parents
+            for first, then in zip(node.entries, node.entries[1:])
+            if first.child in b_leaves and then.child not in b_leaves
+        ]
+        assert shared
+        cache.note_cuts(b, shared)  # true: b's rules close them
+        assert BlobTree.from_bytes(store, data, b).root == b_tree.root
+
+    @pytest.mark.parametrize("drop", ["evict", "forget", "swept"])
+    def test_a_block_stops_at_a_child_that_went_mid_series(self, drop, monkeypatch):
+        rng = random.Random(37)
+        data = _text(rng, 400_000)
+        store = NodeCacheStore(InMemoryStore())
+        cache, physical = store.node_cache, physical_store(store)
+        tree = BlobTree.from_bytes(store, data)
+        hashed = _spy_hashes(monkeypatch)
+        for version in range(5):
+            doomed = set()
+            if version == 2:
+                # A middle child of each of the tree's level-1 nodes goes.
+                doomed = {node.entries[len(node.entries) // 2].child
+                          for _, node in tree.reachable()
+                          if isinstance(node, ListIndexNode) and node.level == 1}
+                assert len(doomed) >= 3
+                if drop == "evict":
+                    for uid in doomed:
+                        cache.entries.move_to_end(uid, last=False)
+                    cache.capacity = len(cache.entries)
+                    cache.remember((chunk.uid, chunk) for chunk in (
+                        Chunk(ChunkType.META, b"%d" % n) for n in range(len(doomed))))
+                    cache.capacity = 4096
+                elif drop == "forget":
+                    cache.forget(doomed)
+                else:
+                    for uid in doomed:
+                        physical.delete(uid)
+                    physical.notify_swept(list(doomed))
+                assert not doomed & (set(cache.entries) | set(cache.cut_keys))
+            offset = rng.randrange(len(data) - 32)
+            data = data[:offset] + bytes(rng.choices(b"QRS", k=32)) + data[offset + 32 :]
+            expected = _cacheless_root(data, BLOB_CONFIG)
+            del hashed[:]
+            tree = BlobTree.from_bytes(store, data)
+            assert tree.root == expected
+            # What went is sliced and hashed again; the rest is reused.
+            kept = doomed & {leaf.uid for leaf in tree.iter_chunks()}
+            assert len(kept) <= len(hashed) <= len(kept) + 3, (len(kept), hashed)
+        assert all(physical.has(uid) for uid in tree.page_uids())
+
+    def test_a_32_byte_edit_of_4_mib_probes_about_once_per_block(self, monkeypatch):
+        rng = random.Random(43)
+        data = _text(rng, 4 << 20)
+        store = NodeCacheStore(InMemoryStore())
+        tree = BlobTree.from_bytes(store, data)
+        probes: List[int] = []
+        probe = BlobWalk.leaf
+
+        def spy(walk, data, at):
+            probes.append(at)
+            return probe(walk, data, at)
+
+        monkeypatch.setattr(BlobWalk, "leaf", spy)
+        for offset in (0, 1_234_567, 2_345_678, 3_456_789, len(data) - 20):
+            before = {leaf.uid for leaf in tree.iter_chunks()}
+            level1 = len(_blocks(tree))
+            data = data[:offset] + bytes(rng.choices(b"XYZ ", k=32)) + data[offset + 32 :]
+            del probes[:]
+            tree = BlobTree.from_bytes(store, data)
+            assert tree.root == _cacheless_root(data, BLOB_CONFIG)
+            changed = sum(leaf.uid not in before for leaf in tree.iter_chunks())
+            assert level1 >= 40 and 1 <= changed <= 3
+            assert len(probes) <= level1 + changed + 4, (len(probes), level1, changed)
 
 
 def _noted(cache: NodeLRU, config: ChunkerConfig = BLOB_CONFIG) -> int:
@@ -296,7 +465,8 @@ class TestLifetime:
         cache.note_cuts(BLOB_CONFIG, [first, second])
         assert _noted(cache) == 2
         cache.remember([(third.uid, third)])  # a write evicts ``first``
-        assert cache.known_leaf(BLOB_CONFIG, first.data, 0) is None and _noted(cache) == 1
+        walk = cache.blob_walk(BLOB_CONFIG)
+        assert walk.leaf(first.data, 0) is None and _noted(cache) == 1
         cache.remember_fetched(first.uid, first)  # a fetch evicts the oldest leaf
         assert second.uid not in cache.entries and _noted(cache) == 0
         assert cache.cuts == {}

@@ -283,3 +283,88 @@ def test_a_cli_put_crash_at_every_boundary_ends_the_process(tmp_path, monkeypatc
             assert recovered.get_value("other") == {b"b": b"kept"}, context
             assert recovered.get_value("doc") in values, context
         shutil.rmtree(directory)
+
+
+def _csv(changes: Dict[int, str], rows: int = 40) -> str:
+    """A 40-row CSV keyed by ``id``; ``changes`` replaces or adds rows."""
+    lines = {i: f"{i},item{i},{3 * i}" for i in range(1, rows + 1)}
+    lines.update(changes)
+    return "id,name,qty\n" + "".join(f"{lines[i]}\n" for i in sorted(lines))
+
+
+def _values(engine: ForkBase) -> Dict[Tuple[str, str], object]:
+    """Every head's value: what a reopened directory must serve."""
+    return {(key, branch): engine.get_value(key, branch=branch) for key, branch in _heads(engine)}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_cli_session_crash_at_every_boundary_keeps_what_it_acked(tmp_path, monkeypatch, backend):
+    """``load-csv`` and a three-way ``merge`` (with a branch and two more
+    loads between them) killed at every write, fsync and rename the
+    session crosses, under ``fsync="always"``: the crash escapes ``main``,
+    and the reopened directory serves every head verified, holding every
+    command that returned 0 and, of the one that died, its old state or
+    its new one."""
+    from repro.api import cli
+
+    for name, changes in (("base", {}), ("dev", {3: "3,item3,999", 41: "41,item41,1"}),
+                          ("master", {7: "7,item7,777"})):
+        (tmp_path / f"{name}.csv").write_text(_csv(changes), newline="")
+    session = [
+        ["load-csv", "t", str(tmp_path / "base.csv"), "--pk", "id"],
+        ["branch", "t", "dev"],
+        ["load-csv", "t", str(tmp_path / "dev.csv"), "--pk", "id", "--branch", "dev"],
+        ["load-csv", "t", str(tmp_path / "master.csv"), "--pk", "id"],
+        ["merge", "t", "dev", "--into", "master"],
+    ]
+    source = str(tmp_path / "source")
+    ForkBase.open(source, backend=backend).close()
+
+    opened: List[ForkBase] = []
+    real_open = ForkBase.open
+
+    def always_open(*args, **kwargs):
+        opened.append(real_open(*args, fsync="always", **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli.ForkBase, "open", always_open)
+
+    # The census: each command's last boundary, and the values after it.
+    census_dir = str(tmp_path / "census")
+    shutil.copytree(source, census_dir)
+    ends: List[int] = []
+    with fs_zone(FsFaultPlan()) as shim:
+        for argv in session:
+            assert cli.main(["--data-dir", census_dir, *argv]) == 0
+            ends.append(len(shim.trace))
+    states = []
+    replay = str(tmp_path / "replay")
+    shutil.copytree(source, replay)
+    for argv in [None, *session]:
+        if argv is not None:
+            assert cli.main(["--data-dir", replay, *argv]) == 0
+        with real_open(replay) as engine:
+            states.append(_values(engine))
+    assert states[-1][("t", "master")] != states[-2][("t", "master")]  # the merge moved master
+    crashable = _crashable(list(shim.trace))
+    assert len(crashable) > 40
+
+    for hit in crashable:
+        directory = str(tmp_path / f"b{hit.index}")
+        shutil.copytree(source, directory)
+        dying = next(n for n, end in enumerate(ends) if hit.index < end)
+        context = f"{backend} boundary {hit.index} ({hit.kind} {hit.label}) in {session[dying][0]}"
+        with fs_zone(FsFaultPlan(fail_at=hit.index, flavor="crash")) as shim:
+            for argv in session[:dying]:
+                assert cli.main(["--data-dir", directory, *argv]) == 0, context
+            with pytest.raises(SimulatedCrash) as excinfo:
+                cli.main(["--data-dir", directory, *session[dying]])
+        assert excinfo.value.boundary == hit.index, context
+        assert {b.kind for b in shim.trace[hit.index + 1 :]} <= {"read"}, context
+        while opened:  # the OS closes a killed process's files
+            opened.pop().abandon()
+        with real_open(directory, backend=backend) as recovered:
+            for key, branch in _heads(recovered):
+                assert recovered.verify(key, branch).ok, context
+            assert _values(recovered) in states[dying : dying + 2], context
+        shutil.rmtree(directory)

@@ -57,6 +57,7 @@ def _assert_cache_keys(cache) -> None:
     assert _assert_uid_keys(cache.entries, "NodeLRU.entries")
     assert _assert_uid_keys(cache.leaves, "NodeLRU.leaves")
     assert _assert_uid_keys(cache.cut_keys, "NodeLRU.cut_keys")
+    assert _assert_uid_keys(cache.parents, "NodeLRU.parents")
 
 
 class TestEveryUidKeyedTableHoldsUids:
