@@ -4,9 +4,10 @@ The SIRI properties that make Fast Diff O(D log N) (paper §II-B) apply to
 replicas too: two copies of the same uid space can be compared by digest
 and reconciled by descending only into the parts that differ, instead of
 sweeping every chunk on every node.  :func:`anti_entropy_pass` is the
-cluster's one repair loop: it is the only path that re-ships a replica
-copy (through ``ClusterStore.transfer``), and ``scrub`` on a cluster
-drops the rot it finds and leaves the re-shipping to one pass.
+cluster's one repair loop: the only path that re-ships a replica copy
+(node to node, as ``src -> dst`` messages, so a partition that cuts the
+coordinator off does not stop two nodes on one side), and ``scrub`` on a
+cluster drops the rot it finds and leaves the re-shipping to one pass.
 
 Each node's holdings are summarized by a :class:`DigestTree`: uids are
 bucketed by their **ring position** (the same coordinate placement uses,
@@ -25,10 +26,11 @@ through ``diagnose_copy``) — O(divergence) transfers, not O(N).  The
 node's store does the re-hashing in one scan
 (``ChunkStore.verify_holdings``: one SHA-256 per copy on the in-memory
 node store, one verified read per copy through any wrapper), and only
-the copies that fail it get the scrubber's wire-vs-disk re-read.  The *trees* are not rebuilt from that index: one
-:class:`ReplicaDigests` per cluster carries them (and the ring placement
-of every held uid) from pass to pass and folds in only what the fresh
-index says changed, so digest maintenance costs O(changed · depth).
+the copies that fail it get the scrubber's wire-vs-disk re-read.  The
+*trees* are not rebuilt from that index: one :class:`ReplicaDigests`
+per cluster carries them (and the ring placement of every held uid)
+from pass to pass and folds in only what the fresh index says changed,
+so digest maintenance costs O(changed · depth).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.chunk import Uid
+from repro.cluster.replica import place
 from repro.cluster.ring import POSITION_BITS, HashRing, ring_position
 from repro.faults import kernel
 from repro.store.scrub import diagnose_copy
@@ -330,11 +333,12 @@ def _audit_index(
     rate = cluster.audit_rate
     if rate <= 0.0:
         return
+    from repro.cluster.maintenance import audit_copy  # maintenance imports this module
     for uid in sorted(index):
         if _audit_draw(cluster.audit_seed, node.name, uid) >= rate:
             continue
         report.audit_samples += 1
-        if cluster.audit_copy(node, uid, "anti-entropy", kind="forged-digest") is False:
+        if audit_copy(cluster, node, uid, "anti-entropy", kind="forged-digest") is False:
             report.audit_failures += 1
             index.discard(uid)
 
@@ -463,14 +467,10 @@ def _pull(
                     # a transient read, for an unverified one it is weak
                     # tamper evidence against the claimant.
                     cluster.accountability.record_suspicion(
-                        dst.name,
-                        src.name,
-                        uid,
-                        op="transfer",
-                        kind="unproducible-claim",
+                        dst.name, src.name, uid, op="transfer", kind="unproducible-claim"
                     )
                 continue
-            if cluster.transfer(src, dst, chunk):
+            if place(cluster, dst, [chunk], (src.name, None)):  # verified again on arrival
                 report.chunks_transferred += 1
                 digests.gained(dst.name, uid)
             else:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.cluster.replica import probe
+
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no cycle at runtime
     from repro.cluster.cluster import ClusterStore
 
@@ -91,7 +93,7 @@ class FailureDetector:
         """Ping every node once; returns the post-round state map."""
         self.rounds += 1
         for name in sorted(self.cluster.nodes):
-            if self.cluster.probe(self.origin, name):
+            if probe(self.cluster, self.origin, name):
                 if self._states.get(name, ALIVE) != ALIVE:
                     self.recoveries += 1
                 self._missed[name] = 0

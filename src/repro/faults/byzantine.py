@@ -238,19 +238,19 @@ def corrupt_queued_hints(cluster: object, plan: ByzantinePlan) -> int:
 
     Models a byzantine *hint holder*: hints live in the writer's memory
     (see ``ClusterStore.drop_hints``), so a compromised writer can replay
-    them with flipped bytes under the original uid.  Works through the
-    cluster's public ``pending_hint_chunks``/``replace_hint`` surface;
-    the receiving-side verification in ``_replay_hints`` is the defense.
+    them with flipped bytes under the original uid.  Works on the
+    cluster's public hint queue (``hints``: node name -> uid -> chunk);
+    the receiving-side verification of the replay is the defense.
     Returns the number of hints corrupted.
     """
     corrupted = 0
-    pending = cluster.pending_hint_chunks()  # type: ignore[attr-defined]
-    for name, chunks in sorted(pending.items()):
-        for chunk in sorted(chunks, key=lambda c: c.uid):
-            if not plan.corrupt_hint(name, chunk.uid, 0):
+    queues = cluster.hints  # type: ignore[attr-defined]
+    for name, hints in sorted(queues.items()):
+        for uid in sorted(hints):
+            if not plan.corrupt_hint(name, uid, 0):
                 continue
-            lie = plan.mutate(name, "hint", chunk.data, chunk.uid, 0)
-            forged = Chunk(chunk.type, lie, uid=chunk.uid)
-            if cluster.replace_hint(name, forged):  # type: ignore[attr-defined]
-                corrupted += 1
+            chunk = hints[uid]
+            lie = plan.mutate(name, "hint", chunk.data, uid, 0)
+            hints[uid] = Chunk(chunk.type, lie, uid=uid)
+            corrupted += 1
     return corrupted

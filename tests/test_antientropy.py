@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chunk import Chunk, ChunkType, Uid
-from repro.cluster import antientropy
+from repro.cluster import antientropy, maintenance
 from repro.cluster import (
     ClusterStore,
     DigestTree,
@@ -304,10 +304,11 @@ class TestAntiEntropyPass:
         anti_entropy_pass(cluster)
         assert digests_agree(cluster)
 
-    def test_audit_sample_follows_the_network_plan_seed(self):
+    def test_audit_sample_follows_the_network_plan_seed(self, monkeypatch):
         """The spot-check of a self-reported index draws its sample from
         the transport plan's seed, so one seed replays the messages and
         the audits alike; a cluster with no transport draws as seed 0."""
+        audit_copy = maintenance.audit_copy
 
         def audited(transport):
             cluster = _cluster(
@@ -319,13 +320,12 @@ class TestAntiEntropyPass:
             for n in range(60):
                 cluster.put(_chunk(n))
             sample = []
-            audit_copy = cluster.audit_copy
 
-            def spy(node, uid, origin, kind=None):
+            def spy(cluster, node, uid, origin, kind=None):
                 sample.append((node.name, uid))
-                return audit_copy(node, uid, origin, kind)
+                return audit_copy(cluster, node, uid, origin, kind)
 
-            cluster.audit_copy = spy
+            monkeypatch.setattr(maintenance, "audit_copy", spy)
             report = cluster.anti_entropy_pass()
             assert report.audit_failures == 0
             return sample

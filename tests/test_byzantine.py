@@ -415,23 +415,6 @@ class TestHintDefense:
         assert cluster.pending_hints() == {}
 
 
-class TestTransferDefense:
-    def test_invalid_transfer_rejected_and_attributed(self):
-        cluster = ClusterStore(node_count=2, replication=2)
-        source, target = cluster.nodes["node-00"], cluster.nodes["node-01"]
-        honest = _chunk(1)
-        forged = Chunk(honest.type, flip_at(honest.data, 0), uid=honest.uid)
-        assert not cluster.transfer(source, target, forged)
-        assert cluster.transfer_rejections == 1
-        assert not target.store.has(honest.uid)
-        record = cluster.accountability.evidence[-1]
-        assert (record.node, record.kind) == ("node-00", "bad-transfer")
-        assert record.origin == "node-01"
-        # The honest payload still transfers fine.
-        assert cluster.transfer(source, target, honest)
-        assert target.store.get_maybe(honest.uid).is_valid()
-
-
 class TestAntiEntropyAudit:
     def test_forged_index_caught_by_spot_check(self):
         """A forge_index node's digests *agree* while the bytes do not
@@ -629,7 +612,6 @@ class TestEvidenceSurfaces:
             "quarantine_skips",
             "hints_discarded",
             "hint_rejections",
-            "transfer_rejections",
             "repair_audits",
             "repair_audit_failures",
         ):

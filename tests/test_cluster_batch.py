@@ -200,10 +200,7 @@ def test_acked_batches_are_durable_and_attributed(seed, plan):
         except ForkBaseError:
             continue
         acked += 1
-        hints = {
-            name: {queued.uid for queued in chunks}
-            for name, chunks in cluster.pending_hint_chunks().items()
-        }
+        hints = {name: set(queued) for name, queued in cluster.hints.items()}
         for chunk in batch:
             # Acked implies at least W copies whose bytes hash to the uid.
             copies = [name for name in cluster.nodes if _valid_on(cluster, name, chunk)]
@@ -270,7 +267,7 @@ def test_only_a_reply_the_sender_waited_for_acks():
     cluster.put_nodes([(chunk, chunk) for chunk in batch])
     homed = [chunk for chunk in batch if cluster.nodes[victim] in cluster.replica_nodes(chunk.uid)]
     assert homed and cluster.transport.attempts == 3
-    hinted = {chunk.uid for chunk in cluster.pending_hint_chunks()[victim]}
+    hinted = set(cluster.hints[victim])
     for chunk in homed:
         # The late delivery stored a good copy, but the walk never heard
         # of it: the victim stays owed the write.

@@ -7,6 +7,7 @@ from repro.errors import (
     MessageDroppedError,
     NetworkPartitionedError,
     NetworkTimeoutError,
+    SimulatedCrash,
     TransientError,
 )
 from repro.faults import NetworkPlan, PartitionedTransport, apply_schedule_event
@@ -182,6 +183,52 @@ class TestPartitionedTransport:
             transport.send("c", "n", "put", UID, bug)
         with pytest.raises(TypeError):
             transport.tick(1)
+        assert transport.stats()["late_failures"] == 0
+
+    def test_a_crash_inside_a_delayed_delivery_ends_the_run(self):
+        # A node that dies while a late message lands takes the run with
+        # it: SimulatedCrash is no taxonomy failure to count and swallow.
+        plan = NetworkPlan(seed=5, delay_rate=1.0, delay_ticks=(1, 1))
+        transport = PartitionedTransport(plan)
+
+        def crash():
+            raise SimulatedCrash(0, "fsync", "node-00")
+
+        with pytest.raises(NetworkTimeoutError):
+            transport.send("c", "n", "put", UID, crash)
+        with pytest.raises(SimulatedCrash):
+            transport.tick(1)
+        assert transport.stats()["late_failures"] == 0
+
+    def test_a_crash_inside_a_duplicated_delivery_ends_the_run(self):
+        # Both applications of a duplicated message run inside send(), so
+        # a crash in the second one ends the send that carried it.  A
+        # second copy that lands late (a retry's retransmission) ends the
+        # tick that delivers it.
+        applied = []
+
+        def crash_on_second():
+            applied.append(1)
+            if len(applied) == 2:
+                raise SimulatedCrash(1, "write", "node-00")
+
+        transport = PartitionedTransport(NetworkPlan(seed=8, dup_rate=1.0))
+        with pytest.raises(SimulatedCrash):
+            transport.send("c", "n", "put", UID, crash_on_second)
+        assert applied == [1, 1]
+        assert transport.stats()["duplicated"] == 1
+        assert transport.stats()["late_failures"] == 0
+
+        applied.clear()
+        plan = NetworkPlan(seed=8, delay_rate=1.0, delay_ticks=(1, 1))
+        transport = PartitionedTransport(plan)
+        for _ in range(2):
+            with pytest.raises(NetworkTimeoutError):
+                transport.send("c", "n", "put", UID, crash_on_second)
+        assert applied == [1]  # the first copy landed during the second send
+        with pytest.raises(SimulatedCrash):
+            transport.tick(1)
+        assert applied == [1, 1]
         assert transport.stats()["late_failures"] == 0
 
     def test_duplicate_applies_twice(self):

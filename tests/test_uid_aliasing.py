@@ -88,8 +88,8 @@ class TestEveryUidKeyedTableHoldsUids:
         db = ForkBase(cluster)
         cluster.kill_node("node-02")
         _workload(db, sweep=False)
-        assert any(cluster._hints.values())
-        for name, hints in cluster._hints.items():
+        assert any(cluster.hints.values())
+        for name, hints in cluster.hints.items():
             _assert_uid_keys(hints, f"hints for {name}")
         cluster.revive_node("node-02")
         cluster.anti_entropy_pass()
