@@ -48,9 +48,8 @@ from repro.store.nodecache import DURABLE_CAPACITY
 from repro.store.packstore import COMPRESSION_POLICIES
 from repro.types import FBlob, FList, FMap, FObject, FSet, load_object, type_for_python
 from repro.types.convert import PyValue, unwrap, wrap
-from repro.vcs import BranchTable, CommitJournal, FNode, VersionGraph, replay_into
+from repro.vcs import CommitJournal, FNode, Heads, VersionGraph
 from repro.vcs.branches import DEFAULT_BRANCH
-from repro.vcs.journal import checkpoint
 
 #: Engine health states: a disk fault that may have lost acknowledged
 #: state demotes the engine to read-only; a disk fault on the *read*
@@ -149,7 +148,8 @@ class ForkBase:
         """
         self.store = store if store is not None else NodeCacheStore(InMemoryStore())
         self.graph = VersionGraph(self.store)
-        self.branch_table = BranchTable()
+        #: Branch heads and, on a durable engine, their commit journal.
+        self.heads = Heads(self.store)
         self.author = author
         # Commit timestamps are metadata, not identity: the wall-clock
         # default is the injectable-clock escape hatch, not a hashing input.
@@ -157,11 +157,6 @@ class ForkBase:
         #: Open handle on ``<directory>/.lock`` while this engine holds the
         #: single-writer advisory lock (durable engines only).
         self._lock_handle: Optional[IO[str]] = None
-        #: Write-ahead commit journal (durable engines only): every head
-        #: mutation is recorded here before it is acknowledged.
-        self._journal: Optional[CommitJournal] = None
-        #: Bytes appended since the last checkpoint that trigger the next.
-        self._journal_limit = 1 << 20
         #: Transparent retry for transient store faults on read verbs.
         self.retry = RetryPolicy.instant()
         #: Disk-fault health machine: HEALTHY → DEGRADED_READ_ONLY → FAILED.
@@ -177,15 +172,13 @@ class ForkBase:
     def _degrade(self, reason: str) -> None:
         """Demote to read-only after a write-path disk fault (one-way).
 
-        A durable engine re-derives its table with :meth:`open`'s replay:
+        A durable engine re-derives its heads with :meth:`open`'s replay:
         the fault may have un-acked chunks under journaled heads.
         """
         if self._health == HEALTH_HEALTHY:
             self._health = HEALTH_DEGRADED
             self._health_reason = reason
-            if self._journal is not None:
-                self.branch_table = BranchTable()
-                replay_into(self.branch_table, self._journal.records, self.store.has)
+            self.heads.reload()
 
     def _fail(self, reason: str) -> None:
         """Terminal state: the read path faulted while already degraded."""
@@ -251,8 +244,9 @@ class ForkBase:
         starts it empty.  Branch heads (the client-side head record of
         the paper's threat model) live in one file, the write-ahead
         commit journal ``journal.wal``: a checkpoint of every head, then
-        each head move since.  ``journal_limit`` is how many bytes
-        appended since the last checkpoint trigger the next; ``close``
+        each head move since, all made by the engine's
+        :class:`~repro.vcs.heads.Heads`.  ``journal_limit`` is how many
+        bytes appended since a checkpoint trigger the next; ``close``
         writes one too.  Recovery replays the file onto an empty table,
         stops at the first head made since the checkpoint whose FNode the
         store does not hold, and rewrites the journal if it dropped
@@ -288,12 +282,8 @@ class ForkBase:
             store = cls._open_store(chunk_dir, backend, compression, node_cache)
             engine = cls(store, author=author)
             engine._lock_handle = lock_handle
-            engine._journal_limit = journal_limit
             journal = CommitJournal(os.path.join(directory, "journal.wal"), fsync=fsync)
-            engine._journal = journal
-            records = journal.records
-            if replay_into(engine.branch_table, records, store.has) < len(records):
-                engine._compact()  # truncate the dropped suffix for good
+            engine.heads = Heads(store, journal, journal_limit)
         except BaseException:
             # A failed open persists nothing and keeps no handle.
             if journal is not None:
@@ -388,55 +378,6 @@ class ForkBase:
         finally:
             handle.close()
 
-    def _journal_op(
-        self, op: str, undo: Optional[Callable[[], None]] = None, **fields: object
-    ) -> None:
-        """Append one head mutation to the commit journal (then maybe compact).
-
-        The in-memory table has already applied (and CAS-validated) the
-        mutation; the journal append makes it durable before the verb
-        returns — a crash in between loses only an *unacknowledged* op.
-        When the append is the journal's fsync point, the chunk store is
-        synced first: no head becomes durable before the chunks under it.
-        If the sync or the append fails on a disk fault, ``undo`` rolls
-        the in-memory table back so it matches what recovery will
-        reconstruct: the verb raises with the op cleanly un-acked, never
-        half-applied.
-        """
-        if self._journal is None:
-            return
-        record: Dict[str, object] = {"op": op, **fields}
-        try:
-            if self._journal.sync_due:
-                self.store.sync()
-            self._journal.append(record)
-        except (DiskFullError, DiskFaultError):
-            if undo is not None:
-                undo()
-            raise
-        if self._journal.size() - self._journal.checkpoint_size >= self._journal_limit:
-            try:
-                self._compact()
-            except DiskFullError:
-                # Deferred, not lost: the op itself is acked and durable
-                # in the journal; the checkpoint just could not fit.  The
-                # journal keeps growing until space frees up.
-                pass
-
-    def _compact(self) -> None:
-        """Checkpoint the branch table: the journal becomes one record per head.
-
-        The chunks under every head are synced first, so the checkpoint
-        never names a commit that is not durable;
-        :meth:`CommitJournal.reset` then replaces the journal atomically,
-        and a crash before its rename leaves the old journal, which
-        replays to the same table.
-        """
-        if self._journal is None:
-            return
-        self.store.sync()
-        self._journal.reset(checkpoint(self.branch_table))
-
     def close(self) -> None:
         """Checkpoint branch heads (if durable) and close the store.
 
@@ -448,21 +389,12 @@ class ForkBase:
             self.abandon()
             return
         try:
-            if self._journal is not None:
-                try:
-                    self._compact()
-                    self._journal.close()
-                    self._journal = None
-                except (DiskFullError, DiskFaultError) as exc:
-                    self._degrade(str(exc))
-                    self.abandon()
-                    raise
-            try:
-                self.store.close()
-            except (DiskFullError, DiskFaultError) as exc:
-                self._degrade(str(exc))
-                self.abandon()
-                raise
+            self.heads.close()
+            self.store.close()
+        except (DiskFullError, DiskFaultError) as exc:
+            self._degrade(str(exc))
+            self.abandon()
+            raise
         finally:
             self._release_lock(self._lock_handle)
             self._lock_handle = None
@@ -475,9 +407,7 @@ class ForkBase:
         exactly as the last append left it — recovery happens in the
         next :meth:`open`.
         """
-        if self._journal is not None:
-            self._journal.abandon()
-            self._journal = None
+        self.heads.abandon()
         self.store.abandon()
         self._release_lock(self._lock_handle)
         self._lock_handle = None
@@ -503,7 +433,7 @@ class ForkBase:
                 raise UnknownKeyError(f"{key}@{uid.short(16)}")
             return uid
         branch = branch or DEFAULT_BRANCH
-        return self.branch_table.head(key, branch)
+        return self.heads.table.head(key, branch)
 
     def _load_fnode(
         self, key: str, branch: Optional[str], version: Optional[Union[Uid, str]]
@@ -530,8 +460,8 @@ class ForkBase:
         bases: Tuple[Uid, ...] = ()
         expected: Optional[Uid] = None
         onto: Optional[FObject] = None
-        if self.branch_table.has_branch(key, branch):
-            parent_uid = self.branch_table.head(key, branch)
+        if self.heads.table.has_branch(key, branch):
+            parent_uid = self.heads.table.head(key, branch)
             parent = self.graph.load(parent_uid)
             # Checked before the value is wrapped: a plain value of the
             # wrong type must not leave its chunks behind.
@@ -559,21 +489,8 @@ class ForkBase:
         uid = self.graph.commit(fnode)
         # CAS against the parent this commit was derived from: if another
         # writer moved the head in between, fail instead of orphaning them.
-        self.branch_table.set_head(key, branch, uid, expected=expected)
-
-        def _undo() -> None:
-            if expected is not None:
-                self.branch_table.set_head(key, branch, expected)
-            else:
-                self.branch_table.delete(key, branch)
-
-        self._journal_op(
-            "set-head",
-            key=key,
-            branch=branch,
-            head=uid.base32(),
-            prev=expected.base32() if expected is not None else None,
-            undo=_undo,
+        self.heads.move(
+            {"op": "set-head", "key": key, "branch": branch, "head": uid, "prev": expected}
         )
         return VersionInfo(key, branch, uid, obj.TYPE_NAME, fnode.author, message)
 
@@ -609,27 +526,27 @@ class ForkBase:
 
     def head(self, key: str, branch: str = DEFAULT_BRANCH) -> Uid:
         """Current head version of a branch."""
-        return self.branch_table.head(key, branch)
+        return self.heads.table.head(key, branch)
 
     def latest(self, key: str) -> Dict[str, Uid]:
         """All branch heads for a key."""
-        return self.branch_table.heads(key)
+        return self.heads.table.heads(key)
 
     def keys(self) -> List[str]:
         """All data keys (the List verb)."""
-        return self.branch_table.keys()
+        return self.heads.table.keys()
 
     def exists(self, key: str, branch: Optional[str] = None) -> bool:
         """Does the key (and optionally the branch) exist?"""
         if branch is None:
-            return key in self.branch_table.keys()
-        return self.branch_table.has_branch(key, branch)
+            return key in self.heads.table.keys()
+        return self.heads.table.has_branch(key, branch)
 
     def branches(self, key: str) -> List[str]:
         """Branch names for a key."""
-        if key not in self.branch_table.keys():
+        if key not in self.heads.table.keys():
             raise UnknownKeyError(key)
-        return self.branch_table.branches(key)
+        return self.heads.table.branches(key)
 
     @_writable_verb
     def branch(
@@ -641,14 +558,7 @@ class ForkBase:
     ) -> Uid:
         """Fork a branch from another branch's head or from a version."""
         head = self._resolve(key, from_branch, version)
-        self.branch_table.create(key, new_branch, head)
-        self._journal_op(
-            "create-branch",
-            key=key,
-            branch=new_branch,
-            head=head.base32(),
-            undo=lambda: self.branch_table.delete(key, new_branch),
-        )
+        self.heads.move({"op": "create-branch", "key": key, "branch": new_branch, "head": head})
         return head
 
     fork = branch  # the paper uses both words for the same operation
@@ -656,51 +566,24 @@ class ForkBase:
     @_writable_verb
     def rename_branch(self, key: str, old: str, new: str) -> None:
         """Rename a branch (head preserved)."""
-        self.branch_table.rename(key, old, new)
-        self._journal_op(
-            "rename-branch",
-            key=key,
-            old=old,
-            new=new,
-            undo=lambda: self.branch_table.rename(key, new, old),
-        )
+        self.heads.move({"op": "rename-branch", "key": key, "old": old, "new": new})
 
     @_writable_verb
     def delete_branch(self, key: str, branch: str) -> None:
         """Drop a branch head; its versions remain addressable."""
-        head = self.branch_table.head(key, branch)
-        self.branch_table.delete(key, branch)
-        self._journal_op(
-            "delete-branch",
-            key=key,
-            branch=branch,
-            undo=lambda: self.branch_table.set_head(key, branch, head),
-        )
+        self.heads.move({"op": "delete-branch", "key": key, "branch": branch})
 
     @_writable_verb
     def rename(self, key: str, new_key: str) -> None:
         """Rename a data key (branch heads move; history keeps old name)."""
-        self.branch_table.rename_key(key, new_key)
-        self._journal_op(
-            "rename-key",
-            old=key,
-            new=new_key,
-            undo=lambda: self.branch_table.rename_key(new_key, key),
-        )
+        self.heads.move({"op": "rename-key", "old": key, "new": new_key})
 
     @_writable_verb
     def drop(self, key: str) -> None:
         """Forget every branch head of ``key`` (versions stay addressable)."""
-        if key not in self.branch_table.keys():
+        if key not in self.heads.table.keys():
             raise UnknownKeyError(key)
-        heads = self.branch_table.heads(key)
-
-        def _undo() -> None:
-            for branch, head in heads.items():
-                self.branch_table.set_head(key, branch, head)
-
-        self.branch_table.drop_key(key)
-        self._journal_op("drop-key", key=key, undo=_undo)
+        self.heads.move({"op": "drop-key", "key": key})
 
     def history(
         self,
@@ -715,7 +598,7 @@ class ForkBase:
 
     def meta(self, key: str, branch: str = DEFAULT_BRANCH) -> Dict[str, object]:
         """The Meta verb: descriptive facts about a branch head."""
-        head = self.branch_table.head(key, branch)
+        head = self.heads.table.head(key, branch)
         fnode = self.graph.load(head)
         obj = load_object(self.store, fnode.type_name, fnode.value_root)
         size: Optional[int]
@@ -735,7 +618,7 @@ class ForkBase:
             "timestamp": fnode.timestamp,
             "bases": [base.base32() for base in fnode.bases],
             "size": size,
-            "branches": self.branch_table.branches(key),
+            "branches": self.heads.table.branches(key),
         }
 
     # -- diff / merge -------------------------------------------------------------------
@@ -788,8 +671,8 @@ class ForkBase:
         values merge at sub-tree granularity; other types merge only when
         one side is unchanged (or via ``resolver`` on whole values).
         """
-        head_into = self.branch_table.head(key, into_branch)
-        head_from = self.branch_table.head(key, from_branch)
+        head_into = self.heads.table.head(key, into_branch)
+        head_from = self.heads.table.head(key, from_branch)
         if head_into == head_from or self.graph.is_ancestor(head_from, head_into):
             fnode = self.graph.load(head_into)
             return VersionInfo(
@@ -798,15 +681,8 @@ class ForkBase:
             )
         if self.graph.is_ancestor(head_into, head_from):
             # Fast-forward: no new commit needed, the head just advances.
-            self.branch_table.set_head(key, into_branch, head_from, expected=head_into)
-            self._journal_op(
-                "set-head",
-                key=key,
-                branch=into_branch,
-                head=head_from.base32(),
-                prev=head_into.base32(),
-                undo=lambda: self.branch_table.set_head(key, into_branch, head_into),
-            )
+            self.heads.move({"op": "set-head", "key": key, "branch": into_branch,
+                             "head": head_from, "prev": head_into})
             fnode = self.graph.load(head_from)
             return VersionInfo(
                 key, into_branch, head_from, fnode.type_name, fnode.author,
@@ -835,15 +711,8 @@ class ForkBase:
             timestamp=float(self._clock()),
         )
         uid = self.graph.commit(fnode)
-        self.branch_table.set_head(key, into_branch, uid, expected=head_into)
-        self._journal_op(
-            "set-head",
-            key=key,
-            branch=into_branch,
-            head=uid.base32(),
-            prev=head_into.base32(),
-            undo=lambda: self.branch_table.set_head(key, into_branch, head_into),
-        )
+        self.heads.move({"op": "set-head", "key": key, "branch": into_branch,
+                         "head": uid, "prev": head_into})
         return VersionInfo(
             key, into_branch, uid, fnode.type_name, fnode.author, fnode.message
         )
@@ -953,7 +822,7 @@ class ForkBase:
 
         if self._health == HEALTH_HEALTHY:
             try:
-                self._compact()
+                self.heads.checkpoint()
             except DiskFaultError as exc:
                 self._degrade(str(exc))
         return scrub(self.store)
@@ -967,7 +836,7 @@ class ForkBase:
         from repro.store.gc import collect_garbage
 
         if not dry_run:
-            self._compact()
+            self.heads.checkpoint()
         return collect_garbage(self, dry_run=dry_run, compact=compact)
 
     # -- storage accounting ----------------------------------------------------------

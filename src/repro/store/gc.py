@@ -99,7 +99,7 @@ def collect_garbage(
     returned to the OS.
     """
     store = engine.store
-    roots = [head for _, _, head in engine.branch_table.all_heads()]
+    roots = [head for _, _, head in engine.heads.table.all_heads()]
     roots.extend(extra_roots)
     live = mark_live(store, roots)
 

@@ -6,9 +6,9 @@ Merkle store on purpose: under the paper's threat model the storage is
 untrusted, and it is the client's record of branch heads that anchors
 tamper-evidence validation.
 
-A durable :class:`repro.db.engine.ForkBase` persists it in one file,
-the commit journal (:mod:`repro.vcs.journal`): a checkpoint of every
-head, then the head moves made since.
+An engine changes it only through :class:`repro.vcs.heads.Heads`, which
+on a durable engine persists it in the commit journal
+(:mod:`repro.vcs.journal`): a checkpoint, then the head moves since.
 """
 
 from __future__ import annotations

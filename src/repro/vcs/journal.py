@@ -262,7 +262,9 @@ class CommitJournal:
 
 def _frame(record: Mapping[str, object]) -> bytes:
     """One record as it lies in the file: header, then canonical JSON."""
-    payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = json.dumps(
+        record, sort_keys=True, separators=(",", ":"), default=Uid.base32
+    ).encode("utf-8")
     return _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
 
 
@@ -277,7 +279,10 @@ def checkpoint(table: BranchTable) -> List[Record]:
 
 
 def apply_record(
-    table: BranchTable, record: Mapping[str, object], holds: Callable[[Uid], bool]
+    table: BranchTable,
+    record: Mapping[str, object],
+    holds: Callable[[Uid], bool],
+    live: bool = False,
 ) -> bool:
     """Apply one journal record to a branch table; False, and nothing
     applied, for a ``set-head`` or ``create-branch`` made since the last
@@ -286,15 +291,25 @@ def apply_record(
     Replay is unconditional (no CAS): the journal *is* the serialization
     order, so re-checking expectations would only re-litigate history.
     A record that cannot apply means the journal lost an op, which is
-    corruption, not a conflict.
+    corruption, not a conflict.  A ``live`` move, not yet journaled, is
+    checked instead: a ``set-head`` is a compare-and-swap on its ``prev``,
+    and ``HeadMovedError``, ``BranchExistsError`` and
+    ``UnknownBranchError`` raise as they are.  Heads are Uids or base32.
     """
     op = record.get("op")
     try:
         if op == "set-head" or op == "create-branch":
-            head = Uid.from_base32(str(record["head"]))
-            if not record.get("checkpoint") and not holds(head):
-                return False
-            table.set_head(str(record["key"]), str(record["branch"]), head)
+            raw = record["head"]
+            head = raw if isinstance(raw, Uid) else Uid.from_base32(str(raw))
+            key, branch = str(record["key"]), str(record["branch"])
+            if not live:
+                if not record.get("checkpoint") and not holds(head):
+                    return False
+                table.set_head(key, branch, head)
+            elif op == "create-branch":
+                table.create(key, branch, head)
+            else:
+                table.set_head(key, branch, head, expected=record["prev"])
         elif op == "rename-branch":
             table.rename(str(record["key"]), str(record["old"]), str(record["new"]))
         elif op == "delete-branch":
@@ -308,6 +323,8 @@ def apply_record(
     except JournalCorruptError:
         raise
     except (VersionError, KeyError, ValueError) as exc:
+        if live:
+            raise
         raise JournalCorruptError(f"journal op {op!r} does not apply: {exc}") from exc
     return True
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 import os
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import settings
 
+from repro.chunk import Uid
 from repro.db.engine import ForkBase
 from repro.errors import TransientStoreError
 from repro.faults.retry import DeadlineLike, RetryPolicy
@@ -38,6 +39,15 @@ def pin_clock(engine: ForkBase) -> None:
     so a fault suite's census (uid labels included) is the same each run."""
     counter = itertools.count(1)
     engine._clock = lambda: float(next(counter))
+
+
+#: Every branch head of an engine, as :func:`head_map` returns it.
+HeadMap = Dict[Tuple[str, str], Uid]
+
+
+def head_map(engine: ForkBase) -> HeadMap:
+    """``{(key, branch): head}`` for every branch head of ``engine``."""
+    return {(key, branch): head for key, branch, head in engine.heads.table.all_heads()}
 
 
 #: Attempts of the policy :func:`check_k_failures` drives.

@@ -21,7 +21,7 @@ import glob
 import os
 import random
 import shutil
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import pytest
 
@@ -33,18 +33,13 @@ from repro.store import FileStore, PackStore
 from repro.store.appendlog import TAIL_LIMIT
 from repro.store.base import physical_store
 from repro.store.durability import DiskInjector, install_injector
-
-HeadMap = Dict[Tuple[str, str], Uid]
-
-
-def _heads(engine: ForkBase) -> HeadMap:
-    return {(key, branch): head for key, branch, head in engine.branch_table.all_heads()}
+from tests.conftest import HeadMap, head_map
 
 
 def _assert_prefix_that_verifies(engine: ForkBase, history: List[HeadMap]) -> None:
     """The recovered table is one of the acked states, and every head in
     it passes tamper validation."""
-    state = _heads(engine)
+    state = head_map(engine)
     assert state in history, f"recovered {sorted(state)} is not a prefix of acked history"
     for key, branch in state:
         assert engine.verify(key, branch).ok, (key, branch)
@@ -78,10 +73,10 @@ def test_power_loss_after_default_puts_recovers_no_dangling_head(tmp_path, backe
     history: List[HeadMap] = []
     try:
         engine = ForkBase.open(directory, backend=backend)  # fsync="batch"
-        history.append(_heads(engine))
+        history.append(head_map(engine))
         for i in range(20):
             engine.put(f"key-{i}", {"n": str(i)})
-            history.append(_heads(engine))
+            history.append(head_map(engine))
         engine.abandon()
     finally:
         install_injector(previous)
@@ -90,11 +85,11 @@ def test_power_loss_after_default_puts_recovers_no_dangling_head(tmp_path, backe
     recovered = ForkBase.open(directory)
     assert recovered.health().state == HEALTH_HEALTHY
     _assert_prefix_that_verifies(recovered, history)
-    state = _heads(recovered)
+    state = head_map(recovered)
     recovered.close()
     # Recovery rewrote the journal: the dropped records are gone for good.
     again = ForkBase.open(directory)
-    assert _heads(again) == state
+    assert head_map(again) == state
     again.close()
 
 
@@ -108,26 +103,26 @@ def test_failed_store_fsync_recovers_no_dangling_head(tmp_path, backend):
     with ForkBase.open(directory, backend=backend) as engine:
         engine.put("before", {"a": "1"})
     engine = ForkBase.open(directory, backend=backend)
-    history = [_heads(engine)]
+    history = [head_map(engine)]
     rng = random.Random(1)
     blob = 300_000
     with fs_zone(FsFaultPlan(seed=1, fsync_fail_rate=1.0)):
         with pytest.raises(DiskFaultError):
             for i in range(2 * TAIL_LIMIT // blob):
                 engine.put(f"blob-{i}", rng.randbytes(blob))
-                history.append(_heads(engine))
+                history.append(head_map(engine))
     assert len(history) > 2  # some puts were acked before the fault
     assert engine.health().state == HEALTH_DEGRADED
     # The degraded engine re-derived its table with recovery's replay...
     _assert_prefix_that_verifies(engine, history)
-    running = _heads(engine)
+    running = head_map(engine)
     assert ("before", "master") in running
     engine.close()
 
     # ...so it serves exactly what a reopen on a healthy disk recovers.
     recovered = ForkBase.open(directory)
     assert recovered.health().state == HEALTH_HEALTHY
-    assert _heads(recovered) == running
+    assert head_map(recovered) == running
     _assert_prefix_that_verifies(recovered, history)
     recovered.close()
 
@@ -158,11 +153,11 @@ def test_any_cut_of_the_chunk_log_recovers_heads_that_verify(tmp_path, backend):
     engine = ForkBase.open(source, backend=backend)
     (segment,) = glob.glob(os.path.join(source, "chunks", "*", "*-*.dat"))
     synced = os.path.getsize(segment)
-    history = [_heads(engine)]
+    history = [head_map(engine)]
     ends = []
     for n in range(3):
         engine.put("doc", {f"k{i:04d}": f"v{n}" * 20 for i in range(300)})
-        history.append(_heads(engine))
+        history.append(head_map(engine))
         ends.append(os.path.getsize(segment))
     engine.abandon()
     step = max(1, (ends[-1] - synced) // 40)
@@ -174,7 +169,7 @@ def test_any_cut_of_the_chunk_log_recovers_heads_that_verify(tmp_path, backend):
         os.truncate(os.path.join(directory, os.path.relpath(segment, source)), cut)
         recovered = ForkBase.open(directory, backend=backend)
         _assert_prefix_that_verifies(recovered, history)
-        recovered_docs.add(_heads(recovered).get(("doc", "master")))
+        recovered_docs.add(head_map(recovered).get(("doc", "master")))
         recovered.close()
     assert recovered_docs == {None} | {state[("doc", "master")] for state in history[1:]}
 
@@ -212,11 +207,11 @@ def test_gc_then_a_crash_keeps_every_later_head(tmp_path, backend, compact):
     if not compact:
         _land_index(engine)
     engine.put("j", {"j": "1"})
-    expected = _heads(engine)
+    expected = head_map(engine)
     engine.abandon()
 
     recovered = ForkBase.open(directory)
-    assert _heads(recovered) == expected
+    assert head_map(recovered) == expected
     _assert_prefix_that_verifies(recovered, [expected])
     recovered.close()
 
@@ -230,16 +225,16 @@ def test_gc_then_a_degrading_fault_keeps_every_later_head(tmp_path, backend):
     engine.drop("k")
     engine.collect_garbage()
     engine.put("j", {"j": "1"})
-    expected = _heads(engine)
+    expected = head_map(engine)
     with fs_zone(FsFaultPlan(seed=1, fsync_fail_rate=1.0)):
         with pytest.raises(DiskFaultError):
             engine.put("x", {"x": "1"})
     assert engine.health().state == HEALTH_DEGRADED
-    assert _heads(engine) == expected
+    assert head_map(engine) == expected
     engine.close()
 
     recovered = ForkBase.open(directory)
-    assert _heads(recovered) == expected
+    assert head_map(recovered) == expected
     _assert_prefix_that_verifies(recovered, [expected])
     recovered.close()
 
@@ -253,13 +248,13 @@ def test_a_deleted_checkpoint_head_dangles_and_the_rest_survive(tmp_path, backen
     with ForkBase.open(directory, backend=backend) as engine:
         first = engine.put("a", {"a": "1"}).uid
         engine.put("b", {"b": "1"})
-        expected = _heads(engine)
+        expected = head_map(engine)
     store = {"file": FileStore, "pack": PackStore}[backend](os.path.join(directory, "chunks"))
     assert store.delete(first)
     store.close()
 
     recovered = ForkBase.open(directory)
-    assert _heads(recovered) == expected
+    assert head_map(recovered) == expected
     assert not recovered.verify("a").ok
     assert recovered.verify("b").ok
     recovered.close()
@@ -277,11 +272,11 @@ def test_scrub_quarantining_a_head_keeps_every_later_head(tmp_path, backend):
     assert engine.scrub().corrupt_uids == [rotten]
     _land_index(engine)
     engine.put("j", {"j": "1"})
-    expected = _heads(engine)
+    expected = head_map(engine)
     engine.abandon()
 
     recovered = ForkBase.open(directory)
-    assert _heads(recovered) == expected
+    assert head_map(recovered) == expected
     assert not recovered.verify("k").ok
     assert recovered.verify("base").ok and recovered.verify("j").ok
     recovered.close()

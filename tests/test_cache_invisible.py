@@ -216,7 +216,7 @@ class _Driver:
     def final_state(self) -> Any:
         db = self.db
         state = []
-        for key, branch, head in sorted(db.branch_table.all_heads()):
+        for key, branch, head in sorted(db.heads.table.all_heads()):
             state.append((
                 key, branch, head.hex(),
                 db.get(key, branch).root.hex(),
@@ -241,7 +241,7 @@ def _clustered(cached: bool) -> Callable[[], ForkBase]:
 
     def open_engine() -> ForkBase:
         db = ForkBase(store)
-        db.branch_table = heads
+        db.heads.table = heads
         return db
 
     return open_engine
@@ -322,7 +322,7 @@ def _default_engine_script(db: ForkBase) -> Tuple[list, list, list, list]:
     report = db.collect_garbage()
     assert report.swept_chunks > 0
     answers.append((report.live_chunks, report.swept_chunks))
-    heads = sorted(db.branch_table.all_heads())
+    heads = sorted(db.heads.table.all_heads())
     values = [
         (key, branch, db.get(key, branch).root, db.get_value(key, branch))
         for key, branch, _ in heads

@@ -130,7 +130,7 @@ def test_sweeping_through_delete_evicts():
     assert doomed_head in cluster.node_cache.entries
     db.delete_branch("doomed", "master")
     # The sweep gc runs: delete everything no head reaches.
-    heads = [head for _, _, head in db.branch_table.all_heads()]
+    heads = [head for _, _, head in db.heads.table.all_heads()]
     live = mark_live(cluster, heads)
     doomed = [uid for uid in cluster.ids() if uid not in live]
     assert doomed_head in doomed
@@ -202,7 +202,7 @@ def test_client_reads_still_reach_the_replicas():
     # engine reads the same version from its cache, sending nothing.
     expected = client.get_value("doc")
     coordinator = _engine(cluster)
-    coordinator.branch_table = client.branch_table
+    coordinator.heads.table = client.heads.table
     sent = cluster.transport.messages_sent
     assert coordinator.get_value("doc") == expected
     assert cluster.transport.messages_sent == sent

@@ -36,7 +36,7 @@ from repro.faults.fs import TARGETED_FLAVORS
 from repro.faults.kernel import Boundary
 from repro.store import physical_store
 from repro.vcs import CommitJournal
-from tests.conftest import fault_seed, pin_clock
+from tests.conftest import HeadMap, fault_seed, head_map, pin_clock
 
 SEED = fault_seed(20260805)
 
@@ -44,12 +44,6 @@ SEED = fault_seed(20260805)
 JOURNAL_LIMIT = 700
 
 BACKENDS = ("file", "pack")
-
-HeadMap = Dict[Tuple[str, str], Uid]
-
-
-def _heads(engine: ForkBase) -> HeadMap:
-    return {(key, branch): head for key, branch, head in engine.branch_table.all_heads()}
 
 
 def _ops(engine: ForkBase) -> List:
@@ -60,7 +54,9 @@ def _ops(engine: ForkBase) -> List:
         lambda: engine.put("doc", {"a": "2", "pad": "x" * 48}),
         lambda: engine.branch("doc", "dev"),
         lambda: engine.put("doc", {"a": "3", "pad": "x" * 48}, branch="dev"),
-        lambda: engine.merge("doc", "dev", "master"),  # fast-forward
+        lambda: engine.put("doc", {"a": "2", "b": "1", "pad": "x" * 48}),
+        lambda: engine.merge("doc", "dev", "master"),  # three-way
+        lambda: engine.merge("doc", "master", "dev"),  # fast-forward
         lambda: engine.rename_branch("doc", "dev", "stable"),
         lambda: engine.delete_branch("doc", "stable"),
         lambda: engine.put("blob", "payload " * 6),
@@ -85,13 +81,13 @@ def _run_workload(directory: str, acked: List[HeadMap], backend: str) -> None:
             directory, fsync="always", journal_limit=JOURNAL_LIMIT, backend=backend
         )
         pin_clock(engine)
-        acked.append(_heads(engine))
+        acked.append(head_map(engine))
         for op in _ops(engine):
             op()
-            acked.append(_heads(engine))
+            acked.append(head_map(engine))
         engine.close()
     except SimulatedCrash:
-        acked.append(_heads(engine) if engine is not None else {})
+        acked.append(head_map(engine) if engine is not None else {})
         if engine is not None:
             engine.abandon()
         raise
@@ -159,7 +155,7 @@ def test_torture_every_crash_point(tmp_path, backend):
             allowed.append(acked[-2])
 
         recovered = ForkBase.open(directory, backend=backend)
-        state = _heads(recovered)
+        state = head_map(recovered)
         context = f"boundary {boundary} ({hit.kind}/{hit.label}, {backend})"
         assert state in allowed, (
             f"{context}: recovered {sorted(state)} is neither the "
@@ -173,10 +169,10 @@ def test_torture_every_crash_point(tmp_path, backend):
         # Replay idempotence: recovery reaches a fixed point — a second
         # (and third) open sees the identical head map.
         again = ForkBase.open(directory, backend=backend)
-        assert _heads(again) == state, f"{context}: replay not idempotent"
+        assert head_map(again) == state, f"{context}: replay not idempotent"
         again.close()
         once_more = ForkBase.open(directory, backend=backend)
-        assert _heads(once_more) == state, context
+        assert head_map(once_more) == state, context
         once_more.close()
 
 
@@ -191,7 +187,7 @@ def test_crash_during_recovery_is_survivable(tmp_path):
     engine = ForkBase.open(source)
     engine.put("k", {"a": "1"})
     engine.branch("k", "dev")
-    state = _heads(engine)
+    state = head_map(engine)
     engine.close()
     journal = CommitJournal(os.path.join(source, "journal.wal"))
     journal.append({"op": "set-head", "key": "k", "branch": "master",
@@ -224,7 +220,7 @@ def test_crash_during_recovery_is_survivable(tmp_path):
             if crashed is not None:
                 crashed.abandon()
         final = ForkBase.open(directory)
-        assert _heads(final) == state, f"recovery crash at boundary {boundary}"
+        assert head_map(final) == state, f"recovery crash at boundary {boundary}"
         final.close()
         rewritten = CommitJournal(os.path.join(directory, "journal.wal"))
         assert len(rewritten) == len(state)  # the checkpoint, nothing else
@@ -243,7 +239,7 @@ def test_a_cli_put_crash_at_every_boundary_ends_the_process(tmp_path, monkeypatc
     with ForkBase.open(source, backend=backend) as engine:
         engine.put("doc", {"a": "old"})
         engine.put("other", {"b": "kept"})
-        heads = _heads(engine)
+        heads = head_map(engine)
     new = {"a": "new", "pad": "x" * 48}
     argv = ["put", "doc", "--json", json.dumps(new)]
     values = [{b"a": b"old"}, {key.encode(): text.encode() for key, text in new.items()}]
@@ -276,7 +272,7 @@ def test_a_cli_put_crash_at_every_boundary_ends_the_process(tmp_path, monkeypatc
         while opened:  # the OS closes a killed process's files
             opened.pop().abandon()
         with ForkBase.open(directory, backend=backend) as recovered:
-            state = _heads(recovered)
+            state = head_map(recovered)
             assert state.keys() == heads.keys(), context
             for key, branch in state:
                 assert recovered.verify(key, branch).ok, context
@@ -294,7 +290,7 @@ def _csv(changes: Dict[int, str], rows: int = 40) -> str:
 
 def _values(engine: ForkBase) -> Dict[Tuple[str, str], object]:
     """Every head's value: what a reopened directory must serve."""
-    return {(key, branch): engine.get_value(key, branch=branch) for key, branch in _heads(engine)}
+    return {(key, branch): engine.get_value(key, branch=branch) for key, branch in head_map(engine)}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -364,7 +360,7 @@ def test_a_cli_session_crash_at_every_boundary_keeps_what_it_acked(tmp_path, mon
         while opened:  # the OS closes a killed process's files
             opened.pop().abandon()
         with real_open(directory, backend=backend) as recovered:
-            for key, branch in _heads(recovered):
+            for key, branch in head_map(recovered):
                 assert recovered.verify(key, branch).ok, context
             assert _values(recovered) in states[dying : dying + 2], context
         shutil.rmtree(directory)

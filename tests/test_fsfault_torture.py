@@ -25,17 +25,16 @@ deterministic rotation (slower, same coverage over time).
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
-from repro.chunk import Uid
 from repro.db.engine import HEALTH_DEGRADED, HEALTH_HEALTHY, ForkBase
 from repro.errors import DiskFaultError, DiskFullError, ReadOnlyError
 from repro.faults import FsFaultPlan, fs_zone
 from repro.faults.fs import TARGETED_FLAVORS
 from repro.faults.kernel import Boundary
-from tests.conftest import fault_seed, pin_clock
+from tests.conftest import HeadMap, fault_seed, head_map, pin_clock
 
 SEED = fault_seed(20260805)
 FULL = os.environ.get("FORKBASE_FSFAULT_FULL") == "1"
@@ -46,12 +45,6 @@ JOURNAL_LIMIT = 600
 
 BACKENDS = ("file", "pack")
 
-HeadMap = Dict[Tuple[str, str], Uid]
-
-
-def _heads(engine: ForkBase) -> HeadMap:
-    return {(key, branch): head for key, branch, head in engine.branch_table.all_heads()}
-
 
 def _ops(engine: ForkBase) -> List:
     """Every journaled verb, with enough volume for one compaction."""
@@ -60,8 +53,11 @@ def _ops(engine: ForkBase) -> List:
         lambda: engine.put("doc", {"a": "2", "pad": "x" * 48}),
         lambda: engine.branch("doc", "dev"),
         lambda: engine.put("doc", {"a": "3", "pad": "y" * 48}, branch="dev"),
-        lambda: engine.merge("doc", "dev", "master"),  # fast-forward
-        lambda: engine.delete_branch("doc", "dev"),
+        lambda: engine.put("doc", {"a": "2", "b": "1", "pad": "x" * 48}),
+        lambda: engine.merge("doc", "dev", "master"),  # three-way
+        lambda: engine.merge("doc", "master", "dev"),  # fast-forward
+        lambda: engine.rename_branch("doc", "dev", "stable"),
+        lambda: engine.delete_branch("doc", "stable"),
         lambda: engine.put("blob", "payload " * 6),
         lambda: engine.rename("blob", "data"),
         lambda: engine.put("bulk", {"i": "0", "pad": "z" * 64}),
@@ -94,15 +90,15 @@ def _run_workload(
     except (DiskFullError, DiskFaultError):
         return "open-failed", None
     pin_clock(engine)
-    acked.append(_heads(engine))
+    acked.append(head_map(engine))
     try:
         for op in _ops(engine):
             op()
-            acked.append(_heads(engine))
+            acked.append(head_map(engine))
         engine.close()
         return "completed", engine
     except (DiskFullError, DiskFaultError):
-        acked.append(_heads(engine))
+        acked.append(head_map(engine))
         return "faulted", engine
 
 
@@ -156,7 +152,7 @@ def test_torture_every_fs_boundary(tmp_path, backend):
                         # Degraded mode: reads serve, writes refuse.  (A
                         # fault *during close* degrades after the store is
                         # already shut; reads are only owed before that.)
-                        state = _heads(engine)
+                        state = head_map(engine)
                         store_open = not getattr(engine.store, "_closed", False)
                         if ("doc", "master") in state and store_open:
                             assert engine.get("doc") is not None, context
@@ -169,7 +165,7 @@ def test_torture_every_fs_boundary(tmp_path, backend):
             if len(acked) > 1:
                 allowed.append(acked[-2])
             recovered = ForkBase.open(directory)
-            state = _heads(recovered)
+            state = head_map(recovered)
             assert recovered.health().state == HEALTH_HEALTHY, context
             if status == "completed":
                 # Nothing faulted after the last ack: recovery is exact.
@@ -187,5 +183,5 @@ def test_torture_every_fs_boundary(tmp_path, backend):
 
             # Recovery reaches a fixed point: reopening changes nothing.
             again = ForkBase.open(directory)
-            assert ("probe", "master") in _heads(again), context
+            assert ("probe", "master") in head_map(again), context
             again.close()

@@ -532,6 +532,65 @@ def test_degraded_write_is_cleanly_unacked(tmp_path):
     engine.close()
 
 
+class _FullFrom(FsFaultPlan):
+    """The disk fills at boundary ``fail_at``: that write and every later
+    one hit ENOSPC, so an append's bounded retry runs out."""
+
+    def decide(self, syscall, label, attempt, index):
+        return "enospc" if syscall == "write" and index >= self.fail_at else None
+
+
+def _heads_to_move(engine):
+    """A ``doc`` whose ``ff`` can fast-forward ``master`` and whose
+    ``side`` merges three ways into ``ff``, and an ``other`` key."""
+    engine.put("doc", {"a": "1"})
+    for branch in ("ff", "side"):
+        engine.branch("doc", branch)
+        engine.put("doc", {"a": "1", branch: "2"}, branch=branch)
+    engine.put("other", {"x": "1"})
+
+
+#: The eight ways a verb moves a head, and whether it writes chunks first.
+HEAD_MOVES = {
+    "put": (True, lambda engine: engine.put("doc", {"a": "9"})),
+    "branch": (False, lambda engine: engine.branch("doc", "new")),
+    "rename_branch": (False, lambda engine: engine.rename_branch("doc", "side", "new")),
+    "delete_branch": (False, lambda engine: engine.delete_branch("doc", "side")),
+    "rename": (False, lambda engine: engine.rename("other", "new")),
+    "drop": (False, lambda engine: engine.drop("other")),
+    "merge_fast_forward": (True, lambda engine: engine.merge("doc", "ff", "master")),
+    "merge_three_way": (True, lambda engine: engine.merge("doc", "side", "ff")),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(HEAD_MOVES))
+def test_a_head_move_the_journal_cannot_take_is_cleanly_unacked(tmp_path, verb):
+    # A verb that writes chunks first gets a full disk from its journal
+    # write on (found by a census of a twin engine); the others get a
+    # disk that takes no write at all.
+    writes_chunks, move = HEAD_MOVES[verb]
+    plan = FsFaultPlan(enospc_rate=1.0)
+    if writes_chunks:
+        twin = _open_engine(tmp_path / "census")
+        _heads_to_move(twin)
+        with fs_zone(FsFaultPlan()) as census:
+            move(twin)
+        twin.close()
+        append = next(hit for hit in census.trace if (hit.kind, hit.label) == ("write", "set-head"))
+        plan = _FullFrom(fail_at=append.index)
+    engine = _open_engine(tmp_path)
+    _heads_to_move(engine)
+    heads = {key: engine.latest(key) for key in engine.keys()}
+    with fs_zone(plan):
+        with pytest.raises(DiskFullError):
+            move(engine)
+    assert engine.health().state == HEALTH_HEALTHY
+    assert {key: engine.latest(key) for key in engine.keys()} == heads
+    engine.close()
+    with ForkBase.open(str(tmp_path / "db")) as reopened:
+        assert {key: reopened.latest(key) for key in reopened.keys()} == heads
+
+
 def test_reopen_recovers_from_degraded_state(tmp_path):
     engine = _open_engine(tmp_path)
     engine.put("doc", {"a": "1"})

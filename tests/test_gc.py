@@ -13,6 +13,7 @@ from repro.faults.fs import TARGETED_FLAVORS
 from repro.security import Verifier
 from repro.store import physical_store
 from repro.store.gc import collect_garbage, mark_live
+from tests.conftest import head_map
 
 
 @pytest.fixture
@@ -99,7 +100,7 @@ class TestCollect:
             if engine.store.get(uid).type == ChunkType.FNODE
             and uid not in mark_live(
                 engine.store,
-                [h for _, _, h in engine.branch_table.all_heads()],
+                [h for _, _, h in engine.heads.table.all_heads()],
             )
         ]
         pinned = doomed_fnodes[0]
@@ -144,10 +145,6 @@ class TestCompaction:
             assert Verifier(engine.store).verify_version(engine.head("keep")).ok
 
 
-def _heads(engine):
-    return {(key, branch): head for key, branch, head in engine.branch_table.all_heads()}
-
-
 def _populate(directory, backend="auto"):
     """Twenty puts over four keys plus one dropped object (gc's garbage);
     returns the heads and values every later reopen must still serve."""
@@ -157,14 +154,14 @@ def _populate(directory, backend="auto"):
         engine.put("dead", {"gone": "y" * 40})
         engine.delete_branch("dead", "master")
         values = {key: engine.get_value(key) for key in engine.keys()}
-        heads = _heads(engine)
+        heads = head_map(engine)
     return heads, values
 
 
 def _assert_recovers(directory, heads, values, context):
     with ForkBase.open(directory) as recovered:
         assert recovered.health().state == HEALTH_HEALTHY, context
-        assert _heads(recovered) == heads, context
+        assert head_map(recovered) == heads, context
         for key, branch in heads:
             assert recovered.verify(key, branch).ok, context
             assert recovered.get_value(key, branch=branch) == values[key], context

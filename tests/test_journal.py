@@ -290,16 +290,16 @@ def test_engine_put_detects_concurrent_head_move(tmp_path):
                 message="sneaked in",
                 timestamp=fnode.timestamp + 1.0,
             )
-            engine.branch_table.set_head("k", "master", real_commit(rival))
+            engine.heads.table.set_head("k", "master", real_commit(rival))
         return uid
 
     engine.graph.commit = racing_commit  # type: ignore[method-assign]
-    journal_len_before = len(engine._journal)
+    journal_len_before = len(engine.heads.journal)
     with pytest.raises(HeadMovedError):
         engine.put("k", {"a": "2"})
     # The rival's update is intact and the failed put journaled nothing.
-    assert engine.graph.load(engine.branch_table.head("k", "master")).author == "rival"
-    assert len(engine._journal) == journal_len_before
+    assert engine.graph.load(engine.heads.table.head("k", "master")).author == "rival"
+    assert len(engine.heads.journal) == journal_len_before
     engine.close()
 
 
@@ -308,14 +308,14 @@ def test_merge_cas_guards_fast_forward(tmp_path):
     engine.put("k", {"a": "1"})
     engine.branch("k", "feature")
     engine.put("k", {"a": "2"}, branch="feature")
-    head_into = engine.branch_table.head("k", "master")
+    head_into = engine.heads.table.head("k", "master")
     # Move master underneath the merge (the concurrent writer).
-    real_head = engine.branch_table.head
-    engine.branch_table.set_head("k", "master", engine.branch_table.head("k", "feature"))
-    engine.branch_table.set_head("k", "master", head_into)  # restore
+    real_head = engine.heads.table.head
+    engine.heads.table.set_head("k", "master", engine.heads.table.head("k", "feature"))
+    engine.heads.table.set_head("k", "master", head_into)  # restore
     info = engine.merge("k", "feature", "master")
     assert info.message == "fast-forward"
-    assert real_head("k", "master") == engine.branch_table.head("k", "feature")
+    assert real_head("k", "master") == engine.heads.table.head("k", "feature")
     engine.close()
 
 
@@ -336,7 +336,7 @@ def test_heads_survive_process_kill(tmp_path):
     recovered = ForkBase.open(directory)
     assert sorted(recovered.keys()) == sorted(expected)
     for key, uid in expected.items():
-        assert recovered.branch_table.head(key, "master") == uid
+        assert recovered.heads.table.head(key, "master") == uid
         assert recovered.get_value(key) == {b"n": key.split("-")[1].encode()}
         assert recovered.verify(key).ok
     recovered.close()
@@ -357,13 +357,13 @@ def test_recovery_replays_full_workload(tmp_path):
     engine.branch("new", "dead")
     engine.delete_branch("new", "dead")
     snapshot = {
-        (key, branch): head for key, branch, head in engine.branch_table.all_heads()
+        (key, branch): head for key, branch, head in engine.heads.table.all_heads()
     }
     engine.abandon()
 
     recovered = ForkBase.open(directory)
     assert {
-        (key, branch): head for key, branch, head in recovered.branch_table.all_heads()
+        (key, branch): head for key, branch, head in recovered.heads.table.all_heads()
     } == snapshot
     assert recovered.get_value("doc") == {b"v": b"2"}
     assert recovered.get_value("new") == {b"x": b"1"}
@@ -374,8 +374,8 @@ def test_recovery_replays_full_workload(tmp_path):
 def _checkpoint_on_disk(directory: str, engine: ForkBase) -> None:
     """``journal.wal`` is the magic plus exactly one record per head."""
     on_disk = CommitJournal(os.path.join(directory, "journal.wal"))
-    assert on_disk.records == checkpoint(engine.branch_table)
-    assert len(on_disk) == len(engine.branch_table)
+    assert on_disk.records == checkpoint(engine.heads.table)
+    assert len(on_disk) == len(engine.heads.table)
     on_disk.close()
 
 
@@ -388,12 +388,12 @@ def test_compaction_bounds_journal_size(tmp_path):
     for i in range(40):
         engine.put("k", {"i": str(i)})
     # Compaction kept the journal under checkpoint + limit + one record.
-    assert len(MAGIC) < engine._journal.checkpoint_size
-    assert engine._journal.size() < engine._journal.checkpoint_size + 512 + 256
+    assert len(MAGIC) < engine.heads.journal.checkpoint_size
+    assert engine.heads.journal.size() < engine.heads.journal.checkpoint_size + 512 + 256
     engine.abandon()
     recovered = ForkBase.open(directory)
     assert recovered.get_value("k") == {b"i": b"39"}
-    assert len(recovered.branch_table) == 4
+    assert len(recovered.heads.table) == 4
     recovered.close()
     _checkpoint_on_disk(directory, recovered)
 
@@ -419,15 +419,15 @@ def test_checkpoint_larger_than_the_limit_does_not_compact_every_commit(tmp_path
     engine = ForkBase.open(str(tmp_path / "db"), fsync="never", journal_limit=limit)
     for i in range(30):
         engine.put(f"key-{i:02d}", {"i": str(i)})
-    engine._compact()
-    start = engine._journal.size()
-    assert engine._journal.checkpoint_size == start > 2 * limit  # the checkpoint alone
+    engine.heads.checkpoint()
+    start = engine.heads.journal.size()
+    assert engine.heads.journal.checkpoint_size == start > 2 * limit  # the checkpoint alone
     checkpoints = []
-    real_reset = engine._journal.reset
-    engine._journal.reset = lambda records: (checkpoints.append(1), real_reset(records))
+    real_reset = engine.heads.journal.reset
+    engine.heads.journal.reset = lambda records: (checkpoints.append(1), real_reset(records))
     engine.put("key-00", {"i": "100"})
     assert not checkpoints
-    record = engine._journal.size() - start
+    record = engine.heads.journal.size() - start
     for i in range(101, 160):
         engine.put("key-00", {"i": str(i)})
     # A checkpoint once per ``limit`` bytes appended, not once per commit.
@@ -436,7 +436,7 @@ def test_checkpoint_larger_than_the_limit_does_not_compact_every_commit(tmp_path
     engine.close()
     # A reopened journal finds where its checkpoint ends by the flag.
     engine = ForkBase.open(str(tmp_path / "db"), fsync="never", journal_limit=limit)
-    assert engine._journal.checkpoint_size == engine._journal.size() > 2 * limit
+    assert engine.heads.journal.checkpoint_size == engine.heads.journal.size() > 2 * limit
     engine.close()
 
 
@@ -457,10 +457,10 @@ def test_branch_errors_not_journaled(tmp_path):
     engine = ForkBase.open(str(tmp_path / "db"))
     engine.put("k", {"a": "1"})
     engine.branch("k", "b")
-    before = len(engine._journal)
+    before = len(engine.heads.journal)
     with pytest.raises(BranchExistsError):
         engine.branch("k", "b")
     with pytest.raises(UnknownBranchError):
         engine.delete_branch("k", "nope")
-    assert len(engine._journal) == before
+    assert len(engine.heads.journal) == before
     engine.close()

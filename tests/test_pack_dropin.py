@@ -11,7 +11,6 @@ The engine-level crash torture runs on both layouts in
 from __future__ import annotations
 
 import os
-from typing import Dict, Tuple
 
 import pytest
 
@@ -21,12 +20,7 @@ from repro.errors import EngineError, JournalCorruptError
 from repro.store import NodeCacheStore, PackStore, physical_store
 from repro.store.scrub import diagnose_copy
 from repro.vcs.journal import _HEADER, MAGIC
-
-HeadMap = Dict[Tuple[str, str], Uid]
-
-
-def _heads(engine: ForkBase) -> HeadMap:
-    return {(key, branch): head for key, branch, head in engine.branch_table.all_heads()}
+from tests.conftest import head_map
 
 
 def _fill(engine: ForkBase) -> None:
@@ -46,7 +40,7 @@ class TestBackendParity:
         for engine in engines.values():
             engine._clock = lambda: 1234.5
             _fill(engine)
-        assert _heads(engines["file"]) == _heads(engines["pack"])
+        assert head_map(engines["file"]) == head_map(engines["pack"])
         assert sorted(u.digest for u in engines["file"].store.ids()) == sorted(
             u.digest for u in engines["pack"].store.ids()
         )

@@ -20,17 +20,15 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.chunk import Uid
 from repro.db.engine import HEALTH_HEALTHY, ForkBase
 from repro.errors import DiskFaultError, DiskFullError
 from repro.faults import FsFaultPlan, fs_zone
-from tests.conftest import pin_clock
+from tests.conftest import HeadMap, head_map, pin_clock
 
-HeadMap = Dict[Tuple[str, str], Uid]
 
 _rates = st.floats(min_value=0.0, max_value=0.15, allow_nan=False)
 
@@ -42,10 +40,6 @@ _plans = st.builds(
     eio_read_rate=st.floats(min_value=0.0, max_value=0.05, allow_nan=False),
     fsync_fail_rate=_rates,
 )
-
-
-def _heads(engine: ForkBase) -> HeadMap:
-    return {(key, branch): head for key, branch, head in engine.branch_table.all_heads()}
 
 
 def _workload(engine: ForkBase) -> List:
@@ -67,14 +61,14 @@ def _run(directory: str, plan: FsFaultPlan):
         try:
             engine = ForkBase.open(directory, fsync="always", backend="file")
             pin_clock(engine)
-            acked.append(_heads(engine))
+            acked.append(head_map(engine))
             for op in _workload(engine):
                 op()
-                acked.append(_heads(engine))
+                acked.append(head_map(engine))
             engine.close()
         except (DiskFullError, DiskFaultError):
             if engine is not None:
-                acked.append(_heads(engine))
+                acked.append(head_map(engine))
                 status = engine.health().state
                 engine.abandon()
             else:
@@ -112,7 +106,7 @@ def test_random_schedules_replay_and_recover(plan):
             allowed.append(acked[-2])
         recovered = ForkBase.open(first_dir)
         assert recovered.health().state == HEALTH_HEALTHY
-        state = _heads(recovered)
+        state = head_map(recovered)
         if status == "completed":
             assert state == acked[-1]
         else:

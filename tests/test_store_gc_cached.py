@@ -79,7 +79,7 @@ class TestSweepWithPinnedRoots:
         engine.put("doomed", {f"d{i:03d}": "y" * 30 for i in range(300)})
         engine.delete_branch("doomed", "master")
         collect_garbage(engine)
-        heads = [head for _, _, head in engine.branch_table.all_heads()]
+        heads = [head for _, _, head in engine.heads.table.all_heads()]
         live = mark_live(engine.store, heads)
         assert set(engine.store.ids()) == live
 
