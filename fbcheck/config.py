@@ -70,7 +70,9 @@ LAYERS: Mapping[str, int] = {
     "repro.cluster.antientropy": 8,
     # Latency tracking and circuit breaking are peers of membership: the
     # gray-failure trio (tracker, breaker, deadline) serves the cluster
-    # store but must never import above it.
+    # store but must never import above it.  The read walk always hedges
+    # off the tracker, and all three count transport ticks, the
+    # cluster's one clock, handed in by the store.
     "repro.cluster.latency": 8,
     "repro.cluster.breaker": 8,
     # The tamper scorecard is pure bookkeeping over chunk uids; it serves
@@ -152,7 +154,7 @@ DETERM_CORE_PATHS: Tuple[str, ...] = (
     "src/repro/security/",
     "src/repro/db/",
     # The cluster's heartbeat/anti-entropy machinery must replay exactly:
-    # logical clocks only, never the wall clock.
+    # transport ticks and probe rounds only, never the wall clock.
     "src/repro/cluster/",
 )
 

@@ -32,7 +32,7 @@ from fbcheck.core import ModuleFile, Rule, Violation, register
 #: ``module.attr`` calls that are wall-clock / entropy sources.  The
 #: monotonic/perf-counter family is wall-clock too: it differs across
 #: runs, so latency trackers in the determinism domain must measure on
-#: an injected logical clock, never on these.
+#: the transport tick, never on these.
 ENTROPY_CALLS = {
     ("time", "time"),
     ("time", "time_ns"),

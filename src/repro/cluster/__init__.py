@@ -31,7 +31,7 @@ from repro.cluster.antientropy import (
 from repro.cluster.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
 from repro.cluster.cluster import ClusterClient, ClusterStore
 from repro.cluster.latency import Deadline, LatencyStats, LatencyTracker
-from repro.cluster.membership import ALIVE, DEAD, SUSPECT, FailureDetector, LogicalClock
+from repro.cluster.membership import ALIVE, DEAD, SUSPECT, FailureDetector
 from repro.cluster.node import StorageNode
 from repro.cluster.ring import HashRing, ring_position
 
@@ -55,7 +55,6 @@ __all__ = [
     "HashRing",
     "LatencyStats",
     "LatencyTracker",
-    "LogicalClock",
     "StorageNode",
     "SyncReport",
     "TamperEvidence",

@@ -2,43 +2,49 @@
 
 The failure detector answers "is the node *dead*?"; the breaker answers
 the gray-failure question it cannot: "should *I* keep sending to it
-right now?".  A node that times out or blows the caller's deadline K
-times in a row trips the breaker OPEN — reads and writes route around
-it without burning retry budget — and after a cooldown the breaker goes
-HALF_OPEN, letting exactly one probe attempt through.  Success snaps it
-CLOSED (mirroring the membership layer's one-good-probe snap-back);
-failure re-opens it for another cooldown.
+right now?".  A node that times out or blows the caller's deadline
+:data:`THRESHOLD` times in a row trips the breaker OPEN — reads and
+writes route around it without burning retry budget — and after
+:data:`COOLDOWN` ticks the breaker goes HALF_OPEN, letting exactly one
+probe attempt through.  Success snaps it CLOSED (mirroring the
+membership layer's one-good-probe snap-back); failure re-opens it for
+another cooldown.
 
 Breakers are per-``(origin, node)`` for the same reason suspicion is
 per-observer: a link can be gray in one direction only, and each client
-must act on its own evidence.  Time is the injected logical clock —
-cooldowns elapse in ticks, never wall seconds (FB-DETERM).
+must act on its own evidence.  Time is the transport tick, read through
+the ``now`` callable the cluster passes in — cooldowns elapse in ticks,
+never wall seconds (FB-DETERM).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 #: Breaker states.
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: Consecutive failed attempts that trip a CLOSED breaker OPEN.
+THRESHOLD = 5
+#: Ticks an OPEN breaker waits before admitting its HALF_OPEN probe.
+COOLDOWN = 64
+
 
 class CircuitBreaker:
-    """One breaker: CLOSED -> OPEN after K consecutive failures -> HALF_OPEN probe.
+    """One breaker: CLOSED -> OPEN after :data:`THRESHOLD` consecutive
+    failures -> HALF_OPEN probe.
 
     ``record(ok)`` feeds outcomes; :meth:`begin_attempt` gates sends.
-    While OPEN, attempts are refused until ``cooldown`` ticks have
+    While OPEN, attempts are refused until :data:`COOLDOWN` ticks have
     elapsed since the trip, after which one caller is admitted as the
     HALF_OPEN probe.  Failures while OPEN or HALF_OPEN restart the
     cooldown — a still-gray node keeps the circuit open without needing
-    K fresh strikes.
+    fresh strikes.
     """
 
     __slots__ = (
-        "threshold",
-        "cooldown",
         "now",
         "state",
         "consecutive_failures",
@@ -48,13 +54,7 @@ class CircuitBreaker:
         "snap_backs",
     )
 
-    def __init__(self, threshold: int, cooldown: int, now: Callable[[], int]) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if cooldown < 1:
-            raise ValueError("cooldown must be >= 1")
-        self.threshold = threshold
-        self.cooldown = cooldown
+    def __init__(self, now: Callable[[], int]) -> None:
         self.now = now
         self.state = CLOSED
         self.consecutive_failures = 0
@@ -66,7 +66,7 @@ class CircuitBreaker:
     def begin_attempt(self) -> bool:
         """May the caller send now?  May transition OPEN -> HALF_OPEN."""
         if self.state == OPEN:
-            if self.now() - self.opened_at >= self.cooldown:
+            if self.now() - self.opened_at >= COOLDOWN:
                 self.state = HALF_OPEN
                 self.probes += 1
                 return True
@@ -83,7 +83,7 @@ class CircuitBreaker:
             return
         self.consecutive_failures += 1
         if self.state == CLOSED:
-            if self.consecutive_failures >= self.threshold:
+            if self.consecutive_failures >= THRESHOLD:
                 self.state = OPEN
                 self.opened_at = self.now()
                 self.opens += 1
@@ -107,57 +107,35 @@ class CircuitBreaker:
 
 
 class BreakerBoard:
-    """All of one cluster's breakers, keyed ``(origin, node)``.
+    """All of one cluster's breakers, keyed ``(origin, node)``, on one
+    ``now`` clock.
 
-    ``threshold=None`` disables the board entirely: every attempt is
-    admitted and outcomes are discarded, so callers can keep one code
-    path.  Breakers materialise lazily on first use — an origin that
-    never talks to a node carries no state for it.
+    Breakers materialise lazily on first use — an origin that never
+    talks to a node carries no state for it.
     """
 
-    def __init__(
-        self,
-        threshold: Optional[int] = 5,
-        cooldown: int = 64,
-        now: Optional[Callable[[], int]] = None,
-    ) -> None:
-        if threshold is not None and threshold < 1:
-            raise ValueError("threshold must be >= 1 (or None to disable)")
-        if cooldown < 1:
-            raise ValueError("cooldown must be >= 1")
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self.now: Callable[[], int] = now if now is not None else (lambda: 0)
+    def __init__(self, now: Callable[[], int]) -> None:
+        self.now = now
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
 
-    @property
-    def enabled(self) -> bool:
-        """False when the board was constructed with ``threshold=None``."""
-        return self.threshold is not None
-
-    def _breaker(self, origin: str, node: str) -> Optional[CircuitBreaker]:
-        if self.threshold is None:
-            return None
+    def _breaker(self, origin: str, node: str) -> CircuitBreaker:
         key = (origin, node)
         breaker = self._breakers.get(key)
         if breaker is None:
-            breaker = CircuitBreaker(self.threshold, self.cooldown, self.now)
+            breaker = CircuitBreaker(self.now)
             self._breakers[key] = breaker
         return breaker
 
     def begin_attempt(self, origin: str, node: str) -> bool:
-        """Gate one send from ``origin`` to ``node`` (always True when disabled)."""
-        breaker = self._breaker(origin, node)
-        return True if breaker is None else breaker.begin_attempt()
+        """Gate one send from ``origin`` to ``node``."""
+        return self._breaker(origin, node).begin_attempt()
 
     def record(self, origin: str, node: str, ok: bool) -> None:
-        """Feed one outcome (no-op when disabled)."""
-        breaker = self._breaker(origin, node)
-        if breaker is not None:
-            breaker.record(ok)
+        """Feed one outcome."""
+        self._breaker(origin, node).record(ok)
 
     def state(self, origin: str, node: str) -> str:
-        """Current state for a pair (CLOSED if never used or disabled)."""
+        """Current state for a pair (CLOSED if never used)."""
         breaker = self._breakers.get((origin, node))
         return breaker.state if breaker is not None else CLOSED
 

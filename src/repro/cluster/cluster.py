@@ -61,9 +61,7 @@ class ClusterStore(ChunkStore):
         retry: Optional[RetryPolicy] = None,
         node_store_factory: Optional[Callable[[str], ChunkStore]] = None,
         transport: Optional[PartitionedTransport] = None,
-        hedge_reads: bool = False,
         deadline_budget: Optional[int] = None,
-        breaker_threshold: Optional[int] = 5,
         audit_rate: float = 0.05,
     ) -> None:
         super().__init__()
@@ -90,9 +88,6 @@ class ClusterStore(ChunkStore):
         #: The simulated network every request crosses (None builds a
         #: fault-free one: every message delivered, one tick each).
         self.transport = transport or PartitionedTransport()
-        #: Arm the first read attempt with the primary's tracked p95 as a
-        #: timeout and fail over when it elapses (gray-failure hedging).
-        self.hedge_reads = hedge_reads
         #: Tick budget granted to each verb (None = no deadline).
         self.deadline_budget = deadline_budget
         #: Per-(origin, node, op) service-time statistics, on the transport
@@ -101,7 +96,7 @@ class ClusterStore(ChunkStore):
         #: End-to-end read latency in transport ticks (``health_report``).
         self.read_ticks = LatencyStats(window=256)
         #: Per-(origin, node) circuit breakers, cooled on the transport clock.
-        self.breakers = BreakerBoard(threshold=breaker_threshold, now=self.now)
+        self.breakers = BreakerBoard(self.now)
         self._store_factory = node_store_factory
         names = [f"node-{index:02d}" for index in range(node_count)]
         self.nodes: Dict[str, StorageNode] = {name: self._make_node(name) for name in names}

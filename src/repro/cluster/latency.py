@@ -10,27 +10,31 @@ the cluster did not have: a memory of how long each peer usually takes.
 :class:`LatencyTracker` is that memory.  It keeps, per ``(origin, node,
 op)``, an EWMA plus a streaming quantile over a bounded window of
 observed service ticks, and derives the hedging threshold ("this read
-has taken longer than the primary's p95 — fire the hedge").  Time is
-whatever :class:`~repro.cluster.membership.LogicalClock` the caller
-injects — never the wall clock (FB-DETERM), so two replays of the same
-workload track identical latencies and hedge at identical moments.
+has taken longer than the primary's p95 — fire the hedge").  The ticks
+are the transport's: the cluster measures every exchange as the
+difference of two ``transport.clock`` readings, its one clock and its
+one latency model — never the wall clock (FB-DETERM), so two replays of
+the same workload track identical latencies and hedge at identical
+moments.
 
 :class:`Deadline` is the budget half: a fixed number of ticks granted to
-one client verb, decremented by the same logical clock, threaded through
-``ClusterStore`` sends and into ``RetryPolicy.call(deadline=)`` so no
-layer keeps retrying past the point where the caller has already given
-up.
+one client verb, measured on a ``now`` callable (the cluster passes the
+transport's clock), threaded through ``ClusterStore`` sends and into
+``RetryPolicy.call(deadline=)`` so no layer keeps retrying past the
+point where the caller has already given up.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.membership import LogicalClock
 from repro.errors import DeadlineExceededError
 
 #: Key identifying one latency stream: (observing origin, peer node, op).
 StreamKey = Tuple[str, str, str]
+
+#: EWMA smoothing factor: the weight of the newest observation.
+ALPHA = 0.2
 
 
 class LatencyStats:
@@ -43,14 +47,11 @@ class LatencyStats:
     so they replay bit-identically (FB-DETERM).
     """
 
-    __slots__ = ("alpha", "count", "ewma", "_window", "_ring", "_next")
+    __slots__ = ("count", "ewma", "_window", "_ring", "_next")
 
-    def __init__(self, alpha: float = 0.2, window: int = 128) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    def __init__(self, window: int = 128) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
-        self.alpha = alpha
         self.count = 0
         self.ewma = 0.0
         self._window = window
@@ -64,7 +65,7 @@ class LatencyStats:
         if self.count == 0:
             self.ewma = float(ticks)
         else:
-            self.ewma += self.alpha * (ticks - self.ewma)
+            self.ewma += ALPHA * (ticks - self.ewma)
         self.count += 1
         if len(self._ring) < self._window:
             self._ring.append(ticks)
@@ -106,25 +107,11 @@ class LatencyTracker:
 
     The split by *origin* mirrors the per-observer failure detectors: a
     node can be slow from one side of a degraded link and fast from the
-    other, and each observer must hedge on its own evidence.  The clock
-    is injected (defaulting to a fresh
-    :class:`~repro.cluster.membership.LogicalClock`) so callers measure
-    elapsed logical ticks, never wall time.
+    other, and each observer must hedge on its own evidence.  Callers
+    feed it elapsed transport ticks, never wall time.
     """
 
-    def __init__(
-        self,
-        clock: Optional[LogicalClock] = None,
-        alpha: float = 0.2,
-        window: int = 128,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.clock = clock if clock is not None else LogicalClock()
-        self.alpha = alpha
-        self.window = window
+    def __init__(self) -> None:
         self._streams: Dict[StreamKey, LatencyStats] = {}
         #: Total observations folded in (diagnostic).
         self.observations = 0
@@ -133,7 +120,7 @@ class LatencyTracker:
         key = (origin, node, op)
         stats = self._streams.get(key)
         if stats is None:
-            stats = LatencyStats(alpha=self.alpha, window=self.window)
+            stats = LatencyStats()
             self._streams[key] = stats
         return stats
 
@@ -196,7 +183,7 @@ class LatencyTracker:
 
 
 class Deadline:
-    """A fixed tick budget for one client verb, measured on an injected clock.
+    """A fixed tick budget for one client verb, measured on a ``now`` clock.
 
     Created when the verb starts; every layer below (replica selection,
     transport sends, retry loops) asks :meth:`remaining` and stops work

@@ -21,7 +21,7 @@ to the origin a request came from.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.cluster.replica import probe
 
@@ -36,34 +36,6 @@ DEAD = "dead"
 #: Consecutive missed probes that mark a node SUSPECT, then DEAD.
 SUSPICION_THRESHOLD = 3
 DEAD_THRESHOLD = 2 * SUSPICION_THRESHOLD
-
-
-class LogicalClock:
-    """A deterministic monotonic clock: time is a tick counter.
-
-    The heartbeat layer must not read the wall clock (replays would
-    diverge), so "time" advances only when the simulation says so,
-    via :meth:`advance`.
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: int = 0) -> None:
-        self._now = start
-
-    def now(self) -> int:
-        """Current tick."""
-        return self._now
-
-    def advance(self, ticks: int = 1) -> int:
-        """Move time forward; returns the new tick."""
-        if ticks < 0:
-            raise ValueError("time only moves forward")
-        self._now += ticks
-        return self._now
-
-    def __repr__(self) -> str:
-        return f"LogicalClock(t={self._now})"
 
 
 class FailureDetector:
@@ -82,7 +54,6 @@ class FailureDetector:
         self.origin = origin
         self._missed: Dict[str, int] = {}
         self._states: Dict[str, str] = {}
-        self._last_heard: Dict[str, int] = {}
         self.rounds = 0
         self.suspicions_raised = 0
         self.recoveries = 0
@@ -98,7 +69,6 @@ class FailureDetector:
                     self.recoveries += 1
                 self._missed[name] = 0
                 self._states[name] = ALIVE
-                self._last_heard[name] = self.rounds
             else:
                 missed = self._missed.get(name, 0) + 1
                 self._missed[name] = missed
@@ -139,20 +109,15 @@ class FailureDetector:
         in this list is slow-but-alive — distinct from SUSPECT/DEAD, and
         it snaps back the moment a probe succeeds at full speed.
         """
-        board = getattr(self.cluster, "breakers", None)
-        if board is None:
-            return []
         return [
-            name for name in board.open_for(self.origin) if self.state(name) == ALIVE
+            name
+            for name in self.cluster.breakers.open_for(self.origin)
+            if self.state(name) == ALIVE
         ]
 
     def missed(self, name: str) -> int:
         """Consecutive missed heartbeats for a node."""
         return self._missed.get(name, 0)
-
-    def last_heard(self, name: str) -> Optional[int]:
-        """Tick of the last successful probe, or None if never heard."""
-        return self._last_heard.get(name)
 
     def report(self) -> Dict[str, object]:
         """Counter snapshot (membership assertions in the torture suite)."""

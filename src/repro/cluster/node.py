@@ -1,5 +1,7 @@
 """A simulated storage node: an in-memory chunk store with a health flag
-and simple service-time accounting."""
+and a request count.  Its service time is the transport's: every request
+reaches it through :class:`~repro.faults.network.PartitionedTransport`,
+which charges the ticks."""
 
 from __future__ import annotations
 
@@ -21,25 +23,16 @@ class StorageNode:
     with ``remove``), so the node misbehaves exactly as its plan dictates.
     """
 
-    def __init__(
-        self,
-        name: str,
-        latency_ms: float = 0.2,
-        store: Optional[ChunkStore] = None,
-    ) -> None:
+    def __init__(self, name: str, store: Optional[ChunkStore] = None) -> None:
         self.name = name
         self.store = store if store is not None else InMemoryStore()
         self.up = True
-        #: Simulated per-request service time; accumulated, never slept.
-        self.latency_ms = latency_ms
-        self.simulated_ms = 0.0
         self.requests = 0
 
     def _touch(self) -> None:
         if not self.up:
             raise NodeDownError(f"node {self.name} is down")
         self.requests += 1
-        self.simulated_ms += self.latency_ms
 
     def ping(self) -> bool:
         """Heartbeat: the cheapest liveness check (raises if down)."""

@@ -20,9 +20,13 @@ Admission is per origin.  A
 missed heartbeats (one :func:`probe` per node per round) into SUSPECT
 verdicts; a per-``(origin, node)``
 :class:`~repro.cluster.breaker.BreakerBoard` opens after
-``breaker_threshold`` consecutive timeouts, so a slow-but-alive node is
-routed around even though the failure detector rightly still calls it
-ALIVE; and a QUARANTINED node is sent no read or write.
+:data:`~repro.cluster.breaker.THRESHOLD` consecutive timeouts and cools
+down for :data:`~repro.cluster.breaker.COOLDOWN` transport ticks, so a
+slow-but-alive node is routed around even though the failure detector
+rightly still calls it ALIVE; and a QUARANTINED node is sent no read or
+write.  Every read is hedged (:mod:`~repro.cluster.walks`), and every
+duration — service times, deadlines, cooldowns — is counted in the
+transport's ticks, the cluster's one clock.
 
 :func:`place` is a replica's half of a write: one verified exchange per
 node per verb.  :func:`read_replica` is its half of a read, and every

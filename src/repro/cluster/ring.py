@@ -17,6 +17,9 @@ def _point(label: bytes) -> int:
 #: Width of a ring coordinate in bits (anti-entropy buckets by prefix).
 POSITION_BITS = 64
 
+#: Virtual points each node scatters around the ring.
+VNODES = 64
+
 
 def ring_position(uid: Uid) -> int:
     """Public: the 64-bit ring coordinate of a uid.
@@ -31,10 +34,7 @@ def ring_position(uid: Uid) -> int:
 class HashRing:
     """Maps chunk uids to an ordered replica list of node names."""
 
-    def __init__(self, nodes: Sequence[str], vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self._vnodes = vnodes
+    def __init__(self, nodes: Sequence[str]) -> None:
         self._points: List[int] = []
         self._owners: List[str] = []
         self._nodes: List[str] = []
@@ -51,7 +51,7 @@ class HashRing:
         if name in self._nodes:
             raise ValueError(f"node {name!r} already in ring")
         self._nodes.append(name)
-        for vnode in range(self._vnodes):
+        for vnode in range(VNODES):
             point = _point(f"{name}#{vnode}".encode("utf-8"))
             index = bisect.bisect(self._points, point)
             self._points.insert(index, point)

@@ -20,11 +20,13 @@ decision is local: a copy is good iff its bytes hash to its uid, and any
 good copy can repair any replica.  Rot on every reachable copy raises
 :class:`~repro.errors.ChunkCorruptionError`, never bytes.
 
-Gray failures — a replica that is up and answering probes but ~100x
-slow — are met on the transport clock: a
-:class:`~repro.cluster.latency.LatencyTracker` remembers per-node
-service times, and ``hedge_reads`` arms the first read attempt with
-that node's tracked p95 as a timeout and fails over to the next replica
+Every read is hedged, on the transport clock, the cluster's one clock:
+gray failures — a replica that is up and answering probes but ~100x
+slow — are met by a :class:`~repro.cluster.latency.LatencyTracker`
+that remembers per-node service ticks, and once the primary's stream
+holds :data:`HEDGE_MIN_SAMPLES` observations and another admitted
+replica waits behind it, the first attempt is armed with the primary's
+tracked p95 as a timeout and the read fails over to the next replica
 the moment it elapses (the Tail-at-Scale hedge — the abandoned response
 still lands late as a stale delivery).
 """
@@ -307,7 +309,7 @@ def _replicated_read(cluster: "ClusterStore", uid: Uid, call: Call) -> Optional[
         # when another *admitted* replica is waiting behind it.  At most
         # one hedge per read — later replicas run with the normal budget.
         threshold: Optional[int] = None
-        if cluster.hedge_reads and not hedged and position + 1 < len(admitted):
+        if not hedged and position + 1 < len(admitted):
             threshold = cluster.latency.hedge_threshold(
                 origin, node.name, "get", min_samples=HEDGE_MIN_SAMPLES
             )

@@ -539,12 +539,12 @@ class ForkBase:
     def exists(self, key: str, branch: Optional[str] = None) -> bool:
         """Does the key (and optionally the branch) exist?"""
         if branch is None:
-            return key in self.heads.table.keys()
+            return key in self.heads.table
         return self.heads.table.has_branch(key, branch)
 
     def branches(self, key: str) -> List[str]:
         """Branch names for a key."""
-        if key not in self.heads.table.keys():
+        if key not in self.heads.table:
             raise UnknownKeyError(key)
         return self.heads.table.branches(key)
 
@@ -581,7 +581,7 @@ class ForkBase:
     @_writable_verb
     def drop(self, key: str) -> None:
         """Forget every branch head of ``key`` (versions stay addressable)."""
-        if key not in self.heads.table.keys():
+        if key not in self.heads.table:
             raise UnknownKeyError(key)
         self.heads.move({"op": "drop-key", "key": key})
 
@@ -634,25 +634,10 @@ class ForkBase:
         """Differential query between two branches/versions of one key.
 
         Supported for map and set values (the POS-Tree-backed types); the
-        result prunes shared sub-trees, so cost is O(D log N).
+        result prunes shared sub-trees, so cost is O(D log N).  The
+        one-key case of :meth:`diff_objects`.
         """
-        fnode_a = self._load_fnode(key, branch_a, version_a)
-        fnode_b = self._load_fnode(key, branch_b, version_b)
-        if fnode_a.type_name != fnode_b.type_name:
-            raise TypeMismatchError(
-                f"cannot diff {fnode_a.type_name} against {fnode_b.type_name}"
-            )
-        obj_a = load_object(self.store, fnode_a.type_name, fnode_a.value_root)
-        obj_b = load_object(self.store, fnode_b.type_name, fnode_b.value_root)
-        if isinstance(obj_a, FMap):
-            return obj_a.diff(obj_b)
-        if isinstance(obj_a, FSet):
-            from repro.postree.diff import diff_trees
-
-            return diff_trees(obj_a.tree, obj_b.tree)
-        raise TypeMismatchError(
-            f"differential query unsupported for type {fnode_a.type_name}"
-        )
+        return self.diff_objects(key, key, branch_a, branch_b, version_a, version_b)
 
     @_writable_verb
     def merge(

@@ -34,8 +34,9 @@ class FaultPlan:
       original uid (torn write: persistent corruption scrub must find).
     - ``transient_error_rate`` — the operation raises a transient error;
       an immediate retry re-draws and may succeed.
-    - ``latency_ms`` — simulated service time accumulated per operation
-      (never slept).
+
+    Slowness is not a store fault: the network plane charges it in
+    transport ticks (:class:`~repro.faults.network.NetworkPlan`).
     """
 
     seed: int = 0
@@ -43,7 +44,6 @@ class FaultPlan:
     drop_put_rate: float = 0.0
     torn_put_rate: float = 0.0
     transient_error_rate: float = 0.0
-    latency_ms: float = 0.0
 
     def __post_init__(self) -> None:
         kernel.check_rates(self)

@@ -14,7 +14,7 @@ access to a chunk always behaves the same, and a retry re-draws.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Set, Type
+from typing import Dict, Iterator, Optional, Set
 
 from repro.chunk import Chunk, Uid
 from repro.errors import TransientStoreError
@@ -59,30 +59,21 @@ class InterposedStore(WrapperStore):
 class FaultyStore(InterposedStore):
     """Applies a seeded :class:`FaultPlan` to every put and get."""
 
-    def __init__(
-        self,
-        backing: ChunkStore,
-        plan: FaultPlan,
-        transient_error: Type[Exception] = TransientStoreError,
-        name: str = "",
-    ) -> None:
+    def __init__(self, backing: ChunkStore, plan: FaultPlan, name: str = "") -> None:
         super().__init__(backing)
         # A named store gets its own fault stream so that replicas of the
         # same chunk on different nodes do not fail in lockstep.
         self.plan = plan.scoped(name) if name else plan
-        self.transient_error = transient_error
         self.name = name
         self.injected_corrupt_reads = 0
         self.injected_dropped_puts = 0
         self.injected_torn_puts = 0
         self.injected_transient_errors = 0
-        self.simulated_ms = 0.0
 
     def _maybe_transient(self, kind: str, uid: Uid, attempt: int) -> None:
-        self.simulated_ms += self.plan.latency_ms
         if self.plan.transient_error(kind, uid, attempt):
             self.injected_transient_errors += 1
-            raise self.transient_error(
+            raise TransientStoreError(
                 f"injected transient fault on {kind} {uid.short()}"
                 + (f" at {self.name}" if self.name else "")
             )

@@ -36,6 +36,10 @@ class BranchTable:
         """All data keys that have at least one branch."""
         return sorted(self._heads)
 
+    def __contains__(self, key: str) -> bool:
+        """True if ``key`` has at least one branch (one dict probe)."""
+        return key in self._heads
+
     def branches(self, key: str) -> List[str]:
         """Branch names for ``key`` (sorted, DEFAULT first if present)."""
         names = sorted(self._heads.get(key, ()))

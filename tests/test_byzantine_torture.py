@@ -256,7 +256,6 @@ class TestByzantineGrayDiskMatrix:
             replication=2,
             transport=transport,
             retry=RetryPolicy.instant(attempts=3),
-            hedge_reads=True,
             deadline_budget=96,
         )
         liar = "node-01"
@@ -380,7 +379,6 @@ class TestQuarantineUnderGray:
             replication=2,
             transport=transport,
             retry=RetryPolicy.instant(attempts=3),
-            hedge_reads=True,
             deadline_budget=64,
         )
         schedule = plan.slow_schedule(sorted(cluster.nodes), events=8, horizon=90)

@@ -43,7 +43,6 @@ def _chaos_plan(seed: int) -> FaultPlan:
         drop_put_rate=0.005,
         torn_put_rate=0.005,
         transient_error_rate=0.01,
-        latency_ms=0.1,
     )
 
 

@@ -26,7 +26,7 @@ class TestHashRing:
         assert len(ring.replicas(Uid.of(b"y"), 5)) == 2
 
     def test_balance(self):
-        ring = HashRing([f"n{i}" for i in range(4)], vnodes=128)
+        ring = HashRing([f"n{i}" for i in range(4)])
         counts = {f"n{i}": 0 for i in range(4)}
         for index in range(4000):
             counts[ring.primary(Uid.of(b"c%d" % index))] += 1
@@ -35,7 +35,7 @@ class TestHashRing:
 
     def test_node_removal_moves_little(self):
         """Consistent hashing: removing one node remaps only its share."""
-        ring = HashRing(["a", "b", "c", "d"], vnodes=128)
+        ring = HashRing(["a", "b", "c", "d"])
         uids = [Uid.of(b"k%d" % i) for i in range(2000)]
         before = {uid: ring.primary(uid) for uid in uids}
         ring.remove_node("d")
@@ -179,14 +179,6 @@ class TestClusterStore:
         engine.put("d", {"a": "1"})
         report = Verifier(cluster).verify_version(engine.head("d"))
         assert report.ok
-
-    def test_node_latency_accounting(self):
-        cluster = ClusterStore(node_count=2, replication=1)
-        cluster.put(_chunk(0))
-        node = next(iter(cluster.nodes.values()))
-        assert node.requests >= 0
-        total = sum(n.simulated_ms for n in cluster.nodes.values())
-        assert total > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from repro.errors import (
 )
 from repro.store import InMemoryStore
 from repro.store.base import WrapperStore
+from repro.vcs.branches import BranchTable
 from repro.postree.merge import resolve_ours, resolve_theirs
 
 
@@ -136,6 +137,23 @@ class TestBranching:
     def test_branches_requires_known_key(self, engine):
         with pytest.raises(UnknownKeyError):
             engine.branches("ghost")
+
+    def test_key_probes_do_not_list_every_key(self, engine, monkeypatch):
+        """``exists``, ``branches`` and ``drop`` ask the branch table about
+        one key; none of them sorts the whole key list to do it."""
+        engine.put("k", "v")
+        calls = []
+        original = BranchTable.keys
+        monkeypatch.setattr(
+            BranchTable, "keys", lambda table: calls.append(1) or original(table)
+        )
+        assert engine.exists("k") and not engine.exists("ghost")
+        assert engine.branches("k") == ["master"]
+        with pytest.raises(UnknownKeyError):
+            engine.branches("ghost")
+        engine.drop("k")
+        assert not engine.exists("k")
+        assert calls == []
 
 
 class TestHistory:

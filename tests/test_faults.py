@@ -139,15 +139,6 @@ class TestFaultyStore:
         assert failures == store.injected_transient_errors
         assert failures > 10
 
-    def test_transient_error_type_configurable(self):
-        store = FaultyStore(
-            InMemoryStore(),
-            FaultPlan(seed=8, transient_error_rate=1.0),
-            transient_error=NodeDownError,
-        )
-        with pytest.raises(NodeDownError):
-            store.put(_chunk(3))
-
     def test_replay_is_exact(self):
         """Two stores driven by the same plan fail identically."""
         def run():
@@ -178,12 +169,6 @@ class TestFaultyStore:
 
         first, second = run(), run()
         assert first == second and len(first) > 0
-
-    def test_latency_accumulates(self):
-        store = FaultyStore(InMemoryStore(), FaultPlan(seed=10, latency_ms=0.5))
-        store.put(_chunk(0))
-        store.get_maybe(_chunk(0).uid)
-        assert store.simulated_ms == pytest.approx(1.0)
 
 
 class TestRetryPolicy:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.cluster import ALIVE, CLOSED, OPEN, ClusterStore
+from repro.cluster.breaker import THRESHOLD
 from repro.db import ForkBase
 from repro.errors import (
     ChunkCorruptionError,
@@ -133,7 +134,6 @@ class TestGradedSlowness:
 
 class TestHedgedReads:
     def _warmed(self, chunks=80, **kwargs):
-        kwargs.setdefault("hedge_reads", True)
         cluster, transport = _cluster(**kwargs)
         data = [_chunk(i) for i in range(chunks)]
         cluster.put_many(data)
@@ -156,8 +156,8 @@ class TestHedgedReads:
             # roughly the healthy p95 plus one failover.
             ticks.append(transport.clock - before)
             assert ticks[-1] < 50
-        # The hedged tail is at least 3x below the unhedged one, which
-        # waits out the whole slow factor (test_hedge_off_means_seed_behaviour).
+        # The hedged tail is at least 3x below an unhedged read, which
+        # would wait out the whole slow factor.
         assert 3 * max(ticks) <= 100, ticks
         # Hedge load stays bounded: the gray node's share of primaries
         # plus the p95 overshoot of healthy reads.
@@ -179,14 +179,26 @@ class TestHedgedReads:
         # few reads run past their replica's own p95.
         assert cluster.hedges_issued - baseline <= len(data) // 10
 
-    def test_hedge_off_means_seed_behaviour(self):
-        cluster, transport, data = self._warmed(hedge_reads=False)
-        transport.slow("node-01", 100)
+    def test_default_cluster_hedges_a_gray_primary(self):
+        """Hedging is the read walk's only mode: a cluster given nothing
+        but its transport hedges around a gray primary."""
+        transport = PartitionedTransport(NetworkPlan(seed=7))
+        cluster = ClusterStore(transport=transport)
+        data = [_chunk(i, "default") for i in range(80)]
+        cluster.put_many(data)
+        for _ in range(2):
+            for chunk in data:
+                assert cluster.get(chunk.uid).data == chunk.data
         victims = _primary_chunks(cluster, data, "node-01")
-        before = transport.clock
-        assert cluster.get(victims[0].uid).data == victims[0].data
-        assert transport.clock - before >= 100  # waited out the gray node
-        assert cluster.hedges_issued == 0
+        assert victims
+        transport.slow("node-01", 100)
+        ticks = []
+        for chunk in victims:
+            before = transport.clock
+            assert cluster.get(chunk.uid).data == chunk.data
+            ticks.append(transport.clock - before)
+        assert cluster.hedges_issued > 0
+        assert 3 * max(ticks) <= 100, ticks
 
     def test_duplicate_delivery_of_hedged_requests_is_idempotent(self):
         """With every message duplicated, hedged reads and their repairs
@@ -216,7 +228,6 @@ class TestHedgedReads:
 
 class TestCircuitBreaker:
     def _gray_cluster(self, **kwargs):
-        kwargs.setdefault("breaker_threshold", 4)
         return TestHedgedReads()._warmed(**kwargs)
 
     def test_gray_node_is_alive_but_degraded(self):
@@ -284,19 +295,14 @@ class TestCircuitBreaker:
         """A last-resort replica gets the same treatment as an admitted
         one: rot it serves raises, is attributed, and is dropped — an OPEN
         breaker must not turn "every copy is corrupt" into "not found"."""
-        cluster = ClusterStore(
-            node_count=3,
-            replication=2,
-            transport=PartitionedTransport(),
-            breaker_threshold=2,
-        )
+        cluster = ClusterStore(node_count=3, replication=2, transport=PartitionedTransport())
         chunk = _chunk(0, "rot")
         cluster.put(chunk)
         absent, rotten = cluster.replica_nodes(chunk.uid)
         absent.drop(chunk.uid)
         TamperingStore.install(rotten).flip_byte(chunk.uid)
         if tripped:
-            for _ in range(2):
+            for _ in range(THRESHOLD):
                 cluster.breakers.record("client", rotten.name, False)
             assert cluster.breakers.state("client", rotten.name) == OPEN
         with pytest.raises(ChunkCorruptionError):
@@ -421,7 +427,7 @@ class TestStatusEndpoint:
     def test_status_reports_gray_failure_telemetry(self):
         from repro.api.rest import Router
 
-        cluster, transport = _cluster(hedge_reads=True)
+        cluster, transport = _cluster()
         engine = ForkBase(cluster.client("api"))
         router = Router(engine)
         engine.put("doc", {"body": "hello"})

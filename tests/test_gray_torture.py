@@ -136,9 +136,7 @@ class TestGrayReplay:
         trips, deadline misses, per-node chunk counts, transport stats."""
 
         def run():
-            cluster, transport = _cluster(
-                hedge_reads=True, deadline_budget=64
-            )
+            cluster, transport = _cluster(deadline_budget=64)
             plan = transport.plan
             schedule = plan.slow_schedule(
                 sorted(cluster.nodes), events=6, horizon=60
@@ -163,7 +161,7 @@ class TestAckedMeansDurable:
         """Gray failure slows acks down; it must never fake them.  After
         the storm recovers (plus one anti-entropy pass for hinted-away
         copies), every acknowledged write sits on its full replica set."""
-        cluster, transport = _cluster(hedge_reads=True, deadline_budget=64)
+        cluster, transport = _cluster(deadline_budget=64)
         schedule = transport.plan.slow_schedule(
             sorted(cluster.nodes), events=8, horizon=120
         )
@@ -181,7 +179,6 @@ class TestAckedMeansDurable:
         """Slowness and loss together: the deadline budget bounds every
         verb while drops force retries and hints under that budget."""
         cluster, transport = _cluster(
-            hedge_reads=True,
             deadline_budget=96,
             plan={"drop_rate": 0.05},
             retry=RetryPolicy.instant(attempts=3),
@@ -212,9 +209,7 @@ class TestGrayScheduleProperty:
         """Under ANY deterministic slowness schedule: acked writes are
         durable after recovery, reads never return wrong bytes, and no
         verb outlives its deadline budget."""
-        cluster, transport = _cluster(
-            net_seed=seed, hedge_reads=True, deadline_budget=64
-        )
+        cluster, transport = _cluster(net_seed=seed, deadline_budget=64)
         schedule = transport.plan.slow_schedule(
             sorted(cluster.nodes), events=5, horizon=40
         )

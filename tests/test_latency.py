@@ -2,7 +2,7 @@
 
 :class:`~repro.cluster.latency.LatencyStats` /
 :class:`~repro.cluster.latency.LatencyTracker` (EWMA + windowed
-quantiles on an injected logical clock),
+quantiles over transport ticks),
 :class:`~repro.cluster.latency.Deadline` (tick budgets), the
 :class:`~repro.cluster.breaker.CircuitBreaker` state machine, and the
 deadline-aware :meth:`~repro.faults.retry.RetryPolicy.call`.
@@ -19,20 +19,20 @@ from repro.cluster import (
     Deadline,
     LatencyStats,
     LatencyTracker,
-    LogicalClock,
 )
+from repro.cluster.breaker import COOLDOWN, THRESHOLD
 from repro.errors import DeadlineExceededError, TransientError, TransientStoreError
-from repro.faults import RetryPolicy
+from repro.faults import PartitionedTransport, RetryPolicy
 from tests.conftest import RETRY_ATTEMPTS, check_k_failures
 
 
 class TestLatencyStats:
     def test_ewma_initialises_to_first_sample(self):
-        stats = LatencyStats(alpha=0.5)
+        stats = LatencyStats()
         stats.observe(10)
         assert stats.ewma == 10.0
         stats.observe(20)
-        assert stats.ewma == 15.0
+        assert stats.ewma == 12.0  # ALPHA = 0.2 of the step
 
     def test_quantiles_over_window(self):
         stats = LatencyStats(window=100)
@@ -55,8 +55,6 @@ class TestLatencyStats:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LatencyStats(alpha=0.0)
-        with pytest.raises(ValueError):
             LatencyStats(window=0)
         with pytest.raises(ValueError):
             LatencyStats().observe(-1)
@@ -71,7 +69,7 @@ class TestLatencyStats:
 
     def test_deterministic_replay(self):
         def run():
-            stats = LatencyStats(alpha=0.3, window=16)
+            stats = LatencyStats(window=16)
             for ticks in [5, 80, 2, 2, 41, 3, 3, 99, 1]:
                 stats.observe(ticks)
             return (stats.ewma, stats.quantile(0.5), stats.quantile(0.99))
@@ -102,97 +100,86 @@ class TestLatencyTracker:
         tracker.observe("a", "n", "get", 1)
         assert "a->n:get" in tracker.snapshot()
 
-    def test_uses_injected_clock(self):
-        clock = LogicalClock(start=7)
-        tracker = LatencyTracker(clock=clock)
-        assert tracker.clock.now() == 7
+
+def _transport_clock():
+    """A fault-free transport, the cluster's one clock, and its ``now``."""
+    transport = PartitionedTransport()
+    return transport, lambda: transport.clock
 
 
 class TestDeadline:
     def test_budget_elapses_on_the_clock(self):
-        clock = LogicalClock()
-        deadline = Deadline(10, clock.now)
+        transport, now = _transport_clock()
+        deadline = Deadline(10, now)
         assert deadline.remaining() == 10 and not deadline.expired()
-        clock.advance(4)
+        transport.tick(4)
         assert deadline.remaining() == 6 and deadline.elapsed() == 4
-        clock.advance(100)
+        transport.tick(100)
         assert deadline.remaining() == 0 and deadline.expired()
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
-            Deadline(0, LogicalClock().now)
+            Deadline(0, _transport_clock()[1])
 
 
 class TestCircuitBreaker:
-    def _breaker(self, clock, threshold=3, cooldown=10):
-        return CircuitBreaker(threshold, cooldown, clock.now)
+    def _trip(self, breaker):
+        for _ in range(THRESHOLD):
+            breaker.record(ok=False)
 
     def test_opens_after_consecutive_failures(self):
-        clock = LogicalClock()
-        breaker = self._breaker(clock)
-        for _ in range(2):
+        breaker = CircuitBreaker(_transport_clock()[1])
+        for _ in range(THRESHOLD - 1):
             breaker.record(ok=False)
         assert breaker.state == CLOSED
         breaker.record(ok=False)
         assert breaker.state == OPEN and breaker.opens == 1
 
     def test_success_resets_the_strike_count(self):
-        clock = LogicalClock()
-        breaker = self._breaker(clock)
-        for _ in range(2):
+        breaker = CircuitBreaker(_transport_clock()[1])
+        for _ in range(THRESHOLD - 1):
             breaker.record(ok=False)
         breaker.record(ok=True)
-        for _ in range(2):
+        for _ in range(THRESHOLD - 1):
             breaker.record(ok=False)
         assert breaker.state == CLOSED
 
     def test_half_open_probe_after_cooldown(self):
-        clock = LogicalClock()
-        breaker = self._breaker(clock, cooldown=10)
-        for _ in range(3):
-            breaker.record(ok=False)
+        transport, now = _transport_clock()
+        breaker = CircuitBreaker(now)
+        self._trip(breaker)
+        transport.tick(COOLDOWN - 1)
         assert not breaker.begin_attempt()  # still cooling down
-        clock.advance(10)
+        transport.tick()
         assert breaker.begin_attempt()  # the half-open probe
         assert breaker.state == HALF_OPEN and breaker.probes == 1
 
     def test_probe_success_snaps_closed(self):
-        clock = LogicalClock()
-        breaker = self._breaker(clock, cooldown=5)
-        for _ in range(3):
-            breaker.record(ok=False)
-        clock.advance(5)
+        transport, now = _transport_clock()
+        breaker = CircuitBreaker(now)
+        self._trip(breaker)
+        transport.tick(COOLDOWN)
         assert breaker.begin_attempt()
         breaker.record(ok=True)
         assert breaker.state == CLOSED and breaker.snap_backs == 1
 
     def test_probe_failure_restarts_cooldown(self):
-        clock = LogicalClock()
-        breaker = self._breaker(clock, cooldown=5)
-        for _ in range(3):
-            breaker.record(ok=False)
-        clock.advance(5)
+        transport, now = _transport_clock()
+        breaker = CircuitBreaker(now)
+        self._trip(breaker)
+        transport.tick(COOLDOWN)
         assert breaker.begin_attempt()
         breaker.record(ok=False)
         assert breaker.state == OPEN
         assert not breaker.begin_attempt()
-        clock.advance(5)
+        transport.tick(COOLDOWN)
         assert breaker.begin_attempt()
 
 
 class TestBreakerBoard:
-    def test_disabled_board_admits_everything(self):
-        board = BreakerBoard(threshold=None)
-        for _ in range(50):
-            board.record("a", "n", ok=False)
-        assert board.begin_attempt("a", "n")
-        assert board.state("a", "n") == CLOSED
-        assert board.snapshot() == {}
-
     def test_breakers_are_per_origin(self):
-        clock = LogicalClock()
-        board = BreakerBoard(threshold=2, cooldown=8, now=clock.now)
-        for _ in range(2):
+        board = BreakerBoard(_transport_clock()[1])
+        for _ in range(THRESHOLD):
             board.record("a", "n", ok=False)
         assert not board.begin_attempt("a", "n")
         assert board.begin_attempt("b", "n")  # b has its own evidence
@@ -221,9 +208,9 @@ class TestRetryDeadline:
         assert state["calls"] == 4 and policy.deadline_stops == 0
 
     def test_spent_budget_stops_before_first_attempt(self):
-        clock = LogicalClock()
-        deadline = Deadline(5, clock.now)
-        clock.advance(5)
+        transport, now = _transport_clock()
+        deadline = Deadline(5, now)
+        transport.tick(5)
         policy = RetryPolicy.instant(attempts=4)
         fn, state = self._flaky(0)
         with pytest.raises(DeadlineExceededError):
@@ -231,12 +218,12 @@ class TestRetryDeadline:
         assert state["calls"] == 0 and policy.deadline_stops == 1
 
     def test_stops_when_budget_cannot_cover_another_attempt(self):
-        clock = LogicalClock()
-        deadline = Deadline(10, clock.now)
+        transport, now = _transport_clock()
+        deadline = Deadline(10, now)
         policy = RetryPolicy.instant(attempts=4)
 
         def fn():
-            clock.advance(4)  # each attempt costs 4 of the 10 ticks
+            transport.tick(4)  # each attempt costs 4 of the 10 ticks
             raise TransientStoreError("slow and failing")
 
         with pytest.raises(DeadlineExceededError) as excinfo:
@@ -251,12 +238,12 @@ class TestRetryDeadline:
         budget may succeed) yet the policy raises it instead of chewing
         the remaining attempts on a budget that is already gone."""
         assert issubclass(DeadlineExceededError, TransientError)
-        clock = LogicalClock()
-        deadline = Deadline(2, clock.now)
+        transport, now = _transport_clock()
+        deadline = Deadline(2, now)
         policy = RetryPolicy.instant(attempts=4)
 
         def fn():
-            clock.advance(2)
+            transport.tick(2)
             raise TransientStoreError("boom")
 
         with pytest.raises(DeadlineExceededError):
@@ -266,5 +253,5 @@ class TestRetryDeadline:
     @pytest.mark.parametrize("failures", range(RETRY_ATTEMPTS + 1))
     def test_k_failures_within_the_budget_match_the_seed_behaviour(self, failures):
         """A budget every attempt fits in changes nothing."""
-        clock = LogicalClock()
-        check_k_failures(failures, Deadline(100, clock.now), lambda: clock.advance(3))
+        transport, now = _transport_clock()
+        check_k_failures(failures, Deadline(100, now), lambda: transport.tick(3))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chunk import Chunk, ChunkType
-from repro.cluster import ALIVE, DEAD, SUSPECT, ClusterStore, LogicalClock
+from repro.cluster import ALIVE, DEAD, SUSPECT, ClusterStore
 from repro.cluster.membership import DEAD_THRESHOLD, SUSPICION_THRESHOLD
 from repro.errors import NodeDownError, QuorumWriteError
 from repro.faults import NetworkPlan, PartitionedTransport, RetryPolicy
@@ -22,18 +22,6 @@ def _suspect_rounds(tick) -> None:
     """Just enough heartbeat rounds for every missed probe to suspect."""
     for _ in range(SUSPICION_THRESHOLD):
         tick()
-
-
-class TestLogicalClock:
-    def test_monotonic_ticks(self):
-        clock = LogicalClock()
-        assert clock.now() == 0
-        assert clock.advance() == 1
-        assert clock.advance(5) == 6
-
-    def test_time_never_reverses(self):
-        with pytest.raises(ValueError):
-            LogicalClock().advance(-1)
 
 
 class TestFailureDetector:
