@@ -94,7 +94,7 @@ class ClusterStore(ChunkStore):
         #: clock.  Feeds the hedging threshold and the health report.
         self.latency = LatencyTracker()
         #: End-to-end read latency in transport ticks (``health_report``).
-        self.read_ticks = LatencyStats(window=256)
+        self.read_ticks = LatencyStats()
         #: Per-(origin, node) circuit breakers, cooled on the transport clock.
         self.breakers = BreakerBoard(self.now)
         self._store_factory = node_store_factory
@@ -337,7 +337,12 @@ class ClusterStore(ChunkStore):
         return maintenance.durability_check(self, verify)
 
     def health_report(self) -> Dict[str, object]:
-        """Operational counters in one place (chaos-suite assertions)."""
+        """Operational counters in one place (chaos-suite assertions).
+
+        Counters only: it reads no replica, so it re-hashes nothing and
+        draws nothing from a node's fault plane.  Replica durability is
+        :meth:`durability_check`, which re-hashes every copy.
+        """
         detectors = self.detectors.values()
         return {
             "nodes_up": len(self.live_nodes()),
@@ -370,7 +375,6 @@ class ClusterStore(ChunkStore):
             "read_latency": self.read_ticks.snapshot(),
             "latency_observations": self.latency.observations,
             "node_cache": self.node_cache.counters(),
-            "durability": self.durability_check(),
             "network": self.transport.stats(),
         }
 

@@ -36,6 +36,9 @@ StreamKey = Tuple[str, str, str]
 #: EWMA smoothing factor: the weight of the newest observation.
 ALPHA = 0.2
 
+#: Observations a stream keeps for its quantiles (the newest ones).
+WINDOW = 128
+
 
 class LatencyStats:
     """EWMA + bounded-window quantiles for one stream of service ticks.
@@ -47,14 +50,11 @@ class LatencyStats:
     so they replay bit-identically (FB-DETERM).
     """
 
-    __slots__ = ("count", "ewma", "_window", "_ring", "_next")
+    __slots__ = ("count", "ewma", "_ring", "_next")
 
-    def __init__(self, window: int = 128) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
+    def __init__(self) -> None:
         self.count = 0
         self.ewma = 0.0
-        self._window = window
         self._ring: List[int] = []
         self._next = 0
 
@@ -67,11 +67,11 @@ class LatencyStats:
         else:
             self.ewma += ALPHA * (ticks - self.ewma)
         self.count += 1
-        if len(self._ring) < self._window:
+        if len(self._ring) < WINDOW:
             self._ring.append(ticks)
         else:
             self._ring[self._next] = ticks
-            self._next = (self._next + 1) % self._window
+            self._next = (self._next + 1) % WINDOW
 
     def quantile(self, q: float) -> Optional[int]:
         """The ``q`` quantile over the retained window (None when empty).

@@ -45,7 +45,6 @@ from repro.postree.merge import MergeConflict, Resolver
 from repro.store import FileStore, InMemoryStore, NodeCacheStore, PackStore
 from repro.store.base import ChunkStore
 from repro.store.nodecache import DURABLE_CAPACITY
-from repro.store.packstore import COMPRESSION_POLICIES
 from repro.types import FBlob, FList, FMap, FObject, FSet, load_object, type_for_python
 from repro.types.convert import PyValue, unwrap, wrap
 from repro.vcs import CommitJournal, FNode, Heads, VersionGraph
@@ -215,7 +214,6 @@ class ForkBase:
         fsync: str = "batch",
         journal_limit: int = 1 << 20,
         backend: str = "auto",
-        compression: str = "auto",
         node_cache: int = DURABLE_CAPACITY,
     ) -> "ForkBase":
         """Open (or create) a durable engine rooted at ``directory``.
@@ -226,9 +224,8 @@ class ForkBase:
         :class:`~repro.store.packstore.PackStore` (``"pack"``);
         ``"auto"`` detects which layout already lives on disk.  Both
         yield bit-identical uids and roots — the backend is invisible
-        above the chunk layer.  ``compression`` is the pack codec policy
-        (``auto`` / ``zstd`` / ``zlib`` / ``none``), checked on every
-        backend before the directory is touched.  A pack record keeps
+        above the chunk layer.  A pack store compresses with zstd when
+        zstandard is importable, zlib otherwise.  A pack record keeps
         its compressed form only if that saves at least 1/8 of its
         bytes; after a miss, the next 63 records of the same chunk type
         are stored raw untried, so digest-heavy index and commit records
@@ -264,8 +261,6 @@ class ForkBase:
         store.
         """
         # Every argument is checked before the directory is touched.
-        if compression not in COMPRESSION_POLICIES:
-            raise ValueError(f"unknown compression policy {compression!r}")
         if backend not in BACKENDS:
             raise EngineError(f"unknown storage backend {backend!r}")
         if isinstance(node_cache, bool) or not isinstance(node_cache, int) or node_cache < 0:
@@ -279,7 +274,7 @@ class ForkBase:
         journal: Optional[CommitJournal] = None
         try:
             chunk_dir = os.path.join(directory, "chunks")
-            store = cls._open_store(chunk_dir, backend, compression, node_cache)
+            store = cls._open_store(chunk_dir, backend, node_cache)
             engine = cls(store, author=author)
             engine._lock_handle = lock_handle
             journal = CommitJournal(os.path.join(directory, "journal.wal"), fsync=fsync)
@@ -295,9 +290,7 @@ class ForkBase:
         return engine
 
     @staticmethod
-    def _open_store(
-        chunk_dir: str, backend: str, compression: str, node_cache: int
-    ) -> ChunkStore:
+    def _open_store(chunk_dir: str, backend: str, node_cache: int) -> ChunkStore:
         """Build the durable chunk store for :meth:`open`.
 
         ``auto`` keeps reopen honest: an existing layout on disk decides
@@ -336,7 +329,7 @@ class ForkBase:
         if backend == "file":
             store = FileStore(chunk_dir)
         elif backend == "pack":
-            store = PackStore(chunk_dir, compression=compression)
+            store = PackStore(chunk_dir)
         else:
             # FORKBASE_BACKEND names something else.
             raise EngineError(f"unknown storage backend {backend!r}")

@@ -61,7 +61,7 @@ from repro.faults.network import (
     apply_slow_event,
 )
 from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy, with_retry
+from repro.faults.retry import RetryPolicy
 from repro.faults.store import FaultyStore, InterposedStore, TamperingStore
 
 __all__ = [
@@ -82,5 +82,4 @@ __all__ = [
     "flip_at",
     "fs_zone",
     "make_byzantine",
-    "with_retry",
 ]

@@ -15,7 +15,6 @@ seeds spread out while any single schedule stays exactly replayable.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Protocol, Tuple, Type, TypeVar
@@ -132,20 +131,3 @@ class RetryPolicy:
                 last = error
         raise last
 
-
-def with_retry(
-    fn: Callable[[], T],
-    policy: Optional[RetryPolicy] = None,
-    retry_on: Tuple[Type[BaseException], ...] = (TransientError,),
-    seed: Optional[int] = None,
-) -> T:
-    """Functional form of :meth:`RetryPolicy.call` (default policy if None).
-
-    ``seed`` re-seeds the policy's jitter stream for this caller, so
-    concurrent clients passing distinct seeds (a worker id, a request id)
-    do not retry in lockstep.
-    """
-    policy = policy or RetryPolicy()
-    if seed is not None:
-        policy = dataclasses.replace(policy, seed=seed)
-    return policy.call(fn, retry_on=retry_on)

@@ -12,10 +12,10 @@ bytes" — then the emitted nodes' index entries form the next level's entry
 sequence, recursively, until a single node remains.
 
 Each level runs in three vector-friendly steps: encode every entry once,
-compute the node spans with the fast chunker (numpy when available,
-byte-identical pure fallback otherwise — see :mod:`repro.rolling.fast`),
-then materialize nodes from span slices, reusing the encodings for the
-chunk payloads.
+compute the node spans with the vectorized chunker
+(:mod:`repro.rolling.fast`, which cuts exactly where the streaming
+reference does), then materialize nodes from span slices, reusing the
+encodings for the chunk payloads.
 
 Nodes are not stored one at a time: the builders append them to a
 :data:`WriteBatch`, children before parents, and the verb that owns the

@@ -41,7 +41,7 @@ from repro.postree.node import (
     encode_leaf_entry,
 )
 from repro.postree.tree import LevelCursor, PosTree
-from repro.rolling.fast import AnyEntryChunker, make_entry_chunker
+from repro.rolling.fast import VectorEntryChunker
 
 #: A record or a child reference; field 0 is the key either way.
 _Entry = Union[LeafEntry, IndexEntry]
@@ -130,7 +130,7 @@ class _Emitter:
         "_batch", "_chunker", "_level", "buffer", "_encoded", "descriptors", "bytes_since_edit",
     )
 
-    def __init__(self, batch: WriteBatch, chunker: AnyEntryChunker, level: int) -> None:
+    def __init__(self, batch: WriteBatch, chunker: VectorEntryChunker, level: int) -> None:
         self._batch = batch
         self._chunker = chunker
         self._level = level
@@ -216,7 +216,7 @@ def _splice_level(
         encode_leaf_entries if level == 0 else encode_index_entries
     )
     window = config.window
-    emitter = _Emitter(batch, make_entry_chunker(config), level)
+    emitter = _Emitter(batch, VectorEntryChunker(config), level)
     emitter.begin_region(walker.prev_tail(window))
     consumed: List[bytes] = []
     one_region = True

@@ -8,7 +8,9 @@ boundary occurs wherever :math:`\\Phi \\bmod 2^q = 0`.  This package provides
   recurrence from the paper (buzhash), the one rolling hash there is,
 - :mod:`~repro.rolling.chunker` — byte-stream and entry-stream chunkers
   with min/max-size clamps (entry streams extend a mid-entry pattern to
-  the entry boundary, as the paper specifies).
+  the entry boundary, as the paper specifies): the streaming reference,
+- :mod:`~repro.rolling.fast` — the numpy chunkers the engine runs, which
+  cut exactly where the reference does.
 """
 
 from repro.rolling.chunker import (
@@ -22,8 +24,6 @@ from repro.rolling.fast import (
     VectorEntryChunker,
     fast_chunk_spans,
     fast_entry_spans,
-    make_entry_chunker,
-    numpy_available,
 )
 from repro.rolling.hashes import CyclicPolynomialHash
 
@@ -36,7 +36,5 @@ __all__ = [
     "VectorEntryChunker",
     "fast_chunk_spans",
     "fast_entry_spans",
-    "make_entry_chunker",
-    "numpy_available",
     "CyclicPolynomialHash",
 ]

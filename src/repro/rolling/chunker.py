@@ -12,6 +12,10 @@ Two flavours, both driven by the same pattern rule ``Φ mod 2^q == 0``:
 Both keep the rolling window continuous across boundaries and support
 seeding the window with preceding bytes, which lets the POS-Tree editor
 re-chunk from the middle of a level and detect boundary resynchronization.
+
+The engine chunks with the vectorized equivalents in
+:mod:`repro.rolling.fast`; these streaming chunkers are the reference the
+tests hold them to, byte for byte.
 """
 
 from __future__ import annotations

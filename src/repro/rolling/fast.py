@@ -1,4 +1,4 @@
-"""Vectorized content-defined chunking (optional numpy fast path).
+"""Vectorized content-defined chunking (numpy).
 
 Pure-Python byte loops cap ingestion at a few MB/s; this module computes
 the cyclic-polynomial hash for *every* position of a buffer,
@@ -23,56 +23,21 @@ tests/test_fast_entry_chunker.py); structural invariance makes them
 mechanically checkable end-to-end: a tree bulk-built either way has the
 same root uid.
 
-If numpy is unavailable, everything degrades to the pure reference
-implementation.
+This module is the engine's one chunker.  The streaming reference in
+:mod:`repro.rolling.chunker` is the oracle the tests compare it against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 from functools import lru_cache
 from itertools import accumulate
-from typing import Any, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Sequence, Tuple
 
-from repro.rolling.chunker import (
-    BLOB_CONFIG,
-    ChunkerConfig,
-    ENTRY_CONFIG,
-    EntryChunker,
-    chunk_entries,
-    iter_chunk_spans,
-)
+import numpy as _np
+
+from repro.rolling.chunker import BLOB_CONFIG, ENTRY_CONFIG, ChunkerConfig
 from repro.rolling.hashes import gamma_table
-
-try:  # pragma: no cover - exercised implicitly by which path runs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Test/benchmark hook: force the pure reference path even with numpy.
-_FORCE_PURE = False
-
-
-def numpy_available() -> bool:
-    """True when the vectorized path can run."""
-    return _np is not None and not _FORCE_PURE
-
-
-@contextmanager
-def forced_pure() -> Iterator[None]:
-    """Context manager forcing the pure reference path.
-
-    Used by the equivalence tests and the throughput benchmark to measure
-    the interpreted implementation on machines where numpy is installed.
-    """
-    global _FORCE_PURE
-    previous = _FORCE_PURE
-    _FORCE_PURE = True
-    try:
-        yield
-    finally:
-        _FORCE_PURE = previous
 
 
 @lru_cache(maxsize=None)
@@ -211,12 +176,9 @@ def fast_chunk_spans(
     config: ChunkerConfig = BLOB_CONFIG,
     preceding: bytes = b"",
 ) -> List[Tuple[int, int]]:
-    """Spans identical to ``list(iter_chunk_spans(data, config, preceding))``.
-
-    Numpy-less environments fall back to the reference path.
-    """
-    if not numpy_available() or not data:
-        return list(iter_chunk_spans(data, config, preceding))
+    """Spans identical to ``list(iter_chunk_spans(data, config, preceding))``."""
+    if not data:
+        return []
 
     tail = preceding[-config.window :] if preceding else b""
     candidates = _pattern_candidates(data, config, tail).tolist()
@@ -384,23 +346,6 @@ class VectorEntryChunker:
         return boundaries
 
 
-#: Either chunker implementation, as returned by :func:`make_entry_chunker`.
-AnyEntryChunker = Union[EntryChunker, VectorEntryChunker]
-
-
-def make_entry_chunker(config: ChunkerConfig = ENTRY_CONFIG) -> AnyEntryChunker:
-    """Best available entry chunker for ``config``.
-
-    Returns the vectorized implementation when numpy is present; the pure
-    streaming reference otherwise.  Both honour the same
-    ``seed``/``push``/``push_many`` contract, so call sites need not care
-    which they got.
-    """
-    if numpy_available():
-        return VectorEntryChunker(config)
-    return EntryChunker(config)
-
-
 def fast_entry_spans(
     entries: Sequence[bytes],
     config: ChunkerConfig = ENTRY_CONFIG,
@@ -410,11 +355,8 @@ def fast_entry_spans(
 
     ``entries`` are the per-entry serializations (the byte stream the
     pattern rule scans); the returned ``(start, end)`` pairs index into
-    ``entries``.  Falls back to the pure reference when the fast path
-    cannot run.
+    ``entries``.
     """
-    if not numpy_available():
-        return chunk_entries(entries, config, preceding)
     chunker = VectorEntryChunker(config)
     if preceding:
         chunker.seed(preceding)

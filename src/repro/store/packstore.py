@@ -81,9 +81,6 @@ _COMPRESS_FLOOR = 8
 #: stored raw without a codec attempt.
 _COMPRESS_BACKOFF = 63
 
-#: The ``compression=`` policies: which codec a pack store tries.
-COMPRESSION_POLICIES = ("auto", "zstd", "zlib", "none")
-
 
 class PackStore(SegmentStore):
     """Durable chunk store over compressed, CRC-framed pack files."""

@@ -4,16 +4,27 @@ from __future__ import annotations
 
 import itertools
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import pytest
 from hypothesis import settings
 
+import repro.postree.builder as builder
+import repro.postree.edit as edit
+import repro.postree.listtree as listtree
 from repro.chunk import Uid
 from repro.db.engine import ForkBase
 from repro.errors import TransientStoreError
 from repro.faults.retry import DeadlineLike, RetryPolicy
+from repro.rolling.chunker import (
+    BLOB_CONFIG,
+    ChunkerConfig,
+    EntryChunker,
+    chunk_entries,
+    iter_chunk_spans,
+)
 from repro.store import InMemoryStore
 
 
@@ -88,6 +99,30 @@ def check_k_failures(
     assert len(calls) == retried + 1
     assert slept == list(policy.delays())[:retried]
     assert policy.retries == retried and policy.deadline_stops == 0
+
+
+def _reference_chunk_spans(
+    data: bytes, config: ChunkerConfig = BLOB_CONFIG, preceding: bytes = b""
+) -> List[Tuple[int, int]]:
+    return list(iter_chunk_spans(data, config, preceding))
+
+
+@contextmanager
+def pure_chunker() -> Iterator[None]:
+    """Run the engine on the streaming reference chunkers.
+
+    The engine slices with the numpy chunkers of ``repro.rolling.fast``
+    only; inside this block its three call sites (the bulk builder, the
+    positional trees and the splice editor) get the oracle of
+    ``repro.rolling.chunker`` instead, so a test can hold a root built
+    either way to the same value.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builder, "fast_entry_spans", chunk_entries)
+        patch.setattr(listtree, "fast_entry_spans", chunk_entries)
+        patch.setattr(listtree, "fast_chunk_spans", _reference_chunk_spans)
+        patch.setattr(edit, "VectorEntryChunker", EntryChunker)
+        yield
 
 
 @pytest.fixture

@@ -8,8 +8,8 @@ pin:
 
 - **roots** — a warm build has the root a cacheless build has, for
   random multi-region, length-changing edits (at 0, at the end, inside
-  max-size zero runs), on two configs, with numpy and under
-  ``forced_pure()``, and with a cache small enough to evict mid-build;
+  max-size zero runs), on two configs, on the numpy chunker and under
+  ``pure_chunker()``, and with a cache small enough to evict mid-build;
   again under an index config small enough for three or more index
   levels, and for a level whose last node recurs with entries after it;
   and for edits in a block's first or last leaf or across two blocks
@@ -48,10 +48,10 @@ from repro.postree.config import DEFAULT_TREE_CONFIG, TreeConfig
 from repro.postree.listtree import BlobTree
 from repro.postree.node import ListIndexNode, node_level
 from repro.rolling.chunker import BLOB_CONFIG, ChunkerConfig
-from repro.rolling.fast import forced_pure
 from repro.store import InMemoryStore, NodeCacheStore, physical_store
 from repro.store.gc import collect_garbage
 from repro.store.nodecache import BlobWalk, NodeLRU
+from tests.conftest import pure_chunker
 
 SMALL = ChunkerConfig(pattern_bits=6, min_size=16, max_size=256)
 
@@ -195,7 +195,7 @@ class TestRootsStayBitIdentical:
               HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 2**16), versions=st.lists(edits, min_size=1, max_size=3))
     def test_pure_chunker_builds_the_same_roots(self, capacity, seed, versions):
-        with forced_pure():
+        with pure_chunker():
             _check_versions(SMALL, capacity, seed, versions)
             _check_versions(replace(BLOB_CONFIG, max_size=4096), capacity, seed, versions[:1])
 

@@ -218,6 +218,25 @@ class TestRebalanceDropApi:
         cluster = ClusterStore(node_count=2, replication=2)
         cluster.put(_chunk(0))
         report = cluster.health_report()
-        for field in ("nodes_up", "corrupt_reads", "read_repairs",
-                      "hints_pending", "durability"):
+        for field in ("nodes_up", "corrupt_reads", "read_repairs", "hints_pending"):
             assert field in report
+        assert "durability" not in report
+
+    def test_health_report_rehashes_no_replica(self, monkeypatch):
+        cluster = ClusterStore(node_count=3, replication=2)
+        for n in range(20):
+            cluster.put(_chunk(n))
+        scans = []
+        real = InMemoryStore.verify_holdings
+
+        def counted(store):
+            scans.append(store)
+            return real(store)
+
+        monkeypatch.setattr(InMemoryStore, "verify_holdings", counted)
+        for _ in range(3):
+            cluster.health_report()
+        assert scans == []
+        # The spy sees the scan the durability check does ask for.
+        assert cluster.durability_check()["replicated"] == 20
+        assert len(scans) == 3

@@ -14,8 +14,8 @@ node; a second ``client()`` origin with its own deadline budget; a
 heartbeat round from the acting origin every sixth op; a slow node, a
 partition + heal, a kill + revive; then ``repair()``, ``scrub()``,
 ``readmit()`` and ``anti_entropy_pass()``.  The fingerprint is the whole
-``health_report()``, every maintenance report, every raised error class
-by op index, and the transport clock.
+``health_report()`` plus ``durability_check()``, every maintenance
+report, every raised error class by op index, and the transport clock.
 
 To regenerate (after a *deliberate* behaviour change, with the reason in
 CHANGES.md): ``PYTHONPATH=src python tests/test_cluster_replay_golden.py``
@@ -168,6 +168,9 @@ def fingerprint(seed: int, config: dict) -> dict:
             readmitted.append((name, cluster.readmit(name)))
     report = cluster.anti_entropy_pass()
     health = cluster.health_report()
+    # Re-hashing every copy draws from each node's disk plane, so it runs
+    # after every counter above has been read.
+    health["durability"] = cluster.durability_check()
     # Every verb above is a chunk verb, and chunk verbs bypass the
     # coordinator's decoded-node cache: it must end exactly as it began.
     assert health.pop("node_cache") == {

@@ -11,11 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.rolling.chunker import ChunkerConfig, iter_chunk_spans
-from repro.rolling.fast import fast_chunk_bytes, fast_chunk_spans, numpy_available
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not installed"
-)
+from repro.rolling.fast import fast_chunk_bytes, fast_chunk_spans
 
 CFG = ChunkerConfig(pattern_bits=7, min_size=16, max_size=2048)
 

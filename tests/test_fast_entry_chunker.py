@@ -18,14 +18,8 @@ from hypothesis import strategies as st
 
 from repro.postree import PosTree
 from repro.rolling.chunker import ChunkerConfig, EntryChunker, chunk_entries
-from repro.rolling.fast import (
-    VectorEntryChunker,
-    fast_entry_spans,
-    forced_pure,
-    numpy_available,
-)
-
-pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+from repro.rolling.fast import VectorEntryChunker, fast_entry_spans
+from tests.conftest import pure_chunker
 
 _settings = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -154,7 +148,7 @@ def test_bulk_build_root_matches_pure(store):
     rng = random.Random(17)
     pairs = _random_pairs(rng, 3000, 80)
     fast_root = PosTree.from_pairs(store, pairs.items()).root
-    with forced_pure():
+    with pure_chunker():
         pure_root = PosTree.from_pairs(store, pairs.items()).root
     assert fast_root == pure_root
 
@@ -170,7 +164,7 @@ def test_edit_splice_root_matches_pure_and_rebuild(store):
     deletes = set(rng.sample(keys, 120))
 
     edited = tree.update(puts=puts, deletes=deletes)
-    with forced_pure():
+    with pure_chunker():
         pure_edited = tree.update(puts=puts, deletes=deletes)
 
     expected = dict(pairs)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.chunk import Chunk, ChunkType, Uid
 from repro.errors import NodeDownError, TransientStoreError
-from repro.faults import FaultPlan, FaultyStore, RetryPolicy, with_retry
+from repro.faults import FaultPlan, FaultyStore, RetryPolicy
 from repro.store.memory import InMemoryStore
 from tests.conftest import RETRY_ATTEMPTS, check_k_failures
 
@@ -181,7 +181,7 @@ class TestRetryPolicy:
                 raise TransientStoreError("flap")
             return "ok"
 
-        assert with_retry(flaky, RetryPolicy.instant(attempts=4)) == "ok"
+        assert RetryPolicy.instant(attempts=4).call(flaky) == "ok"
         assert len(calls) == 3
 
     def test_reraises_last_error_when_exhausted(self):
@@ -205,7 +205,7 @@ class TestRetryPolicy:
             raise ValueError("not transient")
 
         with pytest.raises(ValueError):
-            with_retry(broken, RetryPolicy.instant())
+            RetryPolicy.instant().call(broken)
         assert len(calls) == 1
 
     def test_backoff_delays_grow_and_cap(self):
@@ -273,12 +273,10 @@ class TestRetryPolicy:
             return fn
 
         base = RetryPolicy(attempts=2, base_delay=0.05)
-        assert with_retry(fail_then_ok(slept_a),
-                          dataclasses.replace(base, sleep=slept_a.append),
-                          seed=10) == "ok"
-        assert with_retry(fail_then_ok(slept_b),
-                          dataclasses.replace(base, sleep=slept_b.append),
-                          seed=11) == "ok"
+        policy_a = dataclasses.replace(base, sleep=slept_a.append, seed=10)
+        policy_b = dataclasses.replace(base, sleep=slept_b.append, seed=11)
+        assert policy_a.call(fail_then_ok(slept_a)) == "ok"
+        assert policy_b.call(fail_then_ok(slept_b)) == "ok"
         # Both retried exactly once, but on decorrelated schedules.
         assert len(slept_a) == len(slept_b) == 1
         assert slept_a != slept_b

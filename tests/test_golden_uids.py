@@ -4,8 +4,9 @@ Fixed inputs per type — map, set, list and blob each empty, single-leaf
 and multi-level, and every primitive — are stored through
 ``types.convert.wrap`` and committed as an :class:`FNode` with fixed key,
 author, message, timestamp and bases.  The value-root uid and the FNode uid
-must equal the hex literals below on the memory, file and pack stores, with
-numpy and under ``rolling.fast.forced_pure()``.
+must equal the hex literals below on the memory, file and pack stores,
+built by the engine's numpy chunkers and again under ``pure_chunker()``
+(the streaming reference swapped in at every engine call site).
 
 The literals were *generated on commit 19f73bf (PR 23)*, before the map,
 list and blob trees were put behind one node seam, and this file is
@@ -22,7 +23,6 @@ import tempfile
 import pytest
 
 from repro.chunk import Uid
-from repro.rolling.fast import forced_pure
 from repro.store import FileStore, InMemoryStore, PackStore
 from repro.types.convert import wrap
 from repro.vcs.fnode import FNode
@@ -300,11 +300,14 @@ def test_every_input_has_a_vector():
 @pytest.mark.parametrize("pure", [False, True], ids=["numpy", "forced-pure"])
 @pytest.mark.parametrize("layout", sorted(STORES))
 def test_golden_uids(layout, pure):
+    # Imported here: the regeneration run (``__main__``) has no ``tests`` package.
+    from tests.conftest import pure_chunker
+
     with tempfile.TemporaryDirectory() as directory:
         store = STORES[layout](directory)
         try:
             if pure:
-                with forced_pure():
+                with pure_chunker():
                     got = {name: vector(store, name) for name in INPUTS}
             else:
                 got = {name: vector(store, name) for name in INPUTS}

@@ -21,6 +21,7 @@ from repro.cluster import (
     LatencyTracker,
 )
 from repro.cluster.breaker import COOLDOWN, THRESHOLD
+from repro.cluster.latency import WINDOW
 from repro.errors import DeadlineExceededError, TransientError, TransientStoreError
 from repro.faults import PartitionedTransport, RetryPolicy
 from tests.conftest import RETRY_ATTEMPTS, check_k_failures
@@ -35,27 +36,25 @@ class TestLatencyStats:
         assert stats.ewma == 12.0  # ALPHA = 0.2 of the step
 
     def test_quantiles_over_window(self):
-        stats = LatencyStats(window=100)
-        for ticks in range(1, 101):
+        stats = LatencyStats()
+        for ticks in range(1, WINDOW + 1):
             stats.observe(ticks)
         assert stats.quantile(0.0) == 1
-        assert stats.quantile(0.5) == 51
-        assert stats.quantile(0.95) == 96
-        assert stats.quantile(1.0) == 100
+        assert stats.quantile(0.5) == WINDOW // 2 + 1
+        assert stats.quantile(0.95) == int(0.95 * WINDOW) + 1
+        assert stats.quantile(1.0) == WINDOW
 
     def test_window_evicts_oldest(self):
-        stats = LatencyStats(window=4)
-        for ticks in (100, 100, 100, 100, 1, 1, 1, 1):
+        stats = LatencyStats()
+        for ticks in [100] * WINDOW + [1] * WINDOW:
             stats.observe(ticks)
         assert stats.quantile(1.0) == 1  # the 100s have been pushed out
-        assert stats.count == 8  # but the lifetime count remembers them
+        assert stats.count == 2 * WINDOW  # but the lifetime count remembers them
 
     def test_empty_quantile_is_none(self):
         assert LatencyStats().quantile(0.95) is None
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LatencyStats(window=0)
         with pytest.raises(ValueError):
             LatencyStats().observe(-1)
         with pytest.raises(ValueError):
@@ -69,7 +68,7 @@ class TestLatencyStats:
 
     def test_deterministic_replay(self):
         def run():
-            stats = LatencyStats(window=16)
+            stats = LatencyStats()
             for ticks in [5, 80, 2, 2, 41, 3, 3, 99, 1]:
                 stats.observe(ticks)
             return (stats.ewma, stats.quantile(0.5), stats.quantile(0.99))

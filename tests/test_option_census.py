@@ -45,7 +45,7 @@ CENSUS = {
     "BreakerBoard": ("now",),
     "CircuitBreaker": ("now",),
     "LatencyTracker": (),
-    "LatencyStats": ("window",),
+    "LatencyStats": (),
     "StorageNode": ("name", "store"),
     "FaultPlan": (
         "seed",
@@ -63,7 +63,6 @@ CENSUS = {
         "fsync",
         "journal_limit",
         "backend",
-        "compression",
         "node_cache",
     ),
     "NodeCacheStore": ("backing", "capacity"),

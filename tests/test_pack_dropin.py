@@ -82,13 +82,10 @@ class TestBackendParity:
         with pytest.raises(EngineError):
             ForkBase.open(str(tmp_path / "db"), backend="tape")
 
-    @pytest.mark.parametrize("backend", ["file", "pack", "auto"])
-    def test_unknown_compression_rejected_before_the_directory_exists(
-        self, tmp_path, backend
-    ):
-        directory = str(tmp_path / "db")
+    def test_unknown_compression_rejected_before_the_directory_exists(self, tmp_path):
+        directory = str(tmp_path / "chunks")
         with pytest.raises(ValueError):
-            ForkBase.open(directory, backend=backend, compression="lz77")
+            PackStore(directory, compression="lz77")
         assert not os.path.exists(directory)
 
     @pytest.mark.parametrize("node_cache", [-1, 1.5, "64", True])
@@ -136,11 +133,13 @@ class TestBackendParity:
         import repro.store.packstore as packstore_mod
 
         monkeypatch.setattr(packstore_mod, "_zstd", None)
-        with ForkBase.open(str(tmp_path / "db"), backend="file", compression="zstd") as engine:
+        with ForkBase.open(str(tmp_path / "db"), backend="file") as engine:
             engine.put("k", {"a": "1"})
             assert engine.get_value("k") == {b"a": b"1"}
+        directory = str(tmp_path / "chunks")
         with pytest.raises(ValueError):
-            ForkBase.open(str(tmp_path / "db2"), backend="pack", compression="zstd")
+            PackStore(directory, compression="zstd")
+        assert not os.path.exists(directory)
 
     def test_verify_and_history_on_pack(self, tmp_path):
         with ForkBase.open(str(tmp_path / "db"), backend="pack") as engine:

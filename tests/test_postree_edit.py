@@ -22,7 +22,7 @@ CACHELESS_COMMIT_LOOP_GETS = 550
 
 #: gets + puts the one-span splice this editor replaced spent on
 #: TestWorkBound's dense batch (measured on that commit; chunking is
-#: deterministic, so the count is exact with and without numpy).
+#: deterministic, so the count is exact).
 ONE_SPAN_DENSE_ACCESSES = 7064
 
 

@@ -20,10 +20,8 @@ from hypothesis import strategies as st
 
 from repro.rolling import fast
 from repro.rolling.chunker import ChunkerConfig, chunk_entries, iter_chunk_spans
-from repro.rolling.fast import fast_chunk_spans, fast_entry_spans, numpy_available
+from repro.rolling.fast import fast_chunk_spans, fast_entry_spans
 from repro.rolling.hashes import CyclicPolynomialHash
-
-pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 WINDOWS = [1, 2, 3, 4, 7, 16, 17, 31, 32, 48]
 PATTERN_BITS = 5
