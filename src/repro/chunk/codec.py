@@ -47,6 +47,11 @@ def uvarint_bytes(value: int) -> bytes:
             return bytes(out)
 
 
+def uvarint_size(value: int) -> int:
+    """``len(uvarint_bytes(value))`` for ``value >= 0``, without encoding it."""
+    return 1 if value < 0x80 else (value.bit_length() + 6) // 7
+
+
 def blob_rows(columns: Sequence[Sequence[bytes]]) -> Iterator[bytes]:
     """Rows of length-prefixed fields, built a column at a time.
 

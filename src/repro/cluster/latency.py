@@ -26,6 +26,7 @@ point where the caller has already given up.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DeadlineExceededError
@@ -50,13 +51,15 @@ class LatencyStats:
     so they replay bit-identically (FB-DETERM).
     """
 
-    __slots__ = ("count", "ewma", "_ring", "_next")
+    __slots__ = ("count", "ewma", "_ring", "_next", "_sorted")
 
     def __init__(self) -> None:
         self.count = 0
         self.ewma = 0.0
         self._ring: List[int] = []
         self._next = 0
+        #: The ring's values in order, kept beside it: a quantile is an index.
+        self._sorted: List[int] = []
 
     def observe(self, ticks: int) -> None:
         """Fold one observed service duration into the stream."""
@@ -70,21 +73,22 @@ class LatencyStats:
         if len(self._ring) < WINDOW:
             self._ring.append(ticks)
         else:
+            del self._sorted[bisect_left(self._sorted, self._ring[self._next])]
             self._ring[self._next] = ticks
             self._next = (self._next + 1) % WINDOW
+        insort(self._sorted, ticks)
 
     def quantile(self, q: float) -> Optional[int]:
         """The ``q`` quantile over the retained window (None when empty).
 
-        Nearest-rank over a sorted copy of the window: O(w log w) per
-        call, which is fine for hedging decisions (one call per read)
-        at window sizes in the low hundreds.
+        Nearest-rank over the window, which :meth:`observe` keeps sorted:
+        one index per call, the hedging decision every read makes.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._ring:
+        ordered = self._sorted
+        if not ordered:
             return None
-        ordered = sorted(self._ring)
         rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
         return ordered[rank]
 

@@ -49,6 +49,7 @@ from repro.types import FBlob, FList, FMap, FObject, FSet, load_object, type_for
 from repro.types.convert import PyValue, unwrap, wrap
 from repro.vcs import CommitJournal, FNode, Heads, VersionGraph
 from repro.vcs.branches import DEFAULT_BRANCH
+from repro.vcs.journal import FSYNC_POLICIES
 
 #: Engine health states: a disk fault that may have lost acknowledged
 #: state demotes the engine to read-only; a disk fault on the *read*
@@ -265,6 +266,14 @@ class ForkBase:
             raise EngineError(f"unknown storage backend {backend!r}")
         if isinstance(node_cache, bool) or not isinstance(node_cache, int) or node_cache < 0:
             raise ValueError(f"node_cache must be an int >= 0, got {node_cache!r}")
+        if fsync not in FSYNC_POLICIES:
+            raise ValueError(f"fsync policy must be one of {FSYNC_POLICIES}, got {fsync!r}")
+        if (
+            isinstance(journal_limit, bool)
+            or not isinstance(journal_limit, int)
+            or journal_limit < 1
+        ):
+            raise ValueError(f"journal_limit must be an int >= 1, got {journal_limit!r}")
         os.makedirs(directory, exist_ok=True)
         legacy = os.path.join(directory, "branches.json")
         if os.path.exists(legacy):

@@ -33,9 +33,11 @@ class TreeConfig:
     index: ChunkerConfig = field(default_factory=_default_index_config)
 
     def __post_init__(self) -> None:
-        # The incremental editor seeds the rolling window with the tail of
-        # the preceding node; that tail must always be a full window, which
-        # requires every closed node to span at least `window` bytes.
+        # A cut lies at least `min_size` bytes into its node, so with
+        # min_size >= window no window a cut depends on reaches back past
+        # the node's start: the incremental editor restarts the chunker at
+        # an old boundary without the bytes before it, and a node it
+        # patches in place cannot move a cut in the node after it.
         for name, config in (("leaf", self.leaf), ("index", self.index)):
             if config.min_size < config.window:
                 raise ValueError(

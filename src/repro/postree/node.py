@@ -31,7 +31,7 @@ from bisect import bisect_left
 from typing import Any, ClassVar, Dict, List, NamedTuple, Optional, Tuple, Type, Union
 
 from repro.chunk import Chunk, ChunkType, Reader, Uid
-from repro.chunk.codec import UVARINT_1, uvarint_bytes
+from repro.chunk.codec import UVARINT_1, uvarint_bytes, uvarint_size
 from repro.errors import ChunkEncodingError
 
 #: A record stored in a data chunk: a plain ``(key, value)`` tuple.  Not a
@@ -103,6 +103,24 @@ def encode_index_entry(entry: IndexEntry) -> bytes:
 #: Bytes of a child digest in an index entry.
 _UID_SIZE = 32
 
+def leaf_entry_size(entry: LeafEntry) -> int:
+    """``len(encode_leaf_entry(entry))``, without encoding the entry."""
+    key, value = entry
+    key_len = len(key)
+    value_len = len(value)
+    if key_len < 0x80 and value_len < 0x80:
+        return key_len + value_len + 2
+    return uvarint_size(key_len) + key_len + uvarint_size(value_len) + value_len
+
+
+def index_entry_size(entry: IndexEntry) -> int:
+    """``len(encode_index_entry(entry))``, without encoding the entry."""
+    split_key, _, count = entry
+    key_len = len(split_key)
+    if key_len < 0x80 and count < 0x80:
+        return key_len + _UID_SIZE + 2
+    return uvarint_size(key_len) + key_len + _UID_SIZE + uvarint_size(count)
+
 
 def encode_leaf_entries(entries: List[LeafEntry]) -> List[bytes]:
     """Bulk per-entry serializations (one pass, chunker + node input).
@@ -171,8 +189,9 @@ class EncodedNode:
     def __init__(self, entries: List[Any], encoded: Optional[List[bytes]] = None) -> None:
         self.entries = entries
         self._chunk: Optional[Chunk] = None
-        # Optional precomputed per-entry serializations (must match
-        # ``encode_entries`` output) so bulk construction encodes once.
+        # Optional precomputed serializations whose concatenation is the
+        # ``encode_entries`` output (per entry, or pieces of an edited
+        # payload) so construction encodes once.
         self._encoded = encoded
 
     @staticmethod
@@ -200,18 +219,13 @@ class EncodedNode:
         """Content address of the encoded node."""
         return self.to_chunk().uid
 
+    def stream_start(self) -> int:
+        """Payload position where the entry stream starts (past the header)."""
+        return len(self._header())
+
     def entry_bytes(self) -> List[bytes]:
         """Per-entry serializations, in order (chunker input)."""
         return self.encode_entries(self.entries)
-
-    def tail_bytes(self, window: int) -> bytes:
-        """Last ``window`` bytes of the entry stream (window seeding).
-
-        The payload is the header followed by exactly that stream, so
-        the tail is a slice of it: no entry is encoded again.
-        """
-        data = self.to_chunk().data
-        return data[max(len(self._header()), len(data) - window) :]
 
 
 class LeafNode(EncodedNode):

@@ -10,8 +10,8 @@ Two flavours, both driven by the same pattern rule ``Φ mod 2^q == 0``:
   entry, so that no entries are stored across multiple pages."
 
 Both keep the rolling window continuous across boundaries and support
-seeding the window with preceding bytes, which lets the POS-Tree editor
-re-chunk from the middle of a level and detect boundary resynchronization.
+seeding the window with preceding bytes, so a stream can be chunked from
+its middle exactly.
 
 The engine chunks with the vectorized equivalents in
 :mod:`repro.rolling.fast`; these streaming chunkers are the reference the

@@ -161,8 +161,14 @@ def _window_hashes(
         yield start, values
 
 
-def _pattern_candidates(data: bytes, config: ChunkerConfig, tail: bytes) -> Any:
-    """Sorted positions of ``data`` where the raw pattern rule fires."""
+def pattern_candidates(data: bytes, config: ChunkerConfig, tail: bytes) -> Any:
+    """Sorted positions of ``data`` where the raw pattern rule fires.
+
+    ``tail`` is the stream before ``data``, as for :func:`_window_hashes`;
+    no min-size, max-size or entry gate is applied.  The chunkers here
+    replay their state machines over these positions, and the POS-Tree
+    editor compares them before and after an in-place edit.
+    """
     pattern_mask = (1 << config.pattern_bits) - 1
     found: List[Any] = []
     for start, values in _window_hashes(data, config, tail):
@@ -181,7 +187,7 @@ def fast_chunk_spans(
         return []
 
     tail = preceding[-config.window :] if preceding else b""
-    candidates = _pattern_candidates(data, config, tail).tolist()
+    candidates = pattern_candidates(data, config, tail).tolist()
     n = len(data)
 
     # Replay the min/max state machine over candidates + forced
@@ -277,7 +283,7 @@ class VectorEntryChunker:
         # per node at every batch size, most at the editor's ~10 entries).
         candidates: List[int] = []
         if stream_len:
-            candidates = _pattern_candidates(data, config, self._tail).tolist()
+            candidates = pattern_candidates(data, config, self._tail).tolist()
             if stream_len >= config.window:
                 self._tail = data[-config.window :]
             else:

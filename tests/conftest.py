@@ -6,8 +6,9 @@ import itertools
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+import numpy
 import pytest
 from hypothesis import settings
 
@@ -25,6 +26,7 @@ from repro.rolling.chunker import (
     chunk_entries,
     iter_chunk_spans,
 )
+from repro.rolling.hashes import CyclicPolynomialHash
 from repro.store import InMemoryStore
 
 
@@ -107,21 +109,38 @@ def _reference_chunk_spans(
     return list(iter_chunk_spans(data, config, preceding))
 
 
+def reference_pattern_candidates(data: bytes, config: ChunkerConfig, tail: bytes) -> Any:
+    """The positions of ``data`` where the streaming hash fires the raw
+    pattern rule, ``tail`` before it (zero pre-filled, as the chunkers)."""
+    window = config.window
+    hasher = CyclicPolynomialHash(window, config.hash_bits, config.seed)
+    stream = bytes(window) + tail[-window:] + data
+    skip = len(stream) - len(data)
+    mask = (1 << config.pattern_bits) - 1
+    hits = [
+        at - skip
+        for at in range(window, len(stream))
+        if hasher.update(stream[at], stream[at - window]) & mask == 0 and at >= skip
+    ]
+    return numpy.array(hits, dtype=numpy.intp)
+
+
 @contextmanager
 def pure_chunker() -> Iterator[None]:
     """Run the engine on the streaming reference chunkers.
 
     The engine slices with the numpy chunkers of ``repro.rolling.fast``
-    only; inside this block its three call sites (the bulk builder, the
-    positional trees and the splice editor) get the oracle of
-    ``repro.rolling.chunker`` instead, so a test can hold a root built
-    either way to the same value.
+    only; inside this block its four call sites (the bulk builder, the
+    positional trees, the splice editor and its in-place patch) get the
+    oracle of ``repro.rolling.chunker`` and ``repro.rolling.hashes``
+    instead, so a test can hold a root built either way to the same value.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(builder, "fast_entry_spans", chunk_entries)
         patch.setattr(listtree, "fast_entry_spans", chunk_entries)
         patch.setattr(listtree, "fast_chunk_spans", _reference_chunk_spans)
         patch.setattr(edit, "VectorEntryChunker", EntryChunker)
+        patch.setattr(edit, "pattern_candidates", reference_pattern_candidates)
         yield
 
 

@@ -9,6 +9,8 @@ deadline-aware :meth:`~repro.faults.retry.RetryPolicy.call`.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster import (
     CLOSED,
@@ -74,6 +76,21 @@ class TestLatencyStats:
             return (stats.ewma, stats.quantile(0.5), stats.quantile(0.99))
 
         assert run() == run()
+
+
+    @given(
+        ticks=st.lists(st.integers(0, 60), max_size=3 * WINDOW),
+        q=st.sampled_from([0.0, 0.01, 0.5, 0.95, 0.99, 1.0]) | st.floats(0, 1),
+    )
+    def test_quantile_is_nearest_rank_over_the_window(self, ticks, q):
+        """After every observation, eviction included, a quantile is the
+        nearest rank of the newest ``WINDOW`` ticks, sorted afresh."""
+        stats = LatencyStats()
+        assert stats.quantile(q) is None
+        for seen, tick in enumerate(ticks, 1):
+            stats.observe(tick)
+            ordered = sorted(ticks[max(0, seen - WINDOW) : seen])
+            assert stats.quantile(q) == ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 class TestLatencyTracker:

@@ -98,6 +98,24 @@ class TestBackendParity:
         with ForkBase.open(directory, backend="pack") as engine:
             engine.put("k", {"a": "1"})
 
+    @pytest.mark.parametrize(
+        "argument",
+        [
+            {"fsync": "bogus"},
+            {"journal_limit": "x"},
+            {"journal_limit": True},
+            {"journal_limit": -5},
+        ],
+    )
+    def test_bad_journal_arguments_rejected_before_the_directory_exists(
+        self, tmp_path, argument
+    ):
+        directory = str(tmp_path / "db")
+        with pytest.raises(ValueError):
+            ForkBase.open(directory, **argument)
+        # No .lock, no chunks/: the directory itself was never made.
+        assert not os.path.exists(directory)
+
     def test_unknown_backend_rejected_before_the_directory_exists(self, tmp_path):
         directory = str(tmp_path / "db")
         with pytest.raises(EngineError):

@@ -11,14 +11,19 @@ import pytest
 
 from repro.db import ForkBase
 from repro.postree import PosTree, builder, diff_trees, edit, node, three_way_merge
+from repro.postree.config import DEFAULT_TREE_CONFIG
 from repro.postree.node import IndexNode, LeafNode, load_node
+from repro.rolling.fast import VectorEntryChunker, pattern_candidates
 from repro.store import InMemoryStore, physical_store
 from repro.types import FMap
 
 #: Backend gets the 2nd..20th commit of TestWorkBound's commit loop cost an
-#: engine *without* a node cache (measured on the commit before the node
-#: I/O seam; the same on the memory, file and pack backends).
-CACHELESS_COMMIT_LOOP_GETS = 550
+#: engine *without* a node cache (the same on the memory, file and pack
+#: backends).  A same-length update patches each node on its path in
+#: place: it reads no left sibling for the window before a node and no
+#: node past the edited one, where the re-chunking splice read both at
+#: every level (550 gets).
+CACHELESS_COMMIT_LOOP_GETS = 277
 
 #: gets + puts the one-span splice this editor replaced spent on
 #: TestWorkBound's dense batch (measured on that commit; chunking is
@@ -326,3 +331,102 @@ class TestWorkBound:
             db = ForkBase.open(str(tmp_path / "db"), backend=backend, node_cache=0)
         assert self._commit_loop(db, big).gets == CACHELESS_COMMIT_LOOP_GETS
         db.close()
+
+
+class TestPatchStep:
+    """A same-length one-key commit on a 100,000-record map of 100-byte
+    values.  Each level where the node on the path keeps its cuts is
+    patched in place: the kernel hashes the windows its changed bytes
+    cover, old and new, and the chunker does not run there."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        store = InMemoryStore()
+        pairs = [
+            (key, (hashlib.sha256(key).digest() * 4)[:100])
+            for key in (b"key-%012d" % i for i in range(100_000))
+        ]
+        return PosTree.from_pairs(store, pairs, presorted=True), [k for k, _ in pairs]
+
+    @staticmethod
+    def _encode(level):
+        return node.encode_index_entry if level else node.encode_leaf_entry
+
+    def _replaces_in_place(self, record):
+        """Whether every op replaces an entry of the node with an encoding
+        of the same length (what the step needs before it hashes)."""
+        encode = self._encode(record["level"])
+        old = {entry[0]: entry for entry in record["node"].entries}
+        return all(
+            entry is not None and key in old and len(encode(entry)) == len(encode(old[key]))
+            for key, entry in record["ops"]
+        )
+
+    @staticmethod
+    def _hits(record, ops):
+        """Raw pattern hits over the node's whole entry stream with ``ops``
+        applied: a reference the step itself never computes."""
+        entries = {entry[0]: entry for entry in record["node"].entries}
+        entries.update(ops)
+        stream = b"".join(record["node"].encode_entries(sorted(entries.values())))
+        config = DEFAULT_TREE_CONFIG.index if record["level"] else DEFAULT_TREE_CONFIG.leaf
+        return pattern_candidates(stream, config, b"").tolist()
+
+    def test_a_one_key_commit_hashes_its_changed_windows_only(self, large, monkeypatch):
+        tree, keys = large
+        window = DEFAULT_TREE_CONFIG.leaf.window
+        assert window == DEFAULT_TREE_CONFIG.index.window
+        splice_level, patch, kernel = edit._splice_level, edit._patch, edit.pattern_candidates
+        push_many = VectorEntryChunker.push_many
+        state = {"level": None, "patch": None}
+        patches = []  # one record per step attempt
+        chunked = set()  # the levels where push_many ran
+
+        def spy_splice_level(tree_, batch, level, walker, ops):
+            state["level"] = level
+            return splice_level(tree_, batch, level, walker, ops)
+
+        def spy_patch(node_, ops, config, level_end):
+            level = node_.level if isinstance(node_, IndexNode) else 0
+            record = {"node": node_, "ops": list(ops), "level": level, "kernel": 0}
+            state["patch"] = record
+            result = patch(node_, ops, config, level_end)
+            state["patch"] = None
+            record["taken"] = result is not None
+            patches.append(record)
+            return result
+
+        def spy_kernel(data, config, tail):
+            state["patch"]["kernel"] += len(data)
+            return kernel(data, config, tail)
+
+        def spy_push_many(chunker, encoded):
+            chunked.add(state["level"])
+            return push_many(chunker, encoded)
+
+        attempts = taken = 0
+        for index in range(0, len(keys), len(keys) // 40):
+            key = keys[index]
+            value = (hashlib.sha256(b"edited" + key).digest() * 4)[:100]
+            patches.clear()
+            chunked.clear()
+            with monkeypatch.context() as spying:
+                spying.setattr(edit, "_splice_level", spy_splice_level)
+                spying.setattr(edit, "_patch", spy_patch)
+                spying.setattr(edit, "pattern_candidates", spy_kernel)
+                spying.setattr(VectorEntryChunker, "push_many", spy_push_many)
+                edited = tree.put(key, value)
+            assert edited.get(key) == value
+            for record in patches:
+                attempts += 1
+                if record["taken"]:
+                    taken += 1
+                    encode = self._encode(record["level"])
+                    bound = sum(2 * (len(encode(entry)) + window) for _, entry in record["ops"])
+                    assert record["kernel"] <= bound
+                elif self._replaces_in_place(record):
+                    # Refused although every op fits in place: a hit moved.
+                    assert self._hits(record, record["ops"]) != self._hits(record, ())
+            for level in chunked:
+                assert any(not r["taken"] for r in patches if r["level"] == level)
+        assert taken >= 0.7 * attempts

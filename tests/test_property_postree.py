@@ -5,9 +5,10 @@ sets and edit orders, the tree must be structurally invariant, agree with
 a dict model, and keep its internal invariants.
 """
 
+import hashlib
 from typing import Dict, List, Tuple
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.postree import PosTree, diff_trees
@@ -300,3 +301,105 @@ def test_delete_everything_and_regrow():
     # Replace every record in one batch: deletes everywhere, puts past the end.
     replacement = {b"z" + k: v for k, v in mapping.items()}
     _update_and_check(store, tree, mapping, replacement, set(mapping))
+
+
+# -- same-length updates: the editor's patch step -------------------------------
+
+#: A few entries per node at every level, so a small batch meets each edge
+#: of the patch step; CAPPED_CONFIG adds forced max-size cuts and
+#: ``min_entries`` = 3 at the index levels.
+PATCH_CONFIGS = (TreeConfig().scaled(64, 64), TreeConfig().scaled(128, 64), CAPPED_CONFIG)
+
+#: Where in the leaf level a pick lands: anywhere, a node's first entry
+#: (inside its first window), a node's last entry (its changed windows
+#: reach into the next node), the level's first or last node; or a value
+#: that moves a cut (the step must fall back), anywhere or in a node's
+#: first entry, where a new hit can sit on the first position that cuts.
+_SPOTS = ("any", "node-head", "node-last", "first-node", "last-node", "flip", "flip-head")
+
+
+def _fixed_width_tree(size: int, config: TreeConfig):
+    mapping = {
+        b"r%05d" % i: hashlib.sha256(b"%d" % i).digest()[: 4 + i % 13] for i in range(size)
+    }
+    store = RecordingStore()
+    return store, PosTree.from_pairs(store, mapping.items(), config), mapping
+
+
+def _leaf_cuts(store, mapping, config: TreeConfig) -> List[bytes]:
+    tree = PosTree.from_pairs(store, mapping.items(), config)
+    return [leaf.entries[-1][0] for leaf in tree.leaves()]
+
+
+def _flipping_value(store, mapping, key, config: TreeConfig) -> bytes:
+    """A value as long as ``key``'s whose bulk build cuts the leaf level
+    elsewhere; ``key``'s own value when none of the tried ones does."""
+    cuts = _leaf_cuts(store, mapping, config)
+    for attempt in range(64):
+        value = hashlib.sha256(key + b"%d" % attempt).digest()[: len(mapping[key])]
+        if _leaf_cuts(store, {**mapping, key: value}, config) != cuts:
+            return value
+    return mapping[key]
+
+
+def _spot_key(tree: PosTree, keys: List[bytes], spot: str, quantile: float) -> bytes:
+    leaves = list(tree.leaves())
+    if spot in ("node-head", "node-last", "flip-head"):
+        entries = leaves[int(quantile * (len(leaves) - 1))].entries
+        return entries[-1 if spot == "node-last" else 0][0]
+    if spot in ("first-node", "last-node"):
+        entries = leaves[0 if spot == "first-node" else -1].entries
+        return entries[int(quantile * (len(entries) - 1))][0]
+    return keys[int(quantile * (len(keys) - 1))]
+
+
+@given(
+    size=st.integers(2, 500),
+    config=st.sampled_from(PATCH_CONFIGS),
+    picks=st.lists(
+        st.tuples(
+            st.sampled_from(_SPOTS), st.floats(0, 1), st.binary(max_size=6), st.integers(0, 15)
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@example(size=300, config=PATCH_CONFIGS[0], picks=[("node-head", 0.5, b"\x01", 0)])
+@example(size=300, config=PATCH_CONFIGS[0], picks=[("first-node", 0.0, b"\xff\xff", 2)])
+@example(size=300, config=PATCH_CONFIGS[1], picks=[("node-last", 0.3, b"\x80", 15)])
+@example(size=300, config=PATCH_CONFIGS[0], picks=[("last-node", 1.0, b"\x10" * 6, 0)])
+@example(size=12, config=PATCH_CONFIGS[0], picks=[("any", 0.5, b"\x07", 1)])  # root-only index
+@example(size=3, config=PATCH_CONFIGS[0], picks=[("any", 0.5, b"\x07", 1)])  # a leaf root
+@example(size=300, config=PATCH_CONFIGS[0], picks=[("any", 0.5, b"", 0)])  # replaced by itself
+@example(size=300, config=PATCH_CONFIGS[0], picks=[("flip", 0.4, b"", 0)])
+@example(size=300, config=PATCH_CONFIGS[0], picks=[("flip-head", 0.6, b"", 0)])
+@example(
+    size=300, config=CAPPED_CONFIG, picks=[("flip", 0.7, b"", 0), ("node-last", 0.2, b"\x01", 3)]
+)
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_same_length_updates_match_bulk_and_strand_nothing(size, config, picks):
+    """Values replaced by values of the same length — one key or many,
+    patched in place or falling back where a cut moves — splice to the
+    bulk-built tree, and every chunk written belongs to it."""
+    store, tree, mapping = _fixed_width_tree(size, config)
+    keys = sorted(mapping)
+    puts: Dict[bytes, bytes] = {}
+    flips = []
+    for spot, quantile, mask, shift in picks:
+        key = _spot_key(tree, keys, spot, quantile)
+        old = mapping[key]
+        if key in puts:
+            continue  # the first pick of a key holds
+        if spot.startswith("flip"):
+            puts[key] = _flipping_value(store, mapping, key, config)
+            flips.append(puts[key] != old)
+        else:
+            # XOR ``mask`` into the value from byte ``shift`` on (clipped).
+            delta = (bytes(shift % len(old)) + mask).ljust(len(old), b"\0")
+            puts[key] = bytes(a ^ b for a, b in zip(old, delta))
+    edited, _ = _update_and_check(store, tree, mapping, puts, set())
+    if len(puts) == 1 and flips == [True]:
+        # The example really moved a cut, so the step must have fallen back.
+        assert [leaf.entries[-1][0] for leaf in edited.leaves()] != [
+            leaf.entries[-1][0] for leaf in tree.leaves()
+        ]

@@ -22,6 +22,7 @@ from repro.rolling import fast
 from repro.rolling.chunker import ChunkerConfig, chunk_entries, iter_chunk_spans
 from repro.rolling.fast import fast_chunk_spans, fast_entry_spans
 from repro.rolling.hashes import CyclicPolynomialHash
+from tests.conftest import reference_pattern_candidates
 
 WINDOWS = [1, 2, 3, 4, 7, 16, 17, 31, 32, 48]
 PATTERN_BITS = 5
@@ -99,6 +100,18 @@ def test_byte_spans_match_reference(config, data, tail):
     assert fast_chunk_spans(data, config, tail) == list(
         iter_chunk_spans(data, config, tail)
     )
+
+
+@given(config=configs, data=st.binary(min_size=1, max_size=3000), tail=st.binary(max_size=48))
+@_settings
+def test_pattern_candidates_match_stepped_hash(config, data, tail):
+    """The raw hits the splice editor compares before and after a patch,
+    and the oracle ``pure_chunker()`` swaps in for them."""
+    tail = tail[-config.window :]  # the kernel's contract: at most a window
+    mask = (1 << config.pattern_bits) - 1
+    expected = [at for at, value in enumerate(_stepped(data, config, tail)) if value & mask == 0]
+    assert fast.pattern_candidates(data, config, tail).tolist() == expected
+    assert reference_pattern_candidates(data, config, tail).tolist() == expected
 
 
 @given(
